@@ -1,6 +1,7 @@
 """Cevian constructions on a triangle and the centers built from them.
 
-Two families of cevian feet are found by bisection along the side line:
+Two families of cevian feet are found by a bracketed Brent root-finder
+along the side line:
 
 * the pseudoaltitude foot from A balances sigma(B, X, A) = sigma(A, X, C)
   as X runs along line BC; the balance function is strictly monotone on
@@ -23,6 +24,8 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BracketFailure, DivergentCevians, GeometryError
@@ -48,7 +51,7 @@ from .cycles import (
 
 VERTICES = ("a", "b", "c")
 
-# bisection runs until the bracket is this narrow (line-frame units)
+# the root-finder runs until the bracket is this narrow (line-frame units)
 BRACKET_WIDTH = 1e-14
 
 # initial brackets stay this far from the triangle vertices
@@ -79,7 +82,7 @@ def _expand_bracket(f, lo: float, hi: float, limit: float):
     step = 0.5 * (hi - lo)
     for _ in range(80):
         if flo * fhi <= 0.0:
-            return lo, hi, flo
+            return lo, hi, flo, fhi
         outward_right = (flo > 0.0) == decreasing
         if outward_right:
             if hi >= limit:
@@ -95,21 +98,57 @@ def _expand_bracket(f, lo: float, hi: float, limit: float):
     raise BracketFailure("no sign change up to the ideal endpoints")
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> tuple[float, float]:
-    width = hi - lo
+def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
+               width: float = BRACKET_WIDTH) -> tuple[float, float]:
+    """Root of f in a sign-changing bracket, and the final bracket width.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
+    they shrink the bracket fast enough, bisection otherwise.  It stops
+    once the bracket is at most `width` wide and returns its end with the
+    smaller |f|; flo and fhi are f at the bracket ends.
+    """
+    if flo == 0.0:
+        return lo, 0.0
+    if fhi == 0.0:
+        return hi, 0.0
+    # cur: best estimate; blk: the other end of the bracket; pre: last cur
+    xpre, fpre = lo, flo
+    xcur, fcur = hi, fhi
+    xblk, fblk = lo, flo
+    spre = scur = hi - lo
+    delta = 0.5 * width
     for _ in range(200):
-        if width <= BRACKET_WIDTH:
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if abs(sbis) <= delta:
             break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-        width = hi - lo
-    return 0.5 * (lo + hi), width
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+        if fcur == 0.0:
+            return xcur, 0.0
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+    return xcur, abs(xblk - xcur)
 
 
 def pseudoaltitude_foot(tri: Triangle, vertex: str) -> tuple[complex, float]:
@@ -121,8 +160,8 @@ def pseudoaltitude_foot(tri: Triangle, vertex: str) -> tuple[complex, float]:
         x = fr.back(t)
         return sigma(b1, x, apex) - sigma(apex, x, b2)
 
-    lo, hi, flo = _expand_bracket(f, EDGE_INSET, fr.t_far - EDGE_INSET, IDEAL_LIMIT)
-    t, width = _bisect(f, lo, hi, flo)
+    lo, hi, flo, fhi = _expand_bracket(f, EDGE_INSET, fr.t_far - EDGE_INSET, IDEAL_LIMIT)
+    t, width = brent_root(f, lo, hi, flo, fhi)
     return fr.back(t), width
 
 
@@ -137,11 +176,9 @@ def bisector_foot(tri: Triangle, vertex: str) -> tuple[complex, float]:
 
     lo, hi = EDGE_INSET, fr.t_far - EDGE_INSET
     glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return fr.back(lo), 0.0
     if glo * ghi > 0.0:
         raise BracketFailure("area balance does not change sign on the segment")
-    t, width = _bisect(g, lo, hi, glo)
+    t, width = brent_root(g, lo, hi, glo, ghi)
     return fr.back(t), width
 
 
@@ -154,12 +191,10 @@ def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:
     }
 
 
-def vertex_bisector(tri: Triangle, vertex: str, external: bool = False) -> GeneralizedCycle:
-    """Internal (or external) angle-bisector geodesic at a vertex.
-
-    The direction is found in the frame with the vertex at the origin,
-    where the bisector of two unit directions is just their sum.
-    """
+def bisector_direction(tri: Triangle, vertex: str) -> complex:
+    """Unit direction of the internal angle bisector at a vertex, taken in
+    the frame that moves the vertex to the origin, where the bisector of
+    two unit directions is just their sum."""
     v, p, q = tri.opposite(vertex)
     u1 = mobius_to_origin(v, p)
     u2 = mobius_to_origin(v, q)
@@ -168,29 +203,37 @@ def vertex_bisector(tri: Triangle, vertex: str, external: bool = False) -> Gener
     if abs(u) < 1e-12:
         # straight angle: fall back to the perpendicular
         u = 1j * u1
-    u /= abs(u)
+    return u / abs(u)
+
+
+def vertex_bisector(tri: Triangle, vertex: str, external: bool = False) -> GeneralizedCycle:
+    """Internal (or external) angle-bisector geodesic at a vertex."""
+    u = bisector_direction(tri, vertex)
     if external:
         u *= 1j
+    v = tri.opposite(vertex)[0]
     return transform(DiskIsometry.translation(-v), diameter_with_direction(u))
 
 
 def concurrency_point(lines) -> tuple[complex, float]:
-    """Common point of three geodesics and the worst distance to the odd one out.
+    """Common point of several geodesics and its worst distance to the others.
 
-    Each pair is intersected inside the disk; the candidate with the
-    smallest residual against its third line wins.  Divergence (no pair
-    meets inside the disk) is an error for the caller to flag.
+    Each pair is intersected inside the disk and the intersection is
+    scored by its largest distance to the remaining lines; the candidate
+    with the smallest score wins.  Divergence (no pair meets inside the
+    disk) is an error for the caller to flag.
     """
     lines = list(lines)
     best = None
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+    for i, j in itertools.combinations(range(len(lines)), 2):
         pts = interior_intersections(lines[i], lines[j])
         if pts:
-            r = point_geodesic_distance(pts[0], lines[k])
+            r = max((point_geodesic_distance(pts[0], line)
+                     for k, line in enumerate(lines) if k not in (i, j)), default=0.0)
             if best is None or r < best[1]:
                 best = (pts[0], r)
     if best is None:
-        raise DivergentCevians("no pair of cevians meets inside the disk")
+        raise DivergentCevians("no pair of geodesics meets inside the disk")
     return best
 
 
@@ -243,7 +286,7 @@ def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
 
 @dataclass
 class CevianFeet:
-    """The six feet with the bracket widths their bisections reached."""
+    """The six feet with the bracket widths their root-finder reached."""
 
     bisector: dict[str, complex] = field(default_factory=dict)
     pseudoaltitude: dict[str, complex] = field(default_factory=dict)

@@ -10,6 +10,7 @@ across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import cmath
 import enum
 import json
 import os
@@ -99,11 +100,17 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    cleaned = text.replace(" ", "").replace("i", "j")
+    cleaned = text.replace(" ", "")
+    if cleaned.endswith("i"):
+        # only a trailing i is the imaginary unit ("inf" keeps its own)
+        cleaned = cleaned[:-1] + "j"
     try:
-        return complex(cleaned)
+        z = complex(cleaned)
     except ValueError:
         raise ValueError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return z
 
 
 def parse_triangle(spec) -> tuple[complex, complex, complex]:
@@ -345,6 +352,9 @@ def scenario_from_args(args) -> Scenario:
     if trials < 0:
         raise ValueError("--trials must be non-negative")
     triangle_raw = pick(args.triangle, "triangle", None)
+    out = pick(args.out, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"output directory of {out!r} does not exist")
     return Scenario(
         seed=int(pick(args.seed, "seed", 0)),
         trials=trials,
@@ -354,7 +364,7 @@ def scenario_from_args(args) -> Scenario:
         max_vertex_radius=float(data.get("max_vertex_radius",
                                          DEFAULT_MAX_VERTEX_RADIUS)),
         min_angle=float(data.get("min_angle", DEFAULT_MIN_ANGLE)),
-        out=pick(args.out, "out", None),
+        out=out,
     )
 
 
@@ -410,6 +420,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"hypfeuer: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"hypfeuer: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

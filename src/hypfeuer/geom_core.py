@@ -20,7 +20,7 @@ the ray toward x onto the ray toward z, counterclockwise positive, in
 
 drives every cevian construction here: on a circle through two points it
 is constant, and along a geodesic segment it decreases monotonically,
-which is what makes bisection work.
+which is what makes a bracketed root-finder work.
 """
 
 from __future__ import annotations

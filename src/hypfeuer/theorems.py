@@ -22,6 +22,7 @@ from random import Random
 from .errors import (
     ConcentricCycles,
     DegenerateConfiguration,
+    DivergentCevians,
     GeometryError,
     MissingCenter,
 )
@@ -32,7 +33,6 @@ from .geom_core import (
     as_complex,
     hyp_distance,
     mobius_from_origin,
-    mobius_to_origin,
     signed_angle,
     sigma,
     triangle_area,
@@ -52,7 +52,12 @@ from .cycles import (
     tangency_ratio,
     tangency_residual,
 )
-from .cevians import TriangleConfig, concurrency_point
+from .cevians import (
+    TriangleConfig,
+    bisector_direction,
+    brent_root,
+    concurrency_point,
+)
 from .power import (
     homothetic_centers,
     monge_line,
@@ -423,6 +428,10 @@ def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
     return (best[0] + best[1]) / 2.0
 
 
+# the tangent-circle shooting solves for arc length to this bracket width
+SHOOT_WIDTH = 1e-13
+
+
 def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
                           external: bool) -> GeneralizedCycle | None:
     """Circle inscribed in the angle at `vertex` and tangent to w.
@@ -432,14 +441,10 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     on the bisector, radius = distance to a side ray), and its tangency
     ratio against w decreases monotonically through +1 (internal
     tangency) and later -1 (external); the first crossing of the target
-    is bracketed and bisected.
+    is bracketed by a geometric walk and then solved by brent_root.
     """
-    v, p, q = tri.opposite(vertex)
-    u1 = mobius_to_origin(v, p)
-    u2 = mobius_to_origin(v, q)
-    u1, u2 = u1 / abs(u1), u2 / abs(u2)
-    u = u1 + u2
-    u /= abs(u)
+    v, p, _ = tri.opposite(vertex)
+    u = bisector_direction(tri, vertex)
     side = geodesic_through(v, p)
     target = -1.0 if external else 1.0
 
@@ -452,33 +457,17 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
 
     s_prev = 0.02
     g_prev = gap(s_prev)
-    bracket = None
     s = s_prev
     for _ in range(60):
         s *= 1.3
         if s > 20.0:
-            break
+            return None
         g = gap(s)
         if g_prev * g <= 0.0:
-            bracket = (s_prev, s, g_prev)
-            break
+            root, _ = brent_root(gap, s_prev, s, g_prev, g, width=SHOOT_WIDTH)
+            return inscribed(root)
         s_prev, g_prev = s, g
-    if bracket is None:
-        return None
-    lo, hi, glo = bracket
-    for _ in range(80):
-        if hi - lo <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == (glo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return inscribed(0.5 * (lo + hi))
+    return None
 
 
 def check_tangent_cevians(cfg: TriangleConfig, rng: Random,
@@ -540,8 +529,9 @@ def check_feuerbach_point(cfg: TriangleConfig,
             lines.append(geodesic_through(verts[v], fv))
     except GeometryError:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
-    point = _best_common_point(lines)
-    if point is None:
+    try:
+        point, _ = concurrency_point(lines)
+    except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
     residual = max(point_geodesic_distance(point, line) for line in lines)
     witness: dict = {"point": point}
@@ -552,28 +542,3 @@ def check_feuerbach_point(cfg: TriangleConfig,
         except GeometryError:
             pass
     return _finish("feuerbach_point", residual, tol.chain, witness)
-
-
-def _best_common_point(lines) -> complex | None:
-    """Pairwise-intersection centroid refined by minimizing the largest
-    distance to any of the lines."""
-    pts = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pts.extend(interior_intersections(lines[i], lines[j]))
-    if not pts:
-        return None
-    start = sum(pts) / len(pts)
-
-    def cost(xy) -> float:
-        z = complex(xy[0], xy[1])
-        if abs(z) >= 1.0 - 1e-9:
-            return 1e6 * abs(z)
-        return max(point_geodesic_distance(z, line) for line in lines)
-
-    from scipy.optimize import minimize
-
-    res = minimize(cost, [start.real, start.imag], method="Nelder-Mead",
-                   options={"xatol": 1e-15, "fatol": 1e-18, "maxiter": 600})
-    refined = complex(res.x[0], res.x[1])
-    return refined if cost(res.x) <= cost([start.real, start.imag]) else start

@@ -1,22 +1,29 @@
 """Cevian feet, the six-point circle, tritangent circles, concurrency."""
 
+import cmath
 import math
 from random import Random
 
 import pytest
 
+from hypfeuer import cevians
+from hypfeuer.errors import DivergentCevians
 from hypfeuer.geom_core import Triangle, hyp_distance, hyp_midpoint, sigma, triangle_area
 from hypfeuer.cycles import (
     CycleClass,
     classify,
+    geodesic_through,
     hyp_center_radius,
     membership_residual,
     point_geodesic_distance,
 )
 from hypfeuer.cevians import (
+    BRACKET_WIDTH,
     VERTICES,
     bisector_foot,
+    brent_root,
     build_config,
+    concurrency_point,
     excircle,
     incircle,
     pseudoaltitude_foot,
@@ -221,3 +228,75 @@ def test_euclidean_limit_of_feet():
         alt = b1 + max(0.0, t) * d
         foot_h, _ = pseudoaltitude_foot(tri, v)
         assert abs(foot_h - alt) / lam < 2e-4
+
+
+# ------------------------------------------------------------ root-finder
+
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (lambda x: x ** 3 - 0.3, 0.0, 1.0, 0.3 ** (1.0 / 3.0)),   # increasing
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),  # decreasing
+    (lambda x: math.tanh(40.0 * (x - 0.2)), -0.9, 0.9, 0.2),   # steep step
+])
+def test_brent_root_within_bracket_width(f, lo, hi, root):
+    x, width = brent_root(f, lo, hi, f(lo), f(hi))
+    assert 0.0 <= width <= BRACKET_WIDTH
+    assert abs(x - root) <= BRACKET_WIDTH
+
+
+def test_brent_root_at_bracket_end_has_zero_width():
+    f = lambda x: x - 0.25  # noqa: E731
+    assert brent_root(f, 0.25, 1.0, f(0.25), f(1.0)) == (0.25, 0.0)
+    assert brent_root(f, -1.0, 0.25, f(-1.0), f(0.25)) == (0.25, 0.0)
+
+
+def test_brent_root_solves_foot_balances_in_few_evaluations(monkeypatch):
+    counts = []
+
+    def counting(f, *args, **kwargs):
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return f(t)
+
+        result = brent_root(counted, *args, **kwargs)
+        counts.append(calls[0])
+        return result
+
+    monkeypatch.setattr(cevians, "brent_root", counting)
+    cfgs = clean_configs(12)
+    assert len(counts) >= 6 * len(cfgs)
+    # evaluations after bracketing; bisection to BRACKET_WIDTH took ~45
+    assert max(counts) <= 12
+    for cfg in cfgs:
+        assert max(cfg.feet.bracket_width.values()) <= BRACKET_WIDTH
+
+
+# ------------------------------------------------------ n-line concurrency
+
+def test_concurrency_point_of_four_geodesics():
+    p = 0.21 - 0.13j
+    lines = [geodesic_through(p, q) for q in (0.6, -0.4 + 0.5j, -0.7j, 0.3 + 0.6j)]
+    point, residual = concurrency_point(lines)
+    assert abs(point - p) < 1e-12
+    assert residual < 1e-12
+
+
+def test_concurrency_point_scores_against_every_other_line():
+    # three lines through p and a fourth that misses it: the winner is a
+    # meet of two lines through p, scored by its distance to the fourth
+    p = -0.15 + 0.2j
+    lines = [geodesic_through(p, q) for q in (0.5, 0.4j, -0.5 - 0.3j)]
+    stray = geodesic_through(p + 0.01, 0.6 + 0.6j)
+    point, residual = concurrency_point(lines + [stray])
+    assert abs(point - p) < 1e-12
+    assert residual == pytest.approx(point_geodesic_distance(point, stray), rel=1e-9)
+
+
+def test_concurrency_point_divergent_lines_raise():
+    # short geodesics near four separate stretches of the absolute
+    lines = [geodesic_through(0.95 * cmath.exp(1j * (t - 0.1)),
+                              0.95 * cmath.exp(1j * (t + 0.1)))
+             for t in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    with pytest.raises(DivergentCevians):
+        concurrency_point(lines)

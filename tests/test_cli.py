@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hypfeuer
 
 from hypfeuer.cli import (
     SUITE_ORDER,
@@ -86,6 +91,20 @@ def test_bad_suite_is_usage_error():
 
 def test_bad_triangle_string_is_usage_error():
     assert main(["construct", "--triangle", "0.1,0.2"]) == 2
+
+
+@pytest.mark.parametrize("vertex", ["nan", "inf", "-inf+0.1i", "0.1+nani"])
+def test_non_finite_vertex_is_usage_error(vertex, capsys):
+    assert main(["construct", f"--triangle={vertex},0.2i,-0.3"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--trials", "1", "--suite", "lexell",
+                 "--out", str(out)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_collinear_triangle_is_geometry_error(tmp_path):
@@ -236,3 +255,52 @@ def test_render_seeded_without_triangle(tmp_path):
     code, out = run(tmp_path, "render", "--seed", "2", name="fig.svg")
     assert code == 0
     assert out.read_text().startswith("<svg ")
+
+
+# ------------------------------------------------------- running as a program
+
+# the directory holding the hypfeuer package, for child interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypfeuer.__file__)))
+
+# installs an import hook that refuses scipy, then runs the CLI
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from hypfeuer.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _child(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_feuerbach_point_runs_without_scipy():
+    # a small triangle with all three excircles, so the check really runs
+    proc = _child("-c", WITHOUT_SCIPY, "verify", "--suite=feuerbach_point",
+                  "--triangle=0.156-0.075i,-0.117-0.181i,-0.047+0.085i",
+                  "--trials=1")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    (check,) = doc["instances"][0]["checks"]
+    assert check["name"] == "feuerbach_point"
+    assert check["status"] == "pass"
+
+
+def test_python_dash_m_runs_without_warning():
+    proc = _child("-m", "hypfeuer", "verify", "--suite", "lexell",
+                  "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["passed"] == 1
+    assert "Warning" not in proc.stderr

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer.cevians import build_config
+from hypfeuer.cevians import build_config, vertex_bisector
 from hypfeuer.cycles import (
     GeneralizedCycle,
     CycleClass,
@@ -15,6 +15,8 @@ from hypfeuer.cycles import (
     geodesic_through,
     hyp_center_radius,
     intersect,
+    point_geodesic_distance,
+    tangency_residual,
     transform,
 )
 from hypfeuer.geom_core import Triangle, hyp_distance, random_isometry, triangle_area
@@ -40,6 +42,7 @@ from hypfeuer.theorems import (
     check_tangent_cevians,
     check_trapezoid,
     lexell_cycle,
+    _shoot_tangent_circle,
 )
 
 ABSOLUTE = GeneralizedCycle.of(1.0, 0j, -1.0)
@@ -308,6 +311,21 @@ def test_tangent_cevians_external_on_incircle():
     assert chk.status == "pass"
     assert chk.residual < 1e-8
     assert chk.witness["homothetic_center_gap"] < 1e-8
+
+
+def test_shot_circle_is_inscribed_in_the_angle_and_touches_circumcircle():
+    for seed in range(628, 632):
+        cfg = clean_config(seed)
+        tri = cfg.triangle
+        for v in ("a", "b", "c"):
+            circle = _shoot_tangent_circle(tri, v, cfg.circumcircle, False)
+            center, radius = hyp_center_radius(circle)
+            assert point_geodesic_distance(center, vertex_bisector(tri, v)) < 1e-12
+            for side in ("a", "b", "c"):
+                if side != v:
+                    assert abs(point_geodesic_distance(center, cfg.sides[side])
+                               - radius) < 1e-12
+            assert tangency_residual(circle, cfg.circumcircle) < 1e-10
 
 
 def test_tangent_cevians_geodesic_target_skips():
