@@ -4,7 +4,7 @@ Reports are pure functions of (scenario, seed, tolerances): instance
 randomness comes from per-(seed, index, purpose) streams, floats are
 serialized as shortest round-trip decimals, complex values as "x+yi"
 strings, and wall time goes to stderr so report bytes stay identical
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import argparse
 import cmath
 import enum
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .cevians import TriangleConfig, build_config
@@ -59,25 +59,42 @@ from .theorems import (
     check_trapezoid,
 )
 
-SUITE_ORDER = (
-    "inscribed_angle",
-    "trapezoid",
-    "lexell",
-    "six_point",
-    "euler_line",
-    "euler_ratios",
-    "feuerbach",
-    "radical_axis",
-    "monge",
-    "tangent_cevians",
-    "feuerbach_point",
-)
+# The suite registry, in report order: name -> (purpose stream, call).
+# The call gets a fresh draw from that stream, or for purpose None the
+# instance's shared triangle configuration, then the instance index, the
+# instance's check stream and the tolerances.  The lambdas look the
+# generators and checks up by name at call time, so a rebinding of a
+# module attribute (as the benchmark's tracer does) is seen.
+SUITES = {
+    "inscribed_angle": (PURPOSE_ARC, lambda rng, index, rng_check, tol:
+                        check_inscribed_angle(*arc_instance(rng), tol)),
+    "trapezoid": (PURPOSE_QUAD, lambda rng, index, rng_check, tol:
+                  check_trapezoid(*trapezoid_quad(rng, converse=bool(index % 2)),
+                                  tol=tol)),
+    "lexell": (PURPOSE_LEXELL, lambda rng, index, rng_check, tol:
+               check_lexell(*lexell_instance(rng), tol)),
+    "six_point": (None, lambda cfg, index, rng_check, tol:
+                  check_six_point(cfg, tol)),
+    "euler_line": (None, lambda cfg, index, rng_check, tol:
+                   check_euler_line(cfg, tol)),
+    "euler_ratios": (None, lambda cfg, index, rng_check, tol:
+                     check_euler_ratios(cfg, tol)),
+    "feuerbach": (None, lambda cfg, index, rng_check, tol:
+                  check_feuerbach(cfg, tol)),
+    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, rng_check, tol:
+                     check_radical_axis(*random_cycle_pair(rng), tol)),
+    "monge": (PURPOSE_MONGE, lambda rng, index, rng_check, tol:
+              check_monge(*monge_triple(rng), rng_check, tol)),
+    "tangent_cevians": (None, lambda cfg, index, rng_check, tol:
+                        check_tangent_cevians(cfg, rng_check, tol=tol)),
+    "feuerbach_point": (None, lambda cfg, index, rng_check, tol:
+                        check_feuerbach_point(cfg, tol)),
+}
+
+SUITE_ORDER = tuple(SUITES)
 
 # suites that need a full triangle configuration
-TRIANGLE_SUITES = frozenset({
-    "six_point", "euler_line", "euler_ratios", "feuerbach",
-    "tangent_cevians", "feuerbach_point",
-})
+TRIANGLE_SUITES = frozenset(n for n, (purpose, _) in SUITES.items() if purpose is None)
 
 
 @dataclass(frozen=True)
@@ -155,40 +172,6 @@ def jsonable(obj):
 
 # ------------------------------------------------------------ suite running
 
-def _dispatch(name: str, scn: Scenario, index: int,
-              cfg: TriangleConfig | None, rng_check, tol: Tolerances):
-    seed = scn.seed
-    if name == "inscribed_angle":
-        cycle, a, b = arc_instance(instance_rng(seed, index, PURPOSE_ARC))
-        return check_inscribed_angle(cycle, a, b, tol)
-    if name == "trapezoid":
-        quad = trapezoid_quad(instance_rng(seed, index, PURPOSE_QUAD),
-                              converse=bool(index % 2))
-        return check_trapezoid(*quad, tol=tol)
-    if name == "lexell":
-        a, b, x0 = lexell_instance(instance_rng(seed, index, PURPOSE_LEXELL))
-        return check_lexell(a, b, x0, tol)
-    if name == "radical_axis":
-        c1, c2 = random_cycle_pair(instance_rng(seed, index, PURPOSE_CYCLE_PAIR))
-        return check_radical_axis(c1, c2, tol)
-    if name == "monge":
-        c1, c2, c3 = monge_triple(instance_rng(seed, index, PURPOSE_MONGE))
-        return check_monge(c1, c2, c3, rng_check, tol)
-    if name == "six_point":
-        return check_six_point(cfg, tol)
-    if name == "euler_line":
-        return check_euler_line(cfg, tol)
-    if name == "euler_ratios":
-        return check_euler_ratios(cfg, tol)
-    if name == "feuerbach":
-        return check_feuerbach(cfg, tol)
-    if name == "tangent_cevians":
-        return check_tangent_cevians(cfg, rng_check, tol=tol)
-    if name == "feuerbach_point":
-        return check_feuerbach_point(cfg, tol)
-    raise ValueError(f"unknown suite {name!r}")
-
-
 def _run_instance(scn: Scenario, index: int) -> InstanceReport:
     instance: dict = {}
     flags: list[str] = []
@@ -205,28 +188,17 @@ def _run_instance(scn: Scenario, index: int) -> InstanceReport:
         instance["triangle"] = {"a": tri.a, "b": tri.b, "c": tri.c}
         instance["resamples"] = resamples
     rng_check = instance_rng(scn.seed, index, PURPOSE_CHECK)
-    checks = [_dispatch(name, scn, index, cfg, rng_check, scn.tolerances)
-              for name in scn.suite]
+    checks = []
+    for name in scn.suite:
+        purpose, call = SUITES[name]
+        source = cfg if purpose is None else instance_rng(scn.seed, index, purpose)
+        checks.append(call(source, index, rng_check, scn.tolerances))
     return InstanceReport(index, instance, flags, checks)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HYPFEUER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_verify(scn: Scenario) -> VerificationReport:
     start = time.perf_counter()
-    threads = _thread_count()
-    indices = range(scn.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            instances = list(pool.map(lambda i: _run_instance(scn, i), indices))
-    else:
-        instances = [_run_instance(scn, i) for i in indices]
+    instances = [_run_instance(scn, i) for i in range(scn.trials)]
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
@@ -330,6 +302,8 @@ def scenario_from_args(args) -> Scenario:
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("scenario file must hold a JSON object")
         unknown = set(data) - _SCENARIO_KEYS
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
@@ -355,15 +329,23 @@ def scenario_from_args(args) -> Scenario:
     out = pick(args.out, "out", None)
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"output directory of {out!r} does not exist")
+    # outside these ranges the triangle sampler would never find a triangle
+    max_vertex_radius = float(data.get("max_vertex_radius", DEFAULT_MAX_VERTEX_RADIUS))
+    if not 0.0 < max_vertex_radius < 1.0:
+        raise ValueError("max_vertex_radius must lie in (0, 1), "
+                         f"got {max_vertex_radius!r}")
+    # the angles of a hyperbolic triangle sum to less than pi
+    min_angle = float(data.get("min_angle", DEFAULT_MIN_ANGLE))
+    if not 0.0 <= min_angle < math.pi / 3.0:
+        raise ValueError(f"min_angle must lie in [0, pi/3), got {min_angle!r}")
     return Scenario(
         seed=int(pick(args.seed, "seed", 0)),
         trials=trials,
         suite=parse_suite(pick(args.suite, "suite", "all")),
         tolerances=tol,
         triangle=parse_triangle(triangle_raw) if triangle_raw is not None else None,
-        max_vertex_radius=float(data.get("max_vertex_radius",
-                                         DEFAULT_MAX_VERTEX_RADIUS)),
-        min_angle=float(data.get("min_angle", DEFAULT_MIN_ANGLE)),
+        max_vertex_radius=max_vertex_radius,
+        min_angle=min_angle,
         out=out,
     )
 

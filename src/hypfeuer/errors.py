@@ -59,6 +59,10 @@ class ConcentricCycles(GeometryError):
     """Radical axis degenerates: the two cycles share a hyperbolic center."""
 
 
+class AxisOutsideDisk(GeometryError):
+    """Two cycles without a common center whose radical axis misses the disk."""
+
+
 class NoInteriorCenter(GeometryError):
     """Pairwise radical axes exist but meet outside the open disk."""
 
@@ -81,10 +85,6 @@ class InvalidSignPattern(GeometryError):
 
 class NoHyperbolicCenter(GeometryError):
     """Cycle meets or encloses the absolute, so it has no interior center."""
-
-
-class NonConvex(GeometryError):
-    """Quadrilateral vertices are not in convex position."""
 
 
 class DegenerateConfiguration(GeometryError):

@@ -47,16 +47,13 @@ COINCIDENT_EPS = 1e-13
 
 
 def as_complex(p) -> complex:
-    """Coerce a point-like input (complex, 2-tuple, or wrapper) to complex."""
+    """Coerce a point-like input (complex, real, or 2-tuple) to complex."""
     if isinstance(p, complex):
         return p
     if isinstance(p, (int, float)):
         return complex(p)
     if isinstance(p, (tuple, list)) and len(p) == 2:
         return complex(p[0], p[1])
-    z = getattr(p, "z", None)
-    if z is not None:
-        return complex(z)
     raise TypeError(f"not a point: {p!r}")
 
 
@@ -66,33 +63,6 @@ def check_disk(p, eps: float = BOUNDARY_EPS) -> complex:
     if abs(z) > 1.0 - eps:
         raise BoundaryPoint(f"|z| = {abs(z):.17g} exceeds 1 - {eps:g}")
     return z
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A validated interior point of the disk model."""
-
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", check_disk(self.z))
-
-    def __complex__(self) -> complex:
-        return self.z
-
-
-@dataclass(frozen=True)
-class AbsolutePoint:
-    """A point on the absolute or beyond it (e.g. an absolute inverse)."""
-
-    z: complex
-
-    def __post_init__(self):
-        if abs(self.z) < 1.0 - BOUNDARY_EPS:
-            raise BoundaryPoint(f"|z| = {abs(self.z):.17g} is interior")
-
-    def __complex__(self) -> complex:
-        return self.z
 
 
 def mobius_to_origin(a: complex, z: complex) -> complex:

@@ -21,7 +21,7 @@ from .cycles import (
     point_geodesic_distance,
     sample_points,
 )
-from .theorems import lexell_cycle
+from .theorems import is_convex_quad, lexell_cycle, quad_angles
 
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
 DEFAULT_MIN_ANGLE = 0.15
@@ -165,25 +165,6 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     return out[0], out[1], out[2]
 
 
-def _convex(quad) -> bool:
-    turns = []
-    for i in range(4):
-        p, v, q = quad[(i - 1) % 4], quad[i], quad[(i + 1) % 4]
-        try:
-            turns.append(signed_angle(p, v, q))
-        except GeometryError:
-            return False
-    return all(t > 0.0 for t in turns) or all(t < 0.0 for t in turns)
-
-
-def _quad_angle_balance(quad) -> float:
-    a0 = abs(signed_angle(quad[3], quad[0], quad[1]))
-    a1 = abs(signed_angle(quad[0], quad[1], quad[2]))
-    a2 = abs(signed_angle(quad[1], quad[2], quad[3]))
-    a3 = abs(signed_angle(quad[2], quad[3], quad[0]))
-    return (a0 + a3) - (a1 + a2)
-
-
 def trapezoid_quad(rng: Random, converse: bool = False):
     """Convex quadrilateral (a, b, c, d) built to satisfy one side of the
     trapezoid equivalence exactly.
@@ -213,7 +194,7 @@ def trapezoid_quad(rng: Random, converse: bool = False):
         quad = None
         for d0 in candidates[:12]:
             for cc, dd in ((c0, d0), (d0, c0)):
-                if _convex((a, b, cc, dd)):
+                if is_convex_quad(a, b, cc, dd):
                     quad = (a, b, cc, dd)
                     break
             if quad:
@@ -235,9 +216,10 @@ def _rebalance_quad(quad):
 
     def h(t: float) -> float:
         q = (a, b, c, d + t * n)
-        if not _convex(q):
+        if not is_convex_quad(*q):
             return math.nan
-        return _quad_angle_balance(q)
+        qa, qb, qc, qd = quad_angles(*q)
+        return (qa + qd) - (qb + qc)
 
     lo, hi = -0.04, 0.04
     hlo, hhi = h(lo), h(hi)
@@ -257,4 +239,4 @@ def _rebalance_quad(quad):
             hi = mid
     dstar = d + 0.5 * (lo + hi) * n
     q = (a, b, c, dstar)
-    return q if _convex(q) else None
+    return q if is_convex_quad(*q) else None

@@ -20,8 +20,9 @@ power machinery survives verbatim in the disk:
 Homothetic centers of two circles are built by intersecting the geodesic
 through their hyperbolic centers with the disk diameter through the
 Euclidean homothety center of the coefficient circles, after moving the
-pair into general position by a random isometry; each center is then
-verified by the equal-crossing-angle property on random test lines.
+pair into general position by a random isometry.  The construction does
+not check its result; collinearity of the centers is what the Monge
+check measures.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import (
+    AxisOutsideDisk,
     CenterInput,
     ConcentricCycles,
     DegenerateConfiguration,
     ImageOutsideDisk,
     InvalidSignPattern,
     MissingCenter,
+    NoHyperbolicCenter,
     NoInteriorCenter,
+    NotACircle,
 )
 from .geom_core import (
     DiskIsometry,
@@ -55,7 +59,6 @@ from .cycles import (
     geodesic_through,
     hyp_center_radius,
     interior_intersections,
-    intersect,
     point_geodesic_distance,
     transform,
 )
@@ -81,8 +84,11 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
 
     The combination below has equal leading and constant coefficients by
     construction, so it is exactly a geodesic; no projection step is
-    needed.  It degenerates (no direction left) precisely when the two
-    cycles are concentric.
+    needed.  It has no interior locus when the two cycles are concentric
+    circles, and also when the equal-power locus lies beyond the
+    absolute; the coefficients alone cannot tell these apart (every
+    empty axis is the translate of an origin-centred one), so the
+    hyperbolic centers decide which error is raised.
     """
     # a geodesic has equal leading/constant coefficients, which makes its
     # power identically 1: against anything else powers can never agree,
@@ -92,8 +98,19 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     ar = c1.a * c2.c - c2.a * c1.c
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
     if abs(br) ** 2 - ar * ar <= 1e-28:
-        raise ConcentricCycles("radical axis has no interior locus")
+        if _concentric_circles(c1, c2):
+            raise ConcentricCycles("the circles share a hyperbolic center")
+        raise AxisOutsideDisk("radical axis has no interior locus")
     return GeneralizedCycle.of(ar, br, ar)
+
+
+def _concentric_circles(c1: GeneralizedCycle, c2: GeneralizedCycle) -> bool:
+    try:
+        o1, _ = hyp_center_radius(c1)
+        o2, _ = hyp_center_radius(c2)
+    except (NotACircle, NoHyperbolicCenter):
+        return False
+    return hyp_distance(o1, o2) < 1e-10
 
 
 def radical_center(c1: GeneralizedCycle, c2: GeneralizedCycle,
@@ -157,12 +174,11 @@ def rotation_half_turn_cycle(center, cycle: GeneralizedCycle) -> GeneralizedCycl
 
 @dataclass(frozen=True)
 class HomotheticCenters:
-    """Positive and negative homothetic centers with equal-angle spreads."""
+    """Positive and negative homothetic centers of two circles; a center
+    that does not exist in the disk is None."""
 
     positive: complex | None
     negative: complex | None
-    positive_spread: float | None
-    negative_spread: float | None
 
 
 def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> float:
@@ -173,38 +189,6 @@ def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> f
         raise DegenerateConfiguration("vanishing gradient at crossing")
     phi = abs(cmath.phase(g2 / g1))
     return min(phi, math.pi - phi)
-
-
-def _equal_angle_spread(center: complex, c1: GeneralizedCycle, c2: GeneralizedCycle,
-                        o1: complex, r1: float, rng: Random) -> float:
-    """Worst crossing-angle spread over 8 random secants through the center.
-
-    Secants are drawn through a random interior point of the first
-    circle so they are guaranteed to cross it; the defining property of
-    a homothetic center then makes them cross the second circle too.
-    """
-    worst = 0.0
-    lines = 0
-    attempts = 0
-    while lines < 8 and attempts < 64:
-        attempts += 1
-        rho = math.tanh(r1 / 2.0) * 0.9 * math.sqrt(rng.random())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        probe = mobius_from_origin(o1, rho * cmath.exp(1j * phi))
-        if abs(probe - center) < 1e-6:
-            continue
-        line = geodesic_through(center, probe)
-        angles = []
-        for cy in (c1, c2):
-            for z in intersect(line, cy):
-                angles.append(crossing_angle(line, cy, z))
-        if len(angles) < 4:
-            continue
-        worst = max(worst, max(angles) - min(angles))
-        lines += 1
-    if lines < 8:
-        raise DegenerateConfiguration("could not draw 8 secants through the center")
-    return worst
 
 
 def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle,
@@ -222,32 +206,27 @@ def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle,
     iso = random_isometry(rng)
     back = iso.inverse()
     d1, d2 = transform(iso, c1), transform(iso, c2)
-    o1, r1 = hyp_center_radius(d1)
-    o2, r2 = hyp_center_radius(d2)
+    o1, _ = hyp_center_radius(d1)
+    o2, _ = hyp_center_radius(d2)
     if hyp_distance(o1, o2) < 1e-10:
         # concentric: both centers coincide with the common center
         center = back(o1)
-        return HomotheticCenters(center, center, 0.0, 0.0)
+        return HomotheticCenters(center, center)
     center_line = geodesic_through(o1, o2)
     e1, s1 = d1.euclid_center_radius()
     e2, s2 = d2.euclid_center_radius()
     out: dict[int, complex | None] = {}
-    spread: dict[int, float | None] = {}
     for sign in (1, -1):
         # projective form of (s2 e1 -+ s1 e2) / (s2 -+ s1): only the
         # direction matters, so equal radii cost nothing
         v = s2 * e1 - sign * s1 * e2
         if abs(v) < 1e-15:
-            out[sign], spread[sign] = None, None
+            out[sign] = None
             continue
         diam = diameter_with_direction(v / abs(v))
         pts = interior_intersections(center_line, diam)
-        if not pts:
-            out[sign], spread[sign] = None, None
-            continue
-        out[sign] = back(pts[0])
-        spread[sign] = _equal_angle_spread(pts[0], d1, d2, o1, r1, rng)
-    return HomotheticCenters(out[1], out[-1], spread[1], spread[-1])
+        out[sign] = back(pts[0]) if pts else None
+    return HomotheticCenters(out[1], out[-1])
 
 
 def monge_line(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,

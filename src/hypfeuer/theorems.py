@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .errors import (
+    AxisOutsideDisk,
     ConcentricCycles,
     DegenerateConfiguration,
     DivergentCevians,
@@ -366,6 +367,8 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
         axis = radical_axis(c1, c2)
     except ConcentricCycles:
         return _skip("radical_axis", tol.construct, "concentric")
+    except AxisOutsideDisk:
+        return _skip("radical_axis", tol.construct, "axis_outside_disk")
     except GeometryError:
         return _skip("radical_axis", tol.construct, "unclassifiable_member")
     kind = classify(axis)

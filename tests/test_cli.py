@@ -12,6 +12,7 @@ import hypfeuer
 
 from hypfeuer.cli import (
     SUITE_ORDER,
+    TRIANGLE_SUITES,
     format_complex,
     main,
     parse_complex,
@@ -141,13 +142,14 @@ def test_report_summary_matches_instances(tmp_path):
     assert doc["params"]["suite"] == list(SUITE_ORDER)
 
 
-def test_suite_subset_shapes_instances(tmp_path):
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_suite_subset_shapes_instances(tmp_path, suite):
     _, out = run(tmp_path, "verify", "--seed", "11", "--trials", "3",
-                 "--suite", "monge")
+                 "--suite", suite)
     doc = json.loads(out.read_text())
     for inst in doc["instances"]:
-        assert [c["name"] for c in inst["checks"]] == ["monge"]
-        assert "triangle" not in inst["instance"]
+        assert [c["name"] for c in inst["checks"]] == [suite]
+        assert ("triangle" in inst["instance"]) == (suite in TRIANGLE_SUITES)
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -278,12 +280,12 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _child(*argv):
+def _child(*argv, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 def test_feuerbach_point_runs_without_scipy():
@@ -304,3 +306,22 @@ def test_python_dash_m_runs_without_warning():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["passed"] == 1
     assert "Warning" not in proc.stderr
+
+
+# a child process, so that a scenario the sampler can never satisfy fails
+# the test at the timeout instead of hanging the suite
+@pytest.mark.parametrize("content, message", [
+    ("3", "must hold a JSON object"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"min_angle": 1.1}', "min_angle must lie in [0, pi/3)"),
+    ('{"max_vertex_radius": 0}', "max_vertex_radius must lie in (0, 1)"),
+])
+def test_bad_scenario_is_usage_error(tmp_path, content, message):
+    scn = tmp_path / "scn.json"
+    scn.write_text(content)
+    proc = _child("-m", "hypfeuer", "verify", "--scenario", str(scn),
+                  "--trials", "1", timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

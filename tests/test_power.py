@@ -12,7 +12,7 @@ from hypfeuer.errors import (
     ImageOutsideDisk,
     InvalidSignPattern,
 )
-from hypfeuer.geom_core import hyp_distance, mobius_to_origin
+from hypfeuer.geom_core import hyp_distance, mobius_from_origin, mobius_to_origin
 from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
@@ -20,6 +20,7 @@ from hypfeuer.cycles import (
     cycle_through,
     diameter_with_direction,
     geodesic_through,
+    hyp_center_radius,
     intersect,
     membership_residual,
     sample_points,
@@ -29,6 +30,7 @@ from hypfeuer.cevians import build_config
 from hypfeuer.geom_core import DiskIsometry, Triangle
 from hypfeuer.instances import instance_rng, monge_triple, random_triangle
 from hypfeuer.power import (
+    crossing_angle,
     homothetic_centers,
     homothety_cycle,
     homothety_point,
@@ -275,6 +277,36 @@ def test_half_turn_about_origin_negates_center():
 
 # -------------------------------------------------------- homothetic centers
 
+def equal_angle_spread(center, c1, c2, rng):
+    """Worst crossing-angle spread over 8 random secants through a center.
+
+    Secants are drawn through a random interior point of the first
+    circle so they are guaranteed to cross it; the defining property of
+    a homothetic center then makes them cross the second circle too, at
+    the same angle as the first.
+    """
+    o1, r1 = hyp_center_radius(c1)
+    worst = 0.0
+    lines = 0
+    attempts = 0
+    while lines < 8 and attempts < 64:
+        attempts += 1
+        rho = math.tanh(r1 / 2.0) * 0.9 * math.sqrt(rng.random())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        probe = mobius_from_origin(o1, rho * cmath.exp(1j * phi))
+        if abs(probe - center) < 1e-6:
+            continue
+        line = geodesic_through(center, probe)
+        angles = [crossing_angle(line, cy, z)
+                  for cy in (c1, c2) for z in intersect(line, cy)]
+        if len(angles) < 4:
+            continue
+        worst = max(worst, max(angles) - min(angles))
+        lines += 1
+    assert lines == 8, "could not draw 8 secants through the center"
+    return worst
+
+
 def test_homothetic_centers_congruent_pair():
     rng = Random(28)
     c1 = circle_from_center_radius(-0.3, 0.8)
@@ -282,7 +314,7 @@ def test_homothetic_centers_congruent_pair():
     hc = homothetic_centers(c1, c2, rng)
     assert hc.negative is not None
     assert abs(hc.negative) < 1e-12
-    assert hc.negative_spread < 1e-9
+    assert equal_angle_spread(hc.negative, c1, c2, rng) < 1e-9
     assert hc.positive is None  # external tangent lines diverge
 
 
@@ -301,9 +333,9 @@ def test_homothetic_centers_equal_angle_spreads():
         c1, c2, _ = monge_triple(instance_rng(401, idx))
         hc = homothetic_centers(c1, c2, rng)
         if hc.positive is not None:
-            assert hc.positive_spread < 1e-9
+            assert equal_angle_spread(hc.positive, c1, c2, rng) < 1e-9
         if hc.negative is not None:
-            assert hc.negative_spread < 1e-9
+            assert equal_angle_spread(hc.negative, c1, c2, rng) < 1e-9
 
 
 # -------------------------------------------------------------- monge lines

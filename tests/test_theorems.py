@@ -21,6 +21,7 @@ from hypfeuer.cycles import (
 )
 from hypfeuer.geom_core import Triangle, hyp_distance, random_isometry, triangle_area
 from hypfeuer.instances import (
+    PURPOSE_CYCLE_PAIR,
     arc_instance,
     instance_rng,
     lexell_instance,
@@ -267,6 +268,16 @@ def test_radical_axis_concentric_skips():
                              circle_from_center_radius(0.1, 0.8))
     assert chk.status == "skipped"
     assert chk.flag == "concentric"
+
+
+def test_radical_axis_outside_disk_is_not_concentric():
+    # seed 0's verify draws: no pair shares a center, yet 21 axes miss the
+    # disk, which used to be reported as concentric
+    flags = [check_radical_axis(*random_cycle_pair(
+                 instance_rng(0, idx, PURPOSE_CYCLE_PAIR))).flag
+             for idx in range(200)]
+    assert "concentric" not in flags
+    assert flags.count("axis_outside_disk") > 0
 
 
 # -------------------------------------------------------------------- monge
