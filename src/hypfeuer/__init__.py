@@ -25,6 +25,7 @@ from .cycles import (
 from .cevians import TriangleConfig, build_config
 from .power import (
     homothetic_centers,
+    monge_centers,
     monge_line,
     power_of_point,
     pseudolength,
@@ -60,6 +61,7 @@ __all__ = [
     "intersect",
     "lexell_cycle",
     "main",
+    "monge_centers",
     "monge_line",
     "power_of_point",
     "pseudolength",

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .cevians import TriangleConfig, build_config
-from .errors import GeometryError
+from .errors import GeometryError, SamplingExhausted
 from .geom_core import Triangle
 from .instances import (
     DEFAULT_MAX_VERTEX_RADIUS,
@@ -83,8 +83,11 @@ SUITES = {
                   check_feuerbach(cfg, tol)),
     "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, rng_check, tol:
                      check_radical_axis(*random_cycle_pair(rng), tol)),
+    # the isometry draws continue the monge stream, so that the check
+    # stream, which tangent_cevians also draws from, never depends on
+    # whether monge runs
     "monge": (PURPOSE_MONGE, lambda rng, index, rng_check, tol:
-              check_monge(*monge_triple(rng), rng_check, tol)),
+              check_monge(*monge_triple(rng), rng, tol)),
     "tangent_cevians": (None, lambda cfg, index, rng_check, tol:
                         check_tangent_cevians(cfg, rng_check, tol=tol)),
     "feuerbach_point": (None, lambda cfg, index, rng_check, tol:
@@ -293,8 +296,34 @@ def cmd_render(scn: Scenario, fmt: str) -> int:
     return 0
 
 
-_SCENARIO_KEYS = {"seed", "trials", "suite", "tolerances", "triangle",
-                  "max_vertex_radius", "min_angle", "out"}
+# scenario key -> (the JSON types its value may have, their name)
+_SCENARIO_TYPES = {
+    "seed": ((int,), "an integer"),
+    "trials": ((int,), "an integer"),
+    "suite": ((str, list), "a string or a list"),
+    "tolerances": ((dict,), "an object"),
+    "triangle": ((str, list), "a string or a list"),
+    "max_vertex_radius": ((int, float), "a number"),
+    "min_angle": ((int, float), "a number"),
+    "out": ((str,), "a string"),
+}
+
+
+def _check_type(what: str, value, kinds: tuple, name: str):
+    # bool is an int subclass, but true is no seed
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{what} must be {name}, got {json.dumps(value)}")
+
+
+def _check_scenario_types(data: dict):
+    """Reject unknown scenario keys and values of a JSON type no option takes."""
+    unknown = set(data) - set(_SCENARIO_TYPES)
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    for key, value in data.items():
+        _check_type(f"scenario key {key!r}", value, *_SCENARIO_TYPES[key])
+    for key, value in data.get("tolerances", {}).items():
+        _check_type(f"tolerance {key!r}", value, (int, float), "a number")
 
 
 def scenario_from_args(args) -> Scenario:
@@ -304,9 +333,7 @@ def scenario_from_args(args) -> Scenario:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("scenario file must hold a JSON object")
-        unknown = set(data) - _SCENARIO_KEYS
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        _check_scenario_types(data)
 
     def pick(flag, key, default):
         if flag is not None:
@@ -402,7 +429,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"hypfeuer: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (SamplingExhausted, OSError) as exc:
         print(f"hypfeuer: {exc}", file=sys.stderr)
         return 2
 

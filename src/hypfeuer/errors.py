@@ -3,7 +3,8 @@
 Every failure mode that callers are expected to branch on gets its own
 class.  All of them derive from ``GeometryError`` so a blanket
 ``except GeometryError`` at the CLI boundary can turn any of them into a
-flagged instance instead of a crash.
+flagged instance instead of a crash; ``SamplingExhausted`` alone does
+not, because it reports sampler settings no draw meets, a usage error.
 """
 
 
@@ -89,3 +90,7 @@ class NoHyperbolicCenter(GeometryError):
 
 class DegenerateConfiguration(GeometryError):
     """Instance collapsed in a way no specific error class describes."""
+
+
+class SamplingExhausted(Exception):
+    """A seeded generator gave up: no draw met its settings within its cap."""

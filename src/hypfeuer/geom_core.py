@@ -48,7 +48,7 @@ COINCIDENT_EPS = 1e-13
 
 def as_complex(p) -> complex:
     """Coerce a point-like input (complex, real, or 2-tuple) to complex."""
-    if isinstance(p, complex):
+    if type(p) is complex or isinstance(p, complex):
         return p
     if isinstance(p, (int, float)):
         return complex(p)
@@ -112,14 +112,25 @@ def wrap_angle(d: float) -> float:
     return d
 
 
-def signed_angle(x, y, z) -> float:
-    """Signed angle at y from ray y->x to ray y->z, ccw positive, in (-pi, pi]."""
-    zx, zy, zz = as_complex(x), as_complex(y), as_complex(z)
-    u = mobius_to_origin(zy, zx)
-    v = mobius_to_origin(zy, zz)
+def complex_angle(x: complex, y: complex, z: complex) -> float:
+    """signed_angle for complex arguments only: the kernel behind the
+    angle functions, which coerce their inputs once and then call this.
+
+    The arithmetic is mobius_to_origin written out, then the phase
+    difference and wrap_angle, so results are bit-identical to composing
+    those functions.
+    """
+    yc = y.conjugate()
+    u = (x - y) / (1.0 - yc * x)
+    v = (z - y) / (1.0 - yc * z)
     if abs(u) < COINCIDENT_EPS or abs(v) < COINCIDENT_EPS:
         raise DegenerateAngle("angle vertex coincides with a ray endpoint")
     return wrap_angle(cmath.phase(v) - cmath.phase(u))
+
+
+def signed_angle(x, y, z) -> float:
+    """Signed angle at y from ray y->x to ray y->z, ccw positive, in (-pi, pi]."""
+    return complex_angle(as_complex(x), as_complex(y), as_complex(z))
 
 
 def sigma(x, y, z) -> float:
@@ -130,16 +141,18 @@ def sigma(x, y, z) -> float:
     x and z (on the same side), equals pi when y lies between x and z on
     their geodesic, and is additive when a cevian splits the angle sum.
     """
-    return signed_angle(x, y, z) - signed_angle(z, x, y) - signed_angle(y, z, x)
+    zx, zy, zz = as_complex(x), as_complex(y), as_complex(z)
+    return complex_angle(zx, zy, zz) - complex_angle(zz, zx, zy) - complex_angle(zy, zz, zx)
 
 
 def triangle_area(a, b, c) -> float:
     """Area by angle defect: pi minus the three interior angles."""
+    za, zb, zc = as_complex(a), as_complex(b), as_complex(c)
     area = (
         math.pi
-        - abs(signed_angle(b, a, c))
-        - abs(signed_angle(c, b, a))
-        - abs(signed_angle(a, c, b))
+        - abs(complex_angle(zb, za, zc))
+        - abs(complex_angle(zc, zb, za))
+        - abs(complex_angle(za, zc, zb))
     )
     if area < 1e-15:
         raise DegenerateTriangle(f"collinear vertices (defect {area:.3g})")

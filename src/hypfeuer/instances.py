@@ -11,7 +11,8 @@ import cmath
 import math
 from random import Random
 
-from .errors import GeometryError
+from .cevians import brent_root
+from .errors import GeometryError, SamplingExhausted
 from .geom_core import Triangle, mobius_from_origin, signed_angle, triangle_area
 from .cycles import (
     GeneralizedCycle,
@@ -25,6 +26,11 @@ from .theorems import is_convex_quad, lexell_cycle, quad_angles
 
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
 DEFAULT_MIN_ANGLE = 0.15
+
+# random_triangle gives up after this many draws; over seeds 0-5 x 200 it
+# rejected at most 5 draws before a success in the default box, 4 in a
+# 0.25 box
+MAX_TRIANGLE_DRAWS = 10_000
 
 # purpose slots for instance_rng; separate streams per concern so that
 # which suites are selected never shifts the draws of another suite
@@ -56,9 +62,12 @@ def random_triangle(rng: Random,
                     max_vertex_radius: float = DEFAULT_MAX_VERTEX_RADIUS,
                     min_angle: float = DEFAULT_MIN_ANGLE) -> tuple[Triangle, int]:
     """A triangle inside the vertex-radius box with all angles above the
-    floor; returns (triangle, number of rejected draws)."""
-    resamples = 0
-    while True:
+    floor; returns (triangle, number of rejected draws).
+
+    Raises SamplingExhausted when MAX_TRIANGLE_DRAWS draws all fail,
+    which only settings that no draw meets in practice reach.
+    """
+    for resamples in range(MAX_TRIANGLE_DRAWS):
         pts = [_disk_point(rng, max_vertex_radius) for _ in range(3)]
         try:
             tri = Triangle.of(*pts)
@@ -66,12 +75,12 @@ def random_triangle(rng: Random,
                       abs(signed_angle(tri.c, tri.b, tri.a)),
                       abs(signed_angle(tri.a, tri.c, tri.b)))
         except GeometryError:
-            resamples += 1
             continue
-        if min(angles) < min_angle:
-            resamples += 1
-            continue
-        return tri, resamples
+        if min(angles) >= min_angle:
+            return tri, resamples
+    raise SamplingExhausted(
+        f"no triangle with min_angle {min_angle!r} inside max_vertex_radius "
+        f"{max_vertex_radius!r} in {MAX_TRIANGLE_DRAWS} draws")
 
 
 def random_cycle(rng: Random) -> GeneralizedCycle:
@@ -208,8 +217,21 @@ def trapezoid_quad(rng: Random, converse: bool = False):
             return perturbed
 
 
+# _rebalance_quad moves the vertex by t in [-REBALANCE_STEP, REBALANCE_STEP]
+# and solves for t to REBALANCE_WIDTH, which stays above twice the float
+# spacing there (ulp(0.04) = 6.9e-18): a narrower goal would let Brent
+# take steps smaller than one float and never finish
+REBALANCE_STEP = 0.04
+REBALANCE_WIDTH = 1e-16
+
+
+class _NonConvexQuad(Exception):
+    """The moved quad is no longer convex, so its balance is undefined."""
+
+
 def _rebalance_quad(quad):
-    """Move the last vertex across the locus until the angle balance is zero."""
+    """Move the last vertex across the locus until the angle balance is
+    zero; None when no convex quad on the way balances."""
     a, b, c, d = quad
     grad = lexell_cycle(a, b, c).gradient(d)
     n = grad / abs(grad)
@@ -217,26 +239,17 @@ def _rebalance_quad(quad):
     def h(t: float) -> float:
         q = (a, b, c, d + t * n)
         if not is_convex_quad(*q):
-            return math.nan
+            raise _NonConvexQuad
         qa, qb, qc, qd = quad_angles(*q)
         return (qa + qd) - (qb + qc)
 
-    lo, hi = -0.04, 0.04
-    hlo, hhi = h(lo), h(hi)
-    if math.isnan(hlo) or math.isnan(hhi) or hlo * hhi > 0.0:
-        return None
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        hm = h(mid)
-        if math.isnan(hm):
+    lo, hi = -REBALANCE_STEP, REBALANCE_STEP
+    try:
+        hlo, hhi = h(lo), h(hi)
+        if hlo * hhi > 0.0:
             return None
-        if hm == 0.0 or hi - lo < 1e-17:
-            lo = hi = mid
-            break
-        if (hm > 0.0) == (hlo > 0.0):
-            lo, hlo = mid, hm
-        else:
-            hi = mid
-    dstar = d + 0.5 * (lo + hi) * n
-    q = (a, b, c, dstar)
+        t, _ = brent_root(h, lo, hi, hlo, hhi, width=REBALANCE_WIDTH)
+    except _NonConvexQuad:
+        return None
+    q = (a, b, c, d + t * n)
     return q if is_convex_quad(*q) else None

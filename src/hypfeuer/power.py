@@ -22,7 +22,9 @@ through their hyperbolic centers with the disk diameter through the
 Euclidean homothety center of the coefficient circles, after moving the
 pair into general position by a random isometry.  The construction does
 not check its result; collinearity of the centers is what the Monge
-check measures.
+check measures.  ``monge_centers`` builds the three pairs' centers once,
+and ``monge_line`` picks and fits one sign pattern's centers from them,
+so a check over all four patterns constructs each pair once.
 """
 
 from __future__ import annotations
@@ -229,12 +231,23 @@ def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle,
     return HomotheticCenters(out[1], out[-1])
 
 
-def monge_line(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
+def monge_centers(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
+                  rng: Random,
+                  ) -> tuple[HomotheticCenters, HomotheticCenters, HomotheticCenters]:
+    """Homothetic centers of the pairs (c2, c3), (c3, c1) and (c1, c2),
+    built once for every sign pattern monge_line is asked about; rng
+    draws each pair's general-position isometry."""
+    return (homothetic_centers(c2, c3, rng), homothetic_centers(c3, c1, rng),
+            homothetic_centers(c1, c2, rng))
+
+
+def monge_line(pair_centers: tuple[HomotheticCenters, HomotheticCenters, HomotheticCenters],
                signs: tuple[int, int, int],
-               rng: Random | None = None) -> tuple[GeneralizedCycle, float, list[complex]]:
+               ) -> tuple[GeneralizedCycle, float, list[complex]]:
     """Line through the three pairwise homothetic centers chosen by signs.
 
-    signs[0] picks the center of the pair (c2, c3), and cyclically; the
+    pair_centers is what monge_centers returns for three circles;
+    signs[0] picks the center of the pair (c2, c3), and cyclically.  The
     product of the three signs must be positive for the collinearity to
     hold, so odd patterns are rejected.  Returns the geodesic through
     the first two centers, the distance of the third from it, and the
@@ -242,11 +255,8 @@ def monge_line(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
     """
     if any(s not in (1, -1) for s in signs) or signs[0] * signs[1] * signs[2] != 1:
         raise InvalidSignPattern(f"sign pattern {signs} spans no line")
-    rng = rng if rng is not None else Random(0)
-    pairs = ((c2, c3), (c3, c1), (c1, c2))
     centers: list[complex] = []
-    for (x, y), s in zip(pairs, signs):
-        hc = homothetic_centers(x, y, rng)
+    for hc, s in zip(pair_centers, signs):
         chosen = hc.positive if s == 1 else hc.negative
         if chosen is None:
             kind = "positive" if s == 1 else "negative"

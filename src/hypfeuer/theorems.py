@@ -32,6 +32,7 @@ from .geom_core import (
     Triangle,
     absolute_inverse,
     as_complex,
+    complex_angle,
     hyp_distance,
     mobius_from_origin,
     signed_angle,
@@ -61,6 +62,7 @@ from .cevians import (
 )
 from .power import (
     homothetic_centers,
+    monge_centers,
     monge_line,
     power_of_point,
     pseudolength,
@@ -190,7 +192,7 @@ def quad_angles(a, b, c, d) -> list[float]:
     out = []
     for i in range(4):
         p, v, q = quad[(i - 1) % 4], quad[i], quad[(i + 1) % 4]
-        out.append(abs(signed_angle(p, v, q)))
+        out.append(abs(complex_angle(p, v, q)))
     return out
 
 
@@ -200,7 +202,7 @@ def is_convex_quad(a, b, c, d) -> bool:
     for i in range(4):
         p, v, q = quad[(i - 1) % 4], quad[i], quad[(i + 1) % 4]
         try:
-            turns.append(signed_angle(p, v, q))
+            turns.append(complex_angle(p, v, q))
         except GeometryError:
             return False
     return all(t > 0.0 for t in turns) or all(t < 0.0 for t in turns)
@@ -394,12 +396,13 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
                 ) -> TheoremCheck:
     """Collinearity of pairwise homothetic centers for every valid sign
     pattern (all positive, or exactly two negative)."""
+    pair_centers = monge_centers(c1, c2, c3, rng)
     witness: dict = {}
     residuals = []
     for signs in patterns:
         key = "".join("p" if s == 1 else "n" for s in signs)
         try:
-            _, res, _ = monge_line(c1, c2, c3, signs, rng)
+            _, res, _ = monge_line(pair_centers, signs)
         except MissingCenter:
             witness[key] = "missing_center"
             continue

@@ -315,6 +315,13 @@ def test_python_dash_m_runs_without_warning():
     ("[1, 2]", "must hold a JSON object"),
     ('{"min_angle": 1.1}', "min_angle must lie in [0, pi/3)"),
     ('{"max_vertex_radius": 0}', "max_vertex_radius must lie in (0, 1)"),
+    ('{"suite": 3}', "scenario key 'suite' must be a string or a list, got 3"),
+    ('{"seed": null}', "scenario key 'seed' must be an integer, got null"),
+    ('{"tolerances": 5}', "scenario key 'tolerances' must be an object, got 5"),
+    ('{"tolerances": {"theorem": null}}', "tolerance 'theorem' must be a number"),
+    # in range, but no draw meets them: the sampler's cap ends the search
+    ('{"min_angle": 1.04}', "no triangle with min_angle 1.04 inside"),
+    ('{"max_vertex_radius": 1e-9}', "inside max_vertex_radius 1e-09"),
 ])
 def test_bad_scenario_is_usage_error(tmp_path, content, message):
     scn = tmp_path / "scn.json"
@@ -325,3 +332,19 @@ def test_bad_scenario_is_usage_error(tmp_path, content, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_monge_leaves_the_check_stream_to_tangent_cevians(tmp_path):
+    # monge draws its isometries from its own stream, so whether it runs
+    # does not move the draws tangent_cevians takes from the check stream
+    def tangent_checks(suite):
+        code, out = run(tmp_path, "verify", "--seed", "0", "--trials", "20",
+                        "--suite", suite, name=f"{suite}.json")
+        assert code == 0
+        doc = json.loads(out.read_text())
+        return [c for inst in doc["instances"] for c in inst["checks"]
+                if c["name"] == "tangent_cevians"]
+
+    alone = tangent_checks("tangent_cevians")
+    assert "homothetic_center_gap" in alone[0]["witness"]
+    assert tangent_checks("monge,tangent_cevians") == alone

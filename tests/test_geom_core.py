@@ -25,6 +25,7 @@ from hypfeuer.geom_core import (
     sigma,
     signed_angle,
     triangle_area,
+    wrap_angle,
 )
 
 
@@ -136,6 +137,37 @@ def test_sigma_equals_double_angle_plus_defect():
         expect = abs(2.0 * ang + area - math.pi)
         assert abs(sigma(a, x, b)) == pytest.approx(expect, abs=1e-10)
         done += 1
+
+
+def _reference_angle(x, y, z):
+    # the composition the angle kernel writes out: translate y to the
+    # origin, take the phase difference of the images, wrap it
+    zx, zy, zz = as_complex(x), as_complex(y), as_complex(z)
+    return wrap_angle(cmath.phase(mobius_to_origin(zy, zz))
+                      - cmath.phase(mobius_to_origin(zy, zx)))
+
+
+def test_angle_functions_bit_identical_across_point_forms():
+    rng = Random(9)
+    for _ in range(60):
+        r = rng.uniform(-0.7, 0.7)
+        p, q = rand_point(rng, 0.7), rand_point(rng, 0.7)
+        # the real point as a float, as a complex and as a 2-tuple, in
+        # each position; the other two as complex and as 2-tuples
+        forms = [(r, p, q), (complex(r), p, q),
+                 ((r, 0.0), (p.real, p.imag), (q.real, q.imag))]
+        for shift in range(3):
+            triples = [f[shift:] + f[:shift] for f in forms]
+            x, y, z = triples[1]
+            angle = _reference_angle(x, y, z)
+            sig = angle - _reference_angle(z, x, y) - _reference_angle(y, z, x)
+            area = (math.pi - abs(_reference_angle(y, x, z))
+                    - abs(_reference_angle(z, y, x)) - abs(_reference_angle(x, z, y)))
+            for t in triples:
+                assert signed_angle(*t) == angle
+                assert sigma(*t) == sig
+                if area >= 1e-15:
+                    assert triangle_area(*t) == area
 
 
 # -------------------------------------------------------------------- areas

@@ -36,6 +36,7 @@ from hypfeuer.power import (
     homothety_point,
     inversion_cycle,
     inversion_point,
+    monge_centers,
     monge_line,
     power_of_point,
     pseudolength,
@@ -348,23 +349,24 @@ def test_monge_nested_on_diameter_stays_on_diameter():
     m1 = circle_from_center_radius(-0.10, 1.4)
     m2 = circle_from_center_radius(0.0, 0.75)
     m3 = circle_from_center_radius(0.12, 0.35)
+    pair_centers = monge_centers(m1, m2, m3, rng)
     for signs in ALL_PATTERNS:
-        line, res, centers = monge_line(m1, m2, m3, signs, rng)
+        line, res, centers = monge_line(pair_centers, signs)
         assert res < 1e-12
         assert max(abs(c.imag) for c in centers) < 1e-12
 
 
 def test_monge_invalid_sign_patterns():
     rng = Random(32)
-    c1, c2, c3 = monge_triple(instance_rng(402, 0))
+    pair_centers = monge_centers(*monge_triple(instance_rng(402, 0)), rng)
     for signs in ((1, 1, -1), (-1, -1, -1), (1, -1, 1)):
         with pytest.raises(InvalidSignPattern):
-            monge_line(c1, c2, c3, signs, rng)
+            monge_line(pair_centers, signs)
 
 
 def test_monge_line_label_invariant():
     rng = Random(33)
     c1, c2, c3 = monge_triple(instance_rng(403, 1))
-    line_a, _, _ = monge_line(c1, c2, c3, (1, 1, 1), rng)
-    line_b, _, _ = monge_line(c2, c3, c1, (1, 1, 1), rng)
+    line_a, _, _ = monge_line(monge_centers(c1, c2, c3, rng), (1, 1, 1))
+    line_b, _, _ = monge_line(monge_centers(c2, c3, c1, rng), (1, 1, 1))
     assert coefficient_distance(line_a, line_b) < 1e-10

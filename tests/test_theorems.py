@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from hypfeuer import instances, power
 from hypfeuer.cevians import build_config, vertex_bisector
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -29,6 +30,7 @@ from hypfeuer.instances import (
     random_cycle_pair,
     random_triangle,
     trapezoid_quad,
+    _rebalance_quad,
 )
 from hypfeuer.theorems import (
     check_euler_line,
@@ -123,6 +125,50 @@ def test_trapezoid_converse_quads():
         chk = check_trapezoid(*quad)
         assert chk.status == "pass", (idx, chk)
         assert chk.witness["angle_gap"] < 1e-10
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
+    calls = _counting(monkeypatch, instances, "quad_angles")
+    solved = 0
+    for idx in range(30):
+        quad = trapezoid_quad(instance_rng(607, idx))
+        calls.clear()
+        moved = _rebalance_quad(quad)
+        if moved is None:
+            continue
+        solved += 1
+        # two evaluations bracket the root, the solver makes the rest
+        assert len(calls) - 2 <= 12, (idx, len(calls))
+        assert check_trapezoid(*moved).witness["angle_gap"] < 1e-10
+    assert solved >= 25
+
+
+def test_rebalance_quad_non_convex_inside_bracket_gives_none(monkeypatch):
+    quad = trapezoid_quad(instance_rng(607, 0))
+    assert _rebalance_quad(quad) is not None
+    real = instances.is_convex_quad
+    calls = []
+
+    def convex_only_at_bracket_ends(*q):
+        calls.append(q)
+        return real(*q) and len(calls) <= 2
+
+    monkeypatch.setattr(instances, "is_convex_quad", convex_only_at_bracket_ends)
+    assert _rebalance_quad(quad) is None
+    assert len(calls) == 3
 
 
 def test_trapezoid_perturbation_breaks_both_sides():
@@ -291,6 +337,14 @@ def test_monge_random_triples():
         assert chk.residual < 1e-9
         numeric = [v for v in chk.witness.values() if not isinstance(v, str)]
         assert len(numeric) >= 2
+
+
+def test_check_monge_builds_each_pair_once(monkeypatch):
+    calls = _counting(monkeypatch, power, "homothetic_centers")
+    chk = check_monge(*monge_triple(instance_rng(618, 0)), Random(617))
+    assert chk.status == "pass"
+    # three pairs, shared by all four sign patterns
+    assert len(calls) == 3
 
 
 def test_monge_all_positive_missing_for_congruent_far_circles():
