@@ -1,20 +1,26 @@
 """Cevian constructions on a triangle and the centers built from them.
 
-Two families of cevian feet are found by a bracketed Brent root-finder
-along the side line:
+Both families of cevian feet have closed forms.  Move the base endpoint
+B to the origin and the side BC onto the positive real axis; the apex A
+then sits at Euclidean radius k at the angle beta = |angle(A, B, C)|,
+and S is the triangle's area.
 
-* the pseudoaltitude foot from A balances sigma(B, X, A) = sigma(A, X, C)
-  as X runs along line BC; the balance function is strictly monotone on
-  the whole ideal chord, so a sign change brackets the unique root (the
-  foot may lie beyond the segment BC, like Euclidean obtuse feet);
-* the area bisector foot balances area(ABX) = area(AXC) and always lies
-  strictly between B and C.
+* The area bisector foot balances area(ABX) = area(AXC), so area(ABX)
+  = S/2.  For X at radius t on the side, area(ABX) = 2 atan(k t sin(beta)
+  / (1 - k t cos(beta))), which gives t = sin(S/4) / (k sin(beta + S/4)).
+  The foot always lies strictly between B and C.
+* The pseudoaltitude foot balances sigma(B, X, A) = sigma(A, X, C).
+  sigma is additive over the cevian, so both sides equal S/2 there, and
+  the locus of constant sigma(B, X, A) is a cycle through B and A.  It
+  meets the side line at the signed radius t = k cos(beta + S/4) /
+  cos(S/4).  A negative t puts the foot beyond B, like a Euclidean obtuse
+  foot; past the ideal endpoints there is no foot.
 
 The three bisector feet span the Euler circle, which also passes through
 the three pseudoaltitude feet; the apex-to-foot geodesics of each family
 meet in the bisector point and the pseudo-orthocenter respectively, when
 they meet inside the disk at all.  Tangent circles (incircle, excircles)
-come from angle-bisector geodesics instead of root finding.
+come from the angle-bisector geodesics, built once per configuration.
 
 Everything degenerate is flagged on the returned TriangleConfig rather
 than raised: large triangles routinely lose their circumcenter, their
@@ -32,9 +38,8 @@ from .errors import BracketFailure, DivergentCevians, GeometryError
 from .geom_core import (
     DiskIsometry,
     Triangle,
+    complex_angle,
     mobius_to_origin,
-    sigma,
-    triangle_area,
 )
 from .cycles import (
     GeneralizedCycle,
@@ -51,13 +56,13 @@ from .cycles import (
 
 VERTICES = ("a", "b", "c")
 
-# the root-finder runs until the bracket is this narrow (line-frame units)
+# brent_root runs until the bracket is this narrow, unless told otherwise
 BRACKET_WIDTH = 1e-14
 
-# initial brackets stay this far from the triangle vertices
+# an area bisector foot stays this far from the triangle vertices
 EDGE_INSET = 1e-9
 
-# outward expansion never passes this ideal-chord coordinate
+# a pseudoaltitude foot never passes this ideal-chord coordinate
 IDEAL_LIMIT = 1.0 - 1e-6
 
 
@@ -75,38 +80,17 @@ def _line_frame(b: complex, c: complex) -> _LineFrame:
     return _LineFrame(iso.inverse(), abs(w))
 
 
-def _expand_bracket(f, lo: float, hi: float, limit: float):
-    """Grow [lo, hi] outward (doubling, clamped to +-limit) until f changes sign."""
-    flo, fhi = f(lo), f(hi)
-    decreasing = flo >= fhi
-    step = 0.5 * (hi - lo)
-    for _ in range(80):
-        if flo * fhi <= 0.0:
-            return lo, hi, flo, fhi
-        outward_right = (flo > 0.0) == decreasing
-        if outward_right:
-            if hi >= limit:
-                break
-            hi = min(hi + step, limit)
-            fhi = f(hi)
-        else:
-            if lo <= -limit:
-                break
-            lo = max(lo - step, -limit)
-            flo = f(lo)
-        step *= 2.0
-    raise BracketFailure("no sign change up to the ideal endpoints")
-
-
 def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
                width: float = BRACKET_WIDTH) -> tuple[float, float]:
     """Root of f in a sign-changing bracket, and the final bracket width.
 
-    Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
-    they shrink the bracket fast enough, bisection otherwise.  It stops
-    once the bracket is at most `width` wide and returns its end with the
-    smaller |f|; flo and fhi are f at the bracket ends.
+    It serves instances._rebalance_quad, whose angle balance has no
+    closed form.  Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): inverse quadratic or
+    secant steps while they shrink the bracket fast enough, bisection
+    otherwise.  It stops once the bracket is at most `width` wide and
+    returns its end with the smaller |f|; flo and fhi are f at the
+    bracket ends.
     """
     if flo == 0.0:
         return lo, 0.0
@@ -151,35 +135,32 @@ def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
     return xcur, abs(xblk - xcur)
 
 
-def pseudoaltitude_foot(tri: Triangle, vertex: str) -> tuple[complex, float]:
-    """Foot of the pseudoaltitude from a vertex; returns (point, bracket width)."""
+def _side_frame(tri: Triangle, vertex: str) -> tuple[_LineFrame, float, float]:
+    """Frame of the side opposite a vertex, the apex's Euclidean radius k
+    in it and the base angle beta at the side's first endpoint."""
     apex, b1, b2 = tri.opposite(vertex)
-    fr = _line_frame(b1, b2)
-
-    def f(t: float) -> float:
-        x = fr.back(t)
-        return sigma(b1, x, apex) - sigma(apex, x, b2)
-
-    lo, hi, flo, fhi = _expand_bracket(f, EDGE_INSET, fr.t_far - EDGE_INSET, IDEAL_LIMIT)
-    t, width = brent_root(f, lo, hi, flo, fhi)
-    return fr.back(t), width
+    return (_line_frame(b1, b2), abs(mobius_to_origin(b1, apex)),
+            abs(complex_angle(apex, b1, b2)))
 
 
-def bisector_foot(tri: Triangle, vertex: str) -> tuple[complex, float]:
+def pseudoaltitude_foot(tri: Triangle, vertex: str) -> complex:
+    """Foot of the pseudoaltitude from a vertex; it may lie beyond the side."""
+    fr, k, beta = _side_frame(tri, vertex)
+    quarter = tri.area / 4.0
+    t = k * math.cos(beta + quarter) / math.cos(quarter)
+    if abs(t) > IDEAL_LIMIT:
+        raise BracketFailure("pseudoaltitude foot beyond the ideal endpoints")
+    return fr.back(t)
+
+
+def bisector_foot(tri: Triangle, vertex: str) -> complex:
     """Foot of the area-bisecting cevian from a vertex; always inside the segment."""
-    apex, b1, b2 = tri.opposite(vertex)
-    fr = _line_frame(b1, b2)
-
-    def g(t: float) -> float:
-        x = fr.back(t)
-        return triangle_area(apex, b1, x) - triangle_area(apex, x, b2)
-
-    lo, hi = EDGE_INSET, fr.t_far - EDGE_INSET
-    glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0.0:
-        raise BracketFailure("area balance does not change sign on the segment")
-    t, width = brent_root(g, lo, hi, glo, ghi)
-    return fr.back(t), width
+    fr, k, beta = _side_frame(tri, vertex)
+    quarter = tri.area / 4.0
+    t = math.sin(quarter) / (k * math.sin(beta + quarter))
+    if not EDGE_INSET <= t <= fr.t_far - EDGE_INSET:
+        raise BracketFailure("area bisector foot outside the segment")
+    return fr.back(t)
 
 
 def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:
@@ -248,22 +229,34 @@ class CircleSpec:
     concurrency_residual: float  # distance from center to the third bisector
 
 
-def _tangent_spec(tri: Triangle, center: complex, third: GeneralizedCycle) -> CircleSpec:
-    sides = side_lines(tri)
+def _tangent_spec(center: complex, third: GeneralizedCycle,
+                  sides: dict[str, GeneralizedCycle]) -> CircleSpec:
     ds = [point_geodesic_distance(center, sides[v]) for v in VERTICES]
     radius = sum(ds) / 3.0
     return CircleSpec(center, radius, circle_from_center_radius(center, radius),
                       max(ds) - min(ds), point_geodesic_distance(center, third))
 
 
-def incircle(tri: Triangle) -> CircleSpec:
-    ga = vertex_bisector(tri, "a")
-    gb = vertex_bisector(tri, "b")
-    gc = vertex_bisector(tri, "c")
-    pts = interior_intersections(ga, gb)
+def _incircle(internal: dict[str, GeneralizedCycle],
+              sides: dict[str, GeneralizedCycle]) -> CircleSpec:
+    pts = interior_intersections(internal["a"], internal["b"])
     if not pts:
         raise DivergentCevians("internal bisectors diverge")
-    return _tangent_spec(tri, pts[0], gc)
+    return _tangent_spec(pts[0], internal["c"], sides)
+
+
+def _excircle(vertex: str, internal: dict[str, GeneralizedCycle],
+              external: dict[str, GeneralizedCycle],
+              sides: dict[str, GeneralizedCycle]) -> CircleSpec | None:
+    e1, e2 = (external[v] for v in VERTICES if v != vertex)
+    pts = interior_intersections(internal[vertex], e1)
+    if not pts:
+        return None
+    return _tangent_spec(pts[0], e2, sides)
+
+
+def incircle(tri: Triangle) -> CircleSpec:
+    return _incircle({v: vertex_bisector(tri, v) for v in VERTICES}, side_lines(tri))
 
 
 def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
@@ -274,23 +267,18 @@ def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
     not exist (any interior meet is automatically equidistant from all
     three side lines, so pair intersection is a sound existence test).
     """
-    internal = vertex_bisector(tri, vertex)
-    others = [v for v in VERTICES if v != vertex]
-    e1 = vertex_bisector(tri, others[0], external=True)
-    e2 = vertex_bisector(tri, others[1], external=True)
-    pts = interior_intersections(internal, e1)
-    if not pts:
-        return None
-    return _tangent_spec(tri, pts[0], e2)
+    return _excircle(vertex, {vertex: vertex_bisector(tri, vertex)},
+                     {v: vertex_bisector(tri, v, external=True)
+                      for v in VERTICES if v != vertex},
+                     side_lines(tri))
 
 
 @dataclass
 class CevianFeet:
-    """The six feet with the bracket widths their root-finder reached."""
+    """The feet that exist, keyed by the vertex they are dropped from."""
 
     bisector: dict[str, complex] = field(default_factory=dict)
     pseudoaltitude: dict[str, complex] = field(default_factory=dict)
-    bracket_width: dict[str, float] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -331,15 +319,11 @@ def build_config(tri: Triangle) -> TriangleConfig:
     feet = CevianFeet()
     for v in VERTICES:
         try:
-            foot, w = bisector_foot(tri, v)
-            feet.bisector[v] = foot
-            feet.bracket_width[f"bisector_{v}"] = w
+            feet.bisector[v] = bisector_foot(tri, v)
         except GeometryError:
             flags.add(f"bracket_failure_bisector_{v}")
         try:
-            foot, w = pseudoaltitude_foot(tri, v)
-            feet.pseudoaltitude[v] = foot
-            feet.bracket_width[f"pseudoaltitude_{v}"] = w
+            feet.pseudoaltitude[v] = pseudoaltitude_foot(tri, v)
         except GeometryError:
             flags.add(f"bracket_failure_pseudoaltitude_{v}")
 
@@ -390,16 +374,19 @@ def build_config(tri: Triangle) -> TriangleConfig:
     else:
         flags.add("divergent_pseudoaltitude_cevians")
 
+    sides = side_lines(tri)
+    internal = {v: vertex_bisector(tri, v) for v in VERTICES}
+    external = {v: vertex_bisector(tri, v, external=True) for v in VERTICES}
     inc = None
     try:
-        inc = incircle(tri)
+        inc = _incircle(internal, sides)
     except GeometryError:
         flags.add("no_incircle")
 
     excircles: dict[str, CircleSpec | None] = {}
     for v in VERTICES:
         try:
-            excircles[v] = excircle(tri, v)
+            excircles[v] = _excircle(v, internal, external, sides)
         except GeometryError:
             excircles[v] = None
         if excircles[v] is None:
@@ -407,7 +394,7 @@ def build_config(tri: Triangle) -> TriangleConfig:
 
     return TriangleConfig(
         triangle=tri,
-        sides=side_lines(tri),
+        sides=sides,
         feet=feet,
         bisector_cevians=bisector_cevians,
         pseudoaltitude_cevians=pseudoaltitude_cevians,

@@ -316,13 +316,18 @@ def _check_type(what: str, value, kinds: tuple, name: str):
 
 
 def _check_scenario_types(data: dict):
-    """Reject unknown scenario keys and values of a JSON type no option takes."""
+    """Reject unknown scenario or tolerance keys and values of a JSON type
+    no option takes."""
     unknown = set(data) - set(_SCENARIO_TYPES)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key, value in data.items():
         _check_type(f"scenario key {key!r}", value, *_SCENARIO_TYPES[key])
-    for key, value in data.get("tolerances", {}).items():
+    tolerances = data.get("tolerances", {})
+    unknown = set(tolerances) - {f.name for f in fields(Tolerances)}
+    if unknown:
+        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+    for key, value in tolerances.items():
         _check_type(f"tolerance {key!r}", value, (int, float), "a number")
 
 
@@ -346,8 +351,7 @@ def scenario_from_args(args) -> Scenario:
                       (args.tol_chain, "chain")):
         if flag is not None:
             tol_data[key] = flag
-    tol = replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in tol_data.items()
-                                         if k in ("construct", "theorem", "chain")})
+    tol = replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in tol_data.items()})
 
     trials = int(pick(args.trials, "trials", 10))
     if trials < 0:

@@ -49,7 +49,7 @@ class IdenticalCycles(GeometryError):
 
 
 class BracketFailure(GeometryError):
-    """Root bracketing for a cevian foot found no sign change on the ideal segment."""
+    """A cevian foot falls outside the part of the side line where it may lie."""
 
 
 class DivergentCevians(GeometryError):

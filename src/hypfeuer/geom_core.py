@@ -19,8 +19,8 @@ the ray toward x onto the ray toward z, counterclockwise positive, in
     sigma(x, y, z) = angle(x,y,z) - angle(z,x,y) - angle(y,z,x)
 
 drives every cevian construction here: on a circle through two points it
-is constant, and along a geodesic segment it decreases monotonically,
-which is what makes a bracketed root-finder work.
+is constant, which gives the pseudoaltitude foot its closed form (see
+``cevians``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .errors import (
     BoundaryPoint,
     CenterHasNoInverse,
-    CoincidentPoints,
     DegenerateAngle,
     DegenerateTriangle,
 )

@@ -47,7 +47,6 @@ from .errors import (
     NotACircle,
 )
 from .geom_core import (
-    DiskIsometry,
     as_complex,
     hyp_distance,
     mobius_from_origin,

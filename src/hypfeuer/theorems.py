@@ -8,8 +8,8 @@ statistics stay honest (nothing absent is silently dropped).
 
 Tolerance tiers: constructive identities get 1e-10, single theorem
 statements 1e-9, and results sitting at the end of a tangency or
-concurrency chain 1e-8, because error compounds through root finding
-and contact-point extraction.
+concurrency chain 1e-8, because error compounds through the stacked
+constructions and contact-point extraction.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ from .errors import (
 )
 from .geom_core import (
     TAU,
+    DiskIsometry,
     Triangle,
     absolute_inverse,
     as_complex,
     complex_angle,
     hyp_distance,
     mobius_from_origin,
+    mobius_to_origin,
     signed_angle,
     sigma,
     triangle_area,
@@ -51,13 +53,13 @@ from .cycles import (
     membership_residual,
     point_geodesic_distance,
     sample_points,
-    tangency_ratio,
     tangency_residual,
+    transform,
 )
 from .cevians import (
+    EDGE_INSET,
     TriangleConfig,
     bisector_direction,
-    brent_root,
     concurrency_point,
 )
 from .power import (
@@ -434,45 +436,53 @@ def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
     return (best[0] + best[1]) / 2.0
 
 
-# the tangent-circle shooting solves for arc length to this bracket width
-SHOOT_WIDTH = 1e-13
-
-
 def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
                           external: bool) -> GeneralizedCycle | None:
     """Circle inscribed in the angle at `vertex` and tangent to w.
 
-    One-parameter shooting along the internal angle bisector: at arc
-    length s from the vertex the inscribed circle is determined (center
-    on the bisector, radius = distance to a side ray), and its tangency
-    ratio against w decreases monotonically through +1 (internal
-    tangency) and later -1 (external); the first crossing of the target
-    is bracketed by a geometric walk and then solved by brent_root.
+    In the frame that moves the vertex to the origin the angle's sides
+    are diameters and its internal bisector runs along the unit direction
+    u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
+    inscribed in the angle is the Euclidean circle with center e u and
+    radius e sin_half, for 0 < e (1 + sin_half) < 1.  If w has Euclidean
+    center m and radius R in the frame, the two circles touch where
+    |e u - m| = R -+ e sin_half (internal and external tangency), i.e.
+
+        (1 - sin_half^2) e^2 - 2 (Re(conj(u) m) -+ R sin_half) e
+            + |m|^2 - R^2 = 0.
+
+    The inscribed circle meets the bisector at the radii e (1 - sin_half)
+    and e (1 + sin_half), so its center lies at arc length
+    s = atanh(e (1 - sin_half)) + atanh(e (1 + sin_half)) from the vertex
+    and its radius is atanh(e (1 + sin_half)) - atanh(e (1 - sin_half)).
+    The smallest root with s in (EDGE_INSET, 20] wins; the lower bound
+    drops the trivial root at the vertex itself when w passes through it.
+    None when no root qualifies.
     """
     v, p, _ = tri.opposite(vertex)
     u = bisector_direction(tri, vertex)
-    side = geodesic_through(v, p)
-    target = -1.0 if external else 1.0
-
-    def inscribed(s: float) -> GeneralizedCycle:
-        x = mobius_from_origin(v, math.tanh(s / 2.0) * u)
-        return circle_from_center_radius(x, point_geodesic_distance(x, side))
-
-    def gap(s: float) -> float:
-        return tangency_ratio(inscribed(s), w) - target
-
-    s_prev = 0.02
-    g_prev = gap(s_prev)
-    s = s_prev
-    for _ in range(60):
-        s *= 1.3
-        if s > 20.0:
-            return None
-        g = gap(s)
-        if g_prev * g <= 0.0:
-            root, _ = brent_root(gap, s_prev, s, g_prev, g, width=SHOOT_WIDTH)
-            return inscribed(root)
-        s_prev, g_prev = s, g
+    d = mobius_to_origin(v, p)
+    sin_half = abs((u * (d / abs(d)).conjugate()).imag)
+    m, big_r = transform(DiskIsometry.translation(v), w).euclid_center_radius()
+    sign = 1.0 if external else -1.0
+    qa = 1.0 - sin_half * sin_half
+    qb = -2.0 * ((u.conjugate() * m).real + sign * big_r * sin_half)
+    qc = abs(m) ** 2 - big_r * big_r
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    # the sign-aware form, as in cycles.intersect
+    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
+    if q == 0.0:
+        return None
+    for e in sorted((q / qa, qc / q)):
+        near, far = e * (1.0 - sin_half), e * (1.0 + sin_half)
+        if e <= 0.0 or far >= 1.0:
+            continue
+        s = math.atanh(near) + math.atanh(far)
+        if EDGE_INSET < s <= 20.0:
+            center = mobius_from_origin(v, math.tanh(s / 2.0) * u)
+            return circle_from_center_radius(center, math.atanh(far) - math.atanh(near))
     return None
 
 

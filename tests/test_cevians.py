@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import sys
 from random import Random
 
 import pytest
 
 from hypfeuer import cevians
-from hypfeuer.errors import DivergentCevians
+from hypfeuer.errors import BracketFailure, DivergentCevians
 from hypfeuer.geom_core import Triangle, hyp_distance, hyp_midpoint, sigma, triangle_area
 from hypfeuer.cycles import (
     CycleClass,
@@ -31,6 +32,7 @@ from hypfeuer.cevians import (
     vertex_bisector,
 )
 from hypfeuer.instances import instance_rng, random_triangle
+from hypfeuer.theorems import check_tangent_cevians
 
 
 def isosceles():
@@ -59,16 +61,15 @@ def clean_configs(count, seed=101):
 def test_isosceles_bisector_foot_is_base_midpoint():
     tri = isosceles()
     apex = "a" if tri.a == 0.5j else ("b" if tri.b == 0.5j else "c")
-    foot, width = bisector_foot(tri, apex)
+    foot = bisector_foot(tri, apex)
     mid = hyp_midpoint(-0.35, 0.35)
     assert foot == pytest.approx(mid, abs=1e-12)
-    assert width < 1e-13
 
 
 def test_isosceles_pseudoaltitude_foot_is_base_midpoint():
     tri = isosceles()
     apex = "a" if tri.a == 0.5j else ("b" if tri.b == 0.5j else "c")
-    foot, _ = pseudoaltitude_foot(tri, apex)
+    foot = pseudoaltitude_foot(tri, apex)
     assert foot == pytest.approx(0.0, abs=1e-12)
 
 
@@ -101,6 +102,108 @@ def test_balance_is_sharp_against_perturbation():
     foot = cfg.feet.pseudoaltitude["a"]
     moved = foot + (b2 - b1) / abs(b2 - b1) * 1e-4
     assert abs(sigma(b1, moved, apex) - sigma(apex, moved, b2)) > 1e-6
+
+
+def _brent_foot(tri, vertex, pseudoaltitude):
+    """Side-frame coordinate of a foot found by a Brent solve of its
+    defining balance, or None when the balance changes sign nowhere.
+
+    The side line is cut at its two vertices, where the balance jumps:
+    the bisector foot is looked for inside the segment, the
+    pseudoaltitude foot also beyond either end, up to the ideal limit.
+    """
+    apex, b1, b2 = tri.opposite(vertex)
+    fr = cevians._line_frame(b1, b2)
+    inset, far = cevians.EDGE_INSET, fr.t_far
+
+    def balance(t):
+        x = fr.back(t)
+        if pseudoaltitude:
+            return sigma(b1, x, apex) - sigma(apex, x, b2)
+        return triangle_area(apex, b1, x) - triangle_area(apex, x, b2)
+
+    pieces = [(inset, far - inset)]
+    if pseudoaltitude:
+        limit = cevians.IDEAL_LIMIT
+        pieces += [(-limit, -inset), (far + inset, limit)]
+    roots = []
+    for lo, hi in pieces:
+        flo, fhi = balance(lo), balance(hi)
+        if flo * fhi <= 0.0:
+            roots.append(brent_root(balance, lo, hi, flo, fhi, width=1e-15)[0])
+    assert len(roots) <= 1
+    return roots[0] if roots else None
+
+
+def _foot_matches_brent(tri, vertex, pseudoaltitude):
+    """Compare one foot with its Brent solve; returns where it fell on
+    the side line."""
+    apex, b1, b2 = tri.opposite(vertex)
+    fr = cevians._line_frame(b1, b2)
+    fn = pseudoaltitude_foot if pseudoaltitude else bisector_foot
+    t = _brent_foot(tri, vertex, pseudoaltitude)
+    if t is None:
+        with pytest.raises(BracketFailure):
+            fn(tri, vertex)
+        return "absent"
+    assert abs(fn(tri, vertex) - fr.back(t)) < 1e-12
+    return "before" if t < 0.0 else "after" if t > fr.t_far else "on"
+
+
+@pytest.mark.parametrize("box", [0.25, 0.7, 0.95])
+def test_closed_form_feet_match_brent_solves(box):
+    # every draw, not only clean configs; pseudoaltitude feet fall beyond
+    # both ends of their side in every box
+    where = {"bisector": set(), "pseudoaltitude": set()}
+    for idx in range(60):
+        tri, _ = random_triangle(instance_rng(107, idx), box)
+        for v in VERTICES:
+            where["bisector"].add(_foot_matches_brent(tri, v, False))
+            where["pseudoaltitude"].add(_foot_matches_brent(tri, v, True))
+    assert where == {"bisector": {"on"}, "pseudoaltitude": {"before", "on", "after"}}
+
+
+@pytest.mark.parametrize("apex, where", [
+    (0.99999999 * cmath.exp(1e-4j), "absent"),
+    (0.99999999 * cmath.exp(1j * (math.pi - 1e-4)), "absent"),
+    (0.9999 * cmath.exp(1e-3j), "before"),
+    (0.99999 * cmath.exp(1j * (math.pi - 2e-3)), "after"),
+])
+def test_closed_form_pseudoaltitude_foot_near_the_absolute(apex, where):
+    # an apex almost on the extension of its base, close to the absolute:
+    # the foot lies near an ideal endpoint or beyond it (BracketFailure),
+    # and the closed form fails in exactly the cases the solve does
+    tri = Triangle.of(apex, 0j, 0.3)
+    vertex = next(v for v in VERTICES if tri.opposite(v)[0] == apex)
+    assert _foot_matches_brent(tri, vertex, True) == where
+
+
+def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
+    # the feet and the tangent circles are closed forms; the bisector
+    # geodesics and side lines are built once per configuration
+    calls = {"brent_root": 0, "vertex_bisector": 0, "side_lines": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
+        if hasattr(module, "brent_root"):
+            counting(module, "brent_root")
+    counting(cevians, "vertex_bisector")
+    counting(cevians, "side_lines")
+    # a small triangle with all three excircles
+    cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
+    assert not cfg.flags
+    assert calls == {"brent_root": 0, "vertex_bisector": 6, "side_lines": 1}
+    check = check_tangent_cevians(cfg, Random(108))
+    assert check.status == "pass"
+    assert calls["brent_root"] == 0
 
 
 # ------------------------------------------------------------ euler circle
@@ -221,12 +324,12 @@ def test_euclidean_limit_of_feet():
     for v in VERTICES:
         apex, b1, b2 = tri.opposite(v)
         mid = (b1 + b2) / 2.0
-        foot_b, _ = bisector_foot(tri, v)
+        foot_b = bisector_foot(tri, v)
         assert abs(foot_b - mid) / lam < 2e-4
         d = (b2 - b1) / abs(b2 - b1)
         t = ((apex - b1) / d).real
         alt = b1 + max(0.0, t) * d
-        foot_h, _ = pseudoaltitude_foot(tri, v)
+        foot_h = pseudoaltitude_foot(tri, v)
         assert abs(foot_h - alt) / lam < 2e-4
 
 
@@ -247,29 +350,6 @@ def test_brent_root_at_bracket_end_has_zero_width():
     f = lambda x: x - 0.25  # noqa: E731
     assert brent_root(f, 0.25, 1.0, f(0.25), f(1.0)) == (0.25, 0.0)
     assert brent_root(f, -1.0, 0.25, f(-1.0), f(0.25)) == (0.25, 0.0)
-
-
-def test_brent_root_solves_foot_balances_in_few_evaluations(monkeypatch):
-    counts = []
-
-    def counting(f, *args, **kwargs):
-        calls = [0]
-
-        def counted(t):
-            calls[0] += 1
-            return f(t)
-
-        result = brent_root(counted, *args, **kwargs)
-        counts.append(calls[0])
-        return result
-
-    monkeypatch.setattr(cevians, "brent_root", counting)
-    cfgs = clean_configs(12)
-    assert len(counts) >= 6 * len(cfgs)
-    # evaluations after bracketing; bisection to BRACKET_WIDTH took ~45
-    assert max(counts) <= 12
-    for cfg in cfgs:
-        assert max(cfg.feet.bracket_width.values()) <= BRACKET_WIDTH
 
 
 # ------------------------------------------------------ n-line concurrency

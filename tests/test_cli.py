@@ -319,6 +319,7 @@ def test_python_dash_m_runs_without_warning():
     ('{"seed": null}', "scenario key 'seed' must be an integer, got null"),
     ('{"tolerances": 5}', "scenario key 'tolerances' must be an object, got 5"),
     ('{"tolerances": {"theorem": null}}', "tolerance 'theorem' must be a number"),
+    ('{"tolerances": {"theorm": 1e-30}}', "unknown tolerance keys: ['theorm']"),
     # in range, but no draw meets them: the sampler's cap ends the search
     ('{"min_angle": 1.04}', "no triangle with min_angle 1.04 inside"),
     ('{"max_vertex_radius": 1e-9}', "inside max_vertex_radius 1e-09"),

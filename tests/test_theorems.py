@@ -378,6 +378,34 @@ def test_tangent_cevians_external_on_incircle():
     assert chk.witness["homothetic_center_gap"] < 1e-8
 
 
+def test_tangent_cevians_external_circle_close_to_the_vertex():
+    # the circle in the angle at b touching the incircle externally sits
+    # at arc length ~0.006 from b; a search starting farther out found a
+    # circle of radius ~12.5 near the absolute instead (residual 1.9e-8)
+    cfg = clean_config(628)
+    w = cfg.incircle.cycle
+    chk = check_tangent_cevians(cfg, Random(628), w=w, external=True)
+    assert chk.status == "pass"
+    assert chk.residual < 1e-8
+    for v in ("a", "b", "c"):
+        circle = _shoot_tangent_circle(cfg.triangle, v, w, True)
+        assert tangency_residual(circle, w) < 1e-10
+    center, _ = hyp_center_radius(_shoot_tangent_circle(cfg.triangle, "b", w, True))
+    assert hyp_distance(center, cfg.triangle.b) < 0.01
+
+
+def test_tangent_cevians_thin_triangle_finds_every_circle():
+    # instance 7 of the contact-chain scenario at bench seed 41084: the
+    # circle at b lies at arc length 0.01998, once skipped as
+    # tangent_circle_absent_b
+    tri = Triangle.of(-0.1824083693224007 - 0.0008683102026953064j,
+                      -0.16846003828179798 + 0.012347397420761965j,
+                      -0.16831996956762305 + 0.002233751406806867j)
+    chk = check_tangent_cevians(build_config(tri), Random(629))
+    assert chk.status == "pass"
+    assert chk.residual < 1e-8
+
+
 def test_shot_circle_is_inscribed_in_the_angle_and_touches_circumcircle():
     for seed in range(628, 632):
         cfg = clean_config(seed)
