@@ -29,7 +29,6 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .geom_core import (
     DiskIsometry,
     Triangle,
     complex_angle,
+    mobius_from_origin,
     mobius_to_origin,
 )
 from .cycles import (
@@ -64,20 +64,6 @@ EDGE_INSET = 1e-9
 
 # a pseudoaltitude foot never passes this ideal-chord coordinate
 IDEAL_LIMIT = 1.0 - 1e-6
-
-
-@dataclass(frozen=True)
-class _LineFrame:
-    """Side line mapped onto the real axis, first endpoint at the origin."""
-
-    back: DiskIsometry
-    t_far: float  # frame coordinate of the second endpoint
-
-
-def _line_frame(b: complex, c: complex) -> _LineFrame:
-    w = mobius_to_origin(b, c)
-    iso = DiskIsometry(b, -cmath.phase(w), False)
-    return _LineFrame(iso.inverse(), abs(w))
 
 
 def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
@@ -135,32 +121,34 @@ def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
     return xcur, abs(xblk - xcur)
 
 
-def _side_frame(tri: Triangle, vertex: str) -> tuple[_LineFrame, float, float]:
-    """Frame of the side opposite a vertex, the apex's Euclidean radius k
-    in it and the base angle beta at the side's first endpoint."""
+def _side_frame(tri: Triangle, vertex: str) -> tuple[complex, complex, float, float]:
+    """The side opposite a vertex in the frame that moves its first
+    endpoint b1 to the origin: b1, the second endpoint's image w there,
+    the apex's Euclidean radius k and the base angle beta at b1.  The
+    side point at radius t is mobius_from_origin(b1, t w / |w|)."""
     apex, b1, b2 = tri.opposite(vertex)
-    return (_line_frame(b1, b2), abs(mobius_to_origin(b1, apex)),
+    return (b1, mobius_to_origin(b1, b2), abs(mobius_to_origin(b1, apex)),
             abs(complex_angle(apex, b1, b2)))
 
 
 def pseudoaltitude_foot(tri: Triangle, vertex: str) -> complex:
     """Foot of the pseudoaltitude from a vertex; it may lie beyond the side."""
-    fr, k, beta = _side_frame(tri, vertex)
+    b1, w, k, beta = _side_frame(tri, vertex)
     quarter = tri.area / 4.0
     t = k * math.cos(beta + quarter) / math.cos(quarter)
     if abs(t) > IDEAL_LIMIT:
         raise BracketFailure("pseudoaltitude foot beyond the ideal endpoints")
-    return fr.back(t)
+    return mobius_from_origin(b1, t * w / abs(w))
 
 
 def bisector_foot(tri: Triangle, vertex: str) -> complex:
     """Foot of the area-bisecting cevian from a vertex; always inside the segment."""
-    fr, k, beta = _side_frame(tri, vertex)
+    b1, w, k, beta = _side_frame(tri, vertex)
     quarter = tri.area / 4.0
     t = math.sin(quarter) / (k * math.sin(beta + quarter))
-    if not EDGE_INSET <= t <= fr.t_far - EDGE_INSET:
+    if not EDGE_INSET <= t <= abs(w) - EDGE_INSET:
         raise BracketFailure("area bisector foot outside the segment")
-    return fr.back(t)
+    return mobius_from_origin(b1, t * w / abs(w))
 
 
 def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import enum
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 from .cevians import TriangleConfig, build_config
 from .errors import GeometryError, SamplingExhausted
@@ -26,7 +27,6 @@ from .instances import (
     DEFAULT_MAX_VERTEX_RADIUS,
     DEFAULT_MIN_ANGLE,
     PURPOSE_ARC,
-    PURPOSE_CHECK,
     PURPOSE_CYCLE_PAIR,
     PURPOSE_LEXELL,
     PURPOSE_MONGE,
@@ -61,36 +61,29 @@ from .theorems import (
 
 # The suite registry, in report order: name -> (purpose stream, call).
 # The call gets a fresh draw from that stream, or for purpose None the
-# instance's shared triangle configuration, then the instance index, the
-# instance's check stream and the tolerances.  The lambdas look the
-# generators and checks up by name at call time, so a rebinding of a
-# module attribute (as the benchmark's tracer does) is seen.
+# instance's shared triangle configuration, then the instance index and
+# the tolerances.  The lambdas look the generators and checks up by name
+# at call time, so a rebinding of a module attribute (as the benchmark's
+# tracer does) is seen.
 SUITES = {
-    "inscribed_angle": (PURPOSE_ARC, lambda rng, index, rng_check, tol:
+    "inscribed_angle": (PURPOSE_ARC, lambda rng, index, tol:
                         check_inscribed_angle(*arc_instance(rng), tol)),
-    "trapezoid": (PURPOSE_QUAD, lambda rng, index, rng_check, tol:
+    "trapezoid": (PURPOSE_QUAD, lambda rng, index, tol:
                   check_trapezoid(*trapezoid_quad(rng, converse=bool(index % 2)),
                                   tol=tol)),
-    "lexell": (PURPOSE_LEXELL, lambda rng, index, rng_check, tol:
+    "lexell": (PURPOSE_LEXELL, lambda rng, index, tol:
                check_lexell(*lexell_instance(rng), tol)),
-    "six_point": (None, lambda cfg, index, rng_check, tol:
-                  check_six_point(cfg, tol)),
-    "euler_line": (None, lambda cfg, index, rng_check, tol:
-                   check_euler_line(cfg, tol)),
-    "euler_ratios": (None, lambda cfg, index, rng_check, tol:
-                     check_euler_ratios(cfg, tol)),
-    "feuerbach": (None, lambda cfg, index, rng_check, tol:
-                  check_feuerbach(cfg, tol)),
-    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, rng_check, tol:
+    "six_point": (None, lambda cfg, index, tol: check_six_point(cfg, tol)),
+    "euler_line": (None, lambda cfg, index, tol: check_euler_line(cfg, tol)),
+    "euler_ratios": (None, lambda cfg, index, tol: check_euler_ratios(cfg, tol)),
+    "feuerbach": (None, lambda cfg, index, tol: check_feuerbach(cfg, tol)),
+    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, tol:
                      check_radical_axis(*random_cycle_pair(rng), tol)),
-    # the isometry draws continue the monge stream, so that the check
-    # stream, which tangent_cevians also draws from, never depends on
-    # whether monge runs
-    "monge": (PURPOSE_MONGE, lambda rng, index, rng_check, tol:
-              check_monge(*monge_triple(rng), rng, tol)),
-    "tangent_cevians": (None, lambda cfg, index, rng_check, tol:
-                        check_tangent_cevians(cfg, rng_check, tol=tol)),
-    "feuerbach_point": (None, lambda cfg, index, rng_check, tol:
+    "monge": (PURPOSE_MONGE, lambda rng, index, tol:
+              check_monge(*monge_triple(rng), tol)),
+    "tangent_cevians": (None, lambda cfg, index, tol:
+                        check_tangent_cevians(cfg, tol=tol)),
+    "feuerbach_point": (None, lambda cfg, index, tol:
                         check_feuerbach_point(cfg, tol)),
 }
 
@@ -156,21 +149,21 @@ def parse_suite(spec) -> tuple[str, ...]:
     return tuple(n for n in SUITE_ORDER if n in set(names))
 
 
-def jsonable(obj):
-    """Recursive conversion to JSON-safe values; complex -> 'x+yi'."""
+def _json_default(obj):
+    """json.dumps hook for the values the standard encoder does not know:
+    complex -> 'x+yi', enums by value, dataclasses as their fields."""
     if isinstance(obj, complex):
         return format_complex(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _to_json(doc) -> str:
+    """The document as indented, key-sorted JSON with a final newline."""
+    return json.dumps(doc, default=_json_default, indent=2, sort_keys=True) + "\n"
 
 
 # ------------------------------------------------------------ suite running
@@ -190,12 +183,11 @@ def _run_instance(scn: Scenario, index: int) -> InstanceReport:
         flags = list(cfg.flags)
         instance["triangle"] = {"a": tri.a, "b": tri.b, "c": tri.c}
         instance["resamples"] = resamples
-    rng_check = instance_rng(scn.seed, index, PURPOSE_CHECK)
     checks = []
     for name in scn.suite:
         purpose, call = SUITES[name]
         source = cfg if purpose is None else instance_rng(scn.seed, index, purpose)
-        checks.append(call(source, index, rng_check, scn.tolerances))
+        checks.append(call(source, index, scn.tolerances))
     return InstanceReport(index, instance, flags, checks)
 
 
@@ -205,7 +197,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
-        "tolerances": jsonable(scn.tolerances),
+        "tolerances": asdict(scn.tolerances),
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
         "triangle": ({k: format_complex(v) for k, v in
@@ -229,9 +221,9 @@ def report_json(report: VerificationReport) -> str:
             "failed": counts["fail"],
             "skipped": counts["skipped"],
         },
-        "instances": [jsonable(inst) for inst in report.instances],
+        "instances": report.instances,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _to_json(doc)
 
 
 def config_json(cfg: TriangleConfig) -> str:
@@ -257,7 +249,7 @@ def config_json(cfg: TriangleConfig) -> str:
         "excircles": cfg.excircles,
         "flags": list(cfg.flags),
     }
-    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    return _to_json(doc)
 
 
 # ------------------------------------------------------------------ the CLI
@@ -381,7 +373,9 @@ def scenario_from_args(args) -> Scenario:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hypfeuer",
         description="Triangle constructions and theorem verification "

@@ -36,7 +36,7 @@ from .errors import (
     NotACircle,
     NotACycle,
 )
-from .geom_core import DiskIsometry, as_complex
+from .geom_core import DiskIsometry, as_complex, check_disk
 
 # normalized |C - A| below this: the cycle is a geodesic
 GEODESIC_EPS = 1e-12
@@ -333,21 +333,22 @@ def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
 
 
 def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
-    """Distance from an interior point to a geodesic.
+    """Distance from an interior point to a geodesic, in closed form.
 
-    The point is translated to the origin first; there the distance is
-    2 atanh of the Euclidean distance from 0 to the arc, written as
-    |A| / (|B| + sqrt(|B|^2 - A^2)) to avoid the catastrophic
-    cancellation the textbook |B| - sqrt(...) form suffers when the
-    point is within ~1e-8 of the geodesic.
+    On the hyperboloid the point is the unit timelike vector
+    (1 + |z|^2, 2x, 2y) / (1 - |z|^2) and the geodesic (A, B, A) is the
+    plane A t + Re(B) x + Im(B) y = 0, whose normal has Minkowski norm
+    sqrt(|B|^2 - A^2).  sinh of the distance is the point's value in the
+    plane's form over that norm, i.e. |E(z)| / ((1 - |z|^2) sqrt(|B|^2 -
+    A^2)).  Near the geodesic this is proportional to |E(z)| itself, so
+    a point within ~1e-8 of it keeps its relative accuracy (no
+    difference of two nearly equal distances is formed).
     """
-    z = as_complex(p)
-    g = transform(DiskIsometry.translation(z), geo)
-    a_, b_ = g.a, abs(g.b)
-    if b_ == 0.0:
+    z = check_disk(p)
+    norm2 = abs(geo.b) ** 2 - geo.a * geo.a
+    if norm2 <= 0.0:
         raise NotACycle("degenerate geodesic coefficients")
-    r = abs(a_) / (b_ + math.sqrt(max(b_ * b_ - a_ * a_, 0.0)))
-    return 2.0 * math.atanh(min(r, 1.0 - 1e-16))
+    return math.asinh(abs(geo.evaluate(z)) / ((1.0 - abs(z) ** 2) * math.sqrt(norm2)))
 
 
 def sample_points(cycle: GeneralizedCycle, count: int,

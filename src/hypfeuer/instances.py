@@ -40,7 +40,6 @@ PURPOSE_MONGE = 2
 PURPOSE_QUAD = 3
 PURPOSE_LEXELL = 4
 PURPOSE_ARC = 5
-PURPOSE_CHECK = 6
 
 
 def instance_rng(seed: int, index: int, purpose: int = 0) -> Random:

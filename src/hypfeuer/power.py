@@ -19,12 +19,13 @@ power machinery survives verbatim in the disk:
 
 Homothetic centers of two circles are built by intersecting the geodesic
 through their hyperbolic centers with the disk diameter through the
-Euclidean homothety center of the coefficient circles, after moving the
-pair into general position by a random isometry.  The construction does
-not check its result; collinearity of the centers is what the Monge
-check measures.  ``monge_centers`` builds the three pairs' centers once,
-and ``monge_line`` picks and fits one sign pattern's centers from them,
-so a check over all four patterns constructs each pair once.
+Euclidean homothety center of the coefficient circles, in a frame taken
+from the two circles where that geodesic is never a diameter.  The
+construction is a deterministic function of the circles and does not
+check its result; collinearity of the centers is what the Monge check
+measures.  ``monge_centers`` builds the three pairs' centers once, and
+``monge_line`` picks and fits one sign pattern's centers from them, so a
+check over all four patterns constructs each pair once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from random import Random
 
 from .errors import (
     AxisOutsideDisk,
@@ -51,7 +51,6 @@ from .geom_core import (
     hyp_distance,
     mobius_from_origin,
     mobius_to_origin,
-    random_isometry,
 )
 from .cycles import (
     GeneralizedCycle,
@@ -61,7 +60,6 @@ from .cycles import (
     hyp_center_radius,
     interior_intersections,
     point_geodesic_distance,
-    transform,
 )
 
 
@@ -192,28 +190,27 @@ def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> f
     return min(phi, math.pi - phi)
 
 
-def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle,
-                       rng: Random | None = None) -> HomotheticCenters:
+def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle) -> HomotheticCenters:
     """Both homothetic centers of two circles, absent entries as None.
 
     The construction intersects the geodesic through the hyperbolic
-    centers with the disk diameter through the Euclidean homothety
-    center of the coefficient circles.  A random isometry is applied
-    first so the pair sits in general position (in particular the
-    working frame never has the two centers on a common diameter
-    degenerately), and the result is mapped back.
+    centers o1, o2 with the disk diameter through the Euclidean homothety
+    center of the coefficient circles.  That fails when the center line
+    is itself a diameter, so the pair is first translated to a frame
+    where it is not: the frame's origin t sits at distance 1 from o1,
+    perpendicular to the center line, so the line passes at distance 1
+    from the origin.  The results are mapped back from that frame.
     """
-    rng = rng if rng is not None else Random(0)
-    iso = random_isometry(rng)
-    back = iso.inverse()
-    d1, d2 = transform(iso, c1), transform(iso, c2)
-    o1, _ = hyp_center_radius(d1)
-    o2, _ = hyp_center_radius(d2)
+    o1, _ = hyp_center_radius(c1)
+    o2, _ = hyp_center_radius(c2)
     if hyp_distance(o1, o2) < 1e-10:
         # concentric: both centers coincide with the common center
-        center = back(o1)
-        return HomotheticCenters(center, center)
-    center_line = geodesic_through(o1, o2)
+        return HomotheticCenters(o1, o1)
+    w = mobius_to_origin(o1, o2)
+    t = mobius_from_origin(o1, 1j * math.tanh(0.5) * w / abs(w))
+    d1 = GeneralizedCycle.of(*_translate_raw(t, c1.a, c1.b, c1.c))
+    d2 = GeneralizedCycle.of(*_translate_raw(t, c2.a, c2.b, c2.c))
+    center_line = geodesic_through(mobius_to_origin(t, o1), mobius_to_origin(t, o2))
     e1, s1 = d1.euclid_center_radius()
     e2, s2 = d2.euclid_center_radius()
     out: dict[int, complex | None] = {}
@@ -226,18 +223,16 @@ def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle,
             continue
         diam = diameter_with_direction(v / abs(v))
         pts = interior_intersections(center_line, diam)
-        out[sign] = back(pts[0]) if pts else None
+        out[sign] = mobius_from_origin(t, pts[0]) if pts else None
     return HomotheticCenters(out[1], out[-1])
 
 
 def monge_centers(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
-                  rng: Random,
                   ) -> tuple[HomotheticCenters, HomotheticCenters, HomotheticCenters]:
     """Homothetic centers of the pairs (c2, c3), (c3, c1) and (c1, c2),
-    built once for every sign pattern monge_line is asked about; rng
-    draws each pair's general-position isometry."""
-    return (homothetic_centers(c2, c3, rng), homothetic_centers(c3, c1, rng),
-            homothetic_centers(c1, c2, rng))
+    built once for every sign pattern monge_line is asked about."""
+    return (homothetic_centers(c2, c3), homothetic_centers(c3, c1),
+            homothetic_centers(c1, c2))
 
 
 def monge_line(pair_centers: tuple[HomotheticCenters, HomotheticCenters, HomotheticCenters],

@@ -6,7 +6,6 @@ plain `pytest -s tests/test_acceptance.py` reads as a checklist.
 
 import math
 import time
-from random import Random
 
 import pytest
 
@@ -20,7 +19,6 @@ from hypfeuer.cycles import (
 from hypfeuer.geom_core import Triangle
 from hypfeuer.instances import (
     PURPOSE_ARC,
-    PURPOSE_CHECK,
     PURPOSE_CYCLE_PAIR,
     PURPOSE_LEXELL,
     PURPOSE_MONGE,
@@ -190,12 +188,11 @@ def test_06_radical_axis():
 
 
 def test_07_monge_lines():
-    rng = Random(0)
     worst = 0.0
     full = failed = 0
     for i in range(500):
         triple = monge_triple(instance_rng(SEED, i, PURPOSE_MONGE))
-        chk = check_monge(*triple, rng)
+        chk = check_monge(*triple)
         if chk.status == "skipped":
             continue
         if chk.residual >= 1e-9:
@@ -224,7 +221,7 @@ def test_08_tangency_concurrencies():
     worst_cev = worst_pt = worst_fi = 0.0
     done = 0
     for i, cfg in enumerate(configs):
-        chk13 = check_tangent_cevians(cfg, instance_rng(SEED, i, PURPOSE_CHECK))
+        chk13 = check_tangent_cevians(cfg)
         chk14 = check_feuerbach_point(cfg)
         if chk13.status != "pass" or chk14.status != "pass":
             continue

@@ -1,8 +1,9 @@
-"""Every name a hypfeuer module imports is used in that module.
+"""Every name a hypfeuer module imports is used in that module, and only
+the instance generators import `random`.
 
 The package's `__init__.py` imports names only to re-export them, so it
-is exempt.  Stdlib `ast` only: a name counts as used when it is read
-anywhere in the module, annotations included.
+is exempt from the first rule.  Stdlib `ast` only: a name counts as used
+when it is read anywhere in the module, annotations included.
 """
 
 import ast
@@ -41,3 +42,28 @@ def test_unused_imports_are_found():
 def test_module_has_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nfrom random import Random\nfrom .cycles import x\n"
+    assert imported_modules(source) == {"os.path", "random"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE)
+    if name.endswith(".py") and name != "instances.py"))
+def test_module_draws_no_random_numbers(module):
+    # constructions and checks are functions of their inputs alone;
+    # instances.py seeds every draw from (seed, index, purpose)
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert "random" not in imported_modules(fh.read())

@@ -312,7 +312,7 @@ def test_homothetic_centers_congruent_pair():
     rng = Random(28)
     c1 = circle_from_center_radius(-0.3, 0.8)
     c2 = circle_from_center_radius(0.3, 0.8)
-    hc = homothetic_centers(c1, c2, rng)
+    hc = homothetic_centers(c1, c2)
     assert hc.negative is not None
     assert abs(hc.negative) < 1e-12
     assert equal_angle_spread(hc.negative, c1, c2, rng) < 1e-9
@@ -320,10 +320,9 @@ def test_homothetic_centers_congruent_pair():
 
 
 def test_homothetic_centers_concentric():
-    rng = Random(29)
     c1 = circle_from_center_radius(0.1, 0.2)
     c2 = circle_from_center_radius(0.1, 0.4)
-    hc = homothetic_centers(c1, c2, rng)
+    hc = homothetic_centers(c1, c2)
     assert hc.positive == pytest.approx(0.1, abs=1e-12)
     assert hc.negative == pytest.approx(0.1, abs=1e-12)
 
@@ -332,7 +331,7 @@ def test_homothetic_centers_equal_angle_spreads():
     rng = Random(30)
     for idx in range(10):
         c1, c2, _ = monge_triple(instance_rng(401, idx))
-        hc = homothetic_centers(c1, c2, rng)
+        hc = homothetic_centers(c1, c2)
         if hc.positive is not None:
             assert equal_angle_spread(hc.positive, c1, c2, rng) < 1e-9
         if hc.negative is not None:
@@ -345,11 +344,10 @@ ALL_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 def test_monge_nested_on_diameter_stays_on_diameter():
-    rng = Random(31)
     m1 = circle_from_center_radius(-0.10, 1.4)
     m2 = circle_from_center_radius(0.0, 0.75)
     m3 = circle_from_center_radius(0.12, 0.35)
-    pair_centers = monge_centers(m1, m2, m3, rng)
+    pair_centers = monge_centers(m1, m2, m3)
     for signs in ALL_PATTERNS:
         line, res, centers = monge_line(pair_centers, signs)
         assert res < 1e-12
@@ -357,16 +355,14 @@ def test_monge_nested_on_diameter_stays_on_diameter():
 
 
 def test_monge_invalid_sign_patterns():
-    rng = Random(32)
-    pair_centers = monge_centers(*monge_triple(instance_rng(402, 0)), rng)
+    pair_centers = monge_centers(*monge_triple(instance_rng(402, 0)))
     for signs in ((1, 1, -1), (-1, -1, -1), (1, -1, 1)):
         with pytest.raises(InvalidSignPattern):
             monge_line(pair_centers, signs)
 
 
 def test_monge_line_label_invariant():
-    rng = Random(33)
     c1, c2, c3 = monge_triple(instance_rng(403, 1))
-    line_a, _, _ = monge_line(monge_centers(c1, c2, c3, rng), (1, 1, 1))
-    line_b, _, _ = monge_line(monge_centers(c2, c3, c1, rng), (1, 1, 1))
+    line_a, _, _ = monge_line(monge_centers(c1, c2, c3), (1, 1, 1))
+    line_b, _, _ = monge_line(monge_centers(c2, c3, c1), (1, 1, 1))
     assert coefficient_distance(line_a, line_b) < 1e-10

@@ -329,10 +329,9 @@ def test_radical_axis_outside_disk_is_not_concentric():
 # -------------------------------------------------------------------- monge
 
 def test_monge_random_triples():
-    rng = Random(617)
     for idx in range(10):
         triple = monge_triple(instance_rng(618, idx))
-        chk = check_monge(*triple, rng)
+        chk = check_monge(*triple)
         assert chk.status == "pass", (idx, chk)
         assert chk.residual < 1e-9
         numeric = [v for v in chk.witness.values() if not isinstance(v, str)]
@@ -341,17 +340,16 @@ def test_monge_random_triples():
 
 def test_check_monge_builds_each_pair_once(monkeypatch):
     calls = _counting(monkeypatch, power, "homothetic_centers")
-    chk = check_monge(*monge_triple(instance_rng(618, 0)), Random(617))
+    chk = check_monge(*monge_triple(instance_rng(618, 0)))
     assert chk.status == "pass"
     # three pairs, shared by all four sign patterns
     assert len(calls) == 3
 
 
 def test_monge_all_positive_missing_for_congruent_far_circles():
-    rng = Random(619)
     circles = [circle_from_center_radius(0.45 * cmath.exp(2j * math.pi * k / 3), 0.5)
                for k in range(3)]
-    chk = check_monge(*circles, rng, patterns=((1, 1, 1),))
+    chk = check_monge(*circles, patterns=((1, 1, 1),))
     assert chk.status == "skipped"
     assert chk.flag == "missing_center"
     assert chk.witness["ppp"] == "missing_center"
@@ -360,19 +358,17 @@ def test_monge_all_positive_missing_for_congruent_far_circles():
 # ---------------------------------------------------------- tangency chains
 
 def test_tangent_cevians_circumcircle():
-    rng = Random(620)
     for idx in range(3):
         cfg = clean_config(621, start=idx * 10)
-        chk = check_tangent_cevians(cfg, rng)
+        chk = check_tangent_cevians(cfg)
         assert chk.status == "pass"
         assert chk.residual < 1e-8
         assert chk.witness["homothetic_center_gap"] < 1e-8
 
 
 def test_tangent_cevians_external_on_incircle():
-    rng = Random(622)
     cfg = clean_config(623)
-    chk = check_tangent_cevians(cfg, rng, w=cfg.incircle.cycle, external=True)
+    chk = check_tangent_cevians(cfg, w=cfg.incircle.cycle, external=True)
     assert chk.status == "pass"
     assert chk.residual < 1e-8
     assert chk.witness["homothetic_center_gap"] < 1e-8
@@ -384,7 +380,7 @@ def test_tangent_cevians_external_circle_close_to_the_vertex():
     # circle of radius ~12.5 near the absolute instead (residual 1.9e-8)
     cfg = clean_config(628)
     w = cfg.incircle.cycle
-    chk = check_tangent_cevians(cfg, Random(628), w=w, external=True)
+    chk = check_tangent_cevians(cfg, w=w, external=True)
     assert chk.status == "pass"
     assert chk.residual < 1e-8
     for v in ("a", "b", "c"):
@@ -401,7 +397,7 @@ def test_tangent_cevians_thin_triangle_finds_every_circle():
     tri = Triangle.of(-0.1824083693224007 - 0.0008683102026953064j,
                       -0.16846003828179798 + 0.012347397420761965j,
                       -0.16831996956762305 + 0.002233751406806867j)
-    chk = check_tangent_cevians(build_config(tri), Random(629))
+    chk = check_tangent_cevians(build_config(tri))
     assert chk.status == "pass"
     assert chk.residual < 1e-8
 
@@ -422,9 +418,8 @@ def test_shot_circle_is_inscribed_in_the_angle_and_touches_circumcircle():
 
 
 def test_tangent_cevians_geodesic_target_skips():
-    rng = Random(624)
     cfg = clean_config(625)
-    chk = check_tangent_cevians(cfg, rng, w=geodesic_through(0.1, 0.5j))
+    chk = check_tangent_cevians(cfg, w=geodesic_through(0.1, 0.5j))
     assert chk.status == "skipped"
     assert chk.flag == "target_not_circle"
 
