@@ -4,7 +4,8 @@ Reports are pure functions of (scenario, seed, tolerances): instance
 randomness comes from per-(seed, index, purpose) streams, floats are
 serialized as shortest round-trip decimals, complex values as "x+yi"
 strings, and wall time goes to stderr so report bytes stay identical
-across runs.
+across runs.  A NaN or an infinity is never written: the command exits
+1 instead.
 """
 
 from __future__ import annotations
@@ -149,21 +150,158 @@ def parse_suite(spec) -> tuple[str, ...]:
     return tuple(n for n in SUITE_ORDER if n in set(names))
 
 
-def _json_default(obj):
-    """json.dumps hook for the values the standard encoder does not know:
-    complex -> 'x+yi', enums by value, dataclasses as their fields."""
-    if isinstance(obj, complex):
-        return format_complex(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+# Reports and configurations go through one recursive writer whose bytes
+# equal json.dumps(doc, indent=2, sort_keys=True) + "\n", with complex
+# values as format_complex strings, enums by value and dataclasses as
+# their fields.  json.dumps never takes its C encoder when asked for an
+# indent, and its generator-based fallback cost more than the
+# constructions it wrote.  Exact types are dispatched first; subclasses
+# fall back to isinstance, in json.dumps's order.
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+class NonFiniteNumber(ValueError):
+    """NaN or an infinity met while writing JSON, which has no literal for
+    either; the path to it is collected on the way out, innermost first."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.value = value
+        self.path: list[str] = []
+
+    def __str__(self):
+        where = "".join(reversed(self.path)).lstrip(".") or "the top level"
+        return f"non-finite number {self.value!r} at {where} cannot be written as JSON"
+
+
+# dataclass type -> its field names, sorted; filled on first sight
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise NonFiniteNumber(x)
+    return float.__repr__(x)
+
+
+def _complex_text(z: complex) -> str:
+    if not cmath.isfinite(z):
+        raise NonFiniteNumber(z)
+    return _quote(format_complex(z))
+
+
+def _key_text(key) -> str:
+    """An object key as json.dumps writes it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _write_object(pairs: list, append, indent: str):
+    """pairs: (key, value) in key order."""
+    if not pairs:
+        append("{}")
+        return
+    inner = indent + "  "
+    sep = "{" + inner
+    try:
+        for key, value in pairs:
+            if type(key) is not str:
+                key = _key_text(key)
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            _write(value, append, inner)
+            sep = "," + inner
+    except NonFiniteNumber as exc:
+        exc.path.append(f".{key}")
+        raise
+    append(indent + "}")
+
+
+def _write_array(seq, append, indent: str):
+    if not seq:
+        append("[]")
+        return
+    inner = indent + "  "
+    sep = "[" + inner
+    try:
+        for i, value in enumerate(seq):
+            append(sep)
+            _write(value, append, inner)
+            sep = "," + inner
+    except NonFiniteNumber as exc:
+        exc.path.append(f"[{i}]")
+        raise
+    append(indent + "]")
+
+
+def _write(obj, append, indent: str):
+    """Append obj's JSON text; indent is the newline and indentation that
+    obj's own line starts with."""
+    t = type(obj)
+    if t is float:
+        append(_float_text(obj))
+    elif t is str:
+        append(_quote(obj))
+    elif t is complex:
+        append(_complex_text(obj))
+    elif t is dict:
+        _write_object(sorted(obj.items()), append, indent)
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif t is int:
+        append(int.__repr__(obj))
+    elif t is list or t is tuple:
+        _write_array(obj, append, indent)
+    elif t in _FIELD_NAMES:
+        _write_object([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent)
+    # subclasses, enums and dataclasses not seen before
+    elif isinstance(obj, str):
+        append(_quote(obj))
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        _write_array(obj, append, indent)
+    elif isinstance(obj, dict):
+        _write_object(sorted(obj.items()), append, indent)
+    elif isinstance(obj, complex):
+        append(_complex_text(obj))
+    elif isinstance(obj, enum.Enum):
+        _write(obj.value, append, indent)
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _FIELD_NAMES[t] = tuple(sorted(f.name for f in fields(t)))
+        _write(obj, append, indent)
+    else:
+        raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
 def _to_json(doc) -> str:
-    """The document as indented, key-sorted JSON with a final newline."""
-    return json.dumps(doc, default=_json_default, indent=2, sort_keys=True) + "\n"
+    """The document as indented, key-sorted JSON with a final newline.
+    Raises NonFiniteNumber (a ValueError) rather than write NaN or an
+    infinity."""
+    chunks: list[str] = []
+    _write(doc, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 # ------------------------------------------------------------ suite running
@@ -426,6 +564,9 @@ def main(argv=None) -> int:
         return cmd_render(scn, fmt)
     except GeometryError as exc:
         print(f"hypfeuer: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteNumber as exc:
+        print(f"hypfeuer: {exc}", file=sys.stderr)
         return 1
     except (SamplingExhausted, OSError) as exc:
         print(f"hypfeuer: {exc}", file=sys.stderr)

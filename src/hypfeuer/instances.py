@@ -27,10 +27,10 @@ from .theorems import is_convex_quad, lexell_cycle, quad_angles
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
 DEFAULT_MIN_ANGLE = 0.15
 
-# random_triangle gives up after this many draws; over seeds 0-5 x 200 it
-# rejected at most 5 draws before a success in the default box, 4 in a
-# 0.25 box
-MAX_TRIANGLE_DRAWS = 10_000
+# every rejection loop gives up after this many draws; over seeds 0-5 x
+# 200 random_triangle rejected at most 5 draws before a success in the
+# default box, 4 in a 0.25 box
+MAX_DRAWS = 10_000
 
 # purpose slots for instance_rng; separate streams per concern so that
 # which suites are selected never shifts the draws of another suite
@@ -52,6 +52,10 @@ def instance_rng(seed: int, index: int, purpose: int = 0) -> Random:
     return Random((seed * 1000003 + index) * 64 + purpose)
 
 
+def _exhausted(generator: str, what: str) -> SamplingExhausted:
+    return SamplingExhausted(f"{generator}: no {what} in {MAX_DRAWS} draws")
+
+
 def _disk_point(rng: Random, radius: float) -> complex:
     # sqrt for area-uniform sampling
     return radius * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -63,10 +67,10 @@ def random_triangle(rng: Random,
     """A triangle inside the vertex-radius box with all angles above the
     floor; returns (triangle, number of rejected draws).
 
-    Raises SamplingExhausted when MAX_TRIANGLE_DRAWS draws all fail,
-    which only settings that no draw meets in practice reach.
+    Raises SamplingExhausted when MAX_DRAWS draws all fail, which only
+    settings that no draw meets in practice reach.
     """
-    for resamples in range(MAX_TRIANGLE_DRAWS):
+    for resamples in range(MAX_DRAWS):
         pts = [_disk_point(rng, max_vertex_radius) for _ in range(3)]
         try:
             tri = Triangle.of(*pts)
@@ -79,7 +83,7 @@ def random_triangle(rng: Random,
             return tri, resamples
     raise SamplingExhausted(
         f"no triangle with min_angle {min_angle!r} inside max_vertex_radius "
-        f"{max_vertex_radius!r} in {MAX_TRIANGLE_DRAWS} draws")
+        f"{max_vertex_radius!r} in {MAX_DRAWS} draws")
 
 
 def random_cycle(rng: Random) -> GeneralizedCycle:
@@ -89,11 +93,12 @@ def random_cycle(rng: Random) -> GeneralizedCycle:
         center = _disk_point(rng, 0.6)
         return circle_from_center_radius(center, rng.uniform(0.15, 1.8))
     if kind < 0.8:
-        while True:
+        for _ in range(MAX_DRAWS):
             p, q = _disk_point(rng, 0.8), _disk_point(rng, 0.8)
             if abs(p - q) > 0.2:
                 return geodesic_through(p, q)
-    while True:
+        raise _exhausted("random_cycle", "geodesic")
+    for _ in range(MAX_DRAWS):
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = rng.uniform(0.0, 2.0 * math.pi)
         if not 0.3 < abs(t1 - t2) % (2.0 * math.pi) < 2.0 * math.pi - 0.3:
@@ -103,6 +108,7 @@ def random_cycle(rng: Random) -> GeneralizedCycle:
         if point_geodesic_distance(x, geodesic_through_boundary(e1, e2)) < 0.1:
             continue
         return cycle_through(e1, e2, x)
+    raise _exhausted("random_cycle", "equidistant")
 
 
 def geodesic_through_boundary(e1: complex, e2: complex) -> GeneralizedCycle:
@@ -116,17 +122,18 @@ def random_cycle_pair(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle]:
     one has an equal-power locus to test."""
 
     def draw() -> GeneralizedCycle:
-        while True:
+        for _ in range(MAX_DRAWS):
             cycle = random_cycle(rng)
             if abs(cycle.c - cycle.a) > 1e-6:
                 return cycle
+        raise _exhausted("random_cycle_pair", "circle or equidistant")
 
     return draw(), draw()
 
 
 def lexell_instance(rng: Random) -> tuple[complex, complex, complex]:
     """Base pair plus an apex kept clear of the base geodesic."""
-    while True:
+    for _ in range(MAX_DRAWS):
         a = _disk_point(rng, 0.62)
         b = _disk_point(rng, 0.62)
         x0 = _disk_point(rng, 0.62)
@@ -138,16 +145,16 @@ def lexell_instance(rng: Random) -> tuple[complex, complex, complex]:
         except GeometryError:
             continue
         return a, b, x0
+    raise _exhausted("lexell_instance", "separated base pair and apex")
 
 
 def arc_instance(rng: Random) -> tuple[GeneralizedCycle, complex, complex]:
-    """A cycle together with two separated points lying on it."""
-    while True:
-        cycle = random_cycle(rng)
-        pts = sample_points(cycle, 24, margin=1e-3)
-        if len(pts) < 8:
-            continue
-        return cycle, pts[0], pts[len(pts) // 3]
+    """A cycle together with two separated points lying on it: a third
+    of its in-disk arc apart (sample_points always gives all 24 samples,
+    so no draw is rejected)."""
+    cycle = random_cycle(rng)
+    pts = sample_points(cycle, 24, margin=1e-3)
+    return cycle, pts[0], pts[len(pts) // 3]
 
 
 MONGE_RADIUS_BANDS = ((1.2, 1.6), (0.65, 0.85), (0.3, 0.4))
@@ -165,10 +172,9 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     base = _disk_point(rng, 0.3)
     out = []
     for lo, hi in MONGE_RADIUS_BANDS:
-        while True:
-            center = mobius_from_origin(base, _disk_point(rng, 0.16))
-            if abs(center) < 0.55:
-                break
+        # |base| < 0.3 and an offset under 0.16 keep every center inside
+        # |z| < (0.3 + 0.16) / (1 + 0.3 * 0.16) < 0.44
+        center = mobius_from_origin(base, _disk_point(rng, 0.16))
         out.append(circle_from_center_radius(center, rng.uniform(lo, hi)))
     return out[0], out[1], out[2]
 
@@ -183,7 +189,7 @@ def trapezoid_quad(rng: Random, converse: bool = False):
     angle balance (A + D) - (B + C) vanishes, testing the reverse
     implication without assuming the locus.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         a = _disk_point(rng, 0.62)
         b = _disk_point(rng, 0.62)
         if abs(a - b) < 0.4:
@@ -214,6 +220,7 @@ def trapezoid_quad(rng: Random, converse: bool = False):
         perturbed = _rebalance_quad(quad)
         if perturbed is not None:
             return perturbed
+    raise _exhausted("trapezoid_quad", "convex quadrilateral")
 
 
 # _rebalance_quad moves the vertex by t in [-REBALANCE_STEP, REBALANCE_STEP]

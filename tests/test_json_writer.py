@@ -1,0 +1,164 @@
+"""cli's JSON writer against the standard library's encoder.
+
+Reports and configurations are written by cli's own writer; their bytes
+must stay those of json.dumps(indent=2, sort_keys=True) with the hook
+below, which is how cli wrote them before it had a writer of its own.
+"""
+
+import dataclasses
+import enum
+import json
+import math
+import re
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from hypfeuer import cli
+from hypfeuer.cevians import build_config
+from hypfeuer.instances import instance_rng, random_triangle
+
+
+def _oracle_default(obj):
+    if isinstance(obj, complex):
+        return cli.format_complex(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, default=_oracle_default, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every document cli writes, checked against the oracle as it goes."""
+    texts = []
+    write = cli._to_json
+
+    def checked(doc):
+        text = write(doc)
+        assert text == oracle(doc)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_to_json", checked)
+    return texts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_reports_match_the_oracle(written, seed):
+    for suite in cli.SUITE_ORDER:
+        scn = cli.Scenario(seed=seed, trials=30, suite=(suite,))
+        cli.report_json(cli.run_verify(scn))
+    assert len(written) == len(cli.SUITE_ORDER)
+
+
+def test_configs_match_the_oracle(written):
+    # half in the default box, half in a small one where excircles exist
+    configs = [build_config(random_triangle(instance_rng(seed, 0), box)[0])
+               for seed in range(25) for box in (0.7, 0.25)]
+    for cfg in configs:
+        cli.config_json(cfg)
+    assert len(written) == 50
+    assert any(cfg.flags for cfg in configs)
+    assert any(None in cfg.excircles.values() for cfg in configs)
+    assert any(None not in cfg.excircles.values() for cfg in configs)
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    COUNT = 3
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Name(str, enum.Enum):
+    FIRST = "first"
+
+
+class Text(str):
+    pass
+
+
+class Number(float):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+@dataclasses.dataclass
+class Leaf:
+    z: complex
+    tag: str = "leaf"
+
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    children: list
+    leaf: Leaf
+    colour: Colour = Colour.RED
+    empty: tuple = ()
+
+
+@dataclasses.dataclass
+class Bare:
+    pass
+
+
+EDGE = {
+    "empty": {"dict": {}, "list": [], "tuple": (), "nested": {"a": [{}, [], ()]}},
+    "strings": ["", "plain", "café ü", "€ 𝄞 日本", "\x00\x01\x1f\x7f",
+                'quote " and \\ backslash', "tab\tnew\nline\r"],
+    "floats": [0.0, -0.0, 5e-324, 1e16, 1e-7, 1e22, 0.1, -2.5, 1.7976931348623157e308,
+               123456789.123456789],
+    "ints": [0, -1, 2 ** 64, -(10 ** 30), 7],
+    "atoms": [True, False, None],
+    "enums": [Colour.RED, Colour.COUNT, Level.HIGH, Name.FIRST],
+    "subclasses": [Text("text"), Number(0.5), Mapping(b=1, a=2), Items([1, "x"])],
+    "complex": [0j, -0.0 - 0.0j, 1e-17 + 0.5j, -0.25 - 1e-13j, complex(3, -4)],
+    "dataclasses": [Node([Leaf(0.1 + 0.2j), Bare()], Leaf(-1j, "inner")), Bare()],
+    "keys": [{3: "three", -1: "minus one", 10: "ten"}, {0.5: "half", 1e-7: "small"},
+             {True: "yes", False: "no"}, {None: "none"}],
+    "tuple": (1, (2, (3,)), [4]),
+    "été \"key\"": "non-ASCII key",
+}
+
+
+def test_edge_document_matches_the_oracle():
+    assert cli._to_json(EDGE) == oracle(EDGE)
+
+
+@pytest.mark.parametrize("doc", [0.5, "x", None, True, 3, [], {}, 1j, Bare()])
+def test_top_level_values_match_the_oracle(doc):
+    assert cli._to_json(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"a": [1.0, {"b": math.nan}]}, "a[1].b"),
+    ({"x": {"y": (0.0, -math.inf)}}, "x.y[1]"),
+    ({"leaf": Leaf(complex(math.inf, 0.0))}, "leaf.z"),
+    ({math.nan: 1}, "nan"),
+    (math.inf, "the top level"),
+])
+def test_non_finite_numbers_are_refused(doc, where):
+    with pytest.raises(ValueError, match=rf"non-finite number .* at {re.escape(where)} "):
+        cli._to_json(doc)
+
+
+def test_unknown_types_are_refused():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._to_json({"a": {1, 2}})
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._to_json({(1, 2): "tuple key"})
