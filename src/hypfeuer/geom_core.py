@@ -14,13 +14,19 @@ through 2x2 matrices so products stay in the same closed form.
 
 Angles are signed: ``signed_angle(x, y, z)`` is the rotation at y taking
 the ray toward x onto the ray toward z, counterclockwise positive, in
-(-pi, pi].  The asymmetric angle combination
+(-pi, pi].  One kernel, the signed area
 
-    sigma(x, y, z) = angle(x,y,z) - angle(z,x,y) - angle(y,z,x)
+    s = 2 arg((1 - a conj(b)) (1 - b conj(c)) (1 - c conj(a))),
 
-drives every cevian construction here: on a circle through two points it
-is constant, which gives the pseudoaltitude foot its closed form (see
-``cevians``).
+positive when abc runs counterclockwise, gives the area |s|, the
+orientation and area ``Triangle.of`` stores, and the asymmetric angle
+combination (the three signed angles sum to s - copysign(pi, s))
+
+    sigma(x, y, z) = angle(x,y,z) - angle(z,x,y) - angle(y,z,x),
+
+which drives every cevian construction here: on a circle through two
+points it is constant, which gives the pseudoaltitude foot its closed
+form (see ``cevians``).
 """
 
 from __future__ import annotations
@@ -132,8 +138,23 @@ def signed_angle(x, y, z) -> float:
     return complex_angle(as_complex(x), as_complex(y), as_complex(z))
 
 
+def signed_area(a: complex, b: complex, c: complex) -> float:
+    """Area of triangle abc, counterclockwise positive; complex arguments
+    only.  Two vertices closer than complex_angle allows (pseudolength
+    |a - b| / |1 - a conj(b)| below COINCIDENT_EPS) raise DegenerateAngle.
+    """
+    ab = 1.0 - a * b.conjugate()
+    bc = 1.0 - b * c.conjugate()
+    ca = 1.0 - c * a.conjugate()
+    if (abs(a - b) < COINCIDENT_EPS * abs(ab) or abs(b - c) < COINCIDENT_EPS * abs(bc)
+            or abs(c - a) < COINCIDENT_EPS * abs(ca)):
+        raise DegenerateAngle("two triangle vertices coincide")
+    return 2.0 * cmath.phase(ab * bc * ca)
+
+
 def sigma(x, y, z) -> float:
-    """angle(x,y,z) - angle(z,x,y) - angle(y,z,x), the cevian functional.
+    """angle(x,y,z) - angle(z,x,y) - angle(y,z,x), the cevian functional,
+    in (-pi, pi].
 
     For a clockwise triangle with apex y over base xz this equals
     2*angle_at_y + area - pi.  It is constant on any circle arc through
@@ -141,32 +162,21 @@ def sigma(x, y, z) -> float:
     their geodesic, and is additive when a cevian splits the angle sum.
     """
     zx, zy, zz = as_complex(x), as_complex(y), as_complex(z)
-    return complex_angle(zx, zy, zz) - complex_angle(zz, zx, zy) - complex_angle(zy, zz, zx)
+    s = signed_area(zx, zy, zz)
+    return wrap_angle(2.0 * complex_angle(zx, zy, zz) - s + math.copysign(math.pi, s))
 
 
 def triangle_area(a, b, c) -> float:
-    """Area by angle defect: pi minus the three interior angles."""
-    za, zb, zc = as_complex(a), as_complex(b), as_complex(c)
-    area = (
-        math.pi
-        - abs(complex_angle(zb, za, zc))
-        - abs(complex_angle(zc, zb, za))
-        - abs(complex_angle(za, zc, zb))
-    )
+    """Area of triangle abc, the absolute signed area."""
+    area = abs(signed_area(as_complex(a), as_complex(b), as_complex(c)))
     if area < 1e-15:
-        raise DegenerateTriangle(f"collinear vertices (defect {area:.3g})")
+        raise DegenerateTriangle(f"collinear vertices (area {area:.3g})")
     return area
-
-
-def _orientation(a: complex, b: complex, c: complex) -> float:
-    """Euclidean cross product sign; the model is conformal so it matches."""
-    u, v = b - a, c - a
-    return u.real * v.imag - u.imag * v.real
 
 
 @dataclass(frozen=True)
 class Triangle:
-    """Three interior points, stored in clockwise order.
+    """Three interior points, stored in clockwise order, with the area.
 
     Counterclockwise input is normalized by swapping b and c (recorded
     in ``swapped``) so that downstream sign conventions never branch.
@@ -175,7 +185,8 @@ class Triangle:
     a: complex
     b: complex
     c: complex
-    swapped: bool = False
+    swapped: bool
+    area: float
 
     @classmethod
     def of(cls, a, b, c) -> "Triangle":
@@ -183,17 +194,12 @@ class Triangle:
         for p, q, lbl in ((za, zb, "ab"), (zb, zc, "bc"), (za, zc, "ac")):
             if hyp_distance(p, q) <= 1e-9:
                 raise DegenerateTriangle(f"vertices {lbl} closer than 1e-9")
-        swapped = _orientation(za, zb, zc) > 0.0
-        if swapped:
-            zb, zc = zc, zb
-        tri = cls(za, zb, zc, swapped)
-        if tri.area <= 1e-12:
+        s = signed_area(za, zb, zc)
+        if abs(s) <= 1e-12:
             raise DegenerateTriangle("area below 1e-12")
-        return tri
-
-    @property
-    def area(self) -> float:
-        return triangle_area(self.a, self.b, self.c)
+        if s > 0.0:
+            return cls(za, zc, zb, True, s)
+        return cls(za, zb, zc, False, -s)
 
     @property
     def vertices(self) -> dict[str, complex]:

@@ -22,7 +22,7 @@ from .cycles import (
     point_geodesic_distance,
     sample_points,
 )
-from .theorems import is_convex_quad, lexell_cycle, quad_angles
+from .theorems import convex_quad_angles, lexell_cycle
 
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
 DEFAULT_MIN_ANGLE = 0.15
@@ -208,7 +208,7 @@ def trapezoid_quad(rng: Random, converse: bool = False):
         quad = None
         for d0 in candidates[:12]:
             for cc, dd in ((c0, d0), (d0, c0)):
-                if is_convex_quad(a, b, cc, dd):
+                if convex_quad_angles(a, b, cc, dd) is not None:
                     quad = (a, b, cc, dd)
                     break
             if quad:
@@ -243,10 +243,10 @@ def _rebalance_quad(quad):
     n = grad / abs(grad)
 
     def h(t: float) -> float:
-        q = (a, b, c, d + t * n)
-        if not is_convex_quad(*q):
+        angles = convex_quad_angles(a, b, c, d + t * n)
+        if angles is None:
             raise _NonConvexQuad
-        qa, qb, qc, qd = quad_angles(*q)
+        qa, qb, qc, qd = angles
         return (qa + qd) - (qb + qc)
 
     lo, hi = -REBALANCE_STEP, REBALANCE_STEP
@@ -257,5 +257,5 @@ def _rebalance_quad(quad):
         t, _ = brent_root(h, lo, hi, hlo, hhi, width=REBALANCE_WIDTH)
     except _NonConvexQuad:
         return None
-    q = (a, b, c, d + t * n)
-    return q if is_convex_quad(*q) else None
+    # brent_root returns a point where h was evaluated, so convex
+    return a, b, c, d + t * n

@@ -17,11 +17,9 @@ power machinery survives verbatim in the disk:
   and multiplies chord pseudolengths by k; inversion swaps them against
   a fixed pseudolength power.
 
-Homothetic centers of two circles are built by intersecting the geodesic
-through their hyperbolic centers with the disk diameter through the
-Euclidean homothety center of the coefficient circles, in a frame taken
-from the two circles where that geodesic is never a diameter.  The
-construction is a deterministic function of the circles and does not
+Homothetic centers of two circles are placed in closed form on the
+geodesic through their hyperbolic centers by the hyperbolic ratio law.
+The construction is a deterministic function of the circles and does not
 check its result; collinearity of the centers is what the Monge check
 measures.  ``monge_centers`` builds the three pairs' centers once, and
 ``monge_line`` picks and fits one sign pattern's centers from them, so a
@@ -55,7 +53,6 @@ from .geom_core import (
 from .cycles import (
     GeneralizedCycle,
     _translate_raw,
-    diameter_with_direction,
     geodesic_through,
     hyp_center_radius,
     interior_intersections,
@@ -193,38 +190,35 @@ def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> f
 def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle) -> HomotheticCenters:
     """Both homothetic centers of two circles, absent entries as None.
 
-    The construction intersects the geodesic through the hyperbolic
-    centers o1, o2 with the disk diameter through the Euclidean homothety
-    center of the coefficient circles.  That fails when the center line
-    is itself a diameter, so the pair is first translated to a frame
-    where it is not: the frame's origin t sits at distance 1 from o1,
-    perpendicular to the center line, so the line passes at distance 1
-    from the origin.  The results are mapped back from that frame.
+    By the hyperbolic ratio law both lie on the geodesic through the
+    hyperbolic centers o1, o2, at signed distance x from its midpoint
+    toward o2, where, with D = d(o1, o2),
+
+        tanh x = tanh(D/2) tanh((r1 +- r2)/2) / tanh((r1 -+ r2)/2)
+
+    for the positive and the negative center; a center needing
+    |tanh x| >= 1 does not exist.  In o1's frame, where o2 sits at
+    w with |w| = tanh(D/2), the center's Klein coordinate along w is
+    tanh(D/2 + x), which the addition law gives from the two tanh values.
     """
-    o1, _ = hyp_center_radius(c1)
-    o2, _ = hyp_center_radius(c2)
+    o1, r1 = hyp_center_radius(c1)
+    o2, r2 = hyp_center_radius(c2)
     if hyp_distance(o1, o2) < 1e-10:
         # concentric: both centers coincide with the common center
         return HomotheticCenters(o1, o1)
     w = mobius_to_origin(o1, o2)
-    t = mobius_from_origin(o1, 1j * math.tanh(0.5) * w / abs(w))
-    d1 = GeneralizedCycle.of(*_translate_raw(t, c1.a, c1.b, c1.c))
-    d2 = GeneralizedCycle.of(*_translate_raw(t, c2.a, c2.b, c2.c))
-    center_line = geodesic_through(mobius_to_origin(t, o1), mobius_to_origin(t, o2))
-    e1, s1 = d1.euclid_center_radius()
-    e2, s2 = d2.euclid_center_radius()
-    out: dict[int, complex | None] = {}
-    for sign in (1, -1):
-        # projective form of (s2 e1 -+ s1 e2) / (s2 -+ s1): only the
-        # direction matters, so equal radii cost nothing
-        v = s2 * e1 - sign * s1 * e2
-        if abs(v) < 1e-15:
-            out[sign] = None
-            continue
-        diam = diameter_with_direction(v / abs(v))
-        pts = interior_intersections(center_line, diam)
-        out[sign] = mobius_from_origin(t, pts[0]) if pts else None
-    return HomotheticCenters(out[1], out[-1])
+    th = abs(w)
+    plus, minus = math.tanh(0.5 * (r1 + r2)), math.tanh(0.5 * (r1 - r2))
+
+    def on_center_line(num: float, den: float) -> complex | None:
+        if abs(num) >= abs(den):
+            return None
+        t = num / den
+        k = (th + t) / (1.0 + th * t)
+        return mobius_from_origin(o1, k / (1.0 + math.sqrt(1.0 - k * k)) * w / th)
+
+    return HomotheticCenters(on_center_line(th * plus, minus),
+                             on_center_line(th * minus, plus))
 
 
 def monge_centers(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,

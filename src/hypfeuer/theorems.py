@@ -187,26 +187,20 @@ def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,
 
 # ------------------------------------------------------------ lemma: trapezoid
 
-def quad_angles(a, b, c, d) -> list[float]:
-    """Unsigned interior angles of quadrilateral abcd at a, b, c, d."""
+def convex_quad_angles(a, b, c, d) -> list[float] | None:
+    """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
+    None unless it is convex: its four turns, taken in one pass, share a
+    sign (a degenerate turn counts as not convex)."""
     quad = [as_complex(p) for p in (a, b, c, d)]
-    out = []
-    for i in range(4):
-        p, v, q = quad[(i - 1) % 4], quad[i], quad[(i + 1) % 4]
-        out.append(abs(complex_angle(p, v, q)))
-    return out
-
-
-def is_convex_quad(a, b, c, d) -> bool:
-    quad = [as_complex(p) for p in (a, b, c, d)]
-    turns = []
-    for i in range(4):
-        p, v, q = quad[(i - 1) % 4], quad[i], quad[(i + 1) % 4]
-        try:
-            turns.append(complex_angle(p, v, q))
-        except GeometryError:
-            return False
-    return all(t > 0.0 for t in turns) or all(t < 0.0 for t in turns)
+    try:
+        turns = [complex_angle(quad[i - 1], quad[i], quad[(i + 1) % 4]) for i in range(4)]
+    except GeometryError:
+        return None
+    if all(t > 0.0 for t in turns):
+        return turns
+    if all(t < 0.0 for t in turns):
+        return [-t for t in turns]
+    return None
 
 
 def check_trapezoid(a, b, c, d,
@@ -218,11 +212,12 @@ def check_trapezoid(a, b, c, d,
     residual; min() of the two measures exactly that without knowing
     which side the instance construction pinned.
     """
-    if not is_convex_quad(a, b, c, d):
+    angles = convex_quad_angles(a, b, c, d)
+    if angles is None:
         return _skip("trapezoid", tol.theorem, "non_convex")
+    qa, qb, qc, qd = angles
     try:
         area_gap = abs(triangle_area(a, b, c) - triangle_area(a, b, d))
-        qa, qb, qc, qd = quad_angles(a, b, c, d)
     except GeometryError:
         return _skip("trapezoid", tol.theorem, "degenerate_quad")
     angle_gap = abs(qa + qd - qb - qc)

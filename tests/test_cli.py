@@ -386,9 +386,9 @@ def test_radical_axis_passes_at_default_tolerance(tmp_path, seed):
 
 
 def test_monge_residuals_stay_at_rounding_level():
-    # a frame where the pair's center line is never a diameter keeps the
-    # homothetic centers exact to rounding; a random frame reached 9.6e-12
-    # (seed 5, index 104)
+    # homothetic centers placed by the ratio law stay exact to rounding;
+    # an earlier construction in a random frame reached 9.6e-12 (seed 5,
+    # index 104)
     worst = 0.0
     for seed in range(6):
         report = run_verify(Scenario(seed=seed, trials=200, suite=("monge",)))

@@ -147,7 +147,15 @@ def _reference_angle(x, y, z):
                       - cmath.phase(mobius_to_origin(zy, zx)))
 
 
+def _reference_sigma(x, y, z):
+    return _reference_angle(x, y, z) - _reference_angle(z, x, y) - _reference_angle(y, z, x)
+
+
 def test_angle_functions_bit_identical_across_point_forms():
+    # signed_angle is the reference composition written out, so it stays
+    # bit-identical to it; sigma and triangle_area come from the signed
+    # area kernel and match the reference's angle sums to rounding.  Each
+    # function gives the same bits for every form of the same points.
     rng = Random(9)
     for _ in range(60):
         r = rng.uniform(-0.7, 0.7)
@@ -160,14 +168,24 @@ def test_angle_functions_bit_identical_across_point_forms():
             triples = [f[shift:] + f[:shift] for f in forms]
             x, y, z = triples[1]
             angle = _reference_angle(x, y, z)
-            sig = angle - _reference_angle(z, x, y) - _reference_angle(y, z, x)
             area = (math.pi - abs(_reference_angle(y, x, z))
                     - abs(_reference_angle(z, y, x)) - abs(_reference_angle(x, z, y)))
+            sig = sigma(x, y, z)
+            assert abs(sig - _reference_sigma(x, y, z)) <= 1e-14
+            if area >= 1e-15:
+                assert abs(triangle_area(x, y, z) - area) <= 1e-14
             for t in triples:
                 assert signed_angle(*t) == angle
                 assert sigma(*t) == sig
                 if area >= 1e-15:
-                    assert triangle_area(*t) == area
+                    assert triangle_area(*t) == triangle_area(x, y, z)
+    # on one geodesic the reference flips between +pi and -pi by
+    # rounding, so sigma matches it modulo 2pi there
+    for _ in range(60):
+        base, u = rand_point(rng, 0.5), cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        x, y, z = (mobius_from_origin(base, rng.uniform(-0.8, 0.8) * u) for _ in range(3))
+        gap = math.remainder(sigma(x, y, z) - _reference_sigma(x, y, z), 2.0 * math.pi)
+        assert abs(gap) <= 1e-14
 
 
 # -------------------------------------------------------------------- areas
@@ -209,6 +227,23 @@ def test_triangle_normalizes_orientation():
     t2 = Triangle.of(0.4, -0.4, 0.3j)
     assert not t2.swapped
     assert (t.a, t.b, t.c) == (t2.a, t2.b, t2.c)
+
+
+def test_triangle_orientation_is_hyperbolic_not_euclidean():
+    # 0.4+0.4j lies between the chord from 0.9 to 0.9j and the geodesic
+    # arc bowing toward the origin: the Euclidean turn is counterclockwise
+    # but the hyperbolic triangle is clockwise, like (0.4, -0.4, 0.3j),
+    # so it keeps its order
+    t = Triangle.of(0.9, 0.9j, 0.4 + 0.4j)
+    assert not t.swapped
+    assert (t.a, t.b, t.c) == (0.9, 0.9j, 0.4 + 0.4j)
+    ref = Triangle.of(0.4, -0.4, 0.3j)
+    for tri in (t, ref):
+        turns = (signed_angle(tri.c, tri.a, tri.b), signed_angle(tri.a, tri.b, tri.c),
+                 signed_angle(tri.b, tri.c, tri.a))
+        assert all(turn > 0.0 for turn in turns)
+    assert t.area == pytest.approx(triangle_area(0.9, 0.9j, 0.4 + 0.4j), abs=1e-14)
+    assert t.area == pytest.approx(0.688, abs=1e-3)
 
 
 def test_triangle_rejects_coincident():

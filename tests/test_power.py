@@ -15,12 +15,14 @@ from hypfeuer.errors import (
 from hypfeuer.geom_core import hyp_distance, mobius_from_origin, mobius_to_origin
 from hypfeuer.cycles import (
     GeneralizedCycle,
+    _translate_raw,
     circle_from_center_radius,
     coefficient_distance,
     cycle_through,
     diameter_with_direction,
     geodesic_through,
     hyp_center_radius,
+    interior_intersections,
     intersect,
     membership_residual,
     sample_points,
@@ -28,7 +30,7 @@ from hypfeuer.cycles import (
 )
 from hypfeuer.cevians import build_config
 from hypfeuer.geom_core import DiskIsometry, Triangle
-from hypfeuer.instances import instance_rng, monge_triple, random_triangle
+from hypfeuer.instances import PURPOSE_MONGE, instance_rng, monge_triple, random_triangle
 from hypfeuer.power import (
     crossing_angle,
     homothetic_centers,
@@ -336,6 +338,57 @@ def test_homothetic_centers_equal_angle_spreads():
             assert equal_angle_spread(hc.positive, c1, c2, rng) < 1e-9
         if hc.negative is not None:
             assert equal_angle_spread(hc.negative, c1, c2, rng) < 1e-9
+
+
+def _frame_homothetic_centers(c1, c2):
+    """Reference construction: intersect the geodesic through the two
+    hyperbolic centers with the disk diameter through the Euclidean
+    homothety center of the coefficient circles, in a frame whose origin
+    sits at distance 1 from o1, perpendicular to the center line (so
+    that line is never a diameter there)."""
+    o1, _ = hyp_center_radius(c1)
+    o2, _ = hyp_center_radius(c2)
+    w = mobius_to_origin(o1, o2)
+    t = mobius_from_origin(o1, 1j * math.tanh(0.5) * w / abs(w))
+    d1, d2 = (GeneralizedCycle.of(*_translate_raw(t, c.a, c.b, c.c)) for c in (c1, c2))
+    center_line = geodesic_through(mobius_to_origin(t, o1), mobius_to_origin(t, o2))
+    e1, s1 = d1.euclid_center_radius()
+    e2, s2 = d2.euclid_center_radius()
+    out = []
+    for sign in (1, -1):
+        v = s2 * e1 - sign * s1 * e2
+        pts = interior_intersections(center_line, diameter_with_direction(v / abs(v)))
+        out.append(mobius_from_origin(t, pts[0]) if pts else None)
+    return out
+
+
+def _reference_gaps(pairs, gap):
+    """Largest gap between the ratio-law centers and the reference over
+    the pairs; a center missing on one side only fails."""
+    worst = 0.0
+    for c1, c2 in pairs:
+        hc = homothetic_centers(c1, c2)
+        for got, ref in zip((hc.positive, hc.negative), _frame_homothetic_centers(c1, c2)):
+            assert (got is None) == (ref is None), (c1, c2, got, ref)
+            if got is not None:
+                worst = max(worst, gap(got, ref))
+    return worst
+
+
+def test_homothetic_centers_match_frame_reference_on_monge_pairs():
+    pairs = []
+    for seed in range(6):
+        for idx in range(200):
+            c1, c2, c3 = monge_triple(instance_rng(seed, idx, PURPOSE_MONGE))
+            pairs += [(c2, c3), (c3, c1), (c1, c2)]
+    assert _reference_gaps(pairs, hyp_distance) <= 1e-12
+
+
+def test_homothetic_centers_match_frame_reference_on_random_pairs():
+    rng = Random(31)
+    pairs = [tuple(circle_from_center_radius(rand_point(rng, 0.7), rng.uniform(0.1, 2.0))
+                   for _ in range(2)) for _ in range(2000)]
+    assert _reference_gaps(pairs, lambda p, q: abs(p - q)) <= 1e-11
 
 
 # -------------------------------------------------------------- monge lines

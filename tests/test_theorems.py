@@ -44,6 +44,7 @@ from hypfeuer.theorems import (
     check_six_point,
     check_tangent_cevians,
     check_trapezoid,
+    convex_quad_angles,
     lexell_cycle,
     _shoot_tangent_circle,
 )
@@ -141,7 +142,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
-    calls = _counting(monkeypatch, instances, "quad_angles")
+    calls = _counting(monkeypatch, instances, "convex_quad_angles")
     solved = 0
     for idx in range(30):
         quad = trapezoid_quad(instance_rng(607, idx))
@@ -159,14 +160,14 @@ def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
 def test_rebalance_quad_non_convex_inside_bracket_gives_none(monkeypatch):
     quad = trapezoid_quad(instance_rng(607, 0))
     assert _rebalance_quad(quad) is not None
-    real = instances.is_convex_quad
+    real = instances.convex_quad_angles
     calls = []
 
     def convex_only_at_bracket_ends(*q):
         calls.append(q)
-        return real(*q) and len(calls) <= 2
+        return real(*q) if len(calls) <= 2 else None
 
-    monkeypatch.setattr(instances, "is_convex_quad", convex_only_at_bracket_ends)
+    monkeypatch.setattr(instances, "convex_quad_angles", convex_only_at_bracket_ends)
     assert _rebalance_quad(quad) is None
     assert len(calls) == 3
 
@@ -180,6 +181,16 @@ def test_trapezoid_perturbation_breaks_both_sides():
     assert chk.residual > 1e-5
     assert chk.witness["area_gap"] > 1e-5
     assert chk.witness["angle_gap"] > 1e-5
+
+
+def test_convex_quad_angles_in_either_orientation():
+    quad = (-0.4, -0.3j, 0.4, 0.35j)
+    angles = convex_quad_angles(*quad)
+    assert angles is not None and all(0.0 < x < math.pi for x in angles)
+    # the clockwise traversal sees the same interior angles
+    assert convex_quad_angles(*quad[::-1]) == angles[::-1]
+    assert convex_quad_angles(-0.4, 0.4, 0.3j, 0.05j) is None
+    assert convex_quad_angles(0.1, 0.1, 0.3j, -0.2) is None
 
 
 def test_trapezoid_non_convex_skips():
