@@ -20,7 +20,9 @@ The three bisector feet span the Euler circle, which also passes through
 the three pseudoaltitude feet; the apex-to-foot geodesics of each family
 meet in the bisector point and the pseudo-orthocenter respectively, when
 they meet inside the disk at all.  Tangent circles (incircle, excircles)
-come from the angle-bisector geodesics, built once per configuration.
+are centered where angle bisectors meet, by cross products of their
+hyperboloid normals; the bisectors themselves are differences and sums
+of the sides' unit normals, built once per configuration.
 
 Everything degenerate is flagged on the returned TriangleConfig rather
 than raised: large triangles routinely lose their circumcenter, their
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 
 from .errors import BracketFailure, DivergentCevians, GeometryError
 from .geom_core import (
-    DiskIsometry,
     Triangle,
     complex_angle,
     mobius_from_origin,
@@ -45,13 +46,11 @@ from .cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
     cycle_through,
-    diameter_with_direction,
+    geodesic_meet,
     geodesic_through,
     hyp_center_radius,
-    interior_intersections,
     membership_residual,
     point_geodesic_distance,
-    transform,
 )
 
 VERTICES = ("a", "b", "c")
@@ -175,19 +174,40 @@ def bisector_direction(tri: Triangle, vertex: str) -> complex:
     return u / abs(u)
 
 
+def angle_bisectors(tri: Triangle, sides: dict[str, GeneralizedCycle],
+                    ) -> tuple[dict[str, GeneralizedCycle], dict[str, GeneralizedCycle]]:
+    """Internal and external angle-bisector geodesics at every vertex,
+    from the side lines that side_lines returns.
+
+    A side (A, B, A) is the hyperboloid plane with normal (A, Re B, Im B).
+    Scaled to Minkowski norm sqrt(|B|^2 - A^2) = 1 and signed positive at
+    the opposite vertex, it takes sinh of the signed distance to the side.
+    At a vertex with side normals n1, n2 the internal bisector is the
+    plane n1 - n2 (equal distances, same sign), the external one n1 + n2.
+    """
+    normals = {}
+    for v, apex in tri.vertices.items():
+        s = sides[v]
+        scale = math.copysign(1.0 / math.sqrt(abs(s.b) ** 2 - s.a * s.a), s.evaluate(apex))
+        normals[v] = (scale * s.a, scale * s.b)
+    internal, external = {}, {}
+    for v, (p, q) in zip(VERTICES, (("b", "c"), ("c", "a"), ("a", "b"))):
+        (a1, b1), (a2, b2) = normals[p], normals[q]
+        internal[v] = GeneralizedCycle.of(a1 - a2, b1 - b2, a1 - a2)
+        external[v] = GeneralizedCycle.of(a1 + a2, b1 + b2, a1 + a2)
+    return internal, external
+
+
 def vertex_bisector(tri: Triangle, vertex: str, external: bool = False) -> GeneralizedCycle:
     """Internal (or external) angle-bisector geodesic at a vertex."""
-    u = bisector_direction(tri, vertex)
-    if external:
-        u *= 1j
-    v = tri.opposite(vertex)[0]
-    return transform(DiskIsometry.translation(-v), diameter_with_direction(u))
+    internal, outer = angle_bisectors(tri, side_lines(tri))
+    return (outer if external else internal)[vertex]
 
 
 def concurrency_point(lines) -> tuple[complex, float]:
     """Common point of several geodesics and its worst distance to the others.
 
-    Each pair is intersected inside the disk and the intersection is
+    Each pair is met inside the disk (geodesic_meet) and the meet is
     scored by its largest distance to the remaining lines; the candidate
     with the smallest score wins.  Divergence (no pair meets inside the
     disk) is an error for the caller to flag.
@@ -195,12 +215,12 @@ def concurrency_point(lines) -> tuple[complex, float]:
     lines = list(lines)
     best = None
     for i, j in itertools.combinations(range(len(lines)), 2):
-        pts = interior_intersections(lines[i], lines[j])
-        if pts:
-            r = max((point_geodesic_distance(pts[0], line)
+        z = geodesic_meet(lines[i], lines[j])
+        if z is not None:
+            r = max((point_geodesic_distance(z, line)
                      for k, line in enumerate(lines) if k not in (i, j)), default=0.0)
             if best is None or r < best[1]:
-                best = (pts[0], r)
+                best = (z, r)
     if best is None:
         raise DivergentCevians("no pair of geodesics meets inside the disk")
     return best
@@ -227,24 +247,25 @@ def _tangent_spec(center: complex, third: GeneralizedCycle,
 
 def _incircle(internal: dict[str, GeneralizedCycle],
               sides: dict[str, GeneralizedCycle]) -> CircleSpec:
-    pts = interior_intersections(internal["a"], internal["b"])
-    if not pts:
+    center = geodesic_meet(internal["a"], internal["b"])
+    if center is None:
         raise DivergentCevians("internal bisectors diverge")
-    return _tangent_spec(pts[0], internal["c"], sides)
+    return _tangent_spec(center, internal["c"], sides)
 
 
 def _excircle(vertex: str, internal: dict[str, GeneralizedCycle],
               external: dict[str, GeneralizedCycle],
               sides: dict[str, GeneralizedCycle]) -> CircleSpec | None:
     e1, e2 = (external[v] for v in VERTICES if v != vertex)
-    pts = interior_intersections(internal[vertex], e1)
-    if not pts:
+    center = geodesic_meet(internal[vertex], e1)
+    if center is None:
         return None
-    return _tangent_spec(pts[0], e2, sides)
+    return _tangent_spec(center, e2, sides)
 
 
 def incircle(tri: Triangle) -> CircleSpec:
-    return _incircle({v: vertex_bisector(tri, v) for v in VERTICES}, side_lines(tri))
+    sides = side_lines(tri)
+    return _incircle(angle_bisectors(tri, sides)[0], sides)
 
 
 def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
@@ -255,10 +276,8 @@ def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
     not exist (any interior meet is automatically equidistant from all
     three side lines, so pair intersection is a sound existence test).
     """
-    return _excircle(vertex, {vertex: vertex_bisector(tri, vertex)},
-                     {v: vertex_bisector(tri, v, external=True)
-                      for v in VERTICES if v != vertex},
-                     side_lines(tri))
+    sides = side_lines(tri)
+    return _excircle(vertex, *angle_bisectors(tri, sides), sides)
 
 
 @dataclass
@@ -363,8 +382,7 @@ def build_config(tri: Triangle) -> TriangleConfig:
         flags.add("divergent_pseudoaltitude_cevians")
 
     sides = side_lines(tri)
-    internal = {v: vertex_bisector(tri, v) for v in VERTICES}
-    external = {v: vertex_bisector(tri, v, external=True) for v in VERTICES}
+    internal, external = angle_bisectors(tri, sides)
     inc = None
     try:
         inc = _incircle(internal, sides)

@@ -19,7 +19,10 @@ positive.  In this form:
 
 Isometries act on coefficients in closed form (``transform``), so every
 derived object here can be moved to a convenient frame, computed, and
-moved back without leaving the algebra.
+moved back without leaving the algebra.  A geodesic (A, B, A) is also
+the hyperboloid plane with normal (A, Re B, Im B): two geodesics meet at
+the cross product of their normals (``geodesic_meet``), no quadratic
+solved, and a point's distance to one is the plane's form at the point.
 """
 
 from __future__ import annotations
@@ -299,6 +302,31 @@ def interior_intersections(c1: GeneralizedCycle, c2: GeneralizedCycle,
     return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - margin)
 
 
+def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle,
+                  margin: float = 1e-9) -> complex | None:
+    """The point where two geodesics meet strictly inside the disk, or None.
+
+    The geodesic (A, B, A) is the hyperboloid plane with normal
+    (A, Re B, Im B) (see point_geodesic_distance), so two geodesics meet
+    on the line of the cross product m of their normals.  It holds a disk
+    point (1 + |z|^2, 2x, 2y) exactly when q = m_t^2 - m_x^2 - m_y^2 > 0,
+    and then z = (m_x + i m_y) / (m_t + copysign(sqrt(q), m_t)).
+    """
+    a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
+    a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
+    mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+    if abs(mt) < 1e-15 or math.hypot(mx, my) < 1e-15:
+        # two diameters, or (nearly) one plane: intersect decides, and
+        # raises IdenticalCycles wherever it would
+        pts = interior_intersections(g1, g2, margin)
+        return pts[0] if pts else None
+    q = mt * mt - mx * mx - my * my
+    if q <= 0.0:
+        return None
+    z = complex(mx, my) / (mt + math.copysign(math.sqrt(q), mt))
+    return z if abs(z) < 1.0 - margin else None
+
+
 def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:
     """Hyperbolic circle with given interior center and radius rho > 0."""
     z = as_complex(center)
@@ -365,7 +393,8 @@ def sample_points(cycle: GeneralizedCycle, count: int,
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
         return [z0 + d * (half * (2.0 * k / (count - 1) - 1.0)) for k in range(count)]
     ec, er = cycle.euclid_center_radius()
-    shrunk = GeneralizedCycle.of(1.0, 0j, -((1.0 - margin) ** 2))
+    # already normalized: max(|A|, |B|, |C|) = A = 1
+    shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
     crossings = intersect(cycle, shrunk)
     if len(crossings) < 2:
         # fully interior: whole circle

@@ -53,9 +53,9 @@ from .geom_core import (
 from .cycles import (
     GeneralizedCycle,
     _translate_raw,
+    geodesic_meet,
     geodesic_through,
     hyp_center_radius,
-    interior_intersections,
     point_geodesic_distance,
 )
 
@@ -115,10 +115,10 @@ def radical_center(c1: GeneralizedCycle, c2: GeneralizedCycle,
     r12 = radical_axis(c1, c2)
     r13 = radical_axis(c1, c3)
     r23 = radical_axis(c2, c3)
-    pts = interior_intersections(r12, r13)
-    if not pts:
+    center = geodesic_meet(r12, r13)
+    if center is None:
         raise NoInteriorCenter("radical axes meet outside the disk")
-    return pts[0], point_geodesic_distance(pts[0], r23)
+    return center, point_geodesic_distance(center, r23)
 
 
 def homothety_point(center, k: float, p) -> complex:

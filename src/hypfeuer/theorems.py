@@ -28,13 +28,11 @@ from .errors import (
 )
 from .geom_core import (
     TAU,
-    DiskIsometry,
     Triangle,
     absolute_inverse,
     as_complex,
     complex_angle,
     hyp_distance,
-    mobius_from_origin,
     mobius_to_origin,
     signed_angle,
     sigma,
@@ -43,7 +41,7 @@ from .geom_core import (
 from .cycles import (
     CycleClass,
     GeneralizedCycle,
-    circle_from_center_radius,
+    _translate_raw,
     classify,
     cycle_through,
     geodesic_through,
@@ -53,7 +51,6 @@ from .cycles import (
     point_geodesic_distance,
     sample_points,
     tangency_residual,
-    transform,
 )
 from .cevians import (
     EDGE_INSET,
@@ -454,17 +451,19 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
 
     The inscribed circle meets the bisector at the radii e (1 - sin_half)
     and e (1 + sin_half), so its center lies at arc length
-    s = atanh(e (1 - sin_half)) + atanh(e (1 + sin_half)) from the vertex
-    and its radius is atanh(e (1 + sin_half)) - atanh(e (1 - sin_half)).
+    s = atanh(e (1 - sin_half)) + atanh(e (1 + sin_half)) from the vertex.
     The smallest root with s in (EDGE_INSET, 20] wins; the lower bound
     drops the trivial root at the vertex itself when w passes through it.
-    None when no root qualifies.
+    Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
+    pulled back by one translation.  None when no root qualifies.
     """
     v, p, _ = tri.opposite(vertex)
     u = bisector_direction(tri, vertex)
     d = mobius_to_origin(v, p)
     sin_half = abs((u * (d / abs(d)).conjugate()).imag)
-    m, big_r = transform(DiskIsometry.translation(v), w).euclid_center_radius()
+    wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
+    m = -wb / wa
+    big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)
     sign = 1.0 if external else -1.0
     qa = 1.0 - sin_half * sin_half
     qb = -2.0 * ((u.conjugate() * m).real + sign * big_r * sin_half)
@@ -482,8 +481,7 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
             continue
         s = math.atanh(near) + math.atanh(far)
         if EDGE_INSET < s <= 20.0:
-            center = mobius_from_origin(v, math.tanh(s / 2.0) * u)
-            return circle_from_center_radius(center, math.atanh(far) - math.atanh(near))
+            return GeneralizedCycle.of(*_translate_raw(-v, 1.0, -e * u, e * e * qa))
     return None
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hypfeuer import cevians
+from hypfeuer import cevians, cycles
 from hypfeuer.errors import BracketFailure, DivergentCevians
 from hypfeuer.geom_core import (
     DiskIsometry,
@@ -20,14 +20,19 @@ from hypfeuer.geom_core import (
 from hypfeuer.cycles import (
     CycleClass,
     classify,
+    coefficient_distance,
+    diameter_with_direction,
     geodesic_through,
     hyp_center_radius,
     membership_residual,
     point_geodesic_distance,
+    transform,
 )
 from hypfeuer.cevians import (
     BRACKET_WIDTH,
     VERTICES,
+    angle_bisectors,
+    bisector_direction,
     bisector_foot,
     brent_root,
     build_config,
@@ -39,7 +44,7 @@ from hypfeuer.cevians import (
     vertex_bisector,
 )
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.theorems import check_tangent_cevians
+from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
 
 
 def isosceles():
@@ -196,8 +201,10 @@ def test_closed_form_pseudoaltitude_foot_near_the_absolute(apex, where):
 
 def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     # the feet and the tangent circles are closed forms; the bisector
-    # geodesics and side lines are built once per configuration
-    calls = {"brent_root": 0, "vertex_bisector": 0, "side_lines": 0}
+    # geodesics and side lines are built once per configuration, and no
+    # meet or frame change goes through the general cycle machinery
+    calls = {"brent_root": 0, "angle_bisectors": 0, "side_lines": 0,
+             "intersect": 0, "transform": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -208,18 +215,24 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    originals = {"brent_root": cevians.brent_root, "intersect": cycles.intersect,
+                 "transform": cycles.transform}
     for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
-        if hasattr(module, "brent_root"):
-            counting(module, "brent_root")
-    counting(cevians, "vertex_bisector")
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                counting(module, name)
+    counting(cevians, "angle_bisectors")
     counting(cevians, "side_lines")
-    # a small triangle with all three excircles
+    # a small triangle with all three excircles (the benchmark's set-up
+    # triangle, bench/spec.py SETUP_TRIANGLE)
     cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
     assert not cfg.flags
-    assert calls == {"brent_root": 0, "vertex_bisector": 6, "side_lines": 1}
-    check = check_tangent_cevians(cfg)
-    assert check.status == "pass"
-    assert calls["brent_root"] == 0
+    assert calls == {"brent_root": 0, "angle_bisectors": 1, "side_lines": 1,
+                     "intersect": 0, "transform": 0}
+    assert check_tangent_cevians(cfg).status == "pass"
+    assert check_feuerbach_point(cfg).status == "pass"
+    assert calls == {"brent_root": 0, "angle_bisectors": 1, "side_lines": 1,
+                     "intersect": 0, "transform": 0}
 
 
 # ------------------------------------------------------------ euler circle
@@ -291,6 +304,32 @@ def test_excircle_touches_all_sides_when_present():
                 gap = abs(point_geodesic_distance(spec.center, sides[w]) - spec.radius)
                 assert gap < 1e-9
     assert found >= 5
+
+
+def _diameter_bisectors(tri, vertex):
+    """The construction angle_bisectors replaces: the internal and
+    external bisector directions in the vertex's frame as diameters,
+    translated back with transform."""
+    u = bisector_direction(tri, vertex)
+    back = DiskIsometry.translation(-tri.opposite(vertex)[0])
+    return (transform(back, diameter_with_direction(u)),
+            transform(back, diameter_with_direction(1j * u)))
+
+
+@pytest.mark.parametrize("box", [0.25, 0.7, 0.95])
+def test_angle_bisectors_match_translated_diameters(box):
+    worst = 0.0
+    for idx in range(2_000):
+        tri, _ = random_triangle(instance_rng(707, idx), box)
+        internal, external = angle_bisectors(tri, side_lines(tri))
+        for v in VERTICES:
+            ref_internal, ref_external = _diameter_bisectors(tri, v)
+            worst = max(worst, coefficient_distance(internal[v], ref_internal),
+                        coefficient_distance(external[v], ref_external))
+            # the internal bisector separates the other two vertices
+            _, p, q = tri.opposite(v)
+            assert internal[v].evaluate(p) * internal[v].evaluate(q) < 0.0
+    assert worst <= 1e-13
 
 
 def test_incircle_center_on_internal_bisectors():

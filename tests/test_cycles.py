@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 from random import Random
 
 import pytest
@@ -22,8 +23,10 @@ from hypfeuer.cycles import (
     coefficient_distance,
     cycle_through,
     diameter_with_direction,
+    geodesic_meet,
     geodesic_through,
     hyp_center_radius,
+    interior_intersections,
     intersect,
     membership_residual,
     point_geodesic_distance,
@@ -232,6 +235,112 @@ def test_intersect_parallel_lines_empty():
     g1 = GeneralizedCycle.of(0.0, 1.0 + 0j, 0.1)
     g2 = GeneralizedCycle.of(0.0, 1.0 + 0j, 0.3)
     assert intersect(g1, g2) == ()
+
+
+# ------------------------------------------------------------ geodesic meets
+
+def _meets_agree(g1, g2):
+    """geodesic_meet against the quadratic in interior_intersections, the
+    construction it replaces: both must find a meet or neither.  Returns
+    the two meets (None when neither exists)."""
+    old = interior_intersections(g1, g2)
+    new = geodesic_meet(g1, g2)
+    assert (new is None) == (not old), (g1, g2, old, new)
+    return new, old[0] if old else None
+
+
+def test_geodesic_meet_matches_interior_intersections_on_random_pairs():
+    rng = Random(41)
+    met = 0
+    worst = 0.0
+    for _ in range(100_000):
+        g1 = geodesic_through(rand_point(rng), rand_point(rng))
+        g2 = geodesic_through(rand_point(rng), rand_point(rng))
+        new, old = _meets_agree(g1, g2)
+        if new is not None:
+            met += 1
+            worst = max(worst, abs(new - old))
+    assert worst <= 1e-12
+    # both outcomes are well represented
+    assert 40_000 < met < 90_000
+
+
+def test_geodesic_meet_on_diameter_pairs():
+    rng = Random(42)
+    worst = 0.0
+    for _ in range(2_000):
+        # two diameters meet at the origin; a diameter and a geodesic
+        d1 = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
+        d2 = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
+        g = geodesic_through(rand_point(rng), rand_point(rng))
+        for new, old in (_meets_agree(d1, d2), _meets_agree(d1, g)):
+            if new is not None:
+                worst = max(worst, abs(new - old))
+    assert worst <= 1e-12
+
+
+def _exact_meet(g1, g2):
+    """The meet of the cross product evaluated in 60-digit decimals from
+    the same float coefficients: the reference both constructions are
+    measured against where the meet is ill-conditioned."""
+    a1, x1, y1 = (Decimal(t) for t in (g1.a, g1.b.real, g1.b.imag))
+    a2, x2, y2 = (Decimal(t) for t in (g2.a, g2.b.real, g2.b.imag))
+    mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+    root = (mt * mt - mx * mx - my * my).sqrt()
+    den = mt + (root if mt > 0 else -root)
+    return complex(float(mx / den), float(my / den))
+
+
+def test_geodesic_meet_on_near_asymptotic_pairs():
+    # g2 leaves the region |z| < 0.7 toward a point within delta of one
+    # of g1's ideal endpoints, so the meet, if any, is near the absolute
+    # at a small angle; there the two constructions differ by up to
+    # ~1e-10, so each is measured against the exact meet instead
+    rng = Random(44)
+    absolute = GeneralizedCycle.of(1.0, 0j, -1.0)
+    worst_new = worst_old = 0.0
+    met = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(10_000):
+            g1 = geodesic_through(rand_point(rng), rand_point(rng))
+            end = intersect(g1, absolute)[0]
+            delta = 10.0 ** rng.uniform(-9, -1) * rng.choice((-1, 1))
+            g2 = geodesic_through(end * cmath.exp(1j * delta), rand_point(rng))
+            new, old = _meets_agree(g1, g2)
+            if new is not None:
+                met += 1
+                exact = _exact_meet(g1, g2)
+                worst_new = max(worst_new, abs(new - exact))
+                worst_old = max(worst_old, abs(old - exact))
+    assert met > 3_000
+    assert worst_new <= worst_old
+    assert worst_new <= 1e-10
+
+
+def test_geodesic_meet_identical_raises_where_intersect_does():
+    rng = Random(43)
+    for _ in range(200):
+        # intersect's two-line branch (diameters) and its general branch
+        d = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
+        g = geodesic_through(rand_point(rng), rand_point(rng))
+        for cyc in (d, g):
+            twin = GeneralizedCycle.of(-3.0 * cyc.a, -3.0 * cyc.b, -3.0 * cyc.c)
+            for pair in ((cyc, cyc), (cyc, twin)):
+                with pytest.raises(IdenticalCycles):
+                    intersect(*pair)
+                with pytest.raises(IdenticalCycles):
+                    geodesic_meet(*pair)
+
+
+def test_geodesic_meet_frozen():
+    assert abs(geodesic_meet(diameter_with_direction(1.0), diameter_with_direction(1j))) < 1e-15
+    # the geodesic through +-0.5j crosses the real axis at the origin
+    assert abs(geodesic_meet(geodesic_through(0.5j, -0.5j), diameter_with_direction(1.0))) < 1e-15
+    # ultraparallel: mirror images in the imaginary axis, neither reaching it
+    g1 = geodesic_through(0.3 + 0.3j, 0.3 - 0.3j)
+    g2 = geodesic_through(-0.3 + 0.3j, -0.3 - 0.3j)
+    assert geodesic_meet(g1, g2) is None
 
 
 # ---------------------------------------------------------------- tangency

@@ -294,6 +294,27 @@ def test_triangle_checks_isometry_equivariant():
     for check in (check_six_point, check_euler_line, check_feuerbach):
         assert check(cfg).status == "pass"
         assert check(moved).status == "pass"
+    # metamorphic sweep: an orientation-preserving isometry keeps the
+    # vertex labels, so flags and every triangle check's outcome must
+    # not change, and the centers must track the map
+    checks = (check_six_point, check_euler_line, check_euler_ratios, check_feuerbach,
+              check_tangent_cevians, check_feuerbach_point)
+    for box in (0.25, 0.7, 0.9):
+        for i in range(100):
+            tri, _ = random_triangle(instance_rng(900, i), box)
+            iso = random_isometry(Random(1000 + i))
+            cfg = build_config(tri)
+            moved = build_config(Triangle.of(iso(tri.a), iso(tri.b), iso(tri.c)))
+            assert cfg.flags == moved.flags, (box, i)
+            for check in checks:
+                before, after = check(cfg), check(moved)
+                assert (before.status, before.flag) == (after.status, after.flag), (box, i)
+            for center in (lambda c: c.bisector_point, lambda c: c.pseudo_orthocenter,
+                           lambda c: c.incircle and c.incircle.center):
+                p, q = center(cfg), center(moved)
+                assert (p is None) == (q is None), (box, i)
+                if p is not None:
+                    assert hyp_distance(iso(p), q) < 1e-11, (box, i)
 
 
 # ------------------------------------------------------------- radical axis
