@@ -198,12 +198,6 @@ def angle_bisectors(tri: Triangle, sides: dict[str, GeneralizedCycle],
     return internal, external
 
 
-def vertex_bisector(tri: Triangle, vertex: str, external: bool = False) -> GeneralizedCycle:
-    """Internal (or external) angle-bisector geodesic at a vertex."""
-    internal, outer = angle_bisectors(tri, side_lines(tri))
-    return (outer if external else internal)[vertex]
-
-
 def concurrency_point(lines) -> tuple[complex, float]:
     """Common point of several geodesics and its worst distance to the others.
 

@@ -48,6 +48,9 @@ GEODESIC_EPS = 1e-12
 TANGENT_EPS = 1e-12
 AMBIGUOUS_EPS = 1e-10
 
+# intersection points closer than this to the absolute are not interior
+INTERIOR_MARGIN = 1e-9
+
 
 class CycleClass(Enum):
     GEODESIC = "geodesic"
@@ -297,13 +300,12 @@ def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[comple
 
 
 def interior_intersections(c1: GeneralizedCycle, c2: GeneralizedCycle,
-                           margin: float = 1e-9) -> tuple[complex, ...]:
+                           margin: float = INTERIOR_MARGIN) -> tuple[complex, ...]:
     """Intersection points strictly inside the disk."""
     return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - margin)
 
 
-def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle,
-                  margin: float = 1e-9) -> complex | None:
+def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
     """The point where two geodesics meet strictly inside the disk, or None.
 
     The geodesic (A, B, A) is the hyperboloid plane with normal
@@ -318,13 +320,13 @@ def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle,
     if abs(mt) < 1e-15 or math.hypot(mx, my) < 1e-15:
         # two diameters, or (nearly) one plane: intersect decides, and
         # raises IdenticalCycles wherever it would
-        pts = interior_intersections(g1, g2, margin)
+        pts = interior_intersections(g1, g2)
         return pts[0] if pts else None
     q = mt * mt - mx * mx - my * my
     if q <= 0.0:
         return None
     z = complex(mx, my) / (mt + math.copysign(math.sqrt(q), mt))
-    return z if abs(z) < 1.0 - margin else None
+    return z if abs(z) < 1.0 - INTERIOR_MARGIN else None
 
 
 def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:

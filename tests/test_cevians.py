@@ -41,7 +41,6 @@ from hypfeuer.cevians import (
     incircle,
     pseudoaltitude_foot,
     side_lines,
-    vertex_bisector,
 )
 from hypfeuer.instances import instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
@@ -335,15 +334,16 @@ def test_angle_bisectors_match_translated_diameters(box):
 def test_incircle_center_on_internal_bisectors():
     tri = clean_configs(1, seed=104)[0].triangle
     inc = incircle(tri)
+    internal, _ = angle_bisectors(tri, side_lines(tri))
     for v in VERTICES:
-        line = vertex_bisector(tri, v)
+        line = internal[v]
         assert point_geodesic_distance(inc.center, line) < 1e-10
 
 
 def test_isosceles_internal_bisector_is_symmetry_axis():
     tri = isosceles()
     apex = "a" if tri.a == 0.5j else ("b" if tri.b == 0.5j else "c")
-    line = vertex_bisector(tri, apex)
+    line = angle_bisectors(tri, side_lines(tri))[0][apex]
     assert line.is_line
     assert membership_residual(line, 0.2j) < 1e-12
 

@@ -318,6 +318,31 @@ def test_geodesic_meet_on_near_asymptotic_pairs():
     assert worst_new <= 1e-10
 
 
+def test_geodesic_meet_on_geodesics_hugging_the_absolute():
+    # both geodesics run between ideal points, the second aimed near an
+    # endpoint of the first, so many hug the absolute (normals close to
+    # the light cone) and meet at a small angle within ~1e-5 of it; there
+    # q = m_t^2 - |m_xy|^2 cancels and the cross product is the less
+    # accurate construction (~5e-10 against the quadratic's ~1e-10 from
+    # the exact meet): this pins where it stands today
+    rng = Random(45)
+    worst = 0.0
+    met = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(5_000):
+            alpha, beta, gamma = (rng.uniform(0, 2 * math.pi) for _ in range(3))
+            delta = 10.0 ** rng.uniform(-9, -1) * rng.choice((-1, 1))
+            g1 = geodesic_through(cmath.exp(1j * alpha), cmath.exp(1j * beta))
+            g2 = geodesic_through(cmath.exp(1j * (alpha + delta)), cmath.exp(1j * gamma))
+            new, _ = _meets_agree(g1, g2)
+            if new is not None:
+                met += 1
+                worst = max(worst, abs(new - _exact_meet(g1, g2)))
+    assert met > 2_000
+    assert worst <= 1e-9
+
+
 def test_geodesic_meet_identical_raises_where_intersect_does():
     rng = Random(43)
     for _ in range(200):

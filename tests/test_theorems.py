@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from hypfeuer import instances, power
-from hypfeuer.cevians import build_config, vertex_bisector
+from hypfeuer.cevians import angle_bisectors, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
     CycleClass,
@@ -438,10 +438,11 @@ def test_shot_circle_is_inscribed_in_the_angle_and_touches_circumcircle():
     for seed in range(628, 632):
         cfg = clean_config(seed)
         tri = cfg.triangle
+        internal, _ = angle_bisectors(tri, cfg.sides)
         for v in ("a", "b", "c"):
             circle = _shoot_tangent_circle(tri, v, cfg.circumcircle, False)
             center, radius = hyp_center_radius(circle)
-            assert point_geodesic_distance(center, vertex_bisector(tri, v)) < 1e-12
+            assert point_geodesic_distance(center, internal[v]) < 1e-12
             for side in ("a", "b", "c"):
                 if side != v:
                     assert abs(point_geodesic_distance(center, cfg.sides[side])
