@@ -55,69 +55,11 @@ from .cycles import (
 
 VERTICES = ("a", "b", "c")
 
-# brent_root runs until the bracket is this narrow, unless told otherwise
-BRACKET_WIDTH = 1e-14
-
 # an area bisector foot stays this far from the triangle vertices
 EDGE_INSET = 1e-9
 
 # a pseudoaltitude foot never passes this ideal-chord coordinate
 IDEAL_LIMIT = 1.0 - 1e-6
-
-
-def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
-               width: float = BRACKET_WIDTH) -> tuple[float, float]:
-    """Root of f in a sign-changing bracket, and the final bracket width.
-
-    It serves instances._rebalance_quad, whose angle balance has no
-    closed form.  Brent's method (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4): inverse quadratic or
-    secant steps while they shrink the bracket fast enough, bisection
-    otherwise.  It stops once the bracket is at most `width` wide and
-    returns its end with the smaller |f|; flo and fhi are f at the
-    bracket ends.
-    """
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    # cur: best estimate; blk: the other end of the bracket; pre: last cur
-    xpre, fpre = lo, flo
-    xcur, fcur = hi, fhi
-    xblk, fblk = lo, flo
-    spre = scur = hi - lo
-    delta = 0.5 * width
-    for _ in range(200):
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = 0.5 * (xblk - xcur)
-        if abs(sbis) <= delta:
-            break
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
-        if fcur == 0.0:
-            return xcur, 0.0
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-    return xcur, abs(xblk - xcur)
 
 
 def _side_frame(tri: Triangle, vertex: str) -> tuple[complex, complex, float, float]:
@@ -157,21 +99,6 @@ def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:
         "b": geodesic_through(tri.c, tri.a),
         "c": geodesic_through(tri.a, tri.b),
     }
-
-
-def bisector_direction(tri: Triangle, vertex: str) -> complex:
-    """Unit direction of the internal angle bisector at a vertex, taken in
-    the frame that moves the vertex to the origin, where the bisector of
-    two unit directions is just their sum."""
-    v, p, q = tri.opposite(vertex)
-    u1 = mobius_to_origin(v, p)
-    u2 = mobius_to_origin(v, q)
-    u1, u2 = u1 / abs(u1), u2 / abs(u2)
-    u = u1 + u2
-    if abs(u) < 1e-12:
-        # straight angle: fall back to the perpendicular
-        u = 1j * u1
-    return u / abs(u)
 
 
 def angle_bisectors(tri: Triangle, sides: dict[str, GeneralizedCycle],

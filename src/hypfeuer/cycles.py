@@ -19,8 +19,11 @@ positive.  In this form:
 
 Isometries act on coefficients in closed form (``transform``), so every
 derived object here can be moved to a convenient frame, computed, and
-moved back without leaving the algebra.  A geodesic (A, B, A) is also
-the hyperboloid plane with normal (A, Re B, Im B): two geodesics meet at
+moved back without leaving the algebra.  Every cycle is also a plane
+on the hyperboloid of disk points (``_hyperboloid_plane``), which gives
+a circle's center and radius, tells which side of the absolute a
+disjoint cycle lies on, and places homothetic centers.  A geodesic
+(A, B, A) is the plane with normal (A, Re B, Im B): two geodesics meet at
 the cross product of their normals (``geodesic_meet``), no quadratic
 solved, and a point's distance to one is the plane's form at the point.
 """
@@ -125,31 +128,62 @@ def classify(cycle: GeneralizedCycle) -> CycleClass:
     The discriminant of E on |z| = 1 is D = 4|B|^2 - (A + C)^2: positive
     means the cycle crosses the absolute (equidistant or geodesic), zero
     means tangency (horocycle), negative means disjoint.  A band of
-    1e-10 around zero is refused as ambiguous rather than guessed.
+    1e-10 around zero is refused as ambiguous rather than guessed.  A
+    disjoint or tangent locus is inside the disk exactly when k < 0
+    (_hyperboloid_plane).
     """
     if abs(cycle.c - cycle.a) < GEODESIC_EPS:
         return CycleClass.GEODESIC
     d = 4.0 * abs(cycle.b) ** 2 - (cycle.a + cycle.c) ** 2
     if abs(d) <= TANGENT_EPS:
-        # tangency from inside (center interior) is a horocycle;
-        # tangency from outside has an empty interior locus
-        if _center_inside(cycle):
+        if _hyperboloid_plane(cycle)[3] < 0.0:
             return CycleClass.HOROCYCLE
         raise NotACycle("tangent to the absolute from outside")
     if abs(d) <= AMBIGUOUS_EPS:
         raise AmbiguousClass(f"absolute discriminant {d:.3g} in dead zone")
     if d > 0.0:
         return CycleClass.EQUIDISTANT
-    if _center_inside(cycle):
+    if _hyperboloid_plane(cycle)[3] < 0.0:
         return CycleClass.HYP_CIRCLE
     raise NotACycle("locus lies outside the disk")
 
 
-def _center_inside(cycle: GeneralizedCycle) -> bool:
-    if cycle.is_line:
-        return False
-    center, _ = cycle.euclid_center_radius()
-    return abs(center) < 1.0
+def _hyperboloid_plane(cycle: GeneralizedCycle) -> tuple[float, float, float, float]:
+    """(P_t, P_x, P_y, k) of the cycle's hyperboloid plane <X, P> + k = 0.
+
+    A disk point z lifts to X = (1 + |z|^2, 2x, 2y) / (1 - |z|^2), with
+    <X, X> = X_t^2 - X_x^2 - X_y^2 = 1, and E(z) / (1 - |z|^2) = <X, P> + k
+    for P = ((A + C)/2, -Re B, -Im B) and k = (C - A)/2, both turned so
+    that P_t >= 0.  Then <X, P> > 0 for a timelike P, so a locus that
+    misses the absolute is inside the disk exactly when k < 0.  A circle
+    has its center at P / |P| and cosh of its radius at -k / |P|.
+    """
+    pt, k = 0.5 * (cycle.a + cycle.c), 0.5 * (cycle.c - cycle.a)
+    if pt < 0.0:
+        return -pt, cycle.b.real, cycle.b.imag, -k
+    return pt, -cycle.b.real, -cycle.b.imag, k
+
+
+def _to_disk(t: float, x: float, y: float) -> complex | None:
+    """The disk point of the hyperboloid ray through (t, x, y), or None
+    unless the vector is timelike: X / |X| reads back in the disk as
+    (X_x + i X_y) / (X_t + |X|), either sign of X giving the same point."""
+    q = t * t - x * x - y * y
+    if q <= 0.0:
+        return None
+    return complex(x, y) / (t + math.copysign(math.sqrt(q), t))
+
+
+def _circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float, float]:
+    """(P_t, P_x, P_y, |P|, s) of a circle inside the disk (P timelike,
+    k < -|P|), with s = sqrt(|B|^2 - A C) = |P| sinh r; raises
+    NoHyperbolicCenter for any other cycle."""
+    pt, px, py, k = _hyperboloid_plane(cycle)
+    norm = math.sqrt(max(pt * pt - px * px - py * py, 0.0))
+    if norm == 0.0 or k >= -norm:
+        raise NoHyperbolicCenter("not a circle inside the disk")
+    s2 = abs(cycle.b) ** 2 - cycle.a * cycle.c
+    return pt, px, py, norm, math.sqrt(max(s2, 0.0))
 
 
 def cycle_through(p, q, r) -> GeneralizedCycle:
@@ -310,56 +344,35 @@ def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
 
     The geodesic (A, B, A) is the hyperboloid plane with normal
     (A, Re B, Im B) (see point_geodesic_distance), so two geodesics meet
-    on the line of the cross product m of their normals.  It holds a disk
-    point (1 + |z|^2, 2x, 2y) exactly when q = m_t^2 - m_x^2 - m_y^2 > 0,
-    and then z = (m_x + i m_y) / (m_t + copysign(sqrt(q), m_t)).
+    on the line of the cross product m of their normals, a disk point
+    exactly when m is timelike (_to_disk); m vanishes only for one
+    geodesic twice.
     """
     a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
     a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
     mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
-    if abs(mt) < 1e-15 or math.hypot(mx, my) < 1e-15:
-        # two diameters, or (nearly) one plane: intersect decides, and
-        # raises IdenticalCycles wherever it would
-        pts = interior_intersections(g1, g2)
-        return pts[0] if pts else None
-    q = mt * mt - mx * mx - my * my
-    if q <= 0.0:
-        return None
-    z = complex(mx, my) / (mt + math.copysign(math.sqrt(q), mt))
-    return z if abs(z) < 1.0 - INTERIOR_MARGIN else None
+    if max(abs(mt), abs(mx), abs(my)) < 1e-15:
+        raise IdenticalCycles("one geodesic twice")
+    z = _to_disk(mt, mx, my)
+    return z if z is not None and abs(z) < 1.0 - INTERIOR_MARGIN else None
 
 
 def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:
-    """Hyperbolic circle with given interior center and radius rho > 0."""
+    """Hyperbolic circle with given interior center and radius rho > 0:
+    the plane with P = (1 + |z|^2, 2x, 2y) and k = -|P| cosh(rho), halved
+    and written with cosh(rho) = 1 + 2 sinh(rho/2)^2 so small radii keep
+    their digits."""
     z = as_complex(center)
-    r = math.tanh(rho / 2.0)
-    # |w|^2 = r^2 in the frame centered at z, pulled back
-    a2, b2, c2 = _translate_raw(-z, 1.0, 0j, -r * r)
-    return GeneralizedCycle.of(a2, b2, c2)
+    z2 = abs(z) ** 2
+    h = math.sinh(0.5 * rho) ** 2 * (1.0 - z2)
+    return GeneralizedCycle.of(1.0 + h, -z, z2 - h)
 
 
 def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
-    """Interior center and hyperbolic radius of a compact circle.
-
-    Worked in the diameter through the Euclidean center: the cycle cuts
-    it at signed Euclidean offsets s < t, so the hyperbolic center sits
-    at the tanh-average of their atanh coordinates.  Raises when the
-    cycle reaches the absolute (no interior center exists).
-    """
-    if cycle.is_line:
-        raise NotACircle("geodesic through the origin")
-    ec, er = cycle.euclid_center_radius()
-    if abs(ec) < 1e-15:
-        if er >= 1.0:
-            raise NoHyperbolicCenter("cycle contains the absolute")
-        return 0j, 2.0 * math.atanh(er)
-    s = abs(ec) - er
-    t = abs(ec) + er
-    if t >= 1.0 or s <= -1.0:
-        raise NoHyperbolicCenter("cycle meets or encloses the absolute")
-    u = ec / abs(ec)
-    mid = (math.atanh(s) + math.atanh(t)) / 2.0
-    return u * math.tanh(mid), math.atanh(t) - math.atanh(s)
+    """Interior center P / |P| and hyperbolic radius asinh(s / |P|) of a
+    circle inside the disk (_circle_vector); NoHyperbolicCenter otherwise."""
+    pt, px, py, norm, s = _circle_vector(cycle)
+    return complex(px, py) / (pt + norm), math.asinh(s / norm)
 
 
 def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:

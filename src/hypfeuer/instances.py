@@ -11,7 +11,6 @@ import cmath
 import math
 from random import Random
 
-from .cevians import brent_root
 from .errors import GeometryError, SamplingExhausted
 from .geom_core import Triangle, mobius_from_origin, signed_angle, triangle_area
 from .cycles import (
@@ -221,6 +220,64 @@ def trapezoid_quad(rng: Random, converse: bool = False):
         if perturbed is not None:
             return perturbed
     raise _exhausted("trapezoid_quad", "convex quadrilateral")
+
+
+# brent_root runs until the bracket is this narrow, unless told otherwise
+BRACKET_WIDTH = 1e-14
+
+
+def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
+               width: float = BRACKET_WIDTH) -> tuple[float, float]:
+    """Root of f in a sign-changing bracket, and the final bracket width.
+
+    It serves _rebalance_quad, whose angle balance has no closed form.
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
+    they shrink the bracket fast enough, bisection otherwise.  It stops once the bracket is at most `width` wide and
+    returns its end with the smaller |f|; flo and fhi are f at the
+    bracket ends.
+    """
+    if flo == 0.0:
+        return lo, 0.0
+    if fhi == 0.0:
+        return hi, 0.0
+    # cur: best estimate; blk: the other end of the bracket; pre: last cur
+    xpre, fpre = lo, flo
+    xcur, fcur = hi, fhi
+    xblk, fblk = lo, flo
+    spre = scur = hi - lo
+    delta = 0.5 * width
+    for _ in range(200):
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if abs(sbis) <= delta:
+            break
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+        if fcur == 0.0:
+            return xcur, 0.0
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+    return xcur, abs(xblk - xcur)
 
 
 # _rebalance_quad moves the vertex by t in [-REBALANCE_STEP, REBALANCE_STEP]

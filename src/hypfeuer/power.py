@@ -17,13 +17,14 @@ power machinery survives verbatim in the disk:
   and multiplies chord pseudolengths by k; inversion swaps them against
   a fixed pseudolength power.
 
-Homothetic centers of two circles are placed in closed form on the
-geodesic through their hyperbolic centers by the hyperbolic ratio law.
-The construction is a deterministic function of the circles and does not
-check its result; collinearity of the centers is what the Monge check
-measures.  ``monge_centers`` builds the three pairs' centers once, and
-``monge_line`` picks and fits one sign pattern's centers from them, so a
-check over all four patterns constructs each pair once.
+Homothetic centers of two circles are signed sums of the two circles'
+hyperboloid vectors (``cycles._circle_vector``), the points each kind of
+common tangent passes through.  The construction is a deterministic
+function of the circles and does not check its result; collinearity of
+the centers is what the Monge check measures.  ``monge_centers`` builds
+the three pairs' centers once, and ``monge_line`` picks and fits one
+sign pattern's centers from them, so a check over all four patterns
+constructs each pair once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     MissingCenter,
     NoHyperbolicCenter,
     NoInteriorCenter,
-    NotACircle,
 )
 from .geom_core import (
     as_complex,
@@ -52,6 +52,8 @@ from .geom_core import (
 )
 from .cycles import (
     GeneralizedCycle,
+    _circle_vector,
+    _to_disk,
     _translate_raw,
     geodesic_meet,
     geodesic_through,
@@ -104,7 +106,7 @@ def _concentric_circles(c1: GeneralizedCycle, c2: GeneralizedCycle) -> bool:
     try:
         o1, _ = hyp_center_radius(c1)
         o2, _ = hyp_center_radius(c2)
-    except (NotACircle, NoHyperbolicCenter):
+    except NoHyperbolicCenter:
         return False
     return hyp_distance(o1, o2) < 1e-10
 
@@ -190,35 +192,24 @@ def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> f
 def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle) -> HomotheticCenters:
     """Both homothetic centers of two circles, absent entries as None.
 
-    By the hyperbolic ratio law both lie on the geodesic through the
-    hyperbolic centers o1, o2, at signed distance x from its midpoint
-    toward o2, where, with D = d(o1, o2),
+    On the hyperboloid a circle is its center O and radius r, and a
+    geodesic with unit normal n touches it where <O, n> = +-sinh r.  A
+    common tangent with both circles on one side (positive center) or on
+    opposite sides (negative) therefore contains
 
-        tanh x = tanh(D/2) tanh((r1 +- r2)/2) / tanh((r1 -+ r2)/2)
+        X = sinh(r2) O1 -+ sinh(r1) O2,
 
-    for the positive and the negative center; a center needing
-    |tanh x| >= 1 does not exist.  In o1's frame, where o2 sits at
-    w with |w| = tanh(D/2), the center's Klein coordinate along w is
-    tanh(D/2 + x), which the addition law gives from the two tanh values.
+    the point all such tangents pass through.  _circle_vector gives each
+    circle as P = |P| O with s = |P| sinh r, so X is s2 P1 -+ s1 P2 up
+    to a positive scale; the center exists in the disk exactly when X
+    is timelike.  Concentric circles give their common center (one
+    circle twice gives it only as the negative center).
     """
-    o1, r1 = hyp_center_radius(c1)
-    o2, r2 = hyp_center_radius(c2)
-    if hyp_distance(o1, o2) < 1e-10:
-        # concentric: both centers coincide with the common center
-        return HomotheticCenters(o1, o1)
-    w = mobius_to_origin(o1, o2)
-    th = abs(w)
-    plus, minus = math.tanh(0.5 * (r1 + r2)), math.tanh(0.5 * (r1 - r2))
-
-    def on_center_line(num: float, den: float) -> complex | None:
-        if abs(num) >= abs(den):
-            return None
-        t = num / den
-        k = (th + t) / (1.0 + th * t)
-        return mobius_from_origin(o1, k / (1.0 + math.sqrt(1.0 - k * k)) * w / th)
-
-    return HomotheticCenters(on_center_line(th * plus, minus),
-                             on_center_line(th * minus, plus))
+    t1, x1, y1, _, s1 = _circle_vector(c1)
+    t2, x2, y2, _, s2 = _circle_vector(c2)
+    return HomotheticCenters(
+        _to_disk(s2 * t1 - s1 * t2, s2 * x1 - s1 * x2, s2 * y1 - s1 * y2),
+        _to_disk(s2 * t1 + s1 * t2, s2 * x1 + s1 * x2, s2 * y1 + s1 * y2))
 
 
 def monge_centers(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,

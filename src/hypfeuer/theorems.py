@@ -55,7 +55,6 @@ from .cycles import (
 from .cevians import (
     EDGE_INSET,
     TriangleConfig,
-    bisector_direction,
     concurrency_point,
 )
 from .power import (
@@ -204,10 +203,11 @@ def check_trapezoid(a, b, c, d,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Equal areas of abc and abd versus the angle balance of quad abcd.
 
-    The two statements vanish together (an iff), so on an instance built
-    to satisfy either side exactly, the other side is the lemma's
-    residual; min() of the two measures exactly that without knowing
-    which side the instance construction pinned.
+    The two statements vanish together (an iff).  An instance is built
+    to satisfy one side exactly, so that side is pinned near zero and
+    the other is the lemma's residual; max() of the two measures it
+    without knowing which side the construction pinned, and fails when
+    either side is off.
     """
     angles = convex_quad_angles(a, b, c, d)
     if angles is None:
@@ -218,7 +218,7 @@ def check_trapezoid(a, b, c, d,
     except GeometryError:
         return _skip("trapezoid", tol.theorem, "degenerate_quad")
     angle_gap = abs(qa + qd - qb - qc)
-    return _finish("trapezoid", min(area_gap, angle_gap), tol.theorem,
+    return _finish("trapezoid", max(area_gap, angle_gap), tol.theorem,
                    {"area_gap": area_gap, "angle_gap": angle_gap})
 
 
@@ -439,8 +439,8 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     """Circle inscribed in the angle at `vertex` and tangent to w.
 
     In the frame that moves the vertex to the origin the angle's sides
-    are diameters and its internal bisector runs along the unit direction
-    u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
+    are diameters along unit directions u1 and u2, and its internal
+    bisector runs along their normalized sum u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
     inscribed in the angle is the Euclidean circle with center e u and
     radius e sin_half, for 0 < e (1 + sin_half) < 1.  If w has Euclidean
     center m and radius R in the frame, the two circles touch where
@@ -457,10 +457,15 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
     pulled back by one translation.  None when no root qualifies.
     """
-    v, p, _ = tri.opposite(vertex)
-    u = bisector_direction(tri, vertex)
-    d = mobius_to_origin(v, p)
-    sin_half = abs((u * (d / abs(d)).conjugate()).imag)
+    v, p, q = tri.opposite(vertex)
+    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
+    u1, u2 = u1 / abs(u1), u2 / abs(u2)
+    u = u1 + u2
+    if abs(u) < 1e-12:
+        # straight angle: the bisector is the perpendicular
+        u = 1j * u1
+    u /= abs(u)
+    sin_half = abs((u * u1.conjugate()).imag)
     wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
     m = -wb / wa
     big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)

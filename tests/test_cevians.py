@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hypfeuer import cevians, cycles
+from hypfeuer import cevians, cycles, instances
 from hypfeuer.errors import BracketFailure, DivergentCevians
 from hypfeuer.geom_core import (
     DiskIsometry,
@@ -29,12 +29,9 @@ from hypfeuer.cycles import (
     transform,
 )
 from hypfeuer.cevians import (
-    BRACKET_WIDTH,
     VERTICES,
     angle_bisectors,
-    bisector_direction,
     bisector_foot,
-    brent_root,
     build_config,
     concurrency_point,
     excircle,
@@ -42,7 +39,7 @@ from hypfeuer.cevians import (
     pseudoaltitude_foot,
     side_lines,
 )
-from hypfeuer.instances import instance_rng, random_triangle
+from hypfeuer.instances import BRACKET_WIDTH, brent_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
 
 
@@ -214,7 +211,7 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    originals = {"brent_root": cevians.brent_root, "intersect": cycles.intersect,
+    originals = {"brent_root": instances.brent_root, "intersect": cycles.intersect,
                  "transform": cycles.transform}
     for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
         for name, original in originals.items():
@@ -307,10 +304,14 @@ def test_excircle_touches_all_sides_when_present():
 
 def _diameter_bisectors(tri, vertex):
     """The construction angle_bisectors replaces: the internal and
-    external bisector directions in the vertex's frame as diameters,
-    translated back with transform."""
-    u = bisector_direction(tri, vertex)
-    back = DiskIsometry.translation(-tri.opposite(vertex)[0])
+    external bisector directions in the vertex's frame, where the
+    internal one is the sum of the two unit side directions, as
+    diameters translated back with transform."""
+    v, p, q = tri.opposite(vertex)
+    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
+    u = u1 / abs(u1) + u2 / abs(u2)
+    u /= abs(u)
+    back = DiskIsometry.translation(-v)
     return (transform(back, diameter_with_direction(u)),
             transform(back, diameter_with_direction(1j * u)))
 

@@ -395,3 +395,65 @@ def test_monge_residuals_stay_at_rounding_level():
         worst = max([worst] + [c.residual for inst in report.instances
                                for c in inst.checks if c.residual is not None])
     assert worst < 1e-12
+
+
+# status counts of `verify --suite all --trials 200 --seed 0`, per suite
+# (pass, fail, skipped), and the skipped checks per (suite, flag); a
+# rewrite of a construction kernel must leave every one of them as is
+DEFAULT_BOX_STATUS = {
+    "inscribed_angle": (200, 0, 0),
+    "trapezoid": (200, 0, 0),
+    "lexell": (200, 0, 0),
+    "six_point": (200, 0, 0),
+    "euler_line": (165, 0, 35),
+    "euler_ratios": (167, 0, 33),
+    "feuerbach": (200, 0, 0),
+    "radical_axis": (179, 0, 21),
+    "monge": (200, 0, 0),
+    "tangent_cevians": (179, 0, 21),
+    "feuerbach_point": (6, 0, 194),
+}
+DEFAULT_BOX_SKIPS = {
+    ("euler_line", "center_undefined"): 35,
+    ("euler_ratios", "cevian_degeneracy"): 33,
+    ("feuerbach_point", "contact_points_missing"): 194,
+    ("radical_axis", "axis_outside_disk"): 21,
+    ("tangent_cevians", "target_not_circle"): 21,
+}
+# the same with --scenario bench/contact_chain.json (vertices in a 0.25 box)
+CONTACT_CHAIN_STATUS = {
+    **DEFAULT_BOX_STATUS,
+    "euler_line": (189, 0, 11),
+    "euler_ratios": (189, 0, 11),
+    "tangent_cevians": (200, 0, 0),
+    "feuerbach_point": (119, 0, 81),
+}
+CONTACT_CHAIN_SKIPS = {
+    ("euler_line", "center_undefined"): 11,
+    ("euler_ratios", "cevian_degeneracy"): 11,
+    ("feuerbach_point", "contact_points_missing"): 81,
+    ("radical_axis", "axis_outside_disk"): 21,
+}
+CONTACT_CHAIN_SCENARIO = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "contact_chain.json")
+
+
+@pytest.mark.parametrize("extra, status, skips", [
+    ([], DEFAULT_BOX_STATUS, DEFAULT_BOX_SKIPS),
+    (["--scenario", CONTACT_CHAIN_SCENARIO], CONTACT_CHAIN_STATUS, CONTACT_CHAIN_SKIPS),
+], ids=["default_box", "contact_chain"])
+def test_verify_all_status_counts_are_pinned(tmp_path, extra, status, skips):
+    code, out = run(tmp_path, "verify", "--suite", "all", "--trials", "200",
+                    "--seed", "0", *extra)
+    assert code == 0
+    got_status: dict = {}
+    got_skips: dict = {}
+    for inst in json.loads(out.read_text())["instances"]:
+        for check in inst["checks"]:
+            row = got_status.setdefault(check["name"], [0, 0, 0])
+            row[("pass", "fail", "skipped").index(check["status"])] += 1
+            if check["status"] == "skipped":
+                key = (check["name"], check["flag"])
+                got_skips[key] = got_skips.get(key, 0) + 1
+    assert {k: tuple(v) for k, v in got_status.items()} == status
+    assert got_skips == skips

@@ -18,6 +18,7 @@ from hypfeuer.geom_core import hyp_distance, random_isometry
 from hypfeuer.cycles import (
     CycleClass,
     GeneralizedCycle,
+    _translate_raw,
     circle_from_center_radius,
     classify,
     coefficient_distance,
@@ -126,6 +127,12 @@ def test_classify_exterior_locus_rejected():
     # small euclidean circle around 2: real locus, entirely outside
     with pytest.raises(NotACycle):
         classify(GeneralizedCycle.of(1.0, -2.0 + 0j, 3.9))
+    # |z| = 2 encloses the disk, and |z + 0.5| = 1.5 encloses it touching
+    # at -1: their Euclidean centers are inside, their loci are not
+    for enclosing in (GeneralizedCycle.of(1.0, 0j, -4.0),
+                      GeneralizedCycle.of(1.0, 0.5 + 0j, -2.0)):
+        with pytest.raises(NotACycle):
+            classify(enclosing)
 
 
 # ------------------------------------------------------- centers and radii
@@ -152,6 +159,72 @@ def test_circle_points_at_stated_distance():
     c = circle_from_center_radius(0.3 - 0.1j, 0.8)
     for p in sample_points(c, 12):
         assert hyp_distance(p, 0.3 - 0.1j) == pytest.approx(0.8, abs=1e-10)
+
+
+def _diameter_center_radius(cycle):
+    """The construction hyp_center_radius replaces: the cycle cuts the
+    diameter through its Euclidean center at signed offsets s < t, and
+    the hyperbolic center sits at the tanh-average of their atanh
+    coordinates.  None where no interior center exists."""
+    if cycle.is_line:
+        return None
+    ec, er = cycle.euclid_center_radius()
+    if abs(ec) < 1e-15:
+        return (0j, 2.0 * math.atanh(er)) if er < 1.0 else None
+    s, t = abs(ec) - er, abs(ec) + er
+    if t >= 1.0 or s <= -1.0:
+        return None
+    mid = (math.atanh(s) + math.atanh(t)) / 2.0
+    return ec / abs(ec) * math.tanh(mid), math.atanh(t) - math.atanh(s)
+
+
+def test_hyp_center_radius_matches_diameter_construction():
+    # random coefficient triples: about 8% are circles inside the disk,
+    # the rest cross the absolute, enclose it or lie beyond it
+    rng = Random(19)
+    drawn = circles = 0
+    worst_center = worst_radius = 0.0
+    for _ in range(120_000):
+        try:
+            c = GeneralizedCycle.of(1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                                    rng.uniform(-1, 1))
+        except NotACycle:
+            continue
+        drawn += 1
+        ref = _diameter_center_radius(c)
+        if ref is None:
+            with pytest.raises(NoHyperbolicCenter):
+                hyp_center_radius(c)
+            continue
+        circles += 1
+        center, radius = hyp_center_radius(c)
+        worst_center = max(worst_center, abs(center - ref[0]))
+        # both constructions round P_t^2 - |B|^2 (or its Euclidean
+        # equivalent), whose relative error grows as cosh^2 of the
+        # center's distance from the origin: the radius gap is measured
+        # in that unit (raw gaps reach 8.5e-12 here, at centers near the
+        # absolute, where the old radius is 5.2e-12 and the new 3.3e-12
+        # from a 50-digit one)
+        cosh_d = (1.0 + abs(center) ** 2) / (1.0 - abs(center) ** 2)
+        worst_radius = max(worst_radius, abs(radius - ref[1]) / cosh_d ** 2)
+    assert drawn >= 95_000
+    assert circles >= 7_000
+    assert worst_center <= 1e-12
+    assert worst_radius <= 1e-14
+
+
+def test_circle_from_center_radius_matches_translated_origin_circle():
+    # the construction it replaces: |w| = tanh(rho/2) around the origin,
+    # pulled back by the translation that moves the center there
+    rng = Random(20)
+    worst = 0.0
+    for _ in range(20_000):
+        ctr = rand_point(rng, 0.95)
+        rho = rng.uniform(0.01, 4.0)
+        r = math.tanh(rho / 2.0)
+        ref = GeneralizedCycle.of(*_translate_raw(-ctr, 1.0, 0j, -r * r))
+        worst = max(worst, coefficient_distance(circle_from_center_radius(ctr, rho), ref))
+    assert worst <= 1e-13
 
 
 def test_no_hyperbolic_center_for_equidistant():

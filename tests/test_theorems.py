@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import instances, power
+from hypfeuer import instances, power, theorems
 from hypfeuer.cevians import angle_bisectors, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -181,6 +181,24 @@ def test_trapezoid_perturbation_breaks_both_sides():
     assert chk.residual > 1e-5
     assert chk.witness["area_gap"] > 1e-5
     assert chk.witness["angle_gap"] > 1e-5
+
+
+def test_trapezoid_fails_when_the_angles_are_off(monkeypatch):
+    # either side of the iff off by 4e-3 must fail, also on quads built
+    # to pin the area side at zero
+    quads = [trapezoid_quad(instance_rng(608, idx), converse=converse)
+             for idx in range(4) for converse in (False, True)]
+    real = theorems.convex_quad_angles
+
+    def off(*quad):
+        qa, qb, qc, qd = real(*quad)
+        return [qa + 1e-3, qb - 1e-3, qc - 1e-3, qd + 1e-3]
+
+    monkeypatch.setattr(theorems, "convex_quad_angles", off)
+    for quad in quads:
+        chk = check_trapezoid(*quad)
+        assert chk.status == "fail", chk
+        assert chk.residual == pytest.approx(4e-3, abs=1e-9)
 
 
 def test_convex_quad_angles_in_either_orientation():
