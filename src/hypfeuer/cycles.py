@@ -130,13 +130,18 @@ def classify(cycle: GeneralizedCycle) -> CycleClass:
     means tangency (horocycle), negative means disjoint.  A band of
     1e-10 around zero is refused as ambiguous rather than guessed.  A
     disjoint or tangent locus is inside the disk exactly when k < 0
-    (_hyperboloid_plane).
+    (_hyperboloid_plane); the absolute itself, whose P is zero, is no
+    cycle of the plane.
     """
     if abs(cycle.c - cycle.a) < GEODESIC_EPS:
         return CycleClass.GEODESIC
     d = 4.0 * abs(cycle.b) ** 2 - (cycle.a + cycle.c) ** 2
     if abs(d) <= TANGENT_EPS:
-        if _hyperboloid_plane(cycle)[3] < 0.0:
+        pt, px, py, k = _hyperboloid_plane(cycle)
+        if pt == 0.0 and px == 0.0 and py == 0.0:
+            # P = 0 only for |z|^2 - 1: the absolute itself, D exactly 0
+            raise NotACycle("the absolute is not a cycle of the plane")
+        if k < 0.0:
             return CycleClass.HOROCYCLE
         raise NotACycle("tangent to the absolute from outside")
     if abs(d) <= AMBIGUOUS_EPS:

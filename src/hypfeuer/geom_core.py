@@ -26,7 +26,10 @@ combination (the three signed angles sum to s - copysign(pi, s))
 
 which drives every cevian construction here: on a circle through two
 points it is constant, which gives the pseudoaltitude foot its closed
-form (see ``cevians``).
+form (see ``cevians``).  The sampled checks evaluate sigma(a, x, b) and
+the area of (a, b, x) at many points x for one fixed pair a, b, so the
+batch kernels ``sigmas`` and ``base_areas`` compute the pair's factor
+once; ``sigma`` and ``triangle_area`` are their one-point cases.
 """
 
 from __future__ import annotations
@@ -152,24 +155,91 @@ def signed_area(a: complex, b: complex, c: complex) -> float:
     return 2.0 * cmath.phase(ab * bc * ca)
 
 
+def sigmas(a: complex, xs, b: complex) -> list[float | None]:
+    """sigma(a, x, b) for each sample x, complex arguments only; None for
+    a sample where the scalar sigma raises DegenerateAngle (x coincides
+    with a or b), and all None when a and b coincide.
+
+    The factor 1 - b conj(a) of the signed area and the coincidence test
+    of a and b depend only on the fixed pair, so they are computed once.
+    Per sample the arithmetic is signed_area(a, x, b) and
+    complex_angle(a, x, b) written out operand for operand, so every
+    value is bit-identical to that composition (complex products commute
+    bit for bit, which lets u reuse the area's factor 1 - a conj(x)).
+    """
+    ba = 1.0 - b * a.conjugate()
+    if abs(b - a) < COINCIDENT_EPS * abs(ba):
+        return [None] * len(xs)
+    bc = b.conjugate()
+    out: list[float | None] = []
+    for x in xs:
+        xc = x.conjugate()
+        ax = 1.0 - a * xc
+        xb = 1.0 - x * bc
+        if abs(a - x) < COINCIDENT_EPS * abs(ax) or abs(x - b) < COINCIDENT_EPS * abs(xb):
+            out.append(None)
+            continue
+        u = (a - x) / ax
+        v = (b - x) / (1.0 - xc * b)
+        if abs(u) < COINCIDENT_EPS or abs(v) < COINCIDENT_EPS:
+            out.append(None)
+            continue
+        s = 2.0 * cmath.phase(ax * xb * ba)
+        angle = wrap_angle(cmath.phase(v) - cmath.phase(u))
+        out.append(wrap_angle(2.0 * angle - s + math.copysign(math.pi, s)))
+    return out
+
+
+def base_areas(a: complex, b: complex, xs) -> list[float | None]:
+    """Area of triangle (a, b, x) for each sample x over the base ab,
+    complex arguments only; None for a sample where the scalar
+    triangle_area raises (x coincides with a or b, or the area is below
+    1e-15), and all None when a and b coincide.
+
+    The factor 1 - a conj(b) of the signed area and the coincidence test
+    of a and b are computed once; per sample the arithmetic is
+    signed_area(a, b, x) written out, so every area is bit-identical to
+    triangle_area(a, b, x).
+    """
+    ab = 1.0 - a * b.conjugate()
+    if abs(a - b) < COINCIDENT_EPS * abs(ab):
+        return [None] * len(xs)
+    ac = a.conjugate()
+    out: list[float | None] = []
+    for x in xs:
+        bx = 1.0 - b * x.conjugate()
+        xa = 1.0 - x * ac
+        if abs(b - x) < COINCIDENT_EPS * abs(bx) or abs(x - a) < COINCIDENT_EPS * abs(xa):
+            out.append(None)
+            continue
+        area = abs(2.0 * cmath.phase(ab * bx * xa))
+        out.append(None if area < 1e-15 else area)
+    return out
+
+
 def sigma(x, y, z) -> float:
     """angle(x,y,z) - angle(z,x,y) - angle(y,z,x), the cevian functional,
-    in (-pi, pi].
+    in (-pi, pi]: the one-point case of sigmas.
 
     For a clockwise triangle with apex y over base xz this equals
     2*angle_at_y + area - pi.  It is constant on any circle arc through
     x and z (on the same side), equals pi when y lies between x and z on
     their geodesic, and is additive when a cevian splits the angle sum.
     """
-    zx, zy, zz = as_complex(x), as_complex(y), as_complex(z)
-    s = signed_area(zx, zy, zz)
-    return wrap_angle(2.0 * complex_angle(zx, zy, zz) - s + math.copysign(math.pi, s))
+    value = sigmas(as_complex(x), (as_complex(y),), as_complex(z))[0]
+    if value is None:
+        raise DegenerateAngle("two of the three points coincide")
+    return value
 
 
 def triangle_area(a, b, c) -> float:
-    """Area of triangle abc, the absolute signed area."""
-    area = abs(signed_area(as_complex(a), as_complex(b), as_complex(c)))
-    if area < 1e-15:
+    """Area of triangle abc, the absolute signed area: the one-point case
+    of base_areas."""
+    za, zb, zc = as_complex(a), as_complex(b), as_complex(c)
+    area = base_areas(za, zb, (zc,))[0]
+    if area is None:
+        # coincident vertices raise DegenerateAngle here, as everywhere
+        area = abs(signed_area(za, zb, zc))
         raise DegenerateTriangle(f"collinear vertices (area {area:.3g})")
     return area
 

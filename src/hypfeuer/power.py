@@ -46,7 +46,6 @@ from .errors import (
 )
 from .geom_core import (
     as_complex,
-    hyp_distance,
     mobius_from_origin,
     mobius_to_origin,
 )
@@ -57,7 +56,6 @@ from .cycles import (
     _translate_raw,
     geodesic_meet,
     geodesic_through,
-    hyp_center_radius,
     point_geodesic_distance,
 )
 
@@ -71,7 +69,11 @@ def pseudolength(p, q) -> float:
 def power_of_point(p, cycle: GeneralizedCycle) -> float:
     """Chord-product power of p with respect to a cycle (negative inside)."""
     z = as_complex(p)
-    a2, _, c2 = _translate_raw(z, cycle.a, cycle.b, cycle.c)
+    # the A and C of _translate_raw(z, cycle.a, cycle.b, cycle.c), term for term
+    t2 = abs(z) ** 2
+    cross = 2.0 * (cycle.b.conjugate() * z).real
+    a2 = cycle.a + cross + cycle.c * t2
+    c2 = cycle.a * t2 + cross + cycle.c
     if abs(a2) < 1e-15:
         raise DegenerateConfiguration("power undefined: cycle through the absolute inverse")
     return c2 / a2
@@ -86,7 +88,8 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     circles, and also when the equal-power locus lies beyond the
     absolute; the coefficients alone cannot tell these apart (every
     empty axis is the translate of an origin-centred one), so the
-    hyperbolic centers decide which error is raised.
+    circles' hyperboloid vectors (``cycles._circle_vector``) decide
+    which error is raised.
     """
     # a geodesic has equal leading/constant coefficients, which makes its
     # power identically 1: against anything else powers can never agree,
@@ -96,19 +99,20 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     ar = c1.a * c2.c - c2.a * c1.c
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
     if abs(br) ** 2 - ar * ar <= 1e-28:
-        if _concentric_circles(c1, c2):
-            raise ConcentricCycles("the circles share a hyperbolic center")
+        try:
+            t1, x1, y1, n1, _ = _circle_vector(c1)
+            t2, x2, y2, n2, _ = _circle_vector(c2)
+        except NoHyperbolicCenter:
+            pass
+        else:
+            # concentric circles have parallel P vectors: their cross
+            # product has Minkowski norm |P1| |P2| sinh d for the distance
+            # d between the centers
+            mt, mx, my = x1 * y2 - y1 * x2, y1 * t2 - t1 * y2, t1 * x2 - x1 * t2
+            if mx * mx + my * my - mt * mt < (1e-10 * n1 * n2) ** 2:
+                raise ConcentricCycles("the circles share a hyperbolic center")
         raise AxisOutsideDisk("radical axis has no interior locus")
     return GeneralizedCycle.of(ar, br, ar)
-
-
-def _concentric_circles(c1: GeneralizedCycle, c2: GeneralizedCycle) -> bool:
-    try:
-        o1, _ = hyp_center_radius(c1)
-        o2, _ = hyp_center_radius(c2)
-    except NoHyperbolicCenter:
-        return False
-    return hyp_distance(o1, o2) < 1e-10
 
 
 def radical_center(c1: GeneralizedCycle, c2: GeneralizedCycle,

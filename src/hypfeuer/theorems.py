@@ -31,12 +31,12 @@ from .geom_core import (
     Triangle,
     absolute_inverse,
     as_complex,
+    base_areas,
     complex_angle,
     hyp_distance,
     mobius_to_origin,
     signed_angle,
-    sigma,
-    triangle_area,
+    sigmas,
 )
 from .cycles import (
     CycleClass,
@@ -135,7 +135,9 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     xs = _arc_samples(cycle, za, zb, 32)
     if len(xs) < 8:
         return _skip("inscribed_angle", tol.theorem, "arc_outside_disk")
-    values = [sigma(za, x, zb) for x in xs]
+    values = sigmas(za, xs, zb)
+    if None in values:
+        return _skip("inscribed_angle", tol.theorem, "sample_at_endpoint")
     # sigma is an angle: compare mod 2pi, or collinear samples on a
     # geodesic flap between the identified values +pi and -pi
     base = values[len(values) // 2]
@@ -213,10 +215,11 @@ def check_trapezoid(a, b, c, d,
     if angles is None:
         return _skip("trapezoid", tol.theorem, "non_convex")
     qa, qb, qc, qd = angles
-    try:
-        area_gap = abs(triangle_area(a, b, c) - triangle_area(a, b, d))
-    except GeometryError:
+    za, zb, zc, zd = (as_complex(p) for p in (a, b, c, d))
+    area_c, area_d = base_areas(za, zb, (zc, zd))
+    if area_c is None or area_d is None:
         return _skip("trapezoid", tol.theorem, "degenerate_quad")
+    area_gap = abs(area_c - area_d)
     angle_gap = abs(qa + qd - qb - qc)
     return _finish("trapezoid", max(area_gap, angle_gap), tol.theorem,
                    {"area_gap": area_gap, "angle_gap": angle_gap})
@@ -237,14 +240,13 @@ def check_lexell(a, b, x0,
     if point_geodesic_distance(z0, base) < 1e-6:
         return _skip("lexell", tol.theorem, "apex_on_base")
     locus = lexell_cycle(za, zb, z0)
-    areas = [triangle_area(za, zb, z0)]
-    for x in sample_points(locus, 32, margin=1e-4):
-        if abs(x - za) < 1e-6 or abs(x - zb) < 1e-6:
-            continue
-        try:
-            areas.append(triangle_area(za, zb, x))
-        except GeometryError:
-            continue
+    xs = [z0] + [x for x in sample_points(locus, 32, margin=1e-4)
+                 if abs(x - za) >= 1e-6 and abs(x - zb) >= 1e-6]
+    first, *rest = base_areas(za, zb, xs)
+    if first is None:
+        return _skip("lexell", tol.theorem, "apex_on_base")
+    # a degenerate sample is dropped, not scored
+    areas = [first] + [area for area in rest if area is not None]
     if len(areas) < 9:
         return _skip("lexell", tol.theorem, "arc_outside_disk")
     return _finish("lexell", max(areas) - min(areas), tol.theorem,

@@ -135,6 +135,13 @@ def test_classify_exterior_locus_rejected():
             classify(enclosing)
 
 
+def test_classify_rejects_the_absolute():
+    # |z|^2 - 1 has P = 0: its absolute discriminant is exactly 0, and its
+    # k = -1 used to read as a horocycle inside the disk
+    with pytest.raises(NotACycle):
+        classify(GeneralizedCycle.of(1.0, 0j, -1.0))
+
+
 # ------------------------------------------------------- centers and radii
 
 def test_circle_center_radius_round_trip():

@@ -12,18 +12,23 @@ from hypfeuer.errors import (
     DegenerateAngle,
     DegenerateTriangle,
 )
+from hypfeuer.cycles import cycle_through
 from hypfeuer.geom_core import (
     DiskIsometry,
     Triangle,
     absolute_inverse,
     as_complex,
+    base_areas,
+    complex_angle,
     hyp_distance,
     hyp_midpoint,
     mobius_from_origin,
     mobius_to_origin,
     random_isometry,
     sigma,
+    sigmas,
     signed_angle,
+    signed_area,
     triangle_area,
     wrap_angle,
 )
@@ -206,6 +211,62 @@ def test_area_invariant_under_vertex_rotation():
 
 
 def test_area_degenerate_raises():
+    with pytest.raises(DegenerateTriangle):
+        triangle_area(0.1, 0.2, 0.3)
+
+
+# ------------------------------------------------------------- batch kernels
+
+def _scalar_sigma(a, x, b):
+    # the composition the sigma kernel writes out per sample; None where
+    # it raises
+    try:
+        s = signed_area(a, x, b)
+        return wrap_angle(2.0 * complex_angle(a, x, b) - s + math.copysign(math.pi, s))
+    except DegenerateAngle:
+        return None
+
+
+def _scalar_area(a, b, x):
+    try:
+        area = abs(signed_area(a, b, x))
+    except DegenerateAngle:
+        return None
+    return None if area < 1e-15 else area
+
+
+def test_batch_kernels_equal_the_scalar_composition():
+    # samples on random arcs through a and b, and random apexes over the
+    # base ab, near the absolute too: every value equals the scalar
+    # composition's bits, and the one-point wrappers return the same
+    rng = Random(31)
+    for _ in range(200):
+        a, b = rand_point(rng, 0.95), rand_point(rng, 0.95)
+        ec, er = cycle_through(a, b, rand_point(rng, 0.95)).euclid_center_radius()
+        xs = [ec + er * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
+        xs = [x for x in xs if abs(x) < 1.0 - 1e-9] + [rand_point(rng, 0.95) for _ in range(12)]
+        assert sigmas(a, xs, b) == [_scalar_sigma(a, x, b) for x in xs]
+        assert base_areas(a, b, xs) == [_scalar_area(a, b, x) for x in xs]
+        for x in xs:
+            assert sigma(a, x, b) == _scalar_sigma(a, x, b)
+            assert triangle_area(a, b, x) == _scalar_area(a, b, x)
+
+
+def test_batch_kernels_give_none_for_degenerate_samples():
+    a, b = 0.3 + 0.1j, -0.2 + 0.4j
+    # samples on a or b, then apexes on the diameter through the base
+    assert sigmas(a, [a, 0.5j, b], b) == [None, sigma(a, 0.5j, b), None]
+    assert base_areas(a, b, [b, 0.5j, a]) == [None, triangle_area(a, b, 0.5j), None]
+    assert base_areas(0.1 + 0j, 0.2 + 0j, [0.3 + 0j, -0.4 + 0j]) == [None, None]
+    # a fixed pair that coincides makes every sample degenerate
+    assert sigmas(a, [0.5j, -0.5j], a) == [None, None]
+    assert base_areas(a, a, [0.5j, -0.5j]) == [None, None]
+    # the one-point wrappers raise what the scalar composition raises
+    for bad in ((a, a, b), (a, b, b), (a, b, a)):
+        with pytest.raises(DegenerateAngle):
+            sigma(*bad)
+        with pytest.raises(DegenerateAngle):
+            triangle_area(*bad)
     with pytest.raises(DegenerateTriangle):
         triangle_area(0.1, 0.2, 0.3)
 

@@ -7,8 +7,10 @@ from random import Random
 import pytest
 
 from hypfeuer.errors import (
+    AxisOutsideDisk,
     CenterInput,
     ConcentricCycles,
+    DegenerateConfiguration,
     ImageOutsideDisk,
     InvalidSignPattern,
 )
@@ -112,6 +114,27 @@ def test_power_sign_inside_negative():
     assert power_of_point(-0.6, c) > 0
 
 
+def test_power_is_the_translated_coefficient_ratio():
+    # bit for bit c2 / a2 of the cycle translated by the point, over
+    # random circles, cycles through three points and geodesics
+    rng = Random(24)
+    for _ in range(100):
+        for c in (circle_from_center_radius(rand_point(rng, 0.9), rng.uniform(0.1, 2.0)),
+                  cycle_through(rand_point(rng, 0.9), rand_point(rng, 0.9),
+                                rand_point(rng, 0.9)),
+                  geodesic_through(rand_point(rng, 0.9), rand_point(rng, 0.9))):
+            p = rand_point(rng, 0.95)
+            a2, _, c2 = _translate_raw(p, c.a, c.b, c.c)
+            assert power_of_point(p, c) == c2 / a2
+
+
+def test_power_raises_at_the_pole():
+    # a straight line (A = 0) has its pole at the origin: the translated
+    # leading coefficient vanishes there
+    with pytest.raises(DegenerateConfiguration):
+        power_of_point(0, GeneralizedCycle.of(0.0, 1.0, 0.5))
+
+
 # ------------------------------------------------------------- radical axis
 
 def test_radical_axis_congruent_pair_is_perpendicular_diameter():
@@ -157,6 +180,16 @@ def test_radical_axis_concentric_raises():
     c2 = circle_from_center_radius(0.1, 0.8)
     with pytest.raises(ConcentricCycles):
         radical_axis(c1, c2)
+
+
+def test_radical_axis_near_concentric_is_not_concentric():
+    # centers 1e-6 apart: the axis of different radii lies beyond the
+    # absolute, and of equal radii it is the centers' bisector
+    c1 = circle_from_center_radius(0.5, 0.4)
+    with pytest.raises(AxisOutsideDisk):
+        radical_axis(c1, circle_from_center_radius(0.5 + 1e-6, 0.8))
+    axis = radical_axis(c1, circle_from_center_radius(0.5 + 1e-6, 0.4))
+    assert axis.a == axis.c
 
 
 # ----------------------------------------------------------- radical center
