@@ -50,7 +50,7 @@ from .cycles import (
     geodesic_through,
     hyp_center_radius,
     membership_residual,
-    point_geodesic_distance,
+    point_geodesic_distances,
 )
 
 VERTICES = ("a", "b", "c")
@@ -138,8 +138,8 @@ def concurrency_point(lines) -> tuple[complex, float]:
     for i, j in itertools.combinations(range(len(lines)), 2):
         z = geodesic_meet(lines[i], lines[j])
         if z is not None:
-            r = max((point_geodesic_distance(z, line)
-                     for k, line in enumerate(lines) if k not in (i, j)), default=0.0)
+            others = [line for k, line in enumerate(lines) if k not in (i, j)]
+            r = max(point_geodesic_distances(z, others), default=0.0)
             if best is None or r < best[1]:
                 best = (z, r)
     if best is None:
@@ -160,10 +160,11 @@ class CircleSpec:
 
 def _tangent_spec(center: complex, third: GeneralizedCycle,
                   sides: dict[str, GeneralizedCycle]) -> CircleSpec:
-    ds = [point_geodesic_distance(center, sides[v]) for v in VERTICES]
+    *ds, off_third = point_geodesic_distances(
+        center, (sides["a"], sides["b"], sides["c"], third))
     radius = sum(ds) / 3.0
     return CircleSpec(center, radius, circle_from_center_radius(center, radius),
-                      max(ds) - min(ds), point_geodesic_distance(center, third))
+                      max(ds) - min(ds), off_third)
 
 
 def _incircle(internal: dict[str, GeneralizedCycle],

@@ -7,7 +7,11 @@ A cycle is the real locus of
 with A, C real and B complex, not all zero.  Scaling (A, B, C) by a
 nonzero real gives the same locus, so coefficients are normalized to
 max(|A|, |B|, |C|) = 1 with the first nonzero of (A, Re B, Im B, C)
-positive.  In this form:
+positive.  ``GeneralizedCycle.of`` does this in one pass: it coerces
+only what is not already float or complex, takes the scale by
+comparisons, divides, then applies the sign rule to the scaled parts.
+A triple with any non-finite part (NaN included, wherever it sits) or
+all parts zero raises NotACycle.  In this form:
 
 * geodesics are exactly the cycles with C = A (diameters have A = 0),
 * Euclidean center and radius are -B/A and sqrt(|B|^2 - A C)/|A|,
@@ -26,6 +30,8 @@ disjoint cycle lies on, and places homothetic centers.  A geodesic
 (A, B, A) is the plane with normal (A, Re B, Im B): two geodesics meet at
 the cross product of their normals (``geodesic_meet``), no quadratic
 solved, and a point's distance to one is the plane's form at the point.
+``point_geodesic_distances`` checks and lifts a point once for many
+geodesics; ``point_geodesic_distance`` is its one-geodesic case.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import (
     NotACircle,
     NotACycle,
 )
-from .geom_core import DiskIsometry, as_complex, check_disk
+from .geom_core import BOUNDARY_EPS, DiskIsometry, as_complex, check_disk
 
 # normalized |C - A| below this: the cycle is a geodesic
 GEODESIC_EPS = 1e-12
@@ -53,6 +59,9 @@ AMBIGUOUS_EPS = 1e-10
 
 # intersection points closer than this to the absolute are not interior
 INTERIOR_MARGIN = 1e-9
+
+_INF = math.inf
+_new_object = object.__new__
 
 
 class CycleClass(Enum):
@@ -72,23 +81,45 @@ class GeneralizedCycle:
 
     @classmethod
     def of(cls, a: float, b: complex, c: float) -> "GeneralizedCycle":
-        a, b, c = float(a), complex(b), float(c)
-        scale = max(abs(a), abs(b), abs(c))
-        if scale == 0.0 or not math.isfinite(scale):
-            raise NotACycle("zero or non-finite coefficients")
+        """The normalized cycle of a coefficient triple, in one pass;
+        NotACycle for a zero or non-finite triple or an empty locus."""
+        if type(a) is not float:
+            a = float(a)
+        if type(b) is not complex:
+            b = complex(b)
+        if type(c) is not float:
+            c = float(c)
+        sa, sb, sc = abs(a), abs(b), abs(c)
+        # a NaN fails every comparison, so it is refused here wherever it is
+        if not (sa < _INF and sb < _INF and sc < _INF):
+            raise NotACycle("non-finite coefficients")
+        scale = sa if sa >= sb else sb
+        if sc > scale:
+            scale = sc
+        if scale == 0.0:
+            raise NotACycle("zero coefficients")
         a, b, c = a / scale, b / scale, c / scale
         if a != 0.0 and abs(b) ** 2 - a * c < -1e-14:
             raise NotACycle("negative discriminant: empty locus")
         # sign convention: first meaningfully nonzero of (a, Re b, Im b, c) positive
-        for lead in (a, b.real, b.imag, c):
-            if abs(lead) > 1e-14:
-                if lead < 0.0:
-                    a, b, c = -a, -b, -c
-                break
-        return cls(a, b, c)
+        lead = a
+        if -1e-14 <= lead <= 1e-14:
+            lead = b.real
+            if -1e-14 <= lead <= 1e-14:
+                lead = b.imag
+                if -1e-14 <= lead <= 1e-14:
+                    lead = c
+        if lead < 0.0:
+            a, b, c = -a, -b, -c
+        # the fields the frozen __init__ sets, without its three
+        # object.__setattr__ calls, which cost as much as the lines above
+        cycle = _new_object(cls)
+        fields = cycle.__dict__
+        fields["a"], fields["b"], fields["c"] = a, b, c
+        return cycle
 
     def evaluate(self, p) -> float:
-        z = as_complex(p)
+        z = p if type(p) is complex else as_complex(p)
         return self.a * abs(z) ** 2 + 2.0 * (self.b.conjugate() * z).real + self.c
 
     @property
@@ -226,15 +257,14 @@ def geodesic_through(p, q) -> GeneralizedCycle:
     plane through the origin; the cross product of two lifts is its
     normal, read back as (A, B, C=A).
     """
-    zp, zq = as_complex(p), as_complex(q)
+    zp = p if type(p) is complex else as_complex(p)
+    zq = q if type(q) is complex else as_complex(q)
     if abs(zp - zq) < 1e-12:
         raise CoincidentPoints("geodesic through coincident points")
-    u = (abs(zp) ** 2 + 1.0, 2.0 * zp.real, 2.0 * zp.imag)
-    v = (abs(zq) ** 2 + 1.0, 2.0 * zq.real, 2.0 * zq.imag)
-    n0 = u[1] * v[2] - u[2] * v[1]
-    n1 = u[2] * v[0] - u[0] * v[2]
-    n2 = u[0] * v[1] - u[1] * v[0]
-    return GeneralizedCycle.of(n0, complex(n1, n2), n0)
+    u0, u1, u2 = abs(zp) ** 2 + 1.0, 2.0 * zp.real, 2.0 * zp.imag
+    v0, v1, v2 = abs(zq) ** 2 + 1.0, 2.0 * zq.real, 2.0 * zq.imag
+    n0 = u1 * v2 - u2 * v1
+    return GeneralizedCycle.of(n0, complex(u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), n0)
 
 
 def diameter_with_direction(u: complex) -> GeneralizedCycle:
@@ -356,7 +386,7 @@ def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
     a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
     a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
     mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
-    if max(abs(mt), abs(mx), abs(my)) < 1e-15:
+    if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
         raise IdenticalCycles("one geodesic twice")
     z = _to_disk(mt, mx, my)
     return z if z is not None and abs(z) < 1.0 - INTERIOR_MARGIN else None
@@ -380,8 +410,8 @@ def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
     return complex(px, py) / (pt + norm), math.asinh(s / norm)
 
 
-def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
-    """Distance from an interior point to a geodesic, in closed form.
+def point_geodesic_distances(p, geodesics) -> list[float]:
+    """Distance from an interior point to each geodesic, in closed form.
 
     On the hyperboloid the point is the unit timelike vector
     (1 + |z|^2, 2x, 2y) / (1 - |z|^2) and the geodesic (A, B, A) is the
@@ -390,13 +420,31 @@ def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
     plane's form over that norm, i.e. |E(z)| / ((1 - |z|^2) sqrt(|B|^2 -
     A^2)).  Near the geodesic this is proportional to |E(z)| itself, so
     a point within ~1e-8 of it keeps its relative accuracy (no
-    difference of two nearly equal distances is formed).
+    difference of two nearly equal distances is formed).  The point is
+    checked and lifted (|z|^2 and 1 - |z|^2) once for all the geodesics.
     """
-    z = check_disk(p)
-    norm2 = abs(geo.b) ** 2 - geo.a * geo.a
-    if norm2 <= 0.0:
-        raise NotACycle("degenerate geodesic coefficients")
-    return math.asinh(abs(geo.evaluate(z)) / ((1.0 - abs(z) ** 2) * math.sqrt(norm2)))
+    z = p if type(p) is complex else as_complex(p)
+    r = abs(z)
+    if r > 1.0 - BOUNDARY_EPS:
+        check_disk(z)  # raises BoundaryPoint
+    r2 = r ** 2
+    w = 1.0 - r2
+    out = []
+    for geo in geodesics:
+        a, b = geo.a, geo.b
+        norm2 = abs(b) ** 2 - a * a
+        if norm2 <= 0.0:
+            raise NotACycle("degenerate geodesic coefficients")
+        # geo.evaluate(z), written out
+        e = a * r2 + 2.0 * (b.conjugate() * z).real + geo.c
+        out.append(math.asinh(abs(e) / (w * math.sqrt(norm2))))
+    return out
+
+
+def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
+    """Distance from an interior point to a geodesic: the one-geodesic
+    case of point_geodesic_distances."""
+    return point_geodesic_distances(p, (geo,))[0]
 
 
 def sample_points(cycle: GeneralizedCycle, count: int,

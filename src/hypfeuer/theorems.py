@@ -49,6 +49,7 @@ from .cycles import (
     interior_intersections,
     membership_residual,
     point_geodesic_distance,
+    point_geodesic_distances,
     sample_points,
     tangency_residual,
 )
@@ -525,9 +526,8 @@ def check_tangent_cevians(cfg: TriangleConfig,
             hc = homothetic_centers(w, cfg.incircle.cycle)
             ref = hc.negative if external else hc.positive
             if ref is not None:
-                witness["homothetic_center_gap"] = max(
-                    point_geodesic_distance(point, geodesic_through(verts[v], ref))
-                    for v in ("a", "b", "c"))
+                witness["homothetic_center_gap"] = max(point_geodesic_distances(
+                    point, [geodesic_through(verts[v], ref) for v in ("a", "b", "c")]))
         except GeometryError:
             pass
     return _finish("tangent_cevians", residual, tol.chain, witness)
@@ -555,7 +555,7 @@ def check_feuerbach_point(cfg: TriangleConfig,
         point, _ = concurrency_point(lines)
     except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
-    residual = max(point_geodesic_distance(point, line) for line in lines)
+    residual = max(point_geodesic_distances(point, lines))
     witness: dict = {"point": point}
     if cfg.euler_center is not None:
         try:

@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from hypfeuer import cli
+from hypfeuer import cevians, cli
+from hypfeuer.geom_core import Triangle
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -68,3 +69,20 @@ def test_tracer_sees_every_check_through_verify(tmp_path):
         tracer.uninstall()
     for name in TRACING.SPANS["theorems"]:
         assert tracer.calls(f"theorems.{name}") == 1, name
+
+
+def test_tracer_spans_every_foot_of_one_configuration():
+    # build_config must reach both foot constructions through the names
+    # the tracer rebinds, once per vertex; a path around them would
+    # silently zero the benchmark's foot metrics
+    tri = Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j)
+    tracer = TRACING.Tracer()
+    tracer.install()
+    try:
+        cfg = cevians.build_config(tri)
+    finally:
+        tracer.uninstall()
+    assert cfg.feet.complete
+    assert tracer.calls("cevians.build_config") == 1
+    assert tracer.calls("cevians.bisector_foot") == 3
+    assert tracer.calls("cevians.pseudoaltitude_foot") == 3

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 from decimal import Decimal, localcontext
 from random import Random
 
@@ -9,12 +10,13 @@ import pytest
 
 from hypfeuer.errors import (
     AmbiguousClass,
+    BoundaryPoint,
     CoincidentPoints,
     IdenticalCycles,
     NoHyperbolicCenter,
     NotACycle,
 )
-from hypfeuer.geom_core import hyp_distance, random_isometry
+from hypfeuer.geom_core import as_complex, check_disk, hyp_distance, random_isometry
 from hypfeuer.cycles import (
     CycleClass,
     GeneralizedCycle,
@@ -31,6 +33,7 @@ from hypfeuer.cycles import (
     intersect,
     membership_residual,
     point_geodesic_distance,
+    point_geodesic_distances,
     sample_points,
     tangency_ratio,
     tangency_residual,
@@ -56,6 +59,23 @@ def test_of_rejects_empty_and_imaginary():
         GeneralizedCycle.of(0.0, 0j, 0.0)
     with pytest.raises(NotACycle):
         GeneralizedCycle.of(1.0, 0j, 1.0)  # |z|^2 = -1 has no locus
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1.0, complex(math.nan, 0.0), 0.5),
+    (1.0, 0.5j, math.nan),
+    (0.5, 0j, math.nan),
+    (math.nan, 0.5j, 1.0),
+    (1.0, complex(0.5, math.nan), 0.5),
+    (math.inf, 0j, 1.0),
+    (1.0, complex(0.0, -math.inf), 1.0),
+    (1.0, 0j, -math.inf),
+])
+def test_of_rejects_non_finite_coefficients_wherever_they_sit(a, b, c):
+    # the first three once passed through as NaN coefficients: a NaN
+    # that is not the first argument of max() never wins a comparison
+    with pytest.raises(NotACycle):
+        GeneralizedCycle.of(a, b, c)
 
 
 def test_cycle_through_contains_its_points():
@@ -513,3 +533,230 @@ def test_sample_points_lie_on_cycle():
         for p in pts:
             assert abs(p) < 1.0
             assert membership_residual(c, p) < 1e-9
+
+
+# ------------------------------------- one-pass kernel against its reference
+#
+# The geodesic kernel normalizes a cycle in one pass and writes the lift,
+# evaluate and _to_disk out inline.  The functions below are the plain
+# compositions it replaced, kept as oracles: every result must keep its
+# exact bits (sign of zero included) and every error its type.
+
+def _reference_of(a, b, c):
+    """GeneralizedCycle.of as a composition of max() and a loop; finite
+    inputs only (it lets a NaN through)."""
+    a, b, c = float(a), complex(b), float(c)
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0.0 or not math.isfinite(scale):
+        raise NotACycle("zero or non-finite coefficients")
+    a, b, c = a / scale, b / scale, c / scale
+    if a != 0.0 and abs(b) ** 2 - a * c < -1e-14:
+        raise NotACycle("negative discriminant: empty locus")
+    for lead in (a, b.real, b.imag, c):
+        if abs(lead) > 1e-14:
+            if lead < 0.0:
+                a, b, c = -a, -b, -c
+            break
+    return GeneralizedCycle(a, b, c)
+
+
+def _reference_through(p, q):
+    zp, zq = as_complex(p), as_complex(q)
+    if abs(zp - zq) < 1e-12:
+        raise CoincidentPoints("geodesic through coincident points")
+    u = (abs(zp) ** 2 + 1.0, 2.0 * zp.real, 2.0 * zp.imag)
+    v = (abs(zq) ** 2 + 1.0, 2.0 * zq.real, 2.0 * zq.imag)
+    n0 = u[1] * v[2] - u[2] * v[1]
+    n1 = u[2] * v[0] - u[0] * v[2]
+    n2 = u[0] * v[1] - u[1] * v[0]
+    return _reference_of(n0, complex(n1, n2), n0)
+
+
+def _reference_evaluate(cycle, p):
+    z = as_complex(p)
+    return cycle.a * abs(z) ** 2 + 2.0 * (cycle.b.conjugate() * z).real + cycle.c
+
+
+def _reference_distance(p, geo):
+    z = check_disk(p)
+    norm2 = abs(geo.b) ** 2 - geo.a * geo.a
+    if norm2 <= 0.0:
+        raise NotACycle("degenerate geodesic coefficients")
+    return math.asinh(abs(_reference_evaluate(geo, z))
+                      / ((1.0 - abs(z) ** 2) * math.sqrt(norm2)))
+
+
+def _reference_to_disk(t, x, y):
+    q = t * t - x * x - y * y
+    if q <= 0.0:
+        return None
+    return complex(x, y) / (t + math.copysign(math.sqrt(q), t))
+
+
+def _reference_meet(g1, g2):
+    a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
+    a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
+    mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+    if max(abs(mt), abs(mx), abs(my)) < 1e-15:
+        raise IdenticalCycles("one geodesic twice")
+    z = _reference_to_disk(mt, mx, my)
+    return z if z is not None and abs(z) < 1.0 - 1e-9 else None
+
+
+def _bits(value):
+    """The exact bits of a result (None, a float, a complex or a cycle):
+    its floats packed as IEEE doubles, which tells signed zeros apart."""
+    if value is None:
+        return None
+    if isinstance(value, GeneralizedCycle):
+        return _PACK4(value.a, value.b.real, value.b.imag, value.c)
+    if isinstance(value, complex):
+        return _PACK2(value.real, value.imag)
+    return _PACK1(value)
+
+
+_PACK1, _PACK2, _PACK4 = (struct.Struct(f"<{n}d").pack for n in (1, 2, 4))
+
+
+def _outcome(fn, *args):
+    """("value", bits) or ("raise", exception type) of one call."""
+    try:
+        return "value", _bits(fn(*args))
+    except Exception as exc:  # the type is the outcome compared
+        return "raise", type(exc)
+
+
+def _coefficient(rng, scale):
+    """A coefficient of either sign: zero, inside or next to the sign
+    convention's 1e-14 band, or of ordinary size."""
+    kind = rng.random()
+    if kind < 0.25:
+        return 0.0
+    size = 10.0 ** (rng.random() * 0.6 - 14.3) if kind < 0.5 else rng.random()
+    return (size if rng.random() < 0.5 else -size) * scale
+
+
+def _coefficient_triple(rng):
+    form = rng.random()
+    if form < 0.15:  # int coefficients
+        return int(rng.random() * 7) - 3, int(rng.random() * 7) - 3, int(rng.random() * 7) - 3
+    scale = 10.0 ** (rng.random() * 6 - 3)
+    a, c = _coefficient(rng, scale), _coefficient(rng, scale)
+    b = complex(_coefficient(rng, scale), _coefficient(rng, scale))
+    if form < 0.3:  # b as a real number
+        return a, b.real, c
+    if form < 0.6:  # a geodesic's triple, C = A
+        return a, b, a
+    return a, b, c
+
+
+def _kernel_point(rng):
+    """An interior point drawn from one of the regions the kernel must
+    handle, in one of the accepted input forms: complex, a pair, and for
+    points on the real axis a float, or the int 0 for the origin."""
+    region = rng.random()
+    if region < 0.1:
+        return 0 if region < 0.05 else 0j
+    if region < 0.25:  # on the real axis
+        x = rng.random() * 1.8 - 0.9
+        return x if region < 0.2 else complex(x, 0.0)
+    if region < 0.55:  # within 0.02 of the absolute
+        z = (1.0 - 10.0 ** (-1.7 - 9.3 * rng.random())) * cmath.exp(6.283185307179586j * rng.random())
+    else:
+        z = rand_point(rng)
+    return (z.real, z.imag) if rng.random() < 0.25 else z
+
+
+def _geodesic_points(rng):
+    """Two points of a geodesic: random, a diameter (through the origin,
+    or through p and a negative multiple of it), or nearly a diameter
+    (A inside the sign convention's band)."""
+    p = _kernel_point(rng)
+    kind = rng.random()
+    if kind < 0.4:
+        return p, _kernel_point(rng)
+    zp = as_complex(p)
+    if kind < 0.6:
+        return p, -(0.01 + 0.98 * rng.random()) * zp
+    if kind < 0.7:
+        return 0.0, p
+    return zp, -zp * (1.0 + (1.0 if rng.random() < 0.5 else -1.0) * 10.0 ** (-15 + 3 * rng.random()))
+
+
+def test_one_pass_kernel_keeps_the_reference_bits():
+    # 100,000 draws, each feeding all four kernels: a coefficient triple,
+    # a point pair, a (point, geodesic) pair and a geodesic pair made of
+    # this draw's geodesic and the last one
+    rng = Random(61)
+    seen = {"of": set(), "through": set(), "meet": set()}
+    g = h = geodesic_through(0.1, 0.2j)
+    for _ in range(100_000):
+        triple = _coefficient_triple(rng)
+        new = _outcome(GeneralizedCycle.of, *triple)
+        assert new == _outcome(_reference_of, *triple), triple
+        seen["of"].add(new[0])
+
+        p, q = _geodesic_points(rng)
+        new = _outcome(geodesic_through, p, q)
+        assert new == _outcome(_reference_through, p, q), (p, q)
+        seen["through"].add(new[0])
+        if new[0] == "value":
+            g, h = geodesic_through(p, q), g
+
+        x = _kernel_point(rng)
+        assert _outcome(point_geodesic_distance, x, g) == _outcome(_reference_distance, x, g)
+        assert _bits(g.evaluate(x)) == _bits(_reference_evaluate(g, x))
+
+        new = _outcome(geodesic_meet, g, h)
+        assert new == _outcome(_reference_meet, g, h), (g, h)
+        seen["meet"].add("none" if new[1] is None else new[0])
+    # every outcome is exercised: errors, and meets inside and outside
+    assert seen["of"] == seen["through"] == {"value", "raise"}
+    assert {"value", "none"} <= seen["meet"]
+
+
+def test_one_pass_kernel_raises_what_the_reference_raises():
+    rng = Random(62)
+    circle = circle_from_center_radius(0.3 - 0.1j, 0.5)
+    for _ in range(2_000):
+        p = rand_point(rng)
+        g = geodesic_through(p, rand_point(rng))
+        twin = GeneralizedCycle.of(-2.0 * g.a, -2.0 * g.b, -2.0 * g.c)
+        edge = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * (1.0 + rng.uniform(-1e-12, 1e-3))
+        cases = [
+            # coincident points
+            (geodesic_through, (p, p + 1e-13), _reference_through, (p, p + 1e-13),
+             CoincidentPoints),
+            # a point on or beyond the absolute
+            (point_geodesic_distance, (edge, g), _reference_distance, (edge, g),
+             BoundaryPoint),
+            # a circle is no geodesic
+            (point_geodesic_distance, (p, circle), _reference_distance, (p, circle),
+             NotACycle),
+            # one geodesic twice
+            (geodesic_meet, (g, twin), _reference_meet, (g, twin), IdenticalCycles),
+        ]
+        for new_fn, new_args, ref_fn, ref_args, error in cases:
+            new = _outcome(new_fn, *new_args)
+            assert new == ("raise", error), (new_fn.__name__, new_args)
+            assert new == _outcome(ref_fn, *ref_args)
+    for triple in ((0.0, 0j, 0.0), (0, 0, 0), (1.0, 0j, 1.0), (1e-300, 0j, 1e-300)):
+        assert _outcome(GeneralizedCycle.of, *triple) == ("raise", NotACycle)
+        assert _outcome(_reference_of, *triple) == ("raise", NotACycle)
+
+
+def test_batched_distances_are_the_scalar_distances():
+    rng = Random(63)
+    for _ in range(3_000):
+        x = _kernel_point(rng)
+        lines = [geodesic_through(rand_point(rng), rand_point(rng))
+                 for _ in range(rng.randrange(6))]
+        assert ([_bits(d) for d in point_geodesic_distances(x, lines)]
+                == [_bits(point_geodesic_distance(x, g)) for g in lines])
+    # the point is checked even with no geodesic to measure, and a bad
+    # geodesic anywhere in the batch raises as the scalar call on it does
+    with pytest.raises(BoundaryPoint):
+        point_geodesic_distances(1.0, [])
+    line = geodesic_through(0.1, 0.2j)
+    with pytest.raises(NotACycle):
+        point_geodesic_distances(0.3j, [line, circle_from_center_radius(0.0, 1.0), line])

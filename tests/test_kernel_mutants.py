@@ -1,0 +1,136 @@
+"""Kernel mutation gate: a wrong geodesic kernel must fail the verifier.
+
+Each mutant replaces one kernel function in every hypfeuer module that
+binds it, as the benchmark's tracer does, and `verify --suite all` then
+runs over 100 default-box instances.  A mutant is caught on an instance
+when some check on it fails.  Every mutant in MUTANTS must be caught on
+at least CAUGHT_AT_LEAST of them.  SURVIVORS lists the mutants no check
+can catch, each with its reason; the gate checks that they still
+survive, so a change that starts catching one must move it.
+"""
+
+import math
+import sys
+
+import pytest
+
+from hypfeuer import cli, cycles
+from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
+from hypfeuer.errors import IdenticalCycles
+
+CAUGHT_AT_LEAST = 90
+
+TRIALS = 100
+
+
+def _rebind(monkeypatch, name, mutant):
+    """Replace cycles.<name> wherever a hypfeuer module binds it."""
+    original = getattr(cycles, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hypfeuer" or mod_name.startswith("hypfeuer."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, mutant)
+
+
+def _distances_scaled(original):
+    def mutant(p, geodesics):
+        return [d * (1.0 + 1e-6) for d in original(p, geodesics)]
+    return mutant
+
+
+def _distances_off_by_one(original):
+    def mutant(p, geodesics):
+        ds = original(p, geodesics)
+        return ds[1:] + ds[:1]
+    return mutant
+
+
+def _through_normal_perturbed(original):
+    def mutant(p, q):
+        g = original(p, q)
+        return GeneralizedCycle.of(g.a + 1e-6, g.b, g.c + 1e-6)
+    return mutant
+
+
+def _meet_other_root(original):
+    def mutant(g1, g2):
+        a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
+        a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
+        mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+        if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
+            raise IdenticalCycles("one geodesic twice")
+        q = mt * mt - mx * mx - my * my
+        if q <= 0.0:
+            return None
+        # mt + copysign(...) in the kernel: this is the inverse point
+        z = complex(mx, my) / (mt - math.copysign(math.sqrt(q), mt))
+        return z if abs(z) < 1.0 - INTERIOR_MARGIN else None
+    return mutant
+
+
+def _sign_convention_flipped(original):
+    def mutant(cls, a, b, c):
+        g = original(cls, a, b, c)
+        return GeneralizedCycle(-g.a, -g.b, -g.c)
+    return classmethod(mutant)
+
+
+MUTANTS = {
+    "distance_scaled_1e-6": ("point_geodesic_distances", _distances_scaled),
+    "batched_distance_off_by_one": ("point_geodesic_distances", _distances_off_by_one),
+    "through_normal_perturbed_1e-6": ("geodesic_through", _through_normal_perturbed),
+}
+
+SURVIVORS = {
+    # the other root is the meet's inverse in the absolute, always
+    # outside the disk, so every meet reads as "none inside": the
+    # incircle, excircles and concurrency points go missing and the
+    # checks built on them skip instead of failing; only the skip count
+    # shows it (pinned below)
+    "meet_other_root": ("geodesic_meet", _meet_other_root),
+    # -(A, B, C) has the locus of (A, B, C), and every check reads a
+    # cycle through sign-free quantities (tangency, classification and
+    # the hyperboloid plane all turn the sign away)
+    "sign_convention_flipped": ("of", _sign_convention_flipped),
+}
+
+
+def _apply(monkeypatch, name, make):
+    if name == "of":
+        monkeypatch.setattr(GeneralizedCycle, "of",
+                            make(GeneralizedCycle.of.__func__))
+    else:
+        _rebind(monkeypatch, name, make(getattr(cycles, name)))
+
+
+def _verify():
+    """(instances with a failing check, skipped checks) over the gate's run."""
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS))
+    failing = sum(1 for inst in report.instances
+                  if any(c.status == "fail" for c in inst.checks))
+    skipped = sum(1 for inst in report.instances for c in inst.checks
+                  if c.status == "skipped")
+    return failing, skipped
+
+
+def test_the_unmutated_kernel_fails_nothing():
+    assert _verify()[0] == 0
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutant_is_caught(monkeypatch, mutant):
+    _apply(monkeypatch, *MUTANTS[mutant])
+    failing, _ = _verify()
+    assert failing >= CAUGHT_AT_LEAST, (mutant, failing)
+
+
+@pytest.mark.parametrize("mutant", sorted(SURVIVORS))
+def test_survivor_still_survives(monkeypatch, mutant):
+    honest_skips = _verify()[1]
+    _apply(monkeypatch, *SURVIVORS[mutant])
+    failing, skipped = _verify()
+    assert failing < CAUGHT_AT_LEAST, (mutant, failing)
+    if mutant == "meet_other_root":
+        # every check that needs an interior meet now skips
+        assert skipped > honest_skips + 3 * TRIALS
