@@ -31,16 +31,16 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import BracketFailure, DivergentCevians, GeometryError
+from .errors import BracketFailure, DegenerateAngle, DivergentCevians, GeometryError
 from .geom_core import (
+    COINCIDENT_EPS,
     Triangle,
-    complex_angle,
     mobius_from_origin,
-    mobius_to_origin,
+    wrap_angle,
 )
 from .cycles import (
     GeneralizedCycle,
@@ -62,14 +62,24 @@ EDGE_INSET = 1e-9
 IDEAL_LIMIT = 1.0 - 1e-6
 
 
+# the label of the first base endpoint b1 in Triangle.opposite(vertex)
+_FIRST_BASE = {"a": "b", "b": "c", "c": "a"}
+
+
 def _side_frame(tri: Triangle, vertex: str) -> tuple[complex, complex, float, float]:
     """The side opposite a vertex in the frame that moves its first
     endpoint b1 to the origin: b1, the second endpoint's image w there,
     the apex's Euclidean radius k and the base angle beta at b1.  The
-    side point at radius t is mobius_from_origin(b1, t w / |w|)."""
-    apex, b1, b2 = tri.opposite(vertex)
-    return (b1, mobius_to_origin(b1, b2), abs(mobius_to_origin(b1, apex)),
-            abs(complex_angle(apex, b1, b2)))
+    side point at radius t is mobius_from_origin(b1, t w / |w|).
+
+    w and the apex's image are the triangle's rays at b1, and beta is
+    complex_angle(apex, b1, b2) written out on them."""
+    b1 = tri.opposite(vertex)[1]
+    w, to_apex = tri.rays[_FIRST_BASE[vertex]]
+    k = abs(to_apex)
+    if k < COINCIDENT_EPS or abs(w) < COINCIDENT_EPS:
+        raise DegenerateAngle("angle vertex coincides with a ray endpoint")
+    return b1, w, k, abs(wrap_angle(cmath.phase(w) - cmath.phase(to_apex)))
 
 
 def pseudoaltitude_foot(tri: Triangle, vertex: str) -> complex:
@@ -128,23 +138,30 @@ def angle_bisectors(tri: Triangle, sides: dict[str, GeneralizedCycle],
 def concurrency_point(lines) -> tuple[complex, float]:
     """Common point of several geodesics and its worst distance to the others.
 
-    Each pair is met inside the disk (geodesic_meet) and the meet is
-    scored by its largest distance to the remaining lines; the candidate
-    with the smallest score wins.  Divergence (no pair meets inside the
-    disk) is an error for the caller to flag.
+    Each pair, in index order, is met inside the disk (geodesic_meet)
+    and the meet is scored by its largest distance to the remaining
+    lines; the first candidate with the smallest score wins.  Divergence
+    (no pair meets inside the disk) is an error for the caller to flag.
     """
-    lines = list(lines)
-    best = None
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        z = geodesic_meet(lines[i], lines[j])
-        if z is not None:
-            others = [line for k, line in enumerate(lines) if k not in (i, j)]
-            r = max(point_geodesic_distances(z, others), default=0.0)
-            if best is None or r < best[1]:
-                best = (z, r)
-    if best is None:
+    lines = tuple(lines)
+    n = len(lines)
+    best_z = best_r = None
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            z = geodesic_meet(lines[i], lines[j])
+            if z is None:
+                continue
+            if n == 3:
+                # the one remaining line
+                r = point_geodesic_distances(z, (lines[3 - i - j],))[0]
+            else:
+                r = max(point_geodesic_distances(
+                    z, lines[:i] + lines[i + 1:j] + lines[j + 1:]), default=0.0)
+            if best_z is None or r < best_r:
+                best_z, best_r = z, r
+    if best_z is None:
         raise DivergentCevians("no pair of geodesics meets inside the disk")
-    return best
+    return best_z, best_r
 
 
 @dataclass(frozen=True)
@@ -240,7 +257,7 @@ class TriangleConfig:
 
     def flagged(self, *prefixes: str) -> bool:
         """True if any flag starts with one of the given prefixes."""
-        return any(f.startswith(p) for f in self.flags for p in prefixes)
+        return any(f.startswith(prefixes) for f in self.flags)
 
 
 def build_config(tri: Triangle) -> TriangleConfig:

@@ -483,6 +483,10 @@ def scenario_from_args(args) -> Scenario:
             tol_data[key] = flag
     tol = replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in tol_data.items()})
 
+    # Random seeds with |seed|, so a negative seed would repeat its positive twin
+    seed = int(pick(args.seed, "seed", 0))
+    if seed < 0:
+        raise ValueError("--seed must be non-negative")
     trials = int(pick(args.trials, "trials", 10))
     if trials < 0:
         raise ValueError("--trials must be non-negative")
@@ -500,7 +504,7 @@ def scenario_from_args(args) -> Scenario:
     if not 0.0 <= min_angle < math.pi / 3.0:
         raise ValueError(f"min_angle must lie in [0, pi/3), got {min_angle!r}")
     return Scenario(
-        seed=int(pick(args.seed, "seed", 0)),
+        seed=seed,
         trials=trials,
         suite=parse_suite(pick(args.suite, "suite", "all")),
         tolerances=tol,

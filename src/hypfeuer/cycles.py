@@ -36,6 +36,7 @@ geodesics; ``point_geodesic_distance`` is its one-geodesic case.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -453,21 +454,24 @@ def sample_points(cycle: GeneralizedCycle, count: int,
 
     Circles fully inside the disk are sampled uniformly in angle; arcs
     (geodesics, equidistants) are sampled between their two crossings of
-    a slightly shrunk absolute so every sample keeps the margin.
+    a slightly shrunk absolute so every sample keeps the margin.  A point
+    at angle t is ec + er exp(i t): cmath.exp of a purely imaginary
+    argument is complex(cos t, sin t) bit for bit, in one call.
     """
+    last = count - 1
     if cycle.is_line:
         d = 1j * cycle.b / abs(cycle.b)
         z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
-        return [z0 + d * (half * (2.0 * k / (count - 1) - 1.0)) for k in range(count)]
+        return [z0 + d * (half * (2.0 * k / last - 1.0)) for k in range(count)]
     ec, er = cycle.euclid_center_radius()
     # already normalized: max(|A|, |B|, |C|) = A = 1
     shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
     crossings = intersect(cycle, shrunk)
+    exp = cmath.exp
     if len(crossings) < 2:
         # fully interior: whole circle
-        return [ec + er * complex(math.cos(t), math.sin(t))
-                for t in (2.0 * math.pi * k / count for k in range(count))]
+        return [ec + er * exp(1j * (2.0 * math.pi * k / count)) for k in range(count)]
     t0, t1 = sorted(math.atan2((z - ec).imag, (z - ec).real) for z in crossings)
     # choose the arc whose midpoint is inside
     mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
@@ -475,5 +479,5 @@ def sample_points(cycle: GeneralizedCycle, count: int,
         t0, t1 = t1, t0 + 2.0 * math.pi
     pad = 1e-3 * (t1 - t0)
     lo, hi = t0 + pad, t1 - pad
-    return [ec + er * complex(math.cos(t), math.sin(t))
-            for t in (lo + (hi - lo) * k / (count - 1) for k in range(count))]
+    span = hi - lo
+    return [ec + er * exp(1j * (lo + span * k / last)) for k in range(count)]

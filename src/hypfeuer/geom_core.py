@@ -30,6 +30,13 @@ form (see ``cevians``).  The sampled checks evaluate sigma(a, x, b) and
 the area of (a, b, x) at many points x for one fixed pair a, b, so the
 batch kernels ``sigmas`` and ``base_areas`` compute the pair's factor
 once; ``sigma`` and ``triangle_area`` are their one-point cases.
+
+A ``Triangle`` carries its rays: for each vertex v, the other two
+vertices moved by the translation that takes v to the origin.  Their
+phases give the angle at v and their moduli the side lengths, so the
+sampler's angle floor, the cevian feet's side frames and the tangent
+circles' shots read one set of six Mobius divisions, computed on first
+use.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BoundaryPoint,
@@ -277,10 +285,27 @@ class Triangle:
 
     def opposite(self, vertex: str) -> tuple[complex, complex, complex]:
         """(apex, base endpoint 1, base endpoint 2) for a vertex label."""
-        order = {"a": (self.a, self.b, self.c),
-                 "b": (self.b, self.c, self.a),
-                 "c": (self.c, self.a, self.b)}
-        return order[vertex]
+        if vertex == "a":
+            return self.a, self.b, self.c
+        if vertex == "b":
+            return self.b, self.c, self.a
+        if vertex == "c":
+            return self.c, self.a, self.b
+        raise KeyError(vertex)
+
+    @cached_property
+    def rays(self) -> dict[str, tuple[complex, complex]]:
+        """For each vertex v with opposite(v) = (v, p, q), the images
+        (mobius_to_origin(v, p), mobius_to_origin(v, q)) of the other two
+        vertices in the frame that moves v to the origin: the directions
+        of the two sides at v, at Euclidean radii tanh(d/2).  Computed on
+        first use and kept on the instance, so a configuration's feet,
+        its tangent-circle shots and the sampler's angle floor share six
+        Mobius divisions."""
+        a, b, c = self.a, self.b, self.c
+        return {"a": (mobius_to_origin(a, b), mobius_to_origin(a, c)),
+                "b": (mobius_to_origin(b, c), mobius_to_origin(b, a)),
+                "c": (mobius_to_origin(c, a), mobius_to_origin(c, b))}
 
 
 def _su11(theta: float, a: complex) -> tuple[complex, complex]:

@@ -12,7 +12,7 @@ import math
 from random import Random
 
 from .errors import GeometryError, SamplingExhausted
-from .geom_core import Triangle, mobius_from_origin, signed_angle, triangle_area
+from .geom_core import Triangle, mobius_from_origin, triangle_area, wrap_angle
 from .cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
@@ -69,15 +69,16 @@ def random_triangle(rng: Random,
     Raises SamplingExhausted when MAX_DRAWS draws all fail, which only
     settings that no draw meets in practice reach.
     """
+    phase = cmath.phase
     for resamples in range(MAX_DRAWS):
         pts = [_disk_point(rng, max_vertex_radius) for _ in range(3)]
         try:
             tri = Triangle.of(*pts)
-            angles = (abs(signed_angle(tri.b, tri.a, tri.c)),
-                      abs(signed_angle(tri.c, tri.b, tri.a)),
-                      abs(signed_angle(tri.a, tri.c, tri.b)))
         except GeometryError:
             continue
+        # the angle at each vertex between its two rays; Triangle.of keeps
+        # the vertices 1e-9 apart, so no ray is degenerate
+        angles = [abs(wrap_angle(phase(q) - phase(p))) for p, q in tri.rays.values()]
         if min(angles) >= min_angle:
             return tri, resamples
     raise SamplingExhausted(

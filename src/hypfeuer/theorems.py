@@ -34,7 +34,6 @@ from .geom_core import (
     base_areas,
     complex_angle,
     hyp_distance,
-    mobius_to_origin,
     signed_angle,
     sigmas,
 )
@@ -190,15 +189,21 @@ def convex_quad_angles(a, b, c, d) -> list[float] | None:
     """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
     None unless it is convex: its four turns, taken in one pass, share a
     sign (a degenerate turn counts as not convex)."""
-    quad = [as_complex(p) for p in (a, b, c, d)]
+    za = a if type(a) is complex else as_complex(a)
+    zb = b if type(b) is complex else as_complex(b)
+    zc = c if type(c) is complex else as_complex(c)
+    zd = d if type(d) is complex else as_complex(d)
     try:
-        turns = [complex_angle(quad[i - 1], quad[i], quad[(i + 1) % 4]) for i in range(4)]
+        ta = complex_angle(zd, za, zb)
+        tb = complex_angle(za, zb, zc)
+        tc = complex_angle(zb, zc, zd)
+        td = complex_angle(zc, zd, za)
     except GeometryError:
         return None
-    if all(t > 0.0 for t in turns):
-        return turns
-    if all(t < 0.0 for t in turns):
-        return [-t for t in turns]
+    if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
+        return [ta, tb, tc, td]
+    if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:
+        return [-ta, -tb, -tc, -td]
     return None
 
 
@@ -425,16 +430,30 @@ def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
     taken as the midpoint of the closest pair among the four axis
     points on the line of Euclidean centers.
     """
-    e1, s1 = c1.euclid_center_radius()
-    e2, s2 = c2.euclid_center_radius()
+    return _contact_midpoint(*c1.euclid_center_radius(), *c2.euclid_center_radius())
+
+
+def _contact_midpoint(e1: complex, s1: float, e2: complex, s2: float) -> complex:
+    """contact_point from the two Euclidean centers and radii, for
+    callers that touch one cycle many times.  The four pairs are compared
+    in contact_point's order, (+, +), (+, -), (-, +), (-, -), and a tie
+    keeps the earlier pair."""
     u = e2 - e1
     if abs(u) < 1e-15:
         raise DegenerateConfiguration("concentric cycles have no contact point")
     u /= abs(u)
-    best = min(((p, q) for p in (e1 + s1 * u, e1 - s1 * u)
-                for q in (e2 + s2 * u, e2 - s2 * u)),
-               key=lambda pq: abs(pq[0] - pq[1]))
-    return (best[0] + best[1]) / 2.0
+    p1, p2 = e1 + s1 * u, e1 - s1 * u
+    q1, q2 = e2 + s2 * u, e2 - s2 * u
+    p, q, gap = p1, q1, abs(p1 - q1)
+    d = abs(p1 - q2)
+    if d < gap:
+        q, gap = q2, d
+    d = abs(p2 - q1)
+    if d < gap:
+        p, q, gap = p2, q1, d
+    if abs(p2 - q2) < gap:
+        p, q = p2, q2
+    return (p + q) / 2.0
 
 
 def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
@@ -460,8 +479,8 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
     pulled back by one translation.  None when no root qualifies.
     """
-    v, p, q = tri.opposite(vertex)
-    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
+    v = tri.opposite(vertex)[0]
+    u1, u2 = tri.rays[vertex]
     u1, u2 = u1 / abs(u1), u2 / abs(u2)
     u = u1 + u2
     if abs(u) < 1e-12:
@@ -509,12 +528,14 @@ def check_tangent_cevians(cfg: TriangleConfig,
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
     verts = cfg.triangle.vertices
+    # a circle inside the disk is no straight line, so this cannot raise
+    w_center, w_radius = w.euclid_center_radius()
     cevians = []
     for v in ("a", "b", "c"):
         circle = _shoot_tangent_circle(cfg.triangle, v, w, external)
         if circle is None:
             return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
-        contact = contact_point(circle, w)
+        contact = _contact_midpoint(*circle.euclid_center_radius(), w_center, w_radius)
         cevians.append(geodesic_through(verts[v], contact))
     try:
         point, residual = concurrency_point(cevians)
@@ -544,10 +565,11 @@ def check_feuerbach_point(cfg: TriangleConfig,
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     verts = cfg.triangle.vertices
     try:
-        f0 = contact_point(cfg.euler_circle, cfg.incircle.cycle)
+        euler = cfg.euler_circle.euclid_center_radius()
+        f0 = _contact_midpoint(*euler, *cfg.incircle.cycle.euclid_center_radius())
         lines = [geodesic_through(f0, cfg.incircle.center)]
         for v in ("a", "b", "c"):
-            fv = contact_point(cfg.euler_circle, cfg.excircles[v].cycle)
+            fv = _contact_midpoint(*euler, *cfg.excircles[v].cycle.euclid_center_radius())
             lines.append(geodesic_through(verts[v], fv))
     except GeometryError:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")

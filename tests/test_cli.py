@@ -125,6 +125,21 @@ def test_negative_trials_is_usage_error():
     assert main(["verify", "--trials", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["render", "verify", "construct"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # Random(n) seeds with |n|: seed -3 drew exactly what seed 3 draws
+    assert main([command, "--seed", "-3", "--triangle", EQUILATERAL]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"seed": -3}))
+    assert main([command, "--scenario", str(scn)]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    # the boundary stays valid
+    code, _ = run(tmp_path, command, "--seed", "0", "--trials", "1",
+                  "--triangle", EQUILATERAL)
+    assert code == 0
+
+
 def _replace_suite(monkeypatch, name, check):
     purpose, _ = cli.SUITES[name]
     monkeypatch.setitem(cli.SUITES, name, (purpose, lambda source, index, tol: check))

@@ -1,7 +1,8 @@
-"""Kernel mutation gate: a wrong geodesic kernel must fail the verifier.
+"""Mutation gate: a wrong kernel or construction must fail the verifier.
 
-Each mutant replaces one kernel function in every hypfeuer module that
-binds it, as the benchmark's tracer does, and `verify --suite all` then
+Each mutant replaces one kernel or construction function in every
+hypfeuer module that binds it, as the benchmark's tracer does, and
+`verify --suite all` then
 runs over 100 default-box instances.  A mutant is caught on an instance
 when some check on it fails.  Every mutant in MUTANTS must be caught on
 at least CAUGHT_AT_LEAST of them.  SURVIVORS lists the mutants no check
@@ -14,18 +15,18 @@ import sys
 
 import pytest
 
-from hypfeuer import cli, cycles
+from hypfeuer import cevians, cli, cycles
 from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
-from hypfeuer.errors import IdenticalCycles
+from hypfeuer.errors import DivergentCevians, IdenticalCycles
 
 CAUGHT_AT_LEAST = 90
 
 TRIALS = 100
 
 
-def _rebind(monkeypatch, name, mutant):
-    """Replace cycles.<name> wherever a hypfeuer module binds it."""
-    original = getattr(cycles, name)
+def _rebind(monkeypatch, home, name, mutant):
+    """Replace home.<name> wherever a hypfeuer module binds it."""
+    original = getattr(home, name)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "hypfeuer" or mod_name.startswith("hypfeuer."):
             for attr, value in list(vars(mod).items()):
@@ -69,6 +70,39 @@ def _meet_other_root(original):
     return mutant
 
 
+def _frame_radius_scaled(original):
+    def mutant(tri, vertex):
+        b1, w, k, beta = original(tri, vertex)
+        return b1, w, k * (1.0 + 1e-6), beta
+    return mutant
+
+
+def _frame_angle_shifted(original):
+    def mutant(tri, vertex):
+        b1, w, k, beta = original(tri, vertex)
+        return b1, w, k, beta + 1e-6
+    return mutant
+
+
+def _concurrency_keeps_worst(original):
+    def mutant(lines):
+        lines = tuple(lines)
+        worst = None
+        for i in range(len(lines) - 1):
+            for j in range(i + 1, len(lines)):
+                z = cycles.geodesic_meet(lines[i], lines[j])
+                if z is None:
+                    continue
+                rest = lines[:i] + lines[i + 1:j] + lines[j + 1:]
+                r = max(cycles.point_geodesic_distances(z, rest), default=0.0)
+                if worst is None or r > worst[1]:
+                    worst = (z, r)
+        if worst is None:
+            raise DivergentCevians("no pair of geodesics meets inside the disk")
+        return worst
+    return mutant
+
+
 def _sign_convention_flipped(original):
     def mutant(cls, a, b, c):
         g = original(cls, a, b, c)
@@ -77,9 +111,14 @@ def _sign_convention_flipped(original):
 
 
 MUTANTS = {
-    "distance_scaled_1e-6": ("point_geodesic_distances", _distances_scaled),
-    "batched_distance_off_by_one": ("point_geodesic_distances", _distances_off_by_one),
-    "through_normal_perturbed_1e-6": ("geodesic_through", _through_normal_perturbed),
+    "distance_scaled_1e-6": (cycles, "point_geodesic_distances", _distances_scaled),
+    "batched_distance_off_by_one": (cycles, "point_geodesic_distances",
+                                    _distances_off_by_one),
+    "through_normal_perturbed_1e-6": (cycles, "geodesic_through",
+                                      _through_normal_perturbed),
+    # the side frame carries every cevian foot
+    "side_frame_radius_scaled_1e-6": (cevians, "_side_frame", _frame_radius_scaled),
+    "side_frame_angle_shifted_1e-6": (cevians, "_side_frame", _frame_angle_shifted),
 }
 
 SURVIVORS = {
@@ -88,20 +127,26 @@ SURVIVORS = {
     # incircle, excircles and concurrency points go missing and the
     # checks built on them skip instead of failing; only the skip count
     # shows it (pinned below)
-    "meet_other_root": ("geodesic_meet", _meet_other_root),
+    "meet_other_root": (cycles, "geodesic_meet", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, classification and
     # the hyperboloid plane all turn the sign away)
-    "sign_convention_flipped": ("of", _sign_convention_flipped),
+    "sign_convention_flipped": (GeneralizedCycle, "of", _sign_convention_flipped),
+    # for concurrent lines every pair meets in the same point, so which
+    # candidate concurrency_point keeps moves it only by rounding; the
+    # residual the checks report is the kept candidate's score, which
+    # stays at rounding level too
+    "concurrency_keeps_worst_candidate": (cevians, "concurrency_point",
+                                          _concurrency_keeps_worst),
 }
 
 
-def _apply(monkeypatch, name, make):
-    if name == "of":
-        monkeypatch.setattr(GeneralizedCycle, "of",
-                            make(GeneralizedCycle.of.__func__))
+def _apply(monkeypatch, home, name, make):
+    if home is GeneralizedCycle:
+        monkeypatch.setattr(GeneralizedCycle, name,
+                            make(getattr(GeneralizedCycle, name).__func__))
     else:
-        _rebind(monkeypatch, name, make(getattr(cycles, name)))
+        _rebind(monkeypatch, home, name, make(getattr(home, name)))
 
 
 def _verify():

@@ -1,0 +1,365 @@
+"""The call-saving rewrites against the implementations they replaced.
+
+Each reference below is the former code, kept as the oracle: the side
+frame that built its own Mobius images and angle, the pairwise
+concurrency scan over itertools.combinations, the min()-based contact
+point, the cos/sin arc sampler, the list-based quad turns and the
+sampler's three signed_angle calls.  Results are compared as packed
+doubles, so a signed zero or a last-bit difference counts, and errors
+by type.  The call-count pins at the end fix what the rewrites save.
+"""
+
+import cmath
+import itertools
+import math
+import struct
+import sys
+from random import Random
+
+import pytest
+
+from hypfeuer import geom_core, instances
+from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_point
+from hypfeuer.cycles import (
+    GeneralizedCycle,
+    circle_from_center_radius,
+    cycle_through,
+    geodesic_meet,
+    geodesic_through,
+    intersect,
+    point_geodesic_distances,
+    sample_points,
+)
+from hypfeuer.errors import DegenerateConfiguration, DivergentCevians, GeometryError
+from hypfeuer.geom_core import (
+    Triangle,
+    as_complex,
+    complex_angle,
+    mobius_to_origin,
+    signed_angle,
+)
+from hypfeuer.instances import instance_rng, random_triangle
+from hypfeuer.theorems import check_tangent_cevians, contact_point, convex_quad_angles
+
+BOXES = (0.25, 0.7, 0.95)
+
+# the benchmark's set-up triangle (bench/spec.py SETUP_TRIANGLE): every
+# foot, circle and shot exists on it
+SETUP_TRIANGLE = (0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j)
+
+
+def _bits(value):
+    """value with every float and complex part as its packed bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, complex):
+        return struct.pack("<dd", value.real, value.imag)
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except Exception as exc:  # the error's type is the outcome
+        return "raises", type(exc)
+
+
+def _same(new, ref, *args):
+    assert _outcome(new, *args) == _outcome(ref, *args), args
+
+
+# -------------------------------------------------------------- references
+
+def _ref_side_frame(tri, vertex):
+    apex, b1, b2 = tri.opposite(vertex)
+    return (b1, mobius_to_origin(b1, b2), abs(mobius_to_origin(b1, apex)),
+            abs(complex_angle(apex, b1, b2)))
+
+
+def _ref_angle_floor(tri):
+    return (abs(signed_angle(tri.b, tri.a, tri.c)),
+            abs(signed_angle(tri.c, tri.b, tri.a)),
+            abs(signed_angle(tri.a, tri.c, tri.b)))
+
+
+def _ref_concurrency_point(lines):
+    lines = list(lines)
+    best = None
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        z = geodesic_meet(lines[i], lines[j])
+        if z is not None:
+            others = [line for k, line in enumerate(lines) if k not in (i, j)]
+            r = max(point_geodesic_distances(z, others), default=0.0)
+            if best is None or r < best[1]:
+                best = (z, r)
+    if best is None:
+        raise DivergentCevians("no pair of geodesics meets inside the disk")
+    return best
+
+
+def _ref_contact_point(c1, c2):
+    e1, s1 = c1.euclid_center_radius()
+    e2, s2 = c2.euclid_center_radius()
+    u = e2 - e1
+    if abs(u) < 1e-15:
+        raise DegenerateConfiguration("concentric cycles have no contact point")
+    u /= abs(u)
+    best = min(((p, q) for p in (e1 + s1 * u, e1 - s1 * u)
+                for q in (e2 + s2 * u, e2 - s2 * u)),
+               key=lambda pq: abs(pq[0] - pq[1]))
+    return (best[0] + best[1]) / 2.0
+
+
+def _ref_sample_points(cycle, count, margin=1e-6):
+    if cycle.is_line:
+        d = 1j * cycle.b / abs(cycle.b)
+        z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
+        half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
+        return [z0 + d * (half * (2.0 * k / (count - 1) - 1.0)) for k in range(count)]
+    ec, er = cycle.euclid_center_radius()
+    shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
+    crossings = intersect(cycle, shrunk)
+    if len(crossings) < 2:
+        return [ec + er * complex(math.cos(t), math.sin(t))
+                for t in (2.0 * math.pi * k / count for k in range(count))]
+    t0, t1 = sorted(math.atan2((z - ec).imag, (z - ec).real) for z in crossings)
+    mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
+    if abs(mid) >= 1.0 - margin:
+        t0, t1 = t1, t0 + 2.0 * math.pi
+    pad = 1e-3 * (t1 - t0)
+    lo, hi = t0 + pad, t1 - pad
+    return [ec + er * complex(math.cos(t), math.sin(t))
+            for t in (lo + (hi - lo) * k / (count - 1) for k in range(count))]
+
+
+def _ref_convex_quad_angles(a, b, c, d):
+    quad = [as_complex(p) for p in (a, b, c, d)]
+    try:
+        turns = [complex_angle(quad[i - 1], quad[i], quad[(i + 1) % 4]) for i in range(4)]
+    except GeometryError:
+        return None
+    if all(t > 0.0 for t in turns):
+        return turns
+    if all(t < 0.0 for t in turns):
+        return [-t for t in turns]
+    return None
+
+
+def _disk_point(rng, radius):
+    return radius * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+# ------------------------------------------------------ the triangle's rays
+
+@pytest.mark.parametrize("box", BOXES)
+def test_side_frames_shots_and_angle_floor_match_the_references(box):
+    """5,000 triangles per box: every side frame, both rays of every
+    shot and the sampler's angle floor, bit for bit."""
+    for idx in range(5_000):
+        tri, first = random_triangle(instance_rng(1313, idx), box, min_angle=0.0)
+        for v in VERTICES:
+            _same(_side_frame, _ref_side_frame, tri, v)
+            apex, p, q = tri.opposite(v)
+            assert _bits(tri.rays[v]) == _bits((mobius_to_origin(apex, p),
+                                                mobius_to_origin(apex, q)))
+        # the floor accepts the same draw at exactly its smallest angle
+        # and refuses it one ulp above
+        floor = min(_ref_angle_floor(tri))
+        accepted, resamples = random_triangle(instance_rng(1313, idx), box, floor)
+        assert resamples == first
+        assert _bits((accepted.a, accepted.b, accepted.c)) == _bits((tri.a, tri.b, tri.c))
+        _, resamples = random_triangle(instance_rng(1313, idx), box,
+                                       math.nextafter(floor, math.inf))
+        assert resamples > first
+
+
+def test_side_frame_of_coincident_vertices_raises_like_the_reference():
+    # Triangle.of refuses such a triangle; built directly it must fail the
+    # way the reference's complex_angle did, not divide by zero
+    for tri in (Triangle(0.3j, 0.3j, -0.2, False, 0.1),
+                Triangle(0.1, -0.2j, -0.2j, False, 0.1)):
+        for v in VERTICES:
+            _same(_side_frame, _ref_side_frame, tri, v)
+
+
+def test_rays_are_computed_once_per_triangle():
+    tri = Triangle.of(*SETUP_TRIANGLE)
+    assert tri.rays is tri.rays
+    assert tri == Triangle.of(*SETUP_TRIANGLE)  # the cache is no field
+    with pytest.raises(KeyError):
+        tri.opposite("d")
+
+
+# ------------------------------------------------------------- incidences
+
+def _line_sets(rng):
+    """Near-concurrent cevian triples and quadruples, random (mostly
+    non-concurrent) sets and divergent sets near the absolute."""
+    for idx in range(300):
+        cfg = build_config(random_triangle(instance_rng(2024, idx), BOXES[idx % 3])[0])
+        for family in (cfg.bisector_cevians, cfg.pseudoaltitude_cevians):
+            if len(family) == 3:
+                lines = [family[v] for v in VERTICES]
+                yield lines
+                yield lines + [geodesic_through(cfg.triangle.a, cfg.triangle.b)]
+    for _ in range(600):
+        n = rng.choice((3, 4))
+        yield [geodesic_through(_disk_point(rng, 0.9), _disk_point(rng, 0.9))
+               for _ in range(n)]
+    for _ in range(100):
+        n = rng.choice((3, 4))
+        ts = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+        yield [geodesic_through(0.97 * cmath.exp(1j * (t - 0.05)),
+                                0.97 * cmath.exp(1j * (t + 0.05))) for t in ts]
+
+
+def test_concurrency_point_matches_the_reference():
+    outcomes = set()
+    for lines in _line_sets(Random(5)):
+        _same(concurrency_point, _ref_concurrency_point, lines)
+        outcomes.add((len(lines), _outcome(concurrency_point, lines)[0]))
+    # 3- and 4-line sets, both meeting and divergent
+    assert outcomes == {(3, "value"), (3, "raises"), (4, "value"), (4, "raises")}
+
+
+def test_concurrency_point_of_two_lines_scores_zero():
+    lines = [geodesic_through(0.1, 0.5j), geodesic_through(-0.3, 0.4 + 0.2j)]
+    _same(concurrency_point, _ref_concurrency_point, lines)
+    assert concurrency_point(lines)[1] == 0.0
+
+
+def test_contact_point_matches_the_reference():
+    rng = Random(8)
+    pairs = []
+    for idx in range(400):
+        cfg = build_config(random_triangle(instance_rng(77, idx), BOXES[idx % 3])[0])
+        if cfg.euler_circle is None or cfg.incircle is None:
+            continue
+        pairs.append((cfg.euler_circle, cfg.incircle.cycle))
+        pairs += [(cfg.euler_circle, spec.cycle) for spec in cfg.excircles.values()
+                  if spec is not None]
+    for _ in range(1_000):
+        pairs.append(tuple(circle_from_center_radius(_disk_point(rng, 0.8),
+                                                     rng.uniform(0.05, 2.0))
+                           for _ in range(2)))
+    circle = circle_from_center_radius(0.2j, 0.5)
+    pairs += [(circle, circle), (circle, geodesic_through(-0.5, 0.5))]
+    for c1, c2 in pairs:
+        _same(contact_point, _ref_contact_point, c1, c2)
+
+
+def test_contact_point_ties_keep_the_first_pair():
+    # equal Euclidean radii 1/4 with centers 1/4 apart: the pairs (+, +),
+    # (+, -) and (-, -) are all 1/4 apart, and the first of them wins
+    c1 = GeneralizedCycle.of(1.0, 0j, -0.0625)
+    c2 = GeneralizedCycle.of(1.0, -0.25 + 0j, 0.0)
+    assert c1.euclid_center_radius() == (0j, 0.25)
+    assert c2.euclid_center_radius() == (0.25 + 0j, 0.25)
+    _same(contact_point, _ref_contact_point, c1, c2)
+    assert contact_point(c1, c2) == 0.375
+
+
+# ------------------------------------------------------- arcs and quads
+
+def _cycles(rng):
+    """Circles that cross the shrunk absolute, circles well inside,
+    equidistants, geodesics and diameters, in turn."""
+    for idx in range(5_000):
+        kind = idx % 5
+        if kind == 0:
+            yield circle_from_center_radius(_disk_point(rng, 0.999), rng.uniform(0.5, 6.0))
+        elif kind == 1:
+            yield circle_from_center_radius(_disk_point(rng, 0.5), rng.uniform(0.05, 1.0))
+        elif kind == 2:
+            t1 = rng.uniform(0.0, 2.0 * math.pi)
+            t2 = t1 + rng.uniform(0.3, 2.0 * math.pi - 0.3)
+            yield cycle_through(cmath.exp(1j * t1), cmath.exp(1j * t2), _disk_point(rng, 0.7))
+        elif kind == 3:
+            yield geodesic_through(_disk_point(rng, 0.9), _disk_point(rng, 0.9))
+        else:
+            yield geodesic_through(0j, _disk_point(rng, 0.9))
+
+
+def test_sample_points_matches_the_reference():
+    counts, margins = (16, 24, 32, 48), (1e-6, 1e-4, 1e-3, 0.07)
+    paths = set()
+    for idx, cycle in enumerate(_cycles(Random(11))):
+        count, margin = counts[idx % 4], margins[(idx // 4) % 4]
+        _same(sample_points, _ref_sample_points, cycle, count, margin)
+        shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
+        paths.add("line" if cycle.is_line else
+                  "arc" if len(intersect(cycle, shrunk)) == 2 else "whole")
+    assert paths == {"line", "arc", "whole"}
+
+
+def _quads(rng):
+    for _ in range(3_000):
+        pts = [_disk_point(rng, 0.9) for _ in range(4)]
+        yield pts
+        yield pts[::-1]
+    # a square in both orientations, with tuple and float vertices
+    yield [(0.3, 0.3), (-0.3, 0.3), (-0.3, -0.3), 0.3 - 0.3j]
+    yield [0.3 - 0.3j, -0.3 - 0.3j, (-0.3, 0.3), 0.3 + 0.3j]
+    yield [0.5, 0.5j, -0.5, -0.5j]
+    # a reflex vertex, a straight turn, a zero turn (d on the side ab), a
+    # repeated vertex, a vertex at the origin
+    yield [0.5, 0.5j, 0.05, -0.5j]
+    yield [0.5, 0j, -0.5, 0.4j]
+    yield [0j, 0.6, 0.4 + 0.3j, 0.3]
+    yield [0.5, 0.5, -0.5, 0.4j]
+    yield [0j, 0.5, 0.5 + 0.3j, 0.3j]
+    yield [0.5, 0.5j, -0.5, "not a point"]
+
+
+def test_convex_quad_angles_matches_the_reference():
+    kinds = set()
+    for quad in _quads(Random(13)):
+        _same(convex_quad_angles, _ref_convex_quad_angles, *quad)
+        kind, value = _outcome(convex_quad_angles, *quad)
+        kinds.add("not convex" if kind == "value" and value is None else kind)
+    assert kinds == {"value", "not convex", "raises"}
+
+
+# ------------------------------------------------------------ call counts
+
+def _count_calls(monkeypatch, home, name):
+    """Count calls of home.<name> through every hypfeuer namespace that
+    binds it."""
+    original = getattr(home, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hypfeuer" or mod_name.startswith("hypfeuer."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_one_configuration_makes_six_mobius_divisions(monkeypatch):
+    # the former code made 18 mobius_to_origin calls (12 in the feet's
+    # frames, 6 in the shots) and 6 complex_angle calls (one per foot)
+    mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
+    angles = _count_calls(monkeypatch, geom_core, "complex_angle")
+    cfg = build_config(Triangle.of(*SETUP_TRIANGLE))
+    assert check_tangent_cevians(cfg).status == "pass"
+    assert mobius == [6]
+    assert angles == [0]
+
+
+def test_random_triangle_reads_its_angles_from_the_rays(monkeypatch):
+    signed = _count_calls(monkeypatch, geom_core, "signed_angle")
+    mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
+    draws = 0
+    for idx in range(20):
+        _, resamples = instances.random_triangle(instance_rng(3, idx))
+        draws += resamples + 1
+    assert signed == [0]
+    # six per draw that Triangle.of accepts, none for the draws it refuses
+    assert 6 * 20 <= mobius[0] <= 6 * draws and mobius[0] % 6 == 0
