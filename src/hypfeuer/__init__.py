@@ -19,6 +19,7 @@ from .cycles import (
     geodesic_through,
     hyp_center_radius,
     intersect,
+    lexell_cycle,
     tangency_residual,
     transform,
 )
@@ -32,7 +33,7 @@ from .power import (
     radical_axis,
     radical_center,
 )
-from .theorems import Tolerances, VerificationReport, lexell_cycle
+from .theorems import Tolerances, VerificationReport
 from .svg_render import FigureSpec, render_svg
 from .cli import Scenario, main, run_verify
 

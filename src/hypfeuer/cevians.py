@@ -22,7 +22,9 @@ meet in the bisector point and the pseudo-orthocenter respectively, when
 they meet inside the disk at all.  Tangent circles (incircle, excircles)
 are centered where angle bisectors meet, by cross products of their
 hyperboloid normals; the bisectors themselves are differences and sums
-of the sides' unit normals, built once per configuration.
+of the sides' unit normals, built once per configuration.  The circle
+inscribed in a vertex's angle and tangent to a given circle (the
+tangent-cevian check's shot) is a quadratic in that vertex's frame.
 
 Everything degenerate is flagged on the returned TriangleConfig rather
 than raised: large triangles routinely lose their circumcenter, their
@@ -44,6 +46,7 @@ from .geom_core import (
 )
 from .cycles import (
     GeneralizedCycle,
+    _translate_raw,
     circle_from_center_radius,
     cycle_through,
     geodesic_meet,
@@ -217,6 +220,62 @@ def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
     """
     sides = side_lines(tri)
     return _excircle(vertex, *angle_bisectors(tri, sides), sides)
+
+
+def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
+                          external: bool) -> GeneralizedCycle | None:
+    """Circle inscribed in the angle at `vertex` and tangent to w.
+
+    In the frame that moves the vertex to the origin the angle's sides
+    are diameters along unit directions u1 and u2, and its internal
+    bisector runs along their normalized sum u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
+    inscribed in the angle is the Euclidean circle with center e u and
+    radius e sin_half, for 0 < e (1 + sin_half) < 1.  If w has Euclidean
+    center m and radius R in the frame, the two circles touch where
+    |e u - m| = R -+ e sin_half (internal and external tangency), i.e.
+
+        (1 - sin_half^2) e^2 - 2 (Re(conj(u) m) -+ R sin_half) e
+            + |m|^2 - R^2 = 0.
+
+    The inscribed circle meets the bisector at the radii e (1 - sin_half)
+    and e (1 + sin_half), so its center lies at arc length
+    s = atanh(e (1 - sin_half)) + atanh(e (1 + sin_half)) from the vertex.
+    The smallest root with s in (EDGE_INSET, 20] wins; the lower bound
+    drops the trivial root at the vertex itself when w passes through it.
+    Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
+    pulled back by one translation.  None when no root qualifies.
+    """
+    v = tri.opposite(vertex)[0]
+    u1, u2 = tri.rays[vertex]
+    u1, u2 = u1 / abs(u1), u2 / abs(u2)
+    u = u1 + u2
+    if abs(u) < 1e-12:
+        # straight angle: the bisector is the perpendicular
+        u = 1j * u1
+    u /= abs(u)
+    sin_half = abs((u * u1.conjugate()).imag)
+    wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
+    m = -wb / wa
+    big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)
+    sign = 1.0 if external else -1.0
+    qa = 1.0 - sin_half * sin_half
+    qb = -2.0 * ((u.conjugate() * m).real + sign * big_r * sin_half)
+    qc = abs(m) ** 2 - big_r * big_r
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    # the sign-aware form, as in cycles.intersect
+    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
+    if q == 0.0:
+        return None
+    for e in sorted((q / qa, qc / q)):
+        near, far = e * (1.0 - sin_half), e * (1.0 + sin_half)
+        if e <= 0.0 or far >= 1.0:
+            continue
+        s = math.atanh(near) + math.atanh(far)
+        if EDGE_INSET < s <= 20.0:
+            return GeneralizedCycle.of(*_translate_raw(-v, 1.0, -e * u, e * e * qa))
+    return None
 
 
 @dataclass

@@ -461,6 +461,18 @@ def _check_scenario_types(data: dict):
         _check_type(f"tolerance {key!r}", value, (int, float), "a number")
 
 
+def _tolerance(key: str, value) -> float:
+    """A tolerance as a float, refused unless finite and non-negative."""
+    try:
+        tol = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        tol = math.inf
+    if not 0.0 <= tol < math.inf:  # NaN fails it too
+        raise ValueError(f"tolerance {key!r} must be finite and non-negative, "
+                         f"got {tol!r}")
+    return tol
+
+
 def scenario_from_args(args) -> Scenario:
     data = {}
     if args.scenario:
@@ -481,7 +493,8 @@ def scenario_from_args(args) -> Scenario:
                       (args.tol_chain, "chain")):
         if flag is not None:
             tol_data[key] = flag
-    tol = replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in tol_data.items()})
+    tol = replace(DEFAULT_TOLERANCES,
+                  **{k: _tolerance(k, v) for k, v in tol_data.items()})
 
     # Random seeds with |seed|, so a negative seed would repeat its positive twin
     seed = int(pick(args.seed, "seed", 0))
@@ -554,7 +567,7 @@ def main(argv=None) -> int:
         fmt = args.format or ("svg" if args.command == "render" else "json")
         if args.command != "render" and fmt != "json":
             raise ValueError("--format svg only applies to render")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"hypfeuer: {exc}", file=sys.stderr)
         return 2
     try:

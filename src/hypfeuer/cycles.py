@@ -32,6 +32,9 @@ the cross product of their normals (``geodesic_meet``), no quadratic
 solved, and a point's distance to one is the plane's form at the point.
 ``point_geodesic_distances`` checks and lifts a point once for many
 geodesics; ``point_geodesic_distance`` is its one-geodesic case.
+
+The checks' cycle constructions live here too: the constant-area locus
+(``lexell_cycle``), contact points and samples along an arc.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from enum import Enum
 from .errors import (
     AmbiguousClass,
     CoincidentPoints,
+    DegenerateConfiguration,
     IdenticalCycles,
     NoHyperbolicCenter,
     NotACircle,
     NotACycle,
 )
-from .geom_core import BOUNDARY_EPS, DiskIsometry, as_complex, check_disk
+from .geom_core import BOUNDARY_EPS, DiskIsometry, absolute_inverse, as_complex, check_disk
 
 # normalized |C - A| below this: the cycle is a geodesic
 GEODESIC_EPS = 1e-12
@@ -268,9 +272,10 @@ def geodesic_through(p, q) -> GeneralizedCycle:
     return GeneralizedCycle.of(n0, complex(u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), n0)
 
 
-def diameter_with_direction(u: complex) -> GeneralizedCycle:
-    """Geodesic through the origin along unit direction u."""
-    return GeneralizedCycle.of(0.0, 1j * u, 0.0)
+def lexell_cycle(a, b, x0) -> GeneralizedCycle:
+    """The constant-area locus through x0 over base ab: the cycle through
+    x0 and the absolute inverses of a and b."""
+    return cycle_through(absolute_inverse(a), absolute_inverse(b), as_complex(x0))
 
 
 def _translate_raw(t: complex, a_: float, b_: complex, c_: float):
@@ -310,6 +315,39 @@ def tangency_ratio(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
     """<c1,c2> / sqrt(<c1,c1><c2,c2>): +1 internal tangency, -1 external."""
     g = inversive_product(c1, c1) * inversive_product(c2, c2)
     return inversive_product(c1, c2) / math.sqrt(g)
+
+
+def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
+    """Closest-approach midpoint of two (near-)tangent cycles.
+
+    Tangency is only certified to a tolerance, so the contact point is
+    taken as the midpoint of the closest pair among the four axis
+    points on the line of Euclidean centers.
+    """
+    return _contact_midpoint(*c1.euclid_center_radius(), *c2.euclid_center_radius())
+
+
+def _contact_midpoint(e1: complex, s1: float, e2: complex, s2: float) -> complex:
+    """contact_point from the two Euclidean centers and radii, for
+    callers that touch one cycle many times.  The four pairs are compared
+    in contact_point's order, (+, +), (+, -), (-, +), (-, -), and a tie
+    keeps the earlier pair."""
+    u = e2 - e1
+    if abs(u) < 1e-15:
+        raise DegenerateConfiguration("concentric cycles have no contact point")
+    u /= abs(u)
+    p1, p2 = e1 + s1 * u, e1 - s1 * u
+    q1, q2 = e2 + s2 * u, e2 - s2 * u
+    p, q, gap = p1, q1, abs(p1 - q1)
+    d = abs(p1 - q2)
+    if d < gap:
+        q, gap = q2, d
+    d = abs(p2 - q1)
+    if d < gap:
+        p, q, gap = p2, q1, d
+    if abs(p2 - q2) < gap:
+        p, q = p2, q2
+    return (p + q) / 2.0
 
 
 def intersect(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:
@@ -481,3 +519,27 @@ def sample_points(cycle: GeneralizedCycle, count: int,
     lo, hi = t0 + pad, t1 - pad
     span = hi - lo
     return [ec + er * exp(1j * (lo + span * k / last)) for k in range(count)]
+
+
+def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,
+                 count: int) -> list[complex]:
+    """Interior points on the arc of the cycle from a to b (excluding both)."""
+    if cycle.is_line:
+        # chord between a and b, parametrized linearly
+        return [z for k in range(1, count + 1)
+                for z in [a + (b - a) * k / (count + 1)] if abs(z) < 1.0 - 1e-9]
+    ec, er = cycle.euclid_center_radius()
+    ta = cmath.phase(a - ec)
+    tb = cmath.phase(b - ec)
+    delta = (tb - ta) % (2.0 * math.pi)
+    best: list[complex] = []
+    for lo, d in ((ta, delta), (tb, 2.0 * math.pi - delta)):
+        xs = [ec + er * cmath.exp(1j * (lo + d * k / (count + 1)))
+              for k in range(1, count + 1)]
+        good = [z for z in xs if abs(z) < 1.0 - 1e-9
+                and abs(z - a) > 1e-9 and abs(z - b) > 1e-9]
+        if len(good) == len(xs):
+            return good
+        if len(good) > len(best):
+            best = good
+    return best  # neither arc fully interior: the fuller one, clipped

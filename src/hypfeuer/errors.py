@@ -68,14 +68,6 @@ class NoInteriorCenter(GeometryError):
     """Pairwise radical axes exist but meet outside the open disk."""
 
 
-class ImageOutsideDisk(GeometryError):
-    """Homothety image of an interior point would leave the disk."""
-
-
-class CenterInput(GeometryError):
-    """Inversion applied at its own center."""
-
-
 class MissingCenter(GeometryError):
     """A homothetic center required by a sign pattern does not exist."""
 

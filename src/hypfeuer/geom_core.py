@@ -9,8 +9,7 @@ Orientation-preserving isometries of the disk are the Mobius maps
     z  ->  e^{i theta} (z - a) / (1 - conj(a) z),        |a| < 1,
 
 and composing with complex conjugation first gives the orientation-
-reversing ones.  ``DiskIsometry`` stores exactly that data and composes
-through 2x2 matrices so products stay in the same closed form.
+reversing ones.  ``DiskIsometry`` stores exactly that data.
 
 Angles are signed: ``signed_angle(x, y, z)`` is the rotation at y taking
 the ray toward x onto the ray toward z, counterclockwise positive, in
@@ -51,6 +50,7 @@ from .errors import (
     CenterHasNoInverse,
     DegenerateAngle,
     DegenerateTriangle,
+    GeometryError,
 )
 
 TAU = 2.0 * math.pi
@@ -147,6 +147,28 @@ def complex_angle(x: complex, y: complex, z: complex) -> float:
 def signed_angle(x, y, z) -> float:
     """Signed angle at y from ray y->x to ray y->z, ccw positive, in (-pi, pi]."""
     return complex_angle(as_complex(x), as_complex(y), as_complex(z))
+
+
+def convex_quad_angles(a, b, c, d) -> list[float] | None:
+    """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
+    None unless it is convex: its four turns, taken in one pass, share a
+    sign (a degenerate turn counts as not convex)."""
+    za = a if type(a) is complex else as_complex(a)
+    zb = b if type(b) is complex else as_complex(b)
+    zc = c if type(c) is complex else as_complex(c)
+    zd = d if type(d) is complex else as_complex(d)
+    try:
+        ta = complex_angle(zd, za, zb)
+        tb = complex_angle(za, zb, zc)
+        tc = complex_angle(zb, zc, zd)
+        td = complex_angle(zc, zd, za)
+    except GeometryError:
+        return None
+    if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
+        return [ta, tb, tc, td]
+    if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:
+        return [-ta, -tb, -tc, -td]
+    return None
 
 
 def signed_area(a: complex, b: complex, c: complex) -> float:
@@ -308,19 +330,10 @@ class Triangle:
                 "c": (mobius_to_origin(c, a), mobius_to_origin(c, b))}
 
 
-def _su11(theta: float, a: complex) -> tuple[complex, complex]:
-    """Matrix (alpha, beta) with T(z) = (alpha z + beta)/(conj(beta) z + conj(alpha))."""
-    h = cmath.exp(0.5j * theta)
-    return h, -h * a
-
-
 @dataclass(frozen=True)
 class DiskIsometry:
-    """z -> e^{i theta} (c(z) - a) / (1 - conj(a) c(z)), c = conj iff reflect.
-
-    Conjugation is applied first, so composition stays associative with
-    a simple xor on the reflect flags.
-    """
+    """z -> e^{i theta} (c(z) - a) / (1 - conj(a) c(z)), c = conj iff reflect:
+    conjugation is applied first."""
 
     a: complex = 0j
     theta: float = 0.0
@@ -335,18 +348,6 @@ class DiskIsometry:
             z = z.conjugate()
         return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
 
-    def compose(self, other: "DiskIsometry") -> "DiskIsometry":
-        """self after other: (self.compose(other))(z) == self(other(z))."""
-        a1, b1 = _su11(self.theta, self.a)
-        a2, b2 = _su11(other.theta, other.a)
-        if self.reflect:
-            a2, b2 = a2.conjugate(), b2.conjugate()
-        alpha = a1 * a2 + b1 * b2.conjugate()
-        beta = a1 * b2 + b1 * a2.conjugate()
-        return DiskIsometry(-beta / alpha,
-                            wrap_angle(2.0 * cmath.phase(alpha)),
-                            self.reflect ^ other.reflect)
-
     def inverse(self) -> "DiskIsometry":
         rot = cmath.exp(1j * self.theta)
         if self.reflect:
@@ -357,14 +358,3 @@ class DiskIsometry:
     def translation(cls, a) -> "DiskIsometry":
         """The map sending a to the origin."""
         return cls(as_complex(a), 0.0, False)
-
-    @classmethod
-    def rotation(cls, theta: float) -> "DiskIsometry":
-        return cls(0j, wrap_angle(theta), False)
-
-
-def random_isometry(rng) -> DiskIsometry:
-    """Orientation-preserving isometry with uniform rotation, mild translation."""
-    r = 0.6 * math.sqrt(rng.random())
-    phi = rng.uniform(0.0, TAU)
-    return DiskIsometry(r * cmath.exp(1j * phi), rng.uniform(-math.pi, math.pi), False)

@@ -12,16 +12,22 @@ import math
 from random import Random
 
 from .errors import GeometryError, SamplingExhausted
-from .geom_core import Triangle, mobius_from_origin, triangle_area, wrap_angle
+from .geom_core import (
+    Triangle,
+    convex_quad_angles,
+    mobius_from_origin,
+    triangle_area,
+    wrap_angle,
+)
 from .cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
     cycle_through,
     geodesic_through,
+    lexell_cycle,
     point_geodesic_distance,
     sample_points,
 )
-from .theorems import convex_quad_angles, lexell_cycle
 
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
 DEFAULT_MIN_ANGLE = 0.15

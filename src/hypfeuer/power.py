@@ -35,20 +35,14 @@ from dataclasses import dataclass
 
 from .errors import (
     AxisOutsideDisk,
-    CenterInput,
     ConcentricCycles,
     DegenerateConfiguration,
-    ImageOutsideDisk,
     InvalidSignPattern,
     MissingCenter,
     NoHyperbolicCenter,
     NoInteriorCenter,
 )
-from .geom_core import (
-    as_complex,
-    mobius_from_origin,
-    mobius_to_origin,
-)
+from .geom_core import as_complex
 from .cycles import (
     GeneralizedCycle,
     _circle_vector,
@@ -127,14 +121,6 @@ def radical_center(c1: GeneralizedCycle, c2: GeneralizedCycle,
     return center, point_geodesic_distance(center, r23)
 
 
-def homothety_point(center, k: float, p) -> complex:
-    """Image of p under the homothety about center with pseudolength ratio k."""
-    w = k * mobius_to_origin(as_complex(center), as_complex(p))
-    if abs(w) >= 1.0:
-        raise ImageOutsideDisk(f"scaled pseudolength {abs(w):.6g} >= 1")
-    return mobius_from_origin(as_complex(center), w)
-
-
 def homothety_cycle(center, k: float, cycle: GeneralizedCycle) -> GeneralizedCycle:
     """Image of a cycle under the homothety about center with ratio k."""
     z = as_complex(center)
@@ -145,17 +131,6 @@ def homothety_cycle(center, k: float, cycle: GeneralizedCycle) -> GeneralizedCyc
     return GeneralizedCycle.of(a4, b4, c4)
 
 
-def inversion_point(center, r2: float, p) -> complex:
-    """Inversion about center with pseudolength power r2 > 0."""
-    w = mobius_to_origin(as_complex(center), as_complex(p))
-    if abs(w) < 1e-14:
-        raise CenterInput("inversion center has no image")
-    w2 = r2 / w.conjugate()
-    if abs(w2) >= 1.0:
-        raise ImageOutsideDisk(f"inverted pseudolength {abs(w2):.6g} >= 1")
-    return mobius_from_origin(as_complex(center), w2)
-
-
 def inversion_cycle(center, r2: float, cycle: GeneralizedCycle) -> GeneralizedCycle:
     """Image of a cycle under inversion about center with power r2."""
     z = as_complex(center)
@@ -163,14 +138,6 @@ def inversion_cycle(center, r2: float, cycle: GeneralizedCycle) -> GeneralizedCy
     # in the centered frame w -> r2 / conj(w) sends (A, B, C) to (C, r2 B, r2^2 A)
     a3, b3, c3 = c2, r2 * b2, r2 * r2 * a2
     a4, b4, c4 = _translate_raw(-z, a3, b3, c3)
-    return GeneralizedCycle.of(a4, b4, c4)
-
-
-def rotation_half_turn_cycle(center, cycle: GeneralizedCycle) -> GeneralizedCycle:
-    """Image of a cycle under the half turn about a point."""
-    z = as_complex(center)
-    a2, b2, c2 = _translate_raw(z, cycle.a, cycle.b, cycle.c)
-    a4, b4, c4 = _translate_raw(-z, a2, -b2, c2)
     return GeneralizedCycle.of(a4, b4, c4)
 
 

@@ -33,19 +33,20 @@ _STYLES = {
 DEFAULT_LAYERS = ("triangle", "cevians", "circumcircle", "euler",
                   "incircle", "excircles", "feet", "centers")
 
+# figure width and height, and the gap between the absolute and the edge
+SIZE = 560
+MARGIN = 20.0
+
 
 @dataclass(frozen=True)
 class FigureSpec:
-    size: int = 560
-    margin: float = 20.0
     layers: tuple[str, ...] = DEFAULT_LAYERS
 
 
 class _Canvas:
-    def __init__(self, spec: FigureSpec):
-        self.spec = spec
-        self.scale = spec.size / 2.0 - spec.margin
-        self.mid = spec.size / 2.0
+    def __init__(self):
+        self.scale = SIZE / 2.0 - MARGIN
+        self.mid = SIZE / 2.0
         self.parts: list[str] = []
 
     def xy(self, z: complex) -> tuple[float, float]:
@@ -135,7 +136,7 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
 
 
 def render_svg(cfg: TriangleConfig, spec: FigureSpec = FigureSpec()) -> str:
-    cv = _Canvas(spec)
+    cv = _Canvas()
     tri = cfg.triangle
     verts = tri.vertices
 
@@ -202,7 +203,7 @@ def render_svg(cfg: TriangleConfig, spec: FigureSpec = FigureSpec()) -> str:
 
     body = "\n".join(cv.parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
-        f'height="{spec.size}" viewBox="0 0 {spec.size} {spec.size}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">\n'
         f'{body}\n</svg>\n'
     )

@@ -10,11 +10,14 @@ Tolerance tiers: constructive identities get 1e-10, single theorem
 statements 1e-9, and results sitting at the end of a tangency or
 concurrency chain 1e-8, because error compounds through the stacked
 constructions and contact-point extraction.
+
+This module only verifies: what a check builds or samples lives with
+its objects in ``geom_core``, ``cycles`` or ``cevians``, where the
+instance generators reach it without importing the checks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,11 +31,9 @@ from .errors import (
 )
 from .geom_core import (
     TAU,
-    Triangle,
-    absolute_inverse,
     as_complex,
     base_areas,
-    complex_angle,
+    convex_quad_angles,
     hyp_distance,
     signed_angle,
     sigmas,
@@ -40,23 +41,20 @@ from .geom_core import (
 from .cycles import (
     CycleClass,
     GeneralizedCycle,
-    _translate_raw,
+    _arc_samples,
+    _contact_midpoint,
     classify,
-    cycle_through,
     geodesic_through,
     hyp_center_radius,
     interior_intersections,
+    lexell_cycle,
     membership_residual,
     point_geodesic_distance,
     point_geodesic_distances,
     sample_points,
     tangency_residual,
 )
-from .cevians import (
-    EDGE_INSET,
-    TriangleConfig,
-    concurrency_point,
-)
+from .cevians import TriangleConfig, _shoot_tangent_circle, concurrency_point
 from .power import (
     homothetic_centers,
     monge_centers,
@@ -159,53 +157,7 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     return _finish("inscribed_angle", residual, tol.theorem, witness)
 
 
-def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,
-                 count: int) -> list[complex]:
-    """Interior points on the arc of the cycle from a to b (excluding both)."""
-    if cycle.is_line:
-        # chord between a and b, parametrized linearly
-        return [z for k in range(1, count + 1)
-                for z in [a + (b - a) * k / (count + 1)] if abs(z) < 1.0 - 1e-9]
-    ec, er = cycle.euclid_center_radius()
-    ta = cmath.phase(a - ec)
-    tb = cmath.phase(b - ec)
-    delta = (tb - ta) % (2.0 * math.pi)
-    best: list[complex] = []
-    for lo, d in ((ta, delta), (tb, 2.0 * math.pi - delta)):
-        xs = [ec + er * cmath.exp(1j * (lo + d * k / (count + 1)))
-              for k in range(1, count + 1)]
-        good = [z for z in xs if abs(z) < 1.0 - 1e-9
-                and abs(z - a) > 1e-9 and abs(z - b) > 1e-9]
-        if len(good) == len(xs):
-            return good
-        if len(good) > len(best):
-            best = good
-    return best  # neither arc fully interior: the fuller one, clipped
-
-
 # ------------------------------------------------------------ lemma: trapezoid
-
-def convex_quad_angles(a, b, c, d) -> list[float] | None:
-    """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
-    None unless it is convex: its four turns, taken in one pass, share a
-    sign (a degenerate turn counts as not convex)."""
-    za = a if type(a) is complex else as_complex(a)
-    zb = b if type(b) is complex else as_complex(b)
-    zc = c if type(c) is complex else as_complex(c)
-    zd = d if type(d) is complex else as_complex(d)
-    try:
-        ta = complex_angle(zd, za, zb)
-        tb = complex_angle(za, zb, zc)
-        tc = complex_angle(zb, zc, zd)
-        td = complex_angle(zc, zd, za)
-    except GeometryError:
-        return None
-    if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
-        return [ta, tb, tc, td]
-    if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:
-        return [-ta, -tb, -tc, -td]
-    return None
-
 
 def check_trapezoid(a, b, c, d,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
@@ -232,12 +184,6 @@ def check_trapezoid(a, b, c, d,
 
 
 # -------------------------------------------------------------- lexell locus
-
-def lexell_cycle(a, b, x0) -> GeneralizedCycle:
-    """The constant-area locus through x0 over base ab: the cycle through
-    x0 and the absolute inverses of a and b."""
-    return cycle_through(absolute_inverse(a), absolute_inverse(b), as_complex(x0))
-
 
 def check_lexell(a, b, x0,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
@@ -422,95 +368,6 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
 
 
 # --------------------------------------------------- tangency chain checks
-
-def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
-    """Closest-approach midpoint of two (near-)tangent cycles.
-
-    Tangency is only certified to a tolerance, so the contact point is
-    taken as the midpoint of the closest pair among the four axis
-    points on the line of Euclidean centers.
-    """
-    return _contact_midpoint(*c1.euclid_center_radius(), *c2.euclid_center_radius())
-
-
-def _contact_midpoint(e1: complex, s1: float, e2: complex, s2: float) -> complex:
-    """contact_point from the two Euclidean centers and radii, for
-    callers that touch one cycle many times.  The four pairs are compared
-    in contact_point's order, (+, +), (+, -), (-, +), (-, -), and a tie
-    keeps the earlier pair."""
-    u = e2 - e1
-    if abs(u) < 1e-15:
-        raise DegenerateConfiguration("concentric cycles have no contact point")
-    u /= abs(u)
-    p1, p2 = e1 + s1 * u, e1 - s1 * u
-    q1, q2 = e2 + s2 * u, e2 - s2 * u
-    p, q, gap = p1, q1, abs(p1 - q1)
-    d = abs(p1 - q2)
-    if d < gap:
-        q, gap = q2, d
-    d = abs(p2 - q1)
-    if d < gap:
-        p, q, gap = p2, q1, d
-    if abs(p2 - q2) < gap:
-        p, q = p2, q2
-    return (p + q) / 2.0
-
-
-def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
-                          external: bool) -> GeneralizedCycle | None:
-    """Circle inscribed in the angle at `vertex` and tangent to w.
-
-    In the frame that moves the vertex to the origin the angle's sides
-    are diameters along unit directions u1 and u2, and its internal
-    bisector runs along their normalized sum u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
-    inscribed in the angle is the Euclidean circle with center e u and
-    radius e sin_half, for 0 < e (1 + sin_half) < 1.  If w has Euclidean
-    center m and radius R in the frame, the two circles touch where
-    |e u - m| = R -+ e sin_half (internal and external tangency), i.e.
-
-        (1 - sin_half^2) e^2 - 2 (Re(conj(u) m) -+ R sin_half) e
-            + |m|^2 - R^2 = 0.
-
-    The inscribed circle meets the bisector at the radii e (1 - sin_half)
-    and e (1 + sin_half), so its center lies at arc length
-    s = atanh(e (1 - sin_half)) + atanh(e (1 + sin_half)) from the vertex.
-    The smallest root with s in (EDGE_INSET, 20] wins; the lower bound
-    drops the trivial root at the vertex itself when w passes through it.
-    Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
-    pulled back by one translation.  None when no root qualifies.
-    """
-    v = tri.opposite(vertex)[0]
-    u1, u2 = tri.rays[vertex]
-    u1, u2 = u1 / abs(u1), u2 / abs(u2)
-    u = u1 + u2
-    if abs(u) < 1e-12:
-        # straight angle: the bisector is the perpendicular
-        u = 1j * u1
-    u /= abs(u)
-    sin_half = abs((u * u1.conjugate()).imag)
-    wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
-    m = -wb / wa
-    big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)
-    sign = 1.0 if external else -1.0
-    qa = 1.0 - sin_half * sin_half
-    qb = -2.0 * ((u.conjugate() * m).real + sign * big_r * sin_half)
-    qc = abs(m) ** 2 - big_r * big_r
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return None
-    # the sign-aware form, as in cycles.intersect
-    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
-    if q == 0.0:
-        return None
-    for e in sorted((q / qa, qc / q)):
-        near, far = e * (1.0 - sin_half), e * (1.0 + sin_half)
-        if e <= 0.0 or far >= 1.0:
-            continue
-        s = math.atanh(near) + math.atanh(far)
-        if EDGE_INSET < s <= 20.0:
-            return GeneralizedCycle.of(*_translate_raw(-v, 1.0, -e * u, e * e * qa))
-    return None
-
 
 def check_tangent_cevians(cfg: TriangleConfig,
                           w: GeneralizedCycle | None = None,

@@ -1,0 +1,24 @@
+"""Test-only constructions that the library itself never needs.
+
+`random_isometry` draws the isometries of the invariance tests, and
+`diameter_with_direction` builds diameters for constructions that are
+checked against a translated frame.
+"""
+
+import cmath
+import math
+
+from hypfeuer.cycles import GeneralizedCycle
+from hypfeuer.geom_core import TAU, DiskIsometry
+
+
+def random_isometry(rng) -> DiskIsometry:
+    """Orientation-preserving isometry with uniform rotation, mild translation."""
+    r = 0.6 * math.sqrt(rng.random())
+    phi = rng.uniform(0.0, TAU)
+    return DiskIsometry(r * cmath.exp(1j * phi), rng.uniform(-math.pi, math.pi), False)
+
+
+def diameter_with_direction(u: complex) -> GeneralizedCycle:
+    """Geodesic through the origin along unit direction u."""
+    return GeneralizedCycle.of(0.0, 1j * u, 0.0)

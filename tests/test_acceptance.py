@@ -13,6 +13,7 @@ from hypfeuer.cevians import build_config
 from hypfeuer.cli import main
 from hypfeuer.cycles import (
     coefficient_distance,
+    contact_point,
     geodesic_through,
     point_geodesic_distance,
 )
@@ -45,7 +46,6 @@ from hypfeuer.theorems import (
     check_six_point,
     check_tangent_cevians,
     check_trapezoid,
-    contact_point,
 )
 
 SEED = 42

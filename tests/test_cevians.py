@@ -21,7 +21,6 @@ from hypfeuer.cycles import (
     CycleClass,
     classify,
     coefficient_distance,
-    diameter_with_direction,
     geodesic_through,
     hyp_center_radius,
     membership_residual,
@@ -41,6 +40,7 @@ from hypfeuer.cevians import (
 )
 from hypfeuer.instances import BRACKET_WIDTH, brent_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
+from oracles import diameter_with_direction
 
 
 def isosceles():

@@ -86,6 +86,23 @@ def test_verify_impossible_tolerance_exit_one(tmp_path):
     assert doc["summary"]["failed"] > 0
 
 
+@pytest.mark.parametrize("flag, value, key, shown", [
+    ("--tol-theorem", "nan", "theorem", "nan"),
+    ("--tol-chain", "inf", "chain", "inf"),
+    ("--tol-construct", "-1", "construct", "-1.0"),
+])
+def test_unusable_tolerance_is_usage_error(tmp_path, monkeypatch, capsys,
+                                           flag, value, key, shown):
+    # refused up front: the suite used to run to the end and then exit 1
+    # on the report's non-finite tolerance, or fail every check
+    monkeypatch.setattr(cli, "run_verify", lambda scn: pytest.fail("an instance ran"))
+    code, out = run(tmp_path, "verify", "--trials", "2", flag, value)
+    assert code == 2
+    assert (f"tolerance {key!r} must be finite and non-negative, got {shown}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_construct_requires_triangle():
     assert main(["construct"]) == 2
 
@@ -359,6 +376,18 @@ def test_python_dash_m_runs_without_warning():
     ('{"tolerances": 5}', "scenario key 'tolerances' must be an object, got 5"),
     ('{"tolerances": {"theorem": null}}', "tolerance 'theorem' must be a number"),
     ('{"tolerances": {"theorm": 1e-30}}', "unknown tolerance keys: ['theorm']"),
+    ('{"tolerances": {"theorem": 1e400}}',
+     "tolerance 'theorem' must be finite and non-negative, got inf"),
+    ('{"tolerances": {"chain": NaN}}',
+     "tolerance 'chain' must be finite and non-negative, got nan"),
+    ('{"tolerances": {"construct": -1e-10}}',
+     "tolerance 'construct' must be finite and non-negative, got -1e-10"),
+    # JSON integers have no range; 10**400 has no float
+    pytest.param('{"tolerances": {"theorem": 1%s}}' % ("0" * 400),
+                 "tolerance 'theorem' must be finite and non-negative, got inf",
+                 id="tolerance-10**400"),
+    pytest.param('{"max_vertex_radius": 1%s}' % ("0" * 400),
+                 "int too large to convert to float", id="max_vertex_radius-10**400"),
     # in range, but no draw meets them: the sampler's cap ends the search
     ('{"min_angle": 1.04}', "no triangle with min_angle 1.04 inside"),
     ('{"max_vertex_radius": 1e-9}', "inside max_vertex_radius 1e-09"),

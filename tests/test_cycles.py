@@ -16,7 +16,7 @@ from hypfeuer.errors import (
     NoHyperbolicCenter,
     NotACycle,
 )
-from hypfeuer.geom_core import as_complex, check_disk, hyp_distance, random_isometry
+from hypfeuer.geom_core import as_complex, check_disk, hyp_distance
 from hypfeuer.cycles import (
     CycleClass,
     GeneralizedCycle,
@@ -25,7 +25,6 @@ from hypfeuer.cycles import (
     classify,
     coefficient_distance,
     cycle_through,
-    diameter_with_direction,
     geodesic_meet,
     geodesic_through,
     hyp_center_radius,
@@ -39,6 +38,7 @@ from hypfeuer.cycles import (
     tangency_residual,
     transform,
 )
+from oracles import diameter_with_direction, random_isometry
 
 
 def rand_point(rng, r=0.7):

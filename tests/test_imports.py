@@ -67,3 +67,32 @@ def test_module_draws_no_random_numbers(module):
     # instances.py seeds every draw from (seed, index, purpose)
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert "random" not in imported_modules(fh.read())
+
+
+def sibling_modules(source: str) -> set[str]:
+    """The package modules a module imports with `from .x import ...`."""
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_sibling_modules_are_found():
+    source = "import os\nfrom random import Random\nfrom .cycles import x\n"
+    assert sibling_modules(source) == {"cycles"}
+
+
+def test_generators_import_neither_the_checks_nor_the_cli():
+    # instances draws what theorems verifies: constructions it needs live
+    # in the layers that own their objects, never in the verifier
+    with open(os.path.join(PACKAGE, "instances.py"), encoding="utf-8") as fh:
+        assert sibling_modules(fh.read()).isdisjoint({"theorems", "cli"})
+
+
+def test_theorems_defines_only_checks():
+    # every construction lives in geom_core, cycles, cevians or power;
+    # theorems keeps the checks and private helpers behind them
+    with open(os.path.join(PACKAGE, "theorems.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    public = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public
+    assert [name for name in public if not name.startswith("check_")] == []

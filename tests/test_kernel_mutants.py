@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from hypfeuer import cevians, cli, cycles
+from hypfeuer import cevians, cli, cycles, geom_core
 from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
 from hypfeuer.errors import DivergentCevians, IdenticalCycles
 
@@ -103,6 +103,48 @@ def _concurrency_keeps_worst(original):
     return mutant
 
 
+def _lexell_b_scaled(original):
+    def mutant(a, b, x0):
+        g = original(a, b, x0)
+        return GeneralizedCycle.of(g.a, g.b * (1.0 + 1e-6), g.c)
+    return mutant
+
+
+def _first_angle_shifted(original):
+    def mutant(a, b, c, d):
+        angles = original(a, b, c, d)
+        if angles is None:
+            return None
+        return [angles[0] + 1e-6] + angles[1:]
+    return mutant
+
+
+def _arc_samples_scaled(original):
+    def mutant(cycle, a, b, count):
+        return [z * (1.0 + 1e-6) for z in original(cycle, a, b, count)]
+    return mutant
+
+
+def _through_c_shifted(original):
+    def mutant(p, q, r):
+        g = original(p, q, r)
+        return GeneralizedCycle.of(g.a, g.b, g.c + 1e-6)
+    return mutant
+
+
+def _radius_scaled(original):
+    def mutant(center, rho):
+        return original(center, rho * (1.0 + 1e-6))
+    return mutant
+
+
+def _center_radius_scaled(original):
+    def mutant(cycle):
+        center, radius = original(cycle)
+        return center, radius * (1.0 + 1e-6)
+    return mutant
+
+
 def _sign_convention_flipped(original):
     def mutant(cls, a, b, c):
         g = original(cls, a, b, c)
@@ -119,6 +161,14 @@ MUTANTS = {
     # the side frame carries every cevian foot
     "side_frame_radius_scaled_1e-6": (cevians, "_side_frame", _frame_radius_scaled),
     "side_frame_angle_shifted_1e-6": (cevians, "_side_frame", _frame_angle_shifted),
+    # the checks' own constructions, and the circles every configuration
+    # builds (circumcircle, Euler circle, tritangent circles)
+    "lexell_b_scaled_1e-6": (cycles, "lexell_cycle", _lexell_b_scaled),
+    "quad_first_angle_shifted_1e-6": (geom_core, "convex_quad_angles",
+                                      _first_angle_shifted),
+    "arc_samples_scaled_1e-6": (cycles, "_arc_samples", _arc_samples_scaled),
+    "through_c_shifted_1e-6": (cycles, "cycle_through", _through_c_shifted),
+    "circle_radius_scaled_1e-6": (cycles, "circle_from_center_radius", _radius_scaled),
 }
 
 SURVIVORS = {
@@ -138,6 +188,9 @@ SURVIVORS = {
     # stays at rounding level too
     "concurrency_keeps_worst_candidate": (cevians, "concurrency_point",
                                           _concurrency_keeps_worst),
+    # no check reads the configuration's circumradius or euler_radius,
+    # and the centers it returns beside them are left exact
+    "center_radius_scaled_1e-6": (cycles, "hyp_center_radius", _center_radius_scaled),
 }
 
 

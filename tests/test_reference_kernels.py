@@ -23,6 +23,7 @@ from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_po
 from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
+    contact_point,
     cycle_through,
     geodesic_meet,
     geodesic_through,
@@ -35,11 +36,12 @@ from hypfeuer.geom_core import (
     Triangle,
     as_complex,
     complex_angle,
+    convex_quad_angles,
     mobius_to_origin,
     signed_angle,
 )
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.theorems import check_tangent_cevians, contact_point, convex_quad_angles
+from hypfeuer.theorems import check_tangent_cevians
 
 BOXES = (0.25, 0.7, 0.95)
 

@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from hypfeuer import cli, instances, power, theorems
-from hypfeuer.cevians import angle_bisectors, build_config
+from hypfeuer import cli, geom_core, instances, power, theorems
+from hypfeuer.cevians import _shoot_tangent_circle, angle_bisectors, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
     CycleClass,
@@ -17,6 +17,7 @@ from hypfeuer.cycles import (
     geodesic_through,
     hyp_center_radius,
     intersect,
+    lexell_cycle,
     point_geodesic_distance,
     tangency_residual,
     transform,
@@ -26,8 +27,8 @@ from hypfeuer.geom_core import (
     Triangle,
     as_complex,
     complex_angle,
+    convex_quad_angles,
     hyp_distance,
-    random_isometry,
     signed_area,
     triangle_area,
     wrap_angle,
@@ -55,10 +56,8 @@ from hypfeuer.theorems import (
     check_six_point,
     check_tangent_cevians,
     check_trapezoid,
-    convex_quad_angles,
-    lexell_cycle,
-    _shoot_tangent_circle,
 )
+from oracles import random_isometry
 
 ABSOLUTE = GeneralizedCycle.of(1.0, 0j, -1.0)
 
@@ -199,7 +198,7 @@ def test_trapezoid_fails_when_the_angles_are_off(monkeypatch):
     # to pin the area side at zero
     quads = [trapezoid_quad(instance_rng(608, idx), converse=converse)
              for idx in range(4) for converse in (False, True)]
-    real = theorems.convex_quad_angles
+    real = geom_core.convex_quad_angles
 
     def off(*quad):
         qa, qb, qc, qd = real(*quad)
