@@ -5,7 +5,6 @@ from .geom_core import (
     DiskIsometry,
     Triangle,
     hyp_distance,
-    hyp_midpoint,
     sigma,
     signed_angle,
     triangle_area,
@@ -34,7 +33,7 @@ from .power import (
     radical_center,
 )
 from .theorems import Tolerances, VerificationReport
-from .svg_render import FigureSpec, render_svg
+from .svg_render import render_svg
 from .cli import Scenario, main, run_verify
 
 __version__ = "0.1.0"
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CycleClass",
     "DiskIsometry",
-    "FigureSpec",
     "GeneralizedCycle",
     "GeometryError",
     "Scenario",
@@ -58,7 +56,6 @@ __all__ = [
     "homothetic_centers",
     "hyp_center_radius",
     "hyp_distance",
-    "hyp_midpoint",
     "intersect",
     "lexell_cycle",
     "main",

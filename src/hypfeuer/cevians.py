@@ -24,7 +24,9 @@ are centered where angle bisectors meet, by cross products of their
 hyperboloid normals; the bisectors themselves are differences and sums
 of the sides' unit normals, built once per configuration.  The circle
 inscribed in a vertex's angle and tangent to a given circle (the
-tangent-cevian check's shot) is a quadratic in that vertex's frame.
+tangent-cevian check's shot) is a quadratic in that vertex's frame; the
+point where two circles touch is one radius from a center toward or away
+from the other center (`tangent_contact`).
 
 Everything degenerate is flagged on the returned TriangleConfig rather
 than raised: large triangles routinely lose their circumcenter, their
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BracketFailure, DegenerateAngle, DivergentCevians, GeometryError
@@ -46,6 +49,8 @@ from .geom_core import (
 )
 from .cycles import (
     GeneralizedCycle,
+    _circle_vector,
+    _to_disk,
     _translate_raw,
     circle_from_center_radius,
     cycle_through,
@@ -63,6 +68,8 @@ EDGE_INSET = 1e-9
 
 # a pseudoaltitude foot never passes this ideal-chord coordinate
 IDEAL_LIMIT = 1.0 - 1e-6
+
+_EPS = sys.float_info.epsilon
 
 
 # the label of the first base endpoint b1 in Triangle.opposite(vertex)
@@ -198,19 +205,6 @@ def _incircle(internal: dict[str, GeneralizedCycle],
 def _excircle(vertex: str, internal: dict[str, GeneralizedCycle],
               external: dict[str, GeneralizedCycle],
               sides: dict[str, GeneralizedCycle]) -> CircleSpec | None:
-    e1, e2 = (external[v] for v in VERTICES if v != vertex)
-    center = geodesic_meet(internal[vertex], e1)
-    if center is None:
-        return None
-    return _tangent_spec(center, e2, sides)
-
-
-def incircle(tri: Triangle) -> CircleSpec:
-    sides = side_lines(tri)
-    return _incircle(angle_bisectors(tri, sides)[0], sides)
-
-
-def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
     """Escribed circle beyond the side opposite `vertex`, or None if absent.
 
     The center is the meet of the internal bisector at the vertex with an
@@ -218,8 +212,11 @@ def excircle(tri: Triangle, vertex: str) -> CircleSpec | None:
     not exist (any interior meet is automatically equidistant from all
     three side lines, so pair intersection is a sound existence test).
     """
-    sides = side_lines(tri)
-    return _excircle(vertex, *angle_bisectors(tri, sides), sides)
+    e1, e2 = (external[v] for v in VERTICES if v != vertex)
+    center = geodesic_meet(internal[vertex], e1)
+    if center is None:
+        return None
+    return _tangent_spec(center, e2, sides)
 
 
 def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
@@ -278,16 +275,42 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     return None
 
 
+def tangent_contact(circle: GeneralizedCycle, other: GeneralizedCycle, inside: bool,
+                    tol: float) -> tuple[complex | None, float]:
+    """(contact, gap) of `circle` with the circle `other`: the point one
+    radius r from circle's center O1 on the geodesic through other's
+    center O2 (away from O2 when circle lies inside other, toward it when
+    outside), and |d - (R -+ r)| for the distance d between the centers.
+
+    On the hyperboloid N = O2 - <O1, O2> O1 is tangent at O1 with
+    |N| = sinh d, so the point is cosh r O1 -+ sinh r N / |N|.  Only a true
+    tangency puts it on other; cevians through homothetic centers would
+    concur by Monge for any circles inscribed in the angles.  The contact
+    is None for sinh d < eps / tol: with each center rounded by about eps,
+    the direction between them could then be off by the tolerance.
+    """
+    t1, x1, y1, n1, s1 = _circle_vector(circle)
+    t2, x2, y2, n2, s2 = _circle_vector(other)
+    t1, x1, y1, t2, x2, y2 = t1 / n1, x1 / n1, y1 / n1, t2 / n2, x2 / n2, y2 / n2
+    c = t1 * t2 - x1 * x2 - y1 * y2
+    nt, nx, ny = t2 - c * t1, x2 - c * x1, y2 - c * y1
+    sinh_d = math.sqrt(max(nx * nx + ny * ny - nt * nt, 0.0))
+    sinh_r = s1 / n1
+    r, big_r = math.asinh(sinh_r), math.asinh(s2 / n2)
+    gap = abs(math.asinh(sinh_d) - (abs(big_r - r) if inside else big_r + r))
+    if sinh_d * tol < _EPS:
+        return None, gap
+    cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
+    k = (-sinh_r if inside else sinh_r) / sinh_d
+    return _to_disk(cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
+
+
 @dataclass
 class CevianFeet:
     """The feet that exist, keyed by the vertex they are dropped from."""
 
     bisector: dict[str, complex] = field(default_factory=dict)
     pseudoaltitude: dict[str, complex] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.bisector) == 3 and len(self.pseudoaltitude) == 3
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .instances import (
     random_triangle,
     trapezoid_quad,
 )
-from .svg_render import FigureSpec, render_svg
+from .svg_render import render_svg
 from .theorems import (
     DEFAULT_TOLERANCES,
     InstanceReport,
@@ -421,7 +421,7 @@ def cmd_render(scn: Scenario, fmt: str) -> int:
         tri, _ = random_triangle(instance_rng(scn.seed, 0, PURPOSE_TRIANGLE),
                                  scn.max_vertex_radius, scn.min_angle)
     cfg = build_config(tri)
-    text = config_json(cfg) if fmt == "json" else render_svg(cfg, FigureSpec())
+    text = config_json(cfg) if fmt == "json" else render_svg(cfg)
     _write_out(text, scn.out)
     return 0
 

@@ -34,7 +34,7 @@ solved, and a point's distance to one is the plane's form at the point.
 geodesics; ``point_geodesic_distance`` is its one-geodesic case.
 
 The checks' cycle constructions live here too: the constant-area locus
-(``lexell_cycle``), contact points and samples along an arc.
+(``lexell_cycle``) and samples along an arc.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from enum import Enum
 from .errors import (
     AmbiguousClass,
     CoincidentPoints,
-    DegenerateConfiguration,
     IdenticalCycles,
     NoHyperbolicCenter,
     NotACircle,
@@ -260,7 +259,8 @@ def geodesic_through(p, q) -> GeneralizedCycle:
 
     Lifting z to (|z|^2 + 1, 2x, 2y) turns "cycle with C = A" into a
     plane through the origin; the cross product of two lifts is its
-    normal, read back as (A, B, C=A).
+    normal, read back as (A, B, C=A).  The lift is polynomial, so it
+    takes ideal endpoints on the absolute as exactly as interior points.
     """
     zp = p if type(p) is complex else as_complex(p)
     zq = q if type(q) is complex else as_complex(q)
@@ -315,39 +315,6 @@ def tangency_ratio(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
     """<c1,c2> / sqrt(<c1,c1><c2,c2>): +1 internal tangency, -1 external."""
     g = inversive_product(c1, c1) * inversive_product(c2, c2)
     return inversive_product(c1, c2) / math.sqrt(g)
-
-
-def contact_point(c1: GeneralizedCycle, c2: GeneralizedCycle) -> complex:
-    """Closest-approach midpoint of two (near-)tangent cycles.
-
-    Tangency is only certified to a tolerance, so the contact point is
-    taken as the midpoint of the closest pair among the four axis
-    points on the line of Euclidean centers.
-    """
-    return _contact_midpoint(*c1.euclid_center_radius(), *c2.euclid_center_radius())
-
-
-def _contact_midpoint(e1: complex, s1: float, e2: complex, s2: float) -> complex:
-    """contact_point from the two Euclidean centers and radii, for
-    callers that touch one cycle many times.  The four pairs are compared
-    in contact_point's order, (+, +), (+, -), (-, +), (-, -), and a tie
-    keeps the earlier pair."""
-    u = e2 - e1
-    if abs(u) < 1e-15:
-        raise DegenerateConfiguration("concentric cycles have no contact point")
-    u /= abs(u)
-    p1, p2 = e1 + s1 * u, e1 - s1 * u
-    q1, q2 = e2 + s2 * u, e2 - s2 * u
-    p, q, gap = p1, q1, abs(p1 - q1)
-    d = abs(p1 - q2)
-    if d < gap:
-        q, gap = q2, d
-    d = abs(p2 - q1)
-    if d < gap:
-        p, q, gap = p2, q1, d
-    if abs(p2 - q2) < gap:
-        p, q = p2, q2
-    return (p + q) / 2.0
 
 
 def intersect(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:
@@ -407,10 +374,10 @@ def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[comple
     return (complex(x, y),)
 
 
-def interior_intersections(c1: GeneralizedCycle, c2: GeneralizedCycle,
-                           margin: float = INTERIOR_MARGIN) -> tuple[complex, ...]:
-    """Intersection points strictly inside the disk."""
-    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - margin)
+def interior_intersections(c1: GeneralizedCycle,
+                           c2: GeneralizedCycle) -> tuple[complex, ...]:
+    """Intersection points inside the disk, INTERIOR_MARGIN clear of the absolute."""
+    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - INTERIOR_MARGIN)
 
 
 def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:

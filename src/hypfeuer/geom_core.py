@@ -97,17 +97,6 @@ def hyp_distance(p, q) -> float:
     return 2.0 * math.atanh(abs((zq - zp) / (1.0 - zp.conjugate() * zq)))
 
 
-def hyp_midpoint(p, q) -> complex:
-    """Midpoint of the geodesic segment pq."""
-    zp, zq = as_complex(p), as_complex(q)
-    w = mobius_to_origin(zp, zq)
-    r = abs(w)
-    if r == 0.0:
-        return zp
-    # halve the distance along the radius through w
-    return mobius_from_origin(zp, w / r * math.tanh(math.atanh(r) / 2.0))
-
-
 def absolute_inverse(p) -> complex:
     """Inversion in the absolute: z -> z / |z|^2.
 
@@ -353,8 +342,3 @@ class DiskIsometry:
         if self.reflect:
             return DiskIsometry(-self.a.conjugate() / rot, self.theta, True)
         return DiskIsometry(-self.a * rot, -self.theta, False)
-
-    @classmethod
-    def translation(cls, a) -> "DiskIsometry":
-        """The map sending a to the origin."""
-        return cls(as_complex(a), 0.0, False)

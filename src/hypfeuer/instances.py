@@ -111,15 +111,10 @@ def random_cycle(rng: Random) -> GeneralizedCycle:
             continue
         e1, e2 = cmath.exp(1j * t1), cmath.exp(1j * t2)
         x = _disk_point(rng, 0.7)
-        if point_geodesic_distance(x, geodesic_through_boundary(e1, e2)) < 0.1:
+        if point_geodesic_distance(x, geodesic_through(e1, e2)) < 0.1:
             continue
         return cycle_through(e1, e2, x)
     raise _exhausted("random_cycle", "equidistant")
-
-
-def geodesic_through_boundary(e1: complex, e2: complex) -> GeneralizedCycle:
-    """Geodesic with the two given ideal endpoints."""
-    return geodesic_through(0.999999 * e1, 0.999999 * e2)
 
 
 def random_cycle_pair(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle]:

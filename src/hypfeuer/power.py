@@ -174,7 +174,9 @@ def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle) -> Homothetic
     circle as P = |P| O with s = |P| sinh r, so X is s2 P1 -+ s1 P2 up
     to a positive scale; the center exists in the disk exactly when X
     is timelike.  Concentric circles give their common center (one
-    circle twice gives it only as the negative center).
+    circle twice gives it only as the negative center).  Tangent circles
+    touch at a center: the positive one if one circle is inside the
+    other, the negative one if not.
     """
     t1, x1, y1, _, s1 = _circle_vector(c1)
     t2, x2, y2, _, s2 = _circle_vector(c2)

@@ -3,44 +3,26 @@
 Geodesics are drawn as what they are: circular arcs meeting the
 boundary circle at right angles, or straight diameters.  Cycles that
 cross the absolute (equidistants, circumcircles of large triangles) are
-clipped to their in-disk arc.  All coordinates are emitted with fixed
-4-decimal formatting so identical inputs give identical bytes.
+clipped to their in-disk arc.  Every figure draws the same layers in
+the same order (triangle, cevians, circumcircle, Euler circle, incircle,
+excircles, feet, centers), skipping only objects the configuration
+lacks.  All coordinates are emitted with fixed 4-decimal formatting so
+identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .cevians import TriangleConfig
 from .cycles import GeneralizedCycle, intersect
 
 _ABSOLUTE = GeneralizedCycle.of(1.0, 0j, -1.0)
 
-# layer -> (stroke, width); order fixes document order
-_STYLES = {
-    "triangle": ("#1a1a1a", 1.6),
-    "cevians": ("#7a7a7a", 0.9),
-    "circumcircle": ("#9467bd", 1.1),
-    "euler": ("#d62728", 1.4),
-    "incircle": ("#2ca02c", 1.2),
-    "excircles": ("#17becf", 1.0),
-    "feet": ("#1f77b4", 0.0),
-    "centers": ("#d62728", 0.0),
-}
-
-DEFAULT_LAYERS = ("triangle", "cevians", "circumcircle", "euler",
-                  "incircle", "excircles", "feet", "centers")
-
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
 MARGIN = 20.0
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    layers: tuple[str, ...] = DEFAULT_LAYERS
 
 
 class _Canvas:
@@ -135,71 +117,57 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
     cv.arc(elem_id, p, q, er, delta > math.pi, 0, stroke, width)
 
 
-def render_svg(cfg: TriangleConfig, spec: FigureSpec = FigureSpec()) -> str:
+def render_svg(cfg: TriangleConfig) -> str:
     cv = _Canvas()
     tri = cfg.triangle
     verts = tri.vertices
 
     cv.circle("absolute", 0j, 1.0, "#000000", 1.5)
 
-    if "triangle" in spec.layers:
-        stroke, width = _STYLES["triangle"]
-        pairs = {"a": (tri.b, tri.c), "b": (tri.c, tri.a), "c": (tri.a, tri.b)}
-        for v in ("a", "b", "c"):
-            p, q = pairs[v]
-            _draw_segment(cv, f"side-{v}", cfg.sides[v], p, q, stroke, width)
-        for v in ("a", "b", "c"):
-            cv.dot(f"vertex-{v}", verts[v], "#1a1a1a", 3.0)
-            cv.text(f"label-{v}", verts[v] * 1.12 if abs(verts[v]) > 1e-9
-                    else verts[v] + 0.06, v)
+    for v in ("a", "b", "c"):
+        _, p, q = tri.opposite(v)
+        _draw_segment(cv, f"side-{v}", cfg.sides[v], p, q, "#1a1a1a", 1.6)
+    for v in ("a", "b", "c"):
+        cv.dot(f"vertex-{v}", verts[v], "#1a1a1a", 3.0)
+        cv.text(f"label-{v}", verts[v] * 1.12 if abs(verts[v]) > 1e-9
+                else verts[v] + 0.06, v)
 
-    if "cevians" in spec.layers:
-        stroke, width = _STYLES["cevians"]
-        for v, line in sorted(cfg.bisector_cevians.items()):
-            if v in cfg.feet.bisector:
-                _draw_segment(cv, f"bisector-cevian-{v}", line, verts[v],
-                              cfg.feet.bisector[v], stroke, width)
-        for v, line in sorted(cfg.pseudoaltitude_cevians.items()):
-            if v in cfg.feet.pseudoaltitude:
-                _draw_segment(cv, f"pseudoaltitude-cevian-{v}", line, verts[v],
-                              cfg.feet.pseudoaltitude[v], "#bbbbbb", width)
+    for v, line in sorted(cfg.bisector_cevians.items()):
+        if v in cfg.feet.bisector:
+            _draw_segment(cv, f"bisector-cevian-{v}", line, verts[v],
+                          cfg.feet.bisector[v], "#7a7a7a", 0.9)
+    for v, line in sorted(cfg.pseudoaltitude_cevians.items()):
+        if v in cfg.feet.pseudoaltitude:
+            _draw_segment(cv, f"pseudoaltitude-cevian-{v}", line, verts[v],
+                          cfg.feet.pseudoaltitude[v], "#bbbbbb", 0.9)
 
-    if "circumcircle" in spec.layers:
-        stroke, width = _STYLES["circumcircle"]
-        _draw_cycle(cv, "circumcircle", cfg.circumcircle, stroke, width)
+    _draw_cycle(cv, "circumcircle", cfg.circumcircle, "#9467bd", 1.1)
 
-    if "euler" in spec.layers and cfg.euler_circle is not None:
-        stroke, width = _STYLES["euler"]
-        _draw_cycle(cv, "euler-circle", cfg.euler_circle, stroke, width)
+    if cfg.euler_circle is not None:
+        _draw_cycle(cv, "euler-circle", cfg.euler_circle, "#d62728", 1.4)
 
-    if "incircle" in spec.layers and cfg.incircle is not None:
-        stroke, width = _STYLES["incircle"]
-        _draw_cycle(cv, "incircle", cfg.incircle.cycle, stroke, width)
+    if cfg.incircle is not None:
+        _draw_cycle(cv, "incircle", cfg.incircle.cycle, "#2ca02c", 1.2)
 
-    if "excircles" in spec.layers:
-        stroke, width = _STYLES["excircles"]
-        for v, spec_ in sorted(cfg.excircles.items()):
-            if spec_ is not None:
-                _draw_cycle(cv, f"excircle-{v}", spec_.cycle, stroke, width)
+    for v, spec in sorted(cfg.excircles.items()):
+        if spec is not None:
+            _draw_cycle(cv, f"excircle-{v}", spec.cycle, "#17becf", 1.0)
 
-    if "feet" in spec.layers:
-        color, _ = _STYLES["feet"]
-        for v, z in sorted(cfg.feet.bisector.items()):
-            cv.dot(f"foot-bisector-{v}", z, color, 2.2)
-        for v, z in sorted(cfg.feet.pseudoaltitude.items()):
-            cv.dot(f"foot-pseudoaltitude-{v}", z, "#ff7f0e", 2.2)
+    for v, z in sorted(cfg.feet.bisector.items()):
+        cv.dot(f"foot-bisector-{v}", z, "#1f77b4", 2.2)
+    for v, z in sorted(cfg.feet.pseudoaltitude.items()):
+        cv.dot(f"foot-pseudoaltitude-{v}", z, "#ff7f0e", 2.2)
 
-    if "centers" in spec.layers:
-        named = {
-            "circumcenter": cfg.circumcenter,
-            "euler-center": cfg.euler_center,
-            "bisector-point": cfg.bisector_point,
-            "pseudo-orthocenter": cfg.pseudo_orthocenter,
-            "incenter": cfg.incircle.center if cfg.incircle else None,
-        }
-        for name, z in named.items():
-            if z is not None:
-                cv.dot(f"point-{name}", z, "#d62728", 2.4)
+    named = {
+        "circumcenter": cfg.circumcenter,
+        "euler-center": cfg.euler_center,
+        "bisector-point": cfg.bisector_point,
+        "pseudo-orthocenter": cfg.pseudo_orthocenter,
+        "incenter": cfg.incircle.center if cfg.incircle else None,
+    }
+    for name, z in named.items():
+        if z is not None:
+            cv.dot(f"point-{name}", z, "#d62728", 2.4)
 
     body = "\n".join(cv.parts)
     return (

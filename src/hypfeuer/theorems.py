@@ -42,7 +42,6 @@ from .cycles import (
     CycleClass,
     GeneralizedCycle,
     _arc_samples,
-    _contact_midpoint,
     classify,
     geodesic_through,
     hyp_center_radius,
@@ -54,7 +53,12 @@ from .cycles import (
     sample_points,
     tangency_residual,
 )
-from .cevians import TriangleConfig, _shoot_tangent_circle, concurrency_point
+from .cevians import (
+    TriangleConfig,
+    _shoot_tangent_circle,
+    concurrency_point,
+    tangent_contact,
+)
 from .power import (
     homothetic_centers,
     monge_centers,
@@ -209,12 +213,22 @@ def check_lexell(a, b, x0,
 
 def check_six_point(cfg: TriangleConfig,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
-    """The circle through the bisector feet contains the pseudoaltitude feet."""
+    """The circle through the bisector feet contains the pseudoaltitude
+    feet, and its radius is its center's distance to each bisector foot."""
     if cfg.flagged("bracket_failure", "no_euler_circle"):
         return _skip("six_point", tol.theorem, "cevian_degeneracy")
     residual = max(cfg.euler_membership.values())
-    return _finish("six_point", residual, tol.theorem,
-                   {"membership": dict(cfg.euler_membership)})
+    witness: dict = {"membership": dict(cfg.euler_membership)}
+    if cfg.euler_center is not None:
+        witness["radius_gap"] = _radius_gap(cfg.euler_center, cfg.euler_radius,
+                                            cfg.feet.bisector.values())
+        residual = max(residual, witness["radius_gap"])
+    return _finish("six_point", residual, tol.theorem, witness)
+
+
+def _radius_gap(center: complex, radius: float, points) -> float:
+    """Worst |d(center, p) - radius| over points the circle passes through."""
+    return max(abs(hyp_distance(center, p) - radius) for p in points)
 
 
 _EULER_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
@@ -225,25 +239,27 @@ _EULER_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
 def check_euler_line(cfg: TriangleConfig,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Collinearity of circumcenter, Euler center, bisector point and
-    pseudo-orthocenter, plus the re-derivation of the latter through the
-    Euler circle's second side intersections (reported in the witness)."""
+    pseudo-orthocenter, and the circumradius at every vertex; the witness
+    reports the pseudo-orthocenter re-derived through the Euler circle's
+    second side intersections."""
     if cfg.flagged(*_EULER_FLAGS):
         return _skip("euler_line", tol.theorem, "center_undefined")
     o = cfg.circumcenter
+    radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
     others = {"euler_center": cfg.euler_center,
               "bisector_point": cfg.bisector_point,
               "pseudo_orthocenter": cfg.pseudo_orthocenter}
     far_name, far = max(others.items(), key=lambda kv: hyp_distance(o, kv[1]))
-    witness: dict = {"anchor": far_name}
+    witness: dict = {"anchor": far_name, "radius_gap": radius_gap}
     if hyp_distance(o, far) < 1e-12:
         # totally symmetric configuration: all four points coincide
         residual = max(hyp_distance(o, p) for p in others.values())
-        return _finish("euler_line", residual, tol.theorem, witness)
+        return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
     line = geodesic_through(o, far)
     residual = max(point_geodesic_distance(p, line)
                    for name, p in others.items() if name != far_name)
     witness["rederived_orthocenter_gap"] = _rederived_orthocenter_gap(cfg)
-    return _finish("euler_line", residual, tol.theorem, witness)
+    return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
 
 
 def _rederived_orthocenter_gap(cfg: TriangleConfig) -> float | None:
@@ -344,16 +360,17 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
                    {"class": classify(axis).value, "samples": used})
 
 
+_MONGE_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
 def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
-                tol: Tolerances = DEFAULT_TOLERANCES,
-                patterns: tuple = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
-                ) -> TheoremCheck:
+                tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Collinearity of pairwise homothetic centers for every valid sign
     pattern (all positive, or exactly two negative)."""
     pair_centers = monge_centers(c1, c2, c3)
     witness: dict = {}
     residuals = []
-    for signs in patterns:
+    for signs in _MONGE_PATTERNS:
         key = "".join("p" if s == 1 else "n" for s in signs)
         try:
             _, res, _ = monge_line(pair_centers, signs)
@@ -375,8 +392,10 @@ def check_tangent_cevians(cfg: TriangleConfig,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the vertex-to-contact cevians of the three circles
     inscribed in the angles and tangent to a common circle w (default:
-    the circumcircle).  Cross-checked against the homothetic center of
-    (w, incircle), which the concurrency point should land on."""
+    the circumcircle).  The residual also takes each circle's tangency
+    gap (tangent_contact): a small triangle's cevians move too little to
+    show a circle that misses w.  Cross-checked against the homothetic
+    center of (w, incircle), which the concurrency point should land on."""
     if w is None:
         w = cfg.circumcircle
     try:
@@ -385,20 +404,22 @@ def check_tangent_cevians(cfg: TriangleConfig,
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
     verts = cfg.triangle.vertices
-    # a circle inside the disk is no straight line, so this cannot raise
-    w_center, w_radius = w.euclid_center_radius()
     cevians = []
+    tangency = 0.0
     for v in ("a", "b", "c"):
         circle = _shoot_tangent_circle(cfg.triangle, v, w, external)
         if circle is None:
             return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
-        contact = _contact_midpoint(*circle.euclid_center_radius(), w_center, w_radius)
+        contact, gap = tangent_contact(circle, w, not external, tol.chain)
+        tangency = max(tangency, gap)
+        if contact is None:
+            return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")
         cevians.append(geodesic_through(verts[v], contact))
     try:
         point, residual = concurrency_point(cevians)
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "cevians_diverge")
-    witness: dict = {"point": point, "external": external}
+    witness: dict = {"point": point, "external": external, "tangency_gap": tangency}
     if cfg.incircle is not None:
         try:
             hc = homothetic_centers(w, cfg.incircle.cycle)
@@ -408,26 +429,32 @@ def check_tangent_cevians(cfg: TriangleConfig,
                     point, [geodesic_through(verts[v], ref) for v in ("a", "b", "c")]))
         except GeometryError:
             pass
-    return _finish("tangent_cevians", residual, tol.chain, witness)
+    return _finish("tangent_cevians", max(residual, tangency), tol.chain, witness)
 
 
-_FEUERBACH_POINT_FLAGS = ("bracket_failure", "no_euler_circle", "excircle_absent")
+_FEUERBACH_POINT_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
+                          "excircle_absent")
 
 
 def check_feuerbach_point(cfg: TriangleConfig,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the incircle-contact-to-incenter line with the three
-    vertex-to-excircle-contact lines on the Euler circle."""
+    vertex-to-excircle-contact lines on the Euler circle.  The incircle
+    touches the Euler circle from inside, the excircles from outside;
+    the Euler circle and the incircle of an equilateral triangle are one
+    circle, with no contact point."""
     if cfg.flagged(*_FEUERBACH_POINT_FLAGS) or cfg.incircle is None:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     verts = cfg.triangle.vertices
+    inc = cfg.incircle
+    f0, _ = tangent_contact(inc.cycle, cfg.euler_circle, True, tol.chain)
+    fs = [tangent_contact(cfg.excircles[v].cycle, cfg.euler_circle, False, tol.chain)[0]
+          for v in ("a", "b", "c")]
+    if f0 is None or None in fs:
+        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     try:
-        euler = cfg.euler_circle.euclid_center_radius()
-        f0 = _contact_midpoint(*euler, *cfg.incircle.cycle.euclid_center_radius())
-        lines = [geodesic_through(f0, cfg.incircle.center)]
-        for v in ("a", "b", "c"):
-            fv = _contact_midpoint(*euler, *cfg.excircles[v].cycle.euclid_center_radius())
-            lines.append(geodesic_through(verts[v], fv))
+        lines = [geodesic_through(f0, inc.center)]
+        lines += [geodesic_through(verts[v], fv) for v, fv in zip(("a", "b", "c"), fs)]
     except GeometryError:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     try:
@@ -436,10 +463,9 @@ def check_feuerbach_point(cfg: TriangleConfig,
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
     residual = max(point_geodesic_distances(point, lines))
     witness: dict = {"point": point}
-    if cfg.euler_center is not None:
-        try:
-            ei_line = geodesic_through(cfg.euler_center, cfg.incircle.center)
-            witness["euler_incenter_line_gap"] = point_geodesic_distance(point, ei_line)
-        except GeometryError:
-            pass
+    try:
+        ei_line = geodesic_through(cfg.euler_center, inc.center)
+        witness["euler_incenter_line_gap"] = point_geodesic_distance(point, ei_line)
+    except GeometryError:
+        pass
     return _finish("feuerbach_point", residual, tol.chain, witness)

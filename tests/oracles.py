@@ -1,15 +1,16 @@
 """Test-only constructions that the library itself never needs.
 
-`random_isometry` draws the isometries of the invariance tests, and
+`random_isometry` draws the isometries of the invariance tests,
 `diameter_with_direction` builds diameters for constructions that are
-checked against a translated frame.
+checked against a translated frame, and `hyp_midpoint` is the midpoint
+the foot oracles compare with.
 """
 
 import cmath
 import math
 
 from hypfeuer.cycles import GeneralizedCycle
-from hypfeuer.geom_core import TAU, DiskIsometry
+from hypfeuer.geom_core import TAU, DiskIsometry, mobius_from_origin, mobius_to_origin
 
 
 def random_isometry(rng) -> DiskIsometry:
@@ -22,3 +23,14 @@ def random_isometry(rng) -> DiskIsometry:
 def diameter_with_direction(u: complex) -> GeneralizedCycle:
     """Geodesic through the origin along unit direction u."""
     return GeneralizedCycle.of(0.0, 1j * u, 0.0)
+
+
+def hyp_midpoint(p, q) -> complex:
+    """Midpoint of the geodesic segment pq."""
+    p, q = complex(p), complex(q)
+    w = mobius_to_origin(p, q)
+    r = abs(w)
+    if r == 0.0:
+        return p
+    # halve the distance along the radius through w
+    return mobius_from_origin(p, w / r * math.tanh(math.atanh(r) / 2.0))

@@ -13,11 +13,10 @@ from hypfeuer.cevians import build_config
 from hypfeuer.cli import main
 from hypfeuer.cycles import (
     coefficient_distance,
-    contact_point,
     geodesic_through,
     point_geodesic_distance,
 )
-from hypfeuer.geom_core import Triangle
+from hypfeuer.geom_core import Triangle, mobius_from_origin, mobius_to_origin
 from hypfeuer.instances import (
     PURPOSE_ARC,
     PURPOSE_CYCLE_PAIR,
@@ -228,8 +227,14 @@ def test_08_tangency_concurrencies():
         done += 1
         worst_cev = max(worst_cev, chk13.residual)
         worst_pt = max(worst_pt, chk14.residual)
-        f0 = contact_point(cfg.euler_circle, cfg.incircle.cycle)
-        fi_line = geodesic_through(f0, cfg.incircle.center)
+        # the incircle touches the Euler circle from inside, so the
+        # contact lies r_in beyond the incenter on the ray from the Euler
+        # center: in the incenter's frame, against the Euler center's image
+        inc = cfg.incircle
+        away = -mobius_to_origin(inc.center, cfg.euler_center)
+        f0 = mobius_from_origin(inc.center,
+                                math.tanh(inc.radius / 2.0) * away / abs(away))
+        fi_line = geodesic_through(f0, inc.center)
         worst_fi = max(worst_fi, point_geodesic_distance(
             chk14.witness["point"], fi_line))
     ok = (done == 200 and worst_cev < 1e-8 and worst_pt < 1e-8

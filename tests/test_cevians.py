@@ -12,7 +12,6 @@ from hypfeuer.geom_core import (
     DiskIsometry,
     Triangle,
     hyp_distance,
-    hyp_midpoint,
     mobius_to_origin,
     sigma,
     triangle_area,
@@ -33,14 +32,12 @@ from hypfeuer.cevians import (
     bisector_foot,
     build_config,
     concurrency_point,
-    excircle,
-    incircle,
     pseudoaltitude_foot,
     side_lines,
 )
 from hypfeuer.instances import BRACKET_WIDTH, brent_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
-from oracles import diameter_with_direction
+from oracles import diameter_with_direction, hyp_midpoint
 
 
 def isosceles():
@@ -291,8 +288,9 @@ def test_excircle_touches_all_sides_when_present():
         tri, _ = random_triangle(instance_rng(202, idx), 0.45)
         idx += 1
         sides = side_lines(tri)
+        excircles = build_config(tri).excircles
         for v in VERTICES:
-            spec = excircle(tri, v)
+            spec = excircles[v]
             if spec is None:
                 continue
             found += 1
@@ -311,7 +309,7 @@ def _diameter_bisectors(tri, vertex):
     u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
     u = u1 / abs(u1) + u2 / abs(u2)
     u /= abs(u)
-    back = DiskIsometry.translation(-v)
+    back = DiskIsometry(-v)  # sends 0 to v
     return (transform(back, diameter_with_direction(u)),
             transform(back, diameter_with_direction(1j * u)))
 
@@ -334,7 +332,7 @@ def test_angle_bisectors_match_translated_diameters(box):
 
 def test_incircle_center_on_internal_bisectors():
     tri = clean_configs(1, seed=104)[0].triangle
-    inc = incircle(tri)
+    inc = build_config(tri).incircle
     internal, _ = angle_bisectors(tri, side_lines(tri))
     for v in VERTICES:
         line = internal[v]

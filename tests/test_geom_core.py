@@ -21,7 +21,6 @@ from hypfeuer.geom_core import (
     base_areas,
     complex_angle,
     hyp_distance,
-    hyp_midpoint,
     mobius_from_origin,
     mobius_to_origin,
     sigma,
@@ -31,7 +30,7 @@ from hypfeuer.geom_core import (
     triangle_area,
     wrap_angle,
 )
-from oracles import random_isometry
+from oracles import hyp_midpoint, random_isometry
 
 
 def rand_point(rng, r=0.8):

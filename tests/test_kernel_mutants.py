@@ -5,9 +5,10 @@ hypfeuer module that binds it, as the benchmark's tracer does, and
 `verify --suite all` then
 runs over 100 default-box instances.  A mutant is caught on an instance
 when some check on it fails.  Every mutant in MUTANTS must be caught on
-at least CAUGHT_AT_LEAST of them.  SURVIVORS lists the mutants no check
-can catch, each with its reason; the gate checks that they still
-survive, so a change that starts catching one must move it.
+at least CAUGHT_AT_LEAST of them, and every one in TANGENT_CEVIAN_MUTANTS
+on each instance where tangent_cevians runs.  SURVIVORS lists the
+mutants no check can catch, each with its reason; the gate checks that
+they still survive, so a change that starts catching one must move it.
 """
 
 import math
@@ -15,9 +16,10 @@ import sys
 
 import pytest
 
-from hypfeuer import cevians, cli, cycles, geom_core
+from hypfeuer import cevians, cli, cycles, geom_core, power
 from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
 from hypfeuer.errors import DivergentCevians, IdenticalCycles
+from hypfeuer.power import HomotheticCenters
 
 CAUGHT_AT_LEAST = 90
 
@@ -145,6 +147,28 @@ def _center_radius_scaled(original):
     return mutant
 
 
+def _centers_scaled(original):
+    def mutant(c1, c2):
+        hc = original(c1, c2)
+        return HomotheticCenters(*(None if z is None else z * (1.0 + 1e-6)
+                                   for z in (hc.positive, hc.negative)))
+    return mutant
+
+
+def _shot_scaled(original):
+    def mutant(tri, vertex, w, external):
+        g = original(tri, vertex, w, external)
+        if g is None:
+            return None
+        # e x (1 + 1e-6): scaled about the vertex in its frame the circle
+        # stays inscribed in the angle, but no longer touches w
+        v = tri.opposite(vertex)[0]
+        k = 1.0 + 1e-6
+        a, b, c = cycles._translate_raw(v, g.a, g.b, g.c)
+        return GeneralizedCycle.of(*cycles._translate_raw(-v, a, b * k, c * k * k))
+    return mutant
+
+
 def _sign_convention_flipped(original):
     def mutant(cls, a, b, c):
         g = original(cls, a, b, c)
@@ -169,6 +193,18 @@ MUTANTS = {
     "arc_samples_scaled_1e-6": (cycles, "_arc_samples", _arc_samples_scaled),
     "through_c_shifted_1e-6": (cycles, "cycle_through", _through_c_shifted),
     "circle_radius_scaled_1e-6": (cycles, "circle_from_center_radius", _radius_scaled),
+    # six_point and euler_line compare each radius with the distances
+    # from its center to the points the circle passes through
+    "center_radius_scaled_1e-6": (cycles, "hyp_center_radius", _center_radius_scaled),
+    # Monge's centers
+    "homothetic_centers_scaled_1e-6": (power, "homothetic_centers", _centers_scaled),
+}
+
+# Only tangent_cevians reads these.  It skips where the circumcircle is a
+# horocycle or hypercycle (15 of the 100 instances), so they cannot reach
+# CAUGHT_AT_LEAST; each must fail every instance on which the check runs.
+TANGENT_CEVIAN_MUTANTS = {
+    "tangent_shot_scaled_1e-6": (cevians, "_shoot_tangent_circle", _shot_scaled),
 }
 
 SURVIVORS = {
@@ -188,9 +224,6 @@ SURVIVORS = {
     # stays at rounding level too
     "concurrency_keeps_worst_candidate": (cevians, "concurrency_point",
                                           _concurrency_keeps_worst),
-    # no check reads the configuration's circumradius or euler_radius,
-    # and the centers it returns beside them are left exact
-    "center_radius_scaled_1e-6": (cycles, "hyp_center_radius", _center_radius_scaled),
 }
 
 
@@ -221,6 +254,22 @@ def test_mutant_is_caught(monkeypatch, mutant):
     _apply(monkeypatch, *MUTANTS[mutant])
     failing, _ = _verify()
     assert failing >= CAUGHT_AT_LEAST, (mutant, failing)
+
+
+def _tangent_cevian_statuses():
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS,
+                                         suite=("tangent_cevians",)))
+    return [c.status for inst in report.instances for c in inst.checks]
+
+
+@pytest.mark.parametrize("mutant", sorted(TANGENT_CEVIAN_MUTANTS))
+def test_tangent_cevian_mutant_fails_wherever_the_check_runs(monkeypatch, mutant):
+    honest = _tangent_cevian_statuses()
+    # the circumcircle is a circle on 85 of the 100 instances
+    assert honest.count("pass") >= 85
+    _apply(monkeypatch, *TANGENT_CEVIAN_MUTANTS[mutant])
+    mutated = _tangent_cevian_statuses()
+    assert mutated == ["fail" if s == "pass" else s for s in honest], mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))

@@ -2,11 +2,10 @@
 
 Each reference below is the former code, kept as the oracle: the side
 frame that built its own Mobius images and angle, the pairwise
-concurrency scan over itertools.combinations, the min()-based contact
-point, the cos/sin arc sampler, the list-based quad turns and the
-sampler's three signed_angle calls.  Results are compared as packed
-doubles, so a signed zero or a last-bit difference counts, and errors
-by type.  The call-count pins at the end fix what the rewrites save.
+concurrency scan over itertools.combinations, the cos/sin arc sampler,
+the list-based quad turns and the sampler's three signed_angle calls.
+Results are compared as packed doubles, so a signed zero or a last-bit
+difference counts, and errors by type.  The call-count pins at the end fix what the rewrites save.
 """
 
 import cmath
@@ -23,7 +22,6 @@ from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_po
 from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
-    contact_point,
     cycle_through,
     geodesic_meet,
     geodesic_through,
@@ -31,7 +29,7 @@ from hypfeuer.cycles import (
     point_geodesic_distances,
     sample_points,
 )
-from hypfeuer.errors import DegenerateConfiguration, DivergentCevians, GeometryError
+from hypfeuer.errors import DivergentCevians, GeometryError
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
@@ -99,19 +97,6 @@ def _ref_concurrency_point(lines):
     if best is None:
         raise DivergentCevians("no pair of geodesics meets inside the disk")
     return best
-
-
-def _ref_contact_point(c1, c2):
-    e1, s1 = c1.euclid_center_radius()
-    e2, s2 = c2.euclid_center_radius()
-    u = e2 - e1
-    if abs(u) < 1e-15:
-        raise DegenerateConfiguration("concentric cycles have no contact point")
-    u /= abs(u)
-    best = min(((p, q) for p in (e1 + s1 * u, e1 - s1 * u)
-                for q in (e2 + s2 * u, e2 - s2 * u)),
-               key=lambda pq: abs(pq[0] - pq[1]))
-    return (best[0] + best[1]) / 2.0
 
 
 def _ref_sample_points(cycle, count, margin=1e-6):
@@ -230,37 +215,6 @@ def test_concurrency_point_of_two_lines_scores_zero():
     lines = [geodesic_through(0.1, 0.5j), geodesic_through(-0.3, 0.4 + 0.2j)]
     _same(concurrency_point, _ref_concurrency_point, lines)
     assert concurrency_point(lines)[1] == 0.0
-
-
-def test_contact_point_matches_the_reference():
-    rng = Random(8)
-    pairs = []
-    for idx in range(400):
-        cfg = build_config(random_triangle(instance_rng(77, idx), BOXES[idx % 3])[0])
-        if cfg.euler_circle is None or cfg.incircle is None:
-            continue
-        pairs.append((cfg.euler_circle, cfg.incircle.cycle))
-        pairs += [(cfg.euler_circle, spec.cycle) for spec in cfg.excircles.values()
-                  if spec is not None]
-    for _ in range(1_000):
-        pairs.append(tuple(circle_from_center_radius(_disk_point(rng, 0.8),
-                                                     rng.uniform(0.05, 2.0))
-                           for _ in range(2)))
-    circle = circle_from_center_radius(0.2j, 0.5)
-    pairs += [(circle, circle), (circle, geodesic_through(-0.5, 0.5))]
-    for c1, c2 in pairs:
-        _same(contact_point, _ref_contact_point, c1, c2)
-
-
-def test_contact_point_ties_keep_the_first_pair():
-    # equal Euclidean radii 1/4 with centers 1/4 apart: the pairs (+, +),
-    # (+, -) and (-, -) are all 1/4 apart, and the first of them wins
-    c1 = GeneralizedCycle.of(1.0, 0j, -0.0625)
-    c2 = GeneralizedCycle.of(1.0, -0.25 + 0j, 0.0)
-    assert c1.euclid_center_radius() == (0j, 0.25)
-    assert c2.euclid_center_radius() == (0.25 + 0j, 0.25)
-    _same(contact_point, _ref_contact_point, c1, c2)
-    assert contact_point(c1, c2) == 0.375
 
 
 # ------------------------------------------------------- arcs and quads

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 from hypfeuer.cevians import build_config
 from hypfeuer.geom_core import Triangle
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.svg_render import FigureSpec, render_svg
+from hypfeuer.svg_render import render_svg
 
 
 def parse(svg: str):
@@ -44,14 +44,6 @@ def test_render_deterministic():
     assert render_svg(cfg) == render_svg(cfg)
 
 
-def test_absolute_only_when_layers_empty():
-    cfg = build_config(equilateral())
-    root = parse(render_svg(cfg, FigureSpec(layers=())))
-    assert [e.get("id") for e in root] == ["absolute"]
-    cx, cy, r = circle_attrs(root)["absolute"]
-    assert (cx, cy, r) == (280.0, 280.0, 260.0)
-
-
 def test_equilateral_threefold_symmetry():
     cfg = build_config(equilateral())
     root = parse(render_svg(cfg))
@@ -85,7 +77,7 @@ def test_feuerbach_tangency_visible_within_a_pixel():
 
 def test_diameter_sides_are_lines_arc_sides_are_paths():
     cfg = build_config(Triangle.of(0j, 0.4, 0.3j))
-    root = parse(render_svg(cfg, FigureSpec(layers=("triangle",))))
+    root = parse(render_svg(cfg))
     lines = {e.get("id") for e in elements(root, "line")}
     paths = {e.get("id") for e in elements(root, "path")}
     # sides through the origin vertex are diameters, the third bends
@@ -98,7 +90,7 @@ def test_crossing_cycle_clipped_to_boundary():
     # leaves the disk, so the rendering must clip it at the boundary
     tri = Triangle.of(0.9, -0.9, 0.05 + 0.3j)
     cfg = build_config(tri)
-    root = parse(render_svg(cfg, FigureSpec(layers=("circumcircle",))))
+    root = parse(render_svg(cfg))
     path = next(e for e in elements(root, "path")
                 if e.get("id") == "circumcircle")
     d = path.get("d").split()
@@ -107,10 +99,18 @@ def test_crossing_cycle_clipped_to_boundary():
         assert abs(math.hypot(x - 280.0, y - 280.0) - 260.0) < 0.1
 
 
-def test_layer_selection_drops_elements():
-    cfg = build_config(equilateral())
-    root = parse(render_svg(cfg, FigureSpec(layers=("triangle", "euler"))))
-    ids = {e.get("id") for e in root}
-    assert "euler-circle" in ids
-    assert "circumcircle" not in ids
-    assert not any(i.startswith("point-") for i in ids)
+def test_every_layer_is_drawn_in_order():
+    # small enough that all three excircles exist
+    cfg = build_config(equilateral(0.25))
+    root = parse(render_svg(cfg))
+    ids = [e.get("id") for e in root]
+    assert ids[0] == "absolute"
+    cx, cy, r = circle_attrs(root)["absolute"]
+    assert (cx, cy, r) == (280.0, 280.0, 260.0)
+    # each layer's first element, in document order: triangle, cevians,
+    # circumcircle, Euler circle, incircle, excircles, feet, centers
+    firsts = ["side-a", "bisector-cevian-a", "circumcircle", "euler-circle",
+              "incircle", "excircle-a", "foot-bisector-a", "point-circumcenter"]
+    assert all(name in ids for name in firsts)
+    places = [ids.index(name) for name in firsts]
+    assert places == sorted(places)

@@ -1,6 +1,7 @@
 """Theorem checks: frozen instances, random instances, invariance, skip flags."""
 
 import cmath
+import dataclasses
 import math
 from random import Random
 
@@ -22,7 +23,7 @@ from hypfeuer.cycles import (
     tangency_residual,
     transform,
 )
-from hypfeuer.errors import DegenerateAngle, DegenerateConfiguration
+from hypfeuer.errors import DegenerateAngle, DegenerateConfiguration, MissingCenter
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
@@ -465,10 +466,12 @@ def test_check_monge_builds_each_pair_once(monkeypatch):
 def test_monge_all_positive_missing_for_congruent_far_circles():
     circles = [circle_from_center_radius(0.45 * cmath.exp(2j * math.pi * k / 3), 0.5)
                for k in range(3)]
-    chk = check_monge(*circles, patterns=((1, 1, 1),))
+    chk = check_monge(*circles)
     assert chk.status == "skipped"
     assert chk.flag == "missing_center"
     assert chk.witness["ppp"] == "missing_center"
+    with pytest.raises(MissingCenter):
+        power.monge_line(power.monge_centers(*circles), (1, 1, 1))
 
 
 # ---------------------------------------------------------- tangency chains
@@ -547,6 +550,36 @@ def test_feuerbach_point_small_box():
         assert chk.status == "pass"
         assert chk.residual < 1e-8
         assert chk.witness["euler_incenter_line_gap"] < 1e-8
+
+
+def test_feuerbach_point_fails_off_the_euler_center():
+    # each contact lies a radius from its tritangent center toward the
+    # Euler center, so only the true center makes the four lines meet
+    # (through homothetic centers they would meet for any circle, Monge)
+    for cfg in full_configs(626, 3):
+        moved = dataclasses.replace(cfg, euler_circle=circle_from_center_radius(
+            cfg.euler_center + 1e-5, cfg.euler_radius))
+        chk = check_feuerbach_point(moved)
+        assert chk.status == "fail"
+        assert chk.residual > 1e-7
+
+
+def test_feuerbach_point_without_incircle_contact_skips():
+    # in an equilateral triangle the Euler circle is the incircle, up to
+    # rounding: every excircle exists, but the two circles have no
+    # contact point; test_cli's EQUILATERAL first, then turned and scaled
+    w = cmath.exp(2j * math.pi / 3)
+    triangles = [Triangle.of(0.25j, -0.21650635094610965 - 0.125j,
+                             0.21650635094610965 - 0.125j)]
+    for k in range(40):
+        top = (0.1 + 0.0035 * k) * cmath.exp(0.157j * k)
+        triangles.append(Triangle.of(top, top * w, top * w * w))
+    for tri in triangles:
+        cfg = build_config(tri)
+        assert cfg.flags == []
+        chk = check_feuerbach_point(cfg)
+        assert chk.status == "skipped", tri
+        assert chk.flag == "contact_points_missing"
 
 
 def test_feuerbach_point_absent_excircle_skips():
