@@ -23,8 +23,8 @@ they meet inside the disk at all.  Tangent circles (incircle, excircles)
 are centered where angle bisectors meet, by cross products of their
 hyperboloid normals; the bisectors themselves are differences and sums
 of the sides' unit normals, built once per configuration.  The circle
-inscribed in a vertex's angle and tangent to a given circle (the
-tangent-cevian check's shot) is a quadratic in that vertex's frame; the
+inscribed in a vertex's angle and touching a given circle from inside
+(the tangent-cevian check's shot) is a quadratic in that vertex's frame; the
 point where two circles touch is one radius from a center toward or away
 from the other center (`tangent_contact`).
 
@@ -219,19 +219,19 @@ def _excircle(vertex: str, internal: dict[str, GeneralizedCycle],
     return _tangent_spec(center, e2, sides)
 
 
-def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
-                          external: bool) -> GeneralizedCycle | None:
-    """Circle inscribed in the angle at `vertex` and tangent to w.
+def _shoot_tangent_circle(tri: Triangle, vertex: str,
+                          w: GeneralizedCycle) -> GeneralizedCycle | None:
+    """Circle inscribed in the angle at `vertex` and touching w from inside.
 
     In the frame that moves the vertex to the origin the angle's sides
     are diameters along unit directions u1 and u2, and its internal
     bisector runs along their normalized sum u.  With sin_half = sin(alpha/2) for the angle alpha, every circle
     inscribed in the angle is the Euclidean circle with center e u and
     radius e sin_half, for 0 < e (1 + sin_half) < 1.  If w has Euclidean
-    center m and radius R in the frame, the two circles touch where
-    |e u - m| = R -+ e sin_half (internal and external tangency), i.e.
+    center m and radius R in the frame, the circle touches w from inside
+    where |e u - m| = R - e sin_half, i.e.
 
-        (1 - sin_half^2) e^2 - 2 (Re(conj(u) m) -+ R sin_half) e
+        (1 - sin_half^2) e^2 - 2 (Re(conj(u) m) - R sin_half) e
             + |m|^2 - R^2 = 0.
 
     The inscribed circle meets the bisector at the radii e (1 - sin_half)
@@ -254,9 +254,8 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str, w: GeneralizedCycle,
     wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
     m = -wb / wa
     big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)
-    sign = 1.0 if external else -1.0
     qa = 1.0 - sin_half * sin_half
-    qb = -2.0 * ((u.conjugate() * m).real + sign * big_r * sin_half)
+    qb = -2.0 * ((u.conjugate() * m).real - big_r * sin_half)
     qc = abs(m) ** 2 - big_r * big_r
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:

@@ -374,12 +374,6 @@ def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[comple
     return (complex(x, y),)
 
 
-def interior_intersections(c1: GeneralizedCycle,
-                           c2: GeneralizedCycle) -> tuple[complex, ...]:
-    """Intersection points inside the disk, INTERIOR_MARGIN clear of the absolute."""
-    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - INTERIOR_MARGIN)
-
-
 def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
     """The point where two geodesics meet strictly inside the disk, or None.
 

@@ -45,7 +45,6 @@ from .cycles import (
     classify,
     geodesic_through,
     hyp_center_radius,
-    interior_intersections,
     lexell_cycle,
     membership_residual,
     point_geodesic_distance,
@@ -60,7 +59,6 @@ from .cevians import (
     tangent_contact,
 )
 from .power import (
-    homothetic_centers,
     monge_centers,
     monge_line,
     power_of_point,
@@ -239,9 +237,7 @@ _EULER_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
 def check_euler_line(cfg: TriangleConfig,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Collinearity of circumcenter, Euler center, bisector point and
-    pseudo-orthocenter, and the circumradius at every vertex; the witness
-    reports the pseudo-orthocenter re-derived through the Euler circle's
-    second side intersections."""
+    pseudo-orthocenter, and the circumradius at every vertex."""
     if cfg.flagged(*_EULER_FLAGS):
         return _skip("euler_line", tol.theorem, "center_undefined")
     o = cfg.circumcenter
@@ -258,27 +254,7 @@ def check_euler_line(cfg: TriangleConfig,
     line = geodesic_through(o, far)
     residual = max(point_geodesic_distance(p, line)
                    for name, p in others.items() if name != far_name)
-    witness["rederived_orthocenter_gap"] = _rederived_orthocenter_gap(cfg)
     return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
-
-
-def _rederived_orthocenter_gap(cfg: TriangleConfig) -> float | None:
-    """Distance from the pseudo-orthocenter to the concurrency of cevians
-    drawn through the Euler circle's second intersections with the sides."""
-    try:
-        verts = cfg.triangle.vertices
-        cevs = []
-        for v in ("a", "b", "c"):
-            pts = interior_intersections(cfg.euler_circle, cfg.sides[v])
-            if len(pts) < 2:
-                return None
-            m = cfg.feet.bisector[v]
-            second = max(pts, key=lambda z: abs(z - m))
-            cevs.append(geodesic_through(verts[v], second))
-        k, _ = concurrency_point(cevs)
-        return hyp_distance(k, cfg.pseudo_orthocenter)
-    except GeometryError:
-        return None
 
 
 def check_euler_ratios(cfg: TriangleConfig,
@@ -387,17 +363,13 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
 # --------------------------------------------------- tangency chain checks
 
 def check_tangent_cevians(cfg: TriangleConfig,
-                          w: GeneralizedCycle | None = None,
-                          external: bool = False,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the vertex-to-contact cevians of the three circles
-    inscribed in the angles and tangent to a common circle w (default:
-    the circumcircle).  The residual also takes each circle's tangency
-    gap (tangent_contact): a small triangle's cevians move too little to
-    show a circle that misses w.  Cross-checked against the homothetic
-    center of (w, incircle), which the concurrency point should land on."""
-    if w is None:
-        w = cfg.circumcircle
+    inscribed in the angles and touching the circumcircle from inside.
+    The residual also takes each circle's tangency gap (tangent_contact):
+    a small triangle's cevians move too little to show a circle that
+    misses the circumcircle."""
+    w = cfg.circumcircle
     try:
         if classify(w) is not CycleClass.HYP_CIRCLE:
             return _skip("tangent_cevians", tol.chain, "target_not_circle")
@@ -407,10 +379,10 @@ def check_tangent_cevians(cfg: TriangleConfig,
     cevians = []
     tangency = 0.0
     for v in ("a", "b", "c"):
-        circle = _shoot_tangent_circle(cfg.triangle, v, w, external)
+        circle = _shoot_tangent_circle(cfg.triangle, v, w)
         if circle is None:
             return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
-        contact, gap = tangent_contact(circle, w, not external, tol.chain)
+        contact, gap = tangent_contact(circle, w, True, tol.chain)
         tangency = max(tangency, gap)
         if contact is None:
             return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")
@@ -419,17 +391,8 @@ def check_tangent_cevians(cfg: TriangleConfig,
         point, residual = concurrency_point(cevians)
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "cevians_diverge")
-    witness: dict = {"point": point, "external": external, "tangency_gap": tangency}
-    if cfg.incircle is not None:
-        try:
-            hc = homothetic_centers(w, cfg.incircle.cycle)
-            ref = hc.negative if external else hc.positive
-            if ref is not None:
-                witness["homothetic_center_gap"] = max(point_geodesic_distances(
-                    point, [geodesic_through(verts[v], ref) for v in ("a", "b", "c")]))
-        except GeometryError:
-            pass
-    return _finish("tangent_cevians", max(residual, tangency), tol.chain, witness)
+    return _finish("tangent_cevians", max(residual, tangency), tol.chain,
+                   {"point": point, "tangency_gap": tangency})
 
 
 _FEUERBACH_POINT_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
@@ -462,10 +425,4 @@ def check_feuerbach_point(cfg: TriangleConfig,
     except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
     residual = max(point_geodesic_distances(point, lines))
-    witness: dict = {"point": point}
-    try:
-        ei_line = geodesic_through(cfg.euler_center, inc.center)
-        witness["euler_incenter_line_gap"] = point_geodesic_distance(point, ei_line)
-    except GeometryError:
-        pass
-    return _finish("feuerbach_point", residual, tol.chain, witness)
+    return _finish("feuerbach_point", residual, tol.chain, {"point": point})

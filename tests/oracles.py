@@ -2,14 +2,15 @@
 
 `random_isometry` draws the isometries of the invariance tests,
 `diameter_with_direction` builds diameters for constructions that are
-checked against a translated frame, and `hyp_midpoint` is the midpoint
-the foot oracles compare with.
+checked against a translated frame, `hyp_midpoint` is the midpoint
+the foot oracles compare with, and `interior_intersections` keeps the
+crossings of two cycles that lie inside the disk.
 """
 
 import cmath
 import math
 
-from hypfeuer.cycles import GeneralizedCycle
+from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle, intersect
 from hypfeuer.geom_core import TAU, DiskIsometry, mobius_from_origin, mobius_to_origin
 
 
@@ -34,3 +35,9 @@ def hyp_midpoint(p, q) -> complex:
         return p
     # halve the distance along the radius through w
     return mobius_from_origin(p, w / r * math.tanh(math.atanh(r) / 2.0))
+
+
+def interior_intersections(c1: GeneralizedCycle,
+                           c2: GeneralizedCycle) -> tuple[complex, ...]:
+    """Intersection points inside the disk, INTERIOR_MARGIN clear of the absolute."""
+    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - INTERIOR_MARGIN)

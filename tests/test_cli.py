@@ -236,6 +236,37 @@ def test_triangle_suites_share_one_draw(tmp_path):
         assert i1["instance"]["triangle"] == i2["instance"]["triangle"]
 
 
+# every witness key a suite reports; a gap that no status reads shows
+# nothing, so each `*_gap` witness is part of its check's residual
+WITNESS_KEYS = {
+    "inscribed_angle": {"samples", "sigma", "center_angle_gap"},
+    "trapezoid": {"area_gap", "angle_gap"},
+    "lexell": {"area", "samples"},
+    "six_point": {"membership", "radius_gap"},
+    "euler_line": {"anchor", "radius_gap"},
+    "euler_ratios": {"ratio", "product"},
+    "feuerbach": {"incircle", "excircle_a", "excircle_b", "excircle_c"},
+    "radical_axis": {"class", "samples"},
+    "monge": {"ppp", "pnn", "npn", "nnp"},
+    "tangent_cevians": {"point", "tangency_gap"},
+    "feuerbach_point": {"point"},
+}
+
+
+def test_witness_keys_are_pinned_and_every_gap_is_in_the_residual(tmp_path):
+    code, out = run(tmp_path, "verify", "--suite", "all", "--trials", "50",
+                    "--seed", "0")
+    assert code == 0
+    seen = {name: set() for name in SUITE_ORDER}
+    for inst in json.loads(out.read_text())["instances"]:
+        for c in inst["checks"]:
+            seen[c["name"]].update(c["witness"])
+            for key, value in c["witness"].items():
+                if key.endswith("_gap") and isinstance(value, (int, float)):
+                    assert value <= c["residual"], (inst["index"], c["name"], key)
+    assert seen == WITNESS_KEYS
+
+
 # ---------------------------------------------------------------- construct
 
 def test_construct_equilateral_centers_coincide(tmp_path):
@@ -415,7 +446,7 @@ def test_monge_leaves_the_check_stream_to_tangent_cevians(tmp_path):
                 if c["name"] == "tangent_cevians"]
 
     alone = tangent_checks("tangent_cevians")
-    assert "homothetic_center_gap" in alone[0]["witness"]
+    assert "tangency_gap" in alone[0]["witness"]
     assert tangent_checks("monge,tangent_cevians") == alone
 
 

@@ -28,7 +28,6 @@ from hypfeuer.cycles import (
     geodesic_meet,
     geodesic_through,
     hyp_center_radius,
-    interior_intersections,
     intersect,
     membership_residual,
     point_geodesic_distance,
@@ -38,7 +37,7 @@ from hypfeuer.cycles import (
     tangency_residual,
     transform,
 )
-from oracles import diameter_with_direction, random_isometry
+from oracles import diameter_with_direction, interior_intersections, random_isometry
 
 
 def rand_point(rng, r=0.7):

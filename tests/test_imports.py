@@ -1,5 +1,5 @@
-"""Every name a hypfeuer module imports is used in that module, and only
-the instance generators import `random`.
+"""Every name a hypfeuer module or a test file imports is used in that
+file, and only the instance generators import `random`.
 
 The package's `__init__.py` imports names only to re-export them, so it
 is exempt from the first rule.  Stdlib `ast` only: a name counts as used
@@ -11,11 +11,14 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "hypfeuer")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.join(os.path.dirname(TESTS), "src", "hypfeuer")
 
-MODULES = sorted(name for name in os.listdir(PACKAGE)
-                 if name.endswith(".py") and name != "__init__.py")
+# package modules by file name, test files as tests/<name>
+LINTED = {name: os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE)
+          if name.endswith(".py") and name != "__init__.py"}
+LINTED.update((f"tests/{name}", os.path.join(TESTS, name))
+              for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,9 +41,9 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os", "tau"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(LINTED))
 def test_module_has_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+    with open(LINTED[module], encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 

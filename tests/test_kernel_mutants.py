@@ -156,8 +156,8 @@ def _centers_scaled(original):
 
 
 def _shot_scaled(original):
-    def mutant(tri, vertex, w, external):
-        g = original(tri, vertex, w, external)
+    def mutant(tri, vertex, w):
+        g = original(tri, vertex, w)
         if g is None:
             return None
         # e x (1 + 1e-6): scaled about the vertex in its frame the circle

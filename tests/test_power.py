@@ -21,14 +21,13 @@ from hypfeuer.cycles import (
     cycle_through,
     geodesic_through,
     hyp_center_radius,
-    interior_intersections,
     intersect,
     membership_residual,
     sample_points,
     transform,
 )
 from hypfeuer.cevians import build_config
-from hypfeuer.geom_core import DiskIsometry, Triangle
+from hypfeuer.geom_core import DiskIsometry
 from hypfeuer.instances import PURPOSE_MONGE, instance_rng, monge_triple, random_triangle
 from hypfeuer.power import (
     crossing_angle,
@@ -42,7 +41,7 @@ from hypfeuer.power import (
     radical_axis,
     radical_center,
 )
-from oracles import diameter_with_direction
+from oracles import diameter_with_direction, interior_intersections
 
 
 def rand_point(rng, r=0.6):
