@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import enum
 import functools
 import json
 import math
@@ -152,11 +151,13 @@ def parse_suite(spec) -> tuple[str, ...]:
 
 # Reports and configurations go through one recursive writer whose bytes
 # equal json.dumps(doc, indent=2, sort_keys=True) + "\n", with complex
-# values as format_complex strings, enums by value and dataclasses as
-# their fields.  json.dumps never takes its C encoder when asked for an
-# indent, and its generator-based fallback cost more than the
-# constructions it wrote.  Exact types are dispatched first; subclasses
-# fall back to isinstance, in json.dumps's order.
+# values as format_complex strings and dataclasses as their fields.
+# json.dumps never takes its C encoder when asked for an indent, and its
+# generator-based fallback cost more than the constructions it wrote.
+# The writer takes what hypfeuer builds, each by its exact type: dicts
+# with str keys, lists, str, float, int, bool, None, complex and
+# dataclasses.  Anything else (a tuple, an enum, a subclass of one of
+# these, a non-str key) raises TypeError.
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -191,24 +192,6 @@ def _complex_text(z: complex) -> str:
     return _quote(format_complex(z))
 
 
-def _key_text(key) -> str:
-    """An object key as json.dumps writes it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
 def _write_object(pairs: list, append, indent: str):
     """pairs: (key, value) in key order."""
     if not pairs:
@@ -219,7 +202,7 @@ def _write_object(pairs: list, append, indent: str):
     try:
         for key, value in pairs:
             if type(key) is not str:
-                key = _key_text(key)
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             append(sep)
             append(_quote(key))
             append(": ")
@@ -268,26 +251,11 @@ def _write(obj, append, indent: str):
         append("false")
     elif t is int:
         append(int.__repr__(obj))
-    elif t is list or t is tuple:
+    elif t is list:
         _write_array(obj, append, indent)
     elif t in _FIELD_NAMES:
         _write_object([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent)
-    # subclasses, enums and dataclasses not seen before
-    elif isinstance(obj, str):
-        append(_quote(obj))
-    elif isinstance(obj, int):
-        append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        _write_array(obj, append, indent)
-    elif isinstance(obj, dict):
-        _write_object(sorted(obj.items()), append, indent)
-    elif isinstance(obj, complex):
-        append(_complex_text(obj))
-    elif isinstance(obj, enum.Enum):
-        _write(obj.value, append, indent)
-    elif is_dataclass(obj) and not isinstance(obj, type):
+    elif is_dataclass(t):
         _FIELD_NAMES[t] = tuple(sorted(f.name for f in fields(t)))
         _write(obj, append, indent)
     else:
@@ -338,8 +306,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
         "tolerances": asdict(scn.tolerances),
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
-        "triangle": ({k: format_complex(v) for k, v in
-                      zip("abc", scn.triangle)} if scn.triangle else None),
+        "triangle": dict(zip("abc", scn.triangle)) if scn.triangle else None,
     }
     return VerificationReport(scn.seed, params, instances,
                               time.perf_counter() - start)

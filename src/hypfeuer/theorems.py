@@ -369,12 +369,9 @@ def check_tangent_cevians(cfg: TriangleConfig,
     The residual also takes each circle's tangency gap (tangent_contact):
     a small triangle's cevians move too little to show a circle that
     misses the circumcircle."""
-    w = cfg.circumcircle
-    try:
-        if classify(w) is not CycleClass.HYP_CIRCLE:
-            return _skip("tangent_cevians", tol.chain, "target_not_circle")
-    except GeometryError:
+    if cfg.flagged("no_circumcenter"):
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
+    w = cfg.circumcircle
     verts = cfg.triangle.vertices
     cevians = []
     tangency = 0.0
