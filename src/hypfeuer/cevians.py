@@ -19,14 +19,15 @@ and S is the triangle's area.
 The three bisector feet span the Euler circle, which also passes through
 the three pseudoaltitude feet; the apex-to-foot geodesics of each family
 meet in the bisector point and the pseudo-orthocenter respectively, when
-they meet inside the disk at all.  Tangent circles (incircle, excircles)
-are centered where angle bisectors meet, by cross products of their
-hyperboloid normals; the bisectors themselves are differences and sums
-of the sides' unit normals, built once per configuration.  The circle
-inscribed in a vertex's angle and touching a given circle from inside
-(the tangent-cevian check's shot) is a quadratic in that vertex's frame; the
-point where two circles touch is one radius from a center toward or away
-from the other center (`tangent_contact`).
+they meet inside the disk at all.  The tangent circles (incircle,
+excircles) are centered at signed sums of the triangle's vertex vectors,
+the cross products of the sides' unit hyperboloid normals
+(`tangent_circles`); an absent excircle is a center vector that is not
+timelike.  The circle inscribed in a vertex's angle and touching a
+given circle from inside (the tangent-cevian check's shot) is a
+quadratic in that vertex's frame; the point where two circles touch is
+one radius from a center toward or away from the other center
+(`tangent_contact`).
 
 Everything degenerate is flagged on the returned TriangleConfig rather
 than raised: large triangles routinely lose their circumcenter, their
@@ -48,6 +49,7 @@ from .geom_core import (
     wrap_angle,
 )
 from .cycles import (
+    INTERIOR_MARGIN,
     GeneralizedCycle,
     _circle_vector,
     _to_disk,
@@ -121,30 +123,6 @@ def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:
     }
 
 
-def angle_bisectors(tri: Triangle, sides: dict[str, GeneralizedCycle],
-                    ) -> tuple[dict[str, GeneralizedCycle], dict[str, GeneralizedCycle]]:
-    """Internal and external angle-bisector geodesics at every vertex,
-    from the side lines that side_lines returns.
-
-    A side (A, B, A) is the hyperboloid plane with normal (A, Re B, Im B).
-    Scaled to Minkowski norm sqrt(|B|^2 - A^2) = 1 and signed positive at
-    the opposite vertex, it takes sinh of the signed distance to the side.
-    At a vertex with side normals n1, n2 the internal bisector is the
-    plane n1 - n2 (equal distances, same sign), the external one n1 + n2.
-    """
-    normals = {}
-    for v, apex in tri.vertices.items():
-        s = sides[v]
-        scale = math.copysign(1.0 / math.sqrt(abs(s.b) ** 2 - s.a * s.a), s.evaluate(apex))
-        normals[v] = (scale * s.a, scale * s.b)
-    internal, external = {}, {}
-    for v, (p, q) in zip(VERTICES, (("b", "c"), ("c", "a"), ("a", "b"))):
-        (a1, b1), (a2, b2) = normals[p], normals[q]
-        internal[v] = GeneralizedCycle.of(a1 - a2, b1 - b2, a1 - a2)
-        external[v] = GeneralizedCycle.of(a1 + a2, b1 + b2, a1 + a2)
-    return internal, external
-
-
 def concurrency_point(lines) -> tuple[complex, float]:
     """Common point of several geodesics and its worst distance to the others.
 
@@ -182,41 +160,63 @@ class CircleSpec:
     radius: float
     cycle: GeneralizedCycle
     side_spread: float  # max - min distance to the three side lines
-    concurrency_residual: float  # distance from center to the third bisector
+    concurrency_residual: float  # distance from center to the bisector at c
 
 
-def _tangent_spec(center: complex, third: GeneralizedCycle,
-                  sides: dict[str, GeneralizedCycle]) -> CircleSpec:
-    *ds, off_third = point_geodesic_distances(
-        center, (sides["a"], sides["b"], sides["c"], third))
-    radius = sum(ds) / 3.0
-    return CircleSpec(center, radius, circle_from_center_radius(center, radius),
-                      max(ds) - min(ds), off_third)
+def tangent_circles(tri: Triangle, sides: dict[str, GeneralizedCycle],
+                    ) -> tuple[CircleSpec | None, dict[str, CircleSpec | None]]:
+    """The incircle and the excircle beyond the side opposite each
+    vertex, from the side lines that side_lines returns; None where a
+    circle is absent.
 
+    A side (A, B, A) is the hyperboloid plane with normal (A, Re B, Im B).
+    Scaled to Minkowski norm sqrt(|B|^2 - A^2) = 1 and signed positive at
+    the opposite vertex, the normal n_v takes sinh of the signed distance
+    to the side.  The vertex vectors V_a = n_b x n_c, V_b = n_c x n_a and
+    V_c = n_a x n_b each lie on two sides, and n_v . V_v = det(n_a, n_b,
+    n_c) for every v.  So the signed sum V_a + V_b + V_c is equidistant
+    from the three sides on the vertices' sides of them (the incenter),
+    and V_a - V_b - V_c, on which n_a . X has the opposite sign to n_b . X
+    and n_c . X, is the excenter beyond side a (and cyclically).  A center
+    exists when its sum is timelike and its disk point keeps
+    INTERIOR_MARGIN from the absolute, as in geodesic_meet.
 
-def _incircle(internal: dict[str, GeneralizedCycle],
-              sides: dict[str, GeneralizedCycle]) -> CircleSpec:
-    center = geodesic_meet(internal["a"], internal["b"])
-    if center is None:
-        raise DivergentCevians("internal bisectors diverge")
-    return _tangent_spec(center, internal["c"], sides)
-
-
-def _excircle(vertex: str, internal: dict[str, GeneralizedCycle],
-              external: dict[str, GeneralizedCycle],
-              sides: dict[str, GeneralizedCycle]) -> CircleSpec | None:
-    """Escribed circle beyond the side opposite `vertex`, or None if absent.
-
-    The center is the meet of the internal bisector at the vertex with an
-    external bisector at another; if that pair diverges the circle does
-    not exist (any interior meet is automatically equidistant from all
-    three side lines, so pair intersection is a sound existence test).
+    The radius is the mean of the three side distances; the diagnostics
+    are their spread and the distance to the same sign pattern's
+    bisector at c, n_a - n_b or n_a + n_b.
     """
-    e1, e2 = (external[v] for v in VERTICES if v != vertex)
-    center = geodesic_meet(internal[vertex], e1)
-    if center is None:
-        return None
-    return _tangent_spec(center, e2, sides)
+    n = []
+    for v in VERTICES:
+        s = sides[v]
+        scale = math.copysign(1.0 / math.sqrt(abs(s.b) ** 2 - s.a * s.a),
+                              s.evaluate(tri.vertices[v]))
+        n.append((scale * s.a, scale * s.b.real, scale * s.b.imag))
+    (a1, x1, y1), (a2, x2, y2), (a3, x3, y3) = n
+    # the t, x and y components of V_a, V_b and V_c
+    vt = (x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2)
+    vx = (y2 * a3 - a2 * y3, y3 * a1 - a3 * y1, y1 * a2 - a1 * y2)
+    vy = (a2 * x3 - x2 * a3, a3 * x1 - x3 * a1, a1 * x2 - x1 * a2)
+    thirds: dict[float, GeneralizedCycle] = {}
+    specs = []
+    for sa, sb, sc in ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0),
+                       (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)):
+        z = _to_disk(sa * vt[0] + sb * vt[1] + sc * vt[2],
+                     sa * vx[0] + sb * vx[1] + sc * vx[2],
+                     sa * vy[0] + sb * vy[1] + sc * vy[2])
+        if z is None or abs(z) >= 1.0 - INTERIOR_MARGIN:
+            specs.append(None)
+            continue
+        sign = sa * sb  # n_a . X = sign n_b . X on the bisector at c
+        if sign not in thirds:
+            ta = a1 - sign * a2
+            thirds[sign] = GeneralizedCycle.of(
+                ta, complex(x1 - sign * x2, y1 - sign * y2), ta)
+        *ds, off_third = point_geodesic_distances(
+            z, (sides["a"], sides["b"], sides["c"], thirds[sign]))
+        radius = sum(ds) / 3.0
+        specs.append(CircleSpec(z, radius, circle_from_center_radius(z, radius),
+                                max(ds) - min(ds), off_third))
+    return specs[0], dict(zip(VERTICES, specs[1:]))
 
 
 def _shoot_tangent_circle(tri: Triangle, vertex: str,
@@ -402,21 +402,10 @@ def build_config(tri: Triangle) -> TriangleConfig:
         flags.add("divergent_pseudoaltitude_cevians")
 
     sides = side_lines(tri)
-    internal, external = angle_bisectors(tri, sides)
-    inc = None
-    try:
-        inc = _incircle(internal, sides)
-    except GeometryError:
+    inc, excircles = tangent_circles(tri, sides)
+    if inc is None:
         flags.add("no_incircle")
-
-    excircles: dict[str, CircleSpec | None] = {}
-    for v in VERTICES:
-        try:
-            excircles[v] = _excircle(v, internal, external, sides)
-        except GeometryError:
-            excircles[v] = None
-        if excircles[v] is None:
-            flags.add(f"excircle_absent_{v}")
+    flags.update(f"excircle_absent_{v}" for v, spec in excircles.items() if spec is None)
 
     return TriangleConfig(
         triangle=tri,

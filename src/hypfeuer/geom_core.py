@@ -73,11 +73,11 @@ def as_complex(p) -> complex:
     raise TypeError(f"not a point: {p!r}")
 
 
-def check_disk(p, eps: float = BOUNDARY_EPS) -> complex:
-    """Return p as complex, raising BoundaryPoint unless |p| <= 1 - eps."""
+def check_disk(p) -> complex:
+    """Return p as complex, raising BoundaryPoint unless |p| <= 1 - BOUNDARY_EPS."""
     z = as_complex(p)
-    if abs(z) > 1.0 - eps:
-        raise BoundaryPoint(f"|z| = {abs(z):.17g} exceeds 1 - {eps:g}")
+    if abs(z) > 1.0 - BOUNDARY_EPS:
+        raise BoundaryPoint(f"|z| = {abs(z):.17g} exceeds 1 - {BOUNDARY_EPS:g}")
     return z
 
 

@@ -2,7 +2,8 @@
 
 `random_isometry` draws the isometries of the invariance tests,
 `diameter_with_direction` builds diameters for constructions that are
-checked against a translated frame, `hyp_midpoint` is the midpoint
+checked against a translated frame, `internal_bisector` builds a
+vertex's angle bisector that way, `hyp_midpoint` is the midpoint
 the foot oracles compare with, and `interior_intersections` keeps the
 crossings of two cycles that lie inside the disk.
 """
@@ -10,7 +11,7 @@ crossings of two cycles that lie inside the disk.
 import cmath
 import math
 
-from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle, intersect
+from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle, intersect, transform
 from hypfeuer.geom_core import TAU, DiskIsometry, mobius_from_origin, mobius_to_origin
 
 
@@ -24,6 +25,17 @@ def random_isometry(rng) -> DiskIsometry:
 def diameter_with_direction(u: complex) -> GeneralizedCycle:
     """Geodesic through the origin along unit direction u."""
     return GeneralizedCycle.of(0.0, 1j * u, 0.0)
+
+
+def internal_bisector(tri, vertex) -> GeneralizedCycle:
+    """The internal angle bisector at a vertex: in the vertex's frame the
+    diameter along the sum of the two unit side directions, translated
+    back with transform."""
+    v, p, q = tri.opposite(vertex)
+    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
+    back = DiskIsometry(-v)  # sends 0 to v
+    u = u1 / abs(u1) + u2 / abs(u2)
+    return transform(back, diameter_with_direction(u / abs(u)))
 
 
 def hyp_midpoint(p, q) -> complex:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -19,25 +20,23 @@ from hypfeuer.geom_core import (
 from hypfeuer.cycles import (
     CycleClass,
     classify,
-    coefficient_distance,
     geodesic_through,
     hyp_center_radius,
     membership_residual,
     point_geodesic_distance,
-    transform,
 )
 from hypfeuer.cevians import (
     VERTICES,
-    angle_bisectors,
     bisector_foot,
     build_config,
     concurrency_point,
     pseudoaltitude_foot,
     side_lines,
+    tangent_circles,
 )
 from hypfeuer.instances import BRACKET_WIDTH, brent_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
-from oracles import diameter_with_direction, hyp_midpoint
+from oracles import hyp_midpoint, internal_bisector
 
 
 def isosceles():
@@ -193,10 +192,10 @@ def test_closed_form_pseudoaltitude_foot_near_the_absolute(apex, where):
 
 
 def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
-    # the feet and the tangent circles are closed forms; the bisector
-    # geodesics and side lines are built once per configuration, and no
+    # the feet and the tangent circles are closed forms; the side lines
+    # and the tangent circles are built once per configuration, and no
     # meet or frame change goes through the general cycle machinery
-    calls = {"brent_root": 0, "angle_bisectors": 0, "side_lines": 0,
+    calls = {"brent_root": 0, "tangent_circles": 0, "side_lines": 0,
              "intersect": 0, "transform": 0}
 
     def counting(module, name):
@@ -214,17 +213,17 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
         for name, original in originals.items():
             if getattr(module, name, None) is original:
                 counting(module, name)
-    counting(cevians, "angle_bisectors")
+    counting(cevians, "tangent_circles")
     counting(cevians, "side_lines")
     # a small triangle with all three excircles (the benchmark's set-up
     # triangle, bench/spec.py SETUP_TRIANGLE)
     cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
     assert not cfg.flags
-    assert calls == {"brent_root": 0, "angle_bisectors": 1, "side_lines": 1,
+    assert calls == {"brent_root": 0, "tangent_circles": 1, "side_lines": 1,
                      "intersect": 0, "transform": 0}
     assert check_tangent_cevians(cfg).status == "pass"
     assert check_feuerbach_point(cfg).status == "pass"
-    assert calls == {"brent_root": 0, "angle_bisectors": 1, "side_lines": 1,
+    assert calls == {"brent_root": 0, "tangent_circles": 1, "side_lines": 1,
                      "intersect": 0, "transform": 0}
 
 
@@ -300,49 +299,72 @@ def test_excircle_touches_all_sides_when_present():
     assert found >= 5
 
 
-def _diameter_bisectors(tri, vertex):
-    """The construction angle_bisectors replaces: the internal and
-    external bisector directions in the vertex's frame, where the
-    internal one is the sum of the two unit side directions, as
-    diameters translated back with transform."""
-    v, p, q = tri.opposite(vertex)
-    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
-    u = u1 / abs(u1) + u2 / abs(u2)
-    u /= abs(u)
-    back = DiskIsometry(-v)  # sends 0 to v
-    return (transform(back, diameter_with_direction(u)),
-            transform(back, diameter_with_direction(1j * u)))
+def _lift(z):
+    """The hyperboloid point of a disk point, in Decimal."""
+    x, y = Decimal(z.real), Decimal(z.imag)
+    r2 = x * x + y * y
+    w = 1 - r2
+    return ((1 + r2) / w, 2 * x / w, 2 * y / w)
+
+
+def _inner(p, q):
+    return p[0] * q[0] - p[1] * q[1] - p[2] * q[2]
+
+
+def _vertex_sum_centers(tri):
+    """The incenter and the excenters beyond the sides opposite a, b and
+    c as unit hyperboloid vectors, from the vertex lifts and the side
+    lengths: sinh(a) A + sinh(b) B + sinh(c) C with the sign of the
+    vertex beyond whose opposite side the circle lies flipped, a being
+    the side opposite A.  None where the sum is not timelike or its disk
+    point is within INTERIOR_MARGIN of the absolute."""
+    lifts = [_lift(z) for z in (tri.a, tri.b, tri.c)]
+    weights = [(_inner(lifts[(i + 1) % 3], lifts[(i + 2) % 3]) ** 2 - 1).sqrt()
+               for i in range(3)]
+    out = []
+    for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+        x = [sum(s * w * p[k] for s, w, p in zip(signs, weights, lifts)) for k in range(3)]
+        q = _inner(x, x)
+        if q <= 0:
+            out.append(None)
+            continue
+        unit = [c / q.sqrt().copy_sign(x[0]) for c in x]
+        radius = (unit[1] ** 2 + unit[2] ** 2).sqrt() / (unit[0] + 1)
+        out.append(unit if radius < 1 - Decimal(cycles.INTERIOR_MARGIN) else None)
+    return out
 
 
 @pytest.mark.parametrize("box", [0.25, 0.7, 0.95])
-def test_angle_bisectors_match_translated_diameters(box):
+def test_tangent_circles_match_the_vertex_sums_to_50_digits(box):
+    # an oracle algebraically apart from the side normals: the same
+    # circles exist, and every center is within 1e-12 of the 50-digit one
     worst = 0.0
-    for idx in range(2_000):
-        tri, _ = random_triangle(instance_rng(707, idx), box)
-        internal, external = angle_bisectors(tri, side_lines(tri))
-        for v in VERTICES:
-            ref_internal, ref_external = _diameter_bisectors(tri, v)
-            worst = max(worst, coefficient_distance(internal[v], ref_internal),
-                        coefficient_distance(external[v], ref_external))
-            # the internal bisector separates the other two vertices
-            _, p, q = tri.opposite(v)
-            assert internal[v].evaluate(p) * internal[v].evaluate(q) < 0.0
-    assert worst <= 1e-13
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for idx in range(300):
+            tri, _ = random_triangle(instance_rng(11, idx), box)
+            inc, excircles = tangent_circles(tri, side_lines(tri))
+            for spec, ref in zip((inc, *excircles.values()), _vertex_sum_centers(tri)):
+                assert (spec is None) == (ref is None), (idx, spec, ref)
+                if spec is not None:
+                    cosh_d = max(_inner(ref, _lift(spec.center)), Decimal(1))
+                    d = (cosh_d + (cosh_d * cosh_d - 1).sqrt()).ln()
+                    worst = max(worst, float(d))
+    assert worst < 1e-12
 
 
 def test_incircle_center_on_internal_bisectors():
     tri = clean_configs(1, seed=104)[0].triangle
     inc = build_config(tri).incircle
-    internal, _ = angle_bisectors(tri, side_lines(tri))
     for v in VERTICES:
-        line = internal[v]
+        line = internal_bisector(tri, v)
         assert point_geodesic_distance(inc.center, line) < 1e-10
 
 
 def test_isosceles_internal_bisector_is_symmetry_axis():
     tri = isosceles()
     apex = "a" if tri.a == 0.5j else ("b" if tri.b == 0.5j else "c")
-    line = angle_bisectors(tri, side_lines(tri))[0][apex]
+    line = internal_bisector(tri, apex)
     assert line.is_line
     assert membership_residual(line, 0.2j) < 1e-12
 

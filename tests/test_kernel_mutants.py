@@ -11,8 +11,10 @@ mutants no check can catch, each with its reason; the gate checks that
 they still survive, so a change that starts catching one must move it.
 """
 
+import dataclasses
 import math
 import sys
+from collections import Counter
 
 import pytest
 
@@ -169,6 +171,19 @@ def _shot_scaled(original):
     return mutant
 
 
+def _tangent_centers_scaled(original):
+    def mutant(tri, sides):
+        def moved(spec):
+            if spec is None:
+                return None
+            z = spec.center * (1.0 + 1e-6)
+            return dataclasses.replace(
+                spec, center=z, cycle=cycles.circle_from_center_radius(z, spec.radius))
+        inc, excircles = original(tri, sides)
+        return moved(inc), {v: moved(spec) for v, spec in excircles.items()}
+    return mutant
+
+
 def _sign_convention_flipped(original):
     def mutant(cls, a, b, c):
         g = original(cls, a, b, c)
@@ -198,6 +213,9 @@ MUTANTS = {
     "center_radius_scaled_1e-6": (cycles, "hyp_center_radius", _center_radius_scaled),
     # Monge's centers
     "homothetic_centers_scaled_1e-6": (power, "homothetic_centers", _centers_scaled),
+    # the incircle and excircles, each kept at its radius
+    "tangent_circles_center_scaled_1e-6": (cevians, "tangent_circles",
+                                           _tangent_centers_scaled),
 }
 
 # Only tangent_cevians reads these.  It skips where the circumcircle is a
@@ -210,9 +228,9 @@ TANGENT_CEVIAN_MUTANTS = {
 SURVIVORS = {
     # the other root is the meet's inverse in the absolute, always
     # outside the disk, so every meet reads as "none inside": the
-    # incircle, excircles and concurrency points go missing and the
-    # checks built on them skip instead of failing; only the skip count
-    # shows it (pinned below)
+    # concurrency points go missing and the checks that need a meet skip
+    # instead of failing; only their skips show it (pinned below).  The
+    # tritangent circles are sums of vertex vectors, so feuerbach runs
     "meet_other_root": (cycles, "geodesic_meet", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, classification and
@@ -236,12 +254,13 @@ def _apply(monkeypatch, home, name, make):
 
 
 def _verify():
-    """(instances with a failing check, skipped checks) over the gate's run."""
+    """(instances with a failing check, skips per check name) over the
+    gate's run."""
     report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS))
     failing = sum(1 for inst in report.instances
                   if any(c.status == "fail" for c in inst.checks))
-    skipped = sum(1 for inst in report.instances for c in inst.checks
-                  if c.status == "skipped")
+    skipped = Counter(c.name for inst in report.instances for c in inst.checks
+                      if c.status == "skipped")
     return failing, skipped
 
 
@@ -279,5 +298,7 @@ def test_survivor_still_survives(monkeypatch, mutant):
     failing, skipped = _verify()
     assert failing < CAUGHT_AT_LEAST, (mutant, failing)
     if mutant == "meet_other_root":
-        # every check that needs an interior meet now skips
-        assert skipped > honest_skips + 3 * TRIALS
+        # every check that needs an interior meet now skips everywhere
+        for name in ("euler_line", "euler_ratios", "tangent_cevians",
+                     "feuerbach_point"):
+            assert honest_skips[name] < skipped[name] == TRIALS, name
