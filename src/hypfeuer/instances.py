@@ -150,9 +150,12 @@ def lexell_instance(rng: Random) -> tuple[complex, complex, complex]:
 
 
 def arc_instance(rng: Random) -> tuple[GeneralizedCycle, complex, complex]:
-    """A cycle together with two separated points lying on it: a third
-    of its in-disk arc apart (sample_points always gives all 24 samples,
-    so no draw is rejected)."""
+    """A cycle together with two points a and b on it: the first and the
+    ninth of the 24 points sample_points spreads over its in-disk part,
+    so a third of a whole circle apart and 8/23 of an arc's span.
+    sample_points always gives all 24, so no draw is rejected, and the
+    arc between a and b that check_inscribed_angle samples lies inside
+    the disk."""
     cycle = random_cycle(rng)
     pts = sample_points(cycle, 24, margin=1e-3)
     return cycle, pts[0], pts[len(pts) // 3]

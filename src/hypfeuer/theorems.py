@@ -121,9 +121,24 @@ class VerificationReport:
 
 # ---------------------------------------------------------------- lemma: arcs
 
+# Samples per arc, its degree bound plus one.  For x off a and b,
+#
+#     sigma(a, x, b) = 2 arg((b - x)/(a - x)) - 2 arg(1 - b conj(a)) + pi
+#
+# (mod 2 pi), and x -> (b - x)/(a - x) is a Mobius map sending the cycle
+# through a and b onto a line through 0.  The cycle's rational parameter
+# t enters through a Mobius map too, so sigma = const on it exactly when
+# Im(e^{-i theta} (alpha t + beta)/(gamma t + delta)) vanishes, i.e. when
+# a real quadratic in t does: 3 samples that agree prove it everywhere,
+# and the 4th is spare.
+ARC_SAMPLES = 4
+ARC_SAMPLES_MIN = 3
+
+
 def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
-    """Constancy of sigma(a, X, b) as X runs over one arc of the cycle.
+    """Constancy of sigma(a, X, b) as X runs over one arc of the cycle,
+    at ARC_SAMPLES points (see the identity above ARC_SAMPLES).
 
     When the cycle is a compact circle the constant itself is pinned:
     it equals twice the angle at a between the center and b.
@@ -132,8 +147,8 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     for z in (za, zb):
         if membership_residual(cycle, z) > 1e-9:
             return _skip("inscribed_angle", tol.theorem, "endpoint_off_cycle")
-    xs = _arc_samples(cycle, za, zb, 32)
-    if len(xs) < 8:
+    xs = _arc_samples(cycle, za, zb, ARC_SAMPLES)
+    if len(xs) < ARC_SAMPLES_MIN:
         return _skip("inscribed_angle", tol.theorem, "arc_outside_disk")
     values = sigmas(za, xs, zb)
     if None in values:
@@ -187,21 +202,38 @@ def check_trapezoid(a, b, c, d,
 
 # -------------------------------------------------------------- lexell locus
 
+# Samples of the locus besides the apex x0.  With a* = 1/conj(a), half
+# the signed area of (a, b, x) is
+#
+#     arg((1 - a conj(b)) conj(a) b) + arg((x - a*)/(x - b*))   (mod 2 pi),
+#
+# since 1 - x conj(a) = -conj(a) (x - a*) and 1 - b conj(x) is the
+# conjugate of -conj(b) (x - b*).  This is the Mobius argument of the
+# inscribed angle on the cycle through a*, b* and x0, so with x0 fixing
+# the constant, 3 samples that agree with it prove the area constant on
+# the whole locus; the 4th is spare.
+LEXELL_SAMPLES = 4
+LEXELL_AREAS_MIN = 4  # x0 and 3 samples
+
+
 def check_lexell(a, b, x0,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+    """Constancy of the area of (a, b, X) as X runs over the constant-area
+    locus through x0, at x0 and LEXELL_SAMPLES points (see the identity
+    above LEXELL_SAMPLES)."""
     za, zb, z0 = as_complex(a), as_complex(b), as_complex(x0)
     base = geodesic_through(za, zb)
     if point_geodesic_distance(z0, base) < 1e-6:
         return _skip("lexell", tol.theorem, "apex_on_base")
     locus = lexell_cycle(za, zb, z0)
-    xs = [z0] + [x for x in sample_points(locus, 32, margin=1e-4)
+    xs = [z0] + [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
                  if abs(x - za) >= 1e-6 and abs(x - zb) >= 1e-6]
     first, *rest = base_areas(za, zb, xs)
     if first is None:
         return _skip("lexell", tol.theorem, "apex_on_base")
     # a degenerate sample is dropped, not scored
     areas = [first] + [area for area in rest if area is not None]
-    if len(areas) < 9:
+    if len(areas) < LEXELL_AREAS_MIN:
         return _skip("lexell", tol.theorem, "arc_outside_disk")
     return _finish("lexell", max(areas) - min(areas), tol.theorem,
                    {"area": areas[0], "samples": len(areas)})
@@ -299,9 +331,21 @@ def check_feuerbach(cfg: TriangleConfig,
 
 # ------------------------------------------------------------ power checks
 
+# Samples per axis.  A point with lift X has power (<X, P> + k) / (<X, P>
+# - k) for its cycle's hyperboloid plane <X, P> + k = 0, so two powers
+# differ by 2 <X, k1 P2 - k2 P1> over the product of the denominators.
+# The gap is linear in X, and X runs over the geodesic axis as a conic
+# of rational degree 2: the cleared gap is a quadratic in the axis
+# parameter, and 3 samples that agree prove it vanishes on the whole
+# axis; the 4th is spare.
+AXIS_SAMPLES = 4
+AXIS_SAMPLES_MIN = 3
+
+
 def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
-    """The radical axis equalizes powers along its whole length.
+    """The radical axis equalizes powers along its whole length, at
+    AXIS_SAMPLES points (see the identity above AXIS_SAMPLES).
 
     The residual is |P1 - P2| / max(1, |P1|, |P2|) at each sample.
     Inside the unit scale powers are products of two pseudolengths, each
@@ -310,30 +354,53 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
     relative to the powers themselves, so the gap is taken relative to
     them.  The axis is a geodesic by construction (its leading and
     constant coefficients are equal); the witness records its class.
+
+    Equal powers alone would pass a power_of_point that is wrong for
+    both cycles alike, so each circle member's power is also checked
+    against its definition: the chord through the center o gives
+    tanh((d - r)/2) tanh((d + r)/2) for d = d(p, o) and radius r, which
+    is (rho^2 - tau^2) / (1 - rho^2 tau^2) in the pseudolengths
+    rho = tanh(d/2) and tau = tanh(r/2), and its gap |P - that| /
+    max(1, |P|) joins the residual.  Equidistant members have no center
+    and stay unchecked; the witness ``power_checked`` lists the members
+    (1, 2) that were checked.
     """
     try:
-        if CycleClass.GEODESIC in (classify(c1), classify(c2)):
+        classes = (classify(c1), classify(c2))
+        if CycleClass.GEODESIC in classes:
             return _skip("radical_axis", tol.construct, "constant_power_member")
         axis = radical_axis(c1, c2)
+        circles = []  # (member, center, tau^2) of each circle member
+        for member, cycle, cls in ((1, c1, classes[0]), (2, c2, classes[1])):
+            if cls is CycleClass.HYP_CIRCLE:
+                center, radius = hyp_center_radius(cycle)
+                circles.append((member, center, math.tanh(0.5 * radius) ** 2))
     except ConcentricCycles:
         return _skip("radical_axis", tol.construct, "concentric")
     except AxisOutsideDisk:
         return _skip("radical_axis", tol.construct, "axis_outside_disk")
     except GeometryError:
         return _skip("radical_axis", tol.construct, "unclassifiable_member")
-    spread = 0.0
+    residual = 0.0
     used = 0
-    for p in sample_points(axis, 16, margin=1e-6):
+    for p in sample_points(axis, AXIS_SAMPLES, margin=1e-6):
         try:
-            p1, p2 = power_of_point(p, c1), power_of_point(p, c2)
+            powers = (power_of_point(p, c1), power_of_point(p, c2))
         except DegenerateConfiguration:
             continue
-        spread = max(spread, abs(p1 - p2) / max(1.0, abs(p1), abs(p2)))
+        p1, p2 = powers
+        residual = max(residual, abs(p1 - p2) / max(1.0, abs(p1), abs(p2)))
+        for member, center, tau2 in circles:
+            rho2 = pseudolength(p, center) ** 2
+            chord = (rho2 - tau2) / (1.0 - rho2 * tau2)
+            got = powers[member - 1]
+            residual = max(residual, abs(got - chord) / max(1.0, abs(got)))
         used += 1
-    if used < 8:
+    if used < AXIS_SAMPLES_MIN:
         return _skip("radical_axis", tol.construct, "axis_outside_disk")
-    return _finish("radical_axis", spread, tol.construct,
-                   {"class": classify(axis).value, "samples": used})
+    return _finish("radical_axis", residual, tol.construct,
+                   {"class": classify(axis).value, "samples": used,
+                    "power_checked": [member for member, _, _ in circles]})
 
 
 _MONGE_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))

@@ -246,7 +246,7 @@ WITNESS_KEYS = {
     "euler_line": {"anchor", "radius_gap"},
     "euler_ratios": {"ratio", "product"},
     "feuerbach": {"incircle", "excircle_a", "excircle_b", "excircle_c"},
-    "radical_axis": {"class", "samples"},
+    "radical_axis": {"class", "samples", "power_checked"},
     "monge": {"ppp", "pnn", "npn", "nnp"},
     "tangent_cevians": {"point", "tangency_gap"},
     "feuerbach_point": {"point"},

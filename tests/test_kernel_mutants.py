@@ -5,10 +5,12 @@ hypfeuer module that binds it, as the benchmark's tracer does, and
 `verify --suite all` then
 runs over 100 default-box instances.  A mutant is caught on an instance
 when some check on it fails.  Every mutant in MUTANTS must be caught on
-at least CAUGHT_AT_LEAST of them, and every one in TANGENT_CEVIAN_MUTANTS
-on each instance where tangent_cevians runs.  SURVIVORS lists the
-mutants no check can catch, each with its reason; the gate checks that
-they still survive, so a change that starts catching one must move it.
+at least CAUGHT_AT_LEAST of them, every one in TANGENT_CEVIAN_MUTANTS
+on each instance where tangent_cevians runs, and every one in
+RADICAL_AXIS_MUTANTS on each instance where radical_axis runs with a
+circle member.  SURVIVORS lists the mutants no check can catch, each
+with its reason; the gate checks that they still survive, so a change
+that starts catching one must move it.
 """
 
 import dataclasses
@@ -184,6 +186,20 @@ def _tangent_centers_scaled(original):
     return mutant
 
 
+def _axis_scaled(original):
+    def mutant(c1, c2):
+        g = original(c1, c2)
+        k = 1.0 + 1e-6
+        return GeneralizedCycle.of(g.a * k, g.b, g.c * k)
+    return mutant
+
+
+def _power_scaled(original):
+    def mutant(p, cycle):
+        return original(p, cycle) * (1.0 + 1e-6)
+    return mutant
+
+
 def _sign_convention_flipped(original):
     def mutant(cls, a, b, c):
         g = original(cls, a, b, c)
@@ -216,6 +232,9 @@ MUTANTS = {
     # the incircle and excircles, each kept at its radius
     "tangent_circles_center_scaled_1e-6": (cevians, "tangent_circles",
                                            _tangent_centers_scaled),
+    # A = C scaled alike keeps the axis a geodesic, but moves it off the
+    # equal-power locus
+    "radical_axis_scaled_1e-6": (power, "radical_axis", _axis_scaled),
 }
 
 # Only tangent_cevians reads these.  It skips where the circumcircle is a
@@ -223,6 +242,13 @@ MUTANTS = {
 # CAUGHT_AT_LEAST; each must fail every instance on which the check runs.
 TANGENT_CEVIAN_MUTANTS = {
     "tangent_shot_scaled_1e-6": (cevians, "_shoot_tangent_circle", _shot_scaled),
+}
+
+# A power wrong for both cycles alike keeps them equal, so radical_axis
+# sees it only through a circle member's power against its definition;
+# each must fail every instance on which the check runs with one.
+RADICAL_AXIS_MUTANTS = {
+    "power_scaled_1e-6": (power, "power_of_point", _power_scaled),
 }
 
 SURVIVORS = {
@@ -289,6 +315,24 @@ def test_tangent_cevian_mutant_fails_wherever_the_check_runs(monkeypatch, mutant
     _apply(monkeypatch, *TANGENT_CEVIAN_MUTANTS[mutant])
     mutated = _tangent_cevian_statuses()
     assert mutated == ["fail" if s == "pass" else s for s in honest], mutant
+
+
+def _radical_axis_checks():
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS,
+                                         suite=("radical_axis",)))
+    return [c for inst in report.instances for c in inst.checks]
+
+
+@pytest.mark.parametrize("mutant", sorted(RADICAL_AXIS_MUTANTS))
+def test_radical_axis_mutant_fails_wherever_a_circle_is_checked(monkeypatch, mutant):
+    honest = _radical_axis_checks()
+    checked = [c.status == "pass" and bool(c.witness["power_checked"]) for c in honest]
+    # 86 of the 100 instances run the check with a circle member
+    assert sum(checked) >= 86
+    _apply(monkeypatch, *RADICAL_AXIS_MUTANTS[mutant])
+    mutated = [c.status for c in _radical_axis_checks()]
+    assert mutated == ["fail" if hit else c.status
+                       for c, hit in zip(honest, checked)], mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))

@@ -28,7 +28,14 @@ from hypfeuer.cycles import (
 )
 from hypfeuer.cevians import build_config
 from hypfeuer.geom_core import DiskIsometry
-from hypfeuer.instances import PURPOSE_MONGE, instance_rng, monge_triple, random_triangle
+from hypfeuer.instances import (
+    PURPOSE_CYCLE_PAIR,
+    PURPOSE_MONGE,
+    instance_rng,
+    monge_triple,
+    random_cycle_pair,
+    random_triangle,
+)
 from hypfeuer.power import (
     crossing_angle,
     homothetic_centers,
@@ -200,6 +207,26 @@ def test_radical_axis_near_concentric_is_not_concentric():
         radical_axis(c1, circle_from_center_radius(0.5 + 1e-6, 0.8))
     axis = radical_axis(c1, circle_from_center_radius(0.5 + 1e-6, 0.4))
     assert axis.a == axis.c
+
+
+def test_power_near_its_pole_keeps_only_2_6x_headroom():
+    # verify --suite radical_axis --trials 250 --seed 1, index 228: two
+    # equidistants.  At the 16 axis positions the check sampled before
+    # its count went to its degree bound, the one at |z| = 0.732 sits
+    # near a pole of power_of_point (power 165, the translated leading
+    # coefficient near 0), and the relative gap of the two powers there
+    # is 3.9e-11 against the 1e-10 tolerance; the other 15 stay below
+    # 6e-13.  The 4 samples the check takes now miss the pole (2.2e-13),
+    # which hides this loss of digits rather than mending it.
+    c1, c2 = random_cycle_pair(instance_rng(1, 228, PURPOSE_CYCLE_PAIR))
+    gaps = []
+    for p in sample_points(radical_axis(c1, c2), 16, margin=1e-6):
+        p1, p2 = power_of_point(p, c1), power_of_point(p, c2)
+        gaps.append((abs(p1 - p2) / max(1.0, abs(p1), abs(p2)), abs(p1)))
+    worst, power_there = max(gaps)
+    assert 1e-11 < worst < 1e-10
+    assert power_there > 100.0
+    assert sorted(gaps)[-2][0] < 1e-12
 
 
 # ----------------------------------------------------------- radical center

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from hypfeuer.cevians import _shoot_tangent_circle, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
     CycleClass,
+    _hyperboloid_plane,
     _translate_raw,
     circle_from_center_radius,
     classify,
@@ -23,7 +25,12 @@ from hypfeuer.cycles import (
     tangency_residual,
     transform,
 )
-from hypfeuer.errors import DegenerateAngle, DegenerateConfiguration, MissingCenter
+from hypfeuer.errors import (
+    DegenerateAngle,
+    DegenerateConfiguration,
+    GeometryError,
+    MissingCenter,
+)
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
@@ -439,6 +446,107 @@ def test_batch_kernels_leave_the_sampled_checks_unchanged(monkeypatch):
     scalar = _sampled_check_records()
     assert len(shipped) == 600
     assert shipped == scalar
+
+
+# ---------------------------------- the identities behind the sample counts
+# ARC_SAMPLES, LEXELL_SAMPLES and AXIS_SAMPLES rest on closed forms that
+# make each sampled quantity a quadratic along its cycle's parameter.
+
+def _disk_points(rng, count, radius=0.95):
+    return [cmath.rect(radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+            for _ in range(count)]
+
+
+def test_sigma_is_twice_a_mobius_argument():
+    # sigma(a, x, b) = 2 arg((b - x)/(a - x)) - 2 arg(1 - b conj(a)) + pi
+    rng = Random(2101)
+    worst = 0.0
+    for _ in range(3000):
+        a, b, x = _disk_points(rng, 3)
+        closed = (2.0 * cmath.phase((b - x) / (a - x))
+                  - 2.0 * cmath.phase(1.0 - b * a.conjugate()) + math.pi)
+        worst = max(worst, abs(math.remainder(geom_core.sigma(a, x, b) - closed,
+                                              geom_core.TAU)))
+    assert worst < 1e-13
+
+
+def test_half_area_is_a_mobius_argument():
+    # half the signed area of (a, b, x) is arg((x - a*)/(x - b*)) plus a
+    # constant of the base, with a* = 1/conj(a)
+    rng = Random(2102)
+    worst = 0.0
+    for _ in range(3000):
+        a, b, x = _disk_points(rng, 3)
+        a_star, b_star = 1.0 / a.conjugate(), 1.0 / b.conjugate()
+        closed = (cmath.phase((1.0 - a * b.conjugate()) * a.conjugate() * b)
+                  + cmath.phase((x - a_star) / (x - b_star)))
+        worst = max(worst, abs(math.remainder(0.5 * signed_area(a, b, x) - closed,
+                                              geom_core.TAU)))
+    assert worst < 1e-13
+
+
+def _lift(z):
+    w = 1.0 - abs(z) ** 2
+    return ((1.0 + abs(z) ** 2) / w, 2.0 * z.real / w, 2.0 * z.imag / w)
+
+
+def _minkowski(x, p):
+    return x[0] * p[0] - x[1] * p[1] - x[2] * p[2]
+
+
+def test_power_gap_is_linear_in_the_lift():
+    # with <X, P> + k = 0 each cycle's hyperboloid plane, P1 - P2 is
+    # 2 <X, k1 P2 - k2 P1> over (<X, P1> - k1)(<X, P2> - k2), and the
+    # radical axis is the plane of k1 P2 - k2 P1
+    rng = Random(2103)
+    worst_gap = worst_axis = 0.0
+    for idx in range(400):
+        c1, c2 = random_cycle_pair(instance_rng(2104, idx))
+        *p1v, k1 = _hyperboloid_plane(c1)
+        *p2v, k2 = _hyperboloid_plane(c2)
+        normal = [k1 * q - k2 * p for p, q in zip(p1v, p2v)]
+        for z in _disk_points(rng, 5):
+            try:
+                p1, p2 = power.power_of_point(z, c1), power.power_of_point(z, c2)
+            except DegenerateConfiguration:
+                continue
+            x = _lift(z)
+            linear = 2.0 * _minkowski(x, normal) / (
+                (_minkowski(x, p1v) - k1) * (_minkowski(x, p2v) - k2))
+            # near a pole of power_of_point rounding grows with the power
+            scale = max(1.0, abs(p1), abs(p2))
+            worst_gap = max(worst_gap, abs(p1 - p2 - linear) / scale ** 2)
+        try:
+            axis = power.radical_axis(c1, c2)
+        except GeometryError:
+            continue
+        *axis_v, axis_k = _hyperboloid_plane(axis)
+        assert axis_k == 0.0
+        u = [v / max(map(abs, normal)) for v in normal]
+        w = [v / max(map(abs, axis_v)) for v in axis_v]
+        sign = math.copysign(1.0, sum(p * q for p, q in zip(u, w)))
+        worst_axis = max(worst_axis, max(abs(p - sign * q) for p, q in zip(u, w)))
+    assert worst_gap < 1e-13
+    assert worst_axis < 1e-13
+
+
+def test_sampled_suite_statuses_at_seed_0():
+    # the sample counts sit at their degree bounds; statuses and flags
+    # are those of the 32/33/16-sample checks they replaced
+    report = cli.run_verify(cli.Scenario(seed=0, trials=200, suite=(
+        "inscribed_angle", "lexell", "radical_axis")))
+    counts = Counter((c.name, c.status, c.flag)
+                     for inst in report.instances for c in inst.checks)
+    assert counts == {("inscribed_angle", "pass", None): 200,
+                      ("lexell", "pass", None): 200,
+                      ("radical_axis", "pass", None): 179,
+                      ("radical_axis", "skipped", "axis_outside_disk"): 21}
+    samples = Counter((c.name, c.witness["samples"])
+                      for inst in report.instances for c in inst.checks
+                      if c.status == "pass")
+    assert samples == {("inscribed_angle", theorems.ARC_SAMPLES): 200,
+                       ("lexell", theorems.LEXELL_SAMPLES + 1): 200,
+                       ("radical_axis", theorems.AXIS_SAMPLES): 179}
 
 
 # -------------------------------------------------------------------- monge
