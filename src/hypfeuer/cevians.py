@@ -19,14 +19,17 @@ and S is the triangle's area.
 The three bisector feet span the Euler circle, which also passes through
 the three pseudoaltitude feet; the apex-to-foot geodesics of each family
 meet in the bisector point and the pseudo-orthocenter respectively, when
-they meet inside the disk at all.  The tangent circles (incircle,
-excircles) are centered at signed sums of the triangle's vertex vectors,
-the cross products of the sides' unit hyperboloid normals
-(`tangent_circles`); an absent excircle is a center vector that is not
-timelike.  The circle inscribed in a vertex's angle and touching a
-given circle from inside (the tangent-cevian check's shot) is a
-quadratic in that vertex's frame; the point where two circles touch is
-one radius from a center toward or away from the other center
+they meet inside the disk at all.  Each vertex and foot is lifted to the
+hyperboloid once, each side and cevian is the normal of its plane, the
+cross product of two lifts, and a family's concurrency is the pencil of
+its unit normals (`concurrency_point`).  The tangent circles (incircle,
+excircles) are centered at signed sums of the vertex lifts, each
+weighted by the norm of the opposite side's normal (`tangent_circles`);
+an absent excircle is a center vector that is not timelike.  The
+circle inscribed in a vertex's angle and touching a given circle from
+inside (the tangent-cevian check's shot) is a quadratic in that
+vertex's frame; the point where two circles touch is one radius from a
+center toward or away from the other center, a hyperboloid vector
 (`tangent_contact`).
 
 Everything degenerate is flagged on the returned TriangleConfig rather
@@ -37,6 +40,7 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -56,14 +60,23 @@ from .cycles import (
     _translate_raw,
     circle_from_center_radius,
     cycle_through,
-    geodesic_meet,
-    geodesic_through,
+    geodesic_of_normal,
     hyp_center_radius,
+    meet_point,
     membership_residual,
-    point_geodesic_distances,
+    plane_distances,
+    point_lift,
+    through_normal,
+    unit_normal,
 )
 
 VERTICES = ("a", "b", "c")
+
+# a hyperboloid vector (t, x, y): a lift, a normal or a meet
+Vector = tuple[float, float, float]
+
+# a circle as its unit center vector and sinh of its radius (circle_vector)
+CircleVector = tuple[float, float, float, float]
 
 # an area bisector foot stays this far from the triangle vertices
 EDGE_INSET = 1e-9
@@ -114,108 +127,99 @@ def bisector_foot(tri: Triangle, vertex: str) -> complex:
     return mobius_from_origin(b1, t * w / abs(w))
 
 
-def side_lines(tri: Triangle) -> dict[str, GeneralizedCycle]:
-    """Geodesic carrying the side opposite each vertex."""
-    return {
-        "a": geodesic_through(tri.b, tri.c),
-        "b": geodesic_through(tri.c, tri.a),
-        "c": geodesic_through(tri.a, tri.b),
-    }
+def concurrency_point(normals) -> tuple[complex, float]:
+    """Common point of geodesics given by their unit normals (unit_normal),
+    and its worst distance to the other lines.
 
-
-def concurrency_point(lines) -> tuple[complex, float]:
-    """Common point of several geodesics and its worst distance to the others.
-
-    Each pair, in index order, is met inside the disk (geodesic_meet)
-    and the meet is scored by its largest distance to the remaining
-    lines; the first candidate with the smallest score wins.  Divergence
-    (no pair meets inside the disk) is an error for the caller to flag.
+    Two geodesics meet on the cross product m of their normals, and with
+    unit normals q = m_t^2 - |m_xy|^2 is sin^2 of their angle when they
+    meet.  The pair with the largest q is the most transversal one, and
+    its meet (meet_point) is the point; its distance to every other line
+    n_k is asinh(|n_k . m| / sqrt(q)), i.e. |det(n_i, n_j, n_k)| over
+    sqrt(q), the pencil determinant (plane_distances).  DivergentCevians
+    when that meet is not timelike or lies within INTERIOR_MARGIN of the
+    absolute, for the caller to flag.
     """
-    lines = tuple(lines)
-    n = len(lines)
-    best_z = best_r = None
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            z = geodesic_meet(lines[i], lines[j])
-            if z is None:
-                continue
-            if n == 3:
-                # the one remaining line
-                r = point_geodesic_distances(z, (lines[3 - i - j],))[0]
-            else:
-                r = max(point_geodesic_distances(
-                    z, lines[:i] + lines[i + 1:j] + lines[j + 1:]), default=0.0)
-            if best_z is None or r < best_r:
-                best_z, best_r = z, r
-    if best_z is None:
-        raise DivergentCevians("no pair of geodesics meets inside the disk")
-    return best_z, best_r
+    normals = tuple(normals)
+    count = len(normals)
+    best_q, best = -math.inf, None
+    for i in range(count - 1):
+        a1, x1, y1 = normals[i]
+        for j in range(i + 1, count):
+            a2, x2, y2 = normals[j]
+            mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+            q = mt * mt - mx * mx - my * my
+            if q > best_q:
+                best_q, best = q, (i, j, (mt, mx, my))
+    if best is not None:
+        i, j, m = best
+        z = meet_point(*m)
+        if z is not None:
+            others = normals[:i] + normals[i + 1:j] + normals[j + 1:]
+            return z, max(plane_distances(m, others), default=0.0)
+    raise DivergentCevians("the most transversal pair does not meet inside the disk")
 
 
 @dataclass(frozen=True)
 class CircleSpec:
-    """A tangent circle with its construction diagnostics."""
+    """A tangent circle and how far its built cycle is from touching
+    the three sides."""
 
     center: complex
     radius: float
     cycle: GeneralizedCycle
-    side_spread: float  # max - min distance to the three side lines
-    concurrency_residual: float  # distance from center to the bisector at c
+    tangency_gap: float
 
 
-def tangent_circles(tri: Triangle, sides: dict[str, GeneralizedCycle],
+def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
                     ) -> tuple[CircleSpec | None, dict[str, CircleSpec | None]]:
     """The incircle and the excircle beyond the side opposite each
-    vertex, from the side lines that side_lines returns; None where a
-    circle is absent.
+    vertex, from the vertex lifts L_v (point_lift) and the side normals
+    n_a = L_b x L_c, n_b = L_c x L_a, n_c = L_a x L_b (through_normal);
+    None where a circle is absent.
 
-    A side (A, B, A) is the hyperboloid plane with normal (A, Re B, Im B).
-    Scaled to Minkowski norm sqrt(|B|^2 - A^2) = 1 and signed positive at
-    the opposite vertex, the normal n_v takes sinh of the signed distance
-    to the side.  The vertex vectors V_a = n_b x n_c, V_b = n_c x n_a and
-    V_c = n_a x n_b each lie on two sides, and n_v . V_v = det(n_a, n_b,
-    n_c) for every v.  So the signed sum V_a + V_b + V_c is equidistant
-    from the three sides on the vertices' sides of them (the incenter),
-    and V_a - V_b - V_c, on which n_a . X has the opposite sign to n_b . X
-    and n_c . X, is the excenter beyond side a (and cyclically).  A center
-    exists when its sum is timelike and its disk point keeps
-    INTERIOR_MARGIN from the absolute, as in geodesic_meet.
+    n_a vanishes on L_b and L_c and takes det(L_a, L_b, L_c) = D at L_a,
+    and so does every side at its opposite vertex.  So the sum
+    X = |n_a| L_a + |n_b| L_b + |n_c| L_c, with |n| = sqrt(n_x^2 + n_y^2
+    - n_t^2), has n_v . X = D |n_v| for each side v: X is the same
+    distance asinh(|D| / sqrt(<X, X>)) from the three sides, on the
+    vertices' sides of them (the incenter).  Flipping the sign of
+    |n_a| L_a flips the sign of n_a . X alone: the excenter beyond side a
+    (and cyclically).  As |n_a| = sinh(a) |L_b| |L_c| for the side length
+    a, X is the sum sinh(a) A + sinh(b) B + sinh(c) C of the unit vertex
+    vectors times a common factor.  A center exists when its sum is
+    timelike and its disk point keeps INTERIOR_MARGIN from the absolute.
 
-    The radius is the mean of the three side distances; the diagnostics
-    are their spread and the distance to the same sign pattern's
-    bisector at c, n_a - n_b or n_a + n_b.
+    The radius is the mean of the three side distances
+    (plane_distances).  The built circle's center and radius are read
+    back from its own coefficients (_circle_vector); tangency_gap is the
+    worst difference between that center's distance to a side and that
+    radius.
     """
-    n = []
+    units, weighted = [], []
     for v in VERTICES:
-        s = sides[v]
-        scale = math.copysign(1.0 / math.sqrt(abs(s.b) ** 2 - s.a * s.a),
-                              s.evaluate(tri.vertices[v]))
-        n.append((scale * s.a, scale * s.b.real, scale * s.b.imag))
-    (a1, x1, y1), (a2, x2, y2), (a3, x3, y3) = n
-    # the t, x and y components of V_a, V_b and V_c
-    vt = (x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2)
-    vx = (y2 * a3 - a2 * y3, y3 * a1 - a3 * y1, y1 * a2 - a1 * y2)
-    vy = (a2 * x3 - x2 * a3, a3 * x1 - x3 * a1, a1 * x2 - x1 * a2)
-    thirds: dict[float, GeneralizedCycle] = {}
+        n0, n1, n2 = side_normals[v]
+        norm = math.sqrt(n1 * n1 + n2 * n2 - n0 * n0)
+        units.append((n0 / norm, n1 / norm, n2 / norm))
+        lt, lx, ly = lifts[v]
+        weighted.append((norm * lt, norm * lx, norm * ly))
+    (at, ax, ay), (bt, bx, by), (ct, cx, cy) = weighted
     specs = []
-    for sa, sb, sc in ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0),
-                       (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)):
-        z = _to_disk(sa * vt[0] + sb * vt[1] + sc * vt[2],
-                     sa * vx[0] + sb * vx[1] + sc * vx[2],
-                     sa * vy[0] + sb * vy[1] + sc * vy[2])
+    for sa, sb, sc in ((1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                       (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
+        x = (sa * at + sb * bt + sc * ct, sa * ax + sb * bx + sc * cx,
+             sa * ay + sb * by + sc * cy)
+        z = _to_disk(*x)
         if z is None or abs(z) >= 1.0 - INTERIOR_MARGIN:
             specs.append(None)
             continue
-        sign = sa * sb  # n_a . X = sign n_b . X on the bisector at c
-        if sign not in thirds:
-            ta = a1 - sign * a2
-            thirds[sign] = GeneralizedCycle.of(
-                ta, complex(x1 - sign * x2, y1 - sign * y2), ta)
-        *ds, off_third = point_geodesic_distances(
-            z, (sides["a"], sides["b"], sides["c"], thirds[sign]))
-        radius = sum(ds) / 3.0
-        specs.append(CircleSpec(z, radius, circle_from_center_radius(z, radius),
-                                max(ds) - min(ds), off_third))
+        radius = sum(plane_distances(x, units)) / 3.0
+        cycle = circle_from_center_radius(z, radius)
+        pt, px, py, norm, s = _circle_vector(cycle)
+        back = math.asinh(s / norm)
+        da, db, dc = plane_distances((pt, px, py), units)
+        gap = max(abs(da - back), abs(db - back), abs(dc - back))
+        specs.append(CircleSpec(z, radius, cycle, gap))
     return specs[0], dict(zip(VERTICES, specs[1:]))
 
 
@@ -274,34 +278,33 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str,
     return None
 
 
-def tangent_contact(circle: GeneralizedCycle, other: GeneralizedCycle, inside: bool,
-                    tol: float) -> tuple[complex | None, float]:
-    """(contact, gap) of `circle` with the circle `other`: the point one
-    radius r from circle's center O1 on the geodesic through other's
-    center O2 (away from O2 when circle lies inside other, toward it when
-    outside), and |d - (R -+ r)| for the distance d between the centers.
+def tangent_contact(circle: CircleVector, other: CircleVector, inside: bool,
+                    tol: float) -> tuple[Vector | None, float]:
+    """(contact, gap) of two circles given as (O_t, O_x, O_y, sinh r)
+    (circle_vector): the unit hyperboloid vector one radius r from
+    circle's center O1 on the geodesic through other's center O2 (away
+    from O2 when circle lies inside other, toward it when outside), and
+    |d - (R -+ r)| for the distance d between the centers.
 
-    On the hyperboloid N = O2 - <O1, O2> O1 is tangent at O1 with
-    |N| = sinh d, so the point is cosh r O1 -+ sinh r N / |N|.  Only a true
-    tangency puts it on other; cevians through homothetic centers would
-    concur by Monge for any circles inscribed in the angles.  The contact
-    is None for sinh d < eps / tol: with each center rounded by about eps,
-    the direction between them could then be off by the tolerance.
+    N = O2 - <O1, O2> O1 is tangent at O1 with |N| = sinh d, so the point
+    is cosh r O1 -+ sinh r N / |N|.  Only a true tangency puts it on
+    other; cevians through homothetic centers would concur by Monge for
+    any circles inscribed in the angles.  The contact is None for
+    sinh d < eps / tol: with each center rounded by about eps, the
+    direction between them could then be off by the tolerance.
     """
-    t1, x1, y1, n1, s1 = _circle_vector(circle)
-    t2, x2, y2, n2, s2 = _circle_vector(other)
-    t1, x1, y1, t2, x2, y2 = t1 / n1, x1 / n1, y1 / n1, t2 / n2, x2 / n2, y2 / n2
+    t1, x1, y1, sinh_r = circle
+    t2, x2, y2, sinh_big = other
     c = t1 * t2 - x1 * x2 - y1 * y2
     nt, nx, ny = t2 - c * t1, x2 - c * x1, y2 - c * y1
     sinh_d = math.sqrt(max(nx * nx + ny * ny - nt * nt, 0.0))
-    sinh_r = s1 / n1
-    r, big_r = math.asinh(sinh_r), math.asinh(s2 / n2)
+    r, big_r = math.asinh(sinh_r), math.asinh(sinh_big)
     gap = abs(math.asinh(sinh_d) - (abs(big_r - r) if inside else big_r + r))
     if sinh_d * tol < _EPS:
         return None, gap
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
     k = (-sinh_r if inside else sinh_r) / sinh_d
-    return _to_disk(cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
+    return (cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
 
 
 @dataclass
@@ -314,13 +317,22 @@ class CevianFeet:
 
 @dataclass
 class TriangleConfig:
-    """Every derived object of one triangle, with degeneracy flags."""
+    """Every derived object of one triangle, with degeneracy flags.
+
+    Each vertex and foot is lifted once (point_lift), and each side and
+    cevian is kept as its normal, the cross product of its two lifts
+    (through_normal): the checks read these.  The geodesics that
+    construct and render print, `sides`, `bisector_cevians` and
+    `pseudoaltitude_cevians`, are built from the stored normals on first
+    use, bit for bit what geodesic_through gives.
+    """
 
     triangle: Triangle
-    sides: dict[str, GeneralizedCycle]
     feet: CevianFeet
-    bisector_cevians: dict[str, GeneralizedCycle]
-    pseudoaltitude_cevians: dict[str, GeneralizedCycle]
+    lifts: dict[str, Vector]
+    side_normals: dict[str, Vector]
+    bisector_normals: dict[str, Vector]
+    pseudoaltitude_normals: dict[str, Vector]
     circumcircle: GeneralizedCycle
     circumcenter: complex | None
     circumradius: float | None
@@ -336,9 +348,34 @@ class TriangleConfig:
     excircles: dict[str, CircleSpec | None]
     flags: list[str]
 
+    @functools.cached_property
+    def sides(self) -> dict[str, GeneralizedCycle]:
+        """Geodesic carrying the side opposite each vertex."""
+        return {v: geodesic_of_normal(n) for v, n in self.side_normals.items()}
+
+    @functools.cached_property
+    def bisector_cevians(self) -> dict[str, GeneralizedCycle]:
+        return {v: geodesic_of_normal(n) for v, n in self.bisector_normals.items()}
+
+    @functools.cached_property
+    def pseudoaltitude_cevians(self) -> dict[str, GeneralizedCycle]:
+        return {v: geodesic_of_normal(n) for v, n in self.pseudoaltitude_normals.items()}
+
     def flagged(self, *prefixes: str) -> bool:
         """True if any flag starts with one of the given prefixes."""
         return any(f.startswith(prefixes) for f in self.flags)
+
+
+def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):
+    """(point, residual) of a cevian family with all three feet, or
+    (None, None) with the flag added."""
+    if len(normals) == 3:
+        try:
+            return concurrency_point([unit_normal(normals[v]) for v in VERTICES])
+        except DivergentCevians:
+            pass
+    flags.add(flag)
+    return None, None
 
 
 def build_config(tri: Triangle) -> TriangleConfig:
@@ -375,44 +412,32 @@ def build_config(tri: Triangle) -> TriangleConfig:
     else:
         flags.add("no_euler_circle")
 
-    verts = tri.vertices
-    bisector_cevians = {v: geodesic_through(verts[v], feet.bisector[v])
-                        for v in feet.bisector}
-    pseudoaltitude_cevians = {v: geodesic_through(verts[v], feet.pseudoaltitude[v])
-                              for v in feet.pseudoaltitude}
+    lifts = {v: point_lift(z) for v, z in tri.vertices.items()}
+    la, lb, lc = lifts["a"], lifts["b"], lifts["c"]
+    # the order of geodesic_through(b, c), (c, a) and (a, b)
+    side_normals = {"a": through_normal(lb, lc), "b": through_normal(lc, la),
+                    "c": through_normal(la, lb)}
+    bisector_normals = {v: through_normal(lifts[v], point_lift(foot))
+                        for v, foot in feet.bisector.items()}
+    pseudoaltitude_normals = {v: through_normal(lifts[v], point_lift(foot))
+                              for v, foot in feet.pseudoaltitude.items()}
+    bisector_point, bisector_residual = _concurrency(
+        bisector_normals, "divergent_bisector_cevians", flags)
+    pseudo_orthocenter, orthocenter_residual = _concurrency(
+        pseudoaltitude_normals, "divergent_pseudoaltitude_cevians", flags)
 
-    bisector_point = bisector_residual = None
-    if len(bisector_cevians) == 3:
-        try:
-            bisector_point, bisector_residual = concurrency_point(
-                bisector_cevians[v] for v in VERTICES)
-        except DivergentCevians:
-            flags.add("divergent_bisector_cevians")
-    else:
-        flags.add("divergent_bisector_cevians")
-
-    pseudo_orthocenter = orthocenter_residual = None
-    if len(pseudoaltitude_cevians) == 3:
-        try:
-            pseudo_orthocenter, orthocenter_residual = concurrency_point(
-                pseudoaltitude_cevians[v] for v in VERTICES)
-        except DivergentCevians:
-            flags.add("divergent_pseudoaltitude_cevians")
-    else:
-        flags.add("divergent_pseudoaltitude_cevians")
-
-    sides = side_lines(tri)
-    inc, excircles = tangent_circles(tri, sides)
+    inc, excircles = tangent_circles(lifts, side_normals)
     if inc is None:
         flags.add("no_incircle")
     flags.update(f"excircle_absent_{v}" for v, spec in excircles.items() if spec is None)
 
     return TriangleConfig(
         triangle=tri,
-        sides=sides,
         feet=feet,
-        bisector_cevians=bisector_cevians,
-        pseudoaltitude_cevians=pseudoaltitude_cevians,
+        lifts=lifts,
+        side_normals=side_normals,
+        bisector_normals=bisector_normals,
+        pseudoaltitude_normals=pseudoaltitude_normals,
         circumcircle=circumcircle,
         circumcenter=circumcenter,
         circumradius=circumradius,

@@ -27,11 +27,15 @@ moved back without leaving the algebra.  Every cycle is also a plane
 on the hyperboloid of disk points (``_hyperboloid_plane``), which gives
 a circle's center and radius, tells which side of the absolute a
 disjoint cycle lies on, and places homothetic centers.  A geodesic
-(A, B, A) is the plane with normal (A, Re B, Im B): two geodesics meet at
-the cross product of their normals (``geodesic_meet``), no quadratic
-solved, and a point's distance to one is the plane's form at the point.
-``point_geodesic_distances`` checks and lifts a point once for many
-geodesics; ``point_geodesic_distance`` is its one-geodesic case.
+(A, B, A) is the plane with normal (A, Re B, Im B), the cross product of
+the lifts (|z|^2 + 1, 2x, 2y) of two of its points (``point_lift``,
+``through_normal``): two geodesics meet at the cross product of their
+normals (``geodesic_meet``, ``meet_point``), no quadratic solved, and a
+point's distance to one is the plane's form at the point over the
+norms, for a point given as a hyperboloid vector (``plane_distances``,
+with unit normals) or as a disk point (``point_geodesic_distances``,
+which checks and lifts it once for many geodesics;
+``point_geodesic_distance`` is its one-geodesic case).
 
 The checks' cycle constructions live here too: the constant-area locus
 (``lexell_cycle``) and samples along an arc.
@@ -226,6 +230,14 @@ def _circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float,
     return pt, px, py, norm, math.sqrt(max(s2, 0.0))
 
 
+def circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float]:
+    """(O_t, O_x, O_y, sinh r) of a circle inside the disk: its unit
+    center vector O = P / |P| and sinh of its radius (_circle_vector,
+    which raises NoHyperbolicCenter for any other cycle)."""
+    pt, px, py, norm, s = _circle_vector(cycle)
+    return pt / norm, px / norm, py / norm, s / norm
+
+
 def cycle_through(p, q, r) -> GeneralizedCycle:
     """Unique cycle through three distinct points (cofactor expansion).
 
@@ -254,22 +266,38 @@ def cycle_through(p, q, r) -> GeneralizedCycle:
     return GeneralizedCycle.of(a, complex(-c12 / 2.0, c13 / 2.0), -c14)
 
 
+def point_lift(z: complex) -> tuple[float, float, float]:
+    """(|z|^2 + 1, 2x, 2y): the hyperboloid point of z times 1 - |z|^2.
+    It is polynomial, so it takes ideal endpoints on the absolute as
+    exactly as interior points."""
+    return abs(z) ** 2 + 1.0, 2.0 * z.real, 2.0 * z.imag
+
+
+def through_normal(u, v) -> tuple[float, float, float]:
+    """The normal (A, Re B, Im B) of the geodesic through two lifted
+    points: the cross product of the lifts."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+
+
+def geodesic_of_normal(n) -> GeneralizedCycle:
+    """The geodesic (A, B, A) with the normal n = (A, Re B, Im B)."""
+    return GeneralizedCycle.of(n[0], complex(n[1], n[2]), n[0])
+
+
 def geodesic_through(p, q) -> GeneralizedCycle:
     """Geodesic through two distinct points.
 
-    Lifting z to (|z|^2 + 1, 2x, 2y) turns "cycle with C = A" into a
-    plane through the origin; the cross product of two lifts is its
-    normal, read back as (A, B, C=A).  The lift is polynomial, so it
-    takes ideal endpoints on the absolute as exactly as interior points.
+    Lifting z to (|z|^2 + 1, 2x, 2y) (point_lift) turns "cycle with
+    C = A" into a plane through the origin; the cross product of two
+    lifts (through_normal) is its normal, read back as (A, B, C=A).
     """
     zp = p if type(p) is complex else as_complex(p)
     zq = q if type(q) is complex else as_complex(q)
     if abs(zp - zq) < 1e-12:
         raise CoincidentPoints("geodesic through coincident points")
-    u0, u1, u2 = abs(zp) ** 2 + 1.0, 2.0 * zp.real, 2.0 * zp.imag
-    v0, v1, v2 = abs(zq) ** 2 + 1.0, 2.0 * zq.real, 2.0 * zq.imag
-    n0 = u1 * v2 - u2 * v1
-    return GeneralizedCycle.of(n0, complex(u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), n0)
+    return geodesic_of_normal(through_normal(point_lift(zp), point_lift(zq)))
 
 
 def lexell_cycle(a, b, x0) -> GeneralizedCycle:
@@ -388,7 +416,14 @@ def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
     mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
     if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
         raise IdenticalCycles("one geodesic twice")
-    z = _to_disk(mt, mx, my)
+    return meet_point(mt, mx, my)
+
+
+def meet_point(t: float, x: float, y: float) -> complex | None:
+    """The disk point of the meet vector m = n1 x n2 of two geodesic
+    normals, or None unless m is timelike and its point keeps
+    INTERIOR_MARGIN from the absolute."""
+    z = _to_disk(t, x, y)
     return z if z is not None and abs(z) < 1.0 - INTERIOR_MARGIN else None
 
 
@@ -439,6 +474,26 @@ def point_geodesic_distances(p, geodesics) -> list[float]:
         e = a * r2 + 2.0 * (b.conjugate() * z).real + geo.c
         out.append(math.asinh(abs(e) / (w * math.sqrt(norm2))))
     return out
+
+
+def unit_normal(n) -> tuple[float, float, float]:
+    """The normal n = (A, Re B, Im B) of a geodesic scaled to Minkowski
+    norm sqrt(|B|^2 - A^2) = 1; NotACycle when n is not spacelike."""
+    n0, n1, n2 = n
+    norm2 = n1 * n1 + n2 * n2 - n0 * n0
+    if norm2 <= 0.0:
+        raise NotACycle("degenerate geodesic coefficients")
+    s = 1.0 / math.sqrt(norm2)
+    return n0 * s, n1 * s, n2 * s
+
+
+def plane_distances(x, normals) -> list[float]:
+    """Distance from the point of a timelike vector x = (t, x, y), of any
+    scale, to each geodesic given by its unit normal n: asinh(|n . x| /
+    sqrt(t^2 - x^2 - y^2)), n . x being the geodesic's form at x."""
+    t, xx, y = x
+    root = math.sqrt(t * t - xx * xx - y * y)
+    return [math.asinh(abs(n0 * t + n1 * xx + n2 * y) / root) for n0, n1, n2 in normals]
 
 
 def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:

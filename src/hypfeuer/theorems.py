@@ -42,15 +42,17 @@ from .cycles import (
     CycleClass,
     GeneralizedCycle,
     _arc_samples,
+    circle_vector,
     classify,
     geodesic_through,
     hyp_center_radius,
     lexell_cycle,
     membership_residual,
     point_geodesic_distance,
-    point_geodesic_distances,
     sample_points,
     tangency_residual,
+    through_normal,
+    unit_normal,
 )
 from .cevians import (
     TriangleConfig,
@@ -293,7 +295,9 @@ def check_euler_ratios(cfg: TriangleConfig,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """The three bisector pseudolength ratios agree, and so do the three
     pseudoaltitude pseudolength products (the homothety and inversion
-    constants of the circumcircle-to-Euler-circle maps)."""
+    constants of the circumcircle-to-Euler-circle maps).  The residual
+    also takes the concurrency residuals of both cevian families, the
+    pencil determinants that define M and H (concurrency_point)."""
     if cfg.flagged("bracket_failure", "divergent_bisector_cevians",
                    "divergent_pseudoaltitude_cevians"):
         return _skip("euler_ratios", tol.construct, "cevian_degeneracy")
@@ -303,7 +307,8 @@ def check_euler_ratios(cfg: TriangleConfig,
               for v in ("a", "b", "c")]
     products = [pseudolength(h, cfg.feet.pseudoaltitude[v]) * pseudolength(h, verts[v])
                 for v in ("a", "b", "c")]
-    residual = max(max(ratios) - min(ratios), max(products) - min(products))
+    residual = max(max(ratios) - min(ratios), max(products) - min(products),
+                   cfg.bisector_residual, cfg.orthocenter_residual)
     return _finish("euler_ratios", residual, tol.construct,
                    {"ratio": ratios[0], "product": products[0]})
 
@@ -311,21 +316,22 @@ def check_euler_ratios(cfg: TriangleConfig,
 def check_feuerbach(cfg: TriangleConfig,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Tangency of the Euler circle with the incircle and every excircle
-    that exists; absent excircles reduce the check set and are recorded."""
+    that exists; absent excircles reduce the check set and are recorded.
+    The residual also takes each existing circle's tangency_gap, how far
+    the built circle is from touching the three sides (tangent_circles)."""
     if cfg.flagged("bracket_failure", "no_euler_circle") or cfg.incircle is None:
         return _skip("feuerbach", tol.chain, "euler_or_incircle_missing")
     witness: dict = {}
-    residuals = []
     r = tangency_residual(cfg.euler_circle, cfg.incircle.cycle)
     witness["incircle"] = r
-    residuals.append(r)
+    residuals = [r, cfg.incircle.tangency_gap]
     for v, spec in sorted(cfg.excircles.items()):
         if spec is None:
             witness[f"excircle_{v}"] = "absent"
             continue
         r = tangency_residual(cfg.euler_circle, spec.cycle)
         witness[f"excircle_{v}"] = r
-        residuals.append(r)
+        residuals += (r, spec.tangency_gap)
     return _finish("feuerbach", max(residuals), tol.chain, witness)
 
 
@@ -353,7 +359,7 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
     powers grow without bound near the absolute, where rounding error is
     relative to the powers themselves, so the gap is taken relative to
     them.  The axis is a geodesic by construction (its leading and
-    constant coefficients are equal); the witness records its class.
+    constant coefficients are equal).
 
     Equal powers alone would pass a power_of_point that is wrong for
     both cycles alike, so each circle member's power is also checked
@@ -399,7 +405,7 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
     if used < AXIS_SAMPLES_MIN:
         return _skip("radical_axis", tol.construct, "axis_outside_disk")
     return _finish("radical_axis", residual, tol.construct,
-                   {"class": classify(axis).value, "samples": used,
+                   {"samples": used,
                     "power_checked": [member for member, _, _ in circles]})
 
 
@@ -433,26 +439,28 @@ def check_tangent_cevians(cfg: TriangleConfig,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the vertex-to-contact cevians of the three circles
     inscribed in the angles and touching the circumcircle from inside.
-    The residual also takes each circle's tangency gap (tangent_contact):
+    Each cevian is the normal vertex lift x contact vector, and the
+    pencil of the three (concurrency_point) gives the residual.  The
+    residual also takes each circle's tangency gap (tangent_contact):
     a small triangle's cevians move too little to show a circle that
     misses the circumcircle."""
     if cfg.flagged("no_circumcenter"):
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
     w = cfg.circumcircle
-    verts = cfg.triangle.vertices
-    cevians = []
+    target = circle_vector(w)
+    normals = []
     tangency = 0.0
     for v in ("a", "b", "c"):
         circle = _shoot_tangent_circle(cfg.triangle, v, w)
         if circle is None:
             return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
-        contact, gap = tangent_contact(circle, w, True, tol.chain)
+        contact, gap = tangent_contact(circle_vector(circle), target, True, tol.chain)
         tangency = max(tangency, gap)
         if contact is None:
             return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")
-        cevians.append(geodesic_through(verts[v], contact))
+        normals.append(through_normal(cfg.lifts[v], contact))
     try:
-        point, residual = concurrency_point(cevians)
+        point, residual = concurrency_point([unit_normal(n) for n in normals])
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "cevians_diverge")
     return _finish("tangent_cevians", max(residual, tangency), tol.chain,
@@ -466,27 +474,29 @@ _FEUERBACH_POINT_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center
 def check_feuerbach_point(cfg: TriangleConfig,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the incircle-contact-to-incenter line with the three
-    vertex-to-excircle-contact lines on the Euler circle.  The incircle
-    touches the Euler circle from inside, the excircles from outside;
-    the Euler circle and the incircle of an equilateral triangle are one
-    circle, with no contact point."""
+    vertex-to-excircle-contact lines on the Euler circle, as the pencil
+    of their normals (concurrency_point).  The incircle touches the
+    Euler circle from inside, the excircles from outside; the Euler
+    circle and the incircle of an equilateral triangle are one circle,
+    with no contact point."""
     if cfg.flagged(*_FEUERBACH_POINT_FLAGS) or cfg.incircle is None:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
-    verts = cfg.triangle.vertices
-    inc = cfg.incircle
-    f0, _ = tangent_contact(inc.cycle, cfg.euler_circle, True, tol.chain)
-    fs = [tangent_contact(cfg.excircles[v].cycle, cfg.euler_circle, False, tol.chain)[0]
-          for v in ("a", "b", "c")]
-    if f0 is None or None in fs:
+    euler = circle_vector(cfg.euler_circle)
+    inc = circle_vector(cfg.incircle.cycle)
+    f0, _ = tangent_contact(inc, euler, True, tol.chain)
+    if f0 is None:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
+    normals = [through_normal(f0, inc[:3])]
+    for v in ("a", "b", "c"):
+        fv, _ = tangent_contact(circle_vector(cfg.excircles[v].cycle), euler, False,
+                                tol.chain)
+        if fv is None:
+            return _skip("feuerbach_point", tol.chain, "contact_points_missing")
+        normals.append(through_normal(cfg.lifts[v], fv))
     try:
-        lines = [geodesic_through(f0, inc.center)]
-        lines += [geodesic_through(verts[v], fv) for v, fv in zip(("a", "b", "c"), fs)]
-    except GeometryError:
-        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
-    try:
-        point, _ = concurrency_point(lines)
+        point, residual = concurrency_point([unit_normal(n) for n in normals])
     except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
-    residual = max(point_geodesic_distances(point, lines))
+    except GeometryError:  # a line through two coincident points
+        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     return _finish("feuerbach_point", residual, tol.chain, {"point": point})

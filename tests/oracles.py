@@ -5,11 +5,14 @@
 checked against a translated frame, `internal_bisector` builds a
 vertex's angle bisector that way, `hyp_midpoint` is the midpoint
 the foot oracles compare with, and `interior_intersections` keeps the
-crossings of two cycles that lie inside the disk.
+crossings of two cycles that lie inside the disk.  `decimal_pencil` is
+the 50-digit oracle of `cevians.concurrency_point`.
 """
 
 import cmath
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle, intersect, transform
 from hypfeuer.geom_core import TAU, DiskIsometry, mobius_from_origin, mobius_to_origin
@@ -53,3 +56,37 @@ def interior_intersections(c1: GeneralizedCycle,
                            c2: GeneralizedCycle) -> tuple[complex, ...]:
     """Intersection points inside the disk, INTERIOR_MARGIN clear of the absolute."""
     return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - INTERIOR_MARGIN)
+
+
+def decimal_pencil(normals):
+    """The pencil of geodesic unit normals worked at 50 digits from the
+    same float inputs: (meet, residual) for the pair with the largest
+    q = m_t^2 - |m_xy|^2 of its cross product m (the first such pair in
+    index order), its meet read back as a disk point and the worst
+    asinh(|n_k . m| / sqrt(q)) over the other lines; (None, None) when
+    that meet is not timelike or lies within INTERIOR_MARGIN of the
+    absolute."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ns = [tuple(Decimal(c) for c in n) for n in normals]
+        best = None
+        for i, j in itertools.combinations(range(len(ns)), 2):
+            (a1, x1, y1), (a2, x2, y2) = ns[i], ns[j]
+            m = (x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2)
+            q = m[0] * m[0] - m[1] * m[1] - m[2] * m[2]
+            if best is None or q > best[0]:
+                best = (q, i, j, m)
+        q, i, j, m = best
+        if q <= 0:
+            return None, None
+        root = q.sqrt()
+        den = m[0] + root.copy_sign(m[0])
+        zx, zy = m[1] / den, m[2] / den
+        if (zx * zx + zy * zy).sqrt() >= 1 - Decimal(INTERIOR_MARGIN):
+            return None, None
+        residual = Decimal(0)
+        for k, (n0, n1, n2) in enumerate(ns):
+            if k not in (i, j):
+                s = abs(n0 * m[0] + n1 * m[1] + n2 * m[2]) / root
+                residual = max(residual, (s + (s * s + 1).sqrt()).ln())
+        return complex(float(zx), float(zy)), float(residual)

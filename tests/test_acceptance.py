@@ -12,6 +12,8 @@ import pytest
 from hypfeuer.cevians import build_config
 from hypfeuer.cli import main
 from hypfeuer.cycles import (
+    CycleClass,
+    classify,
     coefficient_distance,
     geodesic_through,
     point_geodesic_distance,
@@ -32,7 +34,7 @@ from hypfeuer.instances import (
     random_triangle,
     trapezoid_quad,
 )
-from hypfeuer.power import homothety_cycle, pseudolength
+from hypfeuer.power import homothety_cycle, pseudolength, radical_axis
 from hypfeuer.theorems import (
     check_euler_line,
     check_euler_ratios,
@@ -179,7 +181,7 @@ def test_06_radical_axis():
             continue
         passes += 1
         worst = max(worst, chk.residual)
-        if chk.witness["class"] == "geodesic":
+        if classify(radical_axis(c1, c2)) is CycleClass.GEODESIC:
             geodesics += 1
     ok = passes == 1000 and geodesics == 1000 and worst < 1e-10
     report(6, "radical axis class and equal powers", ok,

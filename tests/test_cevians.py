@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 import sys
 from decimal import Decimal, localcontext
 
@@ -24,6 +25,9 @@ from hypfeuer.cycles import (
     hyp_center_radius,
     membership_residual,
     point_geodesic_distance,
+    point_lift,
+    through_normal,
+    unit_normal,
 )
 from hypfeuer.cevians import (
     VERTICES,
@@ -31,12 +35,11 @@ from hypfeuer.cevians import (
     build_config,
     concurrency_point,
     pseudoaltitude_foot,
-    side_lines,
     tangent_circles,
 )
 from hypfeuer.instances import BRACKET_WIDTH, brent_root, instance_rng, random_triangle
-from hypfeuer.theorems import check_feuerbach_point, check_tangent_cevians
-from oracles import hyp_midpoint, internal_bisector
+from hypfeuer.theorems import check_feuerbach, check_feuerbach_point, check_tangent_cevians
+from oracles import decimal_pencil, hyp_midpoint, internal_bisector
 
 
 def isosceles():
@@ -192,10 +195,11 @@ def test_closed_form_pseudoaltitude_foot_near_the_absolute(apex, where):
 
 
 def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
-    # the feet and the tangent circles are closed forms; the side lines
-    # and the tangent circles are built once per configuration, and no
-    # meet or frame change goes through the general cycle machinery
-    calls = {"brent_root": 0, "tangent_circles": 0, "side_lines": 0,
+    # the feet and the tangent circles are closed forms; the tangent
+    # circles are built once per configuration, no meet or frame change
+    # goes through the general cycle machinery, and the sides, cevians
+    # and contact lines are normals: no geodesic is built on the way
+    calls = {"brent_root": 0, "tangent_circles": 0, "geodesic_through": 0,
              "intersect": 0, "transform": 0}
 
     def counting(module, name):
@@ -208,23 +212,44 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     originals = {"brent_root": instances.brent_root, "intersect": cycles.intersect,
-                 "transform": cycles.transform}
+                 "transform": cycles.transform, "geodesic_through": cycles.geodesic_through}
     for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
         for name, original in originals.items():
             if getattr(module, name, None) is original:
                 counting(module, name)
     counting(cevians, "tangent_circles")
-    counting(cevians, "side_lines")
     # a small triangle with all three excircles (the benchmark's set-up
     # triangle, bench/spec.py SETUP_TRIANGLE)
     cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
     assert not cfg.flags
-    assert calls == {"brent_root": 0, "tangent_circles": 1, "side_lines": 1,
+    assert calls == {"brent_root": 0, "tangent_circles": 1, "geodesic_through": 0,
                      "intersect": 0, "transform": 0}
+    assert check_feuerbach(cfg).status == "pass"
     assert check_tangent_cevians(cfg).status == "pass"
     assert check_feuerbach_point(cfg).status == "pass"
-    assert calls == {"brent_root": 0, "tangent_circles": 1, "side_lines": 1,
+    assert calls == {"brent_root": 0, "tangent_circles": 1, "geodesic_through": 0,
                      "intersect": 0, "transform": 0}
+    # the printed geodesics, built from the stored normals, are the ones
+    # geodesic_through gives, bit for bit
+    verts = cfg.triangle.vertices
+    expected = {
+        "sides": {v: (verts[p], verts[q]) for v, p, q in
+                  (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))},
+        "bisector_cevians": {v: (verts[v], cfg.feet.bisector[v]) for v in VERTICES},
+        "pseudoaltitude_cevians": {v: (verts[v], cfg.feet.pseudoaltitude[v])
+                                   for v in VERTICES},
+    }
+    through = originals["geodesic_through"]
+
+    def bits(g):
+        return struct.pack("<4d", g.a, g.b.real, g.b.imag, g.c)
+
+    for family, ends in expected.items():
+        built = getattr(cfg, family)
+        assert built.keys() == ends.keys()
+        for v, (p, q) in ends.items():
+            assert bits(built[v]) == bits(through(p, q)), (family, v)
+    assert calls["geodesic_through"] == 0
 
 
 # ------------------------------------------------------------ euler circle
@@ -272,12 +297,25 @@ def test_incircle_touches_all_sides():
     for cfg in clean_configs(10):
         inc = cfg.incircle
         assert inc is not None
-        assert inc.side_spread < 1e-10
+        assert inc.tangency_gap < 1e-12
         sides = cfg.sides
         for v in VERTICES:
             gap = abs(point_geodesic_distance(inc.center, sides[v]) - inc.radius)
             assert gap < 1e-9
         assert classify(inc.cycle) is CycleClass.HYP_CIRCLE
+
+
+def test_tangency_gap_reads_the_built_circle(monkeypatch):
+    # the gap measures the cycle that construct prints, read back from
+    # its coefficients: a circle built 1e-6 too large is 1e-6 r off
+    # every side
+    real = cevians.circle_from_center_radius
+    monkeypatch.setattr(cevians, "circle_from_center_radius",
+                        lambda center, rho: real(center, rho * (1.0 + 1e-6)))
+    for cfg in clean_configs(5):
+        for spec in (cfg.incircle, *cfg.excircles.values()):
+            if spec is not None:
+                assert spec.tangency_gap == pytest.approx(1e-6 * spec.radius, rel=1e-6)
 
 
 def test_excircle_touches_all_sides_when_present():
@@ -286,13 +324,14 @@ def test_excircle_touches_all_sides_when_present():
     while found < 5 and idx < 400:
         tri, _ = random_triangle(instance_rng(202, idx), 0.45)
         idx += 1
-        sides = side_lines(tri)
-        excircles = build_config(tri).excircles
+        cfg = build_config(tri)
+        sides = cfg.sides
         for v in VERTICES:
-            spec = excircles[v]
+            spec = cfg.excircles[v]
             if spec is None:
                 continue
             found += 1
+            assert spec.tangency_gap < 1e-12
             for w in VERTICES:
                 gap = abs(point_geodesic_distance(spec.center, sides[w]) - spec.radius)
                 assert gap < 1e-9
@@ -311,16 +350,25 @@ def _inner(p, q):
     return p[0] * q[0] - p[1] * q[1] - p[2] * q[2]
 
 
+def _asinh(s):
+    return (s + (s * s + 1).sqrt()).ln()
+
+
 def _vertex_sum_centers(tri):
     """The incenter and the excenters beyond the sides opposite a, b and
-    c as unit hyperboloid vectors, from the vertex lifts and the side
-    lengths: sinh(a) A + sinh(b) B + sinh(c) C with the sign of the
+    c as (unit hyperboloid vector, radius), from the vertex lifts and the
+    side lengths: sinh(a) A + sinh(b) B + sinh(c) C with the sign of the
     vertex beyond whose opposite side the circle lies flipped, a being
-    the side opposite A.  None where the sum is not timelike or its disk
+    the side opposite A; the radius is the center's distance to the side
+    through B and C.  None where the sum is not timelike or its disk
     point is within INTERIOR_MARGIN of the absolute."""
     lifts = [_lift(z) for z in (tri.a, tri.b, tri.c)]
     weights = [(_inner(lifts[(i + 1) % 3], lifts[(i + 2) % 3]) ** 2 - 1).sqrt()
                for i in range(3)]
+    (bt, bx, by), (ct, cx, cy) = lifts[1], lifts[2]
+    # the side through B and C: the plane n . X = 0 with n = B x C
+    side = (bx * cy - by * cx, by * ct - bt * cy, bt * cx - bx * ct)
+    side_norm = (side[1] ** 2 + side[2] ** 2 - side[0] ** 2).sqrt()
     out = []
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
         x = [sum(s * w * p[k] for s, w, p in zip(signs, weights, lifts)) for k in range(3)]
@@ -330,27 +378,39 @@ def _vertex_sum_centers(tri):
             continue
         unit = [c / q.sqrt().copy_sign(x[0]) for c in x]
         radius = (unit[1] ** 2 + unit[2] ** 2).sqrt() / (unit[0] + 1)
-        out.append(unit if radius < 1 - Decimal(cycles.INTERIOR_MARGIN) else None)
+        if radius >= 1 - Decimal(cycles.INTERIOR_MARGIN):
+            out.append(None)
+            continue
+        sinh_rho = abs(sum(n * u for n, u in zip(side, unit))) / side_norm
+        out.append((unit, _asinh(sinh_rho)))
     return out
 
 
 @pytest.mark.parametrize("box", [0.25, 0.7, 0.95])
 def test_tangent_circles_match_the_vertex_sums_to_50_digits(box):
     # an oracle algebraically apart from the side normals: the same
-    # circles exist, and every center is within 1e-12 of the 50-digit one
-    worst = 0.0
+    # circles exist, and every center and radius is within 1e-12 of the
+    # 50-digit one
+    worst_center = worst_radius = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
         for idx in range(300):
             tri, _ = random_triangle(instance_rng(11, idx), box)
-            inc, excircles = tangent_circles(tri, side_lines(tri))
+            lifts = {v: point_lift(z) for v, z in tri.vertices.items()}
+            normals = {v: through_normal(lifts[p], lifts[q]) for v, p, q in
+                       (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))}
+            inc, excircles = tangent_circles(lifts, normals)
             for spec, ref in zip((inc, *excircles.values()), _vertex_sum_centers(tri)):
                 assert (spec is None) == (ref is None), (idx, spec, ref)
                 if spec is not None:
-                    cosh_d = max(_inner(ref, _lift(spec.center)), Decimal(1))
+                    center, radius = ref
+                    cosh_d = max(_inner(center, _lift(spec.center)), Decimal(1))
                     d = (cosh_d + (cosh_d * cosh_d - 1).sqrt()).ln()
-                    worst = max(worst, float(d))
-    assert worst < 1e-12
+                    worst_center = max(worst_center, float(d))
+                    worst_radius = max(worst_radius,
+                                       abs(float(Decimal(spec.radius) - radius)))
+    assert worst_center < 1e-12
+    assert worst_radius < 1e-12
 
 
 def test_incircle_center_on_internal_bisectors():
@@ -430,29 +490,42 @@ def test_brent_root_at_bracket_end_has_zero_width():
 
 # ------------------------------------------------------ n-line concurrency
 
+def _unit_normal_through(p, q):
+    return unit_normal(through_normal(point_lift(complex(p)), point_lift(complex(q))))
+
+
 def test_concurrency_point_of_four_geodesics():
     p = 0.21 - 0.13j
-    lines = [geodesic_through(p, q) for q in (0.6, -0.4 + 0.5j, -0.7j, 0.3 + 0.6j)]
-    point, residual = concurrency_point(lines)
+    normals = [_unit_normal_through(p, q) for q in (0.6, -0.4 + 0.5j, -0.7j, 0.3 + 0.6j)]
+    point, residual = concurrency_point(normals)
     assert abs(point - p) < 1e-12
     assert residual < 1e-12
+    ref_point, ref_residual = decimal_pencil(normals)
+    assert abs(point - ref_point) < 1e-15
+    assert abs(residual - ref_residual) < 1e-15
 
 
 def test_concurrency_point_scores_against_every_other_line():
-    # three lines through p and a fourth that misses it: the winner is a
-    # meet of two lines through p, scored by its distance to the fourth
+    # three lines through p and a fourth that misses it: the most
+    # transversal pair meets in p, and the residual is p's distance to
+    # the fourth
     p = -0.15 + 0.2j
-    lines = [geodesic_through(p, q) for q in (0.5, 0.4j, -0.5 - 0.3j)]
-    stray = geodesic_through(p + 0.01, 0.6 + 0.6j)
-    point, residual = concurrency_point(lines + [stray])
+    ends = [(p, q) for q in (0.5, 0.4j, -0.5 - 0.3j)] + [(p + 0.01, 0.6 + 0.6j)]
+    normals = [_unit_normal_through(*e) for e in ends]
+    point, residual = concurrency_point(normals)
     assert abs(point - p) < 1e-12
+    stray = geodesic_through(*ends[3])
     assert residual == pytest.approx(point_geodesic_distance(point, stray), rel=1e-9)
+    ref_point, ref_residual = decimal_pencil(normals)
+    assert abs(point - ref_point) < 1e-15
+    assert residual == pytest.approx(ref_residual, rel=1e-13)
 
 
 def test_concurrency_point_divergent_lines_raise():
     # short geodesics near four separate stretches of the absolute
-    lines = [geodesic_through(0.95 * cmath.exp(1j * (t - 0.1)),
-                              0.95 * cmath.exp(1j * (t + 0.1)))
-             for t in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    normals = [_unit_normal_through(0.95 * cmath.exp(1j * (t - 0.1)),
+                                    0.95 * cmath.exp(1j * (t + 0.1)))
+               for t in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    assert decimal_pencil(normals) == (None, None)
     with pytest.raises(DivergentCevians):
-        concurrency_point(lines)
+        concurrency_point(normals)

@@ -246,7 +246,7 @@ WITNESS_KEYS = {
     "euler_line": {"anchor", "radius_gap"},
     "euler_ratios": {"ratio", "product"},
     "feuerbach": {"incircle", "excircle_a", "excircle_b", "excircle_c"},
-    "radical_axis": {"class", "samples", "power_checked"},
+    "radical_axis": {"samples", "power_checked"},
     "monge": {"ppp", "pnn", "npn", "nnp"},
     "tangent_cevians": {"point", "tangency_gap"},
     "feuerbach_point": {"point"},
@@ -509,21 +509,40 @@ CONTACT_CHAIN_SKIPS = {
     ("feuerbach_point", "contact_points_missing"): 81,
     ("radical_axis", "axis_outside_disk"): 21,
 }
+# the instances carrying each configuration flag, per box: the pencils
+# decide divergent_*, the vertex sums excircle_absent_*
+DEFAULT_BOX_FLAGS = {
+    "divergent_pseudoaltitude_cevians": 33,
+    "excircle_absent_a": 136,
+    "excircle_absent_b": 152,
+    "excircle_absent_c": 144,
+    "no_circumcenter": 21,
+}
+CONTACT_CHAIN_FLAGS = {
+    "divergent_pseudoaltitude_cevians": 11,
+    "excircle_absent_a": 25,
+    "excircle_absent_b": 31,
+    "excircle_absent_c": 25,
+}
 CONTACT_CHAIN_SCENARIO = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "contact_chain.json")
 
 
-@pytest.mark.parametrize("extra, status, skips", [
-    ([], DEFAULT_BOX_STATUS, DEFAULT_BOX_SKIPS),
-    (["--scenario", CONTACT_CHAIN_SCENARIO], CONTACT_CHAIN_STATUS, CONTACT_CHAIN_SKIPS),
+@pytest.mark.parametrize("extra, status, skips, flags", [
+    ([], DEFAULT_BOX_STATUS, DEFAULT_BOX_SKIPS, DEFAULT_BOX_FLAGS),
+    (["--scenario", CONTACT_CHAIN_SCENARIO], CONTACT_CHAIN_STATUS, CONTACT_CHAIN_SKIPS,
+     CONTACT_CHAIN_FLAGS),
 ], ids=["default_box", "contact_chain"])
-def test_verify_all_status_counts_are_pinned(tmp_path, extra, status, skips):
+def test_verify_all_status_counts_are_pinned(tmp_path, extra, status, skips, flags):
     code, out = run(tmp_path, "verify", "--suite", "all", "--trials", "200",
                     "--seed", "0", *extra)
     assert code == 0
     got_status: dict = {}
     got_skips: dict = {}
+    got_flags: dict = {}
     for inst in json.loads(out.read_text())["instances"]:
+        for flag in inst["flags"]:
+            got_flags[flag] = got_flags.get(flag, 0) + 1
         for check in inst["checks"]:
             row = got_status.setdefault(check["name"], [0, 0, 0])
             row[("pass", "fail", "skipped").index(check["status"])] += 1
@@ -532,3 +551,4 @@ def test_verify_all_status_counts_are_pinned(tmp_path, extra, status, skips):
                 got_skips[key] = got_skips.get(key, 0) + 1
     assert {k: tuple(v) for k, v in got_status.items()} == status
     assert got_skips == skips
+    assert got_flags == flags

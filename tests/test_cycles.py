@@ -29,13 +29,18 @@ from hypfeuer.cycles import (
     geodesic_through,
     hyp_center_radius,
     intersect,
+    meet_point,
     membership_residual,
+    plane_distances,
     point_geodesic_distance,
     point_geodesic_distances,
+    point_lift,
     sample_points,
     tangency_ratio,
     tangency_residual,
+    through_normal,
     transform,
+    unit_normal,
 )
 from oracles import diameter_with_direction, interior_intersections, random_isometry
 
@@ -759,3 +764,52 @@ def test_batched_distances_are_the_scalar_distances():
     line = geodesic_through(0.1, 0.2j)
     with pytest.raises(NotACycle):
         point_geodesic_distances(0.3j, [line, circle_from_center_radius(0.0, 1.0), line])
+
+
+# ----------------------------------------------------- hyperboloid normals
+
+def test_plane_distances_are_point_geodesic_distances():
+    # the plane kernel reads a point as any positive multiple of its
+    # hyperboloid vector, here the lift (1 + |z|^2, 2x, 2y), and a
+    # geodesic as its unit normal
+    rng = Random(71)
+    worst = 0.0
+    for _ in range(3_000):
+        x = rand_point(rng, 0.9)
+        ends = [(rand_point(rng, 0.9), rand_point(rng, 0.9)) for _ in range(3)]
+        normals = [unit_normal(through_normal(point_lift(p), point_lift(q)))
+                   for p, q in ends]
+        got = plane_distances(point_lift(x), normals)
+        want = point_geodesic_distances(x, [geodesic_through(p, q) for p, q in ends])
+        worst = max(worst, max(abs(g - w) / max(1.0, w) for g, w in zip(got, want)))
+    assert worst < 1e-13
+    assert plane_distances(point_lift(0.3j), []) == []
+
+
+def test_unit_normal_scale_and_degenerate_normals():
+    n = unit_normal(through_normal(point_lift(0.1 + 0.2j), point_lift(-0.4j)))
+    assert n[1] * n[1] + n[2] * n[2] - n[0] * n[0] == pytest.approx(1.0, abs=1e-15)
+    # a timelike or null "normal" is no geodesic
+    for bad in ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(NotACycle):
+            unit_normal(bad)
+
+
+def test_meet_point_is_the_meet_of_geodesic_meet():
+    # geodesic_meet is the cross product of two normals read back by
+    # meet_point; meet_point keeps only timelike vectors clear of the
+    # absolute
+    rng = Random(72)
+    for _ in range(2_000):
+        ends = [(rand_point(rng), rand_point(rng)) for _ in range(2)]
+        (a1, x1, y1), (a2, x2, y2) = (through_normal(point_lift(p), point_lift(q))
+                                      for p, q in ends)
+        m = (x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2)
+        got = meet_point(*m)
+        want = geodesic_meet(*(geodesic_through(p, q) for p, q in ends))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert abs(got - want) < 1e-12
+    assert meet_point(1.0, 0.0, 0.0) == 0j
+    assert meet_point(1.0, 1.0, 0.0) is None  # null: an ideal point
+    assert meet_point(0.0, 1.0, 0.0) is None  # spacelike: ultra-ideal

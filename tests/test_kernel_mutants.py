@@ -22,7 +22,6 @@ import pytest
 
 from hypfeuer import cevians, cli, cycles, geom_core, power
 from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
-from hypfeuer.errors import DivergentCevians, IdenticalCycles
 from hypfeuer.power import HomotheticCenters
 
 CAUGHT_AT_LEAST = 90
@@ -41,32 +40,28 @@ def _rebind(monkeypatch, home, name, mutant):
 
 
 def _distances_scaled(original):
-    def mutant(p, geodesics):
-        return [d * (1.0 + 1e-6) for d in original(p, geodesics)]
+    def mutant(x, normals):
+        return [d * (1.0 + 1e-6) for d in original(x, normals)]
     return mutant
 
 
 def _distances_off_by_one(original):
-    def mutant(p, geodesics):
-        ds = original(p, geodesics)
+    def mutant(x, normals):
+        ds = original(x, normals)
         return ds[1:] + ds[:1]
     return mutant
 
 
 def _through_normal_perturbed(original):
-    def mutant(p, q):
-        g = original(p, q)
-        return GeneralizedCycle.of(g.a + 1e-6, g.b, g.c + 1e-6)
+    def mutant(u, v):
+        # A + 1e-6 at the scale GeneralizedCycle.of normalizes to
+        n0, n1, n2 = original(u, v)
+        return n0 + 1e-6 * max(abs(n0), math.hypot(n1, n2)), n1, n2
     return mutant
 
 
 def _meet_other_root(original):
-    def mutant(g1, g2):
-        a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
-        a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
-        mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
-        if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
-            raise IdenticalCycles("one geodesic twice")
+    def mutant(mt, mx, my):
         q = mt * mt - mx * mx - my * my
         if q <= 0.0:
             return None
@@ -87,25 +82,6 @@ def _frame_angle_shifted(original):
     def mutant(tri, vertex):
         b1, w, k, beta = original(tri, vertex)
         return b1, w, k, beta + 1e-6
-    return mutant
-
-
-def _concurrency_keeps_worst(original):
-    def mutant(lines):
-        lines = tuple(lines)
-        worst = None
-        for i in range(len(lines) - 1):
-            for j in range(i + 1, len(lines)):
-                z = cycles.geodesic_meet(lines[i], lines[j])
-                if z is None:
-                    continue
-                rest = lines[:i] + lines[i + 1:j] + lines[j + 1:]
-                r = max(cycles.point_geodesic_distances(z, rest), default=0.0)
-                if worst is None or r > worst[1]:
-                    worst = (z, r)
-        if worst is None:
-            raise DivergentCevians("no pair of geodesics meets inside the disk")
-        return worst
     return mutant
 
 
@@ -174,14 +150,14 @@ def _shot_scaled(original):
 
 
 def _tangent_centers_scaled(original):
-    def mutant(tri, sides):
+    def mutant(lifts, side_normals):
         def moved(spec):
             if spec is None:
                 return None
             z = spec.center * (1.0 + 1e-6)
             return dataclasses.replace(
                 spec, center=z, cycle=cycles.circle_from_center_radius(z, spec.radius))
-        inc, excircles = original(tri, sides)
+        inc, excircles = original(lifts, side_normals)
         return moved(inc), {v: moved(spec) for v, spec in excircles.items()}
     return mutant
 
@@ -208,10 +184,11 @@ def _sign_convention_flipped(original):
 
 
 MUTANTS = {
-    "distance_scaled_1e-6": (cycles, "point_geodesic_distances", _distances_scaled),
-    "batched_distance_off_by_one": (cycles, "point_geodesic_distances",
-                                    _distances_off_by_one),
-    "through_normal_perturbed_1e-6": (cycles, "geodesic_through",
+    # the plane distances give the tritangent radii and the pencils'
+    # residuals
+    "distance_scaled_1e-6": (cycles, "plane_distances", _distances_scaled),
+    # the normal of every side, cevian, contact line and geodesic_through
+    "through_normal_perturbed_1e-6": (cycles, "through_normal",
                                       _through_normal_perturbed),
     # the side frame carries every cevian foot
     "side_frame_radius_scaled_1e-6": (cevians, "_side_frame", _frame_radius_scaled),
@@ -254,20 +231,20 @@ RADICAL_AXIS_MUTANTS = {
 SURVIVORS = {
     # the other root is the meet's inverse in the absolute, always
     # outside the disk, so every meet reads as "none inside": the
-    # concurrency points go missing and the checks that need a meet skip
-    # instead of failing; only their skips show it (pinned below).  The
-    # tritangent circles are sums of vertex vectors, so feuerbach runs
-    "meet_other_root": (cycles, "geodesic_meet", _meet_other_root),
+    # pencils diverge, the concurrency points go missing and the checks
+    # that need a meet skip instead of failing; only their skips show it
+    # (pinned below).  The tritangent circles are sums of vertex vectors,
+    # so feuerbach runs
+    "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, classification and
     # the hyperboloid plane all turn the sign away)
     "sign_convention_flipped": (GeneralizedCycle, "of", _sign_convention_flipped),
-    # for concurrent lines every pair meets in the same point, so which
-    # candidate concurrency_point keeps moves it only by rounding; the
-    # residual the checks report is the kept candidate's score, which
-    # stays at rounding level too
-    "concurrency_keeps_worst_candidate": (cevians, "concurrency_point",
-                                          _concurrency_keeps_worst),
+    # the tritangent radius is the mean of a center's three side
+    # distances, equal by the algebra of tangent_circles, so rotating
+    # them changes nothing; a pencil's residual is the largest distance
+    # to the lines outside its pair, which a rotation keeps too
+    "batched_distance_off_by_one": (cycles, "plane_distances", _distances_off_by_one),
 }
 
 

@@ -1,11 +1,13 @@
 """The call-saving rewrites against the implementations they replaced.
 
 Each reference below is the former code, kept as the oracle: the side
-frame that built its own Mobius images and angle, the pairwise
-concurrency scan over itertools.combinations, the cos/sin arc sampler,
-the list-based quad turns and the sampler's three signed_angle calls.
-Results are compared as packed doubles, so a signed zero or a last-bit
-difference counts, and errors by type.  The call-count pins at the end fix what the rewrites save.
+frame that built its own Mobius images and angle, the cos/sin arc
+sampler, the list-based quad turns and the sampler's three signed_angle
+calls.  Results are compared as packed doubles, so a signed zero or a
+last-bit difference counts, and errors by type.  The concurrency
+pencil, which replaced a pairwise scan with a different algorithm, is
+compared with its 50-digit oracle (oracles.decimal_pencil) instead.
+The call-count pins at the end fix what the rewrites save.
 """
 
 import cmath
@@ -23,11 +25,12 @@ from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
     cycle_through,
-    geodesic_meet,
     geodesic_through,
     intersect,
-    point_geodesic_distances,
+    point_lift,
     sample_points,
+    through_normal,
+    unit_normal,
 )
 from hypfeuer.errors import DivergentCevians, GeometryError
 from hypfeuer.geom_core import (
@@ -40,6 +43,7 @@ from hypfeuer.geom_core import (
 )
 from hypfeuer.instances import instance_rng, random_triangle
 from hypfeuer.theorems import check_tangent_cevians
+from oracles import decimal_pencil
 
 BOXES = (0.25, 0.7, 0.95)
 
@@ -82,21 +86,6 @@ def _ref_angle_floor(tri):
     return (abs(signed_angle(tri.b, tri.a, tri.c)),
             abs(signed_angle(tri.c, tri.b, tri.a)),
             abs(signed_angle(tri.a, tri.c, tri.b)))
-
-
-def _ref_concurrency_point(lines):
-    lines = list(lines)
-    best = None
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        z = geodesic_meet(lines[i], lines[j])
-        if z is not None:
-            others = [line for k, line in enumerate(lines) if k not in (i, j)]
-            r = max(point_geodesic_distances(z, others), default=0.0)
-            if best is None or r < best[1]:
-                best = (z, r)
-    if best is None:
-        raise DivergentCevians("no pair of geodesics meets inside the disk")
-    return best
 
 
 def _ref_sample_points(cycle, count, margin=1e-6):
@@ -181,40 +170,76 @@ def test_rays_are_computed_once_per_triangle():
 
 # ------------------------------------------------------------- incidences
 
+def _normal_through(p, q):
+    return unit_normal(through_normal(point_lift(p), point_lift(q)))
+
+
 def _line_sets(rng):
-    """Near-concurrent cevian triples and quadruples, random (mostly
-    non-concurrent) sets and divergent sets near the absolute."""
+    """Unit normals of near-concurrent cevian triples and quadruples,
+    lines through one point, random (mostly non-concurrent) sets and
+    divergent sets near the absolute."""
     for idx in range(300):
         cfg = build_config(random_triangle(instance_rng(2024, idx), BOXES[idx % 3])[0])
-        for family in (cfg.bisector_cevians, cfg.pseudoaltitude_cevians):
+        for family in (cfg.bisector_normals, cfg.pseudoaltitude_normals):
             if len(family) == 3:
-                lines = [family[v] for v in VERTICES]
-                yield lines
-                yield lines + [geodesic_through(cfg.triangle.a, cfg.triangle.b)]
+                normals = [unit_normal(family[v]) for v in VERTICES]
+                yield normals
+                yield normals + [unit_normal(cfg.side_normals["c"])]
+    for _ in range(300):
+        p = _disk_point(rng, 0.9)
+        yield [_normal_through(p, _disk_point(rng, 0.9)) for _ in range(rng.choice((3, 4)))]
     for _ in range(600):
         n = rng.choice((3, 4))
-        yield [geodesic_through(_disk_point(rng, 0.9), _disk_point(rng, 0.9))
+        yield [_normal_through(_disk_point(rng, 0.9), _disk_point(rng, 0.9))
                for _ in range(n)]
     for _ in range(100):
         n = rng.choice((3, 4))
         ts = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
-        yield [geodesic_through(0.97 * cmath.exp(1j * (t - 0.05)),
-                                0.97 * cmath.exp(1j * (t + 0.05))) for t in ts]
+        yield [_normal_through(0.97 * cmath.exp(1j * (t - 0.05)),
+                               0.97 * cmath.exp(1j * (t + 0.05))) for t in ts]
+
+
+def _largest_q(normals):
+    """The largest m_t^2 - |m_xy|^2 over the pairs' cross products m:
+    sin^2 of the angle at which the most transversal pair meets."""
+    qs = []
+    for (a1, x1, y1), (a2, x2, y2) in itertools.combinations(normals, 2):
+        mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+        qs.append(mt * mt - mx * mx - my * my)
+    return max(qs)
 
 
 def test_concurrency_point_matches_the_reference():
+    # the same meets and the same divergences as the 50-digit pencil.  A
+    # meet of two lines at angle theta moves by rounding over sin^2
+    # theta = q, so the point's error is bounded times q, and the
+    # residual's relative error likewise; at q near 1 both are a few ulps
     outcomes = set()
-    for lines in _line_sets(Random(5)):
-        _same(concurrency_point, _ref_concurrency_point, lines)
-        outcomes.add((len(lines), _outcome(concurrency_point, lines)[0]))
+    worst_point = worst_residual = 0.0
+    for normals in _line_sets(Random(5)):
+        ref_point, ref_residual = decimal_pencil(normals)
+        if ref_point is None:
+            with pytest.raises(DivergentCevians):
+                concurrency_point(normals)
+            outcomes.add((len(normals), "raises"))
+            continue
+        point, residual = concurrency_point(normals)
+        q = _largest_q(normals)
+        worst_point = max(worst_point, abs(point - ref_point) * q)
+        worst_residual = max(worst_residual,
+                             abs(residual - ref_residual) / max(1.0, ref_residual) * q)
+        outcomes.add((len(normals), "value"))
     # 3- and 4-line sets, both meeting and divergent
     assert outcomes == {(3, "value"), (3, "raises"), (4, "value"), (4, "raises")}
+    assert worst_point < 1e-13
+    assert worst_residual < 2e-13
 
 
 def test_concurrency_point_of_two_lines_scores_zero():
-    lines = [geodesic_through(0.1, 0.5j), geodesic_through(-0.3, 0.4 + 0.2j)]
-    _same(concurrency_point, _ref_concurrency_point, lines)
-    assert concurrency_point(lines)[1] == 0.0
+    normals = [_normal_through(0.1, 0.5j), _normal_through(-0.3, 0.4 + 0.2j)]
+    point, residual = concurrency_point(normals)
+    assert residual == 0.0
+    assert abs(point - decimal_pencil(normals)[0]) < 1e-15
 
 
 # ------------------------------------------------------- arcs and quads

@@ -297,6 +297,36 @@ def test_euler_ratios_random_configs():
         assert 0.0 < chk.witness["ratio"] < 1.0
 
 
+def test_euler_ratios_reads_both_concurrency_residuals():
+    # the pencils that define M and H are part of the residual: a family
+    # of cevians that misses its concurrency point fails the check
+    cfg = clean_config(611)
+    assert check_euler_ratios(cfg).status == "pass"
+    for name in ("bisector_residual", "orthocenter_residual"):
+        chk = check_euler_ratios(dataclasses.replace(cfg, **{name: 2e-10}))
+        assert chk.status == "fail", name
+        assert chk.residual == 2e-10
+
+
+def test_feuerbach_reads_each_tritangent_tangency_gap():
+    # a tritangent circle that misses a side fails the check, whichever
+    # circle it is; an absent excircle adds nothing
+    cfg = full_configs(613, 1)[0]
+    assert check_feuerbach(cfg).status == "pass"
+    off = dataclasses.replace(cfg.incircle, tangency_gap=2e-8)
+    chk = check_feuerbach(dataclasses.replace(cfg, incircle=off))
+    assert (chk.status, chk.residual) == ("fail", 2e-8)
+    for v in "abc":
+        excircles = dict(cfg.excircles)
+        excircles[v] = dataclasses.replace(excircles[v], tangency_gap=2e-8)
+        chk = check_feuerbach(dataclasses.replace(cfg, excircles=excircles))
+        assert (chk.status, chk.residual) == ("fail", 2e-8), v
+        excircles[v] = None
+        chk = check_feuerbach(dataclasses.replace(cfg, excircles=excircles))
+        assert chk.status == "pass", v
+        assert chk.witness[f"excircle_{v}"] == "absent"
+
+
 def test_feuerbach_random_configs():
     for idx in range(6):
         cfg = clean_config(612, start=idx * 10)
@@ -362,7 +392,7 @@ def test_radical_axis_random_pairs():
             assert chk.flag in ("concentric", "axis_outside_disk")
             continue
         assert chk.status == "pass", (idx, chk)
-        assert chk.witness["class"] == "geodesic"
+        assert classify(power.radical_axis(c1, c2)) is CycleClass.GEODESIC
         passes += 1
     assert passes >= 12
 
