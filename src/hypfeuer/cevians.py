@@ -1,20 +1,26 @@
 """Cevian constructions on a triangle and the centers built from them.
 
-Both families of cevian feet have closed forms.  Move the base endpoint
-B to the origin and the side BC onto the positive real axis; the apex A
-then sits at Euclidean radius k at the angle beta = |angle(A, B, C)|,
-and S is the triangle's area.
+Both families of cevian feet have closed forms in one complex number
+per side.  Move the base endpoint B to the origin and the side BC onto
+the positive real axis; the apex A then sits at x + iy with y >= 0.
+With S the triangle's area and tau = tan(S/4), let zeta = (x + iy)(1 +
+i tau), that is k e^{i(beta + S/4)} / cos(S/4) for the apex at
+Euclidean radius k and angle beta.
 
 * The area bisector foot balances area(ABX) = area(AXC), so area(ABX)
-  = S/2.  For X at radius t on the side, area(ABX) = 2 atan(k t sin(beta)
-  / (1 - k t cos(beta))), which gives t = sin(S/4) / (k sin(beta + S/4)).
-  The foot always lies strictly between B and C.
+  = S/2.  For X at radius t on the side, area(ABX) = 2 atan(t y / (1 -
+  t x)), which gives t = tau / Im(zeta).  The foot always lies strictly
+  between B and C.
 * The pseudoaltitude foot balances sigma(B, X, A) = sigma(A, X, C).
   sigma is additive over the cevian, so both sides equal S/2 there, and
   the locus of constant sigma(B, X, A) is a cycle through B and A.  It
-  meets the side line at the signed radius t = k cos(beta + S/4) /
-  cos(S/4).  A negative t puts the foot beyond B, like a Euclidean obtuse
-  foot; past the ideal endpoints there is no foot.
+  meets the side line at the signed radius t = Re(zeta).  A negative t
+  puts the foot beyond B, like a Euclidean obtuse foot; past the ideal
+  endpoints there is no foot.
+
+Neither form takes a phase: a base angle taken as a difference of two
+phases carries their rounding, up to a few ulps of pi, where y carries
+that of one complex product.
 
 The three bisector feet span the Euler circle, which also passes through
 the three pseudoaltitude feet; the apex-to-foot geodesics of each family
@@ -39,7 +45,6 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -50,7 +55,7 @@ from .geom_core import (
     COINCIDENT_EPS,
     Triangle,
     mobius_from_origin,
-    wrap_angle,
+    mobius_to_origin,
 )
 from .cycles import (
     INTERIOR_MARGIN,
@@ -87,44 +92,46 @@ IDEAL_LIMIT = 1.0 - 1e-6
 _EPS = sys.float_info.epsilon
 
 
-# the label of the first base endpoint b1 in Triangle.opposite(vertex)
-_FIRST_BASE = {"a": "b", "b": "c", "c": "a"}
+# a side in its frame (_side_frame): b1, the unit direction u of the
+# side at b1, the radius s of b2 there, zeta and tau
+SideFrame = tuple[complex, complex, float, complex, float]
 
 
-def _side_frame(tri: Triangle, vertex: str) -> tuple[complex, complex, float, float]:
+def _side_frame(tri: Triangle, vertex: str) -> SideFrame:
     """The side opposite a vertex in the frame that moves its first
-    endpoint b1 to the origin: b1, the second endpoint's image w there,
-    the apex's Euclidean radius k and the base angle beta at b1.  The
-    side point at radius t is mobius_from_origin(b1, t w / |w|).
-
-    w and the apex's image are the triangle's rays at b1, and beta is
-    complex_angle(apex, b1, b2) written out on them."""
-    b1 = tri.opposite(vertex)[1]
-    w, to_apex = tri.rays[_FIRST_BASE[vertex]]
-    k = abs(to_apex)
-    if k < COINCIDENT_EPS or abs(w) < COINCIDENT_EPS:
+    endpoint b1 to the origin and turns the side onto the positive real
+    axis: (b1, u, s, zeta, tau), as in the module docstring.  The side
+    point at radius t is mobius_from_origin(b1, t u)."""
+    apex, b1, b2 = tri.opposite(vertex)
+    w = mobius_to_origin(b1, b2)
+    z = mobius_to_origin(b1, apex)
+    s = abs(w)
+    if abs(z) < COINCIDENT_EPS or s < COINCIDENT_EPS:
         raise DegenerateAngle("angle vertex coincides with a ray endpoint")
-    return b1, w, k, abs(wrap_angle(cmath.phase(w) - cmath.phase(to_apex)))
+    u = w / s
+    p = z * u.conjugate()
+    tau = math.tan(tri.area / 4.0)
+    return b1, u, s, complex(p.real, abs(p.imag)) * complex(1.0, tau), tau
 
 
-def pseudoaltitude_foot(tri: Triangle, vertex: str) -> complex:
-    """Foot of the pseudoaltitude from a vertex; it may lie beyond the side."""
-    b1, w, k, beta = _side_frame(tri, vertex)
-    quarter = tri.area / 4.0
-    t = k * math.cos(beta + quarter) / math.cos(quarter)
+def pseudoaltitude_foot(frame: SideFrame) -> complex:
+    """Foot of the pseudoaltitude onto a side frame's side, at radius
+    Re(zeta); it may lie beyond the side."""
+    b1, u, _, zeta, _ = frame
+    t = zeta.real
     if abs(t) > IDEAL_LIMIT:
         raise BracketFailure("pseudoaltitude foot beyond the ideal endpoints")
-    return mobius_from_origin(b1, t * w / abs(w))
+    return mobius_from_origin(b1, t * u)
 
 
-def bisector_foot(tri: Triangle, vertex: str) -> complex:
-    """Foot of the area-bisecting cevian from a vertex; always inside the segment."""
-    b1, w, k, beta = _side_frame(tri, vertex)
-    quarter = tri.area / 4.0
-    t = math.sin(quarter) / (k * math.sin(beta + quarter))
-    if not EDGE_INSET <= t <= abs(w) - EDGE_INSET:
+def bisector_foot(frame: SideFrame) -> complex:
+    """Foot of the area-bisecting cevian onto a side frame's side, at
+    radius tau / Im(zeta); always inside the segment."""
+    b1, u, s, zeta, tau = frame
+    t = tau / zeta.imag
+    if not EDGE_INSET <= t <= s - EDGE_INSET:
         raise BracketFailure("area bisector foot outside the segment")
-    return mobius_from_origin(b1, t * w / abs(w))
+    return mobius_from_origin(b1, t * u)
 
 
 def concurrency_point(normals) -> tuple[complex, float]:
@@ -246,8 +253,8 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str,
     Its coefficients in the frame, (1, -e u, e^2 (1 - sin_half^2)), are
     pulled back by one translation.  None when no root qualifies.
     """
-    v = tri.opposite(vertex)[0]
-    u1, u2 = tri.rays[vertex]
+    v, p, q = tri.opposite(vertex)
+    u1, u2 = mobius_to_origin(v, p), mobius_to_origin(v, q)
     u1, u2 = u1 / abs(u1), u2 / abs(u2)
     u = u1 + u2
     if abs(u) < 1e-12:
@@ -382,13 +389,14 @@ def build_config(tri: Triangle) -> TriangleConfig:
     flags: set[str] = set()
     feet = CevianFeet()
     for v in VERTICES:
+        frame = _side_frame(tri, v)
         try:
-            feet.bisector[v] = bisector_foot(tri, v)
-        except GeometryError:
+            feet.bisector[v] = bisector_foot(frame)
+        except BracketFailure:
             flags.add(f"bracket_failure_bisector_{v}")
         try:
-            feet.pseudoaltitude[v] = pseudoaltitude_foot(tri, v)
-        except GeometryError:
+            feet.pseudoaltitude[v] = pseudoaltitude_foot(frame)
+        except BracketFailure:
             flags.add(f"bracket_failure_pseudoaltitude_{v}")
 
     circumcircle = cycle_through(tri.a, tri.b, tri.c)

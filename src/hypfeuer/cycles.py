@@ -33,9 +33,7 @@ the lifts (|z|^2 + 1, 2x, 2y) of two of its points (``point_lift``,
 normals (``geodesic_meet``, ``meet_point``), no quadratic solved, and a
 point's distance to one is the plane's form at the point over the
 norms, for a point given as a hyperboloid vector (``plane_distances``,
-with unit normals) or as a disk point (``point_geodesic_distances``,
-which checks and lifts it once for many geodesics;
-``point_geodesic_distance`` is its one-geodesic case).
+with unit normals) or as a disk point (``point_geodesic_distance``).
 
 The checks' cycle constructions live here too: the constant-area locus
 (``lexell_cycle``) and samples along an arc.
@@ -445,37 +443,6 @@ def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
     return complex(px, py) / (pt + norm), math.asinh(s / norm)
 
 
-def point_geodesic_distances(p, geodesics) -> list[float]:
-    """Distance from an interior point to each geodesic, in closed form.
-
-    On the hyperboloid the point is the unit timelike vector
-    (1 + |z|^2, 2x, 2y) / (1 - |z|^2) and the geodesic (A, B, A) is the
-    plane A t + Re(B) x + Im(B) y = 0, whose normal has Minkowski norm
-    sqrt(|B|^2 - A^2).  sinh of the distance is the point's value in the
-    plane's form over that norm, i.e. |E(z)| / ((1 - |z|^2) sqrt(|B|^2 -
-    A^2)).  Near the geodesic this is proportional to |E(z)| itself, so
-    a point within ~1e-8 of it keeps its relative accuracy (no
-    difference of two nearly equal distances is formed).  The point is
-    checked and lifted (|z|^2 and 1 - |z|^2) once for all the geodesics.
-    """
-    z = p if type(p) is complex else as_complex(p)
-    r = abs(z)
-    if r > 1.0 - BOUNDARY_EPS:
-        check_disk(z)  # raises BoundaryPoint
-    r2 = r ** 2
-    w = 1.0 - r2
-    out = []
-    for geo in geodesics:
-        a, b = geo.a, geo.b
-        norm2 = abs(b) ** 2 - a * a
-        if norm2 <= 0.0:
-            raise NotACycle("degenerate geodesic coefficients")
-        # geo.evaluate(z), written out
-        e = a * r2 + 2.0 * (b.conjugate() * z).real + geo.c
-        out.append(math.asinh(abs(e) / (w * math.sqrt(norm2))))
-    return out
-
-
 def unit_normal(n) -> tuple[float, float, float]:
     """The normal n = (A, Re B, Im B) of a geodesic scaled to Minkowski
     norm sqrt(|B|^2 - A^2) = 1; NotACycle when n is not spacelike."""
@@ -497,9 +464,29 @@ def plane_distances(x, normals) -> list[float]:
 
 
 def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
-    """Distance from an interior point to a geodesic: the one-geodesic
-    case of point_geodesic_distances."""
-    return point_geodesic_distances(p, (geo,))[0]
+    """Distance from an interior point to a geodesic, in closed form.
+
+    On the hyperboloid the point is the unit timelike vector
+    (1 + |z|^2, 2x, 2y) / (1 - |z|^2) and the geodesic (A, B, A) is the
+    plane A t + Re(B) x + Im(B) y = 0, whose normal has Minkowski norm
+    sqrt(|B|^2 - A^2).  sinh of the distance is the point's value in the
+    plane's form over that norm, i.e. |E(z)| / ((1 - |z|^2) sqrt(|B|^2 -
+    A^2)).  Near the geodesic this is proportional to |E(z)| itself, so
+    a point within ~1e-8 of it keeps its relative accuracy (no
+    difference of two nearly equal distances is formed).
+    """
+    z = p if type(p) is complex else as_complex(p)
+    r = abs(z)
+    if r > 1.0 - BOUNDARY_EPS:
+        check_disk(z)  # raises BoundaryPoint
+    r2 = r ** 2
+    a, b = geo.a, geo.b
+    norm2 = abs(b) ** 2 - a * a
+    if norm2 <= 0.0:
+        raise NotACycle("degenerate geodesic coefficients")
+    # geo.evaluate(z), written out
+    e = a * r2 + 2.0 * (b.conjugate() * z).real + geo.c
+    return math.asinh(abs(e) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
 def sample_points(cycle: GeneralizedCycle, count: int,

@@ -29,13 +29,6 @@ form (see ``cevians``).  The sampled checks evaluate sigma(a, x, b) and
 the area of (a, b, x) at many points x for one fixed pair a, b, so the
 batch kernels ``sigmas`` and ``base_areas`` compute the pair's factor
 once; ``sigma`` and ``triangle_area`` are their one-point cases.
-
-A ``Triangle`` carries its rays: for each vertex v, the other two
-vertices moved by the translation that takes v to the origin.  Their
-phases give the angle at v and their moduli the side lengths, so the
-sampler's angle floor, the cevian feet's side frames and the tangent
-circles' shots read one set of six Mobius divisions, computed on first
-use.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BoundaryPoint,
@@ -92,9 +84,15 @@ def mobius_from_origin(a: complex, w: complex) -> complex:
 
 
 def hyp_distance(p, q) -> float:
-    """Geodesic distance 2 atanh |(q-p)/(1 - conj(p) q)|."""
+    """Geodesic distance 2 asinh(|q - p| / sqrt((1 - |p|^2)(1 - |q|^2))).
+
+    This is 2 atanh |(q - p) / (1 - conj(p) q)|, as |1 - conj(p) q|^2 -
+    |q - p|^2 = (1 - |p|^2)(1 - |q|^2); near the absolute that
+    pseudolength can round to 1, where atanh has no value.
+    """
     zp, zq = check_disk(p), check_disk(q)
-    return 2.0 * math.atanh(abs((zq - zp) / (1.0 - zp.conjugate() * zq)))
+    return 2.0 * math.asinh(abs(zq - zp)
+                            / math.sqrt((1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)))
 
 
 def absolute_inverse(p) -> complex:
@@ -303,20 +301,6 @@ class Triangle:
         if vertex == "c":
             return self.c, self.a, self.b
         raise KeyError(vertex)
-
-    @cached_property
-    def rays(self) -> dict[str, tuple[complex, complex]]:
-        """For each vertex v with opposite(v) = (v, p, q), the images
-        (mobius_to_origin(v, p), mobius_to_origin(v, q)) of the other two
-        vertices in the frame that moves v to the origin: the directions
-        of the two sides at v, at Euclidean radii tanh(d/2).  Computed on
-        first use and kept on the instance, so a configuration's feet,
-        its tangent-circle shots and the sampler's angle floor share six
-        Mobius divisions."""
-        a, b, c = self.a, self.b, self.c
-        return {"a": (mobius_to_origin(a, b), mobius_to_origin(a, c)),
-                "b": (mobius_to_origin(b, c), mobius_to_origin(b, a)),
-                "c": (mobius_to_origin(c, a), mobius_to_origin(c, b))}
 
 
 @dataclass(frozen=True)

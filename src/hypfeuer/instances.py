@@ -14,10 +14,10 @@ from random import Random
 from .errors import GeometryError, SamplingExhausted
 from .geom_core import (
     Triangle,
+    complex_angle,
     convex_quad_angles,
     mobius_from_origin,
     triangle_area,
-    wrap_angle,
 )
 from .cycles import (
     GeneralizedCycle,
@@ -75,16 +75,15 @@ def random_triangle(rng: Random,
     Raises SamplingExhausted when MAX_DRAWS draws all fail, which only
     settings that no draw meets in practice reach.
     """
-    phase = cmath.phase
     for resamples in range(MAX_DRAWS):
         pts = [_disk_point(rng, max_vertex_radius) for _ in range(3)]
         try:
             tri = Triangle.of(*pts)
         except GeometryError:
             continue
-        # the angle at each vertex between its two rays; Triangle.of keeps
-        # the vertices 1e-9 apart, so no ray is degenerate
-        angles = [abs(wrap_angle(phase(q) - phase(p))) for p, q in tri.rays.values()]
+        # the angle at each vertex between its two sides; Triangle.of keeps
+        # the vertices 1e-9 apart, so no angle is degenerate
+        angles = [abs(complex_angle(p, v, q)) for v, p, q in map(tri.opposite, "abc")]
         if min(angles) >= min_angle:
             return tri, resamples
     raise SamplingExhausted(
@@ -227,12 +226,8 @@ def trapezoid_quad(rng: Random, converse: bool = False):
     raise _exhausted("trapezoid_quad", "convex quadrilateral")
 
 
-# brent_root runs until the bracket is this narrow, unless told otherwise
-BRACKET_WIDTH = 1e-14
-
-
 def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
-               width: float = BRACKET_WIDTH) -> tuple[float, float]:
+               width: float) -> tuple[float, float]:
     """Root of f in a sign-changing bracket, and the final bracket width.
 
     It serves _rebalance_quad, whose angle balance has no closed form.

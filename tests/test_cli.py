@@ -129,6 +129,19 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+# three vertices 1e-11 from the absolute: the pseudolength of the first
+# and the last rounds to 1, where an atanh distance raised ValueError
+NEAR_ABSOLUTE = ("0.99999999999+0i,0.9999500003866668+0.0099998333338666701i,"
+                 "0.9998000066565798+0.019998666693133094i")
+
+
+@pytest.mark.parametrize("argv", [["construct"], ["verify", "--trials", "1"]])
+def test_vertices_next_to_the_absolute_run(tmp_path, argv):
+    code, out = run(tmp_path, *argv, "--triangle", NEAR_ABSOLUTE)
+    assert code == 0
+    json.loads(out.read_text())
+
+
 def test_collinear_triangle_is_geometry_error(tmp_path):
     code, _ = run(tmp_path, "construct", "--triangle", "0.1,0.3,-0.2")
     assert code == 1

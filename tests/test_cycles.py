@@ -33,7 +33,6 @@ from hypfeuer.cycles import (
     membership_residual,
     plane_distances,
     point_geodesic_distance,
-    point_geodesic_distances,
     point_lift,
     sample_points,
     tangency_ratio,
@@ -749,21 +748,16 @@ def test_one_pass_kernel_raises_what_the_reference_raises():
         assert _outcome(_reference_of, *triple) == ("raise", NotACycle)
 
 
-def test_batched_distances_are_the_scalar_distances():
-    rng = Random(63)
-    for _ in range(3_000):
-        x = _kernel_point(rng)
-        lines = [geodesic_through(rand_point(rng), rand_point(rng))
-                 for _ in range(rng.randrange(6))]
-        assert ([_bits(d) for d in point_geodesic_distances(x, lines)]
-                == [_bits(point_geodesic_distance(x, g)) for g in lines])
-    # the point is checked even with no geodesic to measure, and a bad
-    # geodesic anywhere in the batch raises as the scalar call on it does
-    with pytest.raises(BoundaryPoint):
-        point_geodesic_distances(1.0, [])
+def test_point_geodesic_distance_checks_the_point_then_the_geodesic():
+    # a point on the absolute raises before the cycle is read, and a
+    # cycle that is no geodesic raises
     line = geodesic_through(0.1, 0.2j)
+    circle = circle_from_center_radius(0.0, 1.0)
+    for cycle in (line, circle):
+        with pytest.raises(BoundaryPoint):
+            point_geodesic_distance(1.0, cycle)
     with pytest.raises(NotACycle):
-        point_geodesic_distances(0.3j, [line, circle_from_center_radius(0.0, 1.0), line])
+        point_geodesic_distance(0.3j, circle)
 
 
 # ----------------------------------------------------- hyperboloid normals
@@ -780,7 +774,7 @@ def test_plane_distances_are_point_geodesic_distances():
         normals = [unit_normal(through_normal(point_lift(p), point_lift(q)))
                    for p, q in ends]
         got = plane_distances(point_lift(x), normals)
-        want = point_geodesic_distances(x, [geodesic_through(p, q) for p, q in ends])
+        want = [point_geodesic_distance(x, geodesic_through(p, q)) for p, q in ends]
         worst = max(worst, max(abs(g - w) / max(1.0, w) for g, w in zip(got, want)))
     assert worst < 1e-13
     assert plane_distances(point_lift(0.3j), []) == []

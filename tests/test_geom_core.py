@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from decimal import Decimal, localcontext
 from random import Random
 
 import pytest
@@ -64,6 +66,48 @@ def test_distance_additive_along_diameter():
     a, b = -0.3, 0.6
     assert hyp_distance(a, b) == pytest.approx(
         hyp_distance(a, 0) + hyp_distance(0, b), abs=1e-13)
+
+
+def _decimal_distance(p, q):
+    """2 asinh(|q - p| / sqrt((1 - |p|^2)(1 - |q|^2))) at 50 digits from
+    the float inputs, with asinh(x) = ln(x + sqrt(x^2 + 1))."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        px, py, qx, qy = map(Decimal, (p.real, p.imag, q.real, q.imag))
+        x = (((qx - px) ** 2 + (qy - py) ** 2)
+             / ((1 - px * px - py * py) * (1 - qx * qx - qy * qy))).sqrt()
+        return float(2 * (x + (x * x + 1).sqrt()).ln())
+
+
+# three vertices 1e-11 from the absolute; the pseudolength of the first
+# and the last rounds to 1
+NEAR_ABSOLUTE = (0.99999999999 + 0j, 0.9999500003866668 + 0.0099998333338666701j,
+                 0.9998000066565798 + 0.019998666693133094j)
+
+
+def test_distance_matches_50_digits():
+    # up to the rounding of 1 - |z|^2, about eps / (1 - |z|^2) in d, and
+    # of the result; points from the middle of the disk to 1e-12 from
+    # the absolute, and pairs 1e-9 apart
+    rng = Random(17)
+    points = []
+    for _ in range(1_000):
+        if rng.random() < 0.5:
+            r = rng.uniform(0.0, 0.95)
+        else:
+            r = 1.0 - 10.0 ** rng.uniform(-11.9, -2.0)
+        points.append(r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    pairs = list(zip(points, points[1:])) + [(p, p + 1e-9j) for p in points if abs(p) < 0.9]
+    pairs += [(NEAR_ABSOLUTE[i], NEAR_ABSOLUTE[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    eps = sys.float_info.epsilon
+    for p, q in pairs:
+        want = _decimal_distance(p, q)
+        bound = 2.0 * eps * (1.0 / (1.0 - abs(p) ** 2) + 1.0 / (1.0 - abs(q) ** 2) + want)
+        assert abs(hyp_distance(p, q) - want) <= bound, (p, q)
+    # the pair whose pseudolength rounds to 1 has a distance (42.8327902
+    # at 50 digits), and Triangle.of takes the three points
+    assert hyp_distance(NEAR_ABSOLUTE[0], NEAR_ABSOLUTE[2]) == pytest.approx(42.8327902, abs=1e-5)
+    Triangle.of(*NEAR_ABSOLUTE)
 
 
 def test_boundary_point_rejected():

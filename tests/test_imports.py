@@ -1,5 +1,6 @@
 """Every name a hypfeuer module or a test file imports is used in that
-file, and only the instance generators import `random`.
+file, every private module-level name the package defines is read
+somewhere in it, and only the instance generators import `random`.
 
 The package's `__init__.py` imports names only to re-export them, so it
 is exempt from the first rule.  Stdlib `ast` only: a name counts as used
@@ -45,6 +46,44 @@ def test_unused_imports_are_found():
 def test_module_has_no_unused_imports(module):
     with open(LINTED[module], encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names that start with
+    one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_private_definitions_and_reads_are_found():
+    source = ("_A = 1\n_B: int = 2\n_C, (_D, e) = 3, (4, 5)\n__all__ = []\n"
+              "def _f():\n    _g = _A\nclass _K:\n    _h = 0\nprint(_f)\n")
+    assert private_definitions(source) == {"_A", "_B", "_C", "_D", "_f", "_K"}
+    assert read_names(source) == {"_A", "_f", "int", "print"}
+
+
+def test_every_private_package_name_is_read():
+    # a helper or constant that a refactor left behind is dead code
+    defined, read = {}, set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                source = fh.read()
+            defined.update(dict.fromkeys(private_definitions(source), name))
+            read |= read_names(source)
+    assert len(defined) >= 30
+    assert sorted((m, n) for n, m in defined.items() if n not in read) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -13,6 +13,7 @@ with its reason; the gate checks that they still survive, so a change
 that starts catching one must move it.
 """
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -73,15 +74,15 @@ def _meet_other_root(original):
 
 def _frame_radius_scaled(original):
     def mutant(tri, vertex):
-        b1, w, k, beta = original(tri, vertex)
-        return b1, w, k * (1.0 + 1e-6), beta
+        b1, u, s, zeta, tau = original(tri, vertex)
+        return b1, u, s, zeta * (1.0 + 1e-6), tau
     return mutant
 
 
 def _frame_angle_shifted(original):
     def mutant(tri, vertex):
-        b1, w, k, beta = original(tri, vertex)
-        return b1, w, k, beta + 1e-6
+        b1, u, s, zeta, tau = original(tri, vertex)
+        return b1, u, s, zeta * cmath.exp(1e-6j), tau
     return mutant
 
 
@@ -190,7 +191,7 @@ MUTANTS = {
     # the normal of every side, cevian, contact line and geodesic_through
     "through_normal_perturbed_1e-6": (cycles, "through_normal",
                                       _through_normal_perturbed),
-    # the side frame carries every cevian foot
+    # the side frame's zeta carries every cevian foot
     "side_frame_radius_scaled_1e-6": (cevians, "_side_frame", _frame_radius_scaled),
     "side_frame_angle_shifted_1e-6": (cevians, "_side_frame", _frame_angle_shifted),
     # the checks' own constructions, and the circles every configuration

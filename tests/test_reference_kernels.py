@@ -1,13 +1,14 @@
 """The call-saving rewrites against the implementations they replaced.
 
-Each reference below is the former code, kept as the oracle: the side
-frame that built its own Mobius images and angle, the cos/sin arc
-sampler, the list-based quad turns and the sampler's three signed_angle
-calls.  Results are compared as packed doubles, so a signed zero or a
-last-bit difference counts, and errors by type.  The concurrency
-pencil, which replaced a pairwise scan with a different algorithm, is
-compared with its 50-digit oracle (oracles.decimal_pencil) instead.
-The call-count pins at the end fix what the rewrites save.
+Each reference below is the former code, kept as the oracle: the cos/sin
+arc sampler, the list-based quad turns and the sampler's three
+signed_angle calls.  Results are compared as packed doubles, so a signed
+zero or a last-bit difference counts, and errors by type.  Two rewrites
+changed the arithmetic and are compared within rounding instead: the
+side frame's zeta against the former frame's radius and angle, and the
+concurrency pencil, which replaced a pairwise scan, against its 50-digit
+oracle (oracles.decimal_pencil).  The call-count pins at the end fix
+what the rewrites save.
 """
 
 import cmath
@@ -19,7 +20,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import geom_core, instances
+from hypfeuer import cevians, geom_core, instances
 from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_point
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -77,9 +78,30 @@ def _same(new, ref, *args):
 # -------------------------------------------------------------- references
 
 def _ref_side_frame(tri, vertex):
+    """The former frame: b1, the second endpoint's image w, the apex's
+    Euclidean radius k and the base angle beta."""
     apex, b1, b2 = tri.opposite(vertex)
     return (b1, mobius_to_origin(b1, b2), abs(mobius_to_origin(b1, apex)),
             abs(complex_angle(apex, b1, b2)))
+
+
+def _frame_matches_the_reference(tri, vertex):
+    """The side frame raises what the former one raised, or carries its
+    b1 and |w| bit for bit, u = w / |w| and tau = tan(S/4), and zeta =
+    k e^{i(beta + S/4)} / cos(S/4) within rounding: the former angle is
+    a difference of phases, good to a few ulps of pi."""
+    try:
+        b1, w, k, beta = _ref_side_frame(tri, vertex)
+    except GeometryError as exc:
+        with pytest.raises(type(exc)):
+            _side_frame(tri, vertex)
+        return
+    quarter = tri.area / 4.0
+    got_b1, u, s, zeta, tau = _side_frame(tri, vertex)
+    assert _bits((got_b1, s, tau)) == _bits((b1, abs(w), math.tan(quarter)))
+    assert abs(u - w / abs(w)) <= 2.0 * sys.float_info.epsilon
+    want = k * cmath.exp(1j * (beta + quarter)) / math.cos(quarter)
+    assert abs(zeta - want) <= 4e-15 * abs(want), (tri, vertex)
 
 
 def _ref_angle_floor(tri):
@@ -127,19 +149,36 @@ def _disk_point(rng, radius):
     return radius * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
-# ------------------------------------------------------ the triangle's rays
+# ------------------------------------ side frames, shots and the angle floor
+
+def _shot_rays(monkeypatch, tri, vertex, target):
+    """The two Mobius images the tangent shot at a vertex computes."""
+    seen = []
+
+    def spy(a, z):
+        seen.append((a, z))
+        return mobius_to_origin(a, z)
+
+    monkeypatch.setattr(cevians, "mobius_to_origin", spy)
+    cevians._shoot_tangent_circle(tri, vertex, target)
+    monkeypatch.setattr(cevians, "mobius_to_origin", mobius_to_origin)
+    return seen
+
 
 @pytest.mark.parametrize("box", BOXES)
-def test_side_frames_shots_and_angle_floor_match_the_references(box):
+def test_side_frames_shots_and_angle_floor_match_the_references(monkeypatch, box):
     """5,000 triangles per box: every side frame, both rays of every
-    shot and the sampler's angle floor, bit for bit."""
+    shot and the sampler's angle floor."""
     for idx in range(5_000):
         tri, first = random_triangle(instance_rng(1313, idx), box, min_angle=0.0)
+        circumcircle = cycle_through(tri.a, tri.b, tri.c)
         for v in VERTICES:
-            _same(_side_frame, _ref_side_frame, tri, v)
+            _frame_matches_the_reference(tri, v)
+            # the shot's rays are the images of the other two vertices in
+            # the frame of its vertex, in this order
             apex, p, q = tri.opposite(v)
-            assert _bits(tri.rays[v]) == _bits((mobius_to_origin(apex, p),
-                                                mobius_to_origin(apex, q)))
+            assert (_bits(_shot_rays(monkeypatch, tri, v, circumcircle))
+                    == _bits([(apex, p), (apex, q)]))
         # the floor accepts the same draw at exactly its smallest angle
         # and refuses it one ulp above
         floor = min(_ref_angle_floor(tri))
@@ -157,15 +196,9 @@ def test_side_frame_of_coincident_vertices_raises_like_the_reference():
     for tri in (Triangle(0.3j, 0.3j, -0.2, False, 0.1),
                 Triangle(0.1, -0.2j, -0.2j, False, 0.1)):
         for v in VERTICES:
-            _same(_side_frame, _ref_side_frame, tri, v)
-
-
-def test_rays_are_computed_once_per_triangle():
-    tri = Triangle.of(*SETUP_TRIANGLE)
-    assert tri.rays is tri.rays
-    assert tri == Triangle.of(*SETUP_TRIANGLE)  # the cache is no field
+            _frame_matches_the_reference(tri, v)
     with pytest.raises(KeyError):
-        tri.opposite("d")
+        _side_frame(Triangle.of(*SETUP_TRIANGLE), "d")
 
 
 # ------------------------------------------------------------- incidences
@@ -324,23 +357,27 @@ def _count_calls(monkeypatch, home, name):
 
 
 def test_one_configuration_makes_six_mobius_divisions(monkeypatch):
-    # the former code made 18 mobius_to_origin calls (12 in the feet's
-    # frames, 6 in the shots) and 6 complex_angle calls (one per foot)
+    # two per side frame in build_config and two per tangent shot; the
+    # feet take no angle
     mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
     angles = _count_calls(monkeypatch, geom_core, "complex_angle")
     cfg = build_config(Triangle.of(*SETUP_TRIANGLE))
-    assert check_tangent_cevians(cfg).status == "pass"
     assert mobius == [6]
+    assert check_tangent_cevians(cfg).status == "pass"
+    assert mobius == [12]
     assert angles == [0]
 
 
 def test_random_triangle_reads_its_angles_from_the_rays(monkeypatch):
+    # complex_angle makes each vertex's two rays itself, bit for bit
+    # mobius_to_origin
     signed = _count_calls(monkeypatch, geom_core, "signed_angle")
     mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
+    angles = _count_calls(monkeypatch, geom_core, "complex_angle")
     draws = 0
     for idx in range(20):
         _, resamples = instances.random_triangle(instance_rng(3, idx))
         draws += resamples + 1
-    assert signed == [0]
-    # six per draw that Triangle.of accepts, none for the draws it refuses
-    assert 6 * 20 <= mobius[0] <= 6 * draws and mobius[0] % 6 == 0
+    assert signed == mobius == [0]
+    # three per draw that Triangle.of accepts, none for the draws it refuses
+    assert 3 * 20 <= angles[0] <= 3 * draws and angles[0] % 3 == 0
