@@ -179,35 +179,43 @@ class NonFiniteNumber(ValueError):
 # dataclass type -> its field names, sorted; filled on first sight
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise NonFiniteNumber(x)
-    return float.__repr__(x)
+# inner indent -> key -> the text before that key's value when it is not
+# the first: "," + the indent + the quoted key + ": "
+_KEY_TEXT: dict[str, dict[str, str]] = {}
 
 
-def _complex_text(z: complex) -> str:
-    if not cmath.isfinite(z):
-        raise NonFiniteNumber(z)
-    return _quote(format_complex(z))
-
-
-def _write_object(pairs: list, append, indent: str):
-    """pairs: (key, value) in key order."""
+def _write_object(pairs, append, indent: str):
+    """pairs: (key, value) in key order.  Floats, complex values, strings
+    and None are written here, everything else through _write."""
     if not pairs:
         append("{}")
         return
     inner = indent + "  "
-    sep = "{" + inner
+    keys = _KEY_TEXT.get(inner)
+    if keys is None:
+        keys = _KEY_TEXT[inner] = {}
+    first = True
     try:
         for key, value in pairs:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            append(sep)
-            append(_quote(key))
-            append(": ")
-            _write(value, append, inner)
-            sep = "," + inner
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = "," + inner + _quote(key) + ": "
+            if first:
+                text = "{" + text[1:]
+                first = False
+            t = type(value)
+            if t is float or t is complex:
+                if not cmath.isfinite(value):
+                    raise NonFiniteNumber(value)
+                append(f"{text}{value!r}" if t is float
+                       else f'{text}"{format_complex(value)}"')
+            elif t is str or value is None:
+                append(text + ("null" if value is None else _quote(value)))
+            else:
+                append(text)
+                _write(value, append, inner)
     except NonFiniteNumber as exc:
         exc.path.append(f".{key}")
         raise
@@ -222,8 +230,17 @@ def _write_array(seq, append, indent: str):
     sep = "[" + inner
     try:
         for i, value in enumerate(seq):
-            append(sep)
-            _write(value, append, inner)
+            t = type(value)
+            if t is float or t is complex:
+                if not cmath.isfinite(value):
+                    raise NonFiniteNumber(value)
+                append(f"{sep}{value!r}" if t is float
+                       else f'{sep}"{format_complex(value)}"')
+            elif t is str or value is None:
+                append(sep + ("null" if value is None else _quote(value)))
+            else:
+                append(sep)
+                _write(value, append, inner)
             sep = "," + inner
     except NonFiniteNumber as exc:
         exc.path.append(f"[{i}]")
@@ -235,14 +252,18 @@ def _write(obj, append, indent: str):
     """Append obj's JSON text; indent is the newline and indentation that
     obj's own line starts with."""
     t = type(obj)
-    if t is float:
-        append(_float_text(obj))
+    if t is dict:
+        _write_object(sorted(obj.items()), append, indent)
+    elif t in _FIELD_NAMES:
+        _write_object([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent)
+    elif t is list:
+        _write_array(obj, append, indent)
+    elif t is float or t is complex:
+        if not cmath.isfinite(obj):
+            raise NonFiniteNumber(obj)
+        append(repr(obj) if t is float else f'"{format_complex(obj)}"')
     elif t is str:
         append(_quote(obj))
-    elif t is complex:
-        append(_complex_text(obj))
-    elif t is dict:
-        _write_object(sorted(obj.items()), append, indent)
     elif obj is None:
         append("null")
     elif obj is True:
@@ -251,10 +272,6 @@ def _write(obj, append, indent: str):
         append("false")
     elif t is int:
         append(int.__repr__(obj))
-    elif t is list:
-        _write_array(obj, append, indent)
-    elif t in _FIELD_NAMES:
-        _write_object([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent)
     elif is_dataclass(t):
         _FIELD_NAMES[t] = tuple(sorted(f.name for f in fields(t)))
         _write(obj, append, indent)
@@ -375,13 +392,9 @@ def cmd_verify(scn: Scenario) -> int:
     return 0 if report.failed == 0 else 1
 
 
-def cmd_construct(scn: Scenario) -> int:
-    cfg = build_config(Triangle.of(*scn.triangle))
-    _write_out(config_json(cfg), scn.out)
-    return 0
-
-
 def cmd_render(scn: Scenario, fmt: str) -> int:
+    """render, and construct, which is render --format json of a given
+    triangle."""
     if scn.triangle is not None:
         tri = Triangle.of(*scn.triangle)
     else:
@@ -460,8 +473,9 @@ def scenario_from_args(args) -> Scenario:
                       (args.tol_chain, "chain")):
         if flag is not None:
             tol_data[key] = flag
-    tol = replace(DEFAULT_TOLERANCES,
-                  **{k: _tolerance(k, v) for k, v in tol_data.items()})
+    tol = DEFAULT_TOLERANCES
+    if tol_data:
+        tol = replace(tol, **{k: _tolerance(k, v) for k, v in tol_data.items()})
 
     # Random seeds with |seed|, so a negative seed would repeat its positive twin
     seed = int(pick(args.seed, "seed", 0))
@@ -472,6 +486,8 @@ def scenario_from_args(args) -> Scenario:
         raise ValueError("--trials must be non-negative")
     triangle_raw = pick(args.triangle, "triangle", None)
     out = pick(args.out, "out", None)
+    if out and os.path.isdir(out):
+        raise ValueError(f"output {out!r} is a directory")
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"output directory of {out!r} does not exist")
     # outside these ranges the triangle sampler would never find a triangle
@@ -502,27 +518,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypfeuer",
         description="Triangle constructions and theorem verification "
                     "in the hyperbolic disk.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "construct": "serialize the full configuration of one triangle",
-        "verify": "run theorem suites over seeded random instances",
-        "render": "draw a configuration as an SVG figure",
-    }
-    for name in ("construct", "verify", "render"):
-        sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--suite", type=str, default=None,
+    parser.add_argument("command", choices=("construct", "verify", "render"),
+                        help="construct: serialize the full configuration of "
+                             "one triangle; verify: run theorem suites over "
+                             "seeded random instances; render: draw a "
+                             "configuration as an SVG figure")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--suite", type=str, default=None,
                         help="comma-separated check names, or 'all'")
-        sp.add_argument("--tol-construct", type=float, default=None)
-        sp.add_argument("--tol-theorem", type=float, default=None)
-        sp.add_argument("--tol-chain", type=float, default=None)
-        sp.add_argument("--triangle", type=str, default=None,
+    parser.add_argument("--tol-construct", type=float, default=None)
+    parser.add_argument("--tol-theorem", type=float, default=None)
+    parser.add_argument("--tol-chain", type=float, default=None)
+    parser.add_argument("--triangle", type=str, default=None,
                         help='vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"')
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", type=str, default=None,
-                        choices=("json", "svg"))
-        sp.add_argument("--scenario", type=str, default=None,
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--format", type=str, default=None, choices=("json", "svg"))
+    parser.add_argument("--scenario", type=str, default=None,
                         help="JSON file with scenario fields; flags override")
     return parser
 
@@ -534,17 +546,14 @@ def main(argv=None) -> int:
         fmt = args.format or ("svg" if args.command == "render" else "json")
         if args.command != "render" and fmt != "json":
             raise ValueError("--format svg only applies to render")
+        if args.command == "construct" and scn.triangle is None:
+            raise ValueError("construct needs --triangle")
     except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"hypfeuer: {exc}", file=sys.stderr)
         return 2
     try:
         if args.command == "verify":
             return cmd_verify(scn)
-        if args.command == "construct":
-            if scn.triangle is None:
-                print("hypfeuer: construct needs --triangle", file=sys.stderr)
-                return 2
-            return cmd_construct(scn)
         return cmd_render(scn, fmt)
     except GeometryError as exc:
         print(f"hypfeuer: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -243,24 +243,21 @@ def cycle_through(p, q, r) -> GeneralizedCycle:
     the coefficients are polynomial in the inputs.  Collinear points
     come out with A = 0, i.e. a straight line, automatically.
     """
-    pts = [as_complex(x) for x in (p, q, r)]
-    for i in range(3):
-        if abs(pts[i] - pts[(i + 1) % 3]) < 1e-12:
-            raise CoincidentPoints("cycle through coincident points")
-    rows = [(abs(z) ** 2, z.real, z.imag) for z in pts]
-    # cofactors of the first row of det[|z|^2, x, y, 1; rows...]
-    a = (rows[0][1] * (rows[1][2] - rows[2][2])
-         - rows[1][1] * (rows[0][2] - rows[2][2])
-         + rows[2][1] * (rows[0][2] - rows[1][2]))
-    c12 = (rows[0][0] * (rows[1][2] - rows[2][2])
-           - rows[1][0] * (rows[0][2] - rows[2][2])
-           + rows[2][0] * (rows[0][2] - rows[1][2]))
-    c13 = (rows[0][0] * (rows[1][1] - rows[2][1])
-           - rows[1][0] * (rows[0][1] - rows[2][1])
-           + rows[2][0] * (rows[0][1] - rows[1][1]))
-    c14 = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[2][1] * rows[1][2])
-           - rows[1][0] * (rows[0][1] * rows[2][2] - rows[2][1] * rows[0][2])
-           + rows[2][0] * (rows[0][1] * rows[1][2] - rows[1][1] * rows[0][2]))
+    p, q, r = as_complex(p), as_complex(q), as_complex(r)
+    if abs(p - q) < 1e-12 or abs(q - r) < 1e-12 or abs(r - p) < 1e-12:
+        raise CoincidentPoints("cycle through coincident points")
+    s0, x0, y0 = abs(p) ** 2, p.real, p.imag
+    s1, x1, y1 = abs(q) ** 2, q.real, q.imag
+    s2, x2, y2 = abs(r) ** 2, r.real, r.imag
+    # cofactors of the first row of det[|z|^2, x, y, 1; (s, x, y, 1) rows]
+    dy12, dy02, dy01 = y1 - y2, y0 - y2, y0 - y1
+    dx12, dx02, dx01 = x1 - x2, x0 - x2, x0 - x1
+    a = x0 * dy12 - x1 * dy02 + x2 * dy01
+    c12 = s0 * dy12 - s1 * dy02 + s2 * dy01
+    c13 = s0 * dx12 - s1 * dx02 + s2 * dx01
+    c14 = (s0 * (x1 * y2 - x2 * y1)
+           - s1 * (x0 * y2 - x2 * y0)
+           + s2 * (x0 * y1 - x1 * y0))
     return GeneralizedCycle.of(a, complex(-c12 / 2.0, c13 / 2.0), -c14)
 
 

@@ -34,46 +34,43 @@ class _Canvas:
     def xy(self, z: complex) -> tuple[float, float]:
         return self.mid + self.scale * z.real, self.mid - self.scale * z.imag
 
-    def fmt(self, v: float) -> str:
-        return f"{v:.4f}"
-
     def circle(self, elem_id: str, center: complex, radius: float,
                stroke: str, width: float, fill: str = "none"):
         cx, cy = self.xy(center)
         self.parts.append(
-            f'<circle id="{elem_id}" cx="{self.fmt(cx)}" cy="{self.fmt(cy)}" '
-            f'r="{self.fmt(radius * self.scale)}" fill="{fill}" '
+            f'<circle id="{elem_id}" cx="{cx:.4f}" cy="{cy:.4f}" '
+            f'r="{radius * self.scale:.4f}" fill="{fill}" '
             f'stroke="{stroke}" stroke-width="{width}"/>')
 
     def dot(self, elem_id: str, z: complex, color: str, r: float = 2.6):
         cx, cy = self.xy(z)
         self.parts.append(
-            f'<circle id="{elem_id}" cx="{self.fmt(cx)}" cy="{self.fmt(cy)}" '
+            f'<circle id="{elem_id}" cx="{cx:.4f}" cy="{cy:.4f}" '
             f'r="{r}" fill="{color}" stroke="none"/>')
 
     def line(self, elem_id: str, p: complex, q: complex, stroke: str, width: float):
         x1, y1 = self.xy(p)
         x2, y2 = self.xy(q)
         self.parts.append(
-            f'<line id="{elem_id}" x1="{self.fmt(x1)}" y1="{self.fmt(y1)}" '
-            f'x2="{self.fmt(x2)}" y2="{self.fmt(y2)}" '
+            f'<line id="{elem_id}" x1="{x1:.4f}" y1="{y1:.4f}" '
+            f'x2="{x2:.4f}" y2="{y2:.4f}" '
             f'stroke="{stroke}" stroke-width="{width}"/>')
 
     def arc(self, elem_id: str, p: complex, q: complex, radius: float,
             large: bool, sweep: int, stroke: str, width: float):
         x1, y1 = self.xy(p)
         x2, y2 = self.xy(q)
-        r = self.fmt(radius * self.scale)
+        r = f"{radius * self.scale:.4f}"
         self.parts.append(
-            f'<path id="{elem_id}" d="M {self.fmt(x1)} {self.fmt(y1)} '
+            f'<path id="{elem_id}" d="M {x1:.4f} {y1:.4f} '
             f'A {r} {r} 0 {1 if large else 0} {sweep} '
-            f'{self.fmt(x2)} {self.fmt(y2)}" fill="none" '
+            f'{x2:.4f} {y2:.4f}" fill="none" '
             f'stroke="{stroke}" stroke-width="{width}"/>')
 
     def text(self, elem_id: str, z: complex, s: str):
         x, y = self.xy(z)
         self.parts.append(
-            f'<text id="{elem_id}" x="{self.fmt(x)}" y="{self.fmt(y)}" '
+            f'<text id="{elem_id}" x="{x:.4f}" y="{y:.4f}" '
             f'font-size="14" font-family="serif" text-anchor="middle">{s}</text>')
 
 

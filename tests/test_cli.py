@@ -1,5 +1,6 @@
 """CLI behavior: parsing, exit codes, report shape, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hypfeuer.cli import (
     parse_triangle,
     run_verify,
 )
-from hypfeuer.theorems import TheoremCheck
+from hypfeuer.theorems import TheoremCheck, Tolerances
 
 EQUILATERAL = "0.25i,-0.21650635094610965-0.125i,0.21650635094610965-0.125i"
 # generator output: flag-free, every center and residual defined
@@ -127,6 +128,20 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "does not exist" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "render"])
+def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                           capsys, command):
+    # verify used to run every instance and then fail on open(); construct
+    # and render built the whole configuration first
+    monkeypatch.setattr(cli, "run_verify", lambda scn: pytest.fail("an instance ran"))
+    monkeypatch.setattr(cli, "build_config", lambda tri: pytest.fail("a config was built"))
+    assert main([command, "--triangle", EQUILATERAL, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("hypfeuer: ") and "is a directory" in line
 
 
 # three vertices 1e-11 from the absolute: the pseudolength of the first
@@ -334,6 +349,53 @@ def test_scenario_missing_file_is_usage_error(tmp_path):
     assert main(["verify", "--scenario", str(tmp_path / "absent.json")]) == 2
 
 
+# ------------------------------------------------------------------- parser
+
+FLAGS = ("--seed", "--trials", "--suite", "--tol-construct", "--tol-theorem",
+         "--tol-chain", "--triangle", "--out", "--format", "--scenario")
+
+
+def _flag_cases(tmp_path) -> dict:
+    """flag -> (its value, the Scenario fields it sets)."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"seed": 4}))
+    out = str(tmp_path / "out.json")
+    return {
+        "--seed": ("5", {"seed": 5}),
+        "--trials": ("3", {"trials": 3}),
+        "--suite": ("monge,lexell", {"suite": ("lexell", "monge")}),
+        "--tol-construct": ("1e-7", {"tolerances": Tolerances(construct=1e-7)}),
+        "--tol-theorem": ("2e-8", {"tolerances": Tolerances(theorem=2e-8)}),
+        "--tol-chain": ("3e-6", {"tolerances": Tolerances(chain=3e-6)}),
+        "--triangle": (EQUILATERAL, {"triangle": parse_triangle(EQUILATERAL)}),
+        "--out": (out, {"out": out}),
+        "--format": ("json", {}),
+        "--scenario": (str(scn), {"seed": 4}),
+    }
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+@pytest.mark.parametrize("command", ["construct", "verify", "render"])
+def test_every_command_takes_every_flag_in_both_forms(tmp_path, command, flag):
+    value, fields = _flag_cases(tmp_path)[flag]
+    expected = dataclasses.replace(Scenario(), **fields)
+    for argv in ([command, flag, value], [command, f"{flag}={value}"]):
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == command
+        assert args.format == (value if flag == "--format" else None)
+        assert cli.scenario_from_args(args) == expected
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_missing_or_unknown_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hypfeuer ")
+
+
 # ------------------------------------------------------------------- render
 
 def test_render_svg_output(tmp_path):
@@ -406,6 +468,13 @@ def test_python_dash_m_runs_without_warning():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["passed"] == 1
     assert "Warning" not in proc.stderr
+
+
+def test_help_names_every_command():
+    proc = _child("-m", "hypfeuer", "--help")
+    assert proc.returncode == 0, proc.stderr
+    for command in ("construct", "verify", "render"):
+        assert command in proc.stdout
 
 
 # a child process, so that a scenario the sampler can never satisfy fails
