@@ -23,6 +23,9 @@ _ABSOLUTE = GeneralizedCycle.of(1.0, 0j, -1.0)
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
 MARGIN = 20.0
+FONT_SIZE = 14
+# the largest |z| of a label anchor that lies a font size inside the edge
+LABEL_REACH = (SIZE / 2.0 - FONT_SIZE) / (SIZE / 2.0 - MARGIN)
 
 
 class _Canvas:
@@ -71,7 +74,7 @@ class _Canvas:
         x, y = self.xy(z)
         self.parts.append(
             f'<text id="{elem_id}" x="{x:.4f}" y="{y:.4f}" '
-            f'font-size="14" font-family="serif" text-anchor="middle">{s}</text>')
+            f'font-size="{FONT_SIZE}" font-family="serif" text-anchor="middle">{s}</text>')
 
 
 def _draw_segment(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
@@ -125,9 +128,11 @@ def render_svg(cfg: TriangleConfig) -> str:
         _, p, q = tri.opposite(v)
         _draw_segment(cv, f"side-{v}", cfg.sides[v], p, q, "#1a1a1a", 1.6)
     for v in ("a", "b", "c"):
-        cv.dot(f"vertex-{v}", verts[v], "#1a1a1a", 3.0)
-        cv.text(f"label-{v}", verts[v] * 1.12 if abs(verts[v]) > 1e-9
-                else verts[v] + 0.06, v)
+        z = verts[v]
+        cv.dot(f"vertex-{v}", z, "#1a1a1a", 3.0)
+        # 12% beyond the vertex, but never past LABEL_REACH
+        cv.text(f"label-{v}", z * min(1.12, LABEL_REACH / abs(z)) if abs(z) > 1e-9
+                else z + 0.06, v)
 
     for v, line in sorted(cfg.bisector_cevians.items()):
         if v in cfg.feet.bisector:

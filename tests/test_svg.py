@@ -4,10 +4,15 @@ import cmath
 import math
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from hypfeuer.cevians import build_config
+from hypfeuer.cli import parse_triangle
 from hypfeuer.geom_core import Triangle
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.svg_render import render_svg
+from hypfeuer.svg_render import FONT_SIZE, SIZE, render_svg
+
+from test_cli import NEAR_ABSOLUTE
 
 
 def parse(svg: str):
@@ -114,3 +119,24 @@ def test_every_layer_is_drawn_in_order():
     assert all(name in ids for name in firsts)
     places = [ids.index(name) for name in firsts]
     assert places == sorted(places)
+
+
+def _label_margins(cfg) -> float:
+    """The smallest distance from a label anchor to the figure's edge."""
+    return min(min(x, y, SIZE - x, SIZE - y)
+               for e in elements(parse(render_svg(cfg)), "text")
+               for x, y in [(float(e.get("x")), float(e.get("y")))])
+
+
+@pytest.mark.parametrize("box", [0.7, 0.25, 0.95])
+def test_labels_stay_a_font_size_inside_the_figure(box):
+    # labels sit 12% beyond their vertex, which put them past the edge
+    # of the figure for vertices near the absolute
+    margins = [_label_margins(build_config(random_triangle(instance_rng(seed, 0), box)[0]))
+               for seed in range(200)]
+    assert min(margins) >= FONT_SIZE
+
+
+def test_labels_of_a_triangle_at_the_absolute_stay_inside():
+    cfg = build_config(Triangle.of(*parse_triangle(NEAR_ABSOLUTE)))
+    assert _label_margins(cfg) >= FONT_SIZE
