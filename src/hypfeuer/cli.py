@@ -180,7 +180,9 @@ class NonFiniteNumber(ValueError):
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 # inner indent -> key -> the text before that key's value when it is not
-# the first: "," + the indent + the quoted key + ": "
+# the first: "," + the indent + the quoted key + ": ".  hypfeuer's keys
+# are a fixed vocabulary (field, witness and vertex names), so the
+# cache stays small.
 _KEY_TEXT: dict[str, dict[str, str]] = {}
 
 
