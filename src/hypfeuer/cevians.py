@@ -45,7 +45,6 @@ pseudo-orthocenter, or one or more excircles beyond the absolute.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -314,6 +313,24 @@ def tangent_contact(circle: CircleVector, other: CircleVector, inside: bool,
     return (cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
 
 
+class _lazy:
+    """functools.cached_property without the lock it takes on every first
+    access in Python 3.11: the first read of the attribute on an
+    instance calls the method and stores the result in the instance's
+    __dict__, which later reads find before this descriptor."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 @dataclass
 class CevianFeet:
     """The feet that exist, keyed by the vertex they are dropped from."""
@@ -355,16 +372,16 @@ class TriangleConfig:
     excircles: dict[str, CircleSpec | None]
     flags: list[str]
 
-    @functools.cached_property
+    @_lazy
     def sides(self) -> dict[str, GeneralizedCycle]:
         """Geodesic carrying the side opposite each vertex."""
         return {v: geodesic_of_normal(n) for v, n in self.side_normals.items()}
 
-    @functools.cached_property
+    @_lazy
     def bisector_cevians(self) -> dict[str, GeneralizedCycle]:
         return {v: geodesic_of_normal(n) for v, n in self.bisector_normals.items()}
 
-    @functools.cached_property
+    @_lazy
     def pseudoaltitude_cevians(self) -> dict[str, GeneralizedCycle]:
         return {v: geodesic_of_normal(n) for v, n in self.pseudoaltitude_normals.items()}
 

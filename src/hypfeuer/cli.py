@@ -541,8 +541,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what a vertex can start with after its minus sign
+_VALUE_STARTS = frozenset("0123456789.i")
+
+
+def _attach_triangle_values(argv: list[str]) -> list[str]:
+    """argv with each `--triangle V` whose V starts with a minus sign and
+    a digit, point or i (a first vertex with a negative real part) given
+    as `--triangle=V`, which argparse reads the same way; on its own such
+    a V reads as an option and the flag as missing its value.  Unique
+    abbreviations of the flag (from --trian) are taken too."""
+    out = []
+    pending = False
+    for arg in argv:
+        if pending and arg[:1] == "-" and arg[1:2] in _VALUE_STARTS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+        pending = len(arg) >= 7 and "--triangle".startswith(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_triangle_values(argv))
     try:
         scn = scenario_from_args(args)
         fmt = args.format or ("svg" if args.command == "render" else "json")

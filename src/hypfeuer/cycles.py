@@ -36,7 +36,9 @@ norms, for a point given as a hyperboloid vector (``plane_distances``,
 with unit normals) or as a disk point (``point_geodesic_distance``).
 
 The checks' cycle constructions live here too: the constant-area locus
-(``lexell_cycle``) and samples along an arc.
+(``lexell_cycle``) and samples along an arc, split into the arc's frame
+(``sample_frame``) and the expression of one sample (``frame_point``),
+so a caller computes only the samples it reads.
 """
 
 from __future__ import annotations
@@ -486,39 +488,122 @@ def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
     return math.asinh(abs(e) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
-def sample_points(cycle: GeneralizedCycle, count: int,
-                  margin: float = 1e-6) -> list[complex]:
-    """Points on the cycle strictly inside the disk, for residual checks.
+def absolute_crossings(cycle: GeneralizedCycle, radius2: float) -> tuple[complex, ...]:
+    """intersect(cycle, GeneralizedCycle(1.0, 0j, -radius2)) bit for bit,
+    for a cycle that is not a line and radius2 > 0, without building the
+    origin-centred circle |z|^2 = radius2.
 
-    Circles fully inside the disk are sampled uniformly in angle; arcs
-    (geodesics, equidistants) are sampled between their two crossings of
-    a slightly shrunk absolute so every sample keeps the margin.  A point
-    at angle t is ec + er exp(i t): cmath.exp of a purely imaginary
-    argument is complex(cos t, sin t) bit for bit, in one call.
+    intersect's arithmetic with the second cycle's (1, 0, -radius2)
+    written in: its b_l keeps intersect's form, whose signed zeros reach
+    the crossings, and the terms below that drop a factor 1.0 or a zero
+    differ from intersect's, if at all, only in the sign of a zero qb,
+    which the root selection does not read.
     """
-    last = count - 1
+    a, b, c = cycle.a, cycle.b, cycle.c
+    b_l = 1.0 * b - a * 0j
+    c_l = c + a * radius2
+    if abs(b_l) < 1e-15:
+        if abs(c_l) < 1e-15:
+            raise IdenticalCycles("cycles share every coefficient ratio")
+        return ()
+    z0 = -c_l * b_l / (2.0 * abs(b_l) ** 2)
+    d = 1j * b_l / abs(b_l)
+    if abs(a) >= 1.0:
+        # intersect's base is the cycle itself
+        qa = a
+        qb = 2.0 * (a * (z0.conjugate() * d).real + (b.conjugate() * d).real)
+        qc = a * abs(z0) ** 2 + 2.0 * (b.conjugate() * z0).real + c
+        disc = qb * qb - 4.0 * qa * qc
+    else:
+        qa = 1.0
+        qb = 2.0 * (z0.conjugate() * d).real
+        qc = abs(z0) ** 2 - radius2
+        disc = qb * qb - 4.0 * qc
+    if disc < 0.0:
+        return ()
+    root = math.sqrt(disc)
+    if qb >= 0.0:
+        q = -(qb + root) / 2.0
+    else:
+        q = -(qb - root) / 2.0
+    if q == 0.0:
+        return (z0 + 0.0 * d,)
+    p1 = z0 + (q / qa) * d
+    p2 = z0 + (qc / q) * d
+    return (p1,) if abs(p2 - p1) < 1e-13 else (p1, p2)
+
+
+# sample_frame kinds
+FRAME_LINE = "line"
+FRAME_ARC = "arc"
+FRAME_CIRCLE = "circle"
+
+
+def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
+    """Where sample_points(cycle, count, margin) puts its samples, for
+    any count; frame_point gives each sample.
+
+    * a line: (FRAME_LINE, z0, d, half), its point z0 nearest the
+      origin, its unit direction d and the half-length of its chord of
+      the disk shrunk by the margin; the samples spread evenly over it;
+    * a circle that crosses the shrunk absolute: (FRAME_ARC, ec, er,
+      start, span), its Euclidean center and radius and the angles of
+      its in-disk arc between the crossings, less a pad of 1e-3 of the
+      arc at each end; the samples spread evenly from start to start +
+      span;
+    * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), sampled
+      uniformly in angle from 0, the last sample short of 2 pi.
+
+    The crossings are absolute_crossings', so no cycle is built.
+    """
     if cycle.is_line:
         d = 1j * cycle.b / abs(cycle.b)
         z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
-        return [z0 + d * (half * (2.0 * k / last - 1.0)) for k in range(count)]
+        return FRAME_LINE, z0, d, half
     ec, er = cycle.euclid_center_radius()
-    # already normalized: max(|A|, |B|, |C|) = A = 1
-    shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
-    crossings = intersect(cycle, shrunk)
-    exp = cmath.exp
+    crossings = absolute_crossings(cycle, (1.0 - margin) ** 2)
     if len(crossings) < 2:
-        # fully interior: whole circle
-        return [ec + er * exp(1j * (2.0 * math.pi * k / count)) for k in range(count)]
-    t0, t1 = sorted(math.atan2((z - ec).imag, (z - ec).real) for z in crossings)
+        return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
+    p, q = crossings[0] - ec, crossings[1] - ec
+    t0, t1 = math.atan2(p.imag, p.real), math.atan2(q.imag, q.real)
+    if t1 < t0:
+        t0, t1 = t1, t0
     # choose the arc whose midpoint is inside
     mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
     if abs(mid) >= 1.0 - margin:
         t0, t1 = t1, t0 + 2.0 * math.pi
     pad = 1e-3 * (t1 - t0)
     lo, hi = t0 + pad, t1 - pad
-    span = hi - lo
-    return [ec + er * exp(1j * (lo + span * k / last)) for k in range(count)]
+    return FRAME_ARC, ec, er, lo, hi - lo
+
+
+def frame_point(frame: tuple, k: int, count: int) -> complex:
+    """Sample k of count in a sample_frame: sample_points(cycle, count,
+    margin)[k] bit for bit, without the other samples.  A point at angle
+    t is ec + er exp(i t): cmath.exp of a purely imaginary argument is
+    complex(cos t, sin t) bit for bit, in one call."""
+    kind = frame[0]
+    if kind is FRAME_LINE:
+        _, z0, d, half = frame
+        return z0 + d * (half * (2.0 * k / (count - 1) - 1.0))
+    _, ec, er, start, span = frame
+    if kind is FRAME_ARC:
+        return ec + er * cmath.exp(1j * (start + span * k / (count - 1)))
+    return ec + er * cmath.exp(1j * (span * k / count))
+
+
+def sample_points(cycle: GeneralizedCycle, count: int,
+                  margin: float = 1e-6) -> list[complex]:
+    """count points on the cycle strictly inside the disk, for residual
+    checks: the samples of its sample_frame.
+
+    Circles fully inside the disk are sampled uniformly in angle; arcs
+    (geodesics, equidistants) are sampled between their two crossings of
+    a slightly shrunk absolute so every sample keeps the margin.
+    """
+    frame = sample_frame(cycle, margin)
+    return [frame_point(frame, k, count) for k in range(count)]
 
 
 def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,

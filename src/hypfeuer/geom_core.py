@@ -158,6 +158,50 @@ def convex_quad_angles(a, b, c, d) -> list[float] | None:
     return None
 
 
+def quad_frame(a: complex, b: complex, c: complex) -> tuple:
+    """What convex_quad_angles(a, b, c, d) computes without d, for
+    quad_angles_in_frame to reuse over many d: a with its conjugate and
+    the phase of its ray to b (None if that ray is degenerate), c with
+    its conjugate and the phase of its ray to b, and the turn at b (None
+    if complex_angle refuses it).  Complex arguments only."""
+    ac, cc = a.conjugate(), c.conjugate()
+    ray_ab = (b - a) / (1.0 - ac * b)
+    ray_cb = (b - c) / (1.0 - cc * b)
+    try:
+        tb = complex_angle(a, b, c)
+    except GeometryError:
+        tb = None
+    return (a, ac, None if abs(ray_ab) < COINCIDENT_EPS else cmath.phase(ray_ab),
+            c, cc, None if abs(ray_cb) < COINCIDENT_EPS else cmath.phase(ray_cb), tb)
+
+
+def quad_angles_in_frame(frame: tuple, d: complex) -> list[float] | None:
+    """convex_quad_angles(a, b, c, d) bit for bit, for the quad_frame of
+    (a, b, c) and a complex d: the turns at a, c and d are complex_angle
+    written out around the frame's fixed rays, and the turn at b is the
+    frame's."""
+    a, ac, phase_ab, c, cc, phase_cb, tb = frame
+    u = (d - a) / (1.0 - ac * d)
+    if phase_ab is None or abs(u) < COINCIDENT_EPS or tb is None:
+        return None
+    ta = wrap_angle(phase_ab - cmath.phase(u))
+    v = (d - c) / (1.0 - cc * d)
+    if phase_cb is None or abs(v) < COINCIDENT_EPS:
+        return None
+    tc = wrap_angle(cmath.phase(v) - phase_cb)
+    dc = d.conjugate()
+    u = (c - d) / (1.0 - dc * c)
+    v = (a - d) / (1.0 - dc * a)
+    if abs(u) < COINCIDENT_EPS or abs(v) < COINCIDENT_EPS:
+        return None
+    td = wrap_angle(cmath.phase(v) - cmath.phase(u))
+    if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
+        return [ta, tb, tc, td]
+    if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:
+        return [-ta, -tb, -tc, -td]
+    return None
+
+
 def signed_area(a: complex, b: complex, c: complex) -> float:
     """Area of triangle abc, counterclockwise positive; complex arguments
     only.  Two vertices closer than complex_angle allows (pseudolength

@@ -17,16 +17,21 @@ from .geom_core import (
     complex_angle,
     convex_quad_angles,
     mobius_from_origin,
+    quad_angles_in_frame,
+    quad_frame,
     triangle_area,
 )
 from .cycles import (
+    FRAME_ARC,
+    FRAME_LINE,
     GeneralizedCycle,
     circle_from_center_radius,
     cycle_through,
+    frame_point,
     geodesic_through,
     lexell_cycle,
     point_geodesic_distance,
-    sample_points,
+    sample_frame,
 )
 
 DEFAULT_MAX_VERTEX_RADIUS = 0.7
@@ -151,13 +156,13 @@ def lexell_instance(rng: Random) -> tuple[complex, complex, complex]:
 def arc_instance(rng: Random) -> tuple[GeneralizedCycle, complex, complex]:
     """A cycle together with two points a and b on it: the first and the
     ninth of the 24 points sample_points spreads over its in-disk part,
-    so a third of a whole circle apart and 8/23 of an arc's span.
-    sample_points always gives all 24, so no draw is rejected, and the
-    arc between a and b that check_inscribed_angle samples lies inside
-    the disk."""
+    so a third of a whole circle apart and 8/23 of an arc's span.  Only
+    those two are computed (frame_point), bit for bit sample_points'.
+    Every cycle has all 24, so no draw is rejected, and the arc between
+    a and b that check_inscribed_angle samples lies inside the disk."""
     cycle = random_cycle(rng)
-    pts = sample_points(cycle, 24, margin=1e-3)
-    return cycle, pts[0], pts[len(pts) // 3]
+    frame = sample_frame(cycle, margin=1e-3)
+    return cycle, frame_point(frame, 0, 24), frame_point(frame, 8, 24)
 
 
 MONGE_RADIUS_BANDS = ((1.2, 1.6), (0.65, 0.85), (0.3, 0.4))
@@ -182,15 +187,89 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     return out[0], out[1], out[2]
 
 
+def _locus_runs(frame: tuple, count: int, c0: complex):
+    """The sample indices of a sample_frame of a cycle through c0, a
+    point inside the frame's shrunk disk, as runs (first, stop, step) on
+    each of which abs(z - c0) falls.
+
+    On a line that distance rises both ways from c0's foot; on a circle
+    it rises while the sample angle runs from the angle phi of c0 to its
+    antipode phi + pi and falls from there to phi + 2 pi.  Cutting the
+    index range where the sample parameter passes those points leaves
+    at most two runs on a line and three on a circle (its samples span
+    at most 2 pi), each walked from its far end.  A sample within
+    rounding of a cut is the far or near end of either run it could
+    join, so the cut's rounding does not reorder anything."""
+    if frame[0] is FRAME_LINE:
+        _, z0, d, half = frame
+        # sample k lies at half (2k / (count - 1) - 1) along d
+        foot = ((c0 - z0) * d.conjugate()).real
+        cut = min(count, max(0, math.ceil((foot / half + 1.0) * (count - 1) / 2.0)))
+        return [(0, cut, 1), (count - 1, cut - 1, -1)]
+    _, ec, er, start, span = frame
+    # sample k lies at angle start + span k / (count - 1) on an arc and
+    # span k / count on a whole circle, whose start is 0
+    scale = (count - 1 if frame[0] is FRAME_ARC else count) / span
+    phi = cmath.phase(c0 - ec)
+    # half turns past phi at the first sample
+    turn = math.floor((start - phi) / math.pi)
+    runs = []
+    first = 0
+    while first < count:
+        stop = min(count, math.ceil((phi + (turn + 1) * math.pi - start) * scale))
+        if stop > first:
+            # an even number of half turns past phi: the distance rises
+            runs.append((stop - 1, first - 1, -1) if turn % 2 == 0 else (first, stop, 1))
+            first = stop
+        turn += 1
+    return runs
+
+
+def _farthest_first(frame: tuple, count: int, c0: complex, floor: float):
+    """The samples of a sample_frame of a cycle through c0 that lie
+    farther than floor from c0, farthest first and ties in index order:
+    the order of a stable sort of all of them by -abs(z - c0).
+
+    It merges the _locus_runs, computing a sample (frame_point) and its
+    distance only when its run reaches it, and drops a run at its first
+    sample within the floor, since the rest of the run is nearer."""
+    heads = []  # [distance, index, point, next index, stop, step]
+    for first, stop, step in _locus_runs(frame, count, c0):
+        if first == stop:
+            continue
+        z = frame_point(frame, first, count)
+        dist = abs(z - c0)
+        if dist > floor:
+            heads.append([dist, first, z, first + step, stop, step])
+    while heads:
+        best = heads[0]
+        for head in heads[1:]:
+            if head[0] > best[0] or (head[0] == best[0] and head[1] < best[1]):
+                best = head
+        yield best[2]
+        k, stop, step = best[3], best[4], best[5]
+        if k != stop:
+            z = frame_point(frame, k, count)
+            dist = abs(z - c0)
+            if dist > floor:
+                best[:4] = dist, k, z, k + step
+                continue
+        heads.remove(best)
+
+
 def trapezoid_quad(rng: Random, converse: bool = False):
     """Convex quadrilateral (a, b, c, d) built to satisfy one side of the
     trapezoid equivalence exactly.
 
     With converse=False, c and d share a constant-area locus over base
-    ab, so area(abc) = area(abd) holds by construction.  With
-    converse=True, d is instead root-found along a transversal until the
-    angle balance (A + D) - (B + C) vanishes, testing the reverse
-    implication without assuming the locus.
+    ab, so area(abc) = area(abd) holds by construction: d is the first of
+    the locus's 48 samples, taken farthest from c first
+    (_farthest_first) and kept 0.25 from c and 0.2 from a and b, that
+    makes a convex quad in one of the two orders, and only the samples
+    the search reaches are computed.  With converse=True, d is instead
+    root-found along a transversal until the angle balance
+    (A + D) - (B + C) vanishes, testing the reverse implication without
+    assuming the locus.
     """
     for _ in range(MAX_DRAWS):
         a = _disk_point(rng, 0.62)
@@ -204,17 +283,18 @@ def trapezoid_quad(rng: Random, converse: bool = False):
             continue
         if not 0.05 < ca < 2.5 or abs(c0 - a) < 0.3 or abs(c0 - b) < 0.3:
             continue
-        locus = lexell_cycle(a, b, c0)
-        candidates = [z for z in sample_points(locus, 48, margin=0.07)
-                      if abs(z - c0) > 0.25 and abs(z - a) > 0.2 and abs(z - b) > 0.2]
-        candidates.sort(key=lambda z: -abs(z - c0))
+        frame = sample_frame(lexell_cycle(a, b, c0), margin=0.07)
         quad = None
-        for d0 in candidates[:12]:
+        tried = 0
+        for d0 in _farthest_first(frame, 48, c0, 0.25):
+            if not (abs(d0 - a) > 0.2 and abs(d0 - b) > 0.2):
+                continue
             for cc, dd in ((c0, d0), (d0, c0)):
                 if convex_quad_angles(a, b, cc, dd) is not None:
                     quad = (a, b, cc, dd)
                     break
-            if quad:
+            tried += 1
+            if quad or tried == 12:
                 break
         if quad is None:
             continue
@@ -294,13 +374,15 @@ class _NonConvexQuad(Exception):
 
 def _rebalance_quad(quad):
     """Move the last vertex across the locus until the angle balance is
-    zero; None when no convex quad on the way balances."""
+    zero; None when no convex quad on the way balances.  The balance
+    reads quad_angles_in_frame, whose frame holds what does not move."""
     a, b, c, d = quad
     grad = lexell_cycle(a, b, c).gradient(d)
     n = grad / abs(grad)
+    frame = quad_frame(a, b, c)
 
     def h(t: float) -> float:
-        angles = convex_quad_angles(a, b, c, d + t * n)
+        angles = quad_angles_in_frame(frame, d + t * n)
         if angles is None:
             raise _NonConvexQuad
         qa, qb, qc, qd = angles

@@ -60,6 +60,31 @@ def test_parse_triangle():
         parse_triangle("0.1,0.2i")
 
 
+@pytest.mark.parametrize("command, extra", (
+    ("construct", []),
+    ("render", []),
+    ("render", ["--format", "json"]),
+    ("verify", ["--trials", "2", "--suite", "six_point,euler_line"]),
+))
+@pytest.mark.parametrize("vertices", ("-0.1+0.2i,0.3,0.1i", "-.25i,0.3,0.1i"))
+def test_negative_first_vertex_parses_in_both_forms(tmp_path, command, extra, vertices):
+    # a value with a leading minus after --triangle is the value, not an
+    # option: both forms write the same bytes
+    separate = run(tmp_path, command, "--triangle", vertices, *extra, name="separate")
+    joined = run(tmp_path, command, f"--triangle={vertices}", *extra, name="joined")
+    abbreviated = run(tmp_path, command, "--trian", vertices, *extra, name="abbreviated")
+    assert separate[0] == joined[0] == abbreviated[0] == 0
+    assert (separate[1].read_bytes() == joined[1].read_bytes()
+            == abbreviated[1].read_bytes())
+
+
+def test_an_option_after_triangle_is_not_taken_as_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--triangle", "--out", "x.json"])
+    assert exc.value.code == 2
+    assert "--triangle: expected one argument" in capsys.readouterr().err
+
+
 def test_parse_suite():
     assert parse_suite("all") == SUITE_ORDER
     assert parse_suite("") == ()

@@ -8,7 +8,8 @@ when some check on it fails.  Every mutant in MUTANTS must be caught on
 at least CAUGHT_AT_LEAST of them, every one in TANGENT_CEVIAN_MUTANTS
 on each instance where tangent_cevians runs, and every one in
 RADICAL_AXIS_MUTANTS on each instance where radical_axis runs with a
-circle member.  SURVIVORS lists the mutants no check can catch, each
+circle member, and every one in TRAPEZOID_MUTANTS on each converse
+trapezoid instance.  SURVIVORS lists the mutants no check can catch, each
 with its reason; the gate checks that they still survive, so a change
 that starts catching one must move it.
 """
@@ -96,6 +97,15 @@ def _lexell_b_scaled(original):
 def _first_angle_shifted(original):
     def mutant(a, b, c, d):
         angles = original(a, b, c, d)
+        if angles is None:
+            return None
+        return [angles[0] + 1e-6] + angles[1:]
+    return mutant
+
+
+def _framed_first_angle_shifted(original):
+    def mutant(frame, d):
+        angles = original(frame, d)
         if angles is None:
             return None
         return [angles[0] + 1e-6] + angles[1:]
@@ -229,6 +239,15 @@ RADICAL_AXIS_MUTANTS = {
     "power_scaled_1e-6": (power, "power_of_point", _power_scaled),
 }
 
+# Only the converse trapezoid draws, at odd instance indices, solve the
+# angle balance through this kernel; the forward draws and the check
+# itself read convex_quad_angles.  Each must fail every converse
+# instance and leave every forward one passing.
+TRAPEZOID_MUTANTS = {
+    "quad_kernel_first_angle_shifted_1e-6": (geom_core, "quad_angles_in_frame",
+                                             _framed_first_angle_shifted),
+}
+
 SURVIVORS = {
     # the other root is the meet's inverse in the absolute, always
     # outside the disk, so every meet reads as "none inside": the
@@ -311,6 +330,19 @@ def test_radical_axis_mutant_fails_wherever_a_circle_is_checked(monkeypatch, mut
     mutated = [c.status for c in _radical_axis_checks()]
     assert mutated == ["fail" if hit else c.status
                        for c, hit in zip(honest, checked)], mutant
+
+
+def _trapezoid_statuses():
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS, suite=("trapezoid",)))
+    return [c.status for inst in report.instances for c in inst.checks]
+
+
+@pytest.mark.parametrize("mutant", sorted(TRAPEZOID_MUTANTS))
+def test_trapezoid_mutant_fails_every_converse_instance(monkeypatch, mutant):
+    assert _trapezoid_statuses() == ["pass"] * TRIALS
+    _apply(monkeypatch, *TRAPEZOID_MUTANTS[mutant])
+    mutated = _trapezoid_statuses()
+    assert mutated == ["fail" if idx % 2 else "pass" for idx in range(TRIALS)], mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))

@@ -8,6 +8,13 @@ were recorded at commit 536326d, before the CLI front end, the JSON
 writer and the SVG renderer were rewritten for speed, so they hold
 those rewrites to byte identity.
 
+The drawn suites, whose instances come from the generators rather than
+from a triangle, get 200 instances per box (`verify --suite
+inscribed_angle,trapezoid,lexell,radical_axis,monge --trials 200 --seed
+0`, "verify-drawn"), recorded at commit 98198de, before the sampler,
+the trapezoid search and the arc instance were made to compute only the
+samples they read.
+
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
 outputs it touches in CHANGES.md.
@@ -46,6 +53,16 @@ DIGESTS = {
         "e9a77ea903d3975ded9a2c916ad4ee3a92b7f1a10ee6a2444b6abb09fab530c7",
     ("verify", 0.25):
         "7d74c123cf7a53627debad51332120447529d919fb94bf6c61241053d32adc60",
+    ("verify-drawn", 0.7):
+        "4f6311dc91e21a593ac09c93626b786df874fbd0056034cecda3da6986a3d03c",
+    ("verify-drawn", 0.25):
+        "64c5b36cf61bf5b9ed8cf7acc6e10fd5cefbfedc7a255e7c1fcf2c3d78b8dbc3",
+}
+
+VERIFY_RUNS = {
+    "verify": ["--suite", "all", "--trials", "20", "--seed", "7"],
+    "verify-drawn": ["--suite", "inscribed_angle,trapezoid,lexell,radical_axis,monge",
+                     "--trials", "200", "--seed", "0"],
 }
 
 
@@ -60,11 +77,10 @@ def seeded_triangles(box: float) -> list[str]:
 
 def _digest(command: str, box: float, tmp_path, capsys) -> str:
     sha = hashlib.sha256()
-    if command == "verify":
+    if command in VERIFY_RUNS:
         scenario = tmp_path / "box.json"
         scenario.write_text(json.dumps({"max_vertex_radius": box}))
-        runs = [["verify", "--suite", "all", "--trials", "20", "--seed", "7",
-                 "--scenario", str(scenario)]]
+        runs = [["verify", *VERIFY_RUNS[command], "--scenario", str(scenario)]]
     else:
         runs = [[*COMMANDS[command], f"--triangle={t}"] for t in seeded_triangles(box)]
     for argv in runs:

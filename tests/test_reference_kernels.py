@@ -1,8 +1,10 @@
 """The call-saving rewrites against the implementations they replaced.
 
 Each reference below is the former code, kept as the oracle: the cos/sin
-arc sampler, the list-based quad turns and the sampler's three
-signed_angle calls.  Results are compared as packed doubles, so a signed
+arc sampler, the list-based quad turns, the sampler's three
+signed_angle calls, the trapezoid search that built and sorted all 48
+locus samples, with its balance through convex_quad_angles, and the arc
+instance that built 24 samples to keep two.  Results are compared as packed doubles, so a signed
 zero or a last-bit difference counts, and errors by type.  Two rewrites
 changed the arithmetic and are compared within rounding instead: the
 side frame's zeta against the former frame's radius and angle, and the
@@ -20,7 +22,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import cevians, geom_core, instances
+from hypfeuer import cevians, cycles, geom_core, instances
 from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_point
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -28,7 +30,9 @@ from hypfeuer.cycles import (
     cycle_through,
     geodesic_through,
     intersect,
+    lexell_cycle,
     point_lift,
+    sample_frame,
     sample_points,
     through_normal,
     unit_normal,
@@ -40,9 +44,24 @@ from hypfeuer.geom_core import (
     complex_angle,
     convex_quad_angles,
     mobius_to_origin,
+    quad_angles_in_frame,
+    quad_frame,
     signed_angle,
+    triangle_area,
 )
-from hypfeuer.instances import instance_rng, random_triangle
+from hypfeuer.instances import (
+    MAX_DRAWS,
+    PURPOSE_ARC,
+    PURPOSE_QUAD,
+    REBALANCE_STEP,
+    REBALANCE_WIDTH,
+    _disk_point as _instance_disk_point,
+    _farthest_first,
+    brent_root,
+    instance_rng,
+    random_cycle,
+    random_triangle,
+)
 from hypfeuer.theorems import check_tangent_cevians
 from oracles import decimal_pencil
 
@@ -143,6 +162,74 @@ def _ref_convex_quad_angles(a, b, c, d):
     if all(t < 0.0 for t in turns):
         return [-t for t in turns]
     return None
+
+
+def _ref_arc_instance(rng):
+    cycle = random_cycle(rng)
+    pts = _ref_sample_points(cycle, 24, margin=1e-3)
+    return cycle, pts[0], pts[len(pts) // 3]
+
+
+def _ref_rebalance_quad(quad):
+    a, b, c, d = quad
+    grad = lexell_cycle(a, b, c).gradient(d)
+    n = grad / abs(grad)
+
+    class NonConvex(Exception):
+        pass
+
+    def h(t):
+        angles = _ref_convex_quad_angles(a, b, c, d + t * n)
+        if angles is None:
+            raise NonConvex
+        qa, qb, qc, qd = angles
+        return (qa + qd) - (qb + qc)
+
+    try:
+        hlo, hhi = h(-REBALANCE_STEP), h(REBALANCE_STEP)
+        if hlo * hhi > 0.0:
+            return None
+        t, _ = brent_root(h, -REBALANCE_STEP, REBALANCE_STEP, hlo, hhi,
+                          width=REBALANCE_WIDTH)
+    except NonConvex:
+        return None
+    return a, b, c, d + t * n
+
+
+def _ref_trapezoid_quad(rng, converse=False):
+    disk_point = _instance_disk_point
+    for _ in range(MAX_DRAWS):
+        a = disk_point(rng, 0.62)
+        b = disk_point(rng, 0.62)
+        if abs(a - b) < 0.4:
+            continue
+        c0 = disk_point(rng, 0.62)
+        try:
+            ca = triangle_area(a, b, c0)
+        except GeometryError:
+            continue
+        if not 0.05 < ca < 2.5 or abs(c0 - a) < 0.3 or abs(c0 - b) < 0.3:
+            continue
+        locus = lexell_cycle(a, b, c0)
+        candidates = [z for z in _ref_sample_points(locus, 48, margin=0.07)
+                      if abs(z - c0) > 0.25 and abs(z - a) > 0.2 and abs(z - b) > 0.2]
+        candidates.sort(key=lambda z: -abs(z - c0))
+        quad = None
+        for d0 in candidates[:12]:
+            for cc, dd in ((c0, d0), (d0, c0)):
+                if _ref_convex_quad_angles(a, b, cc, dd) is not None:
+                    quad = (a, b, cc, dd)
+                    break
+            if quad:
+                break
+        if quad is None:
+            continue
+        if not converse:
+            return quad
+        perturbed = _ref_rebalance_quad(quad)
+        if perturbed is not None:
+            return perturbed
+    raise AssertionError("no quad")
 
 
 def _disk_point(rng, radius):
@@ -308,6 +395,20 @@ def test_sample_points_matches_the_reference():
     assert paths == {"line", "arc", "whole"}
 
 
+def test_absolute_crossings_match_intersect():
+    # the crossings sample_frame and the SVG clip read, against intersect
+    # with the origin-centred circle built
+    counts = {0: 0, 1: 0, 2: 0}
+    for idx, cycle in enumerate(_cycles(Random(31))):
+        if cycle.is_line:
+            continue
+        radius2 = (1.0, (1.0 - 1e-6) ** 2, (1.0 - 0.07) ** 2)[idx % 3]
+        _same(cycles.absolute_crossings, lambda c, r2: intersect(
+            c, GeneralizedCycle(1.0, 0j, -r2)), cycle, radius2)
+        counts[len(intersect(cycle, GeneralizedCycle(1.0, 0j, -radius2)))] += 1
+    assert counts[0] and counts[2]
+
+
 def _quads(rng):
     for _ in range(3_000):
         pts = [_disk_point(rng, 0.9) for _ in range(4)]
@@ -334,6 +435,73 @@ def test_convex_quad_angles_matches_the_reference():
         kind, value = _outcome(convex_quad_angles, *quad)
         kinds.add("not convex" if kind == "value" and value is None else kind)
     assert kinds == {"value", "not convex", "raises"}
+
+
+def _framed_quads(rng):
+    """Complex quads only, as the balance kernel takes them: random ones
+    in both orientations (mostly non-convex), the special quads above,
+    and each pair of vertices made to coincide."""
+    for quad in _quads(rng):
+        if all(type(p) is complex for p in quad):
+            yield quad
+    for _ in range(500):
+        pts = [_disk_point(rng, 0.9) for _ in range(4)]
+        for i, j in itertools.combinations(range(4), 2):
+            quad = list(pts)
+            quad[j] = quad[i]
+            yield quad
+            # and one closer than the coincidence floor, not equal
+            quad[j] = quad[i] + 1e-15
+            yield quad
+
+
+def test_quad_balance_kernel_matches_convex_quad_angles():
+    kinds = set()
+    for a, b, c, d in _framed_quads(Random(17)):
+        _same(lambda *q: quad_angles_in_frame(quad_frame(*q[:3]), q[3]),
+              convex_quad_angles, a, b, c, d)
+        kind, value = _outcome(convex_quad_angles, a, b, c, d)
+        kinds.add("not convex" if value is None else kind)
+    assert kinds == {"value", "not convex"}
+
+
+@pytest.mark.parametrize("converse", (False, True))
+def test_trapezoid_quad_matches_the_former_search(converse):
+    """Seeds 0-5 x 2,000 draws per direction."""
+    for seed in range(6):
+        for idx in range(2_000):
+            rng = instance_rng(seed, idx, PURPOSE_QUAD)
+            got = instances.trapezoid_quad(rng, converse=converse)
+            want = _ref_trapezoid_quad(instance_rng(seed, idx, PURPOSE_QUAD), converse)
+            assert _bits(got) == _bits(want), (seed, idx)
+
+
+def test_arc_instance_matches_the_former_one():
+    for seed in range(6):
+        for idx in range(2_000):
+            got = instances.arc_instance(instance_rng(seed, idx, PURPOSE_ARC))
+            want = _ref_arc_instance(instance_rng(seed, idx, PURPOSE_ARC))
+            assert _bits(got[1:]) == _bits(want[1:]) and got[0] == want[0], (seed, idx)
+
+
+def test_farthest_first_is_the_stable_sort_on_every_frame_kind():
+    # c0 is a point of the cycle, as trapezoid_quad's apex is of its
+    # locus; every frame kind, and floors that keep all or some samples
+    kinds = set()
+    for idx, cycle in enumerate(_cycles(Random(23))):
+        if idx % 5 == 0:
+            continue  # circles that barely reach into the disk
+        count = (16, 24, 48)[idx % 3]
+        margin = (1e-6, 0.07)[idx % 2]
+        c0 = sample_points(cycle, 7, margin=0.1)[idx % 7]
+        floor = (0.0, 0.25)[(idx // 2) % 2]
+        frame = sample_frame(cycle, margin)
+        kinds.add(frame[0])
+        want = sorted((z for z in sample_points(cycle, count, margin)
+                       if abs(z - c0) > floor), key=lambda z: -abs(z - c0))
+        got = list(_farthest_first(frame, count, c0, floor))
+        assert _bits(got) == _bits(want), (idx, cycle)
+    assert kinds == {cycles.FRAME_LINE, cycles.FRAME_ARC, cycles.FRAME_CIRCLE}
 
 
 # ------------------------------------------------------------ call counts
@@ -381,3 +549,28 @@ def test_random_triangle_reads_its_angles_from_the_rays(monkeypatch):
     assert signed == mobius == [0]
     # three per draw that Triangle.of accepts, none for the draws it refuses
     assert 3 * 20 <= angles[0] <= 3 * draws and angles[0] % 3 == 0
+
+
+def test_sample_points_makes_no_intersect_call(monkeypatch):
+    crossings = _count_calls(monkeypatch, cycles, "intersect")
+    for idx, cycle in enumerate(itertools.islice(_cycles(Random(29)), 500)):
+        sample_points(cycle, 4, (1e-6, 1e-4, 1e-3, 0.07)[idx % 4])
+    assert crossings == [0]
+
+
+def test_arc_instance_evaluates_two_samples(monkeypatch):
+    samples = _count_calls(monkeypatch, cycles, "frame_point")
+    for idx in range(50):
+        instances.arc_instance(instance_rng(0, idx, PURPOSE_ARC))
+    assert samples == [100]
+
+
+@pytest.mark.parametrize("converse, samples, frames", ((False, 400, 200), (True, 404, 202)))
+def test_trapezoid_draws_evaluate_few_locus_samples(monkeypatch, converse, samples, frames):
+    # seed 0 x 200: 2 of the 48 samples per locus, the heads of the runs,
+    # where the former search built all 48
+    counted = _count_calls(monkeypatch, cycles, "frame_point")
+    loci = _count_calls(monkeypatch, cycles, "sample_frame")
+    for idx in range(200):
+        instances.trapezoid_quad(instance_rng(0, idx, PURPOSE_QUAD), converse=converse)
+    assert (counted[0], loci[0]) == (samples, frames)
