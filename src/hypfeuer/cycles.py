@@ -343,29 +343,38 @@ def tangency_ratio(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
 
 
 def intersect(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:
-    """All intersection points in the plane (0, 1 or 2 of them).
+    """All intersection points in the plane (0, 1 or 2 of them)."""
+    if c1.is_line and c2.is_line:
+        # two straight lines: direct 2x2 solve on their equations
+        return _intersect_lines(c1, c2)
+    return coefficient_crossings(c1.a, c1.b, c1.c, c2.a, c2.b, c2.c)
+
+
+def coefficient_crossings(a1: float, b1: complex, c1: float,
+                          a2: float, b2: complex, c2: float) -> tuple[complex, ...]:
+    """intersect of the cycles with coefficients (a1, b1, c1) and (a2, b2,
+    c2), not both lines, without building them.
 
     Eliminating |z|^2 between the two equations leaves a line; the
     quadratic along that line is solved with the sign-aware formula so
     nearly tangent pairs do not lose a root to cancellation.
     """
-    if c1.is_line and c2.is_line:
-        # two straight lines: direct 2x2 solve on their equations
-        return _intersect_lines(c1, c2)
-    b_l = c2.a * c1.b - c1.a * c2.b
-    c_l = c2.a * c1.c - c1.a * c2.c
+    b_l = a2 * b1 - a1 * b2
+    c_l = a2 * c1 - a1 * c2
     if abs(b_l) < 1e-15:
         if abs(c_l) < 1e-15:
             raise IdenticalCycles("cycles share every coefficient ratio")
         return ()
-    base = c1 if abs(c1.a) >= abs(c2.a) else c2
+    if abs(a1) < abs(a2):
+        # the quadratic is taken on the cycle with the larger A
+        a1, b1, c1 = a2, b2, c2
     # line: 2 Re(conj(b_l) z) + c_l = 0, point closest to origin + direction
     z0 = -c_l * b_l / (2.0 * abs(b_l) ** 2)
     d = 1j * b_l / abs(b_l)
-    # base.a |z0 + s d|^2 + 2 Re(conj(base.b)(z0 + s d)) + base.c = 0
-    qa = base.a
-    qb = 2.0 * (base.a * (z0.conjugate() * d).real + (base.b.conjugate() * d).real)
-    qc = base.evaluate(z0)
+    # a1 |z0 + s d|^2 + 2 Re(conj(b1)(z0 + s d)) + c1 = 0
+    qa = a1
+    qb = 2.0 * (a1 * (z0.conjugate() * d).real + (b1.conjugate() * d).real)
+    qc = a1 * abs(z0) ** 2 + 2.0 * (b1.conjugate() * z0).real + c1
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:
         return ()
@@ -374,18 +383,11 @@ def intersect(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]
         q = -(qb + root) / 2.0
     else:
         q = -(qb - root) / 2.0
-    sols = []
-    if q != 0.0:
-        sols.append(q / qa)
-        sols.append(qc / q)
-    else:
-        sols.append(0.0)
-    out = []
-    for s in sols:
-        z = z0 + s * d
-        if not any(abs(z - w) < 1e-13 for w in out):
-            out.append(z)
-    return tuple(out)
+    if q == 0.0:
+        return (z0 + 0.0 * d,)
+    p1 = z0 + (q / qa) * d
+    p2 = z0 + (qc / q) * d
+    return (p1,) if abs(p2 - p1) < 1e-13 else (p1, p2)
 
 
 def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:
@@ -488,51 +490,6 @@ def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
     return math.asinh(abs(e) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
-def absolute_crossings(cycle: GeneralizedCycle, radius2: float) -> tuple[complex, ...]:
-    """intersect(cycle, GeneralizedCycle(1.0, 0j, -radius2)) bit for bit,
-    for a cycle that is not a line and radius2 > 0, without building the
-    origin-centred circle |z|^2 = radius2.
-
-    intersect's arithmetic with the second cycle's (1, 0, -radius2)
-    written in: its b_l keeps intersect's form, whose signed zeros reach
-    the crossings, and the terms below that drop a factor 1.0 or a zero
-    differ from intersect's, if at all, only in the sign of a zero qb,
-    which the root selection does not read.
-    """
-    a, b, c = cycle.a, cycle.b, cycle.c
-    b_l = 1.0 * b - a * 0j
-    c_l = c + a * radius2
-    if abs(b_l) < 1e-15:
-        if abs(c_l) < 1e-15:
-            raise IdenticalCycles("cycles share every coefficient ratio")
-        return ()
-    z0 = -c_l * b_l / (2.0 * abs(b_l) ** 2)
-    d = 1j * b_l / abs(b_l)
-    if abs(a) >= 1.0:
-        # intersect's base is the cycle itself
-        qa = a
-        qb = 2.0 * (a * (z0.conjugate() * d).real + (b.conjugate() * d).real)
-        qc = a * abs(z0) ** 2 + 2.0 * (b.conjugate() * z0).real + c
-        disc = qb * qb - 4.0 * qa * qc
-    else:
-        qa = 1.0
-        qb = 2.0 * (z0.conjugate() * d).real
-        qc = abs(z0) ** 2 - radius2
-        disc = qb * qb - 4.0 * qc
-    if disc < 0.0:
-        return ()
-    root = math.sqrt(disc)
-    if qb >= 0.0:
-        q = -(qb + root) / 2.0
-    else:
-        q = -(qb - root) / 2.0
-    if q == 0.0:
-        return (z0 + 0.0 * d,)
-    p1 = z0 + (q / qa) * d
-    p2 = z0 + (qc / q) * d
-    return (p1,) if abs(p2 - p1) < 1e-13 else (p1, p2)
-
-
 # sample_frame kinds
 FRAME_LINE = "line"
 FRAME_ARC = "arc"
@@ -554,7 +511,8 @@ def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
     * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), sampled
       uniformly in angle from 0, the last sample short of 2 pi.
 
-    The crossings are absolute_crossings', so no cycle is built.
+    The crossings with the shrunk absolute are coefficient_crossings'
+    of the two coefficient triples, so no cycle is built.
     """
     if cycle.is_line:
         d = 1j * cycle.b / abs(cycle.b)
@@ -562,7 +520,8 @@ def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
         return FRAME_LINE, z0, d, half
     ec, er = cycle.euclid_center_radius()
-    crossings = absolute_crossings(cycle, (1.0 - margin) ** 2)
+    crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c,
+                                      1.0, 0j, -(1.0 - margin) ** 2)
     if len(crossings) < 2:
         return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
     p, q = crossings[0] - ec, crossings[1] - ec

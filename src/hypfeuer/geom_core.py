@@ -137,29 +137,17 @@ def signed_angle(x, y, z) -> float:
 
 
 def convex_quad_angles(a, b, c, d) -> list[float] | None:
-    """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
-    None unless it is convex: its four turns, taken in one pass, share a
-    sign (a degenerate turn counts as not convex)."""
+    """quad_angles_in_frame of d in the quad_frame of (a, b, c), for
+    points of any accepted type."""
     za = a if type(a) is complex else as_complex(a)
     zb = b if type(b) is complex else as_complex(b)
     zc = c if type(c) is complex else as_complex(c)
     zd = d if type(d) is complex else as_complex(d)
-    try:
-        ta = complex_angle(zd, za, zb)
-        tb = complex_angle(za, zb, zc)
-        tc = complex_angle(zb, zc, zd)
-        td = complex_angle(zc, zd, za)
-    except GeometryError:
-        return None
-    if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
-        return [ta, tb, tc, td]
-    if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:
-        return [-ta, -tb, -tc, -td]
-    return None
+    return quad_angles_in_frame(quad_frame(za, zb, zc), zd)
 
 
 def quad_frame(a: complex, b: complex, c: complex) -> tuple:
-    """What convex_quad_angles(a, b, c, d) computes without d, for
+    """What the turns of quad abcd need without d, for
     quad_angles_in_frame to reuse over many d: a with its conjugate and
     the phase of its ray to b (None if that ray is degenerate), c with
     its conjugate and the phase of its ray to b, and the turn at b (None
@@ -176,9 +164,12 @@ def quad_frame(a: complex, b: complex, c: complex) -> tuple:
 
 
 def quad_angles_in_frame(frame: tuple, d: complex) -> list[float] | None:
-    """convex_quad_angles(a, b, c, d) bit for bit, for the quad_frame of
-    (a, b, c) and a complex d: the turns at a, c and d are complex_angle
-    written out around the frame's fixed rays, and the turn at b is the
+    """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
+    None unless it is convex: its four turns share a sign (a degenerate
+    turn counts as not convex).  Takes the quad_frame of (a, b, c) and a
+    complex d.  The turns at a, c and d are complex_angle(d, a, b),
+    complex_angle(b, c, d) and complex_angle(c, d, a) bit for bit,
+    written out around the frame's fixed rays; the turn at b is the
     frame's."""
     a, ac, phase_ab, c, cc, phase_cb, tb = frame
     u = (d - a) / (1.0 - ac * d)

@@ -16,7 +16,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, absolute_crossings
+from .cycles import GeneralizedCycle, coefficient_crossings
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -101,7 +101,7 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
     if abs(ec) + er <= 1.0 + 1e-12:
         cv.circle(elem_id, ec, er, stroke, width)
         return
-    crossings = absolute_crossings(cycle, 1.0)
+    crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c, 1.0, 0j, -1.0)
     if len(crossings) < 2:
         return  # wholly outside the disk: nothing to draw
     p, q = crossings

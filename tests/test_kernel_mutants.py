@@ -8,8 +8,8 @@ when some check on it fails.  Every mutant in MUTANTS must be caught on
 at least CAUGHT_AT_LEAST of them, every one in TANGENT_CEVIAN_MUTANTS
 on each instance where tangent_cevians runs, and every one in
 RADICAL_AXIS_MUTANTS on each instance where radical_axis runs with a
-circle member, and every one in TRAPEZOID_MUTANTS on each converse
-trapezoid instance.  SURVIVORS lists the mutants no check can catch, each
+circle member, and every one in TRAPEZOID_MUTANTS on each trapezoid
+instance.  SURVIVORS lists the mutants no check can catch, each
 with its reason; the gate checks that they still survive, so a change
 that starts catching one must move it.
 """
@@ -239,10 +239,11 @@ RADICAL_AXIS_MUTANTS = {
     "power_scaled_1e-6": (power, "power_of_point", _power_scaled),
 }
 
-# Only the converse trapezoid draws, at odd instance indices, solve the
-# angle balance through this kernel; the forward draws and the check
-# itself read convex_quad_angles.  Each must fail every converse
-# instance and leave every forward one passing.
+# convex_quad_angles, the forward search and the converse draws' angle
+# balance all take their angles from this kernel.  The check then sees a
+# forward quad's balance off by the shift, and a converse quad balanced
+# against the shifted angles off its area locus, so each must fail every
+# trapezoid instance, forward and converse alike.
 TRAPEZOID_MUTANTS = {
     "quad_kernel_first_angle_shifted_1e-6": (geom_core, "quad_angles_in_frame",
                                              _framed_first_angle_shifted),
@@ -338,11 +339,10 @@ def _trapezoid_statuses():
 
 
 @pytest.mark.parametrize("mutant", sorted(TRAPEZOID_MUTANTS))
-def test_trapezoid_mutant_fails_every_converse_instance(monkeypatch, mutant):
+def test_trapezoid_mutant_fails_every_trapezoid_instance(monkeypatch, mutant):
     assert _trapezoid_statuses() == ["pass"] * TRIALS
     _apply(monkeypatch, *TRAPEZOID_MUTANTS[mutant])
-    mutated = _trapezoid_statuses()
-    assert mutated == ["fail" if idx % 2 else "pass" for idx in range(TRIALS)], mutant
+    assert _trapezoid_statuses() == ["fail"] * TRIALS, mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))

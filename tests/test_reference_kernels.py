@@ -2,10 +2,11 @@
 
 Each reference below is the former code, kept as the oracle: the cos/sin
 arc sampler, the list-based quad turns, the sampler's three
-signed_angle calls, the trapezoid search that built and sorted all 48
-locus samples, with its balance through convex_quad_angles, and the arc
-instance that built 24 samples to keep two.  Results are compared as packed doubles, so a signed
-zero or a last-bit difference counts, and errors by type.  Two rewrites
+signed_angle calls, intersect on two built cycles, the trapezoid search
+that built and sorted all 48 locus samples, with its balance through
+the list-based turns, and the arc instance that built 24 samples to
+keep two.  Results are compared as packed doubles, so a signed zero or
+a last-bit difference counts, and errors by type.  Two rewrites
 changed the arithmetic and are compared within rounding instead: the
 side frame's zeta against the former frame's radius and angle, and the
 concurrency pencil, which replaced a pairwise scan, against its 50-digit
@@ -18,6 +19,7 @@ import itertools
 import math
 import struct
 import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -37,15 +39,13 @@ from hypfeuer.cycles import (
     through_normal,
     unit_normal,
 )
-from hypfeuer.errors import DivergentCevians, GeometryError
+from hypfeuer.errors import DivergentCevians, GeometryError, IdenticalCycles
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
     complex_angle,
     convex_quad_angles,
     mobius_to_origin,
-    quad_angles_in_frame,
-    quad_frame,
     signed_angle,
     triangle_area,
 )
@@ -149,6 +149,38 @@ def _ref_sample_points(cycle, count, margin=1e-6):
     lo, hi = t0 + pad, t1 - pad
     return [ec + er * complex(math.cos(t), math.sin(t))
             for t in (lo + (hi - lo) * k / (count - 1) for k in range(count))]
+
+
+def _ref_intersect(c1, c2):
+    if c1.is_line and c2.is_line:
+        return cycles._intersect_lines(c1, c2)
+    b_l = c2.a * c1.b - c1.a * c2.b
+    c_l = c2.a * c1.c - c1.a * c2.c
+    if abs(b_l) < 1e-15:
+        if abs(c_l) < 1e-15:
+            raise IdenticalCycles("cycles share every coefficient ratio")
+        return ()
+    base = c1 if abs(c1.a) >= abs(c2.a) else c2
+    z0 = -c_l * b_l / (2.0 * abs(b_l) ** 2)
+    d = 1j * b_l / abs(b_l)
+    qa = base.a
+    qb = 2.0 * (base.a * (z0.conjugate() * d).real + (base.b.conjugate() * d).real)
+    qc = base.evaluate(z0)
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return ()
+    root = math.sqrt(disc)
+    if qb >= 0.0:
+        q = -(qb + root) / 2.0
+    else:
+        q = -(qb - root) / 2.0
+    sols = [q / qa, qc / q] if q != 0.0 else [0.0]
+    out = []
+    for s in sols:
+        z = z0 + s * d
+        if not any(abs(z - w) < 1e-13 for w in out):
+            out.append(z)
+    return tuple(out)
 
 
 def _ref_convex_quad_angles(a, b, c, d):
@@ -395,18 +427,27 @@ def test_sample_points_matches_the_reference():
     assert paths == {"line", "arc", "whole"}
 
 
-def test_absolute_crossings_match_intersect():
-    # the crossings sample_frame and the SVG clip read, against intersect
-    # with the origin-centred circle built
-    counts = {0: 0, 1: 0, 2: 0}
-    for idx, cycle in enumerate(_cycles(Random(31))):
-        if cycle.is_line:
-            continue
+def test_intersect_matches_the_former_one():
+    # each cycle against its predecessor, against the absolute or a
+    # shrunk absolute as sample_frame and the SVG clip take them, and
+    # against itself; and circles of center m and radius 1 - |m|, exact
+    # in binary, which touch the absolute at one point
+    outcomes = Counter()
+    pool = list(itertools.islice(_cycles(Random(31)), 2_000))
+    pairs = []
+    for idx, cycle in enumerate(pool):
         radius2 = (1.0, (1.0 - 1e-6) ** 2, (1.0 - 0.07) ** 2)[idx % 3]
-        _same(cycles.absolute_crossings, lambda c, r2: intersect(
-            c, GeneralizedCycle(1.0, 0j, -r2)), cycle, radius2)
-        counts[len(intersect(cycle, GeneralizedCycle(1.0, 0j, -radius2)))] += 1
-    assert counts[0] and counts[2]
+        pairs += [(cycle, other) for other in
+                  (pool[idx - 1], GeneralizedCycle(1.0, 0j, -radius2), cycle)]
+    for m in (0.5, -0.75, 0.25j, -0.5j):
+        touching = GeneralizedCycle(1.0, -m, abs(m) ** 2 - (1.0 - abs(m)) ** 2)
+        pairs += [(touching, GeneralizedCycle(1.0, 0j, -1.0)),
+                  (GeneralizedCycle(1.0, 0j, -1.0), touching)]
+    for c1, c2 in pairs:
+        _same(intersect, _ref_intersect, c1, c2)
+        kind, value = _outcome(intersect, c1, c2)
+        outcomes[len(value) if kind == "value" else value] += 1
+    assert outcomes[0] and outcomes[1] and outcomes[2] and outcomes[IdenticalCycles]
 
 
 def _quads(rng):
@@ -426,6 +467,16 @@ def _quads(rng):
     yield [0.5, 0.5, -0.5, 0.4j]
     yield [0j, 0.5, 0.5 + 0.3j, 0.3j]
     yield [0.5, 0.5j, -0.5, "not a point"]
+    # each pair of vertices equal, and closer than the coincidence floor
+    for _ in range(500):
+        pts = [_disk_point(rng, 0.9) for _ in range(4)]
+        for i, j in itertools.combinations(range(4), 2):
+            quad = list(pts)
+            quad[j] = quad[i]
+            yield quad
+            quad = list(pts)
+            quad[j] = quad[i] + 1e-15
+            yield quad
 
 
 def test_convex_quad_angles_matches_the_reference():
@@ -435,34 +486,6 @@ def test_convex_quad_angles_matches_the_reference():
         kind, value = _outcome(convex_quad_angles, *quad)
         kinds.add("not convex" if kind == "value" and value is None else kind)
     assert kinds == {"value", "not convex", "raises"}
-
-
-def _framed_quads(rng):
-    """Complex quads only, as the balance kernel takes them: random ones
-    in both orientations (mostly non-convex), the special quads above,
-    and each pair of vertices made to coincide."""
-    for quad in _quads(rng):
-        if all(type(p) is complex for p in quad):
-            yield quad
-    for _ in range(500):
-        pts = [_disk_point(rng, 0.9) for _ in range(4)]
-        for i, j in itertools.combinations(range(4), 2):
-            quad = list(pts)
-            quad[j] = quad[i]
-            yield quad
-            # and one closer than the coincidence floor, not equal
-            quad[j] = quad[i] + 1e-15
-            yield quad
-
-
-def test_quad_balance_kernel_matches_convex_quad_angles():
-    kinds = set()
-    for a, b, c, d in _framed_quads(Random(17)):
-        _same(lambda *q: quad_angles_in_frame(quad_frame(*q[:3]), q[3]),
-              convex_quad_angles, a, b, c, d)
-        kind, value = _outcome(convex_quad_angles, a, b, c, d)
-        kinds.add("not convex" if value is None else kind)
-    assert kinds == {"value", "not convex"}
 
 
 @pytest.mark.parametrize("converse", (False, True))
