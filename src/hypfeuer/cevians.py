@@ -38,8 +38,8 @@ vertex's frame; the point where two circles touch is one radius from a
 center toward or away from the other center, a hyperboloid vector
 (`tangent_contact`).
 
-Everything degenerate is flagged on the returned TriangleConfig rather
-than raised: large triangles routinely lose their circumcenter, their
+An object that cannot exist is None on the returned TriangleConfig, not
+raised: large triangles routinely lose their circumcenter, their
 pseudo-orthocenter, or one or more excircles beyond the absolute.
 """
 
@@ -57,10 +57,8 @@ from .geom_core import (
     mobius_to_origin,
 )
 from .cycles import (
-    INTERIOR_MARGIN,
     GeneralizedCycle,
     _circle_vector,
-    _to_disk,
     _translate_raw,
     circle_from_center_radius,
     cycle_through,
@@ -150,13 +148,11 @@ def concurrency_point(normals) -> tuple[complex, float]:
     count = len(normals)
     best_q, best = -math.inf, None
     for i in range(count - 1):
-        a1, x1, y1 = normals[i]
         for j in range(i + 1, count):
-            a2, x2, y2 = normals[j]
-            mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+            m = mt, mx, my = through_normal(normals[i], normals[j])
             q = mt * mt - mx * mx - my * my
             if q > best_q:
-                best_q, best = q, (i, j, (mt, mx, my))
+                best_q, best = q, (i, j, m)
     if best is not None:
         i, j, m = best
         z = meet_point(*m)
@@ -193,8 +189,8 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
     |n_a| L_a flips the sign of n_a . X alone: the excenter beyond side a
     (and cyclically).  As |n_a| = sinh(a) |L_b| |L_c| for the side length
     a, X is the sum sinh(a) A + sinh(b) B + sinh(c) C of the unit vertex
-    vectors times a common factor.  A center exists when its sum is
-    timelike and its disk point keeps INTERIOR_MARGIN from the absolute.
+    vectors times a common factor.  A center exists where meet_point
+    reads its sum as a disk point INTERIOR_MARGIN clear of the absolute.
 
     The radius is the mean of the three side distances
     (plane_distances).  The built circle's center and radius are read
@@ -215,8 +211,8 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
                        (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
         x = (sa * at + sb * bt + sc * ct, sa * ax + sb * bx + sc * cx,
              sa * ay + sb * by + sc * cy)
-        z = _to_disk(*x)
-        if z is None or abs(z) >= 1.0 - INTERIOR_MARGIN:
+        z = meet_point(*x)
+        if z is None:
             specs.append(None)
             continue
         radius = sum(plane_distances(x, units)) / 3.0
@@ -313,24 +309,6 @@ def tangent_contact(circle: CircleVector, other: CircleVector, inside: bool,
     return (cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
 
 
-class _lazy:
-    """functools.cached_property without the lock it takes on every first
-    access in Python 3.11: the first read of the attribute on an
-    instance calls the method and stores the result in the instance's
-    __dict__, which later reads find before this descriptor."""
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
 @dataclass
 class CevianFeet:
     """The feet that exist, keyed by the vertex they are dropped from."""
@@ -341,14 +319,15 @@ class CevianFeet:
 
 @dataclass
 class TriangleConfig:
-    """Every derived object of one triangle, with degeneracy flags.
+    """Every derived object of one triangle: one that does not exist is
+    None or missing from its dict, and `flags` say why, for the report.
 
     Each vertex and foot is lifted once (point_lift), and each side and
     cevian is kept as its normal, the cross product of its two lifts
     (through_normal): the checks read these.  The geodesics that
     construct and render print, `sides`, `bisector_cevians` and
-    `pseudoaltitude_cevians`, are built from the stored normals on first
-    use, bit for bit what geodesic_through gives.
+    `pseudoaltitude_cevians`, are built from the stored normals on each
+    read, bit for bit what geodesic_through gives.
     """
 
     triangle: Triangle
@@ -372,22 +351,18 @@ class TriangleConfig:
     excircles: dict[str, CircleSpec | None]
     flags: list[str]
 
-    @_lazy
+    @property
     def sides(self) -> dict[str, GeneralizedCycle]:
         """Geodesic carrying the side opposite each vertex."""
         return {v: geodesic_of_normal(n) for v, n in self.side_normals.items()}
 
-    @_lazy
+    @property
     def bisector_cevians(self) -> dict[str, GeneralizedCycle]:
         return {v: geodesic_of_normal(n) for v, n in self.bisector_normals.items()}
 
-    @_lazy
+    @property
     def pseudoaltitude_cevians(self) -> dict[str, GeneralizedCycle]:
         return {v: geodesic_of_normal(n) for v, n in self.pseudoaltitude_normals.items()}
-
-    def flagged(self, *prefixes: str) -> bool:
-        """True if any flag starts with one of the given prefixes."""
-        return any(f.startswith(prefixes) for f in self.flags)
 
 
 def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):

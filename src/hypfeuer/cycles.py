@@ -410,9 +410,8 @@ def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
     exactly when m is timelike (_to_disk); m vanishes only for one
     geodesic twice.
     """
-    a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
-    a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
-    mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
+    mt, mx, my = through_normal((g1.a, g1.b.real, g1.b.imag),
+                                (g2.a, g2.b.real, g2.b.imag))
     if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
         raise IdenticalCycles("one geodesic twice")
     return meet_point(mt, mx, my)

@@ -51,6 +51,7 @@ from .cycles import (
     geodesic_meet,
     geodesic_through,
     point_geodesic_distance,
+    through_normal,
 )
 
 
@@ -94,15 +95,15 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
     if abs(br) ** 2 - ar * ar <= 1e-28:
         try:
-            t1, x1, y1, n1, _ = _circle_vector(c1)
-            t2, x2, y2, n2, _ = _circle_vector(c2)
+            *p1, n1, _ = _circle_vector(c1)
+            *p2, n2, _ = _circle_vector(c2)
         except NoHyperbolicCenter:
             pass
         else:
             # concentric circles have parallel P vectors: their cross
             # product has Minkowski norm |P1| |P2| sinh d for the distance
             # d between the centers
-            mt, mx, my = x1 * y2 - y1 * x2, y1 * t2 - t1 * y2, t1 * x2 - x1 * t2
+            mt, mx, my = through_normal(p1, p2)
             if mx * mx + my * my - mt * mt < (1e-10 * n1 * n2) ** 2:
                 raise ConcentricCycles("the circles share a hyperbolic center")
         raise AxisOutsideDisk("radical axis has no interior locus")

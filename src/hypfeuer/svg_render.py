@@ -16,7 +16,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, coefficient_crossings
+from .cycles import GeneralizedCycle, coefficient_crossings, sample_frame
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -36,11 +36,11 @@ class _Canvas:
         return self.mid + self.scale * z.real, self.mid - self.scale * z.imag
 
     def circle(self, elem_id: str, center: complex, radius: float,
-               stroke: str, width: float, fill: str = "none"):
+               stroke: str, width: float):
         cx, cy = self.xy(center)
         self.parts.append(
             f'<circle id="{elem_id}" cx="{cx:.4f}" cy="{cy:.4f}" '
-            f'r="{radius * self.scale:.4f}" fill="{fill}" '
+            f'r="{radius * self.scale:.4f}" fill="none" '
             f'stroke="{stroke}" stroke-width="{width}"/>')
 
     def dot(self, elem_id: str, z: complex, color: str, r: float = 2.6):
@@ -92,9 +92,7 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
                 stroke: str, width: float):
     """Whole cycle, clipped to the unit disk when it reaches the absolute."""
     if cycle.is_line:
-        d = 1j * cycle.b / abs(cycle.b)
-        z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
-        half = math.sqrt(max(0.0, 1.0 - abs(z0) ** 2))
+        _, z0, d, half = sample_frame(cycle, 0.0)
         cv.line(elem_id, z0 - half * d, z0 + half * d, stroke, width)
         return
     ec, er = cycle.euclid_center_radius()
@@ -122,9 +120,9 @@ def render_svg(cfg: TriangleConfig) -> str:
 
     cv.circle("absolute", 0j, 1.0, "#000000", 1.5)
 
-    for v in ("a", "b", "c"):
+    for v, side in cfg.sides.items():
         _, p, q = tri.opposite(v)
-        _draw_segment(cv, f"side-{v}", cfg.sides[v], p, q, "#1a1a1a", 1.6)
+        _draw_segment(cv, f"side-{v}", side, p, q, "#1a1a1a", 1.6)
     for v in ("a", "b", "c"):
         z = verts[v]
         cv.dot(f"vertex-{v}", z, "#1a1a1a", 3.0)
@@ -132,14 +130,13 @@ def render_svg(cfg: TriangleConfig) -> str:
         cv.text(f"label-{v}", z * min(1.12, LABEL_REACH / abs(z)) if abs(z) > 1e-9
                 else z + 0.06, v)
 
+    # build_config keeps a cevian exactly where its foot exists
     for v, line in sorted(cfg.bisector_cevians.items()):
-        if v in cfg.feet.bisector:
-            _draw_segment(cv, f"bisector-cevian-{v}", line, verts[v],
-                          cfg.feet.bisector[v], "#7a7a7a", 0.9)
+        _draw_segment(cv, f"bisector-cevian-{v}", line, verts[v],
+                      cfg.feet.bisector[v], "#7a7a7a", 0.9)
     for v, line in sorted(cfg.pseudoaltitude_cevians.items()):
-        if v in cfg.feet.pseudoaltitude:
-            _draw_segment(cv, f"pseudoaltitude-cevian-{v}", line, verts[v],
-                          cfg.feet.pseudoaltitude[v], "#bbbbbb", 0.9)
+        _draw_segment(cv, f"pseudoaltitude-cevian-{v}", line, verts[v],
+                      cfg.feet.pseudoaltitude[v], "#bbbbbb", 0.9)
 
     _draw_cycle(cv, "circumcircle", cfg.circumcircle, "#9467bd", 1.1)
 

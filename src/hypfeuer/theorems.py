@@ -3,8 +3,9 @@
 Every check returns a TheoremCheck: a named residual compared against a
 tolerance, with a witness dictionary holding the objects involved.  A
 check never raises on a degenerate instance; it returns status
-"skipped" carrying the upstream degeneracy flag instead, so suite
-statistics stay honest (nothing absent is silently dropped).
+"skipped" with a named reason instead, so suite statistics stay honest
+(nothing absent is silently dropped).  A triangle check skips when an
+object it reads is None on the TriangleConfig, never on its flags.
 
 Tolerance tiers: constructive identities get 1e-10, single theorem
 statements 1e-9, and results sitting at the end of a tangency or
@@ -247,7 +248,7 @@ def check_six_point(cfg: TriangleConfig,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """The circle through the bisector feet contains the pseudoaltitude
     feet, and its radius is its center's distance to each bisector foot."""
-    if cfg.flagged("bracket_failure", "no_euler_circle"):
+    if cfg.euler_circle is None or len(cfg.euler_membership) < 3:
         return _skip("six_point", tol.theorem, "cevian_degeneracy")
     residual = max(cfg.euler_membership.values())
     witness: dict = {"membership": dict(cfg.euler_membership)}
@@ -263,22 +264,17 @@ def _radius_gap(center: complex, radius: float, points) -> float:
     return max(abs(hyp_distance(center, p) - radius) for p in points)
 
 
-_EULER_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
-                "no_circumcenter", "divergent_bisector_cevians",
-                "divergent_pseudoaltitude_cevians")
-
-
 def check_euler_line(cfg: TriangleConfig,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Collinearity of circumcenter, Euler center, bisector point and
     pseudo-orthocenter, and the circumradius at every vertex."""
-    if cfg.flagged(*_EULER_FLAGS):
-        return _skip("euler_line", tol.theorem, "center_undefined")
     o = cfg.circumcenter
-    radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
     others = {"euler_center": cfg.euler_center,
               "bisector_point": cfg.bisector_point,
               "pseudo_orthocenter": cfg.pseudo_orthocenter}
+    if o is None or None in others.values():
+        return _skip("euler_line", tol.theorem, "center_undefined")
+    radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
     far_name, far = max(others.items(), key=lambda kv: hyp_distance(o, kv[1]))
     witness: dict = {"anchor": far_name, "radius_gap": radius_gap}
     if hyp_distance(o, far) < 1e-12:
@@ -298,11 +294,10 @@ def check_euler_ratios(cfg: TriangleConfig,
     constants of the circumcircle-to-Euler-circle maps).  The residual
     also takes the concurrency residuals of both cevian families, the
     pencil determinants that define M and H (concurrency_point)."""
-    if cfg.flagged("bracket_failure", "divergent_bisector_cevians",
-                   "divergent_pseudoaltitude_cevians"):
+    m, h = cfg.bisector_point, cfg.pseudo_orthocenter
+    if m is None or h is None:
         return _skip("euler_ratios", tol.construct, "cevian_degeneracy")
     verts = cfg.triangle.vertices
-    m, h = cfg.bisector_point, cfg.pseudo_orthocenter
     ratios = [pseudolength(m, cfg.feet.bisector[v]) / pseudolength(m, verts[v])
               for v in ("a", "b", "c")]
     products = [pseudolength(h, cfg.feet.pseudoaltitude[v]) * pseudolength(h, verts[v])
@@ -319,7 +314,7 @@ def check_feuerbach(cfg: TriangleConfig,
     that exists; absent excircles reduce the check set and are recorded.
     The residual also takes each existing circle's tangency_gap, how far
     the built circle is from touching the three sides (tangent_circles)."""
-    if cfg.flagged("bracket_failure", "no_euler_circle") or cfg.incircle is None:
+    if cfg.euler_circle is None or cfg.incircle is None:
         return _skip("feuerbach", tol.chain, "euler_or_incircle_missing")
     witness: dict = {}
     r = tangency_residual(cfg.euler_circle, cfg.incircle.cycle)
@@ -444,7 +439,7 @@ def check_tangent_cevians(cfg: TriangleConfig,
     residual also takes each circle's tangency gap (tangent_contact):
     a small triangle's cevians move too little to show a circle that
     misses the circumcircle."""
-    if cfg.flagged("no_circumcenter"):
+    if cfg.circumcenter is None:
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
     w = cfg.circumcircle
     target = circle_vector(w)
@@ -467,10 +462,6 @@ def check_tangent_cevians(cfg: TriangleConfig,
                    {"point": point, "tangency_gap": tangency})
 
 
-_FEUERBACH_POINT_FLAGS = ("bracket_failure", "no_euler_circle", "no_euler_center",
-                          "excircle_absent")
-
-
 def check_feuerbach_point(cfg: TriangleConfig,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Concurrency of the incircle-contact-to-incenter line with the three
@@ -479,7 +470,7 @@ def check_feuerbach_point(cfg: TriangleConfig,
     Euler circle from inside, the excircles from outside; the Euler
     circle and the incircle of an equilateral triangle are one circle,
     with no contact point."""
-    if cfg.flagged(*_FEUERBACH_POINT_FLAGS) or cfg.incircle is None:
+    if cfg.euler_center is None or cfg.incircle is None or None in cfg.excircles.values():
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     euler = circle_vector(cfg.euler_circle)
     inc = circle_vector(cfg.incircle.cycle)

@@ -544,14 +544,6 @@ def test_flags_are_sorted_strings():
             assert isinstance(f, str)
 
 
-def test_flagged_prefix_matching():
-    cfg = next(c for c in (build_config(random_triangle(instance_rng(106, i))[0])
-                           for i in range(60)) if c.flags)
-    prefix = cfg.flags[0].rsplit("_", 1)[0]
-    assert cfg.flagged(prefix)
-    assert not cfg.flagged("nonexistent_prefix")
-
-
 def test_euclidean_limit_of_feet():
     # tiny triangles behave euclidean: bisector foot -> midpoint,
     # pseudoaltitude foot -> altitude foot

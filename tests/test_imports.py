@@ -138,3 +138,27 @@ def test_theorems_defines_only_checks():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     assert public
     assert [name for name in public if not name.startswith("check_")] == []
+
+
+# what cevians.build_config writes into TriangleConfig.flags begins so
+CONFIG_FLAG_PREFIXES = ("bracket_failure_", "no_", "divergent_", "excircle_absent_")
+
+
+def string_constants(source: str) -> list[str]:
+    """Every string constant in a module, f-string parts included."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_string_constants_are_found():
+    source = "x = 'no_a'\ny = f'no_{x}'\nz = 3\n"
+    assert string_constants(source) == ["no_a", "no_"]
+
+
+@pytest.mark.parametrize("module", ["theorems.py", "cli.py", "svg_render.py"])
+def test_only_cevians_names_config_flags(module):
+    # a check skips on the objects it reads, so no reader of a
+    # TriangleConfig needs to know how its flags are spelled
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        source = fh.read()
+    assert [s for s in string_constants(source) if s.startswith(CONFIG_FLAG_PREFIXES)] == []

@@ -252,10 +252,10 @@ TRAPEZOID_MUTANTS = {
 SURVIVORS = {
     # the other root is the meet's inverse in the absolute, always
     # outside the disk, so every meet reads as "none inside": the
-    # pencils diverge, the concurrency points go missing and the checks
-    # that need a meet skip instead of failing; only their skips show it
-    # (pinned below).  The tritangent circles are sums of vertex vectors,
-    # so feuerbach runs
+    # pencils diverge, the concurrency points and the tritangent centers
+    # (sums of vertex vectors read back through the meet) go missing,
+    # and the checks that need them skip instead of failing; only their
+    # skips show it (pinned below)
     "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, classification and
@@ -353,6 +353,6 @@ def test_survivor_still_survives(monkeypatch, mutant):
     assert failing < CAUGHT_AT_LEAST, (mutant, failing)
     if mutant == "meet_other_root":
         # every check that needs an interior meet now skips everywhere
-        for name in ("euler_line", "euler_ratios", "tangent_cevians",
+        for name in ("euler_line", "euler_ratios", "feuerbach", "tangent_cevians",
                      "feuerbach_point"):
             assert honest_skips[name] < skipped[name] == TRIALS, name

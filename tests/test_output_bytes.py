@@ -15,6 +15,12 @@ inscribed_angle,trapezoid,lexell,radical_axis,monge --trials 200 --seed
 the trapezoid search and the arc instance were made to compute only the
 samples they read.
 
+The sweep runs every suite over 200 instances for each seed 0-5 per
+box (`verify --suite all --trials 200 --seed S`, "verify-sweep", one
+digest over the six outputs), recorded at commit 0731db2, before the
+triangle checks were made to skip on the objects they read rather than
+on the configuration's flags.
+
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
 outputs it touches in CHANGES.md.
@@ -57,12 +63,19 @@ DIGESTS = {
         "4f6311dc91e21a593ac09c93626b786df874fbd0056034cecda3da6986a3d03c",
     ("verify-drawn", 0.25):
         "64c5b36cf61bf5b9ed8cf7acc6e10fd5cefbfedc7a255e7c1fcf2c3d78b8dbc3",
+    ("verify-sweep", 0.7):
+        "28b58fb7fbd55fcc5f584d250645f79cb6c3d9ad08992a01a2ad8b1280309e77",
+    ("verify-sweep", 0.25):
+        "c550eecdbf0edb1398ad20a2c3337fb3d0c1967ce5438d105b627200da90fae5",
 }
 
+# the verify arguments of each run a digest covers
 VERIFY_RUNS = {
-    "verify": ["--suite", "all", "--trials", "20", "--seed", "7"],
-    "verify-drawn": ["--suite", "inscribed_angle,trapezoid,lexell,radical_axis,monge",
-                     "--trials", "200", "--seed", "0"],
+    "verify": [["--suite", "all", "--trials", "20", "--seed", "7"]],
+    "verify-drawn": [["--suite", "inscribed_angle,trapezoid,lexell,radical_axis,monge",
+                      "--trials", "200", "--seed", "0"]],
+    "verify-sweep": [["--suite", "all", "--trials", "200", "--seed", str(seed)]
+                     for seed in range(6)],
 }
 
 
@@ -80,7 +93,8 @@ def _digest(command: str, box: float, tmp_path, capsys) -> str:
     if command in VERIFY_RUNS:
         scenario = tmp_path / "box.json"
         scenario.write_text(json.dumps({"max_vertex_radius": box}))
-        runs = [["verify", *VERIFY_RUNS[command], "--scenario", str(scenario)]]
+        runs = [["verify", *args, "--scenario", str(scenario)]
+                for args in VERIFY_RUNS[command]]
     else:
         runs = [[*COMMANDS[command], f"--triangle={t}"] for t in seeded_triangles(box)]
     for argv in runs:

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import cli, geom_core, instances, power, theorems
+from hypfeuer import cevians, cli, geom_core, instances, power, theorems
 from hypfeuer.cevians import _shoot_tangent_circle, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -26,6 +26,7 @@ from hypfeuer.cycles import (
     transform,
 )
 from hypfeuer.errors import (
+    BracketFailure,
     DegenerateAngle,
     DegenerateConfiguration,
     GeometryError,
@@ -342,6 +343,34 @@ def test_feuerbach_all_excircles_small_box():
     assert chk.status == "pass"
     for v in "abc":
         assert chk.witness[f"excircle_{v}"] < 1e-8
+
+
+def test_a_missing_pseudoaltitude_foot_skips_only_its_readers(monkeypatch):
+    # no sampled triangle puts a pseudoaltitude foot past the ideal
+    # endpoints, so one is forced at a.  That foot takes the Euler
+    # circle's membership and the pseudo-orthocenter with it, but not
+    # the Euler circle, which the bisector feet span, nor the tritangent
+    # circles: the checks that read only those still run
+    tri = full_configs(613, 1)[0].triangle
+    side_a = tri.opposite("a")[1]
+    original = cevians.pseudoaltitude_foot
+
+    def beyond_at_a(frame):
+        if frame[0] == side_a:
+            raise BracketFailure("pseudoaltitude foot beyond the ideal endpoints")
+        return original(frame)
+
+    monkeypatch.setattr(cevians, "pseudoaltitude_foot", beyond_at_a)
+    cfg = build_config(tri)
+    assert cfg.flags == ["bracket_failure_pseudoaltitude_a",
+                         "divergent_pseudoaltitude_cevians"]
+    for check, flag in ((check_six_point, "cevian_degeneracy"),
+                        (check_euler_line, "center_undefined"),
+                        (check_euler_ratios, "cevian_degeneracy")):
+        chk = check(cfg)
+        assert (chk.status, chk.flag) == ("skipped", flag), chk.name
+    for check in (check_feuerbach, check_feuerbach_point):
+        assert check(cfg).status == "pass", check
 
 
 def test_triangle_checks_isometry_equivariant():
