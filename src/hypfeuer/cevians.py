@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .errors import BracketFailure, DegenerateAngle, DivergentCevians, GeometryError
 from .geom_core import (
     COINCIDENT_EPS,
+    Record,
     Triangle,
     mobius_from_origin,
     mobius_to_origin,
@@ -162,15 +162,18 @@ def concurrency_point(normals) -> tuple[complex, float]:
     raise DivergentCevians("the most transversal pair does not meet inside the disk")
 
 
-@dataclass(frozen=True)
-class CircleSpec:
+class CircleSpec(Record):
     """A tangent circle and how far its built cycle is from touching
     the three sides."""
 
-    center: complex
-    radius: float
-    cycle: GeneralizedCycle
-    tangency_gap: float
+    __slots__ = ("center", "radius", "cycle", "tangency_gap")
+
+    def __init__(self, center: complex, radius: float, cycle: GeneralizedCycle,
+                 tangency_gap: float):
+        self.center = center
+        self.radius = radius
+        self.cycle = cycle
+        self.tangency_gap = tangency_gap
 
 
 def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
@@ -309,16 +312,18 @@ def tangent_contact(circle: CircleVector, other: CircleVector, inside: bool,
     return (cosh_r * t1 + k * nt, cosh_r * x1 + k * nx, cosh_r * y1 + k * ny), gap
 
 
-@dataclass
-class CevianFeet:
+class CevianFeet(Record):
     """The feet that exist, keyed by the vertex they are dropped from."""
 
-    bisector: dict[str, complex] = field(default_factory=dict)
-    pseudoaltitude: dict[str, complex] = field(default_factory=dict)
+    __slots__ = ("bisector", "pseudoaltitude")
+
+    def __init__(self, bisector: dict[str, complex] | None = None,
+                 pseudoaltitude: dict[str, complex] | None = None):
+        self.bisector = {} if bisector is None else bisector
+        self.pseudoaltitude = {} if pseudoaltitude is None else pseudoaltitude
 
 
-@dataclass
-class TriangleConfig:
+class TriangleConfig(Record):
     """Every derived object of one triangle: one that does not exist is
     None or missing from its dict, and `flags` say why, for the report.
 
@@ -330,26 +335,43 @@ class TriangleConfig:
     read, bit for bit what geodesic_through gives.
     """
 
-    triangle: Triangle
-    feet: CevianFeet
-    lifts: dict[str, Vector]
-    side_normals: dict[str, Vector]
-    bisector_normals: dict[str, Vector]
-    pseudoaltitude_normals: dict[str, Vector]
-    circumcircle: GeneralizedCycle
-    circumcenter: complex | None
-    circumradius: float | None
-    euler_circle: GeneralizedCycle | None
-    euler_center: complex | None
-    euler_radius: float | None
-    euler_membership: dict[str, float]
-    bisector_point: complex | None
-    bisector_residual: float | None
-    pseudo_orthocenter: complex | None
-    orthocenter_residual: float | None
-    incircle: CircleSpec | None
-    excircles: dict[str, CircleSpec | None]
-    flags: list[str]
+    __slots__ = ("triangle", "feet", "lifts", "side_normals", "bisector_normals",
+                 "pseudoaltitude_normals", "circumcircle", "circumcenter",
+                 "circumradius", "euler_circle", "euler_center", "euler_radius",
+                 "euler_membership", "bisector_point", "bisector_residual",
+                 "pseudo_orthocenter", "orthocenter_residual", "incircle",
+                 "excircles", "flags")
+
+    def __init__(self, triangle: Triangle, feet: CevianFeet, lifts: dict[str, Vector],
+                 side_normals: dict[str, Vector], bisector_normals: dict[str, Vector],
+                 pseudoaltitude_normals: dict[str, Vector],
+                 circumcircle: GeneralizedCycle, circumcenter: complex | None,
+                 circumradius: float | None, euler_circle: GeneralizedCycle | None,
+                 euler_center: complex | None, euler_radius: float | None,
+                 euler_membership: dict[str, float], bisector_point: complex | None,
+                 bisector_residual: float | None, pseudo_orthocenter: complex | None,
+                 orthocenter_residual: float | None, incircle: CircleSpec | None,
+                 excircles: dict[str, CircleSpec | None], flags: list[str]):
+        self.triangle = triangle
+        self.feet = feet
+        self.lifts = lifts
+        self.side_normals = side_normals
+        self.bisector_normals = bisector_normals
+        self.pseudoaltitude_normals = pseudoaltitude_normals
+        self.circumcircle = circumcircle
+        self.circumcenter = circumcenter
+        self.circumradius = circumradius
+        self.euler_circle = euler_circle
+        self.euler_center = euler_center
+        self.euler_radius = euler_radius
+        self.euler_membership = euler_membership
+        self.bisector_point = bisector_point
+        self.bisector_residual = bisector_residual
+        self.pseudo_orthocenter = pseudo_orthocenter
+        self.orthocenter_residual = orthocenter_residual
+        self.incircle = incircle
+        self.excircles = excircles
+        self.flags = flags
 
     @property
     def sides(self) -> dict[str, GeneralizedCycle]:
@@ -367,13 +389,14 @@ class TriangleConfig:
 
 def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):
     """(point, residual) of a cevian family with all three feet, or
-    (None, None) with the flag added."""
+    (None, None): with the flag added when the three cevians do not
+    meet, and without it when a foot is missing, whose bracket_failure
+    flag already names the cause."""
     if len(normals) == 3:
         try:
             return concurrency_point([unit_normal(normals[v]) for v in VERTICES])
         except DivergentCevians:
-            pass
-    flags.add(flag)
+            flags.add(flag)
     return None, None
 
 

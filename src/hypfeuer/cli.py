@@ -18,11 +18,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 from .cevians import TriangleConfig, build_config
 from .errors import GeometryError, SamplingExhausted
-from .geom_core import Triangle
+from .geom_core import Record, Triangle
 from .instances import (
     DEFAULT_MAX_VERTEX_RADIUS,
     DEFAULT_MIN_ANGLE,
@@ -93,16 +92,24 @@ SUITE_ORDER = tuple(SUITES)
 TRIANGLE_SUITES = frozenset(n for n, (purpose, _) in SUITES.items() if purpose is None)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    seed: int = 0
-    trials: int = 10
-    suite: tuple[str, ...] = SUITE_ORDER
-    tolerances: Tolerances = DEFAULT_TOLERANCES
-    triangle: tuple[complex, complex, complex] | None = None
-    max_vertex_radius: float = DEFAULT_MAX_VERTEX_RADIUS
-    min_angle: float = DEFAULT_MIN_ANGLE
-    out: str | None = None
+class Scenario(Record):
+    __slots__ = ("seed", "trials", "suite", "tolerances", "triangle",
+                 "max_vertex_radius", "min_angle", "out")
+
+    def __init__(self, seed: int = 0, trials: int = 10,
+                 suite: tuple[str, ...] = SUITE_ORDER,
+                 tolerances: Tolerances = DEFAULT_TOLERANCES,
+                 triangle: tuple[complex, complex, complex] | None = None,
+                 max_vertex_radius: float = DEFAULT_MAX_VERTEX_RADIUS,
+                 min_angle: float = DEFAULT_MIN_ANGLE, out: str | None = None):
+        self.seed = seed
+        self.trials = trials
+        self.suite = suite
+        self.tolerances = tolerances
+        self.triangle = triangle
+        self.max_vertex_radius = max_vertex_radius
+        self.min_angle = min_angle
+        self.out = out
 
 
 # ------------------------------------------------------------- serialization
@@ -151,13 +158,14 @@ def parse_suite(spec) -> tuple[str, ...]:
 
 # Reports and configurations go through one recursive writer whose bytes
 # equal json.dumps(doc, indent=2, sort_keys=True) + "\n", with complex
-# values as format_complex strings and dataclasses as their fields.
-# json.dumps never takes its C encoder when asked for an indent, and its
-# generator-based fallback cost more than the constructions it wrote.
-# The writer takes what hypfeuer builds, each by its exact type: dicts
-# with str keys, lists, str, float, int, bool, None, complex and
-# dataclasses.  Anything else (a tuple, an enum, a subclass of one of
-# these, a non-str key) raises TypeError.
+# values as format_complex strings and records (geom_core.Record) and
+# dataclasses as their fields.  json.dumps never takes its C encoder
+# when asked for an indent, and its generator-based fallback cost more
+# than the constructions it wrote.  The writer takes what hypfeuer
+# builds, each by its exact type: dicts with str keys, lists, str,
+# float, int, bool, None, complex, records and dataclasses.  Anything
+# else (a tuple, an enum, a subclass of one of these, a non-str key)
+# raises TypeError.
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -176,7 +184,7 @@ class NonFiniteNumber(ValueError):
         return f"non-finite number {self.value!r} at {where} cannot be written as JSON"
 
 
-# dataclass type -> its field names, sorted; filled on first sight
+# record or dataclass type -> its field names, sorted; filled on first sight
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 # inner indent -> key -> the text before that key's value when it is not
@@ -274,11 +282,24 @@ def _write(obj, append, indent: str):
         append("false")
     elif t is int:
         append(int.__repr__(obj))
-    elif is_dataclass(t):
-        _FIELD_NAMES[t] = tuple(sorted(f.name for f in fields(t)))
-        _write(obj, append, indent)
     else:
-        raise TypeError(f"{t.__name__} is not JSON serializable")
+        names = _field_names(t)
+        if names is None:
+            raise TypeError(f"{t.__name__} is not JSON serializable")
+        _FIELD_NAMES[t] = names
+        _write(obj, append, indent)
+
+
+def _field_names(t: type) -> tuple[str, ...] | None:
+    """A record's or a dataclass's field names, sorted; None for any
+    other type.  A class can be a dataclass only once the dataclasses
+    module is loaded, so it is looked up, never imported."""
+    if issubclass(t, Record):
+        return tuple(sorted(t.__slots__))
+    dataclasses = sys.modules.get("dataclasses")
+    if dataclasses is None or not dataclasses.is_dataclass(t):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(t)))
 
 
 def _to_json(doc) -> str:
@@ -322,7 +343,8 @@ def run_verify(scn: Scenario) -> VerificationReport:
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
-        "tolerances": asdict(scn.tolerances),
+        "tolerances": {name: getattr(scn.tolerances, name)
+                       for name in Tolerances.__slots__},
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
         "triangle": dict(zip("abc", scn.triangle)) if scn.triangle else None,
@@ -436,7 +458,7 @@ def _check_scenario_types(data: dict):
     for key, value in data.items():
         _check_type(f"scenario key {key!r}", value, *_SCENARIO_TYPES[key])
     tolerances = data.get("tolerances", {})
-    unknown = set(tolerances) - {f.name for f in fields(Tolerances)}
+    unknown = set(tolerances) - set(Tolerances.__slots__)
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
     for key, value in tolerances.items():
@@ -477,7 +499,7 @@ def scenario_from_args(args) -> Scenario:
             tol_data[key] = flag
     tol = DEFAULT_TOLERANCES
     if tol_data:
-        tol = replace(tol, **{k: _tolerance(k, v) for k, v in tol_data.items()})
+        tol = tol.replace(**{k: _tolerance(k, v) for k, v in tol_data.items()})
 
     # Random seeds with |seed|, so a negative seed would repeat its positive twin
     seed = int(pick(args.seed, "seed", 0))

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -56,7 +55,14 @@ from .errors import (
     NotACircle,
     NotACycle,
 )
-from .geom_core import BOUNDARY_EPS, DiskIsometry, absolute_inverse, as_complex, check_disk
+from .geom_core import (
+    BOUNDARY_EPS,
+    DiskIsometry,
+    Record,
+    absolute_inverse,
+    as_complex,
+    check_disk,
+)
 
 # normalized |C - A| below this: the cycle is a geodesic
 GEODESIC_EPS = 1e-12
@@ -79,13 +85,15 @@ class CycleClass(Enum):
     EQUIDISTANT = "equidistant"
 
 
-@dataclass(frozen=True)
-class GeneralizedCycle:
+class GeneralizedCycle(Record):
     """Normalized coefficient triple (a real, b complex, c real)."""
 
-    a: float
-    b: complex
-    c: float
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: float, b: complex, c: float):
+        self.a = a
+        self.b = b
+        self.c = c
 
     @classmethod
     def of(cls, a: float, b: complex, c: float) -> "GeneralizedCycle":
@@ -119,11 +127,9 @@ class GeneralizedCycle:
                     lead = c
         if lead < 0.0:
             a, b, c = -a, -b, -c
-        # the fields the frozen __init__ sets, without its three
-        # object.__setattr__ calls, which cost as much as the lines above
+        # the slots __init__ sets, without the call into it
         cycle = _new_object(cls)
-        fields = cycle.__dict__
-        fields["a"], fields["b"], fields["c"] = a, b, c
+        cycle.a, cycle.b, cycle.c = a, b, c
         return cycle
 
     def evaluate(self, p) -> float:

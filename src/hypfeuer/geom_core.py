@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     BoundaryPoint,
@@ -296,19 +295,59 @@ def triangle_area(a, b, c) -> float:
     return area
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Record:
+    """Base of hypfeuer's value records.
+
+    A record class's ``__slots__`` are its fields, in the order its own
+    ``__init__`` takes them; the JSON writer in ``cli`` writes a record
+    as those fields.  Two records are equal when they are of one class
+    and their fields are equal (against another class ``==`` returns
+    NotImplemented), a record hashes as its field tuple, and
+    ``replace(**changes)`` builds a copy with some fields changed,
+    through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        values = [changes.pop(name) if name in changes else getattr(self, name)
+                  for name in self.__slots__]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field "
+                            f"{sorted(changes)[0]!r}")
+        return type(self)(*values)
+
+
+class Triangle(Record):
     """Three interior points, stored in clockwise order, with the area.
 
     Counterclockwise input is normalized by swapping b and c (recorded
     in ``swapped``) so that downstream sign conventions never branch.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    swapped: bool
-    area: float
+    __slots__ = ("a", "b", "c", "swapped", "area")
+
+    def __init__(self, a: complex, b: complex, c: complex, swapped: bool, area: float):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.swapped = swapped
+        self.area = area
 
     @classmethod
     def of(cls, a, b, c) -> "Triangle":
@@ -338,17 +377,17 @@ class Triangle:
         raise KeyError(vertex)
 
 
-@dataclass(frozen=True)
-class DiskIsometry:
+class DiskIsometry(Record):
     """z -> e^{i theta} (c(z) - a) / (1 - conj(a) c(z)), c = conj iff reflect:
     conjugation is applied first."""
 
-    a: complex = 0j
-    theta: float = 0.0
-    reflect: bool = False
+    __slots__ = ("a", "theta", "reflect")
 
-    def __post_init__(self):
-        check_disk(self.a)
+    def __init__(self, a: complex = 0j, theta: float = 0.0, reflect: bool = False):
+        check_disk(a)
+        self.a = a
+        self.theta = theta
+        self.reflect = reflect
 
     def __call__(self, p) -> complex:
         z = as_complex(p)

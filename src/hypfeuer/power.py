@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     AxisOutsideDisk,
@@ -42,7 +41,7 @@ from .errors import (
     NoHyperbolicCenter,
     NoInteriorCenter,
 )
-from .geom_core import as_complex
+from .geom_core import Record, as_complex
 from .cycles import (
     GeneralizedCycle,
     _circle_vector,
@@ -142,13 +141,15 @@ def inversion_cycle(center, r2: float, cycle: GeneralizedCycle) -> GeneralizedCy
     return GeneralizedCycle.of(a4, b4, c4)
 
 
-@dataclass(frozen=True)
-class HomotheticCenters:
+class HomotheticCenters(Record):
     """Positive and negative homothetic centers of two circles; a center
     that does not exist in the disk is None."""
 
-    positive: complex | None
-    negative: complex | None
+    __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: complex | None, negative: complex | None):
+        self.positive = positive
+        self.negative = negative
 
 
 def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> float:

@@ -20,7 +20,6 @@ instance generators reach it without importing the checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     AxisOutsideDisk,
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .geom_core import (
     TAU,
+    Record,
     as_complex,
     base_areas,
     convex_quad_angles,
@@ -70,51 +70,63 @@ from .power import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    construct: float = 1e-10
-    theorem: float = 1e-9
-    chain: float = 1e-8
+class Tolerances(Record):
+    __slots__ = ("construct", "theorem", "chain")
+
+    def __init__(self, construct: float = 1e-10, theorem: float = 1e-9,
+                 chain: float = 1e-8):
+        self.construct = construct
+        self.theorem = theorem
+        self.chain = chain
 
 
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass
-class TheoremCheck:
-    name: str
-    residual: float | None
-    tolerance: float
-    status: str  # "pass" | "fail" | "skipped"
-    flag: str | None = None
-    witness: dict = field(default_factory=dict)
+class TheoremCheck(Record):
+    __slots__ = ("name", "residual", "tolerance", "status", "flag", "witness")
+
+    def __init__(self, name: str, residual: float | None, tolerance: float,
+                 status: str, flag: str | None = None, witness: dict | None = None):
+        self.name = name
+        self.residual = residual
+        self.tolerance = tolerance
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.flag = flag
+        self.witness = {} if witness is None else witness
 
 
 def _finish(name: str, residual: float, tolerance: float,
             witness: dict | None = None) -> TheoremCheck:
     status = "pass" if residual <= tolerance else "fail"
-    return TheoremCheck(name, residual, tolerance, status, None, witness or {})
+    return TheoremCheck(name, residual, tolerance, status, None, witness)
 
 
 def _skip(name: str, tolerance: float, flag: str,
           witness: dict | None = None) -> TheoremCheck:
-    return TheoremCheck(name, None, tolerance, "skipped", flag, witness or {})
+    return TheoremCheck(name, None, tolerance, "skipped", flag, witness)
 
 
-@dataclass
-class InstanceReport:
-    index: int
-    instance: dict
-    flags: list[str]
-    checks: list[TheoremCheck]
+class InstanceReport(Record):
+    __slots__ = ("index", "instance", "flags", "checks")
+
+    def __init__(self, index: int, instance: dict, flags: list[str],
+                 checks: list[TheoremCheck]):
+        self.index = index
+        self.instance = instance
+        self.flags = flags
+        self.checks = checks
 
 
-@dataclass
-class VerificationReport:
-    seed: int
-    params: dict
-    instances: list[InstanceReport]
-    wall_time: float = 0.0
+class VerificationReport(Record):
+    __slots__ = ("seed", "params", "instances", "wall_time")
+
+    def __init__(self, seed: int, params: dict, instances: list[InstanceReport],
+                 wall_time: float = 0.0):
+        self.seed = seed
+        self.params = params
+        self.instances = instances
+        self.wall_time = wall_time
 
     @property
     def failed(self) -> int:

@@ -1,6 +1,5 @@
 """CLI behavior: parsing, exit codes, report shape, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -175,11 +174,22 @@ NEAR_ABSOLUTE = ("0.99999999999+0i,0.9999500003866668+0.0099998333338666701i,"
                  "0.9998000066565798+0.019998666693133094i")
 
 
+# every pseudoaltitude foot lies past the ideal endpoints of its side,
+# so that family has no meet to test: the bracket failures name the
+# cause, and no divergent_pseudoaltitude_cevians joins them
+NEAR_ABSOLUTE_FLAGS = [
+    "bracket_failure_pseudoaltitude_a", "bracket_failure_pseudoaltitude_b",
+    "bracket_failure_pseudoaltitude_c", "excircle_absent_a", "excircle_absent_b",
+    "excircle_absent_c", "no_circumcenter"]
+
+
 @pytest.mark.parametrize("argv", [["construct"], ["verify", "--trials", "1"]])
 def test_vertices_next_to_the_absolute_run(tmp_path, argv):
     code, out = run(tmp_path, *argv, "--triangle", NEAR_ABSOLUTE)
     assert code == 0
-    json.loads(out.read_text())
+    doc = json.loads(out.read_text())
+    flags = doc["flags"] if argv[0] == "construct" else doc["instances"][0]["flags"]
+    assert flags == NEAR_ABSOLUTE_FLAGS
 
 
 def test_collinear_triangle_is_geometry_error(tmp_path):
@@ -403,7 +413,7 @@ def _flag_cases(tmp_path) -> dict:
 @pytest.mark.parametrize("command", ["construct", "verify", "render"])
 def test_every_command_takes_every_flag_in_both_forms(tmp_path, command, flag):
     value, fields = _flag_cases(tmp_path)[flag]
-    expected = dataclasses.replace(Scenario(), **fields)
+    expected = Scenario().replace(**fields)
     for argv in ([command, flag, value], [command, f"{flag}={value}"]):
         args = cli.build_parser().parse_args(argv)
         assert args.command == command

@@ -1,6 +1,7 @@
 """Every name a hypfeuer module or a test file imports is used in that
 file, every private module-level name the package defines is read
-somewhere in it, and only the instance generators import `random`.
+somewhere in it, only the instance generators import `random`, and no
+module imports `dataclasses`, which importing the CLI must not load.
 
 The package's `__init__.py` imports names only to re-export them, so it
 is exempt from the first rule.  Stdlib `ast` only: a name counts as used
@@ -9,6 +10,8 @@ when it is read anywhere in the module, annotations included.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +112,31 @@ def test_module_draws_no_random_numbers(module):
     # instances.py seeds every draw from (seed, index, purpose)
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert "random" not in imported_modules(fh.read())
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE) if name.endswith(".py")))
+def test_module_imports_no_dataclasses(module):
+    # records are geom_core.Record classes: dataclasses (and the inspect,
+    # ast, dis and tokenize it loads) would cost a fresh interpreter more
+    # than the rest of the package's imports together
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert "dataclasses" not in imported_modules(fh.read())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a deterministic stand-in for the import cost, not a timing: what
+    # `import hypfeuer.cli` adds to a fresh isolated interpreter's modules
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {os.path.dirname(PACKAGE)!r})\n"
+            "import hypfeuer.cli\n"
+            "print(*sorted(set(sys.modules) - before), sep='\\n')\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, check=True)
+    added = done.stdout.split()
+    assert "hypfeuer.cli" in added
+    assert [name for name in ("dataclasses", "inspect") if name in added] == []
 
 
 def sibling_modules(source: str) -> set[str]:

@@ -3,7 +3,8 @@
 Reports and configurations are written by cli's own writer; their bytes
 must stay those of json.dumps(indent=2, sort_keys=True) with the hook
 below, which is how cli wrote them before it had a writer of its own.
-The writer takes only the kinds hypfeuer builds and refuses the rest.
+The writer takes only the kinds hypfeuer builds and refuses the rest;
+it takes dataclasses too, without importing the dataclasses module.
 """
 
 import dataclasses
@@ -17,12 +18,15 @@ import pytest
 
 from hypfeuer import cli
 from hypfeuer.cevians import build_config
+from hypfeuer.geom_core import Record
 from hypfeuer.instances import instance_rng, random_triangle
 
 
 def _oracle_default(obj):
     if isinstance(obj, complex):
         return cli.format_complex(obj)
+    if isinstance(obj, Record):
+        return {name: getattr(obj, name) for name in obj.__slots__}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -15,7 +15,6 @@ that starts catching one must move it.
 """
 
 import cmath
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -166,8 +165,8 @@ def _tangent_centers_scaled(original):
             if spec is None:
                 return None
             z = spec.center * (1.0 + 1e-6)
-            return dataclasses.replace(
-                spec, center=z, cycle=cycles.circle_from_center_radius(z, spec.radius))
+            return spec.replace(
+                center=z, cycle=cycles.circle_from_center_radius(z, spec.radius))
         inc, excircles = original(lifts, side_normals)
         return moved(inc), {v: moved(spec) for v, spec in excircles.items()}
     return mutant

@@ -1,7 +1,6 @@
 """Theorem checks: frozen instances, random instances, invariance, skip flags."""
 
 import cmath
-import dataclasses
 import math
 from collections import Counter
 from random import Random
@@ -304,7 +303,7 @@ def test_euler_ratios_reads_both_concurrency_residuals():
     cfg = clean_config(611)
     assert check_euler_ratios(cfg).status == "pass"
     for name in ("bisector_residual", "orthocenter_residual"):
-        chk = check_euler_ratios(dataclasses.replace(cfg, **{name: 2e-10}))
+        chk = check_euler_ratios(cfg.replace(**{name: 2e-10}))
         assert chk.status == "fail", name
         assert chk.residual == 2e-10
 
@@ -314,16 +313,16 @@ def test_feuerbach_reads_each_tritangent_tangency_gap():
     # circle it is; an absent excircle adds nothing
     cfg = full_configs(613, 1)[0]
     assert check_feuerbach(cfg).status == "pass"
-    off = dataclasses.replace(cfg.incircle, tangency_gap=2e-8)
-    chk = check_feuerbach(dataclasses.replace(cfg, incircle=off))
+    off = cfg.incircle.replace(tangency_gap=2e-8)
+    chk = check_feuerbach(cfg.replace(incircle=off))
     assert (chk.status, chk.residual) == ("fail", 2e-8)
     for v in "abc":
         excircles = dict(cfg.excircles)
-        excircles[v] = dataclasses.replace(excircles[v], tangency_gap=2e-8)
-        chk = check_feuerbach(dataclasses.replace(cfg, excircles=excircles))
+        excircles[v] = excircles[v].replace(tangency_gap=2e-8)
+        chk = check_feuerbach(cfg.replace(excircles=excircles))
         assert (chk.status, chk.residual) == ("fail", 2e-8), v
         excircles[v] = None
-        chk = check_feuerbach(dataclasses.replace(cfg, excircles=excircles))
+        chk = check_feuerbach(cfg.replace(excircles=excircles))
         assert chk.status == "pass", v
         assert chk.witness[f"excircle_{v}"] == "absent"
 
@@ -362,8 +361,7 @@ def test_a_missing_pseudoaltitude_foot_skips_only_its_readers(monkeypatch):
 
     monkeypatch.setattr(cevians, "pseudoaltitude_foot", beyond_at_a)
     cfg = build_config(tri)
-    assert cfg.flags == ["bracket_failure_pseudoaltitude_a",
-                         "divergent_pseudoaltitude_cevians"]
+    assert cfg.flags == ["bracket_failure_pseudoaltitude_a"]
     for check, flag in ((check_six_point, "cevian_degeneracy"),
                         (check_euler_line, "center_undefined"),
                         (check_euler_ratios, "cevian_degeneracy")):
@@ -680,9 +678,9 @@ def test_shot_circle_is_inscribed_in_the_angle_and_touches_circumcircle():
 def test_tangent_cevians_geodesic_target_skips():
     # the state build_config leaves when the circumcircle has no center
     clean = clean_config(625)
-    cfg = dataclasses.replace(clean, circumcircle=geodesic_through(0.1, 0.5j),
-                              circumcenter=None, circumradius=None,
-                              flags=[*clean.flags, "no_circumcenter"])
+    cfg = clean.replace(circumcircle=geodesic_through(0.1, 0.5j),
+                        circumcenter=None, circumradius=None,
+                        flags=[*clean.flags, "no_circumcenter"])
     chk = check_tangent_cevians(cfg)
     assert chk.status == "skipped"
     assert chk.flag == "target_not_circle"
@@ -700,7 +698,7 @@ def test_feuerbach_point_fails_off_the_euler_center():
     # Euler center, so only the true center makes the four lines meet
     # (through homothetic centers they would meet for any circle, Monge)
     for cfg in full_configs(626, 3):
-        moved = dataclasses.replace(cfg, euler_circle=circle_from_center_radius(
+        moved = cfg.replace(euler_circle=circle_from_center_radius(
             cfg.euler_center + 1e-5, cfg.euler_radius))
         chk = check_feuerbach_point(moved)
         assert chk.status == "fail"
