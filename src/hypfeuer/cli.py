@@ -158,14 +158,14 @@ def parse_suite(spec) -> tuple[str, ...]:
 
 # Reports and configurations go through one recursive writer whose bytes
 # equal json.dumps(doc, indent=2, sort_keys=True) + "\n", with complex
-# values as format_complex strings and records (geom_core.Record) and
-# dataclasses as their fields.  json.dumps never takes its C encoder
-# when asked for an indent, and its generator-based fallback cost more
-# than the constructions it wrote.  The writer takes what hypfeuer
-# builds, each by its exact type: dicts with str keys, lists, str,
-# float, int, bool, None, complex, records and dataclasses.  Anything
-# else (a tuple, an enum, a subclass of one of these, a non-str key)
-# raises TypeError.
+# values as format_complex strings and records (geom_core.Record) as
+# their fields.  json.dumps never takes its C encoder when asked for an
+# indent, and its generator-based fallback cost more than the
+# constructions it wrote.  The writer takes what hypfeuer builds, each
+# by its exact type: dicts with str keys, lists, str, float, int, bool,
+# None, complex and records.  Anything else (a tuple, an enum, a
+# dataclass, a subclass of a built-in type, a non-str key) raises
+# TypeError.
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -184,7 +184,7 @@ class NonFiniteNumber(ValueError):
         return f"non-finite number {self.value!r} at {where} cannot be written as JSON"
 
 
-# record or dataclass type -> its field names, sorted; filled on first sight
+# record type -> its field names, sorted; filled on first sight
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 # inner indent -> key -> the text before that key's value when it is not
@@ -283,23 +283,10 @@ def _write(obj, append, indent: str):
     elif t is int:
         append(int.__repr__(obj))
     else:
-        names = _field_names(t)
-        if names is None:
+        if not issubclass(t, Record):
             raise TypeError(f"{t.__name__} is not JSON serializable")
-        _FIELD_NAMES[t] = names
+        _FIELD_NAMES[t] = tuple(sorted(t.__slots__))
         _write(obj, append, indent)
-
-
-def _field_names(t: type) -> tuple[str, ...] | None:
-    """A record's or a dataclass's field names, sorted; None for any
-    other type.  A class can be a dataclass only once the dataclasses
-    module is loaded, so it is looked up, never imported."""
-    if issubclass(t, Record):
-        return tuple(sorted(t.__slots__))
-    dataclasses = sys.modules.get("dataclasses")
-    if dataclasses is None or not dataclasses.is_dataclass(t):
-        return None
-    return tuple(sorted(f.name for f in dataclasses.fields(t)))
 
 
 def _to_json(doc) -> str:

@@ -187,74 +187,29 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     return out[0], out[1], out[2]
 
 
-def _locus_runs(frame: tuple, count: int, c0: complex):
-    """The sample indices of a sample_frame of a cycle through c0, a
-    point inside the frame's shrunk disk, as runs (first, stop, step) on
-    each of which abs(z - c0) falls.
+def _farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
+    """The sample of a sample_frame of a cycle through c0 farthest from
+    c0, the lower index on a tie: the first of a stable sort of all of
+    them by -abs(z - c0).
 
-    On a line that distance rises both ways from c0's foot; on a circle
-    it rises while the sample angle runs from the angle phi of c0 to its
-    antipode phi + pi and falls from there to phi + 2 pi.  Cutting the
-    index range where the sample parameter passes those points leaves
-    at most two runs on a line and three on a circle (its samples span
-    at most 2 pi), each walked from its far end.  A sample within
-    rounding of a cut is the far or near end of either run it could
-    join, so the cut's rounding does not reorder anything."""
-    if frame[0] is FRAME_LINE:
-        _, z0, d, half = frame
-        # sample k lies at half (2k / (count - 1) - 1) along d
-        foot = ((c0 - z0) * d.conjugate()).real
-        cut = min(count, max(0, math.ceil((foot / half + 1.0) * (count - 1) / 2.0)))
-        return [(0, cut, 1), (count - 1, cut - 1, -1)]
-    _, ec, er, start, span = frame
-    # sample k lies at angle start + span k / (count - 1) on an arc and
-    # span k / count on a whole circle, whose start is 0
-    scale = (count - 1 if frame[0] is FRAME_ARC else count) / span
-    phi = cmath.phase(c0 - ec)
-    # half turns past phi at the first sample
-    turn = math.floor((start - phi) / math.pi)
-    runs = []
-    first = 0
-    while first < count:
-        stop = min(count, math.ceil((phi + (turn + 1) * math.pi - start) * scale))
-        if stop > first:
-            # an even number of half turns past phi: the distance rises
-            runs.append((stop - 1, first - 1, -1) if turn % 2 == 0 else (first, stop, 1))
-            first = stop
-        turn += 1
-    return runs
-
-
-def _farthest_first(frame: tuple, count: int, c0: complex, floor: float):
-    """The samples of a sample_frame of a cycle through c0 that lie
-    farther than floor from c0, farthest first and ties in index order:
-    the order of a stable sort of all of them by -abs(z - c0).
-
-    It merges the _locus_runs, computing a sample (frame_point) and its
-    distance only when its run reaches it, and drops a run at its first
-    sample within the floor, since the rest of the run is nearer."""
-    heads = []  # [distance, index, point, next index, stop, step]
-    for first, stop, step in _locus_runs(frame, count, c0):
-        if first == stop:
-            continue
-        z = frame_point(frame, first, count)
-        dist = abs(z - c0)
-        if dist > floor:
-            heads.append([dist, first, z, first + step, stop, step])
-    while heads:
-        best = heads[0]
-        for head in heads[1:]:
-            if head[0] > best[0] or (head[0] == best[0] and head[1] < best[1]):
-                best = head
-        yield best[2]
-        k, stop, step = best[3], best[4], best[5]
-        if k != stop:
-            z = frame_point(frame, k, count)
-            dist = abs(z - c0)
-            if dist > floor:
-                best[:4] = dist, k, z, k + step
-                continue
-        heads.remove(best)
+    The distance grows with the distance between a sample's parameter
+    and c0's own: along a line, and on a circle with the angle from c0's
+    up to its antipode phase(c0 - ec) + pi.  So the farthest is an end
+    or, on a circle or an arc, one of the two samples either side of
+    the antipode, and only those (at most four) are computed
+    (frame_point)."""
+    ks = {0, count - 1}
+    kind = frame[0]
+    if kind is not FRAME_LINE:
+        _, ec, _, start, span = frame
+        # sample k lies at angle start + span k / (count - 1) on an arc and
+        # span k / count on a whole circle, whose start is 0
+        scale = (count - 1 if kind is FRAME_ARC else count) / span
+        below = math.floor((cmath.phase(c0 - ec) + math.pi - start) % (2.0 * math.pi) * scale)
+        # on a whole circle the sample past the last is sample 0, an end
+        ks.update(range(below, min(below + 2, count)))
+    # max keeps the first of equal distances, so the lower index
+    return max((frame_point(frame, k, count) for k in sorted(ks)), key=lambda z: abs(z - c0))
 
 
 def trapezoid_quad(rng: Random, converse: bool = False):
@@ -262,14 +217,13 @@ def trapezoid_quad(rng: Random, converse: bool = False):
     trapezoid equivalence exactly.
 
     With converse=False, c and d share a constant-area locus over base
-    ab, so area(abc) = area(abd) holds by construction: d is the first of
-    the locus's 48 samples, taken farthest from c first
-    (_farthest_first) and kept 0.25 from c and 0.2 from a and b, that
-    makes a convex quad in one of the two orders, and only the samples
-    the search reaches are computed.  With converse=True, d is instead
-    root-found along a transversal until the angle balance
-    (A + D) - (B + C) vanishes, testing the reverse implication without
-    assuming the locus.
+    ab, so area(abc) = area(abd) holds by construction: d is the one of
+    the locus's 48 samples farthest from c (_farthest_sample), and the
+    draw is rejected, like a bad a, b or c, when d lies within 0.25 of c
+    or 0.2 of a or b, or makes a convex quad in neither order.  With
+    converse=True, d is instead root-found along a transversal until the
+    angle balance (A + D) - (B + C) vanishes, testing the reverse
+    implication without assuming the locus.
     """
     for _ in range(MAX_DRAWS):
         a = _disk_point(rng, 0.62)
@@ -283,20 +237,13 @@ def trapezoid_quad(rng: Random, converse: bool = False):
             continue
         if not 0.05 < ca < 2.5 or abs(c0 - a) < 0.3 or abs(c0 - b) < 0.3:
             continue
-        frame = sample_frame(lexell_cycle(a, b, c0), margin=0.07)
-        quad = None
-        tried = 0
-        for d0 in _farthest_first(frame, 48, c0, 0.25):
-            if not (abs(d0 - a) > 0.2 and abs(d0 - b) > 0.2):
-                continue
-            for cc, dd in ((c0, d0), (d0, c0)):
-                if convex_quad_angles(a, b, cc, dd) is not None:
-                    quad = (a, b, cc, dd)
-                    break
-            tried += 1
-            if quad or tried == 12:
+        d0 = _farthest_sample(sample_frame(lexell_cycle(a, b, c0), margin=0.07), 48, c0)
+        if abs(d0 - c0) <= 0.25 or abs(d0 - a) <= 0.2 or abs(d0 - b) <= 0.2:
+            continue
+        for quad in ((a, b, c0, d0), (a, b, d0, c0)):
+            if convex_quad_angles(*quad) is not None:
                 break
-        if quad is None:
+        else:
             continue
         if not converse:
             return quad

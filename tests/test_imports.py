@@ -1,11 +1,11 @@
 """Every name a hypfeuer module or a test file imports is used in that
 file, every private module-level name the package defines is read
-somewhere in it, only the instance generators import `random`, and no
-module imports `dataclasses`, which importing the CLI must not load.
+somewhere in it, only the instance generators import `random`, no
+module imports `dataclasses`, which importing the CLI must not load, and
+importing a library module loads no part of the CLI.
 
-The package's `__init__.py` imports names only to re-export them, so it
-is exempt from the first rule.  Stdlib `ast` only: a name counts as used
-when it is read anywhere in the module, annotations included.
+Stdlib `ast` only: a name counts as used when it is read anywhere in the
+module, annotations included.
 """
 
 import ast
@@ -20,7 +20,7 @@ PACKAGE = os.path.join(os.path.dirname(TESTS), "src", "hypfeuer")
 
 # package modules by file name, test files as tests/<name>
 LINTED = {name: os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE)
-          if name.endswith(".py") and name != "__init__.py"}
+          if name.endswith(".py")}
 LINTED.update((f"tests/{name}", os.path.join(TESTS, name))
               for name in os.listdir(TESTS) if name.endswith(".py"))
 
@@ -124,19 +124,32 @@ def test_module_imports_no_dataclasses(module):
         assert "dataclasses" not in imported_modules(fh.read())
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a deterministic stand-in for the import cost, not a timing: what
-    # `import hypfeuer.cli` adds to a fresh isolated interpreter's modules
+def modules_added_by(module: str) -> list[str]:
+    """What `import <module>` adds to a fresh isolated interpreter's
+    modules: a deterministic stand-in for the import cost, not a timing."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             f"sys.path.insert(0, {os.path.dirname(PACKAGE)!r})\n"
-            "import hypfeuer.cli\n"
+            f"import {module}\n"
             "print(*sorted(set(sys.modules) - before), sep='\\n')\n")
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                           text=True, check=True)
-    added = done.stdout.split()
+    return done.stdout.split()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    added = modules_added_by("hypfeuer.cli")
     assert "hypfeuer.cli" in added
     assert [name for name in ("dataclasses", "inspect") if name in added] == []
+
+
+@pytest.mark.parametrize("module", ["hypfeuer.geom_core", "hypfeuer.cycles"])
+def test_importing_a_library_module_loads_no_part_of_the_cli(module):
+    # the package's __init__ imports nothing, so library use pays for
+    # neither the argument parser nor the JSON writer
+    added = modules_added_by(module)
+    assert module in added
+    assert [name for name in ("argparse", "json", "hypfeuer.cli") if name in added] == []
 
 
 def sibling_modules(source: str) -> set[str]:

@@ -4,11 +4,15 @@ import itertools
 
 import pytest
 
+from hypfeuer import instances
 from hypfeuer.cycles import hyp_center_radius, sample_points
 from hypfeuer.errors import SamplingExhausted
+from hypfeuer.geom_core import convex_quad_angles
 from hypfeuer.instances import (
     MAX_DRAWS,
+    PURPOSE_QUAD,
     arc_instance,
+    instance_rng,
     lexell_instance,
     monge_triple,
     random_cycle,
@@ -68,6 +72,68 @@ def test_generator_gives_up_after_max_draws(generator, stream, calls_per_draw, m
 def test_trapezoid_converse_gives_up_after_max_draws():
     with pytest.raises(SamplingExhausted, match="trapezoid_quad"):
         trapezoid_quad(StubStream([0.5]), converse=True)
+
+
+# Points that each fail one test of trapezoid_quad's locus sample and
+# pass the others.  A small step from c along ba, or from a along bc,
+# leaves (a, b, c, d) a convex trapezoid; |a - b| >= 0.4 and |c - a|,
+# |c - b| >= 0.3 keep each step clear of the other vertices.
+
+def _near_c(a, b, c):
+    return c + 0.05 * (a - b) / abs(a - b)
+
+
+def _near_a(a, b, c):
+    return a + 0.04 * (c - b) / abs(c - b)
+
+
+def _inside(a, b, c):
+    # a point inside the triangle abc is a reflex vertex in either order;
+    # the first of a few weightings that keeps clear of all three
+    for wa, wb, wc in ((1, 1, 1), (1, 1, 0.5), (2, 1, 1), (1, 2, 1), (1, 1, 0.25)):
+        d = (wa * a + wb * b + wc * c) / (wa + wb + wc)
+        if abs(d - c) > 0.25 and abs(d - a) > 0.2 and abs(d - b) > 0.2:
+            return d
+    raise AssertionError("no interior point clear of the vertices")
+
+
+# trapezoid_quad's tests of its locus sample, in the order it makes them
+SAMPLE_RULES = (_near_c, _near_a, _inside)
+
+
+@pytest.mark.parametrize("converse", (False, True))
+@pytest.mark.parametrize("failing", SAMPLE_RULES)
+def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, failing):
+    # no sampled draw's farthest locus sample fails a rule, so the first
+    # one is made to: the draw is rejected and the result is the stream's
+    # next accepted draw, the second unpatched call on it
+    rng = instance_rng(0, 0, PURPOSE_QUAD)
+    trapezoid_quad(rng, converse=converse)
+    want = trapezoid_quad(rng, converse=converse)
+
+    bases, calls = [], []
+    lexell_cycle, farthest_sample = instances.lexell_cycle, instances._farthest_sample
+
+    def recorded(a, b, c):
+        bases.append((a, b, c))
+        return lexell_cycle(a, b, c)
+
+    def failing_once(frame, count, c0):
+        calls.append(c0)
+        if len(calls) > 1:
+            return farthest_sample(frame, count, c0)
+        a, b, c = bases[-1]
+        d = failing(a, b, c)
+        convex = [convex_quad_angles(*q) is not None for q in ((a, b, c, d), (a, b, d, c))]
+        fails = [abs(d - c) <= 0.25, min(abs(d - a), abs(d - b)) <= 0.2, not any(convex)]
+        assert fails == [rule is failing for rule in SAMPLE_RULES]
+        return d
+
+    monkeypatch.setattr(instances, "lexell_cycle", recorded)
+    monkeypatch.setattr(instances, "_farthest_sample", failing_once)
+    got = trapezoid_quad(instance_rng(0, 0, PURPOSE_QUAD), converse=converse)
+    assert len(calls) == 2
+    assert got == want
 
 
 def test_arc_instance_takes_the_first_cycle():

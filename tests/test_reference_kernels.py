@@ -56,7 +56,6 @@ from hypfeuer.instances import (
     REBALANCE_STEP,
     REBALANCE_WIDTH,
     _disk_point as _instance_disk_point,
-    _farthest_first,
     brent_root,
     instance_rng,
     random_cycle,
@@ -507,23 +506,29 @@ def test_arc_instance_matches_the_former_one():
             assert _bits(got[1:]) == _bits(want[1:]) and got[0] == want[0], (seed, idx)
 
 
-def test_farthest_first_is_the_stable_sort_on_every_frame_kind():
-    # c0 is a point of the cycle, as trapezoid_quad's apex is of its
-    # locus; every frame kind, and floors that keep all or some samples
+def test_farthest_sample_is_the_first_of_the_stable_sort_on_every_frame_kind():
+    # c0 a point of the cycle, as trapezoid_quad's apex is of its locus;
+    # c0 one of the samples; and on a whole circle, c0 whose antipode
+    # falls just before, at or just after sample 0, where the samples
+    # either side of it wrap around
     kinds = set()
     for idx, cycle in enumerate(_cycles(Random(23))):
         if idx % 5 == 0:
             continue  # circles that barely reach into the disk
         count = (16, 24, 48)[idx % 3]
         margin = (1e-6, 0.07)[idx % 2]
-        c0 = sample_points(cycle, 7, margin=0.1)[idx % 7]
-        floor = (0.0, 0.25)[(idx // 2) % 2]
         frame = sample_frame(cycle, margin)
         kinds.add(frame[0])
-        want = sorted((z for z in sample_points(cycle, count, margin)
-                       if abs(z - c0) > floor), key=lambda z: -abs(z - c0))
-        got = list(_farthest_first(frame, count, c0, floor))
-        assert _bits(got) == _bits(want), (idx, cycle)
+        samples = sample_points(cycle, count, margin)
+        apexes = [sample_points(cycle, 7, margin=0.1)[idx % 7], samples[idx % count]]
+        if frame[0] is cycles.FRAME_CIRCLE:
+            _, ec, er, _, _ = frame
+            apexes += [ec + er * cmath.exp(1j * t) for t in
+                       (math.pi - 1e-9, math.pi, math.pi + 1e-9, -math.pi)]
+        for c0 in apexes:
+            want = sorted(samples, key=lambda z: -abs(z - c0))[0]
+            got = instances._farthest_sample(frame, count, c0)
+            assert _bits(got) == _bits(want), (idx, cycle, c0)
     assert kinds == {cycles.FRAME_LINE, cycles.FRAME_ARC, cycles.FRAME_CIRCLE}
 
 
@@ -590,8 +595,9 @@ def test_arc_instance_evaluates_two_samples(monkeypatch):
 
 @pytest.mark.parametrize("converse, samples, frames", ((False, 400, 200), (True, 404, 202)))
 def test_trapezoid_draws_evaluate_few_locus_samples(monkeypatch, converse, samples, frames):
-    # seed 0 x 200: 2 of the 48 samples per locus, the heads of the runs,
-    # where the former search built all 48
+    # seed 0 x 200: 2 of the 48 samples per locus, the arc's two ends (the
+    # apex's antipode lies off every sampled arc), where the former search
+    # built all 48
     counted = _count_calls(monkeypatch, cycles, "frame_point")
     loci = _count_calls(monkeypatch, cycles, "sample_frame")
     for idx in range(200):
