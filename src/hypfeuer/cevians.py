@@ -141,8 +141,7 @@ def concurrency_point(normals) -> tuple[complex, float]:
     its meet (meet_point) is the point; its distance to every other line
     n_k is asinh(|n_k . m| / sqrt(q)), i.e. |det(n_i, n_j, n_k)| over
     sqrt(q), the pencil determinant (plane_distances).  DivergentCevians
-    when that meet is not timelike or lies within INTERIOR_MARGIN of the
-    absolute, for the caller to flag.
+    when that meet is not timelike, for the caller to flag.
     """
     normals = tuple(normals)
     count = len(normals)
@@ -192,8 +191,8 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
     |n_a| L_a flips the sign of n_a . X alone: the excenter beyond side a
     (and cyclically).  As |n_a| = sinh(a) |L_b| |L_c| for the side length
     a, X is the sum sinh(a) A + sinh(b) B + sinh(c) C of the unit vertex
-    vectors times a common factor.  A center exists where meet_point
-    reads its sum as a disk point INTERIOR_MARGIN clear of the absolute.
+    vectors times a common factor.  A center exists where its sum is
+    timelike, and meet_point reads it as a disk point.
 
     The radius is the mean of the three side distances
     (plane_distances).  The built circle's center and radius are read

@@ -30,15 +30,18 @@ disjoint cycle lies on, and places homothetic centers.  A geodesic
 (A, B, A) is the plane with normal (A, Re B, Im B), the cross product of
 the lifts (|z|^2 + 1, 2x, 2y) of two of its points (``point_lift``,
 ``through_normal``): two geodesics meet at the cross product of their
-normals (``geodesic_meet``, ``meet_point``), no quadratic solved, and a
-point's distance to one is the plane's form at the point over the
-norms, for a point given as a hyperboloid vector (``plane_distances``,
-with unit normals) or as a disk point (``point_geodesic_distance``).
+normals, no quadratic solved, and a point's distance to one is the
+plane's form at the point over the norms, for a point given as a
+hyperboloid vector (``plane_distances``, with unit normals) or as a disk
+point (``point_geodesic_distance``).  ``meet_point`` is the one reader
+of a hyperboloid vector as a disk point: a meet, a circle's center, a
+homothetic or tritangent center.
 
 The checks' cycle constructions live here too: the constant-area locus
 (``lexell_cycle``) and samples along an arc, split into the arc's frame
 (``sample_frame``) and the expression of one sample (``frame_point``),
-so a caller computes only the samples it reads.
+so a caller computes only the samples it reads.  A circle's arc inside
+the disk (``disk_arc``) is found once for the sampler and the SVG clip.
 """
 
 from __future__ import annotations
@@ -70,9 +73,6 @@ GEODESIC_EPS = 1e-12
 # |discriminant| bands for the horocycle / ambiguous decision
 TANGENT_EPS = 1e-12
 AMBIGUOUS_EPS = 1e-10
-
-# intersection points closer than this to the absolute are not interior
-INTERIOR_MARGIN = 1e-9
 
 _INF = math.inf
 _new_object = object.__new__
@@ -212,16 +212,6 @@ def _hyperboloid_plane(cycle: GeneralizedCycle) -> tuple[float, float, float, fl
     if pt < 0.0:
         return -pt, cycle.b.real, cycle.b.imag, -k
     return pt, -cycle.b.real, -cycle.b.imag, k
-
-
-def _to_disk(t: float, x: float, y: float) -> complex | None:
-    """The disk point of the hyperboloid ray through (t, x, y), or None
-    unless the vector is timelike: X / |X| reads back in the disk as
-    (X_x + i X_y) / (X_t + |X|), either sign of X giving the same point."""
-    q = t * t - x * x - y * y
-    if q <= 0.0:
-        return None
-    return complex(x, y) / (t + math.copysign(math.sqrt(q), t))
 
 
 def _circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float, float]:
@@ -407,28 +397,16 @@ def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[comple
     return (complex(x, y),)
 
 
-def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
-    """The point where two geodesics meet strictly inside the disk, or None.
-
-    The geodesic (A, B, A) is the hyperboloid plane with normal
-    (A, Re B, Im B) (see point_geodesic_distance), so two geodesics meet
-    on the line of the cross product m of their normals, a disk point
-    exactly when m is timelike (_to_disk); m vanishes only for one
-    geodesic twice.
-    """
-    mt, mx, my = through_normal((g1.a, g1.b.real, g1.b.imag),
-                                (g2.a, g2.b.real, g2.b.imag))
-    if abs(mt) < 1e-15 and abs(mx) < 1e-15 and abs(my) < 1e-15:
-        raise IdenticalCycles("one geodesic twice")
-    return meet_point(mt, mx, my)
-
-
 def meet_point(t: float, x: float, y: float) -> complex | None:
-    """The disk point of the meet vector m = n1 x n2 of two geodesic
-    normals, or None unless m is timelike and its point keeps
-    INTERIOR_MARGIN from the absolute."""
-    z = _to_disk(t, x, y)
-    return z if z is not None and abs(z) < 1.0 - INTERIOR_MARGIN else None
+    """The disk point of the hyperboloid ray through (t, x, y), or None
+    unless the vector is timelike: X / |X| reads back in the disk as
+    (X_x + i X_y) / (X_t + |X|), either sign of X giving the same point.
+    It is the one reader of a vector as a point: the meet n1 x n2 of two
+    geodesic normals, a circle's center vector, a sum of them."""
+    q = t * t - x * x - y * y
+    if q <= 0.0:
+        return None
+    return complex(x, y) / (t + math.copysign(math.sqrt(q), t))
 
 
 def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:
@@ -443,10 +421,14 @@ def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:
 
 
 def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
-    """Interior center P / |P| and hyperbolic radius asinh(s / |P|) of a
-    circle inside the disk (_circle_vector); NoHyperbolicCenter otherwise."""
+    """Interior center P / |P| (meet_point) and hyperbolic radius
+    asinh(s / |P|) of a circle inside the disk (_circle_vector);
+    NoHyperbolicCenter otherwise."""
     pt, px, py, norm, s = _circle_vector(cycle)
-    return complex(px, py) / (pt + norm), math.asinh(s / norm)
+    center = meet_point(pt, px, py)
+    if center is None:
+        raise NoHyperbolicCenter("center vector is not timelike")
+    return center, math.asinh(s / norm)
 
 
 def unit_normal(n) -> tuple[float, float, float]:
@@ -501,6 +483,33 @@ FRAME_ARC = "arc"
 FRAME_CIRCLE = "circle"
 
 
+def disk_arc(cycle: GeneralizedCycle, margin: float) -> tuple:
+    """(ec, er, arc) of a cycle that is not a line: its Euclidean center
+    and radius, and arc = (p, q, t0, t1), the arc inside |z| < 1 - margin
+    running counterclockwise from the crossing p = ec + er e^{i t0} to
+    the crossing q at t1 > t0; arc is None when the cycle crosses
+    |z| = 1 - margin fewer than twice.
+
+    The crossings are coefficient_crossings' of the two coefficient
+    triples, so no cycle is built, and of the two arcs between them the
+    one whose midpoint lies inside is kept.
+    """
+    ec, er = cycle.euclid_center_radius()
+    crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c,
+                                      1.0, 0j, -(1.0 - margin) ** 2)
+    if len(crossings) < 2:
+        return ec, er, None
+    p, q = crossings
+    u, v = p - ec, q - ec
+    t0, t1 = math.atan2(u.imag, u.real), math.atan2(v.imag, v.real)
+    if t1 < t0:
+        p, q, t0, t1 = q, p, t1, t0
+    mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
+    if abs(mid) >= 1.0 - margin:
+        p, q, t0, t1 = q, p, t1, t0 + 2.0 * math.pi
+    return ec, er, (p, q, t0, t1)
+
+
 def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
     """Where sample_points(cycle, count, margin) puts its samples, for
     any count; frame_point gives each sample.
@@ -510,33 +519,20 @@ def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
       the disk shrunk by the margin; the samples spread evenly over it;
     * a circle that crosses the shrunk absolute: (FRAME_ARC, ec, er,
       start, span), its Euclidean center and radius and the angles of
-      its in-disk arc between the crossings, less a pad of 1e-3 of the
-      arc at each end; the samples spread evenly from start to start +
-      span;
+      its in-disk arc (disk_arc), less a pad of 1e-3 of the arc at each
+      end; the samples spread evenly from start to start + span;
     * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), sampled
       uniformly in angle from 0, the last sample short of 2 pi.
-
-    The crossings with the shrunk absolute are coefficient_crossings'
-    of the two coefficient triples, so no cycle is built.
     """
     if cycle.is_line:
         d = 1j * cycle.b / abs(cycle.b)
         z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
         return FRAME_LINE, z0, d, half
-    ec, er = cycle.euclid_center_radius()
-    crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c,
-                                      1.0, 0j, -(1.0 - margin) ** 2)
-    if len(crossings) < 2:
+    ec, er, arc = disk_arc(cycle, margin)
+    if arc is None:
         return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
-    p, q = crossings[0] - ec, crossings[1] - ec
-    t0, t1 = math.atan2(p.imag, p.real), math.atan2(q.imag, q.real)
-    if t1 < t0:
-        t0, t1 = t1, t0
-    # choose the arc whose midpoint is inside
-    mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
-    if abs(mid) >= 1.0 - margin:
-        t0, t1 = t1, t0 + 2.0 * math.pi
+    t0, t1 = arc[2], arc[3]
     pad = 1e-3 * (t1 - t0)
     lo, hi = t0 + pad, t1 - pad
     return FRAME_ARC, ec, er, lo, hi - lo

@@ -64,10 +64,6 @@ class AxisOutsideDisk(GeometryError):
     """Two cycles without a common center whose radical axis misses the disk."""
 
 
-class NoInteriorCenter(GeometryError):
-    """Pairwise radical axes exist but meet outside the open disk."""
-
-
 class MissingCenter(GeometryError):
     """A homothetic center required by a sign pattern does not exist."""
 

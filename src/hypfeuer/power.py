@@ -39,16 +39,14 @@ from .errors import (
     InvalidSignPattern,
     MissingCenter,
     NoHyperbolicCenter,
-    NoInteriorCenter,
 )
 from .geom_core import Record, as_complex
 from .cycles import (
     GeneralizedCycle,
     _circle_vector,
-    _to_disk,
     _translate_raw,
-    geodesic_meet,
     geodesic_through,
+    meet_point,
     point_geodesic_distance,
     through_normal,
 )
@@ -109,18 +107,6 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     return GeneralizedCycle.of(ar, br, ar)
 
 
-def radical_center(c1: GeneralizedCycle, c2: GeneralizedCycle,
-                   c3: GeneralizedCycle) -> tuple[complex, float]:
-    """Common point of the three pairwise radical axes, with residual."""
-    r12 = radical_axis(c1, c2)
-    r13 = radical_axis(c1, c3)
-    r23 = radical_axis(c2, c3)
-    center = geodesic_meet(r12, r13)
-    if center is None:
-        raise NoInteriorCenter("radical axes meet outside the disk")
-    return center, point_geodesic_distance(center, r23)
-
-
 def homothety_cycle(center, k: float, cycle: GeneralizedCycle) -> GeneralizedCycle:
     """Image of a cycle under the homothety about center with ratio k."""
     z = as_complex(center)
@@ -175,16 +161,16 @@ def homothetic_centers(c1: GeneralizedCycle, c2: GeneralizedCycle) -> Homothetic
     the point all such tangents pass through.  _circle_vector gives each
     circle as P = |P| O with s = |P| sinh r, so X is s2 P1 -+ s1 P2 up
     to a positive scale; the center exists in the disk exactly when X
-    is timelike.  Concentric circles give their common center (one
-    circle twice gives it only as the negative center).  Tangent circles
-    touch at a center: the positive one if one circle is inside the
-    other, the negative one if not.
+    is timelike, and meet_point reads it.  Concentric circles give their
+    common center (one circle twice gives it only as the negative
+    center).  Tangent circles touch at a center: the positive one if one
+    circle is inside the other, the negative one if not.
     """
     t1, x1, y1, _, s1 = _circle_vector(c1)
     t2, x2, y2, _, s2 = _circle_vector(c2)
     return HomotheticCenters(
-        _to_disk(s2 * t1 - s1 * t2, s2 * x1 - s1 * x2, s2 * y1 - s1 * y2),
-        _to_disk(s2 * t1 + s1 * t2, s2 * x1 + s1 * x2, s2 * y1 + s1 * y2))
+        meet_point(s2 * t1 - s1 * t2, s2 * x1 - s1 * x2, s2 * y1 - s1 * y2),
+        meet_point(s2 * t1 + s1 * t2, s2 * x1 + s1 * x2, s2 * y1 + s1 * y2))
 
 
 def monge_centers(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,

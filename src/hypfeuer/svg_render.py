@@ -3,8 +3,9 @@
 Geodesics are drawn as what they are: circular arcs meeting the
 boundary circle at right angles, or straight diameters.  Cycles that
 cross the absolute (equidistants, circumcircles of large triangles) are
-clipped to their in-disk arc.  Every figure draws the same layers in
-the same order (triangle, cevians, circumcircle, Euler circle, incircle,
+clipped to their in-disk arc, the one the sampler takes
+(``cycles.disk_arc``).  Every figure draws the same layers in the same
+order (triangle, cevians, circumcircle, Euler circle, incircle,
 excircles, feet, centers), skipping only objects the configuration
 lacks.  All coordinates are emitted with fixed 4-decimal formatting so
 identical inputs give identical bytes.
@@ -16,7 +17,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, coefficient_crossings, sample_frame
+from .cycles import GeneralizedCycle, disk_arc, sample_frame
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -99,18 +100,11 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
     if abs(ec) + er <= 1.0 + 1e-12:
         cv.circle(elem_id, ec, er, stroke, width)
         return
-    crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c, 1.0, 0j, -1.0)
-    if len(crossings) < 2:
+    arc = disk_arc(cycle, 0.0)[2]
+    if arc is None:
         return  # wholly outside the disk: nothing to draw
-    p, q = crossings
-    t0 = cmath.phase(p - ec)
-    delta = (cmath.phase(q - ec) - t0) % (2.0 * math.pi)
-    mid = ec + er * cmath.exp(1j * (t0 + delta / 2.0))
-    if abs(mid) > 1.0:
-        # the ccw arc from p leaves the disk; draw the other one
-        p, q = q, p
-        delta = 2.0 * math.pi - delta
-    cv.arc(elem_id, p, q, er, delta > math.pi, 0, stroke, width)
+    p, q, t0, t1 = arc
+    cv.arc(elem_id, p, q, er, t1 - t0 > math.pi, 0, stroke, width)
 
 
 def render_svg(cfg: TriangleConfig) -> str:

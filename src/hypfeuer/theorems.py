@@ -176,16 +176,15 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     witness = {"samples": len(xs), "sigma": base}
     residual = spread
     try:
-        if classify(cycle) is CycleClass.HYP_CIRCLE:
-            center, _ = hyp_center_radius(cycle)
-            doubled = 2.0 * abs(signed_angle(center, za, zb))
-            # the other arc sees the reflex central angle 2pi - doubled
-            form_gap = min(abs(math.remainder(abs(base) - doubled, TAU)),
-                           abs(math.remainder(abs(base) + doubled, TAU)))
-            witness["center_angle_gap"] = form_gap
-            residual = max(residual, form_gap)
+        center, _ = hyp_center_radius(cycle)
+        doubled = 2.0 * abs(signed_angle(center, za, zb))
+        # the other arc sees the reflex central angle 2pi - doubled
+        form_gap = min(abs(math.remainder(abs(base) - doubled, TAU)),
+                       abs(math.remainder(abs(base) + doubled, TAU)))
+        witness["center_angle_gap"] = form_gap
+        residual = max(residual, form_gap)
     except GeometryError:
-        pass
+        pass  # no circle inside the disk: no central angle to compare
     return _finish("inscribed_angle", residual, tol.theorem, witness)
 
 

@@ -4,9 +4,11 @@
 `diameter_with_direction` builds diameters for constructions that are
 checked against a translated frame, `internal_bisector` builds a
 vertex's angle bisector that way, `hyp_midpoint` is the midpoint
-the foot oracles compare with, and `interior_intersections` keeps the
-crossings of two cycles that lie inside the disk.  `decimal_pencil` is
-the 50-digit oracle of `cevians.concurrency_point`.
+the foot oracles compare with, `interior_intersections` keeps the
+crossings of two cycles that lie inside the disk, and `geodesic_meet`
+is the meet of two geodesic cycles (`cycles.meet_point` of the cross
+product of their normals).  `decimal_pencil` is the 50-digit oracle of
+`cevians.concurrency_point`.
 """
 
 import cmath
@@ -14,7 +16,7 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 
-from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle, intersect, transform
+from hypfeuer.cycles import GeneralizedCycle, intersect, meet_point, through_normal, transform
 from hypfeuer.geom_core import TAU, DiskIsometry, mobius_from_origin, mobius_to_origin
 
 
@@ -54,8 +56,15 @@ def hyp_midpoint(p, q) -> complex:
 
 def interior_intersections(c1: GeneralizedCycle,
                            c2: GeneralizedCycle) -> tuple[complex, ...]:
-    """Intersection points inside the disk, INTERIOR_MARGIN clear of the absolute."""
-    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0 - INTERIOR_MARGIN)
+    """Intersection points inside the disk."""
+    return tuple(z for z in intersect(c1, c2) if abs(z) < 1.0)
+
+
+def geodesic_meet(g1: GeneralizedCycle, g2: GeneralizedCycle) -> complex | None:
+    """The disk point where two geodesics (A, B, A) meet, or None: the
+    meet_point of the cross product of their normals (A, Re B, Im B)."""
+    return meet_point(*through_normal((g1.a, g1.b.real, g1.b.imag),
+                                      (g2.a, g2.b.real, g2.b.imag)))
 
 
 def decimal_pencil(normals):
@@ -64,8 +73,7 @@ def decimal_pencil(normals):
     q = m_t^2 - |m_xy|^2 of its cross product m (the first such pair in
     index order), its meet read back as a disk point and the worst
     asinh(|n_k . m| / sqrt(q)) over the other lines; (None, None) when
-    that meet is not timelike or lies within INTERIOR_MARGIN of the
-    absolute."""
+    that meet is not timelike."""
     with localcontext() as ctx:
         ctx.prec = 50
         ns = [tuple(Decimal(c) for c in n) for n in normals]
@@ -82,8 +90,6 @@ def decimal_pencil(normals):
         root = q.sqrt()
         den = m[0] + root.copy_sign(m[0])
         zx, zy = m[1] / den, m[2] / den
-        if (zx * zx + zy * zy).sqrt() >= 1 - Decimal(INTERIOR_MARGIN):
-            return None, None
         residual = Decimal(0)
         for k, (n0, n1, n2) in enumerate(ns):
             if k not in (i, j):

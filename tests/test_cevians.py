@@ -462,8 +462,7 @@ def _vertex_sum_centers(tri):
     side lengths: sinh(a) A + sinh(b) B + sinh(c) C with the sign of the
     vertex beyond whose opposite side the circle lies flipped, a being
     the side opposite A; the radius is the center's distance to the side
-    through B and C.  None where the sum is not timelike or its disk
-    point is within INTERIOR_MARGIN of the absolute."""
+    through B and C.  None where the sum is not timelike."""
     lifts = [_lift(z) for z in (tri.a, tri.b, tri.c)]
     weights = [(_inner(lifts[(i + 1) % 3], lifts[(i + 2) % 3]) ** 2 - 1).sqrt()
                for i in range(3)]
@@ -479,10 +478,6 @@ def _vertex_sum_centers(tri):
             out.append(None)
             continue
         unit = [c / q.sqrt().copy_sign(x[0]) for c in x]
-        radius = (unit[1] ** 2 + unit[2] ** 2).sqrt() / (unit[0] + 1)
-        if radius >= 1 - Decimal(cycles.INTERIOR_MARGIN):
-            out.append(None)
-            continue
         sinh_rho = abs(sum(n * u for n, u in zip(side, unit))) / side_norm
         out.append((unit, _asinh(sinh_rho)))
     return out

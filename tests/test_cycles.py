@@ -1,6 +1,7 @@
 """Generalized cycles: construction, classification, intersection, tangency."""
 
 import cmath
+import itertools
 import math
 import struct
 from decimal import Decimal, localcontext
@@ -24,8 +25,8 @@ from hypfeuer.cycles import (
     circle_from_center_radius,
     classify,
     coefficient_distance,
+    _circle_vector,
     cycle_through,
-    geodesic_meet,
     geodesic_through,
     hyp_center_radius,
     intersect,
@@ -41,7 +42,14 @@ from hypfeuer.cycles import (
     transform,
     unit_normal,
 )
-from oracles import diameter_with_direction, interior_intersections, random_isometry
+from hypfeuer.instances import PURPOSE_MONGE, instance_rng, monge_triple
+from hypfeuer.power import homothetic_centers
+from oracles import (
+    diameter_with_direction,
+    geodesic_meet,
+    interior_intersections,
+    random_isometry,
+)
 
 
 def rand_point(rng, r=0.7):
@@ -326,6 +334,19 @@ def test_intersect_identical_raises():
         intersect(c, d)
 
 
+def test_intersect_identical_raises_on_both_branches():
+    rng = Random(43)
+    for _ in range(200):
+        # intersect's two-line branch (diameters) and its general branch
+        d = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
+        g = geodesic_through(rand_point(rng), rand_point(rng))
+        for cyc in (d, g):
+            twin = GeneralizedCycle.of(-3.0 * cyc.a, -3.0 * cyc.b, -3.0 * cyc.c)
+            for pair in ((cyc, cyc), (cyc, twin)):
+                with pytest.raises(IdenticalCycles):
+                    intersect(*pair)
+
+
 def test_intersect_disjoint_is_empty():
     c1 = circle_from_center_radius(-0.5, 0.3)
     c2 = circle_from_center_radius(0.5, 0.3)
@@ -343,9 +364,10 @@ def test_intersect_parallel_lines_empty():
 # ------------------------------------------------------------ geodesic meets
 
 def _meets_agree(g1, g2):
-    """geodesic_meet against the quadratic in interior_intersections, the
-    construction it replaces: both must find a meet or neither.  Returns
-    the two meets (None when neither exists)."""
+    """The meet of the normals' cross product (geodesic_meet) against the
+    quadratic in interior_intersections: both must find a meet inside
+    the disk or neither.  Returns the two meets (None when neither
+    exists)."""
     old = interior_intersections(g1, g2)
     new = geodesic_meet(g1, g2)
     assert (new is None) == (not old), (g1, g2, old, new)
@@ -446,21 +468,6 @@ def test_geodesic_meet_on_geodesics_hugging_the_absolute():
     assert worst <= 1e-9
 
 
-def test_geodesic_meet_identical_raises_where_intersect_does():
-    rng = Random(43)
-    for _ in range(200):
-        # intersect's two-line branch (diameters) and its general branch
-        d = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
-        g = geodesic_through(rand_point(rng), rand_point(rng))
-        for cyc in (d, g):
-            twin = GeneralizedCycle.of(-3.0 * cyc.a, -3.0 * cyc.b, -3.0 * cyc.c)
-            for pair in ((cyc, cyc), (cyc, twin)):
-                with pytest.raises(IdenticalCycles):
-                    intersect(*pair)
-                with pytest.raises(IdenticalCycles):
-                    geodesic_meet(*pair)
-
-
 def test_geodesic_meet_frozen():
     assert abs(geodesic_meet(diameter_with_direction(1.0), diameter_with_direction(1j))) < 1e-15
     # the geodesic through +-0.5j crosses the real axis at the origin
@@ -540,10 +547,12 @@ def test_sample_points_lie_on_cycle():
 
 # ------------------------------------- one-pass kernel against its reference
 #
-# The geodesic kernel normalizes a cycle in one pass and writes the lift,
-# evaluate and _to_disk out inline.  The functions below are the plain
+# The geodesic kernel normalizes a cycle in one pass and writes the lift
+# and evaluate out inline.  The functions below are the plain
 # compositions it replaced, kept as oracles: every result must keep its
-# exact bits (sign of zero included) and every error its type.
+# exact bits (sign of zero included) and every error its type.  The
+# meet of two geodesics (through_normal, then meet_point) is held to
+# its written-out composition the same way.
 
 def _reference_of(a, b, c):
     """GeneralizedCycle.of as a composition of max() and a loop; finite
@@ -600,10 +609,7 @@ def _reference_meet(g1, g2):
     a1, x1, y1 = g1.a, g1.b.real, g1.b.imag
     a2, x2, y2 = g2.a, g2.b.real, g2.b.imag
     mt, mx, my = x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2
-    if max(abs(mt), abs(mx), abs(my)) < 1e-15:
-        raise IdenticalCycles("one geodesic twice")
-    z = _reference_to_disk(mt, mx, my)
-    return z if z is not None and abs(z) < 1.0 - 1e-9 else None
+    return _reference_to_disk(mt, mx, my)
 
 
 def _bits(value):
@@ -736,8 +742,6 @@ def test_one_pass_kernel_raises_what_the_reference_raises():
             # a circle is no geodesic
             (point_geodesic_distance, (p, circle), _reference_distance, (p, circle),
              NotACycle),
-            # one geodesic twice
-            (geodesic_meet, (g, twin), _reference_meet, (g, twin), IdenticalCycles),
         ]
         for new_fn, new_args, ref_fn, ref_args, error in cases:
             new = _outcome(new_fn, *new_args)
@@ -789,21 +793,38 @@ def test_unit_normal_scale_and_degenerate_normals():
             unit_normal(bad)
 
 
-def test_meet_point_is_the_meet_of_geodesic_meet():
-    # geodesic_meet is the cross product of two normals read back by
-    # meet_point; meet_point keeps only timelike vectors clear of the
-    # absolute
+def test_meet_point_is_the_one_reader_of_a_vector():
+    # a circle's center and both homothetic centers of two circles are
+    # meet_point of their hyperboloid vectors, bit for bit
     rng = Random(72)
     for _ in range(2_000):
-        ends = [(rand_point(rng), rand_point(rng)) for _ in range(2)]
-        (a1, x1, y1), (a2, x2, y2) = (through_normal(point_lift(p), point_lift(q))
-                                      for p, q in ends)
-        m = (x1 * y2 - y1 * x2, y1 * a2 - a1 * y2, a1 * x2 - x1 * a2)
-        got = meet_point(*m)
-        want = geodesic_meet(*(geodesic_through(p, q) for p, q in ends))
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert abs(got - want) < 1e-12
+        c = circle_from_center_radius(rand_point(rng, 0.9), rng.uniform(0.01, 2.0))
+        assert _bits(meet_point(*_circle_vector(c)[:3])) == _bits(hyp_center_radius(c)[0])
+    for i in range(500):
+        triple = monge_triple(instance_rng(0, i, PURPOSE_MONGE))
+        for c1, c2 in itertools.combinations(triple, 2):
+            t1, x1, y1, _, s1 = _circle_vector(c1)
+            t2, x2, y2, _, s2 = _circle_vector(c2)
+            hc = homothetic_centers(c1, c2)
+            for sign, got in ((-1.0, hc.positive), (1.0, hc.negative)):
+                want = meet_point(s2 * t1 + sign * s1 * t2, s2 * x1 + sign * s1 * x2,
+                                  s2 * y1 + sign * s1 * y2)
+                assert _bits(got) == _bits(want)
     assert meet_point(1.0, 0.0, 0.0) == 0j
     assert meet_point(1.0, 1.0, 0.0) is None  # null: an ideal point
     assert meet_point(0.0, 1.0, 0.0) is None  # spacelike: ultra-ideal
+    # timelike, though q = (t^2 - x^2) - y^2 cancels from terms near 1 and
+    # 2^-39 to about 2^-77: the point is about 2.6e-12 from the absolute,
+    # and it is read as that point, not as none
+    t, x = 1.0, 1.0 - 2.0 ** -40
+    y = math.sqrt(2.0 ** -39 - 2.0 ** -77)
+    z = meet_point(t, x, y)
+    assert z is not None and 1.0 - 1e-9 < abs(z) < 1.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dt, dx, dy = Decimal(t), Decimal(x), Decimal(y)
+        q = dt * dt - dx * dx - dy * dy
+        assert q > 0
+        den = dt + q.sqrt()
+        exact = complex(float(dx / den), float(dy / den))
+    assert abs(z - exact) < 1e-12

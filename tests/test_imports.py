@@ -1,14 +1,16 @@
 """Every name a hypfeuer module or a test file imports is used in that
 file, every private module-level name the package defines is read
-somewhere in it, only the instance generators import `random`, no
-module imports `dataclasses`, which importing the CLI must not load, and
-importing a library module loads no part of the CLI.
+somewhere in it, every public one is read outside its own definition or
+bound by the benchmark's tracer, only the instance generators import
+`random`, no module imports `dataclasses`, which importing the CLI must
+not load, and importing a library module loads no part of the CLI.
 
 Stdlib `ast` only: a name counts as used when it is read anywhere in the
 module, annotations included.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -87,6 +89,70 @@ def test_every_private_package_name_is_read():
             read |= read_names(source)
     assert len(defined) >= 30
     assert sorted((m, n) for n, m in defined.items() if n not in read) == []
+
+
+def public_definitions(source: str) -> set[str]:
+    """Module-level functions and classes whose names do not start with
+    an underscore."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def outside_references(source: str) -> set[str]:
+    """Names read as a name or an attribute anywhere in a module, except
+    a function's or class's own name inside its own definition."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+        read.discard(getattr(stmt, "name", None))
+        names |= read
+    return names
+
+
+def test_public_definitions_and_outside_references_are_found():
+    source = ("def f(n):\n    return f(n - 1)\nclass K:\n    def m(self):\n"
+              "        return K\ndef _p():\n    return g.h\ndef g():\n    pass\n")
+    assert public_definitions(source) == {"f", "K", "g"}
+    assert outside_references(source) == {"n", "g", "h"}
+
+
+def traced_names() -> set[str]:
+    """The function names bench/tracing.py's SPANS and COUNTERS bind,
+    read as tests/test_bench_bindings.py reads them."""
+    path = os.path.join(os.path.dirname(TESTS), "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {fn for table in (tracing.SPANS, tracing.COUNTERS)
+            for fns in table.values() for fn in fns}
+
+
+# public names kept with no caller in src, each with its reason
+KEPT_UNREFERENCED = {
+    # the paper's nine-point maps take the circumcircle to the Euler
+    # circle; the Euler-map step of the checks will read them
+    "homothety_cycle": "power.py",
+    "inversion_cycle": "power.py",
+}
+
+
+def test_every_public_package_name_is_used_or_traced():
+    # a public function or class that nothing in the package calls is
+    # surface to keep working for no caller, unless the benchmark's
+    # tracer binds it by name
+    defined, referenced = {}, set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                source = fh.read()
+            defined.update(dict.fromkeys(public_definitions(source), name))
+            referenced |= outside_references(source)
+    assert len(defined) >= 100
+    traced = traced_names()
+    unused = {n: m for n, m in defined.items() if n not in referenced and n not in traced}
+    assert unused == KEPT_UNREFERENCED
 
 
 def imported_modules(source: str) -> set[str]:

@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 from hypfeuer import cevians, cli, cycles, geom_core, power
-from hypfeuer.cycles import INTERIOR_MARGIN, GeneralizedCycle
+from hypfeuer.cycles import GeneralizedCycle
 from hypfeuer.power import HomotheticCenters
 
 CAUGHT_AT_LEAST = 90
@@ -68,7 +68,7 @@ def _meet_other_root(original):
             return None
         # mt + copysign(...) in the kernel: this is the inverse point
         z = complex(mx, my) / (mt - math.copysign(math.sqrt(q), mt))
-        return z if abs(z) < 1.0 - INTERIOR_MARGIN else None
+        return z if abs(z) < 1.0 else None
     return mutant
 
 
@@ -249,12 +249,12 @@ TRAPEZOID_MUTANTS = {
 }
 
 SURVIVORS = {
-    # the other root is the meet's inverse in the absolute, always
-    # outside the disk, so every meet reads as "none inside": the
-    # pencils diverge, the concurrency points and the tritangent centers
-    # (sums of vertex vectors read back through the meet) go missing,
-    # and the checks that need them skip instead of failing; only their
-    # skips show it (pinned below)
+    # the other root is the point's inverse in the absolute, always
+    # outside the disk, so every vector meet_point reads is "no point
+    # inside": the pencils diverge, and the concurrency points, the
+    # tritangent centers, the circles' centers and the homothetic
+    # centers go missing, so the checks that need them skip instead of
+    # failing; only their skips show it (pinned below)
     "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, classification and
@@ -353,5 +353,5 @@ def test_survivor_still_survives(monkeypatch, mutant):
     if mutant == "meet_other_root":
         # every check that needs an interior meet now skips everywhere
         for name in ("euler_line", "euler_ratios", "feuerbach", "tangent_cevians",
-                     "feuerbach_point"):
+                     "feuerbach_point", "monge"):
             assert honest_skips[name] < skipped[name] == TRIALS, name

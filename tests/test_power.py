@@ -46,9 +46,8 @@ from hypfeuer.power import (
     power_of_point,
     pseudolength,
     radical_axis,
-    radical_center,
 )
-from oracles import diameter_with_direction, interior_intersections
+from oracles import diameter_with_direction, geodesic_meet, interior_intersections
 
 
 def rand_point(rng, r=0.6):
@@ -231,17 +230,10 @@ def test_power_near_its_pole_keeps_only_2_6x_headroom():
 
 # ----------------------------------------------------------- radical center
 
-def test_radical_center_symmetric_triple_at_origin():
-    circles = [circle_from_center_radius(0.3 * cmath.exp(2j * math.pi * k / 3), 0.5)
-               for k in range(3)]
-    center, residual = radical_center(*circles)
-    assert abs(center) < 1e-12
-    assert residual < 1e-12
-
-
 def test_pseudoaltitude_circles_meet_at_orthocenter():
     # the vertex-pair/foot-pair circles are concyclic four at a time and
-    # their radical center is the pseudoaltitude concurrency point
+    # their radical center, the meet of two of their radical axes, is
+    # the pseudoaltitude concurrency point
     idx = 0
     done = 0
     while done < 4 and idx < 100:
@@ -257,8 +249,7 @@ def test_pseudoaltitude_circles_meet_at_orthocenter():
         assert membership_residual(c_ab, hb) < 1e-10
         assert membership_residual(c_ac, hc) < 1e-10
         assert membership_residual(c_bc, hc) < 1e-10
-        center, residual = radical_center(c_ab, c_ac, c_bc)
-        assert residual < 1e-10
+        center = geodesic_meet(radical_axis(c_ab, c_ac), radical_axis(c_ab, c_bc))
         assert hyp_distance(center, cfg.pseudo_orthocenter) < 1e-9
         done += 1
     assert done == 4
