@@ -131,6 +131,12 @@ def bisector_foot(frame: SideFrame) -> complex:
     return mobius_from_origin(b1, t * u)
 
 
+# the cross product of two coinciding unit normals is rounding alone,
+# at most a few eps times their norms; over 9,600 drawn triangles in
+# four boxes the smallest honest pencil's ratio was 7.0e-5
+_COINCIDENT_RATIO = 16.0 * sys.float_info.epsilon
+
+
 def concurrency_point(normals) -> tuple[complex, float]:
     """Common point of geodesics given by their unit normals (unit_normal),
     and its worst distance to the other lines.
@@ -141,7 +147,9 @@ def concurrency_point(normals) -> tuple[complex, float]:
     its meet (meet_point) is the point; its distance to every other line
     n_k is asinh(|n_k . m| / sqrt(q)), i.e. |det(n_i, n_j, n_k)| over
     sqrt(q), the pencil determinant (plane_distances).  DivergentCevians
-    when that meet is not timelike, for the caller to flag.
+    when that meet is not timelike, or when the pair's m is no longer
+    than its rounding (|m| <= 16 eps |n_i| |n_j|, Euclidean norms): the
+    two lines coincide and m has no direction.  The caller flags either.
     """
     normals = tuple(normals)
     count = len(normals)
@@ -154,6 +162,9 @@ def concurrency_point(normals) -> tuple[complex, float]:
                 best_q, best = q, (i, j, m)
     if best is not None:
         i, j, m = best
+        scale = math.hypot(*normals[i]) * math.hypot(*normals[j])
+        if math.hypot(*m) <= _COINCIDENT_RATIO * scale:
+            raise DivergentCevians("the lines coincide")
         z = meet_point(*m)
         if z is not None:
             others = normals[:i] + normals[i + 1:j] + normals[j + 1:]

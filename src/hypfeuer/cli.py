@@ -10,7 +10,6 @@ across runs.  A NaN or an infinity is never written: the command exits
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
 import json
@@ -18,6 +17,7 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .cevians import TriangleConfig, build_config
 from .errors import GeometryError, SamplingExhausted
@@ -468,7 +468,10 @@ def scenario_from_args(args) -> Scenario:
     data = {}
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("scenario file nests too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("scenario file must hold a JSON object")
         _check_scenario_types(data)
@@ -522,59 +525,174 @@ def scenario_from_args(args) -> Scenario:
     )
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="hypfeuer",
-        description="Triangle constructions and theorem verification "
-                    "in the hyperbolic disk.")
-    parser.add_argument("command", choices=("construct", "verify", "render"),
-                        help="construct: serialize the full configuration of "
-                             "one triangle; verify: run theorem suites over "
-                             "seeded random instances; render: draw a "
-                             "configuration as an SVG figure")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--suite", type=str, default=None,
-                        help="comma-separated check names, or 'all'")
-    parser.add_argument("--tol-construct", type=float, default=None)
-    parser.add_argument("--tol-theorem", type=float, default=None)
-    parser.add_argument("--tol-chain", type=float, default=None)
-    parser.add_argument("--triangle", type=str, default=None,
-                        help='vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"')
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", type=str, default=None, choices=("json", "svg"))
-    parser.add_argument("--scenario", type=str, default=None,
-                        help="JSON file with scenario fields; flags override")
-    return parser
+COMMANDS = ("construct", "verify", "render")
 
+# flag -> (what reads its value: int, float, str or a tuple of the
+# choices, its help line); parse_args stores the value under the flag's
+# name with underscores for dashes
+_FLAGS = {
+    "--seed": (int, None),
+    "--trials": (int, None),
+    "--suite": (str, "comma-separated check names, or 'all'"),
+    "--tol-construct": (float, None),
+    "--tol-theorem": (float, None),
+    "--tol-chain": (float, None),
+    "--triangle": (str, 'vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"'),
+    "--out": (str, None),
+    "--format": (("json", "svg"), None),
+    "--scenario": (str, "JSON file with scenario fields; flags override"),
+}
 
-# what a vertex can start with after its minus sign
+_DESCRIPTION = ("Triangle constructions and theorem verification in the "
+               "hyperbolic disk.")
+_COMMAND_HELP = ("construct: serialize the full configuration of one triangle; "
+                "verify: run theorem suites over seeded random instances; "
+                "render: draw a configuration as an SVG figure")
+
+# what a value can start with after a leading minus: a negative number,
+# or a first vertex with a negative real part ("-0.1+0.2i", "-.25i", "-i")
 _VALUE_STARTS = frozenset("0123456789.i")
 
+# the width --help and usage errors wrap to, as argparse's at 80 columns
+_WIDTH = 78
 
-def _attach_triangle_values(argv: list[str]) -> list[str]:
-    """argv with each `--triangle V` whose V starts with a minus sign and
-    a digit, point or i (a first vertex with a negative real part) given
-    as `--triangle=V`, which argparse reads the same way; on its own such
-    a V reads as an option and the flag as missing its value.  Unique
-    abbreviations of the flag (from --trian) are taken too."""
-    out = []
-    pending = False
-    for arg in argv:
-        if pending and arg[:1] == "-" and arg[1:2] in _VALUE_STARTS:
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-        pending = len(arg) >= 7 and "--triangle".startswith(arg)
-    return out
+
+def _is_flag(word: str) -> bool:
+    """Whether a word names a flag rather than being a value."""
+    return len(word) > 1 and word[0] == "-" and word[1] not in _VALUE_STARTS
+
+
+def _metavar(name: str, reader) -> str:
+    """What usage and help show for a value: its choices, or its name."""
+    if type(reader) is tuple:
+        return "{" + ",".join(reader) + "}"
+    return name.lstrip("-").replace("-", "_").upper()
+
+
+class Parser:
+    """The command line: one command (construct, verify or render) and
+    the flags of _FLAGS, each as `--flag value` or `--flag=value`, by its
+    name or any unique prefix of it, in any order around the command; a
+    repeated flag keeps its last value.  A word that starts with "-" is a
+    flag unless its next character is a digit, "." or "i", so `--seed -3`
+    and `--triangle -0.1+0.2i,0.3,0.1i` read as values.  `-h`/`--help`
+    prints the help and exits 0; a usage error prints the usage and
+    `hypfeuer: error: ...` to stderr and exits 2, as argparse does."""
+
+    def __init__(self):
+        # flag prefix -> the flags it names: each exact name, and every
+        # prefix past the "--", which is ambiguous when it names several
+        self._prefixes: dict[str, list[str]] = {"-h": ["--help"]}
+        for flag in ("--help", *_FLAGS):
+            for end in range(3, len(flag) + 1):
+                self._prefixes.setdefault(flag[:end], []).append(flag)
+        # flag -> (the field its value goes to, what reads the value)
+        self._targets = {flag: (flag[2:].replace("-", "_"), reader)
+                         for flag, (reader, _) in _FLAGS.items()}
+        self._fields = ("command", *(field for field, _ in self._targets.values()))
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        """The command and each flag's value, None where not given."""
+        values = dict.fromkeys(self._fields)
+        extras = []
+        i, count = 0, len(argv)
+        while i < count:
+            word = argv[i]
+            i += 1
+            if not _is_flag(word):
+                if values["command"] is None:
+                    values["command"] = self._read("command", COMMANDS, word)
+                else:
+                    extras.append(word)
+                continue
+            name, eq, value = word.partition("=")
+            flags = self._prefixes.get(name)
+            if flags is None:
+                extras.append(word)
+                continue
+            if len(flags) > 1:
+                self.error(f"ambiguous option: {word} could match {', '.join(flags)}")
+            (flag,) = flags
+            if flag == "--help":
+                if eq:
+                    self.error(f"argument -h/--help: ignored explicit argument {value!r}")
+                sys.stdout.write(self.format_help())
+                raise SystemExit(0)
+            if not eq:
+                if i == count or _is_flag(argv[i]):
+                    self.error(f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            field, reader = self._targets[flag]
+            values[field] = self._read(flag, reader, value)
+        if values["command"] is None:
+            self.error("the following arguments are required: command")
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(**values)
+
+    def _read(self, name: str, reader, value: str):
+        if type(reader) is tuple:
+            if value not in reader:
+                self.error(f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, reader))})")
+            return value
+        try:
+            return reader(value)
+        except ValueError:
+            self.error(f"argument {name}: invalid {reader.__name__} value: {value!r}")
+
+    def error(self, message: str):
+        sys.stderr.write(f"{self.format_usage()}hypfeuer: error: {message}\n")
+        raise SystemExit(2)
+
+    def format_usage(self) -> str:
+        """The usage lines: the flags wrapped at _WIDTH, then the command."""
+        indent = " " * len("usage: hypfeuer ")
+        lines, line = [], "usage: hypfeuer"
+        for part in ("[-h]", *(f"[{flag} {_metavar(flag, reader)}]"
+                                for flag, (reader, _) in _FLAGS.items())):
+            if len(line) + 1 + len(part) > _WIDTH:
+                lines.append(line)
+                line = indent + part
+            else:
+                line += " " + part
+        lines += [line, indent + _metavar("command", COMMANDS)]
+        return "\n".join(lines) + "\n"
+
+    def format_help(self) -> str:
+        """What --help prints: the usage and one entry per argument."""
+        import textwrap  # only --help wraps text
+
+        def entry(invocation: str, text: str | None) -> list[str]:
+            # argparse's layout: help text from column 24, on the
+            # invocation's own line when the invocation fits before it
+            rows = textwrap.wrap(text, _WIDTH - 24) if text else []
+            if rows and len(invocation) <= 20:
+                first, rows = [f"  {invocation:<20}  {rows[0]}"], rows[1:]
+            else:
+                first = [f"  {invocation}"]
+            return first + [" " * 24 + row for row in rows]
+
+        lines = [self.format_usage(), *textwrap.wrap(_DESCRIPTION, _WIDTH), "",
+                 "positional arguments:",
+                 *entry(_metavar("command", COMMANDS), _COMMAND_HELP), "",
+                 "options:", *entry("-h, --help", "show this help message and exit")]
+        for flag, (reader, text) in _FLAGS.items():
+            lines += entry(f"{flag} {_metavar(flag, reader)}", text)
+        return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def build_parser() -> Parser:
+    """The argument parser, built once per process."""
+    return Parser()
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_triangle_values(argv))
+    args = build_parser().parse_args(argv)
     try:
         scn = scenario_from_args(args)
         fmt = args.format or ("svg" if args.command == "render" else "json")

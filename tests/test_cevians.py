@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 from decimal import Decimal, localcontext
+from random import Random
 
 import pytest
 
@@ -20,6 +21,7 @@ from hypfeuer.geom_core import (
 )
 from hypfeuer.cycles import (
     CycleClass,
+    GeneralizedCycle,
     classify,
     geodesic_through,
     hyp_center_radius,
@@ -39,7 +41,7 @@ from hypfeuer.cevians import (
 )
 from hypfeuer.instances import brent_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach, check_feuerbach_point, check_tangent_cevians
-from oracles import decimal_pencil, hyp_midpoint, internal_bisector
+from oracles import decimal_pencil, diameter_with_direction, hyp_midpoint, internal_bisector
 
 
 def isosceles():
@@ -623,3 +625,16 @@ def test_concurrency_point_divergent_lines_raise():
     assert decimal_pencil(normals) == (None, None)
     with pytest.raises(DivergentCevians):
         concurrency_point(normals)
+
+
+def test_concurrency_point_coincident_lines_raise():
+    # a diameter and its copy scaled by -3 are one line: their unit
+    # normals differ in the last ulp, and the cross product is rounding
+    # alone, which 39 of these 200 read as the point 0 with residual 0
+    rng = Random(43)
+    for _ in range(200):
+        d = diameter_with_direction(cmath.exp(1j * rng.uniform(0, math.pi)))
+        twin = GeneralizedCycle.of(-3.0 * d.a, -3.0 * d.b, -3.0 * d.c)
+        n, n_twin = (unit_normal((c.a, c.b.real, c.b.imag)) for c in (d, twin))
+        with pytest.raises(DivergentCevians, match="the lines coincide"):
+            concurrency_point([n, n_twin, n])

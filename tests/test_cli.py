@@ -505,11 +505,25 @@ def test_python_dash_m_runs_without_warning():
     assert "Warning" not in proc.stderr
 
 
+def _readme_usage() -> list[str]:
+    """The lines of the README's fenced block that starts with usage:."""
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text[text.index("```\nusage: hypfeuer ") + 4:]
+    return block[:block.index("```")].splitlines()
+
+
 def test_help_names_every_command():
     proc = _child("-m", "hypfeuer", "--help")
     assert proc.returncode == 0, proc.stderr
-    for command in ("construct", "verify", "render"):
-        assert command in proc.stdout
+    assert proc.stderr == ""
+    for name in ("construct", "verify", "render", *FLAGS):
+        assert name in proc.stdout
+    # the usage lines run to the first blank line
+    usage = proc.stdout[:proc.stdout.index("\n\n")].splitlines()
+    assert usage[0].startswith("usage: hypfeuer ")
+    assert usage == _readme_usage()
 
 
 # a child process, so that a scenario the sampler can never satisfy fails
@@ -539,6 +553,9 @@ def test_help_names_every_command():
     # in range, but no draw meets them: the sampler's cap ends the search
     ('{"min_angle": 1.04}', "no triangle with min_angle 1.04 inside"),
     ('{"max_vertex_radius": 1e-9}', "inside max_vertex_radius 1e-09"),
+    # the decoder recurses once per level and ran out of stack
+    pytest.param("[" * 100000 + "]" * 100000, "scenario file nests too deeply",
+                 id="nested-100000"),
 ])
 def test_bad_scenario_is_usage_error(tmp_path, content, message):
     scn = tmp_path / "scn.json"
@@ -546,8 +563,9 @@ def test_bad_scenario_is_usage_error(tmp_path, content, message):
     proc = _child("-m", "hypfeuer", "verify", "--scenario", str(scn),
                   "--trials", "1", timeout=30)
     assert proc.returncode == 2, proc.stderr
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("hypfeuer: ")
+    assert message in line
     assert proc.stdout == ""
 
 
