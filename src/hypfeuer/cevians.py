@@ -48,7 +48,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import BracketFailure, DegenerateAngle, DivergentCevians, GeometryError
+from .errors import (BracketFailure, DegenerateAngle, DegenerateTriangle,
+                     DivergentCevians, GeometryError)
 from .geom_core import (
     COINCIDENT_EPS,
     Record,
@@ -61,6 +62,7 @@ from .cycles import (
     _circle_vector,
     _translate_raw,
     circle_from_center_radius,
+    coefficient_center_radius,
     cycle_through,
     geodesic_of_normal,
     hyp_center_radius,
@@ -68,6 +70,7 @@ from .cycles import (
     membership_residual,
     plane_distances,
     point_lift,
+    sign_aware_q,
     through_normal,
     unit_normal,
 )
@@ -203,7 +206,9 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
     (and cyclically).  As |n_a| = sinh(a) |L_b| |L_c| for the side length
     a, X is the sum sinh(a) A + sinh(b) B + sinh(c) C of the unit vertex
     vectors times a common factor.  A center exists where its sum is
-    timelike, and meet_point reads it as a disk point.
+    timelike, and meet_point reads it as a disk point.  A side whose
+    normal is not spacelike, its vertices equal to rounding, raises
+    DegenerateTriangle.
 
     The radius is the mean of the three side distances
     (plane_distances).  The built circle's center and radius are read
@@ -214,7 +219,11 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
     units, weighted = [], []
     for v in VERTICES:
         n0, n1, n2 = side_normals[v]
-        norm = math.sqrt(n1 * n1 + n2 * n2 - n0 * n0)
+        norm2 = n1 * n1 + n2 * n2 - n0 * n0
+        if norm2 <= 0.0:
+            # two vertices so close that their side rounds to no geodesic
+            raise DegenerateTriangle(f"side {v} has no spacelike normal")
+        norm = math.sqrt(norm2)
         units.append((n0 / norm, n1 / norm, n2 / norm))
         lt, lx, ly = lifts[v]
         weighted.append((norm * lt, norm * lx, norm * ly))
@@ -270,18 +279,12 @@ def _shoot_tangent_circle(tri: Triangle, vertex: str,
         u = 1j * u1
     u /= abs(u)
     sin_half = abs((u * u1.conjugate()).imag)
-    wa, wb, wc = _translate_raw(v, w.a, w.b, w.c)
-    m = -wb / wa
-    big_r = math.sqrt(max(abs(wb) ** 2 - wa * wc, 0.0)) / abs(wa)
+    m, big_r = coefficient_center_radius(*_translate_raw(v, w.a, w.b, w.c))
     qa = 1.0 - sin_half * sin_half
     qb = -2.0 * ((u.conjugate() * m).real - big_r * sin_half)
     qc = abs(m) ** 2 - big_r * big_r
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return None
-    # the sign-aware form, as in cycles.intersect
-    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
-    if q == 0.0:
+    q = sign_aware_q(qa, qb, qc)
+    if q is None or q == 0.0:
         return None
     for e in sorted((q / qa, qc / q)):
         near, far = e * (1.0 - sin_half), e * (1.0 + sin_half)

@@ -301,17 +301,21 @@ def _to_json(doc) -> str:
 
 # ------------------------------------------------------------ suite running
 
+def _triangle(scn: Scenario, index: int) -> tuple[Triangle, int]:
+    """The scenario's triangle, or instance index's seeded draw, and the
+    number of draws rejected on the way."""
+    if scn.triangle is not None:
+        return Triangle.of(*scn.triangle), 0
+    return random_triangle(instance_rng(scn.seed, index, PURPOSE_TRIANGLE),
+                           scn.max_vertex_radius, scn.min_angle)
+
+
 def _run_instance(scn: Scenario, index: int) -> InstanceReport:
     instance: dict = {}
     flags: list[str] = []
     cfg = None
     if any(s in TRIANGLE_SUITES for s in scn.suite):
-        if scn.triangle is not None:
-            tri, resamples = Triangle.of(*scn.triangle), 0
-        else:
-            tri, resamples = random_triangle(
-                instance_rng(scn.seed, index, PURPOSE_TRIANGLE),
-                scn.max_vertex_radius, scn.min_angle)
+        tri, resamples = _triangle(scn, index)
         cfg = build_config(tri)
         flags = list(cfg.flags)
         instance["triangle"] = {"a": tri.a, "b": tri.b, "c": tri.c}
@@ -330,8 +334,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
-        "tolerances": {name: getattr(scn.tolerances, name)
-                       for name in Tolerances.__slots__},
+        "tolerances": scn.tolerances,
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
         "triangle": dict(zip("abc", scn.triangle)) if scn.triangle else None,
@@ -341,10 +344,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
 
 
 def report_json(report: VerificationReport) -> str:
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for inst in report.instances:
-        for check in inst.checks:
-            counts[check.status] += 1
+    counts = report.counts()
     doc = {
         "seed": report.seed,
         "params": report.params,
@@ -398,20 +398,16 @@ def _write_out(text: str, out: str | None):
 def cmd_verify(scn: Scenario) -> int:
     report = run_verify(scn)
     _write_out(report_json(report), scn.out)
-    print(f"{len(report.instances)} instances, {report.failed} failed, "
+    failed = report.counts()["fail"]
+    print(f"{len(report.instances)} instances, {failed} failed, "
           f"{report.wall_time:.2f}s", file=sys.stderr)
-    return 0 if report.failed == 0 else 1
+    return 0 if failed == 0 else 1
 
 
 def cmd_render(scn: Scenario, fmt: str) -> int:
     """render, and construct, which is render --format json of a given
     triangle."""
-    if scn.triangle is not None:
-        tri = Triangle.of(*scn.triangle)
-    else:
-        tri, _ = random_triangle(instance_rng(scn.seed, 0, PURPOSE_TRIANGLE),
-                                 scn.max_vertex_radius, scn.min_angle)
-    cfg = build_config(tri)
+    cfg = build_config(_triangle(scn, 0)[0])
     text = config_json(cfg) if fmt == "json" else render_svg(cfg)
     _write_out(text, scn.out)
     return 0
@@ -527,46 +523,64 @@ def scenario_from_args(args) -> Scenario:
 
 COMMANDS = ("construct", "verify", "render")
 
-# flag -> (what reads its value: int, float, str or a tuple of the
-# choices, its help line); parse_args stores the value under the flag's
-# name with underscores for dashes
+# flag -> what reads its value: int, float, str or a tuple of the
+# choices; parse_args stores the value under the flag's name with
+# underscores for dashes
 _FLAGS = {
-    "--seed": (int, None),
-    "--trials": (int, None),
-    "--suite": (str, "comma-separated check names, or 'all'"),
-    "--tol-construct": (float, None),
-    "--tol-theorem": (float, None),
-    "--tol-chain": (float, None),
-    "--triangle": (str, 'vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"'),
-    "--out": (str, None),
-    "--format": (("json", "svg"), None),
-    "--scenario": (str, "JSON file with scenario fields; flags override"),
+    "--seed": int,
+    "--trials": int,
+    "--suite": str,
+    "--tol-construct": float,
+    "--tol-theorem": float,
+    "--tol-chain": float,
+    "--triangle": str,
+    "--out": str,
+    "--format": ("json", "svg"),
+    "--scenario": str,
 }
 
-_DESCRIPTION = ("Triangle constructions and theorem verification in the "
-               "hyperbolic disk.")
-_COMMAND_HELP = ("construct: serialize the full configuration of one triangle; "
-                "verify: run theorem suites over seeded random instances; "
-                "render: draw a configuration as an SVG figure")
+# what --help prints, laid out as argparse lays it out at 80 columns
+_HELP = """\
+usage: hypfeuer [-h] [--seed SEED] [--trials TRIALS] [--suite SUITE]
+                [--tol-construct TOL_CONSTRUCT] [--tol-theorem TOL_THEOREM]
+                [--tol-chain TOL_CHAIN] [--triangle TRIANGLE] [--out OUT]
+                [--format {json,svg}] [--scenario SCENARIO]
+                {construct,verify,render}
+
+Triangle constructions and theorem verification in the hyperbolic disk.
+
+positional arguments:
+  {construct,verify,render}
+                        construct: serialize the full configuration of one
+                        triangle; verify: run theorem suites over seeded
+                        random instances; render: draw a configuration as an
+                        SVG figure
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --trials TRIALS
+  --suite SUITE         comma-separated check names, or 'all'
+  --tol-construct TOL_CONSTRUCT
+  --tol-theorem TOL_THEOREM
+  --tol-chain TOL_CHAIN
+  --triangle TRIANGLE   vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"
+  --out OUT
+  --format {json,svg}
+  --scenario SCENARIO   JSON file with scenario fields; flags override
+"""
+
+# what a usage error prints before its message: the help's first lines
+_USAGE = _HELP[:_HELP.index("\n\n") + 1]
 
 # what a value can start with after a leading minus: a negative number,
 # or a first vertex with a negative real part ("-0.1+0.2i", "-.25i", "-i")
 _VALUE_STARTS = frozenset("0123456789.i")
 
-# the width --help and usage errors wrap to, as argparse's at 80 columns
-_WIDTH = 78
-
 
 def _is_flag(word: str) -> bool:
     """Whether a word names a flag rather than being a value."""
     return len(word) > 1 and word[0] == "-" and word[1] not in _VALUE_STARTS
-
-
-def _metavar(name: str, reader) -> str:
-    """What usage and help show for a value: its choices, or its name."""
-    if type(reader) is tuple:
-        return "{" + ",".join(reader) + "}"
-    return name.lstrip("-").replace("-", "_").upper()
 
 
 class Parser:
@@ -588,7 +602,7 @@ class Parser:
                 self._prefixes.setdefault(flag[:end], []).append(flag)
         # flag -> (the field its value goes to, what reads the value)
         self._targets = {flag: (flag[2:].replace("-", "_"), reader)
-                         for flag, (reader, _) in _FLAGS.items()}
+                         for flag, reader in _FLAGS.items()}
         self._fields = ("command", *(field for field, _ in self._targets.values()))
 
     def parse_args(self, argv) -> SimpleNamespace:
@@ -616,7 +630,7 @@ class Parser:
             if flag == "--help":
                 if eq:
                     self.error(f"argument -h/--help: ignored explicit argument {value!r}")
-                sys.stdout.write(self.format_help())
+                sys.stdout.write(_HELP)
                 raise SystemExit(0)
             if not eq:
                 if i == count or _is_flag(argv[i]):
@@ -643,44 +657,8 @@ class Parser:
             self.error(f"argument {name}: invalid {reader.__name__} value: {value!r}")
 
     def error(self, message: str):
-        sys.stderr.write(f"{self.format_usage()}hypfeuer: error: {message}\n")
+        sys.stderr.write(f"{_USAGE}hypfeuer: error: {message}\n")
         raise SystemExit(2)
-
-    def format_usage(self) -> str:
-        """The usage lines: the flags wrapped at _WIDTH, then the command."""
-        indent = " " * len("usage: hypfeuer ")
-        lines, line = [], "usage: hypfeuer"
-        for part in ("[-h]", *(f"[{flag} {_metavar(flag, reader)}]"
-                                for flag, (reader, _) in _FLAGS.items())):
-            if len(line) + 1 + len(part) > _WIDTH:
-                lines.append(line)
-                line = indent + part
-            else:
-                line += " " + part
-        lines += [line, indent + _metavar("command", COMMANDS)]
-        return "\n".join(lines) + "\n"
-
-    def format_help(self) -> str:
-        """What --help prints: the usage and one entry per argument."""
-        import textwrap  # only --help wraps text
-
-        def entry(invocation: str, text: str | None) -> list[str]:
-            # argparse's layout: help text from column 24, on the
-            # invocation's own line when the invocation fits before it
-            rows = textwrap.wrap(text, _WIDTH - 24) if text else []
-            if rows and len(invocation) <= 20:
-                first, rows = [f"  {invocation:<20}  {rows[0]}"], rows[1:]
-            else:
-                first = [f"  {invocation}"]
-            return first + [" " * 24 + row for row in rows]
-
-        lines = [self.format_usage(), *textwrap.wrap(_DESCRIPTION, _WIDTH), "",
-                 "positional arguments:",
-                 *entry(_metavar("command", COMMANDS), _COMMAND_HELP), "",
-                 "options:", *entry("-h, --help", "show this help message and exit")]
-        for flag, (reader, text) in _FLAGS.items():
-            lines += entry(f"{flag} {_metavar(flag, reader)}", text)
-        return "\n".join(lines) + "\n"
 
 
 @functools.cache

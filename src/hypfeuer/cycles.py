@@ -14,7 +14,8 @@ A triple with any non-finite part (NaN included, wherever it sits) or
 all parts zero raises NotACycle.  In this form:
 
 * geodesics are exactly the cycles with C = A (diameters have A = 0),
-* Euclidean center and radius are -B/A and sqrt(|B|^2 - A C)/|A|,
+* Euclidean center and radius are -B/A and sqrt(|B|^2 - A C)/|A|
+  (``coefficient_center_radius``, on a bare triple too),
 * the inversive product <c1,c2> = 2 Re(B1 conj B2) - A1 C2 - A2 C1 is
   invariant under disk isometries up to a common scale, which makes
   |<c1,c2>^2 - <c1,c1><c2,c2>| / (<c1,c1><c2,c2>) a scale-free tangency
@@ -40,7 +41,9 @@ homothetic or tritangent center.
 The checks' cycle constructions live here too: the constant-area locus
 (``lexell_cycle``) and samples along an arc, split into the arc's frame
 (``sample_frame``) and the expression of one sample (``frame_point``),
-so a caller computes only the samples it reads.  A circle's arc inside
+so a caller computes only the samples it reads; ``farthest_sample``
+picks the one farthest from a point of the cycle.  Only this module
+reads a frame's layout.  A circle's arc inside
 the disk (``disk_arc``) is found once for the sampler and the SVG clip.
 """
 
@@ -144,12 +147,18 @@ class GeneralizedCycle(Record):
     def euclid_center_radius(self) -> tuple[complex, float]:
         if self.is_line:
             raise NotACircle("straight line has no Euclidean center")
-        disc = abs(self.b) ** 2 - self.a * self.c
-        return -self.b / self.a, math.sqrt(max(disc, 0.0)) / abs(self.a)
+        return coefficient_center_radius(self.a, self.b, self.c)
 
     def gradient(self, p) -> complex:
         """Euclidean gradient of E at p, as a complex vector."""
         return 2.0 * (self.a * as_complex(p) + self.b)
+
+
+def coefficient_center_radius(a: float, b: complex, c: float) -> tuple[complex, float]:
+    """Euclidean center -b / a and radius sqrt(|b|^2 - a c) / |a| of the
+    circle with coefficients (a, b, c), a != 0, without building it; a
+    negative |b|^2 - a c reads as radius 0."""
+    return -b / a, math.sqrt(max(abs(b) ** 2 - a * c, 0.0)) / abs(a)
 
 
 def membership_residual(cycle: GeneralizedCycle, p) -> float:
@@ -327,8 +336,12 @@ def inversive_product(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
 
 
 def tangency_residual(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
-    """Scale-free tangency defect; zero iff the cycles touch at one point."""
+    """Scale-free tangency defect; zero iff the cycles touch at one point.
+    NotACircle when either cycle has |B|^2 - AC = 0, a point or a circle
+    whose radius squares to nothing against its coefficients."""
     g = inversive_product(c1, c1) * inversive_product(c2, c2)
+    if g == 0.0:
+        raise NotACircle("a cycle of radius zero has no tangency")
     return abs(inversive_product(c1, c2) ** 2 - g) / g
 
 
@@ -371,19 +384,26 @@ def coefficient_crossings(a1: float, b1: complex, c1: float,
     qa = a1
     qb = 2.0 * (a1 * (z0.conjugate() * d).real + (b1.conjugate() * d).real)
     qc = a1 * abs(z0) ** 2 + 2.0 * (b1.conjugate() * z0).real + c1
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
+    q = sign_aware_q(qa, qb, qc)
+    if q is None:
         return ()
-    root = math.sqrt(disc)
-    if qb >= 0.0:
-        q = -(qb + root) / 2.0
-    else:
-        q = -(qb - root) / 2.0
     if q == 0.0:
         return (z0 + 0.0 * d,)
     p1 = z0 + (q / qa) * d
     p2 = z0 + (qc / q) * d
     return (p1,) if abs(p2 - p1) < 1e-13 else (p1, p2)
+
+
+def sign_aware_q(qa: float, qb: float, qc: float) -> float | None:
+    """q = -(qb + sgn(qb) sqrt(qb^2 - 4 qa qc)) / 2 for the quadratic
+    qa s^2 + qb s + qc, whose roots are then q / qa and qc / q: neither
+    subtracts nearly equal numbers.  A zero qb, -0.0 too, takes the plus
+    sign.  None when the discriminant is negative."""
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return -(qb + root) / 2.0 if qb >= 0.0 else -(qb - root) / 2.0
 
 
 def _intersect_lines(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:
@@ -551,6 +571,31 @@ def frame_point(frame: tuple, k: int, count: int) -> complex:
     if kind is FRAME_ARC:
         return ec + er * cmath.exp(1j * (start + span * k / (count - 1)))
     return ec + er * cmath.exp(1j * (span * k / count))
+
+
+def farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
+    """The sample of count in a sample_frame of a cycle through c0
+    farthest from c0, the lower index on a tie: the first of a stable
+    sort of all of them by -abs(z - c0).
+
+    The distance grows with the distance between a sample's parameter
+    and c0's own: along a line, and on a circle with the angle from c0's
+    up to its antipode phase(c0 - ec) + pi.  So the farthest is an end
+    or, on a circle or an arc, one of the two samples either side of
+    the antipode, and only those (at most four) are computed
+    (frame_point)."""
+    ks = {0, count - 1}
+    kind = frame[0]
+    if kind is not FRAME_LINE:
+        _, ec, _, start, span = frame
+        # sample k lies at angle start + span k / (count - 1) on an arc and
+        # span k / count on a whole circle, whose start is 0
+        scale = (count - 1 if kind is FRAME_ARC else count) / span
+        below = math.floor((cmath.phase(c0 - ec) + math.pi - start) % (2.0 * math.pi) * scale)
+        # on a whole circle the sample past the last is sample 0, an end
+        ks.update(range(below, min(below + 2, count)))
+    # max keeps the first of equal distances, so the lower index
+    return max((frame_point(frame, k, count) for k in sorted(ks)), key=lambda z: abs(z - c0))
 
 
 def sample_points(cycle: GeneralizedCycle, count: int,

@@ -22,11 +22,10 @@ from .geom_core import (
     triangle_area,
 )
 from .cycles import (
-    FRAME_ARC,
-    FRAME_LINE,
     GeneralizedCycle,
     circle_from_center_radius,
     cycle_through,
+    farthest_sample,
     frame_point,
     geodesic_through,
     lexell_cycle,
@@ -187,38 +186,13 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     return out[0], out[1], out[2]
 
 
-def _farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
-    """The sample of a sample_frame of a cycle through c0 farthest from
-    c0, the lower index on a tie: the first of a stable sort of all of
-    them by -abs(z - c0).
-
-    The distance grows with the distance between a sample's parameter
-    and c0's own: along a line, and on a circle with the angle from c0's
-    up to its antipode phase(c0 - ec) + pi.  So the farthest is an end
-    or, on a circle or an arc, one of the two samples either side of
-    the antipode, and only those (at most four) are computed
-    (frame_point)."""
-    ks = {0, count - 1}
-    kind = frame[0]
-    if kind is not FRAME_LINE:
-        _, ec, _, start, span = frame
-        # sample k lies at angle start + span k / (count - 1) on an arc and
-        # span k / count on a whole circle, whose start is 0
-        scale = (count - 1 if kind is FRAME_ARC else count) / span
-        below = math.floor((cmath.phase(c0 - ec) + math.pi - start) % (2.0 * math.pi) * scale)
-        # on a whole circle the sample past the last is sample 0, an end
-        ks.update(range(below, min(below + 2, count)))
-    # max keeps the first of equal distances, so the lower index
-    return max((frame_point(frame, k, count) for k in sorted(ks)), key=lambda z: abs(z - c0))
-
-
 def trapezoid_quad(rng: Random, converse: bool = False):
     """Convex quadrilateral (a, b, c, d) built to satisfy one side of the
     trapezoid equivalence exactly.
 
     With converse=False, c and d share a constant-area locus over base
     ab, so area(abc) = area(abd) holds by construction: d is the one of
-    the locus's 48 samples farthest from c (_farthest_sample), and the
+    the locus's 48 samples farthest from c (farthest_sample), and the
     draw is rejected, like a bad a, b or c, when d lies within 0.25 of c
     or 0.2 of a or b, or makes a convex quad in neither order.  With
     converse=True, d is instead root-found along a transversal until the
@@ -237,7 +211,7 @@ def trapezoid_quad(rng: Random, converse: bool = False):
             continue
         if not 0.05 < ca < 2.5 or abs(c0 - a) < 0.3 or abs(c0 - b) < 0.3:
             continue
-        d0 = _farthest_sample(sample_frame(lexell_cycle(a, b, c0), margin=0.07), 48, c0)
+        d0 = farthest_sample(sample_frame(lexell_cycle(a, b, c0), margin=0.07), 48, c0)
         if abs(d0 - c0) <= 0.25 or abs(d0 - a) <= 0.2 or abs(d0 - b) <= 0.2:
             continue
         for quad in ((a, b, c0, d0), (a, b, d0, c0)):

@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, disk_arc, sample_frame
+from .cycles import GeneralizedCycle, disk_arc, frame_point, sample_frame
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -93,8 +93,8 @@ def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
                 stroke: str, width: float):
     """Whole cycle, clipped to the unit disk when it reaches the absolute."""
     if cycle.is_line:
-        _, z0, d, half = sample_frame(cycle, 0.0)
-        cv.line(elem_id, z0 - half * d, z0 + half * d, stroke, width)
+        frame = sample_frame(cycle, 0.0)
+        cv.line(elem_id, frame_point(frame, 0, 2), frame_point(frame, 1, 2), stroke, width)
         return
     ec, er = cycle.euclid_center_radius()
     if abs(ec) + er <= 1.0 + 1e-12:

@@ -20,6 +20,7 @@ instance generators reach it without importing the checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .errors import (
     AxisOutsideDisk,
@@ -28,6 +29,8 @@ from .errors import (
     DivergentCevians,
     GeometryError,
     MissingCenter,
+    NoHyperbolicCenter,
+    NotACircle,
 )
 from .geom_core import (
     TAU,
@@ -128,10 +131,10 @@ class VerificationReport(Record):
         self.instances = instances
         self.wall_time = wall_time
 
-    @property
-    def failed(self) -> int:
-        return sum(1 for inst in self.instances for c in inst.checks
-                   if c.status == "fail")
+    def counts(self) -> Counter:
+        """How many checks have each status ("pass", "fail" or "skipped"),
+        0 for a status no check has."""
+        return Counter(c.status for inst in self.instances for c in inst.checks)
 
 
 # ---------------------------------------------------------------- lemma: arcs
@@ -324,19 +327,24 @@ def check_feuerbach(cfg: TriangleConfig,
     """Tangency of the Euler circle with the incircle and every excircle
     that exists; absent excircles reduce the check set and are recorded.
     The residual also takes each existing circle's tangency_gap, how far
-    the built circle is from touching the three sides (tangent_circles)."""
+    the built circle is from touching the three sides (tangent_circles).
+    A circle whose |B|^2 - AC rounds to 0 (tangency_residual) skips the
+    check as degenerate_circle."""
     if cfg.euler_circle is None or cfg.incircle is None:
         return _skip("feuerbach", tol.chain, "euler_or_incircle_missing")
+    circles = [("incircle", cfg.incircle)]
+    circles += ((f"excircle_{v}", spec) for v, spec in sorted(cfg.excircles.items()))
     witness: dict = {}
-    r = tangency_residual(cfg.euler_circle, cfg.incircle.cycle)
-    witness["incircle"] = r
-    residuals = [r, cfg.incircle.tangency_gap]
-    for v, spec in sorted(cfg.excircles.items()):
+    residuals = []
+    for key, spec in circles:
         if spec is None:
-            witness[f"excircle_{v}"] = "absent"
+            witness[key] = "absent"
             continue
-        r = tangency_residual(cfg.euler_circle, spec.cycle)
-        witness[f"excircle_{v}"] = r
+        try:
+            r = tangency_residual(cfg.euler_circle, spec.cycle)
+        except NotACircle:  # a circle whose radius rounds to zero
+            return _skip("feuerbach", tol.chain, "degenerate_circle")
+        witness[key] = r
         residuals += (r, spec.tangency_gap)
     return _finish("feuerbach", max(residuals), tol.chain, witness)
 
@@ -449,7 +457,8 @@ def check_tangent_cevians(cfg: TriangleConfig,
     pencil of the three (concurrency_point) gives the residual.  The
     residual also takes each circle's tangency gap (tangent_contact):
     a small triangle's cevians move too little to show a circle that
-    misses the circumcircle."""
+    misses the circumcircle.  A shot circle that is not inside the disk
+    skips the check as tangent_circle_outside_disk_{v}."""
     if cfg.circumcenter is None:
         return _skip("tangent_cevians", tol.chain, "target_not_circle")
     w = cfg.circumcircle
@@ -460,7 +469,11 @@ def check_tangent_cevians(cfg: TriangleConfig,
         circle = _shoot_tangent_circle(cfg.triangle, v, w)
         if circle is None:
             return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
-        contact, gap = tangent_contact(circle_vector(circle), target, True, tol.chain)
+        try:
+            vector = circle_vector(circle)
+        except NoHyperbolicCenter:
+            return _skip("tangent_cevians", tol.chain, f"tangent_circle_outside_disk_{v}")
+        contact, gap = tangent_contact(vector, target, True, tol.chain)
         tangency = max(tangency, gap)
         if contact is None:
             return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")

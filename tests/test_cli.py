@@ -197,6 +197,48 @@ def test_collinear_triangle_is_geometry_error(tmp_path):
     assert code == 1
 
 
+# two vertices 1.7e-7 apart near the absolute: side c's normal has a
+# Minkowski norm of -1.1e-22 after rounding
+NO_SIDE_NORMAL = ("-0.9619733647646681+0.27314326912185483i,"
+                  "-0.9619732086979204+0.27314333063579238i,"
+                  "-0.3174097822723469-0.94450777324474389i")
+
+
+@pytest.mark.parametrize("argv", [["construct"], ["render"], ["verify", "--trials", "1"]])
+def test_side_without_a_spacelike_normal_is_geometry_error(argv, capsys):
+    assert main([*argv, "--triangle", NO_SIDE_NORMAL]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hypfeuer: DegenerateTriangle: ") and err.count("\n") == 1
+
+
+# the skips of a check that meets a circle it cannot read: the incircle
+# of the first has radius 2.4e-8, so |B|^2 - AC of its coefficients is 0;
+# the second's circle shot into the angle at a is not inside the disk
+UNREADABLE_CIRCLES = [
+    ("0.3003697556991018+0.82781556857799565i,0.30036975570223623+0.82781557140890916i,"
+     "0.6069991598879024+0.58576830286120019i", "feuerbach", "degenerate_circle"),
+    ("0.5729893941744507+0.258539621891759i,0.5729893952855294+0.25855189853417992i,"
+     "0.019978137257142422-0.050524327994086349i", "tangent_cevians",
+     "tangent_circle_outside_disk_a"),
+]
+
+
+@pytest.mark.parametrize("triangle, name, flag", UNREADABLE_CIRCLES,
+                         ids=["feuerbach", "tangent_cevians"])
+def test_unreadable_circle_skips_its_check_and_the_report_is_written(
+        tmp_path, triangle, name, flag):
+    # both exit 1: six_point fails on these near-absolute slivers, the
+    # position-dependent precision defect
+    code, out = run(tmp_path, "verify", "--trials", "1", "--suite", "all",
+                    "--triangle", triangle)
+    assert code in (0, 1)
+    checks = json.loads(out.read_text())["instances"][0]["checks"]
+    assert [c["name"] for c in checks] == list(SUITE_ORDER)
+    (check,) = [c for c in checks if c["name"] == name]
+    assert (check["status"], check["flag"]) == ("skipped", flag)
+
+
 def test_svg_format_outside_render_is_usage_error():
     assert main(["verify", "--format", "svg"]) == 2
 

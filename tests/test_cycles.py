@@ -15,6 +15,7 @@ from hypfeuer.errors import (
     CoincidentPoints,
     IdenticalCycles,
     NoHyperbolicCenter,
+    NotACircle,
     NotACycle,
 )
 from hypfeuer.geom_core import as_complex, check_disk, hyp_distance
@@ -498,6 +499,17 @@ def test_tangency_concentric_not_tangent():
     c1 = circle_from_center_radius(0.0, 0.6)
     c4 = circle_from_center_radius(0.0, 0.3)
     assert tangency_residual(c1, c4) > 1e-2
+
+
+def test_tangency_with_a_point_circle_is_not_a_circle():
+    # the circle of center 0.5 and radius 0, which a radius below about
+    # 1e-8 rounds to: |B|^2 - AC is 0, and the defect would divide by it
+    point = GeneralizedCycle.of(1.0, -0.5 + 0j, 0.25)
+    assert point.b.real ** 2 - point.a * point.c == 0.0
+    with pytest.raises(NotACircle):
+        tangency_residual(circle_from_center_radius(0.0, 0.6), point)
+    with pytest.raises(NotACircle):
+        tangency_residual(point, point)
 
 
 def test_tangency_scale_invariant():

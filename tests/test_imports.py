@@ -3,7 +3,8 @@ file, every private module-level name the package defines is read
 somewhere in it, every public one is read outside its own definition or
 bound by the benchmark's tracer, only the instance generators import
 `random`, no module imports `dataclasses`, which importing the CLI must
-not load, and importing a library module loads no part of the CLI.
+not load, importing a library module loads no part of the CLI, and no
+module but `cycles` names a sample frame's kind.
 
 Stdlib `ast` only: a name counts as used when it is read anywhere in the
 module, annotations included.
@@ -272,3 +273,36 @@ def test_only_cevians_names_config_flags(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         source = fh.read()
     assert [s for s in string_constants(source) if s.startswith(CONFIG_FLAG_PREFIXES)] == []
+
+
+# the kinds of cycles.sample_frame, whose layout cycles alone reads
+FRAME_KINDS = frozenset({"FRAME_ARC", "FRAME_LINE", "FRAME_CIRCLE"})
+
+
+def frame_kind_names(source: str) -> set[str]:
+    """The FRAME_* kinds a module imports or reads, as a name or an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names & FRAME_KINDS
+
+
+def test_frame_kind_names_are_found():
+    source = ("from .cycles import FRAME_ARC as arc\nimport x\n"
+              "y = x.FRAME_LINE\nz = FRAME_CIRCLE\nw = 'FRAME_ARC'\n")
+    assert frame_kind_names(source) == FRAME_KINDS
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE) if name.endswith(".py") and name != "cycles.py"))
+def test_only_cycles_names_a_sample_frame_kind(module):
+    # frame_point and farthest_sample say where a sample sits, so no
+    # other module re-derives a frame's layout
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert frame_kind_names(fh.read()) == set()

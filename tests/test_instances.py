@@ -112,7 +112,7 @@ def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, fai
     want = trapezoid_quad(rng, converse=converse)
 
     bases, calls = [], []
-    lexell_cycle, farthest_sample = instances.lexell_cycle, instances._farthest_sample
+    lexell_cycle, farthest_sample = instances.lexell_cycle, instances.farthest_sample
 
     def recorded(a, b, c):
         bases.append((a, b, c))
@@ -130,7 +130,7 @@ def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, fai
         return d
 
     monkeypatch.setattr(instances, "lexell_cycle", recorded)
-    monkeypatch.setattr(instances, "_farthest_sample", failing_once)
+    monkeypatch.setattr(instances, "farthest_sample", failing_once)
     got = trapezoid_quad(instance_rng(0, 0, PURPOSE_QUAD), converse=converse)
     assert len(calls) == 2
     assert got == want

@@ -527,7 +527,7 @@ def test_farthest_sample_is_the_first_of_the_stable_sort_on_every_frame_kind():
                        (math.pi - 1e-9, math.pi, math.pi + 1e-9, -math.pi)]
         for c0 in apexes:
             want = sorted(samples, key=lambda z: -abs(z - c0))[0]
-            got = instances._farthest_sample(frame, count, c0)
+            got = cycles.farthest_sample(frame, count, c0)
             assert _bits(got) == _bits(want), (idx, cycle, c0)
     assert kinds == {cycles.FRAME_LINE, cycles.FRAME_ARC, cycles.FRAME_CIRCLE}
 
