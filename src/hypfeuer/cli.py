@@ -194,26 +194,32 @@ _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 _KEY_TEXT: dict[str, dict[str, str]] = {}
 
 
-def _write_object(pairs, append, indent: str):
-    """pairs: (key, value) in key order.  Floats, complex values, strings
-    and None are written here, everything else through _write."""
-    if not pairs:
-        append("{}")
-        return
+def _write_items(items, append, indent: str, brackets: str):
+    """Append a container: items are its (key, value) pairs in order,
+    each key a str for an object (brackets "{}") or an index for an
+    array ("[]").  Floats, complex values, strings and None are written
+    here, everything else through _write."""
     inner = indent + "  "
-    keys = _KEY_TEXT.get(inner)
-    if keys is None:
-        keys = _KEY_TEXT[inner] = {}
+    if brackets == "{}":
+        keys = _KEY_TEXT.get(inner)
+        if keys is None:
+            keys = _KEY_TEXT[inner] = {}
+    else:
+        keys = None
+        sep = "," + inner
     first = True
     try:
-        for key, value in pairs:
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            text = keys.get(key)
-            if text is None:
-                text = keys[key] = "," + inner + _quote(key) + ": "
+        for key, value in items:
+            if keys is None:
+                text = sep
+            else:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                text = keys.get(key)
+                if text is None:
+                    text = keys[key] = "," + inner + _quote(key) + ": "
             if first:
-                text = "{" + text[1:]
+                text = brackets[0] + text[1:]
                 first = False
             t = type(value)
             if t is float or t is complex:
@@ -227,35 +233,9 @@ def _write_object(pairs, append, indent: str):
                 append(text)
                 _write(value, append, inner)
     except NonFiniteNumber as exc:
-        exc.path.append(f".{key}")
+        exc.path.append(f"[{key}]" if keys is None else f".{key}")
         raise
-    append(indent + "}")
-
-
-def _write_array(seq, append, indent: str):
-    if not seq:
-        append("[]")
-        return
-    inner = indent + "  "
-    sep = "[" + inner
-    try:
-        for i, value in enumerate(seq):
-            t = type(value)
-            if t is float or t is complex:
-                if not cmath.isfinite(value):
-                    raise NonFiniteNumber(value)
-                append(f"{sep}{value!r}" if t is float
-                       else f'{sep}"{format_complex(value)}"')
-            elif t is str or value is None:
-                append(sep + ("null" if value is None else _quote(value)))
-            else:
-                append(sep)
-                _write(value, append, inner)
-            sep = "," + inner
-    except NonFiniteNumber as exc:
-        exc.path.append(f"[{i}]")
-        raise
-    append(indent + "]")
+    append(brackets if first else indent + brackets[1])
 
 
 def _write(obj, append, indent: str):
@@ -263,11 +243,11 @@ def _write(obj, append, indent: str):
     obj's own line starts with."""
     t = type(obj)
     if t is dict:
-        _write_object(sorted(obj.items()), append, indent)
+        _write_items(sorted(obj.items()), append, indent, "{}")
     elif t in _FIELD_NAMES:
-        _write_object([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent)
+        _write_items([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent, "{}")
     elif t is list:
-        _write_array(obj, append, indent)
+        _write_items(enumerate(obj), append, indent, "[]")
     elif t is float or t is complex:
         if not cmath.isfinite(obj):
             raise NonFiniteNumber(obj)
@@ -472,10 +452,12 @@ def scenario_from_args(args) -> Scenario:
             raise ValueError("scenario file must hold a JSON object")
         _check_scenario_types(data)
 
-    def pick(flag, key, default):
+    default = Scenario()
+
+    def pick(flag, key):
         if flag is not None:
             return flag
-        return data.get(key, default)
+        return data.get(key, getattr(default, key))
 
     tol_data = dict(data.get("tolerances", {}))
     for flag, key in ((args.tol_construct, "construct"),
@@ -483,38 +465,40 @@ def scenario_from_args(args) -> Scenario:
                       (args.tol_chain, "chain")):
         if flag is not None:
             tol_data[key] = flag
-    tol = DEFAULT_TOLERANCES
+    tol = default.tolerances
     if tol_data:
         tol = tol.replace(**{k: _tolerance(k, v) for k, v in tol_data.items()})
 
     # Random seeds with |seed|, so a negative seed would repeat its positive twin
-    seed = int(pick(args.seed, "seed", 0))
+    seed = int(pick(args.seed, "seed"))
     if seed < 0:
         raise ValueError("--seed must be non-negative")
-    trials = int(pick(args.trials, "trials", 10))
+    trials = int(pick(args.trials, "trials"))
     if trials < 0:
         raise ValueError("--trials must be non-negative")
-    triangle_raw = pick(args.triangle, "triangle", None)
-    out = pick(args.out, "out", None)
+    # a default is read already; a given suite or triangle is read last
+    suite = pick(args.suite, "suite")
+    triangle = pick(args.triangle, "triangle")
+    out = pick(args.out, "out")
     if out and os.path.isdir(out):
         raise ValueError(f"output {out!r} is a directory")
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"output directory of {out!r} does not exist")
     # outside these ranges the triangle sampler would never find a triangle
-    max_vertex_radius = float(data.get("max_vertex_radius", DEFAULT_MAX_VERTEX_RADIUS))
+    max_vertex_radius = float(data.get("max_vertex_radius", default.max_vertex_radius))
     if not 0.0 < max_vertex_radius < 1.0:
         raise ValueError("max_vertex_radius must lie in (0, 1), "
                          f"got {max_vertex_radius!r}")
     # the angles of a hyperbolic triangle sum to less than pi
-    min_angle = float(data.get("min_angle", DEFAULT_MIN_ANGLE))
+    min_angle = float(data.get("min_angle", default.min_angle))
     if not 0.0 <= min_angle < math.pi / 3.0:
         raise ValueError(f"min_angle must lie in [0, pi/3), got {min_angle!r}")
     return Scenario(
         seed=seed,
         trials=trials,
-        suite=parse_suite(pick(args.suite, "suite", "all")),
+        suite=suite if suite is default.suite else parse_suite(suite),
         tolerances=tol,
-        triangle=parse_triangle(triangle_raw) if triangle_raw is not None else None,
+        triangle=triangle if triangle is default.triangle else parse_triangle(triangle),
         max_vertex_radius=max_vertex_radius,
         min_angle=min_angle,
         out=out,

@@ -335,20 +335,25 @@ def inversive_product(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
     return 2.0 * (c1.b * c2.b.conjugate()).real - c1.a * c2.c - c2.a * c1.c
 
 
-def tangency_residual(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
-    """Scale-free tangency defect; zero iff the cycles touch at one point.
-    NotACircle when either cycle has |B|^2 - AC = 0, a point or a circle
-    whose radius squares to nothing against its coefficients."""
+def _self_products(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
+    """<c1,c1><c2,c2>, the scale of both tangency measures.  NotACircle
+    when either cycle has |B|^2 - AC = 0, a point or a circle whose
+    radius squares to nothing against its coefficients."""
     g = inversive_product(c1, c1) * inversive_product(c2, c2)
     if g == 0.0:
         raise NotACircle("a cycle of radius zero has no tangency")
+    return g
+
+
+def tangency_residual(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
+    """Scale-free tangency defect; zero iff the cycles touch at one point."""
+    g = _self_products(c1, c2)
     return abs(inversive_product(c1, c2) ** 2 - g) / g
 
 
 def tangency_ratio(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
     """<c1,c2> / sqrt(<c1,c1><c2,c2>): +1 internal tangency, -1 external."""
-    g = inversive_product(c1, c1) * inversive_product(c2, c2)
-    return inversive_product(c1, c2) / math.sqrt(g)
+    return inversive_product(c1, c2) / math.sqrt(_self_products(c1, c2))
 
 
 def intersect(c1: GeneralizedCycle, c2: GeneralizedCycle) -> tuple[complex, ...]:

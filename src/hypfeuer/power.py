@@ -42,6 +42,7 @@ from .errors import (
 )
 from .geom_core import Record, as_complex
 from .cycles import (
+    GEODESIC_EPS,
     GeneralizedCycle,
     _circle_vector,
     _translate_raw,
@@ -86,7 +87,7 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     # a geodesic has equal leading/constant coefficients, which makes its
     # power identically 1: against anything else powers can never agree,
     # and against another geodesic they agree everywhere
-    if abs(c1.c - c1.a) < 1e-12 or abs(c2.c - c2.a) < 1e-12:
+    if abs(c1.c - c1.a) < GEODESIC_EPS or abs(c2.c - c2.a) < GEODESIC_EPS:
         raise ConcentricCycles("constant power on a geodesic member")
     ar = c1.a * c2.c - c2.a * c1.c
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
@@ -107,24 +108,25 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     return GeneralizedCycle.of(ar, br, ar)
 
 
+def _centered_map(center, cycle: GeneralizedCycle, centered) -> GeneralizedCycle:
+    """Image of a cycle under a map about center: translate center to the
+    origin, apply centered to the coefficients (A, B, C) there, and
+    translate back."""
+    z = as_complex(center)
+    a3, b3, c3 = centered(*_translate_raw(z, cycle.a, cycle.b, cycle.c))
+    return GeneralizedCycle.of(*_translate_raw(-z, a3, b3, c3))
+
+
 def homothety_cycle(center, k: float, cycle: GeneralizedCycle) -> GeneralizedCycle:
     """Image of a cycle under the homothety about center with ratio k."""
-    z = as_complex(center)
-    a2, b2, c2 = _translate_raw(z, cycle.a, cycle.b, cycle.c)
     # in the centered frame w -> k w sends (A, B, C) to (A, kB, k^2 C)
-    a3, b3, c3 = a2, k * b2, k * k * c2
-    a4, b4, c4 = _translate_raw(-z, a3, b3, c3)
-    return GeneralizedCycle.of(a4, b4, c4)
+    return _centered_map(center, cycle, lambda a, b, c: (a, k * b, k * k * c))
 
 
 def inversion_cycle(center, r2: float, cycle: GeneralizedCycle) -> GeneralizedCycle:
     """Image of a cycle under inversion about center with power r2."""
-    z = as_complex(center)
-    a2, b2, c2 = _translate_raw(z, cycle.a, cycle.b, cycle.c)
     # in the centered frame w -> r2 / conj(w) sends (A, B, C) to (C, r2 B, r2^2 A)
-    a3, b3, c3 = c2, r2 * b2, r2 * r2 * a2
-    a4, b4, c4 = _translate_raw(-z, a3, b3, c3)
-    return GeneralizedCycle.of(a4, b4, c4)
+    return _centered_map(center, cycle, lambda a, b, c: (c, r2 * b, r2 * r2 * a))
 
 
 class HomotheticCenters(Record):

@@ -289,15 +289,17 @@ def check_euler_line(cfg: TriangleConfig,
     if o is None or None in others.values():
         return _skip("euler_line", tol.theorem, "center_undefined")
     radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
-    far_name, far = max(others.items(), key=lambda kv: hyp_distance(o, kv[1]))
+    distances = {name: hyp_distance(o, p) for name, p in others.items()}
+    far_name = max(distances, key=distances.get)
     witness: dict = {"anchor": far_name, "radius_gap": radius_gap}
-    if hyp_distance(o, far) < 1e-12:
-        # totally symmetric configuration: all four points coincide
-        residual = max(hyp_distance(o, p) for p in others.values())
-        return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
-    line = geodesic_through(o, far)
-    residual = max(point_geodesic_distance(p, line)
-                   for name, p in others.items() if name != far_name)
+    # in a totally symmetric configuration all four points coincide, no
+    # line is drawn, and the residual is the farthest point's distance;
+    # a NaN distance draws the line
+    residual = distances[far_name]
+    if not residual < 1e-12:
+        line = geodesic_through(o, others[far_name])
+        residual = max(point_geodesic_distance(p, line)
+                       for name, p in others.items() if name != far_name)
     return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
 
 

@@ -510,6 +510,13 @@ def test_tangency_with_a_point_circle_is_not_a_circle():
         tangency_residual(circle_from_center_radius(0.0, 0.6), point)
     with pytest.raises(NotACircle):
         tangency_residual(point, point)
+    # the ratio divides by the same self-product, behind the same guard
+    for other in (circle_from_center_radius(0.0, 0.6), GeneralizedCycle.of(0.0, 1j, 0.0),
+                  point):
+        with pytest.raises(NotACircle):
+            tangency_ratio(point, other)
+        with pytest.raises(NotACircle):
+            tangency_ratio(other, point)
 
 
 def test_tangency_scale_invariant():

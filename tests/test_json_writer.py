@@ -19,6 +19,7 @@ from hypfeuer import cli
 from hypfeuer.cevians import build_config
 from hypfeuer.geom_core import Record
 from hypfeuer.instances import instance_rng, random_triangle
+from hypfeuer.theorems import InstanceReport, TheoremCheck
 
 
 def _oracle_default(obj):
@@ -122,6 +123,10 @@ def test_top_level_values_match_the_oracle(doc):
     ({"x": {"y": [0.0, -math.inf]}}, "x.y[1]"),
     ({"leaf": Leaf(complex(math.inf, 0.0))}, "leaf.z"),
     (math.inf, "the top level"),
+    ({"instances": [InstanceReport(0, {}, [], [
+        TheoremCheck("lexell", 0.0, 1e-9, "pass", None, None),
+        TheoremCheck("monge", math.nan, 1e-9, "fail", None, {"pattern": "+++"})])]},
+     "instances[0].checks[1].residual"),
 ])
 def test_non_finite_numbers_are_refused(doc, where):
     with pytest.raises(ValueError, match=rf"non-finite number .* at {re.escape(where)} "):
@@ -159,7 +164,11 @@ class Point:
     ({"a": (1, 2)}, "tuple"),
     ({3: "three"}, "int"),
     ({"a": [Point(0.5j)]}, "Point"),
-], ids=["enum", "str_subclass", "float_subclass", "tuple", "int_key", "dataclass"])
+    ([Text("t")], "Text"),
+    ([(1, 2)], "tuple"),
+    ([Number(0.5)], "Number"),
+], ids=["enum", "str_subclass", "float_subclass", "tuple", "int_key", "dataclass",
+        "str_subclass_in_array", "tuple_in_array", "float_subclass_in_array"])
 def test_unknown_kinds_are_refused(doc, kind):
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         cli._to_json(doc)

@@ -288,6 +288,21 @@ def test_euler_line_random_configs():
         assert chk.witness["radius_gap"] <= chk.residual
 
 
+def test_euler_line_of_a_centred_equilateral_triangle():
+    # all three centers sit on O up to rounding, so no line through O is
+    # drawn and the residual is the farthest center's distance from O
+    tri = Triangle.of(*(0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)))
+    cfg = build_config(tri)
+    o = cfg.circumcenter
+    distances = [hyp_distance(o, p) for p in
+                 (cfg.euler_center, cfg.bisector_point, cfg.pseudo_orthocenter)]
+    assert max(distances) < 1e-12
+    chk = check_euler_line(cfg)
+    assert chk.status == "pass"
+    assert chk.witness["radius_gap"] < max(distances)
+    assert chk.residual == max(distances)
+
+
 def test_euler_ratios_random_configs():
     for idx in range(6):
         cfg = clean_config(611, start=idx * 10)
