@@ -28,10 +28,11 @@ meet in the bisector point and the pseudo-orthocenter respectively, when
 they meet inside the disk at all.  Each vertex and foot is lifted to the
 hyperboloid once, each side and cevian is the normal of its plane, the
 cross product of two lifts, and a family's concurrency is the pencil of
-its unit normals (`concurrency_point`).  The tangent circles (incircle,
-excircles) are centered at signed sums of the vertex lifts, each
-weighted by the norm of the opposite side's normal (`tangent_circles`);
-an absent excircle is a center vector that is not timelike.  The
+its normals, which `concurrency_point` scales to unit normals.  The
+tangent circles (incircle, excircles) are centered at signed sums of the
+vertex lifts, each weighted by the norm of the opposite side's normal
+(`tangent_circles`); an absent excircle is a center vector that is not
+timelike.  The
 circle inscribed in a vertex's angle and touching a given circle from
 inside (the tangent-cevian check's shot) is a quadratic in that
 vertex's frame; the point where two circles touch is one radius from a
@@ -141,20 +142,22 @@ _COINCIDENT_RATIO = 16.0 * sys.float_info.epsilon
 
 
 def concurrency_point(normals) -> tuple[complex, float]:
-    """Common point of geodesics given by their unit normals (unit_normal),
-    and its worst distance to the other lines.
+    """Common point of geodesics given by their normals, of any scale and
+    sign, and its worst distance to the other lines; NotACycle when a
+    normal is not spacelike.
 
-    Two geodesics meet on the cross product m of their normals, and with
-    unit normals q = m_t^2 - |m_xy|^2 is sin^2 of their angle when they
-    meet.  The pair with the largest q is the most transversal one, and
-    its meet (meet_point) is the point; its distance to every other line
+    Each normal is scaled to a unit normal first (unit_normal).  Two
+    geodesics meet on the cross product m of their unit normals, and
+    q = m_t^2 - |m_xy|^2 is sin^2 of their angle when they meet.  The
+    pair with the largest q is the most transversal one, and its meet
+    (meet_point) is the point; its distance to every other line
     n_k is asinh(|n_k . m| / sqrt(q)), i.e. |det(n_i, n_j, n_k)| over
     sqrt(q), the pencil determinant (plane_distances).  DivergentCevians
     when that meet is not timelike, or when the pair's m is no longer
     than its rounding (|m| <= 16 eps |n_i| |n_j|, Euclidean norms): the
     two lines coincide and m has no direction.  The caller flags either.
     """
-    normals = tuple(normals)
+    normals = tuple(unit_normal(n) for n in normals)
     count = len(normals)
     best_q, best = -math.inf, None
     for i in range(count - 1):
@@ -407,7 +410,7 @@ def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):
     flag already names the cause."""
     if len(normals) == 3:
         try:
-            return concurrency_point([unit_normal(normals[v]) for v in VERTICES])
+            return concurrency_point([normals[v] for v in VERTICES])
         except DivergentCevians:
             flags.add(flag)
     return None, None

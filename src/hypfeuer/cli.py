@@ -148,12 +148,13 @@ def parse_suite(spec) -> tuple[str, ...]:
         return SUITE_ORDER if spec.strip() == "all" else ()
     else:
         names = [s.strip() for s in spec.split(",") if s.strip()]
+    given = frozenset(names)
     for name in names:
-        if name not in SUITE_ORDER:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from "
                              f"{', '.join(SUITE_ORDER)} or 'all'")
     # keep registry order regardless of how the user listed them
-    return tuple(n for n in SUITE_ORDER if n in set(names))
+    return tuple(n for n in SUITE_ORDER if n in given)
 
 
 # Reports and configurations go through one recursive writer whose bytes

@@ -22,9 +22,11 @@ all parts zero raises NotACycle.  In this form:
   residual (it is the normalized discriminant of the intersection
   quadratic, zero exactly at tangency).
 
-Isometries act on coefficients in closed form (``transform``), so every
-derived object here can be moved to a convenient frame, computed, and
-moved back without leaving the algebra.  Every cycle is also a plane
+A translation acts on coefficients in closed form (``_translate_raw``):
+the power of a point, homothety and inversion, and the tangent-circle
+shot in ``cevians`` work in the frame where their center is the origin.
+``transform`` applies a whole ``DiskIsometry`` the same way; no
+construction in the package calls it.  Every cycle is also a plane
 on the hyperboloid of disk points (``_hyperboloid_plane``), which gives
 a circle's center and radius, tells which side of the absolute a
 disjoint cycle lies on, and places homothetic centers.  A geodesic
@@ -497,9 +499,7 @@ def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
     norm2 = abs(b) ** 2 - a * a
     if norm2 <= 0.0:
         raise NotACycle("degenerate geodesic coefficients")
-    # geo.evaluate(z), written out
-    e = a * r2 + 2.0 * (b.conjugate() * z).real + geo.c
-    return math.asinh(abs(e) / ((1.0 - r2) * math.sqrt(norm2)))
+    return math.asinh(abs(geo.evaluate(z)) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
 # sample_frame kinds

@@ -56,7 +56,6 @@ from .cycles import (
     sample_points,
     tangency_residual,
     through_normal,
-    unit_normal,
 )
 from .cevians import (
     TriangleConfig,
@@ -65,6 +64,7 @@ from .cevians import (
     tangent_contact,
 )
 from .power import (
+    MONGE_PATTERNS,
     monge_centers,
     monge_line,
     power_of_point,
@@ -425,18 +425,14 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
                     "power_checked": [member for member, _, _ in circles]})
 
 
-_MONGE_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-
 def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
-    """Collinearity of pairwise homothetic centers for every valid sign
-    pattern (all positive, or exactly two negative)."""
+    """Collinearity of pairwise homothetic centers for every sign pattern
+    of MONGE_PATTERNS, each residual under its key."""
     pair_centers = monge_centers(c1, c2, c3)
     witness: dict = {}
     residuals = []
-    for signs in _MONGE_PATTERNS:
-        key = "".join("p" if s == 1 else "n" for s in signs)
+    for key, signs in MONGE_PATTERNS.items():
         try:
             _, res, _ = monge_line(pair_centers, signs)
         except MissingCenter:
@@ -481,7 +477,7 @@ def check_tangent_cevians(cfg: TriangleConfig,
             return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")
         normals.append(through_normal(cfg.lifts[v], contact))
     try:
-        point, residual = concurrency_point([unit_normal(n) for n in normals])
+        point, residual = concurrency_point(normals)
     except GeometryError:
         return _skip("tangent_cevians", tol.chain, "cevians_diverge")
     return _finish("tangent_cevians", max(residual, tangency), tol.chain,
@@ -511,7 +507,7 @@ def check_feuerbach_point(cfg: TriangleConfig,
             return _skip("feuerbach_point", tol.chain, "contact_points_missing")
         normals.append(through_normal(cfg.lifts[v], fv))
     try:
-        point, residual = concurrency_point([unit_normal(n) for n in normals])
+        point, residual = concurrency_point(normals)
     except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
     except GeometryError:  # a line through two coincident points

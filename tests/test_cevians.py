@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from hypfeuer import cevians, cycles, instances
-from hypfeuer.errors import BracketFailure, DivergentCevians
+from hypfeuer.errors import BracketFailure, DivergentCevians, NotACycle
 from hypfeuer.geom_core import (
     DiskIsometry,
     Triangle,
@@ -638,3 +638,27 @@ def test_concurrency_point_coincident_lines_raise():
         n, n_twin = (unit_normal((c.a, c.b.real, c.b.imag)) for c in (d, twin))
         with pytest.raises(DivergentCevians, match="the lines coincide"):
             concurrency_point([n, n_twin, n])
+
+
+def test_concurrency_point_scales_its_normals():
+    # normals as built, scaled by -3, 0.5 and 1e6, give the point and
+    # residual of their unit normals: the pencil scales each normal
+    # itself.  The mixed triple (two bisectors and a pseudoaltitude)
+    # does not concur, so its residual is a distance of its own
+    cfg = build_config(Triangle.of(0.3 + 0.1j, -0.35 + 0.2j, -0.05 - 0.4j))
+    bis, alt = cfg.bisector_normals, cfg.pseudoaltitude_normals
+    for normals in ([bis[v] for v in VERTICES], [alt[v] for v in VERTICES],
+                    [bis["a"], bis["b"], alt["c"]]):
+        point, residual = concurrency_point([unit_normal(n) for n in normals])
+        scaled = [tuple(k * x for x in n) for k, n in zip((-3.0, 0.5, 1e6), normals)]
+        got_point, got_residual = concurrency_point(scaled)
+        assert abs(got_point - point) < 1e-15
+        assert abs(got_residual - residual) < 1e-15
+    assert residual > 1e-3
+
+
+def test_concurrency_point_refuses_a_normal_that_is_not_spacelike():
+    good = [_unit_normal_through(0.1, 0.5j), _unit_normal_through(-0.3, 0.4 + 0.2j)]
+    for bad in ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(NotACycle):
+            concurrency_point(good + [bad])

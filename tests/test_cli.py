@@ -89,6 +89,12 @@ def test_parse_suite():
     assert parse_suite("") == ()
     # listed out of registry order, returned in registry order
     assert parse_suite("monge,lexell") == ("lexell", "monge")
+    # all names reversed, names repeated, and a list, as a scenario file
+    # gives them
+    assert parse_suite(",".join(reversed(SUITE_ORDER))) == SUITE_ORDER
+    assert parse_suite("monge,lexell,monge,lexell") == ("lexell", "monge")
+    assert parse_suite(["monge", "trapezoid", "monge"]) == ("trapezoid", "monge")
+    assert parse_suite(list(reversed(SUITE_ORDER))) == SUITE_ORDER
     with pytest.raises(ValueError):
         parse_suite("lexell,nonsense")
 

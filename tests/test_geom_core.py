@@ -261,7 +261,7 @@ def test_area_degenerate_raises():
 # ------------------------------------------------------------- batch kernels
 
 def _scalar_sigma(a, x, b):
-    # the composition the sigma kernel writes out per sample; None where
+    # the composition the sigma kernel calls per sample; None where
     # it raises
     try:
         s = signed_area(a, x, b)

@@ -37,6 +37,7 @@ from hypfeuer.instances import (
     random_triangle,
 )
 from hypfeuer.power import (
+    MONGE_PATTERNS,
     crossing_angle,
     homothetic_centers,
     homothety_cycle,
@@ -47,6 +48,7 @@ from hypfeuer.power import (
     pseudolength,
     radical_axis,
 )
+from hypfeuer.theorems import check_monge
 from oracles import diameter_with_direction, geodesic_meet, interior_intersections
 
 
@@ -456,9 +458,17 @@ def test_monge_nested_on_diameter_stays_on_diameter():
 
 def test_monge_invalid_sign_patterns():
     pair_centers = monge_centers(*monge_triple(instance_rng(402, 0)))
-    for signs in ((1, 1, -1), (-1, -1, -1), (1, -1, 1)):
+    for signs in ((1, 1, -1), (-1, -1, -1), (1, -1, 1), (1, 0, -1), [1, -1, 1]):
         with pytest.raises(InvalidSignPattern):
             monge_line(pair_centers, signs)
+
+
+def test_monge_patterns_are_stated_once():
+    # the one statement of the collinear patterns, and the order of the
+    # witness keys check_monge reports them under
+    assert tuple(MONGE_PATTERNS.values()) == ALL_PATTERNS
+    chk = check_monge(*monge_triple(instance_rng(402, 0)))
+    assert list(chk.witness) == ["ppp", "pnn", "npn", "nnp"]
 
 
 def test_monge_line_label_invariant():
