@@ -68,7 +68,6 @@ from .geom_core import (
     DiskIsometry,
     Record,
     absolute_inverse,
-    as_complex,
     check_disk,
 )
 
@@ -137,9 +136,8 @@ class GeneralizedCycle(Record):
         cycle.a, cycle.b, cycle.c = a, b, c
         return cycle
 
-    def evaluate(self, p) -> float:
-        z = p if type(p) is complex else as_complex(p)
-        return self.a * abs(z) ** 2 + 2.0 * (self.b.conjugate() * z).real + self.c
+    def evaluate(self, p: complex) -> float:
+        return self.a * abs(p) ** 2 + 2.0 * (self.b.conjugate() * p).real + self.c
 
     @property
     def is_line(self) -> bool:
@@ -151,9 +149,9 @@ class GeneralizedCycle(Record):
             raise NotACircle("straight line has no Euclidean center")
         return coefficient_center_radius(self.a, self.b, self.c)
 
-    def gradient(self, p) -> complex:
+    def gradient(self, p: complex) -> complex:
         """Euclidean gradient of E at p, as a complex vector."""
-        return 2.0 * (self.a * as_complex(p) + self.b)
+        return 2.0 * (self.a * p + self.b)
 
 
 def coefficient_center_radius(a: float, b: complex, c: float) -> tuple[complex, float]:
@@ -245,14 +243,13 @@ def circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float]:
     return pt / norm, px / norm, py / norm, s / norm
 
 
-def cycle_through(p, q, r) -> GeneralizedCycle:
+def cycle_through(p: complex, q: complex, r: complex) -> GeneralizedCycle:
     """Unique cycle through three distinct points (cofactor expansion).
 
     Accepts interior points, absolute points, and their inverses alike:
     the coefficients are polynomial in the inputs.  Collinear points
     come out with A = 0, i.e. a straight line, automatically.
     """
-    p, q, r = as_complex(p), as_complex(q), as_complex(r)
     if abs(p - q) < 1e-12 or abs(q - r) < 1e-12 or abs(r - p) < 1e-12:
         raise CoincidentPoints("cycle through coincident points")
     s0, x0, y0 = abs(p) ** 2, p.real, p.imag
@@ -290,24 +287,22 @@ def geodesic_of_normal(n) -> GeneralizedCycle:
     return GeneralizedCycle.of(n[0], complex(n[1], n[2]), n[0])
 
 
-def geodesic_through(p, q) -> GeneralizedCycle:
+def geodesic_through(p: complex, q: complex) -> GeneralizedCycle:
     """Geodesic through two distinct points.
 
     Lifting z to (|z|^2 + 1, 2x, 2y) (point_lift) turns "cycle with
     C = A" into a plane through the origin; the cross product of two
     lifts (through_normal) is its normal, read back as (A, B, C=A).
     """
-    zp = p if type(p) is complex else as_complex(p)
-    zq = q if type(q) is complex else as_complex(q)
-    if abs(zp - zq) < 1e-12:
+    if abs(p - q) < 1e-12:
         raise CoincidentPoints("geodesic through coincident points")
-    return geodesic_of_normal(through_normal(point_lift(zp), point_lift(zq)))
+    return geodesic_of_normal(through_normal(point_lift(p), point_lift(q)))
 
 
-def lexell_cycle(a, b, x0) -> GeneralizedCycle:
+def lexell_cycle(a: complex, b: complex, x0: complex) -> GeneralizedCycle:
     """The constant-area locus through x0 over base ab: the cycle through
     x0 and the absolute inverses of a and b."""
-    return cycle_through(absolute_inverse(a), absolute_inverse(b), as_complex(x0))
+    return cycle_through(absolute_inverse(a), absolute_inverse(b), x0)
 
 
 def _translate_raw(t: complex, a_: float, b_: complex, c_: float):
@@ -436,15 +431,14 @@ def meet_point(t: float, x: float, y: float) -> complex | None:
     return complex(x, y) / (t + math.copysign(math.sqrt(q), t))
 
 
-def circle_from_center_radius(center, rho: float) -> GeneralizedCycle:
+def circle_from_center_radius(center: complex, rho: float) -> GeneralizedCycle:
     """Hyperbolic circle with given interior center and radius rho > 0:
     the plane with P = (1 + |z|^2, 2x, 2y) and k = -|P| cosh(rho), halved
     and written with cosh(rho) = 1 + 2 sinh(rho/2)^2 so small radii keep
     their digits."""
-    z = as_complex(center)
-    z2 = abs(z) ** 2
+    z2 = abs(center) ** 2
     h = math.sinh(0.5 * rho) ** 2 * (1.0 - z2)
-    return GeneralizedCycle.of(1.0 + h, -z, z2 - h)
+    return GeneralizedCycle.of(1.0 + h, -center, z2 - h)
 
 
 def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
@@ -478,7 +472,7 @@ def plane_distances(x, normals) -> list[float]:
     return [math.asinh(abs(n0 * t + n1 * xx + n2 * y) / root) for n0, n1, n2 in normals]
 
 
-def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
+def point_geodesic_distance(p: complex, geo: GeneralizedCycle) -> float:
     """Distance from an interior point to a geodesic, in closed form.
 
     On the hyperboloid the point is the unit timelike vector
@@ -490,16 +484,15 @@ def point_geodesic_distance(p, geo: GeneralizedCycle) -> float:
     a point within ~1e-8 of it keeps its relative accuracy (no
     difference of two nearly equal distances is formed).
     """
-    z = p if type(p) is complex else as_complex(p)
-    r = abs(z)
+    r = abs(p)
     if r > 1.0 - BOUNDARY_EPS:
-        check_disk(z)  # raises BoundaryPoint
+        check_disk(p)  # raises BoundaryPoint
     r2 = r ** 2
     a, b = geo.a, geo.b
     norm2 = abs(b) ** 2 - a * a
     if norm2 <= 0.0:
         raise NotACycle("degenerate geodesic coefficients")
-    return math.asinh(abs(geo.evaluate(z)) / ((1.0 - r2) * math.sqrt(norm2)))
+    return math.asinh(abs(geo.evaluate(p)) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
 # sample_frame kinds

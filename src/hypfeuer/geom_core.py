@@ -28,9 +28,15 @@ points it is constant, which gives the pseudoaltitude foot its closed
 form (see ``cevians``).  The sampled checks evaluate sigma(a, x, b) and
 the area of (a, b, x) at many points x for one fixed pair a, b, through
 the batch kernels ``sigmas`` and ``base_areas``, which call
-``signed_area`` and ``complex_angle`` for each sample and give None
+``signed_area`` and ``signed_angle`` for each sample and give None
 where a sample is degenerate; ``sigma`` and ``triangle_area`` are their
 one-point cases.
+
+A point below the input boundary is a ``complex``, and a real number
+works as one.  ``check_disk`` is the one caller of ``as_complex``: it
+checks a point-like input (complex, real or 2-tuple) for
+``Triangle.of``, ``hyp_distance`` and ``DiskIsometry`` and returns it as
+a complex; every other function takes its points as they come.
 """
 
 from __future__ import annotations
@@ -57,9 +63,7 @@ COINCIDENT_EPS = 1e-13
 
 def as_complex(p) -> complex:
     """Coerce a point-like input (complex, real, or 2-tuple) to complex."""
-    if type(p) is complex or isinstance(p, complex):
-        return p
-    if isinstance(p, (int, float)):
+    if isinstance(p, (complex, int, float)):
         return complex(p)
     if isinstance(p, (tuple, list)) and len(p) == 2:
         return complex(p[0], p[1])
@@ -102,10 +106,9 @@ def absolute_inverse(p) -> complex:
     The disk center has no inverse (the would-be image is the point at
     infinity), so it is rejected rather than mapped somewhere arbitrary.
     """
-    z = as_complex(p)
-    if abs(z) < BOUNDARY_EPS:
+    if abs(p) < BOUNDARY_EPS:
         raise CenterHasNoInverse("absolute inverse of the disk center")
-    return z / (abs(z) ** 2)
+    return p / (abs(p) ** 2)
 
 
 def wrap_angle(d: float) -> float:
@@ -116,9 +119,8 @@ def wrap_angle(d: float) -> float:
     return d
 
 
-def complex_angle(x: complex, y: complex, z: complex) -> float:
-    """signed_angle for complex arguments only: the kernel behind the
-    angle functions, which coerce their inputs once and then call this.
+def signed_angle(x: complex, y: complex, z: complex) -> float:
+    """Signed angle at y from ray y->x to ray y->z, ccw positive, in (-pi, pi].
 
     The arithmetic is mobius_to_origin written out, then the phase
     difference and wrap_angle, so results are bit-identical to composing
@@ -132,19 +134,9 @@ def complex_angle(x: complex, y: complex, z: complex) -> float:
     return wrap_angle(cmath.phase(v) - cmath.phase(u))
 
 
-def signed_angle(x, y, z) -> float:
-    """Signed angle at y from ray y->x to ray y->z, ccw positive, in (-pi, pi]."""
-    return complex_angle(as_complex(x), as_complex(y), as_complex(z))
-
-
-def convex_quad_angles(a, b, c, d) -> list[float] | None:
-    """quad_angles_in_frame of d in the quad_frame of (a, b, c), for
-    points of any accepted type."""
-    za = a if type(a) is complex else as_complex(a)
-    zb = b if type(b) is complex else as_complex(b)
-    zc = c if type(c) is complex else as_complex(c)
-    zd = d if type(d) is complex else as_complex(d)
-    return quad_angles_in_frame(quad_frame(za, zb, zc), zd)
+def convex_quad_angles(a: complex, b: complex, c: complex, d: complex) -> list[float] | None:
+    """quad_angles_in_frame of d in the quad_frame of (a, b, c)."""
+    return quad_angles_in_frame(quad_frame(a, b, c), d)
 
 
 def quad_frame(a: complex, b: complex, c: complex) -> tuple:
@@ -152,12 +144,12 @@ def quad_frame(a: complex, b: complex, c: complex) -> tuple:
     quad_angles_in_frame to reuse over many d: a with its conjugate and
     the phase of its ray to b (None if that ray is degenerate), c with
     its conjugate and the phase of its ray to b, and the turn at b (None
-    if complex_angle refuses it).  Complex arguments only."""
+    if signed_angle refuses it)."""
     ac, cc = a.conjugate(), c.conjugate()
     ray_ab = (b - a) / (1.0 - ac * b)
     ray_cb = (b - c) / (1.0 - cc * b)
     try:
-        tb = complex_angle(a, b, c)
+        tb = signed_angle(a, b, c)
     except GeometryError:
         tb = None
     return (a, ac, None if abs(ray_ab) < COINCIDENT_EPS else cmath.phase(ray_ab),
@@ -167,12 +159,12 @@ def quad_frame(a: complex, b: complex, c: complex) -> tuple:
 def quad_angles_in_frame(frame: tuple, d: complex) -> list[float] | None:
     """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
     None unless it is convex: its four turns share a sign (a degenerate
-    turn counts as not convex).  Takes the quad_frame of (a, b, c) and a
-    complex d.  The turns at a, c and d are complex_angle(d, a, b),
-    complex_angle(b, c, d) and complex_angle(c, d, a) bit for bit,
+    turn counts as not convex).  Takes the quad_frame of (a, b, c) and
+    d.  The turns at a, c and d are signed_angle(d, a, b),
+    signed_angle(b, c, d) and signed_angle(c, d, a) bit for bit,
     written out around the frame's fixed rays; the turn at b is the
     frame's."""
-    # written out, not composed from complex_angle: the trapezoid draw's
+    # written out, not composed from signed_angle: the trapezoid draw's
     # root-finder evaluates this many times per instance, and composing
     # cost a median 4.9 us more per trapezoid instance of about 58 us
     # (Python 3.11 on a shared 2-vCPU VM)
@@ -199,8 +191,8 @@ def quad_angles_in_frame(frame: tuple, d: complex) -> list[float] | None:
 
 
 def signed_area(a: complex, b: complex, c: complex) -> float:
-    """Area of triangle abc, counterclockwise positive; complex arguments
-    only.  Two vertices closer than complex_angle allows (pseudolength
+    """Area of triangle abc, counterclockwise positive.  Two vertices
+    closer than signed_angle allows (pseudolength
     |a - b| / |1 - a conj(b)| below COINCIDENT_EPS) raise DegenerateAngle.
     """
     ab = 1.0 - a * b.conjugate()
@@ -213,15 +205,15 @@ def signed_area(a: complex, b: complex, c: complex) -> float:
 
 
 def sigmas(a: complex, xs, b: complex) -> list[float | None]:
-    """sigma(a, x, b) for each sample x, complex arguments only: the
-    composition of signed_area(a, x, b) and complex_angle(a, x, b), and
+    """sigma(a, x, b) for each sample x: the composition of
+    signed_area(a, x, b) and signed_angle(a, x, b), and
     None for a sample where either raises DegenerateAngle (x coincides
     with a or b, or a with b)."""
     out: list[float | None] = []
     for x in xs:
         try:
             s = signed_area(a, x, b)
-            angle = complex_angle(a, x, b)
+            angle = signed_angle(a, x, b)
         except DegenerateAngle:
             out.append(None)
             continue
@@ -230,8 +222,8 @@ def sigmas(a: complex, xs, b: complex) -> list[float | None]:
 
 
 def base_areas(a: complex, b: complex, xs) -> list[float | None]:
-    """Area of triangle (a, b, x) for each sample x over the base ab,
-    complex arguments only: abs(signed_area(a, b, x)), and None for a
+    """Area of triangle (a, b, x) for each sample x over the base ab:
+    abs(signed_area(a, b, x)), and None for a
     sample where that raises (x coincides with a or b, or a with b) or
     the area is below 1e-15, as triangle_area raises there."""
     out: list[float | None] = []
@@ -254,7 +246,7 @@ def sigma(x, y, z) -> float:
     x and z (on the same side), equals pi when y lies between x and z on
     their geodesic, and is additive when a cevian splits the angle sum.
     """
-    value = sigmas(as_complex(x), (as_complex(y),), as_complex(z))[0]
+    value = sigmas(x, (y,), z)[0]
     if value is None:
         raise DegenerateAngle("two of the three points coincide")
     return value
@@ -263,11 +255,10 @@ def sigma(x, y, z) -> float:
 def triangle_area(a, b, c) -> float:
     """Area of triangle abc, the absolute signed area: the one-point case
     of base_areas."""
-    za, zb, zc = as_complex(a), as_complex(b), as_complex(c)
-    area = base_areas(za, zb, (zc,))[0]
+    area = base_areas(a, b, (c,))[0]
     if area is None:
         # coincident vertices raise DegenerateAngle here, as everywhere
-        area = abs(signed_area(za, zb, zc))
+        area = abs(signed_area(a, b, c))
         raise DegenerateTriangle(f"collinear vertices (area {area:.3g})")
     return area
 
@@ -366,11 +357,10 @@ class DiskIsometry(Record):
         self.theta = theta
         self.reflect = reflect
 
-    def __call__(self, p) -> complex:
-        z = as_complex(p)
+    def __call__(self, p: complex) -> complex:
         if self.reflect:
-            z = z.conjugate()
-        return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
+            p = p.conjugate()
+        return cmath.exp(1j * self.theta) * (p - self.a) / (1.0 - self.a.conjugate() * p)
 
     def inverse(self) -> "DiskIsometry":
         rot = cmath.exp(1j * self.theta)

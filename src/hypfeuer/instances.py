@@ -14,11 +14,11 @@ from random import Random
 from .errors import GeometryError, SamplingExhausted
 from .geom_core import (
     Triangle,
-    complex_angle,
     convex_quad_angles,
     mobius_from_origin,
     quad_angles_in_frame,
     quad_frame,
+    signed_angle,
     triangle_area,
 )
 from .cycles import (
@@ -87,7 +87,7 @@ def random_triangle(rng: Random,
             continue
         # the angle at each vertex between its two sides; Triangle.of keeps
         # the vertices 1e-9 apart, so no angle is degenerate
-        angles = [abs(complex_angle(p, v, q)) for v, p, q in map(tri.opposite, "abc")]
+        angles = [abs(signed_angle(p, v, q)) for v, p, q in map(tri.opposite, "abc")]
         if min(angles) >= min_angle:
             return tri, resamples
     raise SamplingExhausted(

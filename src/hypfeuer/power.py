@@ -40,7 +40,7 @@ from .errors import (
     MissingCenter,
     NoHyperbolicCenter,
 )
-from .geom_core import Record, as_complex
+from .geom_core import Record
 from .cycles import (
     GEODESIC_EPS,
     GeneralizedCycle,
@@ -53,21 +53,19 @@ from .cycles import (
 )
 
 
-def pseudolength(p, q) -> float:
+def pseudolength(p: complex, q: complex) -> float:
     """tanh(d(p, q) / 2): the Euclidean length of pq seen from p's frame."""
-    zp, zq = as_complex(p), as_complex(q)
-    return abs((zq - zp) / (1.0 - zp.conjugate() * zq))
+    return abs((q - p) / (1.0 - p.conjugate() * q))
 
 
-def power_of_point(p, cycle: GeneralizedCycle) -> float:
+def power_of_point(p: complex, cycle: GeneralizedCycle) -> float:
     """Chord-product power of p with respect to a cycle (negative inside)."""
-    z = as_complex(p)
-    # the A and C of _translate_raw(z, cycle.a, cycle.b, cycle.c), term for
+    # the A and C of _translate_raw(p, cycle.a, cycle.b, cycle.c), term for
     # term: calling it, which also builds the unused B, cost a median 4.4
     # us more per radical_axis check of about 47 us (two powers a sample;
     # Python 3.11 on a shared 2-vCPU VM)
-    t2 = abs(z) ** 2
-    cross = 2.0 * (cycle.b.conjugate() * z).real
+    t2 = abs(p) ** 2
+    cross = 2.0 * (cycle.b.conjugate() * p).real
     a2 = cycle.a + cross + cycle.c * t2
     c2 = cycle.a * t2 + cross + cycle.c
     if abs(a2) < 1e-15:
@@ -111,13 +109,12 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     return GeneralizedCycle.of(ar, br, ar)
 
 
-def _centered_map(center, cycle: GeneralizedCycle, centered) -> GeneralizedCycle:
+def _centered_map(center: complex, cycle: GeneralizedCycle, centered) -> GeneralizedCycle:
     """Image of a cycle under a map about center: translate center to the
     origin, apply centered to the coefficients (A, B, C) there, and
     translate back."""
-    z = as_complex(center)
-    a3, b3, c3 = centered(*_translate_raw(z, cycle.a, cycle.b, cycle.c))
-    return GeneralizedCycle.of(*_translate_raw(-z, a3, b3, c3))
+    a3, b3, c3 = centered(*_translate_raw(center, cycle.a, cycle.b, cycle.c))
+    return GeneralizedCycle.of(*_translate_raw(-center, a3, b3, c3))
 
 
 def homothety_cycle(center, k: float, cycle: GeneralizedCycle) -> GeneralizedCycle:

@@ -24,6 +24,7 @@ from collections import Counter
 
 from .errors import (
     AxisOutsideDisk,
+    CoincidentPoints,
     ConcentricCycles,
     DegenerateConfiguration,
     DivergentCevians,
@@ -35,7 +36,6 @@ from .errors import (
 from .geom_core import (
     TAU,
     Record,
-    as_complex,
     base_areas,
     convex_quad_angles,
     hyp_distance,
@@ -153,7 +153,7 @@ ARC_SAMPLES = 4
 ARC_SAMPLES_MIN = 3
 
 
-def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
+def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Constancy of sigma(a, X, b) as X runs over one arc of the cycle,
     at ARC_SAMPLES points (see the identity above ARC_SAMPLES).
@@ -161,14 +161,13 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     When the cycle is a compact circle the constant itself is pinned:
     it equals twice the angle at a between the center and b.
     """
-    za, zb = as_complex(a), as_complex(b)
-    for z in (za, zb):
+    for z in (a, b):
         if membership_residual(cycle, z) > 1e-9:
             return _skip("inscribed_angle", tol.theorem, "endpoint_off_cycle")
-    xs = _arc_samples(cycle, za, zb, ARC_SAMPLES)
+    xs = _arc_samples(cycle, a, b, ARC_SAMPLES)
     if len(xs) < ARC_SAMPLES_MIN:
         return _skip("inscribed_angle", tol.theorem, "arc_outside_disk")
-    values = sigmas(za, xs, zb)
+    values = sigmas(a, xs, b)
     if None in values:
         return _skip("inscribed_angle", tol.theorem, "sample_at_endpoint")
     # sigma is an angle: compare mod 2pi, or collinear samples on a
@@ -180,7 +179,7 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
     residual = spread
     try:
         center, _ = hyp_center_radius(cycle)
-        doubled = 2.0 * abs(signed_angle(center, za, zb))
+        doubled = 2.0 * abs(signed_angle(center, a, b))
         # the other arc sees the reflex central angle 2pi - doubled
         form_gap = min(abs(math.remainder(abs(base) - doubled, TAU)),
                        abs(math.remainder(abs(base) + doubled, TAU)))
@@ -193,7 +192,7 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a, b,
 
 # ------------------------------------------------------------ lemma: trapezoid
 
-def check_trapezoid(a, b, c, d,
+def check_trapezoid(a: complex, b: complex, c: complex, d: complex,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Equal areas of abc and abd versus the angle balance of quad abcd.
 
@@ -207,8 +206,7 @@ def check_trapezoid(a, b, c, d,
     if angles is None:
         return _skip("trapezoid", tol.theorem, "non_convex")
     qa, qb, qc, qd = angles
-    za, zb, zc, zd = (as_complex(p) for p in (a, b, c, d))
-    area_c, area_d = base_areas(za, zb, (zc, zd))
+    area_c, area_d = base_areas(a, b, (c, d))
     if area_c is None or area_d is None:
         return _skip("trapezoid", tol.theorem, "degenerate_quad")
     area_gap = abs(area_c - area_d)
@@ -233,19 +231,21 @@ LEXELL_SAMPLES = 4
 LEXELL_AREAS_MIN = 4  # x0 and 3 samples
 
 
-def check_lexell(a, b, x0,
+def check_lexell(a: complex, b: complex, x0: complex,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Constancy of the area of (a, b, X) as X runs over the constant-area
     locus through x0, at x0 and LEXELL_SAMPLES points (see the identity
     above LEXELL_SAMPLES)."""
-    za, zb, z0 = as_complex(a), as_complex(b), as_complex(x0)
-    base = geodesic_through(za, zb)
-    if point_geodesic_distance(z0, base) < 1e-6:
+    try:
+        base = geodesic_through(a, b)
+    except CoincidentPoints:
+        return _skip("lexell", tol.theorem, "coincident_base")
+    if point_geodesic_distance(x0, base) < 1e-6:
         return _skip("lexell", tol.theorem, "apex_on_base")
-    locus = lexell_cycle(za, zb, z0)
-    xs = [z0] + [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
-                 if abs(x - za) >= 1e-6 and abs(x - zb) >= 1e-6]
-    first, *rest = base_areas(za, zb, xs)
+    locus = lexell_cycle(a, b, x0)
+    xs = [x0] + [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
+                 if abs(x - a) >= 1e-6 and abs(x - b) >= 1e-6]
+    first, *rest = base_areas(a, b, xs)
     if first is None:
         return _skip("lexell", tol.theorem, "apex_on_base")
     # a degenerate sample is dropped, not scored
@@ -428,20 +428,31 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
 def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
     """Collinearity of pairwise homothetic centers for every sign pattern
-    of MONGE_PATTERNS, each residual under its key."""
-    pair_centers = monge_centers(c1, c2, c3)
+    of MONGE_PATTERNS, each residual under its key.  A pattern with a
+    missing center, or whose first two centers coincide (concentric
+    circles share every center), has its flag there instead; with no
+    pattern left the check skips as coincident_centers if any pattern
+    was flagged so, else missing_center, and as member_not_circle when
+    a cycle is not a circle inside the disk."""
+    try:
+        pair_centers = monge_centers(c1, c2, c3)
+    except NoHyperbolicCenter:
+        return _skip("monge", tol.theorem, "member_not_circle")
     witness: dict = {}
     residuals = []
+    skip_flag = "missing_center"
     for key, signs in MONGE_PATTERNS.items():
         try:
             _, res, _ = monge_line(pair_centers, signs)
         except MissingCenter:
-            witness[key] = "missing_center"
-            continue
+            res = "missing_center"
+        except CoincidentPoints:
+            res = skip_flag = "coincident_centers"
+        else:
+            residuals.append(res)
         witness[key] = res
-        residuals.append(res)
     if not residuals:
-        return _skip("monge", tol.theorem, "missing_center", witness)
+        return _skip("monge", tol.theorem, skip_flag, witness)
     return _finish("monge", max(residuals), tol.theorem, witness)
 
 

@@ -680,8 +680,8 @@ def _coefficient_triple(rng):
 
 def _kernel_point(rng):
     """An interior point drawn from one of the regions the kernel must
-    handle, in one of the accepted input forms: complex, a pair, and for
-    points on the real axis a float, or the int 0 for the origin."""
+    handle, as a complex, or for points on the real axis a float, or the
+    int 0 for the origin."""
     region = rng.random()
     if region < 0.1:
         return 0 if region < 0.05 else 0j
@@ -689,10 +689,8 @@ def _kernel_point(rng):
         x = rng.random() * 1.8 - 0.9
         return x if region < 0.2 else complex(x, 0.0)
     if region < 0.55:  # within 0.02 of the absolute
-        z = (1.0 - 10.0 ** (-1.7 - 9.3 * rng.random())) * cmath.exp(6.283185307179586j * rng.random())
-    else:
-        z = rand_point(rng)
-    return (z.real, z.imag) if rng.random() < 0.25 else z
+        return (1.0 - 10.0 ** (-1.7 - 9.3 * rng.random())) * cmath.exp(6.283185307179586j * rng.random())
+    return rand_point(rng)
 
 
 def _geodesic_points(rng):

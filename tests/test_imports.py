@@ -3,8 +3,9 @@ file, every private module-level name the package defines is read
 somewhere in it, every public one is read outside its own definition or
 bound by the benchmark's tracer, only the instance generators import
 `random`, no module imports `dataclasses`, which importing the CLI must
-not load, importing a library module loads no part of the CLI, and no
-module but `cycles` names a sample frame's kind.
+not load, importing a library module loads no part of the CLI, no
+module but `cycles` names a sample frame's kind, no module but
+`geom_core` names `as_complex`, and none names `complex_angle`.
 
 Stdlib `ast` only: a name counts as used when it is read anywhere in the
 module, annotations included.
@@ -279,8 +280,8 @@ def test_only_cevians_names_config_flags(module):
 FRAME_KINDS = frozenset({"FRAME_ARC", "FRAME_LINE", "FRAME_CIRCLE"})
 
 
-def frame_kind_names(source: str) -> set[str]:
-    """The FRAME_* kinds a module imports or reads, as a name or an
+def mentioned_names(source: str) -> set[str]:
+    """Every name a module imports, defines or reads, as a name or an
     attribute."""
     names = set()
     for node in ast.walk(ast.parse(source)):
@@ -290,7 +291,14 @@ def frame_kind_names(source: str) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names & FRAME_KINDS
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def frame_kind_names(source: str) -> set[str]:
+    """The FRAME_* kinds a module imports or reads."""
+    return mentioned_names(source) & FRAME_KINDS
 
 
 def test_frame_kind_names_are_found():
@@ -306,3 +314,14 @@ def test_only_cycles_names_a_sample_frame_kind(module):
     # other module re-derives a frame's layout
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert frame_kind_names(fh.read()) == set()
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE) if name.endswith(".py")))
+def test_only_geom_core_coerces_a_point(module):
+    # a point below the input boundary is a complex: check_disk alone
+    # coerces point-like input, and signed_angle is the one angle kernel
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        names = mentioned_names(fh.read())
+    assert ("as_complex" in names) == (module == "geom_core.py")
+    assert "complex_angle" not in names

@@ -43,7 +43,6 @@ from hypfeuer.errors import DivergentCevians, GeometryError, IdenticalCycles
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
-    complex_angle,
     convex_quad_angles,
     mobius_to_origin,
     signed_angle,
@@ -100,7 +99,7 @@ def _ref_side_frame(tri, vertex):
     Euclidean radius k and the base angle beta."""
     apex, b1, b2 = tri.opposite(vertex)
     return (b1, mobius_to_origin(b1, b2), abs(mobius_to_origin(b1, apex)),
-            abs(complex_angle(apex, b1, b2)))
+            abs(signed_angle(apex, b1, b2)))
 
 
 def _frame_matches_the_reference(tri, vertex):
@@ -185,7 +184,7 @@ def _ref_intersect(c1, c2):
 def _ref_convex_quad_angles(a, b, c, d):
     quad = [as_complex(p) for p in (a, b, c, d)]
     try:
-        turns = [complex_angle(quad[i - 1], quad[i], quad[(i + 1) % 4]) for i in range(4)]
+        turns = [signed_angle(quad[i - 1], quad[i], quad[(i + 1) % 4]) for i in range(4)]
     except GeometryError:
         return None
     if all(t > 0.0 for t in turns):
@@ -310,7 +309,7 @@ def test_side_frames_shots_and_angle_floor_match_the_references(monkeypatch, box
 
 def test_side_frame_of_coincident_vertices_raises_like_the_reference():
     # Triangle.of refuses such a triangle; built directly it must fail the
-    # way the reference's complex_angle did, not divide by zero
+    # way the reference's signed_angle did, not divide by zero
     for tri in (Triangle(0.3j, 0.3j, -0.2, False, 0.1),
                 Triangle(0.1, -0.2j, -0.2j, False, 0.1)):
         for v in VERTICES:
@@ -454,9 +453,9 @@ def _quads(rng):
         pts = [_disk_point(rng, 0.9) for _ in range(4)]
         yield pts
         yield pts[::-1]
-    # a square in both orientations, with tuple and float vertices
-    yield [(0.3, 0.3), (-0.3, 0.3), (-0.3, -0.3), 0.3 - 0.3j]
-    yield [0.3 - 0.3j, -0.3 - 0.3j, (-0.3, 0.3), 0.3 + 0.3j]
+    # a square in both orientations, and one with float vertices
+    yield [0.3 + 0.3j, -0.3 + 0.3j, -0.3 - 0.3j, 0.3 - 0.3j]
+    yield [0.3 - 0.3j, -0.3 - 0.3j, -0.3 + 0.3j, 0.3 + 0.3j]
     yield [0.5, 0.5j, -0.5, -0.5j]
     # a reflex vertex, a straight turn, a zero turn (d on the side ab), a
     # repeated vertex, a vertex at the origin
@@ -556,7 +555,7 @@ def test_one_configuration_makes_six_mobius_divisions(monkeypatch):
     # two per side frame in build_config and two per tangent shot; the
     # feet take no angle
     mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
-    angles = _count_calls(monkeypatch, geom_core, "complex_angle")
+    angles = _count_calls(monkeypatch, geom_core, "signed_angle")
     cfg = build_config(Triangle.of(*SETUP_TRIANGLE))
     assert mobius == [6]
     assert check_tangent_cevians(cfg).status == "pass"
@@ -565,16 +564,15 @@ def test_one_configuration_makes_six_mobius_divisions(monkeypatch):
 
 
 def test_random_triangle_reads_its_angles_from_the_rays(monkeypatch):
-    # complex_angle makes each vertex's two rays itself, bit for bit
+    # signed_angle makes each vertex's two rays itself, bit for bit
     # mobius_to_origin
-    signed = _count_calls(monkeypatch, geom_core, "signed_angle")
     mobius = _count_calls(monkeypatch, geom_core, "mobius_to_origin")
-    angles = _count_calls(monkeypatch, geom_core, "complex_angle")
+    angles = _count_calls(monkeypatch, geom_core, "signed_angle")
     draws = 0
     for idx in range(20):
         _, resamples = instances.random_triangle(instance_rng(3, idx))
         draws += resamples + 1
-    assert signed == mobius == [0]
+    assert mobius == [0]
     # three per draw that Triangle.of accepts, none for the draws it refuses
     assert 3 * 20 <= angles[0] <= 3 * draws and angles[0] % 3 == 0
 

@@ -16,6 +16,7 @@ from hypfeuer.cycles import (
     _translate_raw,
     circle_from_center_radius,
     classify,
+    cycle_through,
     geodesic_through,
     hyp_center_radius,
     intersect,
@@ -34,9 +35,9 @@ from hypfeuer.errors import (
 from hypfeuer.geom_core import (
     Triangle,
     as_complex,
-    complex_angle,
     convex_quad_angles,
     hyp_distance,
+    signed_angle,
     signed_area,
     triangle_area,
     wrap_angle,
@@ -269,6 +270,46 @@ def test_lexell_apex_on_base_skips():
     assert chk.flag == "apex_on_base"
 
 
+# ------------------------------------------------------------- point forms
+
+_CIRCLE = circle_from_center_radius(0.1 + 0.2j, 0.4)
+_GEODESIC = geodesic_through(0.1j, 0.5 + 0.2j)
+
+# calls whose points include real ones, given as floats and the int 0
+REAL_POINT_CALLS = [
+    (power.pseudolength, (0.3, 0.2 + 0.5j)),
+    (power.pseudolength, (0.2 + 0.5j, -0.4)),
+    (power.pseudolength, (0, 0.6)),
+    (power.power_of_point, (0.3, _CIRCLE)),
+    (power.power_of_point, (0, _CIRCLE)),
+    (geodesic_through, (0.3, 0.2 + 0.5j)),
+    (geodesic_through, (0, -0.45)),
+    (point_geodesic_distance, (-0.7, _GEODESIC)),
+    (point_geodesic_distance, (0, _GEODESIC)),
+    (check_lexell, (0.3, -0.2 + 0.4j, 0.1 - 0.5j)),
+    (check_lexell, (0.5j, 0.4, 0)),
+    (check_trapezoid, (0.5, 0.5j, -0.5, -0.5j)),
+    (check_trapezoid, (-0.3, 0.3, 0.2 + 0.4j, -0.2 + 0.4j)),
+    (check_inscribed_angle, (cycle_through(0.3, -0.4, 0.5j), 0.3, -0.4)),
+    (check_inscribed_angle, (geodesic_through(-0.5, 0.6), -0.5, 0)),
+]
+
+
+def _complex_twin(arg):
+    return complex(arg) if type(arg) in (int, float) else arg
+
+
+@pytest.mark.parametrize("fn, args", REAL_POINT_CALLS,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _) in enumerate(REAL_POINT_CALLS)])
+def test_a_real_point_gives_the_bits_of_its_complex_twin(fn, args):
+    # a point below the input boundary is a complex, and a real number
+    # works as one: repr shows every bit of a float, signed zeros too
+    assert any(type(a) in (int, float) for a in args)
+    result = fn(*args)
+    assert repr(result) == repr(fn(*map(_complex_twin, args)))
+    assert getattr(result, "status", None) != "skipped"
+
+
 # --------------------------------------------------------- triangle theorems
 
 def test_six_point_random_configs():
@@ -472,7 +513,7 @@ def _per_sample_sigmas(a, xs, b):
     for x in xs:
         try:
             s = signed_area(a, x, b)
-            out.append(wrap_angle(2.0 * complex_angle(a, x, b) - s
+            out.append(wrap_angle(2.0 * signed_angle(a, x, b) - s
                                   + math.copysign(math.pi, s)))
         except DegenerateAngle:
             out.append(None)
@@ -650,6 +691,20 @@ def test_monge_all_positive_missing_for_congruent_far_circles():
     assert chk.witness["ppp"] == "missing_center"
     with pytest.raises(MissingCenter):
         power.monge_line(power.monge_centers(*circles), (1, 1, 1))
+
+
+def test_degenerate_library_inputs_skip_with_their_cause():
+    # no generator draws these, but a check never raises: concentric
+    # circles share every homothetic center, a geodesic has none, and
+    # coincident base points span no geodesic
+    concentric = [circle_from_center_radius(0.1j, rho) for rho in (0.3, 0.6, 0.9)]
+    chk = check_monge(*concentric)
+    assert (chk.status, chk.flag) == ("skipped", "coincident_centers")
+    assert set(chk.witness.values()) == {"coincident_centers"}
+    chk = check_monge(geodesic_through(0.1, 0.5j), *concentric[:2])
+    assert (chk.status, chk.flag) == ("skipped", "member_not_circle")
+    chk = check_lexell(0.3, 0.3, 0.5j)
+    assert (chk.status, chk.flag) == ("skipped", "coincident_base")
 
 
 # ---------------------------------------------------------- tangency chains
