@@ -25,12 +25,9 @@ combination (the three signed angles sum to s - copysign(pi, s))
 
 which drives every cevian construction here: on a circle through two
 points it is constant, which gives the pseudoaltitude foot its closed
-form (see ``cevians``).  The sampled checks evaluate sigma(a, x, b) and
-the area of (a, b, x) at many points x for one fixed pair a, b, through
-the batch kernels ``sigmas`` and ``base_areas``, which call
-``signed_area`` and ``signed_angle`` for each sample and give None
-where a sample is degenerate; ``sigma`` and ``triangle_area`` are their
-one-point cases.
+form (see ``cevians``).  The sampled checks call ``sigma`` for
+sigma(a, x, b) and ``triangle_area`` for the area of (a, b, x) once per
+sample x, and map the kernel's raise on a degenerate sample to a skip.
 
 A point below the input boundary is a ``complex``, and a real number
 works as one.  ``check_disk`` is the one caller of ``as_complex``: it
@@ -204,61 +201,25 @@ def signed_area(a: complex, b: complex, c: complex) -> float:
     return 2.0 * cmath.phase(ab * bc * ca)
 
 
-def sigmas(a: complex, xs, b: complex) -> list[float | None]:
-    """sigma(a, x, b) for each sample x: the composition of
-    signed_area(a, x, b) and signed_angle(a, x, b), and
-    None for a sample where either raises DegenerateAngle (x coincides
-    with a or b, or a with b)."""
-    out: list[float | None] = []
-    for x in xs:
-        try:
-            s = signed_area(a, x, b)
-            angle = signed_angle(a, x, b)
-        except DegenerateAngle:
-            out.append(None)
-            continue
-        out.append(wrap_angle(2.0 * angle - s + math.copysign(math.pi, s)))
-    return out
-
-
-def base_areas(a: complex, b: complex, xs) -> list[float | None]:
-    """Area of triangle (a, b, x) for each sample x over the base ab:
-    abs(signed_area(a, b, x)), and None for a
-    sample where that raises (x coincides with a or b, or a with b) or
-    the area is below 1e-15, as triangle_area raises there."""
-    out: list[float | None] = []
-    for x in xs:
-        try:
-            area = abs(signed_area(a, b, x))
-        except DegenerateAngle:
-            out.append(None)
-            continue
-        out.append(None if area < 1e-15 else area)
-    return out
-
-
-def sigma(x, y, z) -> float:
+def sigma(x: complex, y: complex, z: complex) -> float:
     """angle(x,y,z) - angle(z,x,y) - angle(y,z,x), the cevian functional,
-    in (-pi, pi]: the one-point case of sigmas.
+    in (-pi, pi]: composed from signed_area(x, y, z) and
+    signed_angle(x, y, z), so two coincident points raise DegenerateAngle.
 
     For a clockwise triangle with apex y over base xz this equals
     2*angle_at_y + area - pi.  It is constant on any circle arc through
     x and z (on the same side), equals pi when y lies between x and z on
     their geodesic, and is additive when a cevian splits the angle sum.
     """
-    value = sigmas(x, (y,), z)[0]
-    if value is None:
-        raise DegenerateAngle("two of the three points coincide")
-    return value
+    s = signed_area(x, y, z)
+    return wrap_angle(2.0 * signed_angle(x, y, z) - s + math.copysign(math.pi, s))
 
 
-def triangle_area(a, b, c) -> float:
-    """Area of triangle abc, the absolute signed area: the one-point case
-    of base_areas."""
-    area = base_areas(a, b, (c,))[0]
-    if area is None:
-        # coincident vertices raise DegenerateAngle here, as everywhere
-        area = abs(signed_area(a, b, c))
+def triangle_area(a: complex, b: complex, c: complex) -> float:
+    """Area of triangle abc, abs(signed_area(a, b, c)): two coincident
+    vertices raise DegenerateAngle, an area below 1e-15 DegenerateTriangle."""
+    area = abs(signed_area(a, b, c))
+    if area < 1e-15:
         raise DegenerateTriangle(f"collinear vertices (area {area:.3g})")
     return area
 
@@ -352,8 +313,7 @@ class DiskIsometry(Record):
     __slots__ = ("a", "theta", "reflect")
 
     def __init__(self, a: complex = 0j, theta: float = 0.0, reflect: bool = False):
-        check_disk(a)
-        self.a = a
+        self.a = check_disk(a)
         self.theta = theta
         self.reflect = reflect
 

@@ -26,7 +26,9 @@ from .errors import (
     AxisOutsideDisk,
     CoincidentPoints,
     ConcentricCycles,
+    DegenerateAngle,
     DegenerateConfiguration,
+    DegenerateTriangle,
     DivergentCevians,
     GeometryError,
     MissingCenter,
@@ -36,11 +38,11 @@ from .errors import (
 from .geom_core import (
     TAU,
     Record,
-    base_areas,
     convex_quad_angles,
     hyp_distance,
+    sigma,
     signed_angle,
-    sigmas,
+    triangle_area,
 )
 from .cycles import (
     CycleClass,
@@ -167,8 +169,9 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex,
     xs = _arc_samples(cycle, a, b, ARC_SAMPLES)
     if len(xs) < ARC_SAMPLES_MIN:
         return _skip("inscribed_angle", tol.theorem, "arc_outside_disk")
-    values = sigmas(a, xs, b)
-    if None in values:
+    try:
+        values = [sigma(a, x, b) for x in xs]
+    except DegenerateAngle:
         return _skip("inscribed_angle", tol.theorem, "sample_at_endpoint")
     # sigma is an angle: compare mod 2pi, or collinear samples on a
     # geodesic flap between the identified values +pi and -pi
@@ -206,8 +209,9 @@ def check_trapezoid(a: complex, b: complex, c: complex, d: complex,
     if angles is None:
         return _skip("trapezoid", tol.theorem, "non_convex")
     qa, qb, qc, qd = angles
-    area_c, area_d = base_areas(a, b, (c, d))
-    if area_c is None or area_d is None:
+    try:
+        area_c, area_d = triangle_area(a, b, c), triangle_area(a, b, d)
+    except (DegenerateAngle, DegenerateTriangle):
         return _skip("trapezoid", tol.theorem, "degenerate_quad")
     area_gap = abs(area_c - area_d)
     angle_gap = abs(qa + qd - qb - qc)
@@ -243,13 +247,17 @@ def check_lexell(a: complex, b: complex, x0: complex,
     if point_geodesic_distance(x0, base) < 1e-6:
         return _skip("lexell", tol.theorem, "apex_on_base")
     locus = lexell_cycle(a, b, x0)
-    xs = [x0] + [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
-                 if abs(x - a) >= 1e-6 and abs(x - b) >= 1e-6]
-    first, *rest = base_areas(a, b, xs)
-    if first is None:
+    xs = [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
+          if abs(x - a) >= 1e-6 and abs(x - b) >= 1e-6]
+    try:
+        areas = [triangle_area(a, b, x0)]
+    except (DegenerateAngle, DegenerateTriangle):
         return _skip("lexell", tol.theorem, "apex_on_base")
-    # a degenerate sample is dropped, not scored
-    areas = [first] + [area for area in rest if area is not None]
+    for x in xs:
+        try:
+            areas.append(triangle_area(a, b, x))
+        except (DegenerateAngle, DegenerateTriangle):
+            pass  # a degenerate sample is dropped, not scored
     if len(areas) < LEXELL_AREAS_MIN:
         return _skip("lexell", tol.theorem, "arc_outside_disk")
     return _finish("lexell", max(areas) - min(areas), tol.theorem,

@@ -86,3 +86,25 @@ def test_tracer_spans_every_foot_of_one_configuration():
     assert tracer.calls("cevians.build_config") == 1
     assert tracer.calls("cevians.bisector_foot") == 3
     assert tracer.calls("cevians.pseudoaltitude_foot") == 3
+
+
+def test_tracer_counts_the_sampled_checks_kernel_calls(tmp_path):
+    # the sampled checks call sigma and triangle_area through the names
+    # the tracer rebinds, once per sample; a path around them would zero
+    # the benchmark's kernel counters for that work
+    tracer = TRACING.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--suite", "all", "--trials", "20", "--seed", "7",
+                         "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.count("geom_core.sigma", inside="theorems.check_inscribed_angle") == 80
+    assert tracer.count("geom_core.triangle_area", inside="theorems.check_trapezoid") == 40
+    assert tracer.count("geom_core.triangle_area", inside="theorems.check_lexell") == 100
+    # what verify never reaches; only the tracer's bindings keep it
+    idle = {f"{mod}.{fn}" for mod, fns in TRACING.COUNTERS.items() for fn in fns
+            if tracer.count(f"{mod}.{fn}") == 0}
+    assert idle == {"cycles.intersect", "cycles.transform", "cycles.tangency_ratio",
+                    "power.crossing_angle"}

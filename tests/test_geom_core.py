@@ -16,16 +16,16 @@ from hypfeuer.errors import (
 )
 from hypfeuer.cycles import cycle_through
 from hypfeuer.geom_core import (
+    COINCIDENT_EPS,
     DiskIsometry,
     Triangle,
     absolute_inverse,
     as_complex,
-    base_areas,
+    check_disk,
     hyp_distance,
     mobius_from_origin,
     mobius_to_origin,
     sigma,
-    sigmas,
     signed_angle,
     signed_area,
     triangle_area,
@@ -119,6 +119,14 @@ def test_boundary_point_rejected():
 def test_as_complex_accepts_tuples():
     assert as_complex((0.3, -0.2)) == 0.3 - 0.2j
     assert as_complex(0.5j) == 0.5j
+
+
+def test_check_disk_threshold():
+    # the margin is BOUNDARY_EPS = 1e-12, in every direction
+    for u in (1.0, 1j, cmath.exp(2.5j)):
+        assert check_disk((1.0 - 2e-12) * u) == (1.0 - 2e-12) * u
+        with pytest.raises(BoundaryPoint):
+            check_disk((1.0 - 0.5e-12) * u)
 
 
 # ------------------------------------------------------------------ midpoint
@@ -256,53 +264,86 @@ def test_area_degenerate_raises():
         triangle_area(0.1, 0.2, 0.3)
 
 
-# ------------------------------------------------------------- batch kernels
+def test_triangle_area_threshold():
+    # (-0.5, 0.5, it) has area 2t to rounding, so t = 0.5e-15 sits on the
+    # 1e-15 threshold
+    a, b = -0.5 + 0j, 0.5 + 0j
+    below, above = 0.4999e-15j, 0.5001e-15j
+    assert abs(signed_area(a, b, below)) == pytest.approx(0.9998e-15, rel=1e-9)
+    with pytest.raises(DegenerateTriangle):
+        triangle_area(a, b, below)
+    assert triangle_area(a, b, above) == pytest.approx(1.0002e-15, rel=1e-9)
 
-def _scalar_sigma(a, x, b):
-    # the composition the sigma kernel calls per sample; None where
-    # it raises
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 0)], ids=["ab", "bc", "ca"])
+def test_signed_area_coincidence_threshold(pair):
+    # each of the three pair tests fires at pseudolength 0.5 COINCIDENT_EPS
+    # and not at 2 COINCIDENT_EPS
+    p, other = 0.3 + 0.2j, -0.4 + 0.1j
+    for scale in (0.5, 2.0):
+        close = mobius_from_origin(p, scale * COINCIDENT_EPS * cmath.exp(0.7j))
+        assert abs(mobius_to_origin(p, close)) == pytest.approx(scale * COINCIDENT_EPS,
+                                                                rel=1e-2)
+        points = [other] * 3
+        points[pair[0]], points[pair[1]] = p, close
+        if scale < 1.0:
+            with pytest.raises(DegenerateAngle):
+                signed_area(*points)
+        else:
+            assert abs(signed_area(*points)) < 1e-12
+
+
+# ----------------------------------------------- the sigma and area kernels
+
+def _composed_sigma(a, x, b):
+    # the signed_area/signed_angle composition; it raises where they raise
+    s = signed_area(a, x, b)
+    return wrap_angle(2.0 * signed_angle(a, x, b) - s + math.copysign(math.pi, s))
+
+
+def _outcome(fn, *args):
+    # a value, or the class of the error raised
     try:
-        s = signed_area(a, x, b)
-        return wrap_angle(2.0 * signed_angle(a, x, b) - s + math.copysign(math.pi, s))
-    except DegenerateAngle:
-        return None
+        return fn(*args)
+    except (DegenerateAngle, DegenerateTriangle) as exc:
+        return type(exc)
 
 
-def _scalar_area(a, b, x):
-    try:
-        area = abs(signed_area(a, b, x))
-    except DegenerateAngle:
-        return None
-    return None if area < 1e-15 else area
-
-
-def test_batch_kernels_equal_the_scalar_composition():
+def test_sigma_and_area_kernels_equal_the_scalar_composition():
     # samples on random arcs through a and b, and random apexes over the
-    # base ab, near the absolute too: every value equals the scalar
-    # composition's bits, and the one-point wrappers return the same
+    # base ab, near the absolute too: each kernel gives the composition's
+    # bits, and raises wherever it raises
     rng = Random(31)
     for _ in range(200):
         a, b = rand_point(rng, 0.95), rand_point(rng, 0.95)
         ec, er = cycle_through(a, b, rand_point(rng, 0.95)).euclid_center_radius()
         xs = [ec + er * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
         xs = [x for x in xs if abs(x) < 1.0 - 1e-9] + [rand_point(rng, 0.95) for _ in range(12)]
-        assert sigmas(a, xs, b) == [_scalar_sigma(a, x, b) for x in xs]
-        assert base_areas(a, b, xs) == [_scalar_area(a, b, x) for x in xs]
         for x in xs:
-            assert sigma(a, x, b) == _scalar_sigma(a, x, b)
-            assert triangle_area(a, b, x) == _scalar_area(a, b, x)
+            assert _outcome(sigma, a, x, b) == _outcome(_composed_sigma, a, x, b)
+            area = _outcome(signed_area, a, b, x)
+            if area is not DegenerateAngle:
+                area = abs(area) if abs(area) >= 1e-15 else DegenerateTriangle
+            assert _outcome(triangle_area, a, b, x) == area
 
 
-def test_batch_kernels_give_none_for_degenerate_samples():
+def test_sigma_and_area_kernels_raise_on_degenerate_samples():
     a, b = 0.3 + 0.1j, -0.2 + 0.4j
     # samples on a or b, then apexes on the diameter through the base
-    assert sigmas(a, [a, 0.5j, b], b) == [None, sigma(a, 0.5j, b), None]
-    assert base_areas(a, b, [b, 0.5j, a]) == [None, triangle_area(a, b, 0.5j), None]
-    assert base_areas(0.1 + 0j, 0.2 + 0j, [0.3 + 0j, -0.4 + 0j]) == [None, None]
+    for x in (a, b):
+        with pytest.raises(DegenerateAngle):
+            sigma(a, x, b)
+        with pytest.raises(DegenerateAngle):
+            triangle_area(a, b, x)
+    for x in (0.3 + 0j, -0.4 + 0j):
+        with pytest.raises(DegenerateTriangle):
+            triangle_area(0.1 + 0j, 0.2 + 0j, x)
     # a fixed pair that coincides makes every sample degenerate
-    assert sigmas(a, [0.5j, -0.5j], a) == [None, None]
-    assert base_areas(a, a, [0.5j, -0.5j]) == [None, None]
-    # the one-point wrappers raise what the scalar composition raises
+    for x in (0.5j, -0.5j):
+        with pytest.raises(DegenerateAngle):
+            sigma(a, x, a)
+        with pytest.raises(DegenerateAngle):
+            triangle_area(a, a, x)
     for bad in ((a, a, b), (a, b, b), (a, b, a)):
         with pytest.raises(DegenerateAngle):
             sigma(*bad)
@@ -384,6 +425,19 @@ def test_isometry_inverse_round_trip():
         z = rand_point(rng)
         assert f.inverse()(f(z)) == pytest.approx(z, abs=1e-13)
         assert f(f.inverse()(z)) == pytest.approx(z, abs=1e-13)
+
+
+def test_disk_isometry_center_in_any_point_form():
+    # a tuple or float center gives the map and the inverse of its
+    # complex twin, which is what the isometry stores
+    z = 0.2 - 0.35j
+    for center, twin in (((0.1, 0.2), 0.1 + 0.2j), (0.3, 0.3 + 0j)):
+        for theta, reflect in ((0.0, False), (0.7, True)):
+            iso, ref = DiskIsometry(center, theta, reflect), DiskIsometry(twin, theta, reflect)
+            assert repr(iso) == repr(ref)
+            assert iso(z) == ref(z)
+            assert repr(iso.inverse()) == repr(ref.inverse())
+            assert iso.inverse()(z) == ref.inverse()(z)
 
 
 def test_reflection_flips_angle_sign():

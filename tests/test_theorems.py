@@ -13,7 +13,6 @@ from hypfeuer.cycles import (
     GeneralizedCycle,
     CycleClass,
     _hyperboloid_plane,
-    _translate_raw,
     circle_from_center_radius,
     classify,
     cycle_through,
@@ -27,20 +26,16 @@ from hypfeuer.cycles import (
 )
 from hypfeuer.errors import (
     BracketFailure,
-    DegenerateAngle,
     DegenerateConfiguration,
     GeometryError,
     MissingCenter,
 )
 from hypfeuer.geom_core import (
     Triangle,
-    as_complex,
     convex_quad_angles,
     hyp_distance,
-    signed_angle,
     signed_area,
     triangle_area,
-    wrap_angle,
 )
 from hypfeuer.instances import (
     PURPOSE_CYCLE_PAIR,
@@ -503,62 +498,6 @@ def test_radical_axis_outside_disk_is_not_concentric():
              for idx in range(200)]
     assert "concentric" not in flags
     assert flags.count("axis_outside_disk") > 0
-
-
-# ------------------------------------------------ batch kernels, no drift
-
-def _per_sample_sigmas(a, xs, b):
-    # the scalar sigma composition, once per sample
-    out = []
-    for x in xs:
-        try:
-            s = signed_area(a, x, b)
-            out.append(wrap_angle(2.0 * signed_angle(a, x, b) - s
-                                  + math.copysign(math.pi, s)))
-        except DegenerateAngle:
-            out.append(None)
-    return out
-
-
-def _per_sample_areas(a, b, xs):
-    out = []
-    for x in xs:
-        try:
-            area = abs(signed_area(a, b, x))
-        except DegenerateAngle:
-            out.append(None)
-            continue
-        out.append(None if area < 1e-15 else area)
-    return out
-
-
-def _translated_power(p, cycle):
-    a2, _, c2 = _translate_raw(as_complex(p), cycle.a, cycle.b, cycle.c)
-    if abs(a2) < 1e-15:
-        raise DegenerateConfiguration("pole")
-    return c2 / a2
-
-
-def _sampled_check_records():
-    records = []
-    for name in ("inscribed_angle", "lexell", "trapezoid", "radical_axis"):
-        purpose, call = cli.SUITES[name]
-        records += [call(instance_rng(seed, idx, purpose), idx, theorems.DEFAULT_TOLERANCES)
-                    for seed in range(3) for idx in range(50)]
-    return records
-
-
-def test_batch_kernels_leave_the_sampled_checks_unchanged(monkeypatch):
-    # every record, residual and witness bits included, equals the one
-    # built from per-sample scalar calls; unlike a digest of report bytes
-    # this holds on any libm
-    shipped = _sampled_check_records()
-    monkeypatch.setattr(theorems, "sigmas", _per_sample_sigmas)
-    monkeypatch.setattr(theorems, "base_areas", _per_sample_areas)
-    monkeypatch.setattr(theorems, "power_of_point", _translated_power)
-    scalar = _sampled_check_records()
-    assert len(shipped) == 600
-    assert shipped == scalar
 
 
 # ---------------------------------- the identities behind the sample counts
