@@ -41,7 +41,9 @@ of a hyperboloid vector as a disk point: a meet, a circle's center, a
 homothetic or tritangent center.
 
 The checks' cycle constructions live here too: the constant-area locus
-(``lexell_cycle``) and samples along an arc, split into the arc's frame
+(``lexell_cycle``, a cycle through two points' absolute inverses,
+built as homogeneous rows by ``cycle_through_rows`` like every cycle
+through three points) and samples along an arc, split into the arc's frame
 (``sample_frame``) and the expression of one sample (``frame_point``),
 so a caller computes only the samples it reads; ``farthest_sample``
 picks the one farthest from a point of the cycle.  Only this module
@@ -67,7 +69,6 @@ from .geom_core import (
     BOUNDARY_EPS,
     DiskIsometry,
     Record,
-    absolute_inverse,
     check_disk,
 )
 
@@ -244,7 +245,8 @@ def circle_vector(cycle: GeneralizedCycle) -> tuple[float, float, float, float]:
 
 
 def cycle_through(p: complex, q: complex, r: complex) -> GeneralizedCycle:
-    """Unique cycle through three distinct points (cofactor expansion).
+    """Unique cycle through three distinct points: cycle_through_rows of
+    their rows (|z|^2, x, y, 1).
 
     Accepts interior points, absolute points, and their inverses alike:
     the coefficients are polynomial in the inputs.  Collinear points
@@ -252,12 +254,28 @@ def cycle_through(p: complex, q: complex, r: complex) -> GeneralizedCycle:
     """
     if abs(p - q) < 1e-12 or abs(q - r) < 1e-12 or abs(r - p) < 1e-12:
         raise CoincidentPoints("cycle through coincident points")
-    s0, x0, y0 = abs(p) ** 2, p.real, p.imag
-    s1, x1, y1 = abs(q) ** 2, q.real, q.imag
-    s2, x2, y2 = abs(r) ** 2, r.real, r.imag
-    # cofactors of the first row of det[|z|^2, x, y, 1; (s, x, y, 1) rows]
-    dy12, dy02, dy01 = y1 - y2, y0 - y2, y0 - y1
-    dx12, dx02, dx01 = x1 - x2, x0 - x2, x0 - x1
+    return cycle_through_rows((abs(p) ** 2, p.real, p.imag, 1.0),
+                              (abs(q) ** 2, q.real, q.imag, 1.0),
+                              (abs(r) ** 2, r.real, r.imag, 1.0))
+
+
+def cycle_through_rows(r0, r1, r2) -> GeneralizedCycle:
+    """The cycle A s + 2 Re(B) x + 2 Im(B) y + C w = 0 through three
+    homogeneous rows (s, x, y, w), from the rows' signed 3x3 minors.
+
+    A point z is the row (|z|^2, x, y, 1) and its absolute inverse
+    z / |z|^2 the row (1, x, y, |z|^2), so the inverse of the disk
+    center is the point at infinity (1, 0, 0, 0) and a cycle through it
+    comes out as a line, no division taken.  With every w = 1.0 each
+    product y1 * w2 is y1 exactly, so points give the bits of the plain
+    cofactor expansion.
+    """
+    s0, x0, y0, w0 = r0
+    s1, x1, y1, w1 = r1
+    s2, x2, y2, w2 = r2
+    # cofactors of the first row of det[s, x, y, w; the three rows]
+    dy12, dy02, dy01 = y1 * w2 - y2 * w1, y0 * w2 - y2 * w0, y0 * w1 - y1 * w0
+    dx12, dx02, dx01 = x1 * w2 - x2 * w1, x0 * w2 - x2 * w0, x0 * w1 - x1 * w0
     a = x0 * dy12 - x1 * dy02 + x2 * dy01
     c12 = s0 * dy12 - s1 * dy02 + s2 * dy01
     c13 = s0 * dx12 - s1 * dx02 + s2 * dx01
@@ -301,8 +319,12 @@ def geodesic_through(p: complex, q: complex) -> GeneralizedCycle:
 
 def lexell_cycle(a: complex, b: complex, x0: complex) -> GeneralizedCycle:
     """The constant-area locus through x0 over base ab: the cycle through
-    x0 and the absolute inverses of a and b."""
-    return cycle_through(absolute_inverse(a), absolute_inverse(b), x0)
+    x0 and the absolute inverses of a and b, taken as the rows
+    (1, x, y, |z|^2) (cycle_through_rows), so a base end at the disk
+    center sends the locus through the point at infinity: a line."""
+    return cycle_through_rows((1.0, a.real, a.imag, abs(a) ** 2),
+                              (1.0, b.real, b.imag, abs(b) ** 2),
+                              (abs(x0) ** 2, x0.real, x0.imag, 1.0))
 
 
 def _translate_raw(t: complex, a_: float, b_: complex, c_: float):

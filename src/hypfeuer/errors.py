@@ -20,10 +20,6 @@ class CoincidentPoints(GeometryError):
     """Two supposedly distinct points are numerically identical."""
 
 
-class CenterHasNoInverse(GeometryError):
-    """Inversion in the unit circle is undefined at the disk center."""
-
-
 class DegenerateAngle(GeometryError):
     """Angle vertex coincides with one of the ray endpoints."""
 

@@ -33,7 +33,9 @@ A point below the input boundary is a ``complex``, and a real number
 works as one.  ``check_disk`` is the one caller of ``as_complex``: it
 checks a point-like input (complex, real or 2-tuple) for
 ``Triangle.of``, ``hyp_distance`` and ``DiskIsometry`` and returns it as
-a complex; every other function takes its points as they come.
+a complex; every other function takes its points as they come, and
+``disk_distance`` is ``hyp_distance`` without the checks, for points
+already checked or built by the library.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import math
 
 from .errors import (
     BoundaryPoint,
-    CenterHasNoInverse,
     DegenerateAngle,
     DegenerateTriangle,
     GeometryError,
@@ -86,26 +87,22 @@ def mobius_from_origin(a: complex, w: complex) -> complex:
 
 
 def hyp_distance(p, q) -> float:
-    """Geodesic distance 2 asinh(|q - p| / sqrt((1 - |p|^2)(1 - |q|^2))).
+    """Geodesic distance between two point-like inputs: check_disk of
+    each, then disk_distance."""
+    return disk_distance(check_disk(p), check_disk(q))
+
+
+def disk_distance(p: complex, q: complex) -> float:
+    """Geodesic distance 2 asinh(|q - p| / sqrt((1 - |p|^2)(1 - |q|^2)))
+    between two points inside the disk, unchecked: for points already
+    checked or built by the library.
 
     This is 2 atanh |(q - p) / (1 - conj(p) q)|, as |1 - conj(p) q|^2 -
     |q - p|^2 = (1 - |p|^2)(1 - |q|^2); near the absolute that
     pseudolength can round to 1, where atanh has no value.
     """
-    zp, zq = check_disk(p), check_disk(q)
-    return 2.0 * math.asinh(abs(zq - zp)
-                            / math.sqrt((1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)))
-
-
-def absolute_inverse(p) -> complex:
-    """Inversion in the absolute: z -> z / |z|^2.
-
-    The disk center has no inverse (the would-be image is the point at
-    infinity), so it is rejected rather than mapped somewhere arbitrary.
-    """
-    if abs(p) < BOUNDARY_EPS:
-        raise CenterHasNoInverse("absolute inverse of the disk center")
-    return p / (abs(p) ** 2)
+    return 2.0 * math.asinh(abs(q - p)
+                            / math.sqrt((1.0 - abs(p) ** 2) * (1.0 - abs(q) ** 2)))
 
 
 def wrap_angle(d: float) -> float:
@@ -282,7 +279,7 @@ class Triangle(Record):
     def of(cls, a, b, c) -> "Triangle":
         za, zb, zc = (check_disk(p) for p in (a, b, c))
         for p, q, lbl in ((za, zb, "ab"), (zb, zc, "bc"), (za, zc, "ac")):
-            if hyp_distance(p, q) <= 1e-9:
+            if disk_distance(p, q) <= 1e-9:
                 raise DegenerateTriangle(f"vertices {lbl} closer than 1e-9")
         s = signed_area(za, zb, zc)
         if abs(s) <= 1e-12:

@@ -39,7 +39,7 @@ from .geom_core import (
     TAU,
     Record,
     convex_quad_angles,
-    hyp_distance,
+    disk_distance,
     sigma,
     signed_angle,
     triangle_area,
@@ -283,7 +283,7 @@ def check_six_point(cfg: TriangleConfig,
 
 def _radius_gap(center: complex, radius: float, points) -> float:
     """Worst |d(center, p) - radius| over points the circle passes through."""
-    return max(abs(hyp_distance(center, p) - radius) for p in points)
+    return max(abs(disk_distance(center, p) - radius) for p in points)
 
 
 def check_euler_line(cfg: TriangleConfig,
@@ -297,7 +297,7 @@ def check_euler_line(cfg: TriangleConfig,
     if o is None or None in others.values():
         return _skip("euler_line", tol.theorem, "center_undefined")
     radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
-    distances = {name: hyp_distance(o, p) for name, p in others.items()}
+    distances = {name: disk_distance(o, p) for name, p in others.items()}
     far_name = max(distances, key=distances.get)
     witness: dict = {"anchor": far_name, "radius_gap": radius_gap}
     # in a totally symmetric configuration all four points coincide, no

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import struct
+from collections import Counter
 from decimal import Decimal, localcontext
 from random import Random
 
@@ -31,6 +32,7 @@ from hypfeuer.cycles import (
     geodesic_through,
     hyp_center_radius,
     intersect,
+    lexell_cycle,
     meet_point,
     membership_residual,
     plane_distances,
@@ -779,6 +781,82 @@ def test_point_geodesic_distance_checks_the_point_then_the_geodesic():
             point_geodesic_distance(1.0, cycle)
     with pytest.raises(NotACycle):
         point_geodesic_distance(0.3j, circle)
+
+
+# --------------------------------------- homogeneous rows against references
+#
+# cycle_through and lexell_cycle build their cycles from homogeneous rows
+# (cycle_through_rows).  The cofactor expansion on three points and the
+# locus through the inverses z / |z|^2 that the rows replaced are kept
+# here as oracles: a point triple keeps its exact bits, and the locus
+# stays within rounding wherever a base end is away from the disk center.
+
+def _reference_cycle_through(p, q, r):
+    if abs(p - q) < 1e-12 or abs(q - r) < 1e-12 or abs(r - p) < 1e-12:
+        raise CoincidentPoints("cycle through coincident points")
+    s0, x0, y0 = abs(p) ** 2, p.real, p.imag
+    s1, x1, y1 = abs(q) ** 2, q.real, q.imag
+    s2, x2, y2 = abs(r) ** 2, r.real, r.imag
+    dy12, dy02, dy01 = y1 - y2, y0 - y2, y0 - y1
+    dx12, dx02, dx01 = x1 - x2, x0 - x2, x0 - x1
+    a = x0 * dy12 - x1 * dy02 + x2 * dy01
+    c12 = s0 * dy12 - s1 * dy02 + s2 * dy01
+    c13 = s0 * dx12 - s1 * dx02 + s2 * dx01
+    c14 = (s0 * (x1 * y2 - x2 * y1)
+           - s1 * (x0 * y2 - x2 * y0)
+           + s2 * (x0 * y1 - x1 * y0))
+    return GeneralizedCycle.of(a, complex(-c12 / 2.0, c13 / 2.0), -c14)
+
+
+def _reference_lexell_cycle(a, b, x0):
+    return _reference_cycle_through(a / abs(a) ** 2, b / abs(b) ** 2, x0)
+
+
+def _ideal_point(rng):
+    return cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+def _through_triple(rng):
+    """Three points: disk points, ideal points on the absolute, a
+    collinear triple, or a triple with a repeated point."""
+    kind = rng.random()
+    if kind < 0.4:
+        return "disk", (_kernel_point(rng), _kernel_point(rng), _kernel_point(rng))
+    if kind < 0.6:  # the arc draw's two ideal ends and a disk point
+        return "ideal", (_ideal_point(rng), _ideal_point(rng), _kernel_point(rng))
+    if kind < 0.7:
+        return "ideal", (_ideal_point(rng), _ideal_point(rng), _ideal_point(rng))
+    if kind < 0.9:
+        p, q = rand_point(rng, 0.9), rand_point(rng, 0.9)
+        return "collinear", (p, q, p + rng.uniform(-1.0, 2.0) * (q - p))
+    p = _kernel_point(rng)
+    return "repeated", (p, _kernel_point(rng), p)
+
+
+def test_cycle_through_keeps_the_bits_of_the_cofactor_formula():
+    rng = Random(81)
+    seen = Counter()
+    for _ in range(4_000):
+        kind, points = _through_triple(rng)
+        new = _outcome(cycle_through, *points)
+        assert new == _outcome(_reference_cycle_through, *points), points
+        seen[kind, new[0]] += 1
+    assert {("disk", "value"), ("ideal", "value"), ("collinear", "value"),
+            ("repeated", "raise")} <= set(seen)
+    assert seen["ideal", "value"] + seen["collinear", "value"] >= 1_000
+
+
+def test_lexell_cycle_matches_the_inverse_point_construction():
+    rng = Random(82)
+    worst, count = 0.0, 0
+    while count < 3_000:
+        a, b, x0 = rand_point(rng, 0.9), rand_point(rng, 0.9), rand_point(rng, 0.9)
+        if abs(a) < 0.05 or abs(b) < 0.05 or abs(a - b) < 1e-3:
+            continue
+        worst = max(worst, coefficient_distance(lexell_cycle(a, b, x0),
+                                                _reference_lexell_cycle(a, b, x0)))
+        count += 1
+    assert worst <= 1e-12
 
 
 # ----------------------------------------------------- hyperboloid normals

@@ -10,7 +10,6 @@ import pytest
 
 from hypfeuer.errors import (
     BoundaryPoint,
-    CenterHasNoInverse,
     DegenerateAngle,
     DegenerateTriangle,
 )
@@ -19,7 +18,6 @@ from hypfeuer.geom_core import (
     COINCIDENT_EPS,
     DiskIsometry,
     Triangle,
-    absolute_inverse,
     as_complex,
     check_disk,
     hyp_distance,
@@ -351,14 +349,6 @@ def test_sigma_and_area_kernels_raise_on_degenerate_samples():
             triangle_area(*bad)
     with pytest.raises(DegenerateTriangle):
         triangle_area(0.1, 0.2, 0.3)
-
-
-def test_absolute_inverse():
-    z = 0.3 + 0.4j
-    w = absolute_inverse(z)
-    assert w == pytest.approx(z / abs(z) ** 2, abs=1e-15)
-    with pytest.raises(CenterHasNoInverse):
-        absolute_inverse(0)
 
 
 # ----------------------------------------------------------------- triangle

@@ -21,6 +21,12 @@ digest over the six outputs), recorded at commit 0731db2, before the
 triangle checks were made to skip on the objects they read rather than
 on the configuration's flags.
 
+All six verify digests were recorded again when the constant-area
+locus came to be built from homogeneous rows (the inverse of a base end
+taken as the row (1, x, y, |z|^2), not as the point z / |z|^2): that
+moved the residual bytes of the lexell and trapezoid checks, and no
+status or flag.
+
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
 outputs it touches in CHANGES.md.
@@ -56,17 +62,17 @@ DIGESTS = {
     ("render-json", 0.25):
         "0c9a4bf280eb1dd6b587b87d089dc892a6d7f425059eabb68191e83da615c105",
     ("verify", 0.7):
-        "e9a77ea903d3975ded9a2c916ad4ee3a92b7f1a10ee6a2444b6abb09fab530c7",
+        "a73ff90ea20b083f6df74c132aea192880e1042505afeaf267f4fe59b17d68b3",
     ("verify", 0.25):
-        "7d74c123cf7a53627debad51332120447529d919fb94bf6c61241053d32adc60",
+        "99a28b55b9a7df478243a0a4a650ab35519f542824f231db0d72e2b77f09e344",
     ("verify-drawn", 0.7):
-        "4f6311dc91e21a593ac09c93626b786df874fbd0056034cecda3da6986a3d03c",
+        "8889242cc58684245b98535babd08d97f8e5a86fcf45dfc010c9795a920edb6c",
     ("verify-drawn", 0.25):
-        "64c5b36cf61bf5b9ed8cf7acc6e10fd5cefbfedc7a255e7c1fcf2c3d78b8dbc3",
+        "1b6da5905c5f3b62ebecd2b989df905888ff767004551aaab5acda199f671006",
     ("verify-sweep", 0.7):
-        "28b58fb7fbd55fcc5f584d250645f79cb6c3d9ad08992a01a2ad8b1280309e77",
+        "ae48332835e3ba842090976686fed9baed47193790814ebeb6e1359f904dd92b",
     ("verify-sweep", 0.25):
-        "c550eecdbf0edb1398ad20a2c3337fb3d0c1967ce5438d105b627200da90fae5",
+        "cf7659e8eae853aba51d410ffa8973d570540da485377eed5793b831e380ff09",
 }
 
 # the verify arguments of each run a digest covers

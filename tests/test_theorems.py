@@ -265,6 +265,26 @@ def test_lexell_apex_on_base_skips():
     assert chk.flag == "apex_on_base"
 
 
+@pytest.mark.parametrize("a, b, x0", [
+    (0j, 0.5, 0.3j),
+    (1e-17, 0.5, 0.3j),
+    (0.5, 0j, 0.3j),
+    (0.5, 0.3j, 0j),
+    (0.3j, 0.5, 0j),
+])
+def test_lexell_with_a_point_at_the_disk_center_passes(a, b, x0):
+    # the absolute inverse of the center is the point at infinity, an
+    # ordinary point of absolute geometry: the locus through it is a line
+    chk = check_lexell(a, b, x0)
+    assert chk.status == "pass", chk
+    assert chk.residual < 1e-15
+
+
+def test_lexell_locus_through_the_inverse_of_the_center_is_a_line():
+    assert lexell_cycle(0j, 0.5, 0.3j).a == 0.0
+    assert lexell_cycle(0.5, 0j, 0.3j).a == 0.0
+
+
 # ------------------------------------------------------------- point forms
 
 _CIRCLE = circle_from_center_radius(0.1 + 0.2j, 0.4)
