@@ -32,7 +32,8 @@ its normals, which `concurrency_point` scales to unit normals.  The
 tangent circles (incircle, excircles) are centered at signed sums of the
 vertex lifts, each weighted by the norm of the opposite side's normal
 (`tangent_circles`); an absent excircle is a center vector that is not
-timelike.  The
+timelike, or one so near the absolute that the circle built about it
+reads back as no circle, each with its own flag.  The
 circle inscribed in a vertex's angle and touching a given circle from
 inside (the tangent-cevian check's shot) is a quadratic in that
 vertex's frame; the point where two circles touch is one radius from a
@@ -50,7 +51,7 @@ import math
 import sys
 
 from .errors import (BracketFailure, DegenerateAngle, DegenerateTriangle,
-                     DivergentCevians, GeometryError)
+                     DivergentCevians, GeometryError, NoHyperbolicCenter)
 from .geom_core import (
     COINCIDENT_EPS,
     Record,
@@ -193,11 +194,16 @@ class CircleSpec(Record):
 
 
 def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
+                    flags: set[str],
                     ) -> tuple[CircleSpec | None, dict[str, CircleSpec | None]]:
     """The incircle and the excircle beyond the side opposite each
     vertex, from the vertex lifts L_v (point_lift) and the side normals
     n_a = L_b x L_c, n_b = L_c x L_a, n_c = L_a x L_b (through_normal);
-    None where a circle is absent.
+    None where a circle is absent, with the flag that names why added
+    to flags: no_incircle or excircle_absent_v where its center vector
+    is not timelike, and incircle_center_at_absolute or
+    excircle_center_at_absolute_v where the circle built about it has
+    its center rounded onto the absolute and reads back as no circle.
 
     n_a vanishes on L_b and L_c and takes det(L_a, L_b, L_c) = D at L_a,
     and so does every side at its opposite vertex.  So the sum
@@ -232,17 +238,23 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
         weighted.append((norm * lt, norm * lx, norm * ly))
     (at, ax, ay), (bt, bx, by), (ct, cx, cy) = weighted
     specs = []
-    for sa, sb, sc in ((1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
-                       (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
+    for v, (sa, sb, sc) in zip(("", *VERTICES), ((1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                                                 (1.0, -1.0, 1.0), (1.0, 1.0, -1.0))):
         x = (sa * at + sb * bt + sc * ct, sa * ax + sb * bx + sc * cx,
              sa * ay + sb * by + sc * cy)
         z = meet_point(*x)
         if z is None:
+            flags.add(f"excircle_absent_{v}" if v else "no_incircle")
             specs.append(None)
             continue
         radius = sum(plane_distances(x, units)) / 3.0
         cycle = circle_from_center_radius(z, radius)
-        pt, px, py, norm, s = _circle_vector(cycle)
+        try:
+            pt, px, py, norm, s = _circle_vector(cycle)
+        except NoHyperbolicCenter:
+            flags.add(f"excircle_center_at_absolute_{v}" if v else "incircle_center_at_absolute")
+            specs.append(None)
+            continue
         back = math.asinh(s / norm)
         da, db, dc = plane_distances((pt, px, py), units)
         gap = max(abs(da - back), abs(db - back), abs(dc - back))
@@ -465,10 +477,7 @@ def build_config(tri: Triangle) -> TriangleConfig:
     pseudo_orthocenter, orthocenter_residual = _concurrency(
         pseudoaltitude_normals, "divergent_pseudoaltitude_cevians", flags)
 
-    inc, excircles = tangent_circles(lifts, side_normals)
-    if inc is None:
-        flags.add("no_incircle")
-    flags.update(f"excircle_absent_{v}" for v, spec in excircles.items() if spec is None)
+    inc, excircles = tangent_circles(lifts, side_normals, flags)
 
     return TriangleConfig(
         triangle=tri,

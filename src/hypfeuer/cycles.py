@@ -43,12 +43,20 @@ homothetic or tritangent center.
 The checks' cycle constructions live here too: the constant-area locus
 (``lexell_cycle``, a cycle through two points' absolute inverses,
 built as homogeneous rows by ``cycle_through_rows`` like every cycle
-through three points) and samples along an arc, split into the arc's frame
+through three points) and samples along a cycle, split into its frame
 (``sample_frame``) and the expression of one sample (``frame_point``),
 so a caller computes only the samples it reads; ``farthest_sample``
 picks the one farthest from a point of the cycle.  Only this module
-reads a frame's layout.  A circle's arc inside
-the disk (``disk_arc``) is found once for the sampler and the SVG clip.
+reads a frame's layout.  A cycle that crosses the absolute, a line or
+not, is sampled by arc length from its point m nearest the origin
+(``arc_frame``): the point at arc length s is m + t h e^{i kappa s / 2}
+(``arc_point``) and a point's arc length is read back by
+``arc_length``, so no center or radius is formed and a near-line of
+huge Euclidean radius keeps its samples on it.  Its part inside the
+disk (``disk_arc``) is the arc through m between its two crossings of
+the absolute, found once for the sampler and the SVG clip.  Only a
+circle that does not cross the absolute is sampled by angle about its
+center.
 """
 
 from __future__ import annotations
@@ -518,78 +526,98 @@ def point_geodesic_distance(p: complex, geo: GeneralizedCycle) -> float:
 
 
 # sample_frame kinds
-FRAME_LINE = "line"
 FRAME_ARC = "arc"
 FRAME_CIRCLE = "circle"
 
 
-def disk_arc(cycle: GeneralizedCycle, margin: float) -> tuple:
-    """(ec, er, arc) of a cycle that is not a line: its Euclidean center
-    and radius, and arc = (p, q, t0, t1), the arc inside |z| < 1 - margin
-    running counterclockwise from the crossing p = ec + er e^{i t0} to
-    the crossing q at t1 > t0; arc is None when the cycle crosses
-    |z| = 1 - margin fewer than twice.
+def arc_frame(cycle: GeneralizedCycle) -> tuple[complex, complex, float]:
+    """(m, t, kappa) of a cycle with B != 0: its point nearest the origin
+    m = -B C / (|B| (|B| + S)), S = sqrt(|B|^2 - A C), the unit tangent
+    t = i B / |B| there, and the signed curvature kappa = A / S, 0 on a
+    line; the center is m + i t / kappa.  No term cancels, however
+    small A is, so a near-line keeps its digits."""
+    b, nb = cycle.b, abs(cycle.b)
+    s = math.sqrt(max(nb * nb - cycle.a * cycle.c, 0.0))
+    return -b * cycle.c / (nb * (nb + s)), 1j * b / nb, cycle.a / s
 
-    The crossings are coefficient_crossings' of the two coefficient
-    triples, so no cycle is built, and of the two arcs between them the
-    one whose midpoint lies inside is kept.
+
+def arc_point(m: complex, t: complex, kappa: float, s: float) -> complex:
+    """The point at signed arc length s from m along t on the cycle of
+    arc_frame: m + t h e^{i kappa s / 2}, with the chord h = 2 Im(e^{i
+    kappa s / 2}) / kappa, or h = s on a line, in one cmath.exp.  An
+    error in s moves the point along the cycle, not off it."""
+    e = cmath.exp(1j * (0.5 * kappa * s))
+    return m + t * (2.0 * e.imag / kappa if kappa else s) * e
+
+
+def arc_length(m: complex, t: complex, kappa: float, p: complex) -> float:
+    """The signed arc length from m to a point p of the cycle of
+    arc_frame: (2 / |kappa|) atan2(|p - m|, |p - m - 2 i t / kappa|), the
+    second point being m's antipode, or |p - m| on a line; signed by
+    Re((p - m) conj(t)).  Both distances are taken on w = (p - m)
+    conj(t), p - m turned so that t is 1."""
+    w = (p - m) * t.conjugate()
+    s = abs(w) if kappa == 0.0 else (
+        2.0 / abs(kappa) * math.atan2(abs(w), math.hypot(w.real, w.imag - 2.0 / kappa)))
+    return math.copysign(s, w.real)
+
+
+def disk_arc(cycle: GeneralizedCycle, margin: float) -> tuple | None:
+    """((m, t, kappa), (p, q), half) of a cycle that crosses |z| = 1 -
+    margin twice: its arc_frame, and the crossings p at arc length -half
+    and q at +half; None when it crosses fewer than twice.
+
+    Along a cycle the distance from the origin falls until m and rises
+    after it, so the part inside is the arc through m from p to q; the
+    line through the origin and m is an axis of symmetry of both
+    circles, so the crossings lie at opposite arc lengths.  They are
+    coefficient_crossings' of the two coefficient triples, so no cycle
+    is built.
     """
-    ec, er = cycle.euclid_center_radius()
     crossings = coefficient_crossings(cycle.a, cycle.b, cycle.c,
                                       1.0, 0j, -(1.0 - margin) ** 2)
     if len(crossings) < 2:
-        return ec, er, None
+        return None
+    frame = arc_frame(cycle)
     p, q = crossings
-    u, v = p - ec, q - ec
-    t0, t1 = math.atan2(u.imag, u.real), math.atan2(v.imag, v.real)
-    if t1 < t0:
-        p, q, t0, t1 = q, p, t1, t0
-    mid = ec + er * complex(math.cos((t0 + t1) / 2.0), math.sin((t0 + t1) / 2.0))
-    if abs(mid) >= 1.0 - margin:
-        p, q, t0, t1 = q, p, t1, t0 + 2.0 * math.pi
-    return ec, er, (p, q, t0, t1)
+    s = arc_length(*frame, p)
+    return frame, ((p, q) if s < 0.0 else (q, p)), abs(s)
 
 
 def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
     """Where sample_points(cycle, count, margin) puts its samples, for
     any count; frame_point gives each sample.
 
-    * a line: (FRAME_LINE, z0, d, half), its point z0 nearest the
-      origin, its unit direction d and the half-length of its chord of
-      the disk shrunk by the margin; the samples spread evenly over it;
-    * a circle that crosses the shrunk absolute: (FRAME_ARC, ec, er,
-      start, span), its Euclidean center and radius and the angles of
-      its in-disk arc (disk_arc), less a pad of 1e-3 of the arc at each
-      end; the samples spread evenly from start to start + span;
-    * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), sampled
-      uniformly in angle from 0, the last sample short of 2 pi.
+    * a cycle that crosses the shrunk absolute, a line or not:
+      (FRAME_ARC, m, t, kappa, half), its arc_frame and the half-length
+      of its in-disk arc (disk_arc) less a pad of 1e-3 of the arc at
+      each end; the samples spread evenly over the arc lengths from
+      -half to half.  A line that misses the shrunk disk has every
+      sample at m: kappa and half 0;
+    * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), its
+      Euclidean center and radius, sampled uniformly in angle from 0,
+      the last sample short of 2 pi.
     """
+    arc = disk_arc(cycle, margin)
+    if arc is not None:
+        frame, _, half = arc
+        return (FRAME_ARC, *frame, half * (1.0 - 2e-3))
     if cycle.is_line:
-        d = 1j * cycle.b / abs(cycle.b)
-        z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
-        half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2))
-        return FRAME_LINE, z0, d, half
-    ec, er, arc = disk_arc(cycle, margin)
-    if arc is None:
-        return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
-    t0, t1 = arc[2], arc[3]
-    pad = 1e-3 * (t1 - t0)
-    lo, hi = t0 + pad, t1 - pad
-    return FRAME_ARC, ec, er, lo, hi - lo
+        return (FRAME_ARC, *arc_frame(cycle)[:2], 0.0, 0.0)
+    ec, er = cycle.euclid_center_radius()
+    return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
 
 
 def frame_point(frame: tuple, k: int, count: int) -> complex:
     """Sample k of count in a sample_frame: sample_points(cycle, count,
-    margin)[k] bit for bit, without the other samples.  A point at angle
-    t is ec + er exp(i t): cmath.exp of a purely imaginary argument is
-    complex(cos t, sin t) bit for bit, in one call."""
-    kind = frame[0]
-    if kind is FRAME_LINE:
-        _, z0, d, half = frame
-        return z0 + d * (half * (2.0 * k / (count - 1) - 1.0))
-    _, ec, er, start, span = frame
-    if kind is FRAME_ARC:
-        return ec + er * cmath.exp(1j * (start + span * k / (count - 1)))
+    margin)[k] bit for bit, without the other samples.  On an arc it is
+    arc_point at half (2 k / (count - 1) - 1); on a whole circle, at
+    angle t, ec + er exp(i t): cmath.exp of a purely imaginary argument
+    is complex(cos t, sin t) bit for bit, in one call."""
+    if frame[0] is FRAME_ARC:
+        _, m, t, kappa, half = frame
+        return arc_point(m, t, kappa, half * (2.0 * k / (count - 1) - 1.0))
+    _, ec, er, _, span = frame
     return ec + er * cmath.exp(1j * (span * k / count))
 
 
@@ -598,22 +626,23 @@ def farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
     farthest from c0, the lower index on a tie: the first of a stable
     sort of all of them by -abs(z - c0).
 
-    The distance grows with the distance between a sample's parameter
-    and c0's own: along a line, and on a circle with the angle from c0's
-    up to its antipode phase(c0 - ec) + pi.  So the farthest is an end
-    or, on a circle or an arc, one of the two samples either side of
-    the antipode, and only those (at most four) are computed
+    The distance grows with the arc between a sample and c0 up to c0's
+    antipode, at arc length s0 +- pi / |kappa| on an arc and angle
+    phase(c0 - ec) + pi on a whole circle; on a line it grows without
+    end.  So the farthest is an end or one of the two samples either
+    side of the antipode, and only those (at most four) are computed
     (frame_point)."""
-    ks = {0, count - 1}
-    kind = frame[0]
-    if kind is not FRAME_LINE:
-        _, ec, _, start, span = frame
-        # sample k lies at angle start + span k / (count - 1) on an arc and
-        # span k / count on a whole circle, whose start is 0
-        scale = (count - 1 if kind is FRAME_ARC else count) / span
-        below = math.floor((cmath.phase(c0 - ec) + math.pi - start) % (2.0 * math.pi) * scale)
-        # on a whole circle the sample past the last is sample 0, an end
-        ks.update(range(below, min(below + 2, count)))
+    if frame[0] is FRAME_ARC:
+        _, m, t, kappa, half = frame
+        s0 = arc_length(m, t, kappa, c0)
+        # the antipode on the side of m away from c0; a line has none
+        below = math.floor((s0 - math.copysign(math.pi / kappa, s0) + half) / (2.0 * half)
+                           * (count - 1)) if kappa else -1
+    else:
+        _, ec, _, _, span = frame
+        below = math.floor((cmath.phase(c0 - ec) + math.pi) % (2.0 * math.pi) * (count / span))
+    # on a whole circle the sample past the last is sample 0, an end
+    ks = {0, count - 1, *(k for k in (below, below + 1) if 0 <= k < count)}
     # max keeps the first of equal distances, so the lower index
     return max((frame_point(frame, k, count) for k in sorted(ks)), key=lambda z: abs(z - c0))
 
@@ -633,23 +662,19 @@ def sample_points(cycle: GeneralizedCycle, count: int,
 
 def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,
                  count: int) -> list[complex]:
-    """Interior points on the arc of the cycle from a to b (excluding both)."""
-    if cycle.is_line:
-        # chord between a and b, parametrized linearly
-        return [z for k in range(1, count + 1)
-                for z in [a + (b - a) * k / (count + 1)] if abs(z) < 1.0 - 1e-9]
-    ec, er = cycle.euclid_center_radius()
-    ta = cmath.phase(a - ec)
-    tb = cmath.phase(b - ec)
-    delta = (tb - ta) % (2.0 * math.pi)
-    best: list[complex] = []
-    for lo, d in ((ta, delta), (tb, 2.0 * math.pi - delta)):
-        xs = [ec + er * cmath.exp(1j * (lo + d * k / (count + 1)))
-              for k in range(1, count + 1)]
-        good = [z for z in xs if abs(z) < 1.0 - 1e-9
-                and abs(z - a) > 1e-9 and abs(z - b) > 1e-9]
-        if len(good) == len(xs):
-            return good
-        if len(good) > len(best):
-            best = good
-    return best  # neither arc fully interior: the fuller one, clipped
+    """Interior points on the arc of the cycle from a to b (excluding
+    both): counterclockwise from a on a circle inside the disk, and
+    otherwise between the arc lengths of a and b (arc_length), an arc
+    through the cycle's point nearest the origin."""
+    if not cycle.is_line:
+        ec, er = cycle.euclid_center_radius()
+        if abs(ec) + er < 1.0 - 1e-9:
+            ta = cmath.phase(a - ec)
+            delta = (cmath.phase(b - ec) - ta) % (2.0 * math.pi)
+            xs = [ec + er * cmath.exp(1j * (ta + delta * k / (count + 1)))
+                  for k in range(1, count + 1)]
+            return [z for z in xs if abs(z - a) > 1e-9 and abs(z - b) > 1e-9]
+    m, t, kappa = arc_frame(cycle)
+    sa, sb = arc_length(m, t, kappa, a), arc_length(m, t, kappa, b)
+    xs = [arc_point(m, t, kappa, sa + (sb - sa) * k / (count + 1)) for k in range(1, count + 1)]
+    return [z for z in xs if abs(z) < 1.0 - 1e-9 and abs(z - a) > 1e-9 and abs(z - b) > 1e-9]

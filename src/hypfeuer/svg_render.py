@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, disk_arc, frame_point, sample_frame
+from .cycles import GeneralizedCycle, disk_arc
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -91,20 +91,25 @@ def _draw_segment(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
 
 def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
                 stroke: str, width: float):
-    """Whole cycle, clipped to the unit disk when it reaches the absolute."""
-    if cycle.is_line:
-        frame = sample_frame(cycle, 0.0)
-        cv.line(elem_id, frame_point(frame, 0, 2), frame_point(frame, 1, 2), stroke, width)
-        return
-    ec, er = cycle.euclid_center_radius()
-    if abs(ec) + er <= 1.0 + 1e-12:
-        cv.circle(elem_id, ec, er, stroke, width)
-        return
-    arc = disk_arc(cycle, 0.0)[2]
+    """Whole cycle, clipped to the unit disk when it reaches the absolute:
+    a line or an arc between disk_arc's crossings, with the large-arc
+    flag where the arc turns by more than pi (|kappa| 2 half > pi)."""
+    if not cycle.is_line:
+        ec, er = cycle.euclid_center_radius()
+        if abs(ec) + er <= 1.0 + 1e-12:
+            cv.circle(elem_id, ec, er, stroke, width)
+            return
+    arc = disk_arc(cycle, 0.0)
     if arc is None:
         return  # wholly outside the disk: nothing to draw
-    p, q, t0, t1 = arc
-    cv.arc(elem_id, p, q, er, t1 - t0 > math.pi, 0, stroke, width)
+    (_, _, kappa), (p, q), half = arc
+    if cycle.is_line:
+        cv.line(elem_id, p, q, stroke, width)
+    else:
+        # p to q runs along the tangent: counterclockwise, as sweep 0
+        # draws, where kappa > 0
+        cv.arc(elem_id, *((p, q) if kappa > 0.0 else (q, p)), er,
+               abs(kappa) * 2.0 * half > math.pi, 0, stroke, width)
 
 
 def render_svg(cfg: TriangleConfig) -> str:

@@ -90,7 +90,8 @@ def test_02_feuerbach_tangency(batch):
     consistent = True
     for cfg in batch["configs"]:
         for v in "abc":
-            if (cfg.excircles[v] is None) != (f"excircle_absent_{v}" in cfg.flags):
+            named = {f"excircle_absent_{v}", f"excircle_center_at_absolute_{v}"}
+            if (cfg.excircles[v] is None) != bool(named.intersection(cfg.flags)):
                 consistent = False
         chk = check_feuerbach(cfg)
         if chk.status == "skipped":

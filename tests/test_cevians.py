@@ -498,7 +498,7 @@ def test_tangent_circles_match_the_vertex_sums_to_50_digits(box):
             lifts = {v: point_lift(z) for v, z in tri.vertices.items()}
             normals = {v: through_normal(lifts[p], lifts[q]) for v, p, q in
                        (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))}
-            inc, excircles = tangent_circles(lifts, normals)
+            inc, excircles = tangent_circles(lifts, normals, set())
             for spec, ref in zip((inc, *excircles.values()), _vertex_sum_centers(tri)):
                 assert (spec is None) == (ref is None), (idx, spec, ref)
                 if spec is not None:

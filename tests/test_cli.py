@@ -189,6 +189,26 @@ NEAR_ABSOLUTE_FLAGS = [
     "excircle_absent_c", "no_circumcenter"]
 
 
+# a default-box triangle (angles 0.18, 1.34, 1.56) whose excircle beyond
+# c has a radius of 18.2 and its center 1.6e-8 from the absolute: the
+# circle built about that center reads back as no circle inside the
+# disk, and build_config's NoHyperbolicCenter dropped the whole report
+EXCIRCLE_AT_ABSOLUTE = ("0.00754135787199182+0.24422238716788483i,"
+                        "0.33655395954338063+0.047398426634263933i,"
+                        "0.29130752027845513-0.010150638205610157i")
+
+
+def test_an_excircle_centered_at_the_absolute_is_absent_with_its_cause(tmp_path):
+    code, out = run(tmp_path, "verify", "--trials", "1", "--triangle", EXCIRCLE_AT_ABSOLUTE)
+    assert code == 0
+    (instance,) = json.loads(out.read_text())["instances"]
+    assert instance["flags"] == ["excircle_center_at_absolute_c"]
+    statuses = {check["name"]: check["status"] for check in instance["checks"]}
+    assert set(statuses) == set(cli.SUITES)
+    assert statuses.pop("feuerbach_point") == "skipped"
+    assert set(statuses.values()) == {"pass"}
+
+
 @pytest.mark.parametrize("argv", [["construct"], ["verify", "--trials", "1"]])
 def test_vertices_next_to_the_absolute_run(tmp_path, argv):
     code, out = run(tmp_path, *argv, "--triangle", NEAR_ABSOLUTE)

@@ -257,7 +257,8 @@ def test_theorems_defines_only_checks():
 
 
 # what cevians.build_config writes into TriangleConfig.flags begins so
-CONFIG_FLAG_PREFIXES = ("bracket_failure_", "no_", "divergent_", "excircle_absent_")
+CONFIG_FLAG_PREFIXES = ("bracket_failure_", "no_", "divergent_", "excircle_absent_",
+                        "excircle_center_at_absolute_", "incircle_center_at_absolute")
 
 
 def string_constants(source: str) -> list[str]:
@@ -281,7 +282,7 @@ def test_only_cevians_names_config_flags(module):
 
 
 # the kinds of cycles.sample_frame, whose layout cycles alone reads
-FRAME_KINDS = frozenset({"FRAME_ARC", "FRAME_LINE", "FRAME_CIRCLE"})
+FRAME_KINDS = frozenset({"FRAME_ARC", "FRAME_CIRCLE"})
 
 
 def mentioned_names(source: str) -> set[str]:
@@ -307,7 +308,7 @@ def frame_kind_names(source: str) -> set[str]:
 
 def test_frame_kind_names_are_found():
     source = ("from .cycles import FRAME_ARC as arc\nimport x\n"
-              "y = x.FRAME_LINE\nz = FRAME_CIRCLE\nw = 'FRAME_ARC'\n")
+              "y = x.FRAME_CIRCLE\nz = FRAME_CIRCLE\nw = 'FRAME_ARC'\n")
     assert frame_kind_names(source) == FRAME_KINDS
 
 

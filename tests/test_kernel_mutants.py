@@ -117,6 +117,13 @@ def _arc_samples_scaled(original):
     return mutant
 
 
+def _arc_chord_scaled(original):
+    def mutant(m, t, kappa, s):
+        # the chord from m scaled: the point leaves its cycle
+        return m + (original(m, t, kappa, s) - m) * (1.0 + 1e-6)
+    return mutant
+
+
 def _through_c_shifted(original):
     def mutant(p, q, r):
         g = original(p, q, r)
@@ -160,14 +167,14 @@ def _shot_scaled(original):
 
 
 def _tangent_centers_scaled(original):
-    def mutant(lifts, side_normals):
+    def mutant(lifts, side_normals, flags):
         def moved(spec):
             if spec is None:
                 return None
             z = spec.center * (1.0 + 1e-6)
             return spec.replace(
                 center=z, cycle=cycles.circle_from_center_radius(z, spec.radius))
-        inc, excircles = original(lifts, side_normals)
+        inc, excircles = original(lifts, side_normals, flags)
         return moved(inc), {v: moved(spec) for v, spec in excircles.items()}
     return mutant
 
@@ -209,6 +216,9 @@ MUTANTS = {
     "quad_first_angle_shifted_1e-6": (geom_core, "convex_quad_angles",
                                       _first_angle_shifted),
     "arc_samples_scaled_1e-6": (cycles, "_arc_samples", _arc_samples_scaled),
+    # every sample of a cycle that crosses the absolute: the lexell
+    # locus, the radical axis and the trapezoid's d
+    "arc_point_chord_scaled_1e-6": (cycles, "arc_point", _arc_chord_scaled),
     "through_c_shifted_1e-6": (cycles, "cycle_through", _through_c_shifted),
     "circle_radius_scaled_1e-6": (cycles, "circle_from_center_radius", _radius_scaled),
     # six_point and euler_line compare each radius with the distances

@@ -25,7 +25,11 @@ All six verify digests were recorded again when the constant-area
 locus came to be built from homogeneous rows (the inverse of a base end
 taken as the row (1, x, y, |z|^2), not as the point z / |z|^2): that
 moved the residual bytes of the lexell and trapezoid checks, and no
-status or flag.
+status or flag.  They were recorded once more when the sampler came to
+write each point of a line or an arc from the cycle's point nearest the
+origin and its arc length from there, not as center + radius e^{it}:
+that moved the residual bytes of the inscribed_angle, trapezoid, lexell
+and radical_axis checks, and no status or flag.
 
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
@@ -62,17 +66,17 @@ DIGESTS = {
     ("render-json", 0.25):
         "0c9a4bf280eb1dd6b587b87d089dc892a6d7f425059eabb68191e83da615c105",
     ("verify", 0.7):
-        "a73ff90ea20b083f6df74c132aea192880e1042505afeaf267f4fe59b17d68b3",
+        "2b21ca44600306b1e795d14acd738f11127ceeb53dcb8878a9a8f1150f39fb1d",
     ("verify", 0.25):
-        "99a28b55b9a7df478243a0a4a650ab35519f542824f231db0d72e2b77f09e344",
+        "46b39a5d5345d9787a45037fec8bcdcf38f224194463bd0a70195733d18a03ae",
     ("verify-drawn", 0.7):
-        "8889242cc58684245b98535babd08d97f8e5a86fcf45dfc010c9795a920edb6c",
+        "8438868ae9b6fa90624840bcaf2bb86aae45c3e1b37e97557f5ec207c1f198e7",
     ("verify-drawn", 0.25):
-        "1b6da5905c5f3b62ebecd2b989df905888ff767004551aaab5acda199f671006",
+        "7174a7a2de3dbfc23414fe2b2f92d84ac25aaad5e4c0ad8447d3bed776385e1d",
     ("verify-sweep", 0.7):
-        "ae48332835e3ba842090976686fed9baed47193790814ebeb6e1359f904dd92b",
+        "208b74b9ec1f56058324d8cd55c087b78b71c07690f9ba474ee2b06a14e53360",
     ("verify-sweep", 0.25):
-        "cf7659e8eae853aba51d410ffa8973d570540da485377eed5793b831e380ff09",
+        "0e85d5d0e774661732ad9744dad29ba2732b46a1aae3ee94f9b9cb52199e2ea3",
 }
 
 # the verify arguments of each run a digest covers

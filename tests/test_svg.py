@@ -3,14 +3,16 @@
 import cmath
 import math
 import xml.etree.ElementTree as ET
+from random import Random
 
 import pytest
 
 from hypfeuer.cevians import build_config
 from hypfeuer.cli import parse_triangle
+from hypfeuer.cycles import GeneralizedCycle, cycle_through, geodesic_through, intersect
 from hypfeuer.geom_core import Triangle
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.svg_render import FONT_SIZE, SIZE, render_svg
+from hypfeuer.svg_render import FONT_SIZE, SIZE, _Canvas, _draw_cycle, render_svg
 
 from test_cli import NEAR_ABSOLUTE
 
@@ -102,6 +104,53 @@ def test_crossing_cycle_clipped_to_boundary():
     ends = [(float(d[1]), float(d[2])), (float(d[-2]), float(d[-1]))]
     for x, y in ends:
         assert abs(math.hypot(x - 280.0, y - 280.0) - 260.0) < 0.1
+
+
+def _former_clip(cv, cycle):
+    """The former clip of a cycle that reaches the absolute: a line's chord
+    about its point nearest the origin, and a circle's arc by the angles
+    of its crossings about its center, the arc inside picked by a
+    midpoint test."""
+    if cycle.is_line:
+        d = 1j * cycle.b / abs(cycle.b)
+        z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
+        half = math.sqrt(max(0.0, 1.0 - abs(z0) ** 2))
+        cv.line("c", z0 - d * half, z0 + d * half, "#000000", 1.0)
+        return
+    ec, er = cycle.euclid_center_radius()
+    p, q = intersect(cycle, GeneralizedCycle(1.0, 0j, -1.0))
+    t0, t1 = cmath.phase(p - ec), cmath.phase(q - ec)
+    if t1 < t0:
+        p, q, t0, t1 = q, p, t1, t0
+    if abs(ec + er * cmath.exp(0.5j * (t0 + t1))) >= 1.0:
+        p, q, t0, t1 = q, p, t1, t0 + 2.0 * math.pi
+    cv.arc("c", p, q, er, t1 - t0 > math.pi, 0, "#000000", 1.0)
+
+
+def test_clipped_cycles_draw_as_the_former_clip():
+    # lines through the origin and off it, and circles that cross the
+    # absolute, each also with its coefficients negated, which turns the
+    # tangent and the sign of the curvature but draws the same arc
+    cycles = [geodesic_through(0j, 0.6 + 0.3j), GeneralizedCycle.of(0.0, 0.6 - 0.8j, 0.5)]
+    rng = Random(5)
+    for _ in range(200):
+        pts = [cmath.rect(rng.uniform(0.0, 0.99), rng.uniform(-math.pi, math.pi))
+               for _ in range(2)]
+        cycles.append(cycle_through(*pts, cmath.rect(1.0 + rng.uniform(0.01, 2.0),
+                                                     rng.uniform(-math.pi, math.pi))))
+    drawn = 0
+    for cycle in cycles:
+        if not cycle.is_line:
+            ec, er = cycle.euclid_center_radius()
+            if abs(ec) + er <= 1.0 + 1e-12:
+                continue
+        for same in (cycle, GeneralizedCycle(-cycle.a, -cycle.b, -cycle.c)):
+            got, want = _Canvas(), _Canvas()
+            _draw_cycle(got, "c", same, "#000000", 1.0)
+            _former_clip(want, same)
+            assert got.parts == want.parts, same
+        drawn += 1
+    assert drawn > 150
 
 
 def test_every_layer_is_drawn_in_order():

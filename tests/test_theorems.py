@@ -285,6 +285,37 @@ def test_lexell_locus_through_the_inverse_of_the_center_is_a_line():
     assert lexell_cycle(0.5, 0j, 0.3j).a == 0.0
 
 
+def test_lexell_with_a_base_end_next_to_the_disk_center_passes():
+    # the locus is a circle of Euclidean radius about 7e8, whose samples
+    # written as center + radius e^{it} sat eps R off it: 5.5e-8 against
+    # the 1e-9 tolerance
+    chk = check_lexell(1e-9 + 1e-9j, 0.5, 0.3j)
+    assert chk.status == "pass", chk
+    assert chk.residual < 1e-15
+
+
+def lexell_scan():
+    """40 draws (a, b, x0) per decade 1e-k of |a|, k = 5..16 (Random(k)),
+    b and x0 at |z| in [0.2, 0.7]: a base end next to the disk center
+    makes the locus a circle of huge Euclidean radius, up to 1e15."""
+    for k in range(5, 17):
+        rng = Random(k)
+        for _ in range(40):
+            yield tuple(rng.uniform(*band) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                        for band in ((10.0 ** -k, 10.0 ** (1 - k)), (0.2, 0.7), (0.2, 0.7)))
+
+
+def test_lexell_scan_toward_the_disk_center_passes():
+    # the former sampler failed 2, 6, 36, 40, 40, 40, 39 and 7 of the 40
+    # draws in the decades 1e-6 to 1e-13
+    worst = 0.0
+    for a, b, x0 in lexell_scan():
+        chk = check_lexell(a, b, x0)
+        assert chk.status == "pass", (a, b, x0, chk)
+        worst = max(worst, chk.residual)
+    assert worst < 1e-14
+
+
 # ------------------------------------------------------------- point forms
 
 _CIRCLE = circle_from_center_radius(0.1 + 0.2j, 0.4)
@@ -508,6 +539,26 @@ def test_radical_axis_concentric_skips():
                              circle_from_center_radius(0.1, 0.8))
     assert chk.status == "skipped"
     assert chk.flag == "concentric"
+
+
+def test_radical_axis_of_circles_whose_axis_nearly_crosses_the_center_passes():
+    # the axis passes within 1e-9 of the disk center: a circle of huge
+    # Euclidean radius, whose samples as center + radius e^{it} failed at
+    # 3.8e-8 against the 1e-10 tolerance
+    chk = check_radical_axis(circle_from_center_radius(0.3 + 0.2j, 0.5),
+                             circle_from_center_radius(-0.3 - 0.2j + 1e-9 * (1 + 1j), 0.5))
+    assert chk.status == "pass", chk
+    assert chk.residual < 1e-14
+
+
+def test_radical_axis_of_a_seeded_pair_whose_axis_has_radius_209_passes():
+    # verify --suite all --trials 10 --seed 37207060, index 2, a draw of
+    # the benchmark's verify_all workload: two equidistants whose axis is
+    # a circle of Euclidean radius 209, whose samples as center + radius
+    # e^{it} failed at 5.2e-10 against the 1e-10 tolerance
+    chk = check_radical_axis(*random_cycle_pair(instance_rng(37207060, 2, PURPOSE_CYCLE_PAIR)))
+    assert chk.status == "pass", chk
+    assert chk.residual < 1e-11
 
 
 def test_radical_axis_outside_disk_is_not_concentric():
