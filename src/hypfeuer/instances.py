@@ -227,64 +227,53 @@ def trapezoid_quad(rng: Random, converse: bool = False):
     raise _exhausted("trapezoid_quad", "convex quadrilateral")
 
 
-def brent_root(f, lo: float, hi: float, flo: float, fhi: float,
-               width: float) -> tuple[float, float]:
-    """Root of f in a sign-changing bracket, and the final bracket width.
+def bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
+                   width: float) -> tuple[float, float]:
+    """Root of f in a sign-changing bracket lo < hi, and the final bracket
+    width; flo and fhi are f at the bracket ends.
 
     It serves _rebalance_quad, whose angle balance has no closed form.
-    Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
-    they shrink the bracket fast enough, bisection otherwise.  It stops once the bracket is at most `width` wide and
-    returns its end with the smaller |f|; flo and fhi are f at the
-    bracket ends.
+    Regula falsi with the Anderson-Bjorck scaling (N. Anderson and
+    A. Bjorck, BIT 13, 1973): each step evaluates f at the secant point
+    of the two ends (the midpoint if that is not strictly inside) and
+    keeps the sign change.  When one end survives a second step in a
+    row, the secant's value there is scaled by m = 1 - f(x) / f(end
+    replaced), or by 0.5 when m <= 0, so that end is replaced soon too.
+    It stops once the bracket is at most `width` wide and returns its end
+    with the smaller |f|; an exact zero returns with width 0.
     """
     if flo == 0.0:
         return lo, 0.0
     if fhi == 0.0:
         return hi, 0.0
-    # cur: best estimate; blk: the other end of the bracket; pre: last cur
-    xpre, fpre = lo, flo
-    xcur, fcur = hi, fhi
-    xblk, fblk = lo, flo
-    spre = scur = hi - lo
-    delta = 0.5 * width
-    for _ in range(200):
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = 0.5 * (xblk - xcur)
-        if abs(sbis) <= delta:
-            break
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    glo, ghi = flo, fhi  # the values the secant uses
+    kept = None  # the end that survived the last step
+    while hi - lo > width:
+        x = lo - glo * (hi - lo) / (ghi - glo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # the ends are adjacent floats
+        fx = f(x)
+        if fx == 0.0:
+            return x, 0.0
+        if (fx < 0.0) == (flo < 0.0):
+            if kept == "hi":
+                m = 1.0 - fx / flo
+                ghi *= m if m > 0.0 else 0.5
+            lo, flo, glo, kept = x, fx, fx, "hi"
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
-        if fcur == 0.0:
-            return xcur, 0.0
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-    return xcur, abs(xblk - xcur)
+            if kept == "lo":
+                m = 1.0 - fx / fhi
+                glo *= m if m > 0.0 else 0.5
+            hi, fhi, ghi, kept = x, fx, fx, "lo"
+    return (lo if abs(flo) < abs(fhi) else hi), hi - lo
 
 
 # _rebalance_quad moves the vertex by t in [-REBALANCE_STEP, REBALANCE_STEP]
 # and solves for t to REBALANCE_WIDTH, which stays above twice the float
-# spacing there (ulp(0.04) = 6.9e-18): a narrower goal would let Brent
-# take steps smaller than one float and never finish
+# spacing there (ulp(0.04) = 6.9e-18), so the solve ends at its width and
+# not at two ends one float apart, with no point strictly between them
 REBALANCE_STEP = 0.04
 REBALANCE_WIDTH = 1e-16
 
@@ -314,8 +303,8 @@ def _rebalance_quad(quad):
         hlo, hhi = h(lo), h(hi)
         if hlo * hhi > 0.0:
             return None
-        t, _ = brent_root(h, lo, hi, hlo, hhi, width=REBALANCE_WIDTH)
+        t, _ = bracketed_root(h, lo, hi, hlo, hhi, width=REBALANCE_WIDTH)
     except _NonConvexQuad:
         return None
-    # brent_root returns a point where h was evaluated, so convex
+    # bracketed_root returns a point where h was evaluated, so convex
     return a, b, c, d + t * n

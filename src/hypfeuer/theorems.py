@@ -510,7 +510,16 @@ def check_feuerbach_point(cfg: TriangleConfig,
     of their normals (concurrency_point).  The incircle touches the
     Euler circle from inside, the excircles from outside; the Euler
     circle and the incircle of an equilateral triangle are one circle,
-    with no contact point."""
+    with no contact point.
+
+    Each excircle contact is taken one Euler radius from the Euler
+    center toward the excircle's center: only that center's direction
+    enters, which stays well-conditioned when a large excircle's center
+    vector is nearly lightlike (a contact taken from that center, one
+    radius r away, is off by about eps e^{3r}).  The residual also
+    takes the three Euler-excircle tangency gaps (tangent_contact), so a
+    contact taken from one side still sees an excircle that misses the
+    Euler circle."""
     if cfg.euler_center is None or cfg.incircle is None or None in cfg.excircles.values():
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     euler = circle_vector(cfg.euler_circle)
@@ -519,16 +528,18 @@ def check_feuerbach_point(cfg: TriangleConfig,
     if f0 is None:
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
     normals = [through_normal(f0, inc[:3])]
+    gaps = []
     for v in ("a", "b", "c"):
-        fv, _ = tangent_contact(circle_vector(cfg.excircles[v].cycle), euler, False,
-                                tol.chain)
+        fv, gap = tangent_contact(euler, circle_vector(cfg.excircles[v].cycle), False,
+                                  tol.chain)
         if fv is None:
             return _skip("feuerbach_point", tol.chain, "contact_points_missing")
         normals.append(through_normal(cfg.lifts[v], fv))
+        gaps.append(gap)
     try:
         point, residual = concurrency_point(normals)
     except DivergentCevians:
         return _skip("feuerbach_point", tol.chain, "lines_diverge")
     except GeometryError:  # a line through two coincident points
         return _skip("feuerbach_point", tol.chain, "contact_points_missing")
-    return _finish("feuerbach_point", residual, tol.chain, {"point": point})
+    return _finish("feuerbach_point", max(residual, *gaps), tol.chain, {"point": point})

@@ -4,6 +4,7 @@ import cmath
 import math
 import struct
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from random import Random
 
@@ -39,7 +40,7 @@ from hypfeuer.cevians import (
     pseudoaltitude_foot,
     tangent_circles,
 )
-from hypfeuer.instances import brent_root, instance_rng, random_triangle
+from hypfeuer.instances import bracketed_root, instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach, check_feuerbach_point, check_tangent_cevians
 from oracles import decimal_pencil, diameter_with_direction, hyp_midpoint, internal_bisector
 
@@ -122,8 +123,8 @@ def _side_frame(b1, b2):
     return back, abs(w)
 
 
-def _brent_foot(tri, vertex, pseudoaltitude):
-    """Side-frame coordinate of a foot found by a Brent solve of its
+def _solved_foot(tri, vertex, pseudoaltitude):
+    """Side-frame coordinate of a foot found by a bracketed_root solve of its
     defining balance, or None when the balance changes sign nowhere.
 
     The side line is cut at its two vertices, where the balance jumps:
@@ -148,18 +149,18 @@ def _brent_foot(tri, vertex, pseudoaltitude):
     for lo, hi in pieces:
         flo, fhi = balance(lo), balance(hi)
         if flo * fhi <= 0.0:
-            roots.append(brent_root(balance, lo, hi, flo, fhi, width=1e-15)[0])
+            roots.append(bracketed_root(balance, lo, hi, flo, fhi, width=1e-15)[0])
     assert len(roots) <= 1
     return roots[0] if roots else None
 
 
-def _foot_matches_brent(tri, vertex, pseudoaltitude):
-    """Compare one foot with its Brent solve; returns where it fell on
+def _foot_matches_solve(tri, vertex, pseudoaltitude):
+    """Compare one foot with its root solve; returns where it fell on
     the side line."""
     apex, b1, b2 = tri.opposite(vertex)
     back, far = _side_frame(b1, b2)
     fn = pseudoaltitude_foot if pseudoaltitude else bisector_foot
-    t = _brent_foot(tri, vertex, pseudoaltitude)
+    t = _solved_foot(tri, vertex, pseudoaltitude)
     frame = cevians._side_frame(tri, vertex)
     if t is None:
         with pytest.raises(BracketFailure):
@@ -177,8 +178,8 @@ def test_closed_form_feet_match_brent_solves(box):
     for idx in range(60):
         tri, _ = random_triangle(instance_rng(107, idx), box)
         for v in VERTICES:
-            where["bisector"].add(_foot_matches_brent(tri, v, False))
-            where["pseudoaltitude"].add(_foot_matches_brent(tri, v, True))
+            where["bisector"].add(_foot_matches_solve(tri, v, False))
+            where["pseudoaltitude"].add(_foot_matches_solve(tri, v, True))
     assert where == {"bisector": {"on"}, "pseudoaltitude": {"before", "on", "after"}}
 
 
@@ -199,7 +200,7 @@ def test_closed_form_pseudoaltitude_foot_near_the_absolute(apex, where):
     # and the closed form fails in exactly the cases the solve does
     tri = Triangle.of(apex, 0j, 0.3)
     vertex = next(v for v in VERTICES if tri.opposite(v)[0] == apex)
-    assert _foot_matches_brent(tri, vertex, True) == where
+    assert _foot_matches_solve(tri, vertex, True) == where
 
 
 ONE = (Decimal(1), Decimal(0))
@@ -303,7 +304,7 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     # circles are built once per configuration, no meet or frame change
     # goes through the general cycle machinery, and the sides, cevians
     # and contact lines are normals: no geodesic is built on the way
-    calls = {"brent_root": 0, "tangent_circles": 0, "geodesic_through": 0,
+    calls = {"bracketed_root": 0, "tangent_circles": 0, "geodesic_through": 0,
              "intersect": 0, "transform": 0}
 
     def counting(module, name):
@@ -315,7 +316,7 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    originals = {"brent_root": instances.brent_root, "intersect": cycles.intersect,
+    originals = {"bracketed_root": instances.bracketed_root, "intersect": cycles.intersect,
                  "transform": cycles.transform, "geodesic_through": cycles.geodesic_through}
     for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
         for name, original in originals.items():
@@ -326,12 +327,12 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     # triangle, bench/spec.py SETUP_TRIANGLE)
     cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
     assert not cfg.flags
-    assert calls == {"brent_root": 0, "tangent_circles": 1, "geodesic_through": 0,
+    assert calls == {"bracketed_root": 0, "tangent_circles": 1, "geodesic_through": 0,
                      "intersect": 0, "transform": 0}
     assert check_feuerbach(cfg).status == "pass"
     assert check_tangent_cevians(cfg).status == "pass"
     assert check_feuerbach_point(cfg).status == "pass"
-    assert calls == {"brent_root": 0, "tangent_circles": 1, "geodesic_through": 0,
+    assert calls == {"bracketed_root": 0, "tangent_circles": 1, "geodesic_through": 0,
                      "intersect": 0, "transform": 0}
     # the printed geodesics, built from the stored normals, are the ones
     # geodesic_through gives, bit for bit
@@ -561,6 +562,30 @@ def test_euclidean_limit_of_feet():
         assert abs(foot_h - alt) / lam < 2e-4
 
 
+# ---------------------------------------------------- guaranteed objects
+
+# every hyperbolic triangle has these: the incenter is the timelike sum
+# of the three unit vertex vectors, each area-bisector foot lies inside
+# its side, and by the crossbar theorem any two of those cevians cross
+# inside the triangle, so the bisector point and the Euler circle exist
+FORBIDDEN_FLAGS = ("no_incircle", "no_euler_circle", "divergent_bisector_cevians",
+                   "bracket_failure_bisector_a", "bracket_failure_bisector_b",
+                   "bracket_failure_bisector_c")
+
+
+@pytest.mark.parametrize("box", [0.7, 0.25])
+def test_honest_configs_never_lose_a_guaranteed_object(box):
+    seen = Counter()
+    for seed in range(6):
+        for index in range(200):
+            tri, _ = random_triangle(instance_rng(seed, index), max_vertex_radius=box)
+            flags = build_config(tri).flags
+            assert not set(flags) & set(FORBIDDEN_FLAGS), (seed, index, flags)
+            seen.update(flags)
+    # the sweep does meet absences the geometry allows
+    assert seen
+
+
 # ------------------------------------------------------------ root-finder
 
 # the bracket width these solves run to
@@ -572,16 +597,27 @@ WIDTH = 1e-14
     (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),  # decreasing
     (lambda x: math.tanh(40.0 * (x - 0.2)), -0.9, 0.9, 0.2),   # steep step
 ])
-def test_brent_root_within_bracket_width(f, lo, hi, root):
-    x, width = brent_root(f, lo, hi, f(lo), f(hi), WIDTH)
+def test_bracketed_root_within_bracket_width(f, lo, hi, root):
+    x, width = bracketed_root(f, lo, hi, f(lo), f(hi), WIDTH)
     assert 0.0 <= width <= WIDTH
     assert abs(x - root) <= WIDTH
 
 
-def test_brent_root_at_bracket_end_has_zero_width():
+def test_bracketed_root_at_bracket_end_has_zero_width():
     f = lambda x: x - 0.25  # noqa: E731
-    assert brent_root(f, 0.25, 1.0, f(0.25), f(1.0), WIDTH) == (0.25, 0.0)
-    assert brent_root(f, -1.0, 0.25, f(-1.0), f(0.25), WIDTH) == (0.25, 0.0)
+    assert bracketed_root(f, 0.25, 1.0, f(0.25), f(1.0), WIDTH) == (0.25, 0.0)
+    assert bracketed_root(f, -1.0, 0.25, f(-1.0), f(0.25), WIDTH) == (0.25, 0.0)
+
+
+def test_bracketed_root_at_the_rebalance_scale():
+    # the trapezoid rebalance's bracket and width: 1e-16 is about 14
+    # float spacings near 0.04 (ulp 6.9e-18), and the solve ends by
+    # reaching it (this f has no exact float zero on the way)
+    f = lambda t: math.log1p(t) - 0.0385  # noqa: E731
+    lo, hi = -instances.REBALANCE_STEP, instances.REBALANCE_STEP
+    x, width = bracketed_root(f, lo, hi, f(lo), f(hi), instances.REBALANCE_WIDTH)
+    assert 0.0 < width <= instances.REBALANCE_WIDTH
+    assert abs(x - math.expm1(0.0385)) <= instances.REBALANCE_WIDTH
 
 
 # ------------------------------------------------------ n-line concurrency

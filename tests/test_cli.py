@@ -209,6 +209,22 @@ def test_an_excircle_centered_at_the_absolute_is_absent_with_its_cause(tmp_path)
     assert set(statuses.values()) == {"pass"}
 
 
+# a well-shaped default-box triangle (angles 0.33, 1.29, 1.40, no vertex
+# past |z| = 0.38) with one excircle of radius 7.2: its contact on the
+# Euler circle, taken from the excircle's own center, failed
+# feuerbach_point at 1.55e-8 against 1e-8
+LARGE_EXCIRCLE = "0.194399+0.014822i,-0.048856-0.309591i,0.075706-0.370804i"
+
+
+def test_feuerbach_point_passes_with_a_large_excircle(tmp_path):
+    code, out = run(tmp_path, "verify", "--trials", "1", "--suite", "feuerbach_point",
+                    "--triangle", LARGE_EXCIRCLE)
+    assert code == 0
+    (check,) = json.loads(out.read_text())["instances"][0]["checks"]
+    assert check["status"] == "pass"
+    assert check["residual"] < 1e-12
+
+
 @pytest.mark.parametrize("argv", [["construct"], ["verify", "--trials", "1"]])
 def test_vertices_next_to_the_absolute_run(tmp_path, argv):
     code, out = run(tmp_path, *argv, "--triangle", NEAR_ABSOLUTE)

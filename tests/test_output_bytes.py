@@ -29,7 +29,13 @@ status or flag.  They were recorded once more when the sampler came to
 write each point of a line or an arc from the cycle's point nearest the
 origin and its arc length from there, not as center + radius e^{it}:
 that moved the residual bytes of the inscribed_angle, trapezoid, lexell
-and radical_axis checks, and no status or flag.
+and radical_axis checks, and no status or flag.  They were recorded once
+more when Anderson-Bjorck regula falsi replaced Brent's method as the
+root-finder of the converse trapezoid draws, and feuerbach_point came to
+take each excircle contact from the Euler circle's side and to add the
+three Euler-excircle tangency gaps to its residual: that moved the
+residual bytes of the converse trapezoid and the feuerbach_point checks,
+and no status or flag.
 
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
@@ -66,17 +72,17 @@ DIGESTS = {
     ("render-json", 0.25):
         "0c9a4bf280eb1dd6b587b87d089dc892a6d7f425059eabb68191e83da615c105",
     ("verify", 0.7):
-        "2b21ca44600306b1e795d14acd738f11127ceeb53dcb8878a9a8f1150f39fb1d",
+        "45556aae191f4aa68270823b93c2f072285582a84eff008c83c27a2377c0ab40",
     ("verify", 0.25):
-        "46b39a5d5345d9787a45037fec8bcdcf38f224194463bd0a70195733d18a03ae",
+        "e739dfa750f7dbf3e7e2cf9eb3ad5772cd639be498247caf4e303dd05ee25071",
     ("verify-drawn", 0.7):
-        "8438868ae9b6fa90624840bcaf2bb86aae45c3e1b37e97557f5ec207c1f198e7",
+        "e7750fba9aab588b83898d163b4703d7037ed17eab82310ed8318a051f5e352c",
     ("verify-drawn", 0.25):
-        "7174a7a2de3dbfc23414fe2b2f92d84ac25aaad5e4c0ad8447d3bed776385e1d",
+        "fa99a6633f1933e06627e808ce71ca6d826ad59cbe0df9e62f36d1e4fa739858",
     ("verify-sweep", 0.7):
-        "208b74b9ec1f56058324d8cd55c087b78b71c07690f9ba474ee2b06a14e53360",
+        "9b81e87a5eceaa56b4cab92e84a5fdd6c18b1e4ca8a7658eb9775fb0970c570f",
     ("verify-sweep", 0.25):
-        "0e85d5d0e774661732ad9744dad29ba2732b46a1aae3ee94f9b9cb52199e2ea3",
+        "9d1bc62b86327252e86d03aea779137683f89884e5d75c2b2369b6869e23ac8b",
 }
 
 # the verify arguments of each run a digest covers

@@ -59,7 +59,7 @@ from hypfeuer.instances import (
     REBALANCE_STEP,
     REBALANCE_WIDTH,
     _disk_point as _instance_disk_point,
-    brent_root,
+    bracketed_root,
     instance_rng,
     random_cycle,
     random_triangle,
@@ -230,8 +230,8 @@ def _ref_rebalance_quad(quad):
         hlo, hhi = h(-REBALANCE_STEP), h(REBALANCE_STEP)
         if hlo * hhi > 0.0:
             return None
-        t, _ = brent_root(h, -REBALANCE_STEP, REBALANCE_STEP, hlo, hhi,
-                          width=REBALANCE_WIDTH)
+        t, _ = bracketed_root(h, -REBALANCE_STEP, REBALANCE_STEP, hlo, hhi,
+                              width=REBALANCE_WIDTH)
     except NonConvex:
         return None
     return a, b, c, d + t * n

@@ -510,6 +510,36 @@ def test_triangle_checks_isometry_equivariant():
                     assert hyp_distance(iso(p), q) < 1e-11, (box, i)
 
 
+# each drawn suite's draw, as (generator, purpose, check, how the draw's
+# points (True) and cycles (False) sit in the check's arguments)
+DRAWN_SUITES = {
+    "inscribed_angle": (arc_instance, instances.PURPOSE_ARC, check_inscribed_angle,
+                        (False, True, True)),
+    "trapezoid": (trapezoid_quad, instances.PURPOSE_QUAD, check_trapezoid,
+                  (True, True, True, True)),
+    "lexell": (lexell_instance, instances.PURPOSE_LEXELL, check_lexell, (True, True, True)),
+    "radical_axis": (random_cycle_pair, PURPOSE_CYCLE_PAIR, check_radical_axis,
+                     (False, False)),
+    "monge": (monge_triple, instances.PURPOSE_MONGE, check_monge, (False, False, False)),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWN_SUITES))
+def test_drawn_checks_isometry_equivariant(suite):
+    # metamorphic sweep of the drawn suites: a draw mapped through an
+    # isometry (points by the map, cycles by transform) keeps its status
+    # and flag; trapezoid alternates forward and converse draws as verify
+    # does
+    draw, purpose, check, kinds = DRAWN_SUITES[suite]
+    for i in range(300):
+        rng = instance_rng(0, i, purpose)
+        args = draw(rng, converse=bool(i % 2)) if draw is trapezoid_quad else draw(rng)
+        iso = random_isometry(Random(2000 + i))
+        moved = [iso(x) if point else transform(iso, x) for x, point in zip(args, kinds)]
+        before, after = check(*args), check(*moved)
+        assert (before.status, before.flag) == (after.status, after.flag), (suite, i)
+
+
 # ------------------------------------------------------------- radical axis
 
 def test_radical_axis_random_pairs():
@@ -812,3 +842,48 @@ def test_feuerbach_point_absent_excircle_skips():
             assert chk.flag == "contact_points_missing"
             return
     pytest.skip("every draw had all three excircles")
+
+
+def excircle_walk(seed, index, bisections):
+    """Configurations of a default-box triangle as its vertex c moves
+    away from a along the line ac, in steps of 0.02 while every
+    excircle exists, then bisected `bisections` times toward the point
+    where one vanishes: (largest excircle radius, config) of each one
+    with all its tritangent circles."""
+    tri, _ = random_triangle(instance_rng(seed, index))
+    a, b, c = tri.a, tri.b, tri.c
+    u = (c - a) / abs(c - a)
+
+    def config(t):
+        cfg = build_config(Triangle.of(a, b, c + t * u))
+        if cfg.incircle is None or None in cfg.excircles.values():
+            return None
+        return max(hyp_center_radius(e.cycle)[1] for e in cfg.excircles.values()), cfg
+
+    walk, t = [], 0.0
+    while (step := config(t)) is not None:
+        walk.append(step)
+        t += 0.02
+    lo, hi = t - 0.02, t
+    for _ in range(bisections):
+        mid = 0.5 * (lo + hi)
+        step = config(mid)
+        if step is None:
+            hi = mid
+        else:
+            walk.append(step)
+            lo = mid
+    return walk
+
+
+def test_feuerbach_point_passes_as_an_excircle_grows_without_bound():
+    # two seeded default-box triangles walked to where an excircle
+    # vanishes: its radius passes 12, and the contact taken from the
+    # excircle's own center lost about eps e^{3r} (0.016 at r >= 12)
+    radii = []
+    for seed, index in ((1, 190), (0, 194)):
+        for radius, cfg in excircle_walk(seed, index, 40):
+            chk = check_feuerbach_point(cfg)
+            assert chk.status == "pass", (seed, index, radius, chk.residual)
+            radii.append(radius)
+    assert max(radii) > 12.0
