@@ -510,17 +510,13 @@ def test_triangle_checks_isometry_equivariant():
                     assert hyp_distance(iso(p), q) < 1e-11, (box, i)
 
 
-# each drawn suite's draw, as (generator, purpose, check, how the draw's
-# points (True) and cycles (False) sit in the check's arguments)
+# each drawn suite's generator, purpose stream and check
 DRAWN_SUITES = {
-    "inscribed_angle": (arc_instance, instances.PURPOSE_ARC, check_inscribed_angle,
-                        (False, True, True)),
-    "trapezoid": (trapezoid_quad, instances.PURPOSE_QUAD, check_trapezoid,
-                  (True, True, True, True)),
-    "lexell": (lexell_instance, instances.PURPOSE_LEXELL, check_lexell, (True, True, True)),
-    "radical_axis": (random_cycle_pair, PURPOSE_CYCLE_PAIR, check_radical_axis,
-                     (False, False)),
-    "monge": (monge_triple, instances.PURPOSE_MONGE, check_monge, (False, False, False)),
+    "inscribed_angle": (arc_instance, instances.PURPOSE_ARC, check_inscribed_angle),
+    "trapezoid": (trapezoid_quad, instances.PURPOSE_QUAD, check_trapezoid),
+    "lexell": (lexell_instance, instances.PURPOSE_LEXELL, check_lexell),
+    "radical_axis": (random_cycle_pair, PURPOSE_CYCLE_PAIR, check_radical_axis),
+    "monge": (monge_triple, instances.PURPOSE_MONGE, check_monge),
 }
 
 
@@ -530,12 +526,12 @@ def test_drawn_checks_isometry_equivariant(suite):
     # isometry (points by the map, cycles by transform) keeps its status
     # and flag; trapezoid alternates forward and converse draws as verify
     # does
-    draw, purpose, check, kinds = DRAWN_SUITES[suite]
+    draw, purpose, check = DRAWN_SUITES[suite]
     for i in range(300):
         rng = instance_rng(0, i, purpose)
         args = draw(rng, converse=bool(i % 2)) if draw is trapezoid_quad else draw(rng)
         iso = random_isometry(Random(2000 + i))
-        moved = [iso(x) if point else transform(iso, x) for x, point in zip(args, kinds)]
+        moved = [iso(x) if isinstance(x, complex) else transform(iso, x) for x in args]
         before, after = check(*args), check(*moved)
         assert (before.status, before.flag) == (after.status, after.flag), (suite, i)
 
