@@ -337,10 +337,10 @@ def lexell_cycle(a: complex, b: complex, x0: complex) -> GeneralizedCycle:
 
 def _translate_raw(t: complex, a_: float, b_: complex, c_: float):
     """Coefficients after the substitution z = (w + t)/(1 + conj(t) w)."""
-    a2 = a_ + 2.0 * (b_.conjugate() * t).real + c_ * abs(t) ** 2
-    b2 = a_ * t + b_ + b_.conjugate() * t * t + c_ * t
-    c2 = a_ * abs(t) ** 2 + 2.0 * (b_.conjugate() * t).real + c_
-    return a2, b2, c2
+    bc = b_.conjugate()
+    t2 = abs(t) ** 2
+    cross = 2.0 * (bc * t).real
+    return a_ + cross + c_ * t2, a_ * t + b_ + bc * t * t + c_ * t, a_ * t2 + cross + c_
 
 
 def transform(iso: DiskIsometry, cycle: GeneralizedCycle) -> GeneralizedCycle:
@@ -609,11 +609,12 @@ def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
 
 
 def frame_point(frame: tuple, k: int, count: int) -> complex:
-    """Sample k of count in a sample_frame: sample_points(cycle, count,
-    margin)[k] bit for bit, without the other samples.  On an arc it is
-    arc_point at half (2 k / (count - 1) - 1); on a whole circle, at
-    angle t, ec + er exp(i t): cmath.exp of a purely imaginary argument
-    is complex(cos t, sin t) bit for bit, in one call."""
+    """Sample k of count in a sample_frame, without the other samples:
+    bit for bit the one sample_points(cycle, count, margin) keeps when it
+    lies inside the disk.  On an arc it is arc_point at half (2 k /
+    (count - 1) - 1); on a whole circle, at angle t, ec + er exp(i t):
+    cmath.exp of a purely imaginary argument is complex(cos t, sin t)
+    bit for bit, in one call."""
     if frame[0] is FRAME_ARC:
         _, m, t, kappa, half = frame
         return arc_point(m, t, kappa, half * (2.0 * k / (count - 1) - 1.0))
@@ -649,15 +650,17 @@ def farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
 
 def sample_points(cycle: GeneralizedCycle, count: int,
                   margin: float = 1e-6) -> list[complex]:
-    """count points on the cycle strictly inside the disk, for residual
-    checks: the samples of its sample_frame.
+    """Those of the count samples of the cycle's sample_frame that lie
+    strictly inside the disk, for residual checks: all of them on a
+    cycle that crosses the shrunk absolute or lies inside it, none on a
+    cycle with no part inside.
 
     Circles fully inside the disk are sampled uniformly in angle; arcs
     (geodesics, equidistants) are sampled between their two crossings of
     a slightly shrunk absolute so every sample keeps the margin.
     """
     frame = sample_frame(cycle, margin)
-    return [frame_point(frame, k, count) for k in range(count)]
+    return [z for k in range(count) if abs(z := frame_point(frame, k, count)) < 1.0]
 
 
 def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,

@@ -43,12 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    BoundaryPoint,
-    DegenerateAngle,
-    DegenerateTriangle,
-    GeometryError,
-)
+from .errors import BoundaryPoint, DegenerateAngle, DegenerateTriangle
 
 TAU = 2.0 * math.pi
 
@@ -129,54 +124,15 @@ def signed_angle(x: complex, y: complex, z: complex) -> float:
 
 
 def convex_quad_angles(a: complex, b: complex, c: complex, d: complex) -> list[float] | None:
-    """quad_angles_in_frame of d in the quad_frame of (a, b, c)."""
-    return quad_angles_in_frame(quad_frame(a, b, c), d)
-
-
-def quad_frame(a: complex, b: complex, c: complex) -> tuple:
-    """What the turns of quad abcd need without d, for
-    quad_angles_in_frame to reuse over many d: a with its conjugate and
-    the phase of its ray to b (None if that ray is degenerate), c with
-    its conjugate and the phase of its ray to b, and the turn at b (None
-    if signed_angle refuses it)."""
-    ac, cc = a.conjugate(), c.conjugate()
-    ray_ab = (b - a) / (1.0 - ac * b)
-    ray_cb = (b - c) / (1.0 - cc * b)
-    try:
-        tb = signed_angle(a, b, c)
-    except GeometryError:
-        tb = None
-    return (a, ac, None if abs(ray_ab) < COINCIDENT_EPS else cmath.phase(ray_ab),
-            c, cc, None if abs(ray_cb) < COINCIDENT_EPS else cmath.phase(ray_cb), tb)
-
-
-def quad_angles_in_frame(frame: tuple, d: complex) -> list[float] | None:
     """Unsigned interior angles of quadrilateral abcd at a, b, c, d, or
-    None unless it is convex: its four turns share a sign (a degenerate
-    turn counts as not convex).  Takes the quad_frame of (a, b, c) and
-    d.  The turns at a, c and d are signed_angle(d, a, b),
-    signed_angle(b, c, d) and signed_angle(c, d, a) bit for bit,
-    written out around the frame's fixed rays; the turn at b is the
-    frame's."""
-    # written out, not composed from signed_angle: the trapezoid draw's
-    # root-finder evaluates this many times per instance, and composing
-    # cost a median 4.9 us more per trapezoid instance of about 58 us
-    # (Python 3.11 on a shared 2-vCPU VM)
-    a, ac, phase_ab, c, cc, phase_cb, tb = frame
-    u = (d - a) / (1.0 - ac * d)
-    if phase_ab is None or abs(u) < COINCIDENT_EPS or tb is None:
+    None unless it is convex: its four turns signed_angle(d, a, b),
+    signed_angle(a, b, c), signed_angle(b, c, d) and signed_angle(c, d, a)
+    share a sign (a degenerate turn counts as not convex)."""
+    try:
+        ta, tb = signed_angle(d, a, b), signed_angle(a, b, c)
+        tc, td = signed_angle(b, c, d), signed_angle(c, d, a)
+    except DegenerateAngle:
         return None
-    ta = wrap_angle(phase_ab - cmath.phase(u))
-    v = (d - c) / (1.0 - cc * d)
-    if phase_cb is None or abs(v) < COINCIDENT_EPS:
-        return None
-    tc = wrap_angle(cmath.phase(v) - phase_cb)
-    dc = d.conjugate()
-    u = (c - d) / (1.0 - dc * c)
-    v = (a - d) / (1.0 - dc * a)
-    if abs(u) < COINCIDENT_EPS or abs(v) < COINCIDENT_EPS:
-        return None
-    td = wrap_angle(cmath.phase(v) - cmath.phase(u))
     if ta > 0.0 and tb > 0.0 and tc > 0.0 and td > 0.0:
         return [ta, tb, tc, td]
     if ta < 0.0 and tb < 0.0 and tc < 0.0 and td < 0.0:

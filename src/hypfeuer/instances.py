@@ -16,8 +16,6 @@ from .geom_core import (
     Triangle,
     convex_quad_angles,
     mobius_from_origin,
-    quad_angles_in_frame,
-    quad_frame,
     signed_angle,
     triangle_area,
 )
@@ -285,14 +283,13 @@ class _NonConvexQuad(Exception):
 def _rebalance_quad(quad):
     """Move the last vertex across the locus until the angle balance is
     zero; None when no convex quad on the way balances.  The balance
-    reads quad_angles_in_frame, whose frame holds what does not move."""
+    reads convex_quad_angles of the moved quad."""
     a, b, c, d = quad
     grad = lexell_cycle(a, b, c).gradient(d)
     n = grad / abs(grad)
-    frame = quad_frame(a, b, c)
 
     def h(t: float) -> float:
-        angles = quad_angles_in_frame(frame, d + t * n)
+        angles = convex_quad_angles(a, b, c, d + t * n)
         if angles is None:
             raise _NonConvexQuad
         qa, qb, qc, qd = angles

@@ -60,14 +60,7 @@ def pseudolength(p: complex, q: complex) -> float:
 
 def power_of_point(p: complex, cycle: GeneralizedCycle) -> float:
     """Chord-product power of p with respect to a cycle (negative inside)."""
-    # the A and C of _translate_raw(p, cycle.a, cycle.b, cycle.c), term for
-    # term: calling it, which also builds the unused B, cost a median 4.4
-    # us more per radical_axis check of about 47 us (two powers a sample;
-    # Python 3.11 on a shared 2-vCPU VM)
-    t2 = abs(p) ** 2
-    cross = 2.0 * (cycle.b.conjugate() * p).real
-    a2 = cycle.a + cross + cycle.c * t2
-    c2 = cycle.a * t2 + cross + cycle.c
+    a2, _, c2 = _translate_raw(p, cycle.a, cycle.b, cycle.c)
     if abs(a2) < 1e-15:
         raise DegenerateConfiguration("power undefined: cycle through the absolute inverse")
     return c2 / a2

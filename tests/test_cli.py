@@ -225,6 +225,40 @@ def test_feuerbach_point_passes_with_a_large_excircle(tmp_path):
     assert check["residual"] < 1e-12
 
 
+# legal triangles on which a check still fails (Known defects in the
+# ROADMAP): each is a strict xfail until its fix lands, when it has to
+# become a plain test
+STANDING_DEFECTS = [
+    # the pseudo-orthocenter 4.1e-8 from the absolute: 3.72e-8 against 1e-10
+    ("euler_ratios", "0.058799077200604476-0.12063727037229602i,"
+                     "0.27320543611563475-0.4423040328857567i,"
+                     "0.21884483862800214-0.6174596394939562i"),
+    # a circumcircle of radius 11.2, nearly a horocycle: 2.15e-7 against 1e-8
+    ("tangent_cevians", "-0.1724331744428443-0.05356161699188889i,"
+                        "-0.1387141011453771-0.4639054084286683i,"
+                        "0.11274772482670661+0.2907372740468018i"),
+    # an excircle of radius 18.3: 5.78e-8 against 1e-8
+    ("feuerbach", "-0.2248893041322933+0.01313044506039568i,"
+                  "-0.3739771198879941+0.4623711770384866i,"
+                  "0.4535217194953038+0.2490905540904904i"),
+    # sides 2.6e-5 to 5.9e-5: 7.38e-5 against 1e-9
+    ("six_point", "0.026190463499476183-0.1695342808424821i,"
+                  "0.026169744360966814-0.1695538266059877i,"
+                  "0.026183281750321166-0.16954456629002632i"),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="a Known defect in the ROADMAP")
+@pytest.mark.parametrize("suite, triangle", STANDING_DEFECTS,
+                         ids=[suite for suite, _ in STANDING_DEFECTS])
+def test_standing_defect_passes(tmp_path, suite, triangle):
+    code, out = run(tmp_path, "verify", "--trials", "1", "--suite", suite,
+                    "--triangle", triangle)
+    (check,) = json.loads(out.read_text())["instances"][0]["checks"]
+    assert check["status"] == "pass"
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [["construct"], ["verify", "--trials", "1"]])
 def test_vertices_next_to_the_absolute_run(tmp_path, argv):
     code, out = run(tmp_path, *argv, "--triangle", NEAR_ABSOLUTE)

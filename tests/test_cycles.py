@@ -566,6 +566,15 @@ def test_sample_points_lie_on_cycle():
             assert membership_residual(c, p) < 1e-9
 
 
+@pytest.mark.parametrize("coefficients", [
+    (0.0, 1.0, -3.0),  # the line x = 1.5
+    (1.0, 0j, -4.0),  # the circle |z| = 2 about the origin
+    (1.0, -3 + 0j, 8.0),  # a circle of radius 1 about 3
+])
+def test_sample_points_of_a_cycle_outside_the_disk_are_none(coefficients):
+    assert sample_points(GeneralizedCycle.of(*coefficients), 4) == []
+
+
 # ------------------------------------- one-pass kernel against its reference
 #
 # The geodesic kernel normalizes a cycle in one pass and writes the lift

@@ -137,8 +137,9 @@ def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, fai
 
 
 def test_arc_instance_takes_the_first_cycle():
-    # sample_points always returns every sample it is asked for, so the
-    # two points come from the first cycle drawn, a third of the arc apart
+    # every sample of a drawn cycle lies inside the disk, so sample_points
+    # keeps all 24 and the two points come from the first cycle drawn, a
+    # third of the arc apart
     rng = StubStream([0.5])
     cycle, p, q = arc_instance(rng)
     assert rng.calls == 4  # kind, center radius and angle, cycle radius

@@ -102,15 +102,6 @@ def _first_angle_shifted(original):
     return mutant
 
 
-def _framed_first_angle_shifted(original):
-    def mutant(frame, d):
-        angles = original(frame, d)
-        if angles is None:
-            return None
-        return [angles[0] + 1e-6] + angles[1:]
-    return mutant
-
-
 def _arc_samples_scaled(original):
     def mutant(cycle, a, b, count):
         return [z * (1.0 + 1e-6) for z in original(cycle, a, b, count)]
@@ -248,14 +239,14 @@ RADICAL_AXIS_MUTANTS = {
     "power_scaled_1e-6": (power, "power_of_point", _power_scaled),
 }
 
-# convex_quad_angles, the forward search and the converse draws' angle
-# balance all take their angles from this kernel.  The check then sees a
+# The check, the forward search and the converse draws' angle balance
+# all take their angles from convex_quad_angles.  The check then sees a
 # forward quad's balance off by the shift, and a converse quad balanced
 # against the shifted angles off its area locus, so each must fail every
 # trapezoid instance, forward and converse alike.
 TRAPEZOID_MUTANTS = {
-    "quad_kernel_first_angle_shifted_1e-6": (geom_core, "quad_angles_in_frame",
-                                             _framed_first_angle_shifted),
+    "quad_kernel_first_angle_shifted_1e-6": (geom_core, "convex_quad_angles",
+                                             _first_angle_shifted),
 }
 
 SURVIVORS = {

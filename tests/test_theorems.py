@@ -156,7 +156,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
-    calls = _counting(monkeypatch, instances, "quad_angles_in_frame")
+    calls = _counting(monkeypatch, instances, "convex_quad_angles")
     solved = 0
     for idx in range(30):
         quad = trapezoid_quad(instance_rng(607, idx))
@@ -174,14 +174,14 @@ def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
 def test_rebalance_quad_non_convex_inside_bracket_gives_none(monkeypatch):
     quad = trapezoid_quad(instance_rng(607, 0))
     assert _rebalance_quad(quad) is not None
-    real = instances.quad_angles_in_frame
+    real = instances.convex_quad_angles
     calls = []
 
     def convex_only_at_bracket_ends(*q):
         calls.append(q)
         return real(*q) if len(calls) <= 2 else None
 
-    monkeypatch.setattr(instances, "quad_angles_in_frame", convex_only_at_bracket_ends)
+    monkeypatch.setattr(instances, "convex_quad_angles", convex_only_at_bracket_ends)
     assert _rebalance_quad(quad) is None
     assert len(calls) == 3
 
