@@ -185,13 +185,6 @@ class CircleSpec(Record):
 
     __slots__ = ("center", "radius", "cycle", "tangency_gap")
 
-    def __init__(self, center: complex, radius: float, cycle: GeneralizedCycle,
-                 tangency_gap: float):
-        self.center = center
-        self.radius = radius
-        self.cycle = cycle
-        self.tangency_gap = tangency_gap
-
 
 def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
                     flags: set[str],
@@ -369,37 +362,6 @@ class TriangleConfig(Record):
                  "euler_membership", "bisector_point", "bisector_residual",
                  "pseudo_orthocenter", "orthocenter_residual", "incircle",
                  "excircles", "flags")
-
-    def __init__(self, triangle: Triangle, feet: CevianFeet, lifts: dict[str, Vector],
-                 side_normals: dict[str, Vector], bisector_normals: dict[str, Vector],
-                 pseudoaltitude_normals: dict[str, Vector],
-                 circumcircle: GeneralizedCycle, circumcenter: complex | None,
-                 circumradius: float | None, euler_circle: GeneralizedCycle | None,
-                 euler_center: complex | None, euler_radius: float | None,
-                 euler_membership: dict[str, float], bisector_point: complex | None,
-                 bisector_residual: float | None, pseudo_orthocenter: complex | None,
-                 orthocenter_residual: float | None, incircle: CircleSpec | None,
-                 excircles: dict[str, CircleSpec | None], flags: list[str]):
-        self.triangle = triangle
-        self.feet = feet
-        self.lifts = lifts
-        self.side_normals = side_normals
-        self.bisector_normals = bisector_normals
-        self.pseudoaltitude_normals = pseudoaltitude_normals
-        self.circumcircle = circumcircle
-        self.circumcenter = circumcenter
-        self.circumradius = circumradius
-        self.euler_circle = euler_circle
-        self.euler_center = euler_center
-        self.euler_radius = euler_radius
-        self.euler_membership = euler_membership
-        self.bisector_point = bisector_point
-        self.bisector_residual = bisector_residual
-        self.pseudo_orthocenter = pseudo_orthocenter
-        self.orthocenter_residual = orthocenter_residual
-        self.incircle = incircle
-        self.excircles = excircles
-        self.flags = flags
 
     @property
     def sides(self) -> dict[str, GeneralizedCycle]:

@@ -95,21 +95,8 @@ TRIANGLE_SUITES = frozenset(n for n, (purpose, _) in SUITES.items() if purpose i
 class Scenario(Record):
     __slots__ = ("seed", "trials", "suite", "tolerances", "triangle",
                  "max_vertex_radius", "min_angle", "out")
-
-    def __init__(self, seed: int = 0, trials: int = 10,
-                 suite: tuple[str, ...] = SUITE_ORDER,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES,
-                 triangle: tuple[complex, complex, complex] | None = None,
-                 max_vertex_radius: float = DEFAULT_MAX_VERTEX_RADIUS,
-                 min_angle: float = DEFAULT_MIN_ANGLE, out: str | None = None):
-        self.seed = seed
-        self.trials = trials
-        self.suite = suite
-        self.tolerances = tolerances
-        self.triangle = triangle
-        self.max_vertex_radius = max_vertex_radius
-        self.min_angle = min_angle
-        self.out = out
+    _defaults = (0, 10, SUITE_ORDER, DEFAULT_TOLERANCES, None,
+                 DEFAULT_MAX_VERTEX_RADIUS, DEFAULT_MIN_ANGLE, None)
 
 
 # ------------------------------------------------------------- serialization

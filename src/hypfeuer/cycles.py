@@ -103,11 +103,6 @@ class GeneralizedCycle(Record):
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: float, b: complex, c: float):
-        self.a = a
-        self.b = b
-        self.c = c
-
     @classmethod
     def of(cls, a: float, b: complex, c: float) -> "GeneralizedCycle":
         """The normalized cycle of a coefficient triple, in one pass;

@@ -180,16 +180,36 @@ def triangle_area(a: complex, b: complex, c: complex) -> float:
 class Record:
     """Base of hypfeuer's value records.
 
-    A record class's ``__slots__`` are its fields, in the order its own
+    A record class's ``__slots__`` are its fields, in the order its
     ``__init__`` takes them; the JSON writer in ``cli`` writes a record
-    as those fields.  Two records are equal when they are of one class
-    and their fields are equal (against another class ``==`` returns
-    NotImplemented), a record hashes as its field tuple, and
-    ``replace(**changes)`` builds a copy with some fields changed,
-    through ``__init__``.
+    as those fields.  A record class that writes no ``__init__`` gets
+    one compiled from its slots: it takes each field positionally or by
+    keyword and stores it as given, and a ``_defaults`` tuple on the
+    class gives the defaults of the last fields.  Three classes write
+    their own: ``TheoremCheck`` and ``CevianFeet`` build a fresh dict
+    for each field left out, and ``DiskIsometry`` checks its point.
+
+    Two records are equal when they are of one class and their fields
+    are equal (against another class ``==`` returns NotImplemented), a
+    record hashes as its field tuple, and ``replace(**changes)`` builds
+    a copy with some fields changed, through ``__init__``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__init__" in cls.__dict__:
+            return
+        # compiled, so a call runs the bytecode of a written-out __init__
+        fields = cls.__slots__
+        source = f"def __init__(self, {', '.join(fields)}):\n" + ("".join(
+            f"    self.{name} = {name}\n" for name in fields) or "    pass\n")
+        namespace = {"__name__": cls.__module__}
+        exec(compile(source, f"<{cls.__qualname__} record>", "exec"), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = cls.__dict__.get("_defaults")
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -223,13 +243,6 @@ class Triangle(Record):
     """
 
     __slots__ = ("a", "b", "c", "swapped", "area")
-
-    def __init__(self, a: complex, b: complex, c: complex, swapped: bool, area: float):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.swapped = swapped
-        self.area = area
 
     @classmethod
     def of(cls, a, b, c) -> "Triangle":

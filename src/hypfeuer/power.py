@@ -128,10 +128,6 @@ class HomotheticCenters(Record):
 
     __slots__ = ("positive", "negative")
 
-    def __init__(self, positive: complex | None, negative: complex | None):
-        self.positive = positive
-        self.negative = negative
-
 
 def crossing_angle(c1: GeneralizedCycle, c2: GeneralizedCycle, at: complex) -> float:
     """Unsigned angle between two cycles at a common point, in [0, pi/2]."""

@@ -77,12 +77,7 @@ from .power import (
 
 class Tolerances(Record):
     __slots__ = ("construct", "theorem", "chain")
-
-    def __init__(self, construct: float = 1e-10, theorem: float = 1e-9,
-                 chain: float = 1e-8):
-        self.construct = construct
-        self.theorem = theorem
-        self.chain = chain
+    _defaults = (1e-10, 1e-9, 1e-8)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -115,23 +110,10 @@ def _skip(name: str, tolerance: float, flag: str,
 class InstanceReport(Record):
     __slots__ = ("index", "instance", "flags", "checks")
 
-    def __init__(self, index: int, instance: dict, flags: list[str],
-                 checks: list[TheoremCheck]):
-        self.index = index
-        self.instance = instance
-        self.flags = flags
-        self.checks = checks
-
 
 class VerificationReport(Record):
     __slots__ = ("seed", "params", "instances", "wall_time")
-
-    def __init__(self, seed: int, params: dict, instances: list[InstanceReport],
-                 wall_time: float = 0.0):
-        self.seed = seed
-        self.params = params
-        self.instances = instances
-        self.wall_time = wall_time
+    _defaults = (0.0,)
 
     def counts(self) -> Counter:
         """How many checks have each status ("pass", "fail" or "skipped"),

@@ -19,7 +19,11 @@ each side's median and quartiles, the change's wins out of the pairs
 (the better value by the metric's direction; a tie counts for neither
 side), the median of the pairs' change / parent ratios, and whether the
 median ratio moves by more than the metric's bound (``worse`` or
-``better``, else ``within``).  The raw runs go to ``--out`` as JSON.
+``better``), else ``unresolved`` when the parent's own quartile spread
+is wider than the bound and not every change run beats every parent
+run, else ``within``; ``claimable`` follows when the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+parent's quartile distance.  The raw runs go to ``--out`` as JSON.
 Stdlib only; pytest does not collect it.
 """
 
@@ -67,16 +71,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """One metric over paired runs (parent[i] with change[i])."""
+    """One metric over paired runs (parent[i] with change[i]).
+
+    The verdict is ``worse`` or ``better`` when the median pair ratio
+    moves past the bound.  Otherwise it is ``unresolved`` when the
+    parent's own spread, its quartile distance over its median, is
+    wider than the bound, unless every change run beats every parent
+    run, and ``within`` if not.  ``claimable`` holds when the change
+    wins at least nine tenths of the pairs and its median beats the
+    parent's by more than the parent's quartile distance.
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
     ratio = statistics.median(c / p for p, c in zip(parent, change))
-    if abs(ratio - 1.0) <= bound:
-        verdict = "within"
-    else:
+    q_parent, q_change = quartiles(parent), quartiles(change)
+    p1, p2, p3 = q_parent
+    if abs(ratio - 1.0) > bound:
         verdict = "better" if sign * (ratio - 1.0) > 0.0 else "worse"
-    return {"parent": quartiles(parent), "change": quartiles(change), "wins": wins,
-            "pairs": len(parent), "ratio": ratio, "verdict": verdict}
+    elif (p3 - p1) > bound * abs(p2) and not all(
+            sign * (c - p) > 0.0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    claimable = wins >= 0.9 * len(parent) and sign * (q_change[1] - p2) > p3 - p1
+    return {"parent": q_parent, "change": q_change, "wins": wins,
+            "pairs": len(parent), "ratio": ratio, "verdict": verdict,
+            "claimable": claimable}
 
 
 def summary_line(workload: str, metric: str, row: dict) -> str:
@@ -84,7 +104,8 @@ def summary_line(workload: str, metric: str, row: dict) -> str:
     c1, c2, c3 = row["change"]
     return (f"{workload:<17} {metric:<16} parent {p2:.6g} [{p1:.6g}, {p3:.6g}]"
             f"  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  wins {row['wins']}/{row['pairs']}"
-            f"  ratio {row['ratio']:.4f}  {row['verdict']}")
+            f"  ratio {row['ratio']:.4f}  {row['verdict']}"
+            + ("  claimable" if row["claimable"] else ""))
 
 
 def main(argv=None) -> int:

@@ -5,8 +5,14 @@ takes its fields positionally in the order below.
 
 Records do not check the types of their fields (only DiskIsometry
 checks its point), so most samples here are labels, one distinct value
-per field, which makes a swapped field show.
+per field, which makes a swapped field show.  All but three record
+classes take the `__init__` that Record compiles from their slots; an
+AST guard keeps a written-out copy of it from coming back.
 """
+
+import ast
+import os
+import sys
 
 import pytest
 
@@ -69,6 +75,75 @@ def test_fields_are_taken_in_positional_order(cls):
     record = cls(*values(cls))
     assert [getattr(record, name) for name in FIELDS[cls]] == list(values(cls))
     assert not hasattr(record, "__dict__")
+
+
+@RECORDS
+def test_fields_are_taken_by_keyword(cls):
+    assert cls(**dict(zip(FIELDS[cls], values(cls)))) == cls(*values(cls))
+
+
+@RECORDS
+def test_a_wrong_argument_count_names_the_class(cls):
+    too_many = values(cls) + ("extra",)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) takes"):
+        cls(*too_many)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) got an"):
+        cls(*values(cls), nonexistent=1)
+
+
+# the record classes that write their own __init__
+WRITTEN_INIT = {TheoremCheck, CevianFeet, DiskIsometry}
+
+
+def test_only_three_record_classes_write_an_init():
+    written = {cls for cls in FIELDS if cls.__init__.__code__.co_filename
+               == sys.modules[cls.__module__].__file__}
+    assert written == WRITTEN_INIT
+    # the others' is compiled once, onto the class itself
+    assert all("__init__" in vars(cls) for cls in FIELDS)
+
+
+def plain_inits(source: str) -> list[str]:
+    """The Record subclasses in source whose written __init__ only stores
+    each parameter in the slot of the same name: what Record compiles."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
+                continue
+            params = [a.arg for a in item.args.args[1:]]
+            stores = [(s.targets[0].attr, s.value.id) for s in item.body
+                      if isinstance(s, ast.Assign) and len(s.targets) == 1
+                      and isinstance(s.targets[0], ast.Attribute)
+                      and isinstance(s.targets[0].value, ast.Name)
+                      and s.targets[0].value.id == "self"
+                      and isinstance(s.value, ast.Name)]
+            if len(stores) == len(item.body) and sorted(stores) == sorted(
+                    (p, p) for p in params):
+                found.append(node.name)
+    return found
+
+
+def test_the_plain_init_guard_finds_a_written_out_copy():
+    source = ("class Pair(Record):\n    __slots__ = ('x', 'y')\n"
+              "    def __init__(self, x, y=0):\n        self.y = y\n        self.x = x\n"
+              "class Fresh(Record):\n    __slots__ = ('d',)\n"
+              "    def __init__(self, d=None):\n        self.d = {} if d is None else d\n"
+              "class Other:\n    def __init__(self, x):\n        self.x = x\n")
+    assert plain_inits(source) == ["Pair"]
+
+
+def test_no_record_class_writes_out_the_compiled_init():
+    package = os.path.dirname(sys.modules[Record.__module__].__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                found += plain_inits(fh.read())
+    assert found == []
 
 
 @RECORDS
