@@ -128,6 +128,15 @@ def parse_triangle(spec) -> tuple[complex, complex, complex]:
     return a, b, c
 
 
+def _given_triangle(spec) -> Triangle:
+    """Triangle.of of a triangle's vertices, run once per scenario; its
+    refusal is a usage error (a ValueError)."""
+    try:
+        return Triangle.of(*parse_triangle(spec))
+    except GeometryError as exc:
+        raise ValueError(f"triangle refused: {type(exc).__name__}: {exc}") from None
+
+
 def parse_suite(spec) -> tuple[str, ...]:
     if isinstance(spec, (list, tuple)):
         names = [str(s) for s in spec]
@@ -273,7 +282,7 @@ def _triangle(scn: Scenario, index: int) -> tuple[Triangle, int]:
     """The scenario's triangle, or instance index's seeded draw, and the
     number of draws rejected on the way."""
     if scn.triangle is not None:
-        return Triangle.of(*scn.triangle), 0
+        return scn.triangle, 0
     return random_triangle(instance_rng(scn.seed, index, PURPOSE_TRIANGLE),
                            scn.max_vertex_radius, scn.min_angle)
 
@@ -299,13 +308,15 @@ def _run_instance(scn: Scenario, index: int) -> InstanceReport:
 def run_verify(scn: Scenario) -> VerificationReport:
     start = time.perf_counter()
     instances = [_run_instance(scn, i) for i in range(scn.trials)]
+    tri = scn.triangle
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
         "tolerances": scn.tolerances,
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
-        "triangle": dict(zip("abc", scn.triangle)) if scn.triangle else None,
+        # the vertices as given: Triangle.of swaps b and c of a counterclockwise triangle
+        "triangle": tri and dict(zip("acb" if tri.swapped else "abc", (tri.a, tri.b, tri.c))),
     }
     return VerificationReport(scn.seed, params, instances,
                               time.perf_counter() - start)
@@ -486,7 +497,7 @@ def scenario_from_args(args) -> Scenario:
         trials=trials,
         suite=suite if suite is default.suite else parse_suite(suite),
         tolerances=tol,
-        triangle=triangle if triangle is default.triangle else parse_triangle(triangle),
+        triangle=triangle if triangle is default.triangle else _given_triangle(triangle),
         max_vertex_radius=max_vertex_radius,
         min_angle=min_angle,
         out=out,

@@ -63,10 +63,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 
 from .errors import (
-    AmbiguousClass,
     CoincidentPoints,
     IdenticalCycles,
     NoHyperbolicCenter,
@@ -83,19 +81,8 @@ from .geom_core import (
 # normalized |C - A| below this: the cycle is a geodesic
 GEODESIC_EPS = 1e-12
 
-# |discriminant| bands for the horocycle / ambiguous decision
-TANGENT_EPS = 1e-12
-AMBIGUOUS_EPS = 1e-10
-
 _INF = math.inf
 _new_object = object.__new__
-
-
-class CycleClass(Enum):
-    GEODESIC = "geodesic"
-    HYP_CIRCLE = "hyp_circle"
-    HOROCYCLE = "horocycle"
-    EQUIDISTANT = "equidistant"
 
 
 class GeneralizedCycle(Record):
@@ -178,37 +165,6 @@ def coefficient_distance(c1: GeneralizedCycle, c2: GeneralizedCycle) -> float:
     direct = max(abs(c1.a - c2.a), abs(c1.b - c2.b), abs(c1.c - c2.c))
     flipped = max(abs(c1.a + c2.a), abs(c1.b + c2.b), abs(c1.c + c2.c))
     return min(direct, flipped)
-
-
-def classify(cycle: GeneralizedCycle) -> CycleClass:
-    """Decide the cycle type from its position against the absolute.
-
-    The discriminant of E on |z| = 1 is D = 4|B|^2 - (A + C)^2: positive
-    means the cycle crosses the absolute (equidistant or geodesic), zero
-    means tangency (horocycle), negative means disjoint.  A band of
-    1e-10 around zero is refused as ambiguous rather than guessed.  A
-    disjoint or tangent locus is inside the disk exactly when k < 0
-    (_hyperboloid_plane); the absolute itself, whose P is zero, is no
-    cycle of the plane.
-    """
-    if abs(cycle.c - cycle.a) < GEODESIC_EPS:
-        return CycleClass.GEODESIC
-    d = 4.0 * abs(cycle.b) ** 2 - (cycle.a + cycle.c) ** 2
-    if abs(d) <= TANGENT_EPS:
-        pt, px, py, k = _hyperboloid_plane(cycle)
-        if pt == 0.0 and px == 0.0 and py == 0.0:
-            # P = 0 only for |z|^2 - 1: the absolute itself, D exactly 0
-            raise NotACycle("the absolute is not a cycle of the plane")
-        if k < 0.0:
-            return CycleClass.HOROCYCLE
-        raise NotACycle("tangent to the absolute from outside")
-    if abs(d) <= AMBIGUOUS_EPS:
-        raise AmbiguousClass(f"absolute discriminant {d:.3g} in dead zone")
-    if d > 0.0:
-        return CycleClass.EQUIDISTANT
-    if _hyperboloid_plane(cycle)[3] < 0.0:
-        return CycleClass.HYP_CIRCLE
-    raise NotACycle("locus lies outside the disk")
 
 
 def _hyperboloid_plane(cycle: GeneralizedCycle) -> tuple[float, float, float, float]:
@@ -472,6 +428,8 @@ def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
     NoHyperbolicCenter otherwise."""
     pt, px, py, norm, s = _circle_vector(cycle)
     center = meet_point(pt, px, py)
+    # meet_point's q is norm^2 > 0 here, so only a meet_point that reads
+    # points differently returns None: refuse it as a missing center
     if center is None:
         raise NoHyperbolicCenter("center vector is not timelike")
     return center, math.asinh(s / norm)

@@ -32,10 +32,6 @@ class NotACycle(GeometryError):
     """Coefficient triple has no real locus (negative discriminant and A != 0)."""
 
 
-class AmbiguousClass(GeometryError):
-    """Cycle sits inside the numerical dead zone between two classes."""
-
-
 class NotACircle(GeometryError):
     """Hyperbolic center/radius requested for a cycle that is not a compact circle."""
 
@@ -62,10 +58,6 @@ class AxisOutsideDisk(GeometryError):
 
 class MissingCenter(GeometryError):
     """A homothetic center required by a sign pattern does not exist."""
-
-
-class InvalidSignPattern(GeometryError):
-    """Sign pattern with an odd number of negative centers spans no line."""
 
 
 class NoHyperbolicCenter(GeometryError):

@@ -32,10 +32,9 @@ sample x, and map the kernel's raise on a degenerate sample to a skip.
 A point below the input boundary is a ``complex``, and a real number
 works as one.  ``check_disk`` is the one caller of ``as_complex``: it
 checks a point-like input (complex, real or 2-tuple) for
-``Triangle.of``, ``hyp_distance`` and ``DiskIsometry`` and returns it as
-a complex; every other function takes its points as they come, and
-``disk_distance`` is ``hyp_distance`` without the checks, for points
-already checked or built by the library.
+``Triangle.of`` and ``DiskIsometry`` and returns it as a complex; every
+other function takes its points as they come, ``disk_distance`` too,
+which measures points already checked or built by the library.
 """
 
 from __future__ import annotations
@@ -81,16 +80,10 @@ def mobius_from_origin(a: complex, w: complex) -> complex:
     return (w + a) / (1.0 + a.conjugate() * w)
 
 
-def hyp_distance(p, q) -> float:
-    """Geodesic distance between two point-like inputs: check_disk of
-    each, then disk_distance."""
-    return disk_distance(check_disk(p), check_disk(q))
-
-
 def disk_distance(p: complex, q: complex) -> float:
     """Geodesic distance 2 asinh(|q - p| / sqrt((1 - |p|^2)(1 - |q|^2)))
     between two points inside the disk, unchecked: for points already
-    checked or built by the library.
+    checked or built by the library (check_disk refuses the others).
 
     This is 2 atanh |(q - p) / (1 - conj(p) q)|, as |1 - conj(p) q|^2 -
     |q - p|^2 = (1 - |p|^2)(1 - |q|^2); near the absolute that

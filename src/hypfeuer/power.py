@@ -36,7 +36,6 @@ from .errors import (
     AxisOutsideDisk,
     ConcentricCycles,
     DegenerateConfiguration,
-    InvalidSignPattern,
     MissingCenter,
     NoHyperbolicCenter,
 )
@@ -184,14 +183,11 @@ def monge_line(pair_centers: tuple[HomotheticCenters, HomotheticCenters, Homothe
     """Line through the three pairwise homothetic centers chosen by signs.
 
     pair_centers is what monge_centers returns for three circles;
-    signs[0] picks the center of the pair (c2, c3), and cyclically.  The
-    collinearity holds only for the patterns of MONGE_PATTERNS, so any
-    other signs are rejected.  Returns the geodesic through the first
-    two centers, the distance of the third from it, and the three
-    centers.
+    signs, one of MONGE_PATTERNS' values (no other pattern's centers
+    are collinear), picks signs[0] for the center of the pair (c2, c3),
+    and cyclically.  Returns the geodesic through the first two centers,
+    the distance of the third from it, and the three centers.
     """
-    if tuple(signs) not in MONGE_PATTERNS.values():
-        raise InvalidSignPattern(f"sign pattern {signs} spans no line")
     centers: list[complex] = []
     for hc, s in zip(pair_centers, signs):
         chosen = hc.positive if s == 1 else hc.negative

@@ -45,11 +45,10 @@ from .geom_core import (
     triangle_area,
 )
 from .cycles import (
-    CycleClass,
+    GEODESIC_EPS,
     GeneralizedCycle,
     _arc_samples,
     circle_vector,
-    classify,
     geodesic_through,
     hyp_center_radius,
     lexell_cycle,
@@ -373,26 +372,26 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
     tanh((d - r)/2) tanh((d + r)/2) for d = d(p, o) and radius r, which
     is (rho^2 - tau^2) / (1 - rho^2 tau^2) in the pseudolengths
     rho = tanh(d/2) and tau = tanh(r/2), and its gap |P - that| /
-    max(1, |P|) joins the residual.  Equidistant members have no center
-    and stay unchecked; the witness ``power_checked`` lists the members
-    (1, 2) that were checked.
+    max(1, |P|) joins the residual.  A member without a hyperbolic
+    center (hyp_center_radius raises NoHyperbolicCenter: a horocycle or
+    an equidistant) stays unchecked; the witness ``power_checked`` lists
+    the members (1, 2) that were checked.
     """
+    if abs(c1.c - c1.a) < GEODESIC_EPS or abs(c2.c - c2.a) < GEODESIC_EPS:
+        return _skip("radical_axis", tol.construct, "constant_power_member")
     try:
-        classes = (classify(c1), classify(c2))
-        if CycleClass.GEODESIC in classes:
-            return _skip("radical_axis", tol.construct, "constant_power_member")
         axis = radical_axis(c1, c2)
-        circles = []  # (member, center, tau^2) of each circle member
-        for member, cycle, cls in ((1, c1, classes[0]), (2, c2, classes[1])):
-            if cls is CycleClass.HYP_CIRCLE:
-                center, radius = hyp_center_radius(cycle)
-                circles.append((member, center, math.tanh(0.5 * radius) ** 2))
     except ConcentricCycles:
         return _skip("radical_axis", tol.construct, "concentric")
     except AxisOutsideDisk:
         return _skip("radical_axis", tol.construct, "axis_outside_disk")
-    except GeometryError:
-        return _skip("radical_axis", tol.construct, "unclassifiable_member")
+    circles = []  # (member, center, tau^2) of each member with a center
+    for member, cycle in ((1, c1), (2, c2)):
+        try:
+            center, radius = hyp_center_radius(cycle)
+        except NoHyperbolicCenter:
+            continue
+        circles.append((member, center, math.tanh(0.5 * radius) ** 2))
     residual = 0.0
     used = 0
     for p in sample_points(axis, AXIS_SAMPLES, margin=1e-6):

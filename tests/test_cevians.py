@@ -15,15 +15,13 @@ from hypfeuer.errors import BracketFailure, DivergentCevians, NotACycle
 from hypfeuer.geom_core import (
     DiskIsometry,
     Triangle,
-    hyp_distance,
+    disk_distance,
     mobius_to_origin,
     sigma,
     triangle_area,
 )
 from hypfeuer.cycles import (
-    CycleClass,
     GeneralizedCycle,
-    classify,
     geodesic_through,
     hyp_center_radius,
     membership_residual,
@@ -372,7 +370,7 @@ def test_euler_center_distance_consistency():
         ctr, rho = hyp_center_radius(cfg.euler_circle)
         assert ctr == pytest.approx(cfg.euler_center, abs=1e-11)
         for v in VERTICES:
-            assert hyp_distance(ctr, cfg.feet.bisector[v]) == pytest.approx(
+            assert disk_distance(ctr, cfg.feet.bisector[v]) == pytest.approx(
                 rho, abs=1e-9)
 
 
@@ -391,7 +389,7 @@ def test_circumcenter_equidistant_from_vertices():
         if cfg.circumcenter is None:
             continue
         tri = cfg.triangle
-        ds = [hyp_distance(cfg.circumcenter, p) for p in (tri.a, tri.b, tri.c)]
+        ds = [disk_distance(cfg.circumcenter, p) for p in (tri.a, tri.b, tri.c)]
         assert max(ds) - min(ds) < 1e-10
         assert cfg.circumradius == pytest.approx(ds[0], abs=1e-10)
 
@@ -407,7 +405,8 @@ def test_incircle_touches_all_sides():
         for v in VERTICES:
             gap = abs(point_geodesic_distance(inc.center, sides[v]) - inc.radius)
             assert gap < 1e-9
-        assert classify(inc.cycle) is CycleClass.HYP_CIRCLE
+        # read back from its coefficients, it is a circle inside the disk
+        assert hyp_center_radius(inc.cycle)[1] == pytest.approx(inc.radius, abs=1e-9)
 
 
 def test_tangency_gap_reads_the_built_circle(monkeypatch):

@@ -22,6 +22,7 @@ from hypfeuer.cli import (
     parse_triangle,
     run_verify,
 )
+from hypfeuer.geom_core import Triangle
 from hypfeuer.theorems import TheoremCheck, Tolerances
 
 EQUILATERAL = "0.25i,-0.21650635094610965-0.125i,0.21650635094610965-0.125i"
@@ -225,6 +226,24 @@ def test_feuerbach_point_passes_with_a_large_excircle(tmp_path):
     assert check["residual"] < 1e-12
 
 
+# verify --seed 2 in the 0.25 box at min_angle 0, index 48: angles 3.140,
+# 1.2e-3 and 2.2e-4, incircle radius 2.7e-5.  feuerbach passes at 6.25e-9
+# against 1e-8; a tangent circle built from its unit center vector
+# (ROADMAP Direction 27) failed here at 1.45e-7, and at 3.35e-8 with
+# O_t - 1 taken as |O_xy|^2 / (O_t + 1)
+SMALL_INCIRCLE_NEEDLE = ("0.14685002411677758-0.02239644526927447i,"
+                         "0.15992579537564144-0.0050161235074047536i,"
+                         "0.07653321667864287-0.11995738168638224i")
+
+
+def test_feuerbach_passes_on_a_needle_with_a_tiny_incircle(tmp_path):
+    code, out = run(tmp_path, "verify", "--trials", "1", "--suite", "feuerbach",
+                    "--triangle", SMALL_INCIRCLE_NEEDLE)
+    assert code == 0
+    (check,) = json.loads(out.read_text())["instances"][0]["checks"]
+    assert check["status"] == "pass"
+
+
 # legal triangles on which a check still fails (Known defects in the
 # ROADMAP): each is a strict xfail until its fix lands, when it has to
 # become a plain test
@@ -268,9 +287,20 @@ def test_vertices_next_to_the_absolute_run(tmp_path, argv):
     assert flags == NEAR_ABSOLUTE_FLAGS
 
 
-def test_collinear_triangle_is_geometry_error(tmp_path):
-    code, _ = run(tmp_path, "construct", "--triangle", "0.1,0.3,-0.2")
-    assert code == 1
+def test_collinear_triangle_is_geometry_error(tmp_path, capsys):
+    # Triangle.of refuses it when the scenario is read: a usage error
+    code, out = run(tmp_path, "construct", "--triangle", "0.1,0.3,-0.2")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "hypfeuer: triangle refused: DegenerateTriangle: area below 1e-12\n"
+
+
+def test_vertex_on_the_absolute_is_a_usage_error(capsys):
+    assert main(["verify", "--trials", "1", "--triangle", "1.0,0.2,0.3i"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "hypfeuer: triangle refused: BoundaryPoint: |z| = 1 exceeds 1 - 1e-12\n"
 
 
 # two vertices 1.7e-7 apart near the absolute: side c's normal has a
@@ -520,7 +550,7 @@ def _flag_cases(tmp_path) -> dict:
         "--tol-construct": ("1e-7", {"tolerances": Tolerances(construct=1e-7)}),
         "--tol-theorem": ("2e-8", {"tolerances": Tolerances(theorem=2e-8)}),
         "--tol-chain": ("3e-6", {"tolerances": Tolerances(chain=3e-6)}),
-        "--triangle": (EQUILATERAL, {"triangle": parse_triangle(EQUILATERAL)}),
+        "--triangle": (EQUILATERAL, {"triangle": Triangle.of(*parse_triangle(EQUILATERAL))}),
         "--out": (out, {"out": out}),
         "--format": ("json", {}),
         "--scenario": (str(scn), {"seed": 4}),

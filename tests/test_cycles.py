@@ -1,4 +1,4 @@
-"""Generalized cycles: construction, classification, intersection, tangency."""
+"""Generalized cycles: construction, centers, intersection, tangency."""
 
 import cmath
 import itertools
@@ -11,7 +11,6 @@ from random import Random
 import pytest
 
 from hypfeuer.errors import (
-    AmbiguousClass,
     BoundaryPoint,
     CoincidentPoints,
     IdenticalCycles,
@@ -19,13 +18,12 @@ from hypfeuer.errors import (
     NotACircle,
     NotACycle,
 )
-from hypfeuer.geom_core import as_complex, check_disk, hyp_distance
+from hypfeuer.geom_core import as_complex, check_disk, disk_distance
 from hypfeuer.cycles import (
-    CycleClass,
     GeneralizedCycle,
     _translate_raw,
     circle_from_center_radius,
-    classify,
+    coefficient_crossings,
     coefficient_distance,
     _circle_vector,
     cycle_through,
@@ -115,7 +113,7 @@ def test_geodesic_through_is_geodesic_and_contains():
         if abs(p - q) < 1e-2:
             continue
         g = geodesic_through(p, q)
-        assert classify(g) is CycleClass.GEODESIC
+        assert abs(g.c - g.a) < 1e-12
         assert membership_residual(g, p) < 1e-12
         assert membership_residual(g, q) < 1e-12
 
@@ -131,49 +129,53 @@ def test_diameter_with_direction():
     assert membership_residual(d, 0.3 * cmath.exp(0.4j)) < 1e-14
 
 
-# ----------------------------------------------------------- classification
+# ------------------------------------------------- against the absolute
 
-def test_classify_frozen_examples():
-    assert classify(circle_from_center_radius(0.2, 0.7)) is CycleClass.HYP_CIRCLE
-    assert classify(geodesic_through(0.3, -0.2j)) is CycleClass.GEODESIC
-    # euclidean circle |z - 0.5| = 0.5 touches the absolute at 1
-    assert classify(GeneralizedCycle.of(1.0, -0.5 + 0j, 0.0)) is CycleClass.HOROCYCLE
-    # through two boundary points but not orthogonal: equidistant
+def _absolute_crossings(cycle) -> int:
+    return len(coefficient_crossings(cycle.a, cycle.b, cycle.c, 1.0, 0j, -1.0))
+
+
+def test_frozen_examples_by_direct_predicate():
+    # a circle has a hyperbolic center; a geodesic has C = A
+    assert hyp_center_radius(circle_from_center_radius(0.2, 0.7))[1] == pytest.approx(
+        0.7, abs=1e-12)
+    g = geodesic_through(0.3, -0.2j)
+    assert abs(g.c - g.a) < 1e-12
+    # euclidean circle |z - 0.5| = 0.5 touches the absolute at 1: a
+    # horocycle, with no center and one crossing
+    h = GeneralizedCycle.of(1.0, -0.5 + 0j, 0.0)
+    with pytest.raises(NoHyperbolicCenter):
+        hyp_center_radius(h)
+    assert _absolute_crossings(h) == 1
+    # through two boundary points but not orthogonal: an equidistant
     e = cycle_through(0.9999999 * 1j, 0.9999999 * cmath.exp(0.3j), 0.5)
-    assert classify(e) is CycleClass.EQUIDISTANT
+    assert abs(e.c - e.a) > 1e-3
+    assert _absolute_crossings(e) == 2
 
 
-def test_classify_far_triangle_circumcircle_equidistant():
+def test_far_triangle_circumcycle_crosses_the_absolute_twice():
     # a triangle with a vertex pushed out has no circumscribed circle;
-    # the cycle through its vertices crosses the absolute
+    # the cycle through its vertices is an equidistant
     c = cycle_through(0.999, -0.6, 0.7j)
-    assert classify(c) is CycleClass.EQUIDISTANT
+    assert abs(c.c - c.a) > 1e-3
+    assert _absolute_crossings(c) == 2
 
 
-def test_classify_ambiguous_band():
-    delta = 2.5e-12
-    near = GeneralizedCycle.of(1.0, -0.5 - delta + 0j, 0.0)
-    with pytest.raises(AmbiguousClass):
-        classify(near)
-
-
-def test_classify_exterior_locus_rejected():
-    # small euclidean circle around 2: real locus, entirely outside
-    with pytest.raises(NotACycle):
-        classify(GeneralizedCycle.of(1.0, -2.0 + 0j, 3.9))
+def test_exterior_and_enclosing_loci_have_no_center():
+    # small euclidean circle around 2: real locus, entirely outside;
     # |z| = 2 encloses the disk, and |z + 0.5| = 1.5 encloses it touching
     # at -1: their Euclidean centers are inside, their loci are not
-    for enclosing in (GeneralizedCycle.of(1.0, 0j, -4.0),
-                      GeneralizedCycle.of(1.0, 0.5 + 0j, -2.0)):
-        with pytest.raises(NotACycle):
-            classify(enclosing)
+    for cycle in (GeneralizedCycle.of(1.0, -2.0 + 0j, 3.9),
+                  GeneralizedCycle.of(1.0, 0j, -4.0),
+                  GeneralizedCycle.of(1.0, 0.5 + 0j, -2.0)):
+        with pytest.raises(NoHyperbolicCenter):
+            hyp_center_radius(cycle)
 
 
-def test_classify_rejects_the_absolute():
-    # |z|^2 - 1 has P = 0: its absolute discriminant is exactly 0, and its
-    # k = -1 used to read as a horocycle inside the disk
-    with pytest.raises(NotACycle):
-        classify(GeneralizedCycle.of(1.0, 0j, -1.0))
+def test_the_absolute_has_no_center():
+    # |z|^2 - 1 has P = 0, so no center vector
+    with pytest.raises(NoHyperbolicCenter):
+        hyp_center_radius(GeneralizedCycle.of(1.0, 0j, -1.0))
 
 
 # ------------------------------------------------------- centers and radii
@@ -199,7 +201,7 @@ def test_origin_circle_euclid_radius():
 def test_circle_points_at_stated_distance():
     c = circle_from_center_radius(0.3 - 0.1j, 0.8)
     for p in sample_points(c, 12):
-        assert hyp_distance(p, 0.3 - 0.1j) == pytest.approx(0.8, abs=1e-10)
+        assert disk_distance(p, 0.3 - 0.1j) == pytest.approx(0.8, abs=1e-10)
 
 
 def _diameter_center_radius(cycle):
@@ -295,8 +297,9 @@ def test_transform_preserves_class():
     geod = geodesic_through(0.1, -0.4j)
     for _ in range(20):
         iso = random_isometry(rng)
-        assert classify(transform(iso, circle)) is CycleClass.HYP_CIRCLE
-        assert classify(transform(iso, geod)) is CycleClass.GEODESIC
+        assert hyp_center_radius(transform(iso, circle))[1] == pytest.approx(0.9, abs=1e-12)
+        image = transform(iso, geod)
+        assert abs(image.c - image.a) < 1e-12
 
 
 # ------------------------------------------------------------ intersection

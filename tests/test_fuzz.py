@@ -5,7 +5,8 @@ The corpus draws vertex radii near the absolute (1 - 10^-u), near the
 origin (10^-u) or uniformly, then makes some triangles near-collinear,
 some with two near-coincident vertices and some shrunk about a vertex
 by 10^-u.  Each triangle runs `construct`, `render` or `verify --trials
-1` through `cli.main` in process.
+1` through `cli.main` in process.  A triangle that `Triangle.of`
+refuses is a usage error: it exits 2, and no other input does.
 """
 
 import cmath
@@ -14,6 +15,8 @@ import math
 from random import Random
 
 from hypfeuer import cli
+from hypfeuer.errors import GeometryError
+from hypfeuer.geom_core import Triangle
 
 SEED = 1
 INPUTS = 300
@@ -56,9 +59,19 @@ def corpus(seed: int, count: int) -> list[list[str]]:
             for i in range(count)]
 
 
+def refused(argv: list[str]) -> bool:
+    """Whether Triangle.of refuses argv's triangle."""
+    try:
+        Triangle.of(*cli.parse_triangle(argv[-1]))
+    except GeometryError:
+        return True
+    return False
+
+
 def outcome(argv: list[str], capsys) -> str | None:
     """What breaks the contract on argv, or None: an escaping exception,
-    an exit code outside 0-2, stdout that is neither JSON nor (for
+    an exit code outside 0-2, exit 2 for a triangle Triangle.of takes or
+    any other for one it refuses, stdout that is neither JSON nor (for
     render) SVG, or a usage error that is not one `hypfeuer: ` line."""
     try:
         code = cli.main(argv)
@@ -68,6 +81,8 @@ def outcome(argv: list[str], capsys) -> str | None:
     out, err = capsys.readouterr()
     if code not in (0, 1, 2):
         return f"exit code {code}"
+    if (code == 2) != refused(argv):
+        return f"exit code {code} for a triangle Triangle.of {'refuses' if code != 2 else 'takes'}"
     if out:
         if argv[0] == "render":
             if not out.startswith("<svg"):
@@ -84,8 +99,11 @@ def outcome(argv: list[str], capsys) -> str | None:
 
 def test_fuzzed_triangles_work_or_exit_with_one_line(capsys):
     broken = {}
-    for argv in corpus(SEED, INPUTS):
+    inputs = corpus(SEED, INPUTS)
+    for argv in inputs:
         problem = outcome(argv, capsys)
         if problem is not None:
             broken[" ".join(argv)] = problem
     assert broken == {}
+    # the corpus reaches the refusals it is there to test
+    assert sum(map(refused, inputs)) >= 20

@@ -20,7 +20,7 @@ from hypfeuer.geom_core import (
     Triangle,
     as_complex,
     check_disk,
-    hyp_distance,
+    disk_distance,
     mobius_from_origin,
     mobius_to_origin,
     sigma,
@@ -40,29 +40,29 @@ def rand_point(rng, r=0.8):
 
 def test_distance_frozen_value():
     # 2 atanh(1/2) = ln 3
-    assert hyp_distance(0, 0.5) == pytest.approx(math.log(3.0), abs=1e-14)
+    assert disk_distance(0, 0.5) == pytest.approx(math.log(3.0), abs=1e-14)
 
 
 def test_distance_symmetry_and_zero():
     rng = Random(1)
     for _ in range(50):
         p, q = rand_point(rng), rand_point(rng)
-        assert hyp_distance(p, q) == pytest.approx(hyp_distance(q, p), abs=1e-13)
-        assert hyp_distance(p, p) == 0.0
+        assert disk_distance(p, q) == pytest.approx(disk_distance(q, p), abs=1e-13)
+        assert disk_distance(p, p) == 0.0
 
 
 def test_distance_triangle_inequality():
     rng = Random(2)
     for _ in range(100):
         p, q, r = (rand_point(rng) for _ in range(3))
-        assert hyp_distance(p, r) <= hyp_distance(p, q) + hyp_distance(q, r) + 1e-12
+        assert disk_distance(p, r) <= disk_distance(p, q) + disk_distance(q, r) + 1e-12
 
 
 def test_distance_additive_along_diameter():
     # collinear points through the origin add exactly
     a, b = -0.3, 0.6
-    assert hyp_distance(a, b) == pytest.approx(
-        hyp_distance(a, 0) + hyp_distance(0, b), abs=1e-13)
+    assert disk_distance(a, b) == pytest.approx(
+        disk_distance(a, 0) + disk_distance(0, b), abs=1e-13)
 
 
 def _decimal_distance(p, q):
@@ -100,18 +100,18 @@ def test_distance_matches_50_digits():
     for p, q in pairs:
         want = _decimal_distance(p, q)
         bound = 2.0 * eps * (1.0 / (1.0 - abs(p) ** 2) + 1.0 / (1.0 - abs(q) ** 2) + want)
-        assert abs(hyp_distance(p, q) - want) <= bound, (p, q)
+        assert abs(disk_distance(p, q) - want) <= bound, (p, q)
     # the pair whose pseudolength rounds to 1 has a distance (42.8327902
     # at 50 digits), and Triangle.of takes the three points
-    assert hyp_distance(NEAR_ABSOLUTE[0], NEAR_ABSOLUTE[2]) == pytest.approx(42.8327902, abs=1e-5)
+    assert disk_distance(NEAR_ABSOLUTE[0], NEAR_ABSOLUTE[2]) == pytest.approx(42.8327902, abs=1e-5)
     Triangle.of(*NEAR_ABSOLUTE)
 
 
 def test_boundary_point_rejected():
     with pytest.raises(BoundaryPoint):
-        hyp_distance(0, 1.0)
+        check_disk(1.0)
     with pytest.raises(BoundaryPoint):
-        hyp_distance(1.000001, 0)
+        check_disk(1.000001)
 
 
 def test_as_complex_accepts_tuples():
@@ -136,9 +136,9 @@ def test_midpoint_is_equidistant_and_between():
         if abs(p - q) < 1e-6:
             continue
         m = hyp_midpoint(p, q)
-        d1, d2 = hyp_distance(p, m), hyp_distance(m, q)
+        d1, d2 = disk_distance(p, m), disk_distance(m, q)
         assert d1 == pytest.approx(d2, abs=1e-12)
-        assert d1 + d2 == pytest.approx(hyp_distance(p, q), abs=1e-12)
+        assert d1 + d2 == pytest.approx(disk_distance(p, q), abs=1e-12)
 
 
 # ------------------------------------------------------------------- angles
@@ -404,8 +404,8 @@ def test_isometry_preserves_distance():
     for _ in range(40):
         iso = random_isometry(rng)
         p, q = rand_point(rng), rand_point(rng)
-        assert hyp_distance(iso(p), iso(q)) == pytest.approx(
-            hyp_distance(p, q), abs=1e-12)
+        assert disk_distance(iso(p), iso(q)) == pytest.approx(
+            disk_distance(p, q), abs=1e-12)
 
 
 def test_isometry_inverse_round_trip():

@@ -137,10 +137,6 @@ KEPT_UNREFERENCED = {
     # circle; the Euler-map step of the checks will read them
     "homothety_cycle": "power.py",
     "inversion_cycle": "power.py",
-    # the distance between two point-like inputs, each checked as
-    # Triangle.of checks its vertices; the package's own callers hold
-    # checked or constructed points and call the kernel disk_distance
-    "hyp_distance": "geom_core.py",
 }
 
 

@@ -255,11 +255,12 @@ SURVIVORS = {
     # inside": the pencils diverge, and the concurrency points, the
     # tritangent centers, the circles' centers and the homothetic
     # centers go missing, so the checks that need them skip instead of
-    # failing; only their skips show it (pinned below)
+    # failing (radical_axis runs without its chord checks); only their
+    # skips show it (pinned below)
     "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
-    # cycle through sign-free quantities (tangency, classification and
-    # the hyperboloid plane all turn the sign away)
+    # cycle through sign-free quantities (tangency, |C - A| and the
+    # hyperboloid plane all turn the sign away)
     "sign_convention_flipped": (GeneralizedCycle, "of", _sign_convention_flipped),
     # the tritangent radius is the mean of a center's three side
     # distances, equal by the algebra of tangent_circles, so rotating

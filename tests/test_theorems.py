@@ -11,10 +11,8 @@ from hypfeuer import cevians, cli, geom_core, instances, power, theorems
 from hypfeuer.cevians import _shoot_tangent_circle, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
-    CycleClass,
     _hyperboloid_plane,
     circle_from_center_radius,
-    classify,
     cycle_through,
     geodesic_through,
     hyp_center_radius,
@@ -33,7 +31,7 @@ from hypfeuer.errors import (
 from hypfeuer.geom_core import (
     Triangle,
     convex_quad_angles,
-    hyp_distance,
+    disk_distance,
     signed_area,
     triangle_area,
 )
@@ -255,7 +253,7 @@ def test_lexell_locus_is_equidistant_curve():
     for idx in range(6):
         a, b, x0 = lexell_instance(instance_rng(608, idx))
         locus = lexell_cycle(a, b, x0)
-        assert classify(locus) is CycleClass.EQUIDISTANT
+        assert abs(locus.c - locus.a) >= 1e-12
         assert len(intersect(locus, ABSOLUTE)) == 2
 
 
@@ -381,7 +379,7 @@ def test_euler_line_of_a_centred_equilateral_triangle():
     tri = Triangle.of(*(0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)))
     cfg = build_config(tri)
     o = cfg.circumcenter
-    distances = [hyp_distance(o, p) for p in
+    distances = [disk_distance(o, p) for p in
                  (cfg.euler_center, cfg.bisector_point, cfg.pseudo_orthocenter)]
     assert max(distances) < 1e-12
     chk = check_euler_line(cfg)
@@ -479,8 +477,8 @@ def test_triangle_checks_isometry_equivariant():
     iso = random_isometry(Random(615))
     moved = build_config(Triangle.of(iso(tri.a), iso(tri.b), iso(tri.c)))
     # centers are label-free, so they must track the isometry exactly
-    assert hyp_distance(iso(cfg.pseudo_orthocenter), moved.pseudo_orthocenter) < 1e-8
-    assert hyp_distance(iso(cfg.bisector_point), moved.bisector_point) < 1e-8
+    assert disk_distance(iso(cfg.pseudo_orthocenter), moved.pseudo_orthocenter) < 1e-8
+    assert disk_distance(iso(cfg.bisector_point), moved.bisector_point) < 1e-8
     r1 = hyp_center_radius(cfg.euler_circle)[1]
     r2 = hyp_center_radius(moved.euler_circle)[1]
     assert r1 == pytest.approx(r2, abs=1e-9)
@@ -507,7 +505,7 @@ def test_triangle_checks_isometry_equivariant():
                 p, q = center(cfg), center(moved)
                 assert (p is None) == (q is None), (box, i)
                 if p is not None:
-                    assert hyp_distance(iso(p), q) < 1e-11, (box, i)
+                    assert disk_distance(iso(p), q) < 1e-11, (box, i)
 
 
 # each drawn suite's generator, purpose stream and check
@@ -547,7 +545,8 @@ def test_radical_axis_random_pairs():
             assert chk.flag in ("concentric", "axis_outside_disk")
             continue
         assert chk.status == "pass", (idx, chk)
-        assert classify(power.radical_axis(c1, c2)) is CycleClass.GEODESIC
+        axis = power.radical_axis(c1, c2)
+        assert abs(axis.c - axis.a) < 1e-12
         passes += 1
     assert passes >= 12
 
@@ -558,6 +557,19 @@ def test_radical_axis_geodesic_member_skips():
     chk = check_radical_axis(c, g)
     assert chk.status == "skipped"
     assert chk.flag == "constant_power_member"
+
+
+# a member without a hyperbolic center gets no chord check, whatever
+# kind of cycle it is
+@pytest.mark.parametrize("member", [
+    # |z - 0.5| = 0.5 touches the absolute at 1
+    GeneralizedCycle.of(1.0, -0.5 + 0j, 0.0),
+    cycle_through(cmath.exp(0.3j), cmath.exp(2.0j), 0.1 + 0.5j),
+], ids=["horocycle", "equidistant"])
+def test_radical_axis_skips_the_chord_check_of_a_member_without_a_center(member):
+    chk = check_radical_axis(circle_from_center_radius(-0.2 + 0.1j, 0.5), member)
+    assert chk.status == "pass", chk
+    assert chk.witness["power_checked"] == [1]
 
 
 def test_radical_axis_concentric_skips():
