@@ -47,16 +47,16 @@ through three points) and samples along a cycle, split into its frame
 (``sample_frame``) and the expression of one sample (``frame_point``),
 so a caller computes only the samples it reads; ``farthest_sample``
 picks the one farthest from a point of the cycle.  Only this module
-reads a frame's layout.  A cycle that crosses the absolute, a line or
-not, is sampled by arc length from its point m nearest the origin
-(``arc_frame``): the point at arc length s is m + t h e^{i kappa s / 2}
-(``arc_point``) and a point's arc length is read back by
-``arc_length``, so no center or radius is formed and a near-line of
-huge Euclidean radius keeps its samples on it.  Its part inside the
-disk (``disk_arc``) is the arc through m between its two crossings of
-the absolute, found once for the sampler and the SVG clip.  Only a
-circle that does not cross the absolute is sampled by angle about its
-center.
+reads a frame's layout.  Every cycle, a line or not, is sampled by arc
+length from its point m nearest the origin (``arc_frame``; a circle
+about the origin takes m on the positive real axis): the point at arc
+length s is m + t h e^{i kappa s / 2} (``arc_point``) and a point's arc
+length is read back by ``arc_length``, so no center or radius is formed
+and a near-line of huge Euclidean radius keeps its samples on it.  The
+part of a cycle inside the disk (``disk_arc``) is the arc through m
+between its two crossings of the absolute, found once for the sampler
+and the SVG clip; a cycle that does not cross it twice is sampled, and
+drawn, whole.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ class GeneralizedCycle(Record):
     def is_line(self) -> bool:
         """Euclidean line through the origin region (A = 0)."""
         return abs(self.a) < GEODESIC_EPS
-
-    def euclid_center_radius(self) -> tuple[complex, float]:
-        if self.is_line:
-            raise NotACircle("straight line has no Euclidean center")
-        return coefficient_center_radius(self.a, self.b, self.c)
 
     def gradient(self, p: complex) -> complex:
         """Euclidean gradient of E at p, as a complex vector."""
@@ -478,19 +473,18 @@ def point_geodesic_distance(p: complex, geo: GeneralizedCycle) -> float:
     return math.asinh(abs(geo.evaluate(p)) / ((1.0 - r2) * math.sqrt(norm2)))
 
 
-# sample_frame kinds
-FRAME_ARC = "arc"
-FRAME_CIRCLE = "circle"
-
-
 def arc_frame(cycle: GeneralizedCycle) -> tuple[complex, complex, float]:
-    """(m, t, kappa) of a cycle with B != 0: its point nearest the origin
+    """(m, t, kappa) of a cycle: its point nearest the origin
     m = -B C / (|B| (|B| + S)), S = sqrt(|B|^2 - A C), the unit tangent
     t = i B / |B| there, and the signed curvature kappa = A / S, 0 on a
     line; the center is m + i t / kappa.  No term cancels, however
-    small A is, so a near-line keeps its digits."""
+    small A is, so a near-line keeps its digits.  A circle about the
+    origin (B = 0) has every point nearest: it takes m = -C / S on the
+    positive real axis and t = i."""
     b, nb = cycle.b, abs(cycle.b)
     s = math.sqrt(max(nb * nb - cycle.a * cycle.c, 0.0))
+    if nb == 0.0:
+        return complex(-cycle.c / s), 1j, cycle.a / s
     return -b * cycle.c / (nb * (nb + s)), 1j * b / nb, cycle.a / s
 
 
@@ -538,41 +532,30 @@ def disk_arc(cycle: GeneralizedCycle, margin: float) -> tuple | None:
 
 
 def sample_frame(cycle: GeneralizedCycle, margin: float = 1e-6) -> tuple:
-    """Where sample_points(cycle, count, margin) puts its samples, for
-    any count; frame_point gives each sample.
-
-    * a cycle that crosses the shrunk absolute, a line or not:
-      (FRAME_ARC, m, t, kappa, half), its arc_frame and the half-length
-      of its in-disk arc (disk_arc) less a pad of 1e-3 of the arc at
-      each end; the samples spread evenly over the arc lengths from
-      -half to half.  A line that misses the shrunk disk has every
-      sample at m: kappa and half 0;
-    * a circle that does not: (FRAME_CIRCLE, ec, er, 0.0, 2 pi), its
-      Euclidean center and radius, sampled uniformly in angle from 0,
-      the last sample short of 2 pi.
-    """
+    """(m, t, kappa, half): where sample_points(cycle, count, margin) puts
+    its samples, for any count; frame_point gives each sample.  The
+    samples spread evenly over the arc lengths from -half to half of the
+    cycle's arc_frame, half being less a pad of 1e-3 of the span at each
+    end.  On a cycle that crosses the shrunk absolute, a line or not, the
+    span is its in-disk arc (disk_arc); on any other it is the whole
+    curve, pi / |kappa| either side of m, or nothing on a line (every
+    sample at m)."""
     arc = disk_arc(cycle, margin)
     if arc is not None:
         frame, _, half = arc
-        return (FRAME_ARC, *frame, half * (1.0 - 2e-3))
-    if cycle.is_line:
-        return (FRAME_ARC, *arc_frame(cycle)[:2], 0.0, 0.0)
-    ec, er = cycle.euclid_center_radius()
-    return FRAME_CIRCLE, ec, er, 0.0, 2.0 * math.pi
+    else:
+        frame = arc_frame(cycle)
+        half = math.pi / abs(frame[2]) if frame[2] else 0.0
+    return (*frame, half * (1.0 - 2e-3))
 
 
 def frame_point(frame: tuple, k: int, count: int) -> complex:
     """Sample k of count in a sample_frame, without the other samples:
-    bit for bit the one sample_points(cycle, count, margin) keeps when it
-    lies inside the disk.  On an arc it is arc_point at half (2 k /
-    (count - 1) - 1); on a whole circle, at angle t, ec + er exp(i t):
-    cmath.exp of a purely imaginary argument is complex(cos t, sin t)
-    bit for bit, in one call."""
-    if frame[0] is FRAME_ARC:
-        _, m, t, kappa, half = frame
-        return arc_point(m, t, kappa, half * (2.0 * k / (count - 1) - 1.0))
-    _, ec, er, _, span = frame
-    return ec + er * cmath.exp(1j * (span * k / count))
+    arc_point at half (2 k / (count - 1) - 1), bit for bit the one
+    sample_points(cycle, count, margin) keeps when it lies inside the
+    disk."""
+    m, t, kappa, half = frame
+    return arc_point(m, t, kappa, half * (2.0 * k / (count - 1) - 1.0))
 
 
 def farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
@@ -581,21 +564,16 @@ def farthest_sample(frame: tuple, count: int, c0: complex) -> complex:
     sort of all of them by -abs(z - c0).
 
     The distance grows with the arc between a sample and c0 up to c0's
-    antipode, at arc length s0 +- pi / |kappa| on an arc and angle
-    phase(c0 - ec) + pi on a whole circle; on a line it grows without
-    end.  So the farthest is an end or one of the two samples either
-    side of the antipode, and only those (at most four) are computed
-    (frame_point)."""
-    if frame[0] is FRAME_ARC:
-        _, m, t, kappa, half = frame
-        s0 = arc_length(m, t, kappa, c0)
-        # the antipode on the side of m away from c0; a line has none
-        below = math.floor((s0 - math.copysign(math.pi / kappa, s0) + half) / (2.0 * half)
-                           * (count - 1)) if kappa else -1
-    else:
-        _, ec, _, _, span = frame
-        below = math.floor((cmath.phase(c0 - ec) + math.pi) % (2.0 * math.pi) * (count / span))
-    # on a whole circle the sample past the last is sample 0, an end
+    antipode, at arc length s0 +- pi / |kappa|; on a line it grows
+    without end.  So the farthest is an end or one of the two samples
+    either side of the antipode, and only those (at most four) are
+    computed (frame_point).  An antipode in the padded gap of a whole
+    circle lies beyond an end, and the two ends are always computed."""
+    m, t, kappa, half = frame
+    s0 = arc_length(m, t, kappa, c0)
+    # the antipode on the side of m away from c0; a line has none
+    below = math.floor((s0 - math.copysign(math.pi / kappa, s0) + half) / (2.0 * half)
+                       * (count - 1)) if kappa else -1
     ks = {0, count - 1, *(k for k in (below, below + 1) if 0 <= k < count)}
     # max keeps the first of equal distances, so the lower index
     return max((frame_point(frame, k, count) for k in sorted(ks)), key=lambda z: abs(z - c0))
@@ -608,9 +586,10 @@ def sample_points(cycle: GeneralizedCycle, count: int,
     cycle that crosses the shrunk absolute or lies inside it, none on a
     cycle with no part inside.
 
-    Circles fully inside the disk are sampled uniformly in angle; arcs
-    (geodesics, equidistants) are sampled between their two crossings of
-    a slightly shrunk absolute so every sample keeps the margin.
+    Every cycle is sampled by arc length: an arc (geodesic, equidistant,
+    large circle) between its two crossings of a slightly shrunk
+    absolute, so every sample keeps the margin, and a circle inside the
+    disk all round, from m's antipode back to it.
     """
     frame = sample_frame(cycle, margin)
     return [z for k in range(count) if abs(z := frame_point(frame, k, count)) < 1.0]
@@ -619,17 +598,8 @@ def sample_points(cycle: GeneralizedCycle, count: int,
 def _arc_samples(cycle: GeneralizedCycle, a: complex, b: complex,
                  count: int) -> list[complex]:
     """Interior points on the arc of the cycle from a to b (excluding
-    both): counterclockwise from a on a circle inside the disk, and
-    otherwise between the arc lengths of a and b (arc_length), an arc
+    both): between the arc lengths of a and b (arc_length), an arc
     through the cycle's point nearest the origin."""
-    if not cycle.is_line:
-        ec, er = cycle.euclid_center_radius()
-        if abs(ec) + er < 1.0 - 1e-9:
-            ta = cmath.phase(a - ec)
-            delta = (cmath.phase(b - ec) - ta) % (2.0 * math.pi)
-            xs = [ec + er * cmath.exp(1j * (ta + delta * k / (count + 1)))
-                  for k in range(1, count + 1)]
-            return [z for z in xs if abs(z - a) > 1e-9 and abs(z - b) > 1e-9]
     m, t, kappa = arc_frame(cycle)
     sa, sb = arc_length(m, t, kappa, a), arc_length(m, t, kappa, b)
     xs = [arc_point(m, t, kappa, sa + (sb - sa) * k / (count + 1)) for k in range(1, count + 1)]

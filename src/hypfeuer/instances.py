@@ -153,8 +153,9 @@ def lexell_instance(rng: Random) -> tuple[complex, complex, complex]:
 def arc_instance(rng: Random) -> tuple[GeneralizedCycle, complex, complex]:
     """A cycle together with two points a and b on it: the first and the
     ninth of the 24 points sample_points spreads over its in-disk part,
-    so a third of a whole circle apart and 8/23 of an arc's span.  Only
-    those two are computed (frame_point), bit for bit sample_points'.
+    8/23 of the sampled span apart, the span being an arc or a whole
+    circle less its pad.  Only those two are computed (frame_point), bit
+    for bit sample_points'.
     Every cycle has all 24, so no draw is rejected, and the arc between
     a and b that check_inscribed_angle samples lies inside the disk."""
     cycle = random_cycle(rng)

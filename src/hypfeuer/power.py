@@ -41,7 +41,6 @@ from .errors import (
 )
 from .geom_core import Record
 from .cycles import (
-    GEODESIC_EPS,
     GeneralizedCycle,
     _circle_vector,
     _translate_raw,
@@ -66,7 +65,11 @@ def power_of_point(p: complex, cycle: GeneralizedCycle) -> float:
 
 
 def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle:
-    """The geodesic of points with equal power with respect to c1 and c2.
+    """The geodesic of points with equal power with respect to c1 and c2,
+    neither of them a geodesic (|C - A| at least GEODESIC_EPS): a
+    geodesic's power is identically 1, so against it the powers agree
+    nowhere or everywhere, and the caller (check_radical_axis) skips such
+    a pair before it gets here.
 
     The combination below has equal leading and constant coefficients by
     construction, so it is exactly a geodesic; no projection step is
@@ -77,11 +80,6 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     circles' hyperboloid vectors (``cycles._circle_vector``) decide
     which error is raised.
     """
-    # a geodesic has equal leading/constant coefficients, which makes its
-    # power identically 1: against anything else powers can never agree,
-    # and against another geodesic they agree everywhere
-    if abs(c1.c - c1.a) < GEODESIC_EPS or abs(c2.c - c2.a) < GEODESIC_EPS:
-        raise ConcentricCycles("constant power on a geodesic member")
     ar = c1.a * c2.c - c2.a * c1.c
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
     if abs(br) ** 2 - ar * ar <= 1e-28:

@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, disk_arc
+from .cycles import GeneralizedCycle, coefficient_center_radius, disk_arc
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -82,7 +82,7 @@ def _draw_segment(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
     if cycle.is_line:
         cv.line(elem_id, p, q, stroke, width)
         return
-    ec, er = cycle.euclid_center_radius()
+    ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
     ang = cmath.phase((q - ec) / (p - ec))
     # interior-to-interior arcs of an orthogonal circle always span < pi
     sweep = 0 if ang > 0 else 1
@@ -91,23 +91,24 @@ def _draw_segment(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
 
 def _draw_cycle(cv: _Canvas, elem_id: str, cycle: GeneralizedCycle,
                 stroke: str, width: float):
-    """Whole cycle, clipped to the unit disk when it reaches the absolute:
-    a line or an arc between disk_arc's crossings, with the large-arc
-    flag where the arc turns by more than pi (|kappa| 2 half > pi)."""
-    if not cycle.is_line:
-        ec, er = cycle.euclid_center_radius()
-        if abs(ec) + er <= 1.0 + 1e-12:
-            cv.circle(elem_id, ec, er, stroke, width)
-            return
+    """Whole cycle, clipped to the unit disk: a whole circle where it does
+    not cross the absolute twice (disk_arc), otherwise a line or an arc
+    between disk_arc's crossings, with the large-arc flag where the arc
+    turns by more than pi (|kappa| 2 half > pi).  Every cycle of a
+    configuration passes through interior points, so one that does not
+    cross lies inside."""
     arc = disk_arc(cycle, 0.0)
     if arc is None:
-        return  # wholly outside the disk: nothing to draw
+        cv.circle(elem_id, *coefficient_center_radius(cycle.a, cycle.b, cycle.c),
+                  stroke, width)
+        return
     (_, _, kappa), (p, q), half = arc
     if cycle.is_line:
         cv.line(elem_id, p, q, stroke, width)
     else:
         # p to q runs along the tangent: counterclockwise, as sweep 0
         # draws, where kappa > 0
+        er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)[1]
         cv.arc(elem_id, *((p, q) if kappa > 0.0 else (q, p)), er,
                abs(kappa) * 2.0 * half > math.pi, 0, stroke, width)
 

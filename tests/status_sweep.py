@@ -11,10 +11,10 @@ one line per check:
 
 with the residual as ``repr`` of the float (``None`` for a skip), and
 one ``box min_angle seed - exit <code>`` line per scenario.  Two
-trees' outputs compare with ``diff``: a status or flag change shows as
-a changed line, and so does a residual that moved by one bit; ``cut -d'
-' -f1-7`` sets the residuals aside.  Stdlib only; pytest does not
-collect it.
+trees' outputs compare with ``tests/status_diff.py PARENT CHANGE``,
+which prints every changed exit code, status or flag and, per check,
+how many residuals moved and the worst on each side.  Stdlib only;
+pytest does not collect it.
 """
 
 from __future__ import annotations

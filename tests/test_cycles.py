@@ -21,12 +21,16 @@ from hypfeuer.errors import (
 from hypfeuer.geom_core import as_complex, check_disk, disk_distance
 from hypfeuer.cycles import (
     GeneralizedCycle,
+    _arc_samples,
+    arc_frame,
     _translate_raw,
     circle_from_center_radius,
+    coefficient_center_radius,
     coefficient_crossings,
     coefficient_distance,
     _circle_vector,
     cycle_through,
+    farthest_sample,
     geodesic_through,
     hyp_center_radius,
     intersect,
@@ -36,6 +40,7 @@ from hypfeuer.cycles import (
     plane_distances,
     point_geodesic_distance,
     point_lift,
+    sample_frame,
     sample_points,
     tangency_ratio,
     tangency_residual,
@@ -45,6 +50,7 @@ from hypfeuer.cycles import (
 )
 from hypfeuer.instances import PURPOSE_MONGE, instance_rng, monge_triple
 from hypfeuer.power import homothetic_centers
+from hypfeuer.theorems import check_inscribed_angle
 from oracles import (
     diameter_with_direction,
     geodesic_meet,
@@ -193,7 +199,7 @@ def test_circle_center_radius_round_trip():
 
 def test_origin_circle_euclid_radius():
     c = circle_from_center_radius(0, 1.0)
-    ec, er = c.euclid_center_radius()
+    ec, er = coefficient_center_radius(c.a, c.b, c.c)
     assert abs(ec) < 1e-15
     assert er == pytest.approx(math.tanh(0.5), abs=1e-14)
 
@@ -211,7 +217,7 @@ def _diameter_center_radius(cycle):
     coordinates.  None where no interior center exists."""
     if cycle.is_line:
         return None
-    ec, er = cycle.euclid_center_radius()
+    ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
     if abs(ec) < 1e-15:
         return (0j, 2.0 * math.atanh(er)) if er < 1.0 else None
     s, t = abs(ec) - er, abs(ec) + er
@@ -567,6 +573,45 @@ def test_sample_points_lie_on_cycle():
         for p in pts:
             assert abs(p) < 1.0
             assert membership_residual(c, p) < 1e-9
+
+
+@pytest.mark.parametrize("cycle", [
+    circle_from_center_radius(0j, 0.8),
+    GeneralizedCycle.of(-2.0, 0j, 0.5),  # |z| = 1/2, its signs turned by of
+], ids=["hyperbolic", "coefficients"])
+def test_a_circle_about_the_origin_is_sampled_on_it(cycle):
+    # B = 0: every point of the circle is nearest the origin, so its
+    # frame starts on the positive real axis and runs counterclockwise
+    radius = coefficient_center_radius(cycle.a, cycle.b, cycle.c)[1]
+    m, t, kappa = arc_frame(cycle)
+    assert (m.imag, t, kappa) == (0.0, 1j, cycle.a / math.sqrt(-cycle.a * cycle.c))
+    assert m.real == pytest.approx(radius, abs=1e-15)
+    pts = sample_points(cycle, 24)
+    between = _arc_samples(cycle, pts[0], pts[8], 4)
+    far = farthest_sample(sample_frame(cycle), 24, pts[3])
+    assert len(pts) == 24 and len(between) == 4
+    assert far == sorted(pts, key=lambda z: -abs(z - pts[3]))[0]
+    for z in pts + between:
+        assert abs(abs(z) - radius) <= 1e-15
+    chk = check_inscribed_angle(cycle, pts[0], pts[8])
+    assert chk.status == "pass", chk
+
+
+def test_a_whole_circle_is_sampled_all_round_less_the_pad():
+    # from just past the antipode of m, through m, to just before it:
+    # the first and last samples sit 1e-3 of the circle either side of
+    # the antipode, and the arc between two samples runs through m
+    c = circle_from_center_radius(0.3 - 0.2j, 0.7)
+    m, t, kappa, half = sample_frame(c)
+    assert half == math.pi / kappa * (1.0 - 2e-3)
+    ec, er = coefficient_center_radius(c.a, c.b, c.c)
+    pts = sample_points(c, 24)
+    antipode = 2.0 * ec - m
+    for z in (pts[0], pts[-1]):
+        assert abs(z - antipode) == pytest.approx(2.0 * er * math.sin(1e-3 * math.pi), rel=1e-9)
+    assert abs(pts[0] - pts[-1]) == pytest.approx(2.0 * er * math.sin(2e-3 * math.pi), rel=1e-9)
+    between = _arc_samples(c, pts[1], pts[22], 21)
+    assert len(between) == 21 and abs(between[10] - m) < 1e-15
 
 
 @pytest.mark.parametrize("coefficients", [

@@ -13,7 +13,7 @@ from hypfeuer.errors import (
     DegenerateAngle,
     DegenerateTriangle,
 )
-from hypfeuer.cycles import cycle_through
+from hypfeuer.cycles import coefficient_center_radius, cycle_through
 from hypfeuer.geom_core import (
     COINCIDENT_EPS,
     DiskIsometry,
@@ -314,7 +314,8 @@ def test_sigma_and_area_kernels_equal_the_scalar_composition():
     rng = Random(31)
     for _ in range(200):
         a, b = rand_point(rng, 0.95), rand_point(rng, 0.95)
-        ec, er = cycle_through(a, b, rand_point(rng, 0.95)).euclid_center_radius()
+        c = cycle_through(a, b, rand_point(rng, 0.95))
+        ec, er = coefficient_center_radius(c.a, c.b, c.c)
         xs = [ec + er * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
         xs = [x for x in xs if abs(x) < 1.0 - 1e-9] + [rand_point(rng, 0.95) for _ in range(12)]
         for x in xs:

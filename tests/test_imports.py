@@ -277,10 +277,6 @@ def test_only_cevians_names_config_flags(module):
     assert [s for s in string_constants(source) if s.startswith(CONFIG_FLAG_PREFIXES)] == []
 
 
-# the kinds of cycles.sample_frame, whose layout cycles alone reads
-FRAME_KINDS = frozenset({"FRAME_ARC", "FRAME_CIRCLE"})
-
-
 def mentioned_names(source: str) -> set[str]:
     """Every name a module imports, defines or reads, as a name or an
     attribute."""
@@ -295,26 +291,6 @@ def mentioned_names(source: str) -> set[str]:
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
     return names
-
-
-def frame_kind_names(source: str) -> set[str]:
-    """The FRAME_* kinds a module imports or reads."""
-    return mentioned_names(source) & FRAME_KINDS
-
-
-def test_frame_kind_names_are_found():
-    source = ("from .cycles import FRAME_ARC as arc\nimport x\n"
-              "y = x.FRAME_CIRCLE\nz = FRAME_CIRCLE\nw = 'FRAME_ARC'\n")
-    assert frame_kind_names(source) == FRAME_KINDS
-
-
-@pytest.mark.parametrize("module", sorted(
-    name for name in os.listdir(PACKAGE) if name.endswith(".py") and name != "cycles.py"))
-def test_only_cycles_names_a_sample_frame_kind(module):
-    # frame_point and farthest_sample say where a sample sits, so no
-    # other module re-derives a frame's layout
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        assert frame_kind_names(fh.read()) == set()
 
 
 @pytest.mark.parametrize("module", sorted(

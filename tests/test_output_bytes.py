@@ -35,7 +35,13 @@ root-finder of the converse trapezoid draws, and feuerbach_point came to
 take each excircle contact from the Euler circle's side and to add the
 three Euler-excircle tangency gaps to its residual: that moved the
 residual bytes of the converse trapezoid and the feuerbach_point checks,
-and no status or flag.
+and no status or flag.  They were recorded once more when a circle
+inside the disk came to be sampled by arc length from its point
+nearest the origin, like a line or an arc, and no longer by angle from
+the right of its center: that moved the two points of each whole-circle
+inscribed_angle instance along their circle, so the residual and the
+witness's sigma and center_angle_gap bytes of that check, and no status
+or flag.
 
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
@@ -72,17 +78,17 @@ DIGESTS = {
     ("render-json", 0.25):
         "0c9a4bf280eb1dd6b587b87d089dc892a6d7f425059eabb68191e83da615c105",
     ("verify", 0.7):
-        "45556aae191f4aa68270823b93c2f072285582a84eff008c83c27a2377c0ab40",
+        "694ece18919ed35cffc24117675d2b4e147a8d0d656f47e39593ea49b65726ca",
     ("verify", 0.25):
-        "e739dfa750f7dbf3e7e2cf9eb3ad5772cd639be498247caf4e303dd05ee25071",
+        "12bd0e946fcbe8728cb1d864c59202a7ec0f8b8214a8fc6c5bff85c330617636",
     ("verify-drawn", 0.7):
-        "e7750fba9aab588b83898d163b4703d7037ed17eab82310ed8318a051f5e352c",
+        "8f2e00d7d02d62f484fc7b68a68e88b00a6c791450ec87fd2491bc44890f4e93",
     ("verify-drawn", 0.25):
-        "fa99a6633f1933e06627e808ce71ca6d826ad59cbe0df9e62f36d1e4fa739858",
+        "6394aebeddc3dca485c666c2ece59706f8fd91e779d9a6f9af4c2ed0175bac2f",
     ("verify-sweep", 0.7):
-        "9b81e87a5eceaa56b4cab92e84a5fdd6c18b1e4ca8a7658eb9775fb0970c570f",
+        "1526aa6f8358212cd8de38dc71874da38ac02c7ad3aeb4fc42866e6569396238",
     ("verify-sweep", 0.25):
-        "9d1bc62b86327252e86d03aea779137683f89884e5d75c2b2369b6869e23ac8b",
+        "76375902e5d338b7b7cf01ec4772eee4e86642a7324a8f1ac1a970668110e873",
 }
 
 # the verify arguments of each run a digest covers

@@ -12,9 +12,13 @@ side frame's zeta against the former frame's radius and angle; the
 concurrency pencil, which replaced a pairwise scan, against its 50-digit
 oracle (oracles.decimal_pencil); and the arc-length sampler, whose
 samples stay on their cycle where the former center + radius e^{it}
-sat eps R off it, against the former sampler within that error, with
-the draws built on it making the same rejections.  The call-count pins
-at the end fix what the rewrites save.
+sat eps R off it, against the former sampler within that error on lines
+and arcs, with the draws built on it making the same rejections.  A
+circle inside the disk is sampled from its point nearest the origin
+now, not by angle from the right of its center, so its samples sit
+elsewhere on it: they are held to lie on it as closely as the former
+angle sampler's did.  The call-count pins at the end fix what the
+rewrites save.
 """
 
 import cmath
@@ -33,6 +37,7 @@ from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_po
 from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
+    coefficient_center_radius,
     cycle_through,
     geodesic_through,
     intersect,
@@ -138,13 +143,15 @@ def _ref_sample_points(cycle, count, margin=1e-6):
     """The former sampler: center + radius e^{it} on a circle, with the
     midpoint test that picks the arc inside.  A line's chord takes the
     pad of 1e-3 at each end that an arc's angles take, as it does since
-    lines and arcs share one frame."""
+    lines and arcs share one frame.  A circle that does not cross the
+    shrunk absolute takes the angle sampler the arc-length frame
+    replaced, bit for bit."""
     if cycle.is_line:
         d = 1j * cycle.b / abs(cycle.b)
         z0 = -cycle.c * cycle.b / (2.0 * abs(cycle.b) ** 2)
         half = math.sqrt(max(0.0, (1.0 - margin) ** 2 - abs(z0) ** 2)) * (1.0 - 2e-3)
         return [z0 + d * (half * (2.0 * k / (count - 1) - 1.0)) for k in range(count)]
-    ec, er = cycle.euclid_center_radius()
+    ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
     shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
     crossings = intersect(cycle, shrunk)
     if len(crossings) < 2:
@@ -158,6 +165,17 @@ def _ref_sample_points(cycle, count, margin=1e-6):
     lo, hi = t0 + pad, t1 - pad
     return [ec + er * complex(math.cos(t), math.sin(t))
             for t in (lo + (hi - lo) * k / (count - 1) for k in range(count))]
+
+
+def _ref_arc_samples_by_angle(cycle, a, b, count):
+    """The former _arc_samples of a circle inside the disk: count points
+    counterclockwise from a to b, evenly spaced in angle about the
+    center."""
+    ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
+    ta = cmath.phase(a - ec)
+    delta = (cmath.phase(b - ec) - ta) % (2.0 * math.pi)
+    return [ec + er * cmath.exp(1j * (ta + delta * k / (count + 1)))
+            for k in range(1, count + 1)]
 
 
 def _ref_intersect(c1, c2):
@@ -427,22 +445,62 @@ def _cycles(rng):
 def _former_error(cycle):
     """A few eps of max(1, R), the error of the former sampler's samples
     on a cycle of Euclidean radius R."""
-    radius = 1.0 if cycle.is_line else cycle.euclid_center_radius()[1]
+    radius = 1.0 if cycle.is_line else coefficient_center_radius(cycle.a, cycle.b, cycle.c)[1]
     return 16.0 * EPS * max(1.0, radius)
 
 
-def test_sample_points_matches_the_reference():
-    counts, margins = (16, 24, 32, 48), (1e-6, 1e-4, 1e-3, 0.07)
-    paths = set()
-    for idx, cycle in enumerate(_cycles(Random(11))):
-        count, margin = counts[idx % 4], margins[(idx // 4) % 4]
-        got, want = sample_points(cycle, count, margin), _ref_sample_points(cycle, count, margin)
-        assert len(got) == len(want) == count
-        assert max(abs(z - w) for z, w in zip(got, want)) <= _former_error(cycle), (idx, cycle)
+SAMPLE_COUNTS, SAMPLE_MARGINS = (16, 24, 32, 48), (1e-6, 1e-4, 1e-3, 0.07)
+
+
+def _sampled_cycles(limit=None):
+    """(cycle, count, margin, span) over _cycles(Random(11)), span being
+    "line", "arc" or "whole" by the former sampler's test: two crossings
+    of the shrunk absolute or not."""
+    for idx, cycle in enumerate(itertools.islice(_cycles(Random(11)), limit)):
+        count, margin = SAMPLE_COUNTS[idx % 4], SAMPLE_MARGINS[(idx // 4) % 4]
         shrunk = GeneralizedCycle(1.0, 0j, -((1.0 - margin) ** 2))
-        paths.add("line" if cycle.is_line else
-                  "arc" if len(intersect(cycle, shrunk)) == 2 else "whole")
-    assert paths == {"line", "arc", "whole"}
+        span = ("line" if cycle.is_line else
+                "arc" if len(intersect(cycle, shrunk)) == 2 else "whole")
+        yield cycle, count, margin, span
+
+
+def test_sample_points_matches_the_reference():
+    # lines and arcs; a whole circle's samples moved along it, and the
+    # next test holds them to it
+    spans = set()
+    for cycle, count, margin, span in _sampled_cycles():
+        got = sample_points(cycle, count, margin)
+        assert len(got) == count
+        spans.add(span)
+        if span == "whole":
+            continue
+        want = _ref_sample_points(cycle, count, margin)
+        assert max(abs(z - w) for z, w in zip(got, want)) <= _former_error(cycle), cycle
+    assert spans == {"line", "arc", "whole"}
+
+
+def test_whole_circles_are_sampled_on_them_as_closely_as_by_angle():
+    # every sample of a circle inside the disk, and every inscribed-angle
+    # sample between two of them, lies off it by no more than the former
+    # angle sampler's worst on that circle plus the rounding of the last
+    # steps; the error both share is that of S = sqrt(|B|^2 - AC), which
+    # cancels on a small circle near the absolute (19.3 eps here, 19.1
+    # eps by angle)
+    circles, worst = 0, 0.0
+    for cycle, count, margin, span in _sampled_cycles(2_000):
+        if span != "whole":
+            continue
+        circles += 1
+        samples = sample_points(cycle, count, margin)
+        former = _ref_sample_points(cycle, count, margin)
+        between = cycles._arc_samples(cycle, samples[1], samples[9], 4)
+        former += _ref_arc_samples_by_angle(cycle, former[1], former[9], 4)
+        assert len(samples) == count and len(between) == 4
+        off = max(_off_cycle(cycle, z) for z in samples + between)
+        assert off <= max(_off_cycle(cycle, z) for z in former) + 4.0 * EPS, cycle
+        worst = max(worst, off)
+    assert circles > 700
+    assert worst <= 20.0 * EPS
 
 
 def _off_cycle(cycle, z):
@@ -464,7 +522,7 @@ def test_arc_samples_lie_on_their_cycle_near_lines_included():
     worst, arcs = 0.0, 0
     for idx, cycle in enumerate(list(itertools.islice(_cycles(Random(11)), 2_000)) + loci):
         margin = margins[idx % 4]
-        if sample_frame(cycle, margin)[0] is not cycles.FRAME_ARC:
+        if cycles.disk_arc(cycle, margin) is None:
             continue
         arcs += 1
         samples = sample_points(cycle, 16, margin)
@@ -555,21 +613,32 @@ def test_trapezoid_quad_matches_the_former_search(converse):
 
 
 def test_arc_instance_matches_the_former_one():
+    # the same cycle from the same draws; on a line or an arc the same
+    # two points within rounding, and on a whole circle two points on it
+    # as close as the former angle samples were
+    whole = 0
     for seed in range(6):
         for idx in range(2_000):
-            got = instances.arc_instance(instance_rng(seed, idx, PURPOSE_ARC))
-            want = _ref_arc_instance(instance_rng(seed, idx, PURPOSE_ARC))
-            assert got[0] == want[0], (seed, idx)
-            gap = max(abs(got[1] - want[1]), abs(got[2] - want[2]))
-            assert gap <= _former_error(got[0]), (seed, idx)
+            rng, ref_rng = (instance_rng(seed, idx, PURPOSE_ARC) for _ in range(2))
+            cycle, a, b = instances.arc_instance(rng)
+            want = _ref_arc_instance(ref_rng)
+            assert cycle == want[0] and rng.getstate() == ref_rng.getstate(), (seed, idx)
+            if cycles.disk_arc(cycle, 1e-3) is not None or cycle.is_line:
+                assert max(abs(a - want[1]), abs(b - want[2])) <= _former_error(cycle), (seed, idx)
+                continue
+            whole += 1
+            former = max(_off_cycle(cycle, z) for z in want[1:])
+            assert max(_off_cycle(cycle, a), _off_cycle(cycle, b)) <= former + 4.0 * EPS
+    assert whole > 4_000
 
 
 def test_farthest_sample_is_the_first_of_the_stable_sort_on_every_frame_kind():
-    # c0 a point of the cycle, as trapezoid_quad's apex is of its locus,
-    # near-lines included; c0 one of the samples; and on a whole circle,
-    # c0 whose antipode falls just before, at or just after sample 0,
-    # where the samples either side of it wrap around
-    kinds = set()
+    # on lines, arcs and whole circles: c0 a point of the cycle, as
+    # trapezoid_quad's apex is of its locus, near-lines included; c0 one
+    # of the samples; and on a whole circle, c0 near m, whose antipode
+    # falls in the padded gap between the last sample and the first, or
+    # on one of them
+    spans = set()
     loci = (lexell_cycle(*draw) for draw in lexell_scan())
     for idx, cycle in enumerate(itertools.chain(_cycles(Random(23)), loci)):
         if idx % 5 == 0:
@@ -577,18 +646,21 @@ def test_farthest_sample_is_the_first_of_the_stable_sort_on_every_frame_kind():
         count = (16, 24, 48)[idx % 3]
         margin = (1e-6, 0.07)[idx % 2]
         frame = sample_frame(cycle, margin)
-        kinds.add(frame[0])
         samples = sample_points(cycle, count, margin)
         apexes = [sample_points(cycle, 7, margin=0.1)[idx % 7], samples[idx % count]]
-        if frame[0] is cycles.FRAME_CIRCLE:
-            _, ec, er, _, _ = frame
-            apexes += [ec + er * cmath.exp(1j * t) for t in
-                       (math.pi - 1e-9, math.pi, math.pi + 1e-9, -math.pi)]
+        m, t, kappa, half = frame
+        if cycle.is_line or cycles.disk_arc(cycle, margin) is not None:
+            spans.add("line" if cycle.is_line else "arc")
+        else:
+            spans.add("whole")
+            gap = math.pi / abs(kappa) - half
+            apexes += [cycles.arc_point(m, t, kappa, s) for s in
+                       (0.0, 1e-9, -1e-9, 0.5 * gap, -0.5 * gap, gap, -gap)]
         for c0 in apexes:
             want = sorted(samples, key=lambda z: -abs(z - c0))[0]
             got = cycles.farthest_sample(frame, count, c0)
             assert _bits(got) == _bits(want), (idx, cycle, c0)
-    assert kinds == {cycles.FRAME_ARC, cycles.FRAME_CIRCLE}
+    assert spans == {"line", "arc", "whole"}
 
 
 # ------------------------------------------------------------ call counts

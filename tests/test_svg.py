@@ -9,7 +9,14 @@ import pytest
 
 from hypfeuer.cevians import build_config
 from hypfeuer.cli import parse_triangle
-from hypfeuer.cycles import GeneralizedCycle, cycle_through, geodesic_through, intersect
+from hypfeuer.cycles import (
+    GeneralizedCycle,
+    circle_from_center_radius,
+    coefficient_center_radius,
+    cycle_through,
+    geodesic_through,
+    intersect,
+)
 from hypfeuer.geom_core import Triangle
 from hypfeuer.instances import instance_rng, random_triangle
 from hypfeuer.svg_render import FONT_SIZE, SIZE, _Canvas, _draw_cycle, render_svg
@@ -117,7 +124,7 @@ def _former_clip(cv, cycle):
         half = math.sqrt(max(0.0, 1.0 - abs(z0) ** 2))
         cv.line("c", z0 - d * half, z0 + d * half, "#000000", 1.0)
         return
-    ec, er = cycle.euclid_center_radius()
+    ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
     p, q = intersect(cycle, GeneralizedCycle(1.0, 0j, -1.0))
     t0, t1 = cmath.phase(p - ec), cmath.phase(q - ec)
     if t1 < t0:
@@ -141,7 +148,7 @@ def test_clipped_cycles_draw_as_the_former_clip():
     drawn = 0
     for cycle in cycles:
         if not cycle.is_line:
-            ec, er = cycle.euclid_center_radius()
+            ec, er = coefficient_center_radius(cycle.a, cycle.b, cycle.c)
             if abs(ec) + er <= 1.0 + 1e-12:
                 continue
         for same in (cycle, GeneralizedCycle(-cycle.a, -cycle.b, -cycle.c)):
@@ -151,6 +158,26 @@ def test_clipped_cycles_draw_as_the_former_clip():
             assert got.parts == want.parts, same
         drawn += 1
     assert drawn > 150
+
+
+@pytest.mark.parametrize("cycle, element", [
+    (circle_from_center_radius(0.3 - 0.2j, 0.7), "circle"),
+    # horocycles: |z - 0.5| = 0.5, and one touching the absolute at
+    # (1 + i) / sqrt 2, each crossing it at most once
+    (GeneralizedCycle.of(1.0, -0.5 + 0j, 0.0), "circle"),
+    (GeneralizedCycle.of(1.0, -0.25 - 0.25j, 0.5 ** 0.5 * 0.5 - 0.25), "circle"),
+    (cycle_through(0.5, 0.5j, 1.5 + 0.5j), "path"),
+    (geodesic_through(0.1, 0.5j), "path"),
+    (geodesic_through(0j, 0.5j), "line"),
+], ids=["circle", "horocycle", "slanted-horocycle", "crossing", "geodesic", "diameter"])
+def test_a_cycle_is_drawn_whole_where_it_does_not_cross_the_absolute_twice(cycle, element):
+    cv = _Canvas()
+    _draw_cycle(cv, "c", cycle, "#000000", 1.0)
+    assert cv.parts[0].startswith(f"<{element} ")
+    if element == "circle":
+        want = _Canvas()
+        want.circle("c", *coefficient_center_radius(cycle.a, cycle.b, cycle.c), "#000000", 1.0)
+        assert cv.parts == want.parts
 
 
 def test_every_layer_is_drawn_in_order():
