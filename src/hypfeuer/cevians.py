@@ -354,6 +354,12 @@ class TriangleConfig(Record):
     construct and render print, `sides`, `bisector_cevians` and
     `pseudoaltitude_cevians`, are built from the stored normals on each
     read, bit for bit what geodesic_through gives.
+
+    The cevian pencils are `euler_membership`, `bisector_normals`,
+    `pseudoaltitude_normals`, `bisector_point`, `bisector_residual`,
+    `pseudo_orthocenter` and `orthocenter_residual`.  A configuration
+    built without them (build_config's pencils false) holds {} and None
+    there, and its flags name no divergent pencil.
     """
 
     __slots__ = ("triangle", "feet", "lifts", "side_normals", "bisector_normals",
@@ -390,7 +396,14 @@ def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):
     return None, None
 
 
-def build_config(tri: Triangle) -> TriangleConfig:
+def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
+    """Every derived object of a triangle (TriangleConfig), built in one
+    fixed order.  With pencils false the cevian pencils are left out:
+    the Euler membership of the pseudoaltitude feet, both families'
+    cevian normals and their concurrency points, which only the Euler
+    suites read.  Their dicts are then empty, their points and
+    residuals None, and no divergent_* flag is set; every other object
+    and flag is built as with pencils true."""
     flags: set[str] = set()
     feet = CevianFeet()
     for v in VERTICES:
@@ -416,8 +429,9 @@ def build_config(tri: Triangle) -> TriangleConfig:
     if len(feet.bisector) == 3:
         euler_circle = cycle_through(feet.bisector["a"], feet.bisector["b"],
                                      feet.bisector["c"])
-        for v, foot in feet.pseudoaltitude.items():
-            euler_membership[v] = membership_residual(euler_circle, foot)
+        if pencils:
+            for v, foot in feet.pseudoaltitude.items():
+                euler_membership[v] = membership_residual(euler_circle, foot)
         try:
             euler_center, euler_radius = hyp_center_radius(euler_circle)
         except GeometryError:
@@ -430,14 +444,18 @@ def build_config(tri: Triangle) -> TriangleConfig:
     # the order of geodesic_through(b, c), (c, a) and (a, b)
     side_normals = {"a": through_normal(lb, lc), "b": through_normal(lc, la),
                     "c": through_normal(la, lb)}
-    bisector_normals = {v: through_normal(lifts[v], point_lift(foot))
-                        for v, foot in feet.bisector.items()}
-    pseudoaltitude_normals = {v: through_normal(lifts[v], point_lift(foot))
-                              for v, foot in feet.pseudoaltitude.items()}
-    bisector_point, bisector_residual = _concurrency(
-        bisector_normals, "divergent_bisector_cevians", flags)
-    pseudo_orthocenter, orthocenter_residual = _concurrency(
-        pseudoaltitude_normals, "divergent_pseudoaltitude_cevians", flags)
+    bisector_normals: dict[str, Vector] = {}
+    pseudoaltitude_normals: dict[str, Vector] = {}
+    bisector_point = bisector_residual = pseudo_orthocenter = orthocenter_residual = None
+    if pencils:
+        bisector_normals = {v: through_normal(lifts[v], point_lift(foot))
+                            for v, foot in feet.bisector.items()}
+        pseudoaltitude_normals = {v: through_normal(lifts[v], point_lift(foot))
+                                  for v, foot in feet.pseudoaltitude.items()}
+        bisector_point, bisector_residual = _concurrency(
+            bisector_normals, "divergent_bisector_cevians", flags)
+        pseudo_orthocenter, orthocenter_residual = _concurrency(
+            pseudoaltitude_normals, "divergent_pseudoaltitude_cevians", flags)
 
     inc, excircles = tangent_circles(lifts, side_normals, flags)
 

@@ -58,12 +58,16 @@ from .theorems import (
     check_trapezoid,
 )
 
-# The suite registry, in report order: name -> (purpose stream, call).
-# The call gets a fresh draw from that stream, or for purpose None the
-# instance's shared triangle configuration, then the instance index and
-# the tolerances.  The lambdas look the generators and checks up by name
-# at call time, so a rebinding of a module attribute (as the benchmark's
-# tracer does) is seen.
+# a triangle suite's source: the instance's configuration, built without
+# or with the cevian pencils (build_config's pencils)
+CONFIG, PENCILS = "config", "pencils"
+
+# The suite registry, in report order: name -> (source, call).  The call
+# gets a fresh draw from the source's purpose stream, or for CONFIG and
+# PENCILS the configuration, then the instance index and the tolerances.
+# The lambdas look the generators and checks up by name at call time, so
+# a rebinding of a module attribute (as the benchmark's tracer does) is
+# seen.
 SUITES = {
     "inscribed_angle": (PURPOSE_ARC, lambda rng, index, tol:
                         check_inscribed_angle(*arc_instance(rng), tol)),
@@ -72,24 +76,25 @@ SUITES = {
                                   tol=tol)),
     "lexell": (PURPOSE_LEXELL, lambda rng, index, tol:
                check_lexell(*lexell_instance(rng), tol)),
-    "six_point": (None, lambda cfg, index, tol: check_six_point(cfg, tol)),
-    "euler_line": (None, lambda cfg, index, tol: check_euler_line(cfg, tol)),
-    "euler_ratios": (None, lambda cfg, index, tol: check_euler_ratios(cfg, tol)),
-    "feuerbach": (None, lambda cfg, index, tol: check_feuerbach(cfg, tol)),
+    "six_point": (PENCILS, lambda cfg, index, tol: check_six_point(cfg, tol)),
+    "euler_line": (PENCILS, lambda cfg, index, tol: check_euler_line(cfg, tol)),
+    "euler_ratios": (PENCILS, lambda cfg, index, tol: check_euler_ratios(cfg, tol)),
+    "feuerbach": (CONFIG, lambda cfg, index, tol: check_feuerbach(cfg, tol)),
     "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, tol:
                      check_radical_axis(*random_cycle_pair(rng), tol)),
     "monge": (PURPOSE_MONGE, lambda rng, index, tol:
               check_monge(*monge_triple(rng), tol)),
-    "tangent_cevians": (None, lambda cfg, index, tol:
+    "tangent_cevians": (CONFIG, lambda cfg, index, tol:
                         check_tangent_cevians(cfg, tol=tol)),
-    "feuerbach_point": (None, lambda cfg, index, tol:
+    "feuerbach_point": (CONFIG, lambda cfg, index, tol:
                         check_feuerbach_point(cfg, tol)),
 }
 
 SUITE_ORDER = tuple(SUITES)
 
-# suites that need a full triangle configuration
-TRIANGLE_SUITES = frozenset(n for n, (purpose, _) in SUITES.items() if purpose is None)
+# suites that read a triangle configuration, and those that read its pencils
+TRIANGLE_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src in (CONFIG, PENCILS))
+PENCIL_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src == PENCILS)
 
 
 class Scenario(Record):
@@ -287,27 +292,31 @@ def _triangle(scn: Scenario, index: int) -> tuple[Triangle, int]:
                            scn.max_vertex_radius, scn.min_angle)
 
 
-def _run_instance(scn: Scenario, index: int) -> InstanceReport:
+def _run_instance(scn: Scenario, index: int, pencils: bool | None) -> InstanceReport:
+    """One instance of the asked suites; pencils is None when no suite
+    reads a triangle configuration, else build_config's pencils."""
     instance: dict = {}
     flags: list[str] = []
     cfg = None
-    if any(s in TRIANGLE_SUITES for s in scn.suite):
+    if pencils is not None:
         tri, resamples = _triangle(scn, index)
-        cfg = build_config(tri)
+        cfg = build_config(tri, pencils)
         flags = list(cfg.flags)
         instance["triangle"] = {"a": tri.a, "b": tri.b, "c": tri.c}
         instance["resamples"] = resamples
     checks = []
     for name in scn.suite:
-        purpose, call = SUITES[name]
-        source = cfg if purpose is None else instance_rng(scn.seed, index, purpose)
+        src, call = SUITES[name]
+        source = cfg if name in TRIANGLE_SUITES else instance_rng(scn.seed, index, src)
         checks.append(call(source, index, scn.tolerances))
     return InstanceReport(index, instance, flags, checks)
 
 
 def run_verify(scn: Scenario) -> VerificationReport:
     start = time.perf_counter()
-    instances = [_run_instance(scn, i) for i in range(scn.trials)]
+    asked = set(scn.suite)
+    pencils = bool(asked & PENCIL_SUITES) if asked & TRIANGLE_SUITES else None
+    instances = [_run_instance(scn, i, pencils) for i in range(scn.trials)]
     tri = scn.triangle
     params = {
         "trials": scn.trials,

@@ -10,8 +10,9 @@ max(|A|, |B|, |C|) = 1 with the first nonzero of (A, Re B, Im B, C)
 positive.  ``GeneralizedCycle.of`` does this in one pass: it coerces
 only what is not already float or complex, takes the scale by
 comparisons, divides, then applies the sign rule to the scaled parts.
-A triple with any non-finite part (NaN included, wherever it sits) or
-all parts zero raises NotACycle.  In this form:
+A triple with any non-finite part (NaN included, wherever it sits),
+all parts zero, or A = B = 0 (the line at infinity) raises NotACycle.
+In this form:
 
 * geodesics are exactly the cycles with C = A (diameters have A = 0),
 * Euclidean center and radius are -B/A and sqrt(|B|^2 - A C)/|A|
@@ -93,7 +94,8 @@ class GeneralizedCycle(Record):
     @classmethod
     def of(cls, a: float, b: complex, c: float) -> "GeneralizedCycle":
         """The normalized cycle of a coefficient triple, in one pass;
-        NotACycle for a zero or non-finite triple or an empty locus."""
+        NotACycle for a zero or non-finite triple or an empty locus (a
+        negative discriminant, or A = B = 0: the line at infinity)."""
         if type(a) is not float:
             a = float(a)
         if type(b) is not complex:
@@ -110,8 +112,11 @@ class GeneralizedCycle(Record):
         if scale == 0.0:
             raise NotACycle("zero coefficients")
         a, b, c = a / scale, b / scale, c / scale
-        if a != 0.0 and abs(b) ** 2 - a * c < -1e-14:
-            raise NotACycle("negative discriminant: empty locus")
+        if a != 0.0:
+            if abs(b) ** 2 - a * c < -1e-14:
+                raise NotACycle("negative discriminant: empty locus")
+        elif b == 0.0:
+            raise NotACycle("A = B = 0: the line at infinity, an empty locus")
         # sign convention: first meaningfully nonzero of (a, Re b, Im b, c) positive
         lead = a
         if -1e-14 <= lead <= 1e-14:

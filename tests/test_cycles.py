@@ -79,6 +79,19 @@ def test_of_rejects_empty_and_imaginary():
         GeneralizedCycle.of(1.0, 0j, 1.0)  # |z|^2 = -1 has no locus
 
 
+@pytest.mark.parametrize("c", [1.0, -2.5, 1e-300])
+def test_of_rejects_the_line_at_infinity(c):
+    # A = B = 0 leaves C = 0, which no point meets
+    with pytest.raises(NotACycle):
+        GeneralizedCycle.of(0.0, 0j, c)
+
+
+def test_a_tiny_nonzero_b_is_a_line_outside_the_disk():
+    line = GeneralizedCycle.of(0.0, 1e-12j, 1.0)
+    assert line.a == 0.0 and line.b == 1e-12j
+    assert sample_points(line, 4) == []
+
+
 @pytest.mark.parametrize("a, b, c", [
     (1.0, complex(math.nan, 0.0), 0.5),
     (1.0, 0.5j, math.nan),
@@ -642,6 +655,8 @@ def _reference_of(a, b, c):
     a, b, c = a / scale, b / scale, c / scale
     if a != 0.0 and abs(b) ** 2 - a * c < -1e-14:
         raise NotACycle("negative discriminant: empty locus")
+    if a == 0.0 and b == 0.0:
+        raise NotACycle("A = B = 0: empty locus")
     for lead in (a, b.real, b.imag, c):
         if abs(lead) > 1e-14:
             if lead < 0.0:
