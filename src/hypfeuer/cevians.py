@@ -338,11 +338,6 @@ class CevianFeet(Record):
 
     __slots__ = ("bisector", "pseudoaltitude")
 
-    def __init__(self, bisector: dict[str, complex] | None = None,
-                 pseudoaltitude: dict[str, complex] | None = None):
-        self.bisector = {} if bisector is None else bisector
-        self.pseudoaltitude = {} if pseudoaltitude is None else pseudoaltitude
-
 
 class TriangleConfig(Record):
     """Every derived object of one triangle: one that does not exist is
@@ -405,7 +400,7 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
     residuals None, and no divergent_* flag is set; every other object
     and flag is built as with pencils true."""
     flags: set[str] = set()
-    feet = CevianFeet()
+    feet = CevianFeet({}, {})
     for v in VERTICES:
         frame = _side_frame(tri, v)
         try:

@@ -1,6 +1,6 @@
 """Command-line surface: construct, verify, render.
 
-Reports are pure functions of (scenario, seed, tolerances): instance
+Reports are pure functions of the scenario, seed included: instance
 randomness comes from per-(seed, index, purpose) streams, floats are
 serialized as shortest round-trip decimals, complex values as "x+yi"
 strings, and wall time goes to stderr so report bytes stay identical
@@ -41,9 +41,8 @@ from .instances import (
 )
 from .svg_render import render_svg
 from .theorems import (
-    DEFAULT_TOLERANCES,
+    TOLERANCES,
     InstanceReport,
-    Tolerances,
     VerificationReport,
     check_euler_line,
     check_euler_ratios,
@@ -64,30 +63,25 @@ CONFIG, PENCILS = "config", "pencils"
 
 # The suite registry, in report order: name -> (source, call).  The call
 # gets a fresh draw from the source's purpose stream, or for CONFIG and
-# PENCILS the configuration, then the instance index and the tolerances.
+# PENCILS the configuration, then the instance index.
 # The lambdas look the generators and checks up by name at call time, so
 # a rebinding of a module attribute (as the benchmark's tracer does) is
 # seen.
 SUITES = {
-    "inscribed_angle": (PURPOSE_ARC, lambda rng, index, tol:
-                        check_inscribed_angle(*arc_instance(rng), tol)),
-    "trapezoid": (PURPOSE_QUAD, lambda rng, index, tol:
-                  check_trapezoid(*trapezoid_quad(rng, converse=bool(index % 2)),
-                                  tol=tol)),
-    "lexell": (PURPOSE_LEXELL, lambda rng, index, tol:
-               check_lexell(*lexell_instance(rng), tol)),
-    "six_point": (PENCILS, lambda cfg, index, tol: check_six_point(cfg, tol)),
-    "euler_line": (PENCILS, lambda cfg, index, tol: check_euler_line(cfg, tol)),
-    "euler_ratios": (PENCILS, lambda cfg, index, tol: check_euler_ratios(cfg, tol)),
-    "feuerbach": (CONFIG, lambda cfg, index, tol: check_feuerbach(cfg, tol)),
-    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index, tol:
-                     check_radical_axis(*random_cycle_pair(rng), tol)),
-    "monge": (PURPOSE_MONGE, lambda rng, index, tol:
-              check_monge(*monge_triple(rng), tol)),
-    "tangent_cevians": (CONFIG, lambda cfg, index, tol:
-                        check_tangent_cevians(cfg, tol=tol)),
-    "feuerbach_point": (CONFIG, lambda cfg, index, tol:
-                        check_feuerbach_point(cfg, tol)),
+    "inscribed_angle": (PURPOSE_ARC, lambda rng, index:
+                        check_inscribed_angle(*arc_instance(rng))),
+    "trapezoid": (PURPOSE_QUAD, lambda rng, index:
+                  check_trapezoid(*trapezoid_quad(rng, converse=bool(index % 2)))),
+    "lexell": (PURPOSE_LEXELL, lambda rng, index: check_lexell(*lexell_instance(rng))),
+    "six_point": (PENCILS, lambda cfg, index: check_six_point(cfg)),
+    "euler_line": (PENCILS, lambda cfg, index: check_euler_line(cfg)),
+    "euler_ratios": (PENCILS, lambda cfg, index: check_euler_ratios(cfg)),
+    "feuerbach": (CONFIG, lambda cfg, index: check_feuerbach(cfg)),
+    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index:
+                     check_radical_axis(*random_cycle_pair(rng))),
+    "monge": (PURPOSE_MONGE, lambda rng, index: check_monge(*monge_triple(rng))),
+    "tangent_cevians": (CONFIG, lambda cfg, index: check_tangent_cevians(cfg)),
+    "feuerbach_point": (CONFIG, lambda cfg, index: check_feuerbach_point(cfg)),
 }
 
 SUITE_ORDER = tuple(SUITES)
@@ -98,10 +92,10 @@ PENCIL_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src == PENCILS)
 
 
 class Scenario(Record):
-    __slots__ = ("seed", "trials", "suite", "tolerances", "triangle",
-                 "max_vertex_radius", "min_angle", "out")
-    _defaults = (0, 10, SUITE_ORDER, DEFAULT_TOLERANCES, None,
-                 DEFAULT_MAX_VERTEX_RADIUS, DEFAULT_MIN_ANGLE, None)
+    __slots__ = ("seed", "trials", "suite", "triangle", "max_vertex_radius",
+                 "min_angle", "out")
+    _defaults = (0, 10, SUITE_ORDER, None, DEFAULT_MAX_VERTEX_RADIUS,
+                 DEFAULT_MIN_ANGLE, None)
 
 
 # ------------------------------------------------------------- serialization
@@ -308,7 +302,7 @@ def _run_instance(scn: Scenario, index: int, pencils: bool | None) -> InstanceRe
     for name in scn.suite:
         src, call = SUITES[name]
         source = cfg if name in TRIANGLE_SUITES else instance_rng(scn.seed, index, src)
-        checks.append(call(source, index, scn.tolerances))
+        checks.append(call(source, index))
     return InstanceReport(index, instance, flags, checks)
 
 
@@ -321,7 +315,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
     params = {
         "trials": scn.trials,
         "suite": list(scn.suite),
-        "tolerances": scn.tolerances,
+        "tolerances": TOLERANCES,
         "max_vertex_radius": scn.max_vertex_radius,
         "min_angle": scn.min_angle,
         # the vertices as given: Triangle.of swaps b and c of a counterclockwise triangle
@@ -406,7 +400,6 @@ _SCENARIO_TYPES = {
     "seed": ((int,), "an integer"),
     "trials": ((int,), "an integer"),
     "suite": ((str, list), "a string or a list"),
-    "tolerances": ((dict,), "an object"),
     "triangle": ((str, list), "a string or a list"),
     "max_vertex_radius": ((int, float), "a number"),
     "min_angle": ((int, float), "a number"),
@@ -421,31 +414,13 @@ def _check_type(what: str, value, kinds: tuple, name: str):
 
 
 def _check_scenario_types(data: dict):
-    """Reject unknown scenario or tolerance keys and values of a JSON type
-    no option takes."""
+    """Reject unknown scenario keys and values of a JSON type no option
+    takes."""
     unknown = set(data) - set(_SCENARIO_TYPES)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key, value in data.items():
         _check_type(f"scenario key {key!r}", value, *_SCENARIO_TYPES[key])
-    tolerances = data.get("tolerances", {})
-    unknown = set(tolerances) - set(Tolerances.__slots__)
-    if unknown:
-        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    for key, value in tolerances.items():
-        _check_type(f"tolerance {key!r}", value, (int, float), "a number")
-
-
-def _tolerance(key: str, value) -> float:
-    """A tolerance as a float, refused unless finite and non-negative."""
-    try:
-        tol = float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        tol = math.inf
-    if not 0.0 <= tol < math.inf:  # NaN fails it too
-        raise ValueError(f"tolerance {key!r} must be finite and non-negative, "
-                         f"got {tol!r}")
-    return tol
 
 
 def scenario_from_args(args) -> Scenario:
@@ -466,16 +441,6 @@ def scenario_from_args(args) -> Scenario:
         if flag is not None:
             return flag
         return data.get(key, getattr(default, key))
-
-    tol_data = dict(data.get("tolerances", {}))
-    for flag, key in ((args.tol_construct, "construct"),
-                      (args.tol_theorem, "theorem"),
-                      (args.tol_chain, "chain")):
-        if flag is not None:
-            tol_data[key] = flag
-    tol = default.tolerances
-    if tol_data:
-        tol = tol.replace(**{k: _tolerance(k, v) for k, v in tol_data.items()})
 
     # Random seeds with |seed|, so a negative seed would repeat its positive twin
     seed = int(pick(args.seed, "seed"))
@@ -505,7 +470,6 @@ def scenario_from_args(args) -> Scenario:
         seed=seed,
         trials=trials,
         suite=suite if suite is default.suite else parse_suite(suite),
-        tolerances=tol,
         triangle=triangle if triangle is default.triangle else _given_triangle(triangle),
         max_vertex_radius=max_vertex_radius,
         min_angle=min_angle,
@@ -522,9 +486,6 @@ _FLAGS = {
     "--seed": int,
     "--trials": int,
     "--suite": str,
-    "--tol-construct": float,
-    "--tol-theorem": float,
-    "--tol-chain": float,
     "--triangle": str,
     "--out": str,
     "--format": ("json", "svg"),
@@ -534,9 +495,8 @@ _FLAGS = {
 # what --help prints, laid out as argparse lays it out at 80 columns
 _HELP = """\
 usage: hypfeuer [-h] [--seed SEED] [--trials TRIALS] [--suite SUITE]
-                [--tol-construct TOL_CONSTRUCT] [--tol-theorem TOL_THEOREM]
-                [--tol-chain TOL_CHAIN] [--triangle TRIANGLE] [--out OUT]
-                [--format {json,svg}] [--scenario SCENARIO]
+                [--triangle TRIANGLE] [--out OUT] [--format {json,svg}]
+                [--scenario SCENARIO]
                 {construct,verify,render}
 
 Triangle constructions and theorem verification in the hyperbolic disk.
@@ -553,9 +513,6 @@ options:
   --seed SEED
   --trials TRIALS
   --suite SUITE         comma-separated check names, or 'all'
-  --tol-construct TOL_CONSTRUCT
-  --tol-theorem TOL_THEOREM
-  --tol-chain TOL_CHAIN
   --triangle TRIANGLE   vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"
   --out OUT
   --format {json,svg}

@@ -485,12 +485,18 @@ def arc_frame(cycle: GeneralizedCycle) -> tuple[complex, complex, float]:
     line; the center is m + i t / kappa.  No term cancels, however
     small A is, so a near-line keeps its digits.  A circle about the
     origin (B = 0) has every point nearest: it takes m = -C / S on the
-    positive real axis and t = i."""
+    positive real axis and t = i.  A radius-0 circle (S = 0) and a line
+    so far out that |B| (|B| + S) underflows have no such frame: they
+    take m at infinity and kappa = 0, whose every point lies outside the
+    disk, so they get no sample there."""
     b, nb = cycle.b, abs(cycle.b)
     s = math.sqrt(max(nb * nb - cycle.a * cycle.c, 0.0))
-    if nb == 0.0:
-        return complex(-cycle.c / s), 1j, cycle.a / s
-    return -b * cycle.c / (nb * (nb + s)), 1j * b / nb, cycle.a / s
+    try:
+        if nb == 0.0:
+            return complex(-cycle.c / s), 1j, cycle.a / s
+        return -b * cycle.c / (nb * (nb + s)), 1j * b / nb, cycle.a / s
+    except ZeroDivisionError:
+        return complex(math.inf), 1j, 0.0
 
 
 def arc_point(m: complex, t: complex, kappa: float, s: float) -> complex:

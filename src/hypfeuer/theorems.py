@@ -7,10 +7,13 @@ check never raises on a degenerate instance; it returns status
 (nothing absent is silently dropped).  A triangle check skips when an
 object it reads is None on the TriangleConfig, never on its flags.
 
-Tolerance tiers: constructive identities get 1e-10, single theorem
-statements 1e-9, and results sitting at the end of a tangency or
-concurrency chain 1e-8, because error compounds through the stacked
-constructions and contact-point extraction.
+Tolerance tiers, the one constant ``TOLERANCES``: constructive
+identities get 1e-10, single theorem statements 1e-9, and results
+sitting at the end of a tangency or concurrency chain 1e-8, because
+error compounds through the stacked constructions and contact-point
+extraction.  The tiers are fixed: every statement checked is a theorem,
+so an honest residual is rounding, and a failure is mended in the
+program, never by a wider tier.
 
 This module only verifies: what a check builds or samples lives with
 its objects in ``geom_core``, ``cycles`` or ``cevians``, where the
@@ -76,10 +79,9 @@ from .power import (
 
 class Tolerances(Record):
     __slots__ = ("construct", "theorem", "chain")
-    _defaults = (1e-10, 1e-9, 1e-8)
 
 
-DEFAULT_TOLERANCES = Tolerances()
+TOLERANCES = Tolerances(1e-10, 1e-9, 1e-8)
 
 
 class TheoremCheck(Record):
@@ -136,8 +138,7 @@ ARC_SAMPLES = 4
 ARC_SAMPLES_MIN = 3
 
 
-def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex) -> TheoremCheck:
     """Constancy of sigma(a, X, b) as X runs over one arc of the cycle,
     at ARC_SAMPLES points (see the identity above ARC_SAMPLES).
 
@@ -146,14 +147,14 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex,
     """
     for z in (a, b):
         if membership_residual(cycle, z) > 1e-9:
-            return _skip("inscribed_angle", tol.theorem, "endpoint_off_cycle")
+            return _skip("inscribed_angle", TOLERANCES.theorem, "endpoint_off_cycle")
     xs = _arc_samples(cycle, a, b, ARC_SAMPLES)
     if len(xs) < ARC_SAMPLES_MIN:
-        return _skip("inscribed_angle", tol.theorem, "arc_outside_disk")
+        return _skip("inscribed_angle", TOLERANCES.theorem, "arc_outside_disk")
     try:
         values = [sigma(a, x, b) for x in xs]
     except DegenerateAngle:
-        return _skip("inscribed_angle", tol.theorem, "sample_at_endpoint")
+        return _skip("inscribed_angle", TOLERANCES.theorem, "sample_at_endpoint")
     # sigma is an angle: compare mod 2pi, or collinear samples on a
     # geodesic flap between the identified values +pi and -pi
     base = values[len(values) // 2]
@@ -171,13 +172,12 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex,
         residual = max(residual, form_gap)
     except GeometryError:
         pass  # no circle inside the disk: no central angle to compare
-    return _finish("inscribed_angle", residual, tol.theorem, witness)
+    return _finish("inscribed_angle", residual, TOLERANCES.theorem, witness)
 
 
 # ------------------------------------------------------------ lemma: trapezoid
 
-def check_trapezoid(a: complex, b: complex, c: complex, d: complex,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_trapezoid(a: complex, b: complex, c: complex, d: complex) -> TheoremCheck:
     """Equal areas of abc and abd versus the angle balance of quad abcd.
 
     The two statements vanish together (an iff).  An instance is built
@@ -188,15 +188,15 @@ def check_trapezoid(a: complex, b: complex, c: complex, d: complex,
     """
     angles = convex_quad_angles(a, b, c, d)
     if angles is None:
-        return _skip("trapezoid", tol.theorem, "non_convex")
+        return _skip("trapezoid", TOLERANCES.theorem, "non_convex")
     qa, qb, qc, qd = angles
     try:
         area_c, area_d = triangle_area(a, b, c), triangle_area(a, b, d)
     except (DegenerateAngle, DegenerateTriangle):
-        return _skip("trapezoid", tol.theorem, "degenerate_quad")
+        return _skip("trapezoid", TOLERANCES.theorem, "degenerate_quad")
     area_gap = abs(area_c - area_d)
     angle_gap = abs(qa + qd - qb - qc)
-    return _finish("trapezoid", max(area_gap, angle_gap), tol.theorem,
+    return _finish("trapezoid", max(area_gap, angle_gap), TOLERANCES.theorem,
                    {"area_gap": area_gap, "angle_gap": angle_gap})
 
 
@@ -216,50 +216,48 @@ LEXELL_SAMPLES = 4
 LEXELL_AREAS_MIN = 4  # x0 and 3 samples
 
 
-def check_lexell(a: complex, b: complex, x0: complex,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_lexell(a: complex, b: complex, x0: complex) -> TheoremCheck:
     """Constancy of the area of (a, b, X) as X runs over the constant-area
     locus through x0, at x0 and LEXELL_SAMPLES points (see the identity
     above LEXELL_SAMPLES)."""
     try:
         base = geodesic_through(a, b)
     except CoincidentPoints:
-        return _skip("lexell", tol.theorem, "coincident_base")
+        return _skip("lexell", TOLERANCES.theorem, "coincident_base")
     if point_geodesic_distance(x0, base) < 1e-6:
-        return _skip("lexell", tol.theorem, "apex_on_base")
+        return _skip("lexell", TOLERANCES.theorem, "apex_on_base")
     locus = lexell_cycle(a, b, x0)
     xs = [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
           if abs(x - a) >= 1e-6 and abs(x - b) >= 1e-6]
     try:
         areas = [triangle_area(a, b, x0)]
     except (DegenerateAngle, DegenerateTriangle):
-        return _skip("lexell", tol.theorem, "apex_on_base")
+        return _skip("lexell", TOLERANCES.theorem, "apex_on_base")
     for x in xs:
         try:
             areas.append(triangle_area(a, b, x))
         except (DegenerateAngle, DegenerateTriangle):
             pass  # a degenerate sample is dropped, not scored
     if len(areas) < LEXELL_AREAS_MIN:
-        return _skip("lexell", tol.theorem, "arc_outside_disk")
-    return _finish("lexell", max(areas) - min(areas), tol.theorem,
+        return _skip("lexell", TOLERANCES.theorem, "arc_outside_disk")
+    return _finish("lexell", max(areas) - min(areas), TOLERANCES.theorem,
                    {"area": areas[0], "samples": len(areas)})
 
 
 # ----------------------------------------------------------- triangle checks
 
-def check_six_point(cfg: TriangleConfig,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_six_point(cfg: TriangleConfig) -> TheoremCheck:
     """The circle through the bisector feet contains the pseudoaltitude
     feet, and its radius is its center's distance to each bisector foot."""
     if cfg.euler_circle is None or len(cfg.euler_membership) < 3:
-        return _skip("six_point", tol.theorem, "cevian_degeneracy")
+        return _skip("six_point", TOLERANCES.theorem, "cevian_degeneracy")
     residual = max(cfg.euler_membership.values())
     witness: dict = {"membership": dict(cfg.euler_membership)}
     if cfg.euler_center is not None:
         witness["radius_gap"] = _radius_gap(cfg.euler_center, cfg.euler_radius,
                                             cfg.feet.bisector.values())
         residual = max(residual, witness["radius_gap"])
-    return _finish("six_point", residual, tol.theorem, witness)
+    return _finish("six_point", residual, TOLERANCES.theorem, witness)
 
 
 def _radius_gap(center: complex, radius: float, points) -> float:
@@ -267,8 +265,7 @@ def _radius_gap(center: complex, radius: float, points) -> float:
     return max(abs(disk_distance(center, p) - radius) for p in points)
 
 
-def check_euler_line(cfg: TriangleConfig,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_euler_line(cfg: TriangleConfig) -> TheoremCheck:
     """Collinearity of circumcenter, Euler center, bisector point and
     pseudo-orthocenter, and the circumradius at every vertex."""
     o = cfg.circumcenter
@@ -276,7 +273,7 @@ def check_euler_line(cfg: TriangleConfig,
               "bisector_point": cfg.bisector_point,
               "pseudo_orthocenter": cfg.pseudo_orthocenter}
     if o is None or None in others.values():
-        return _skip("euler_line", tol.theorem, "center_undefined")
+        return _skip("euler_line", TOLERANCES.theorem, "center_undefined")
     radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
     distances = {name: disk_distance(o, p) for name, p in others.items()}
     far_name = max(distances, key=distances.get)
@@ -289,11 +286,10 @@ def check_euler_line(cfg: TriangleConfig,
         line = geodesic_through(o, others[far_name])
         residual = max(point_geodesic_distance(p, line)
                        for name, p in others.items() if name != far_name)
-    return _finish("euler_line", max(residual, radius_gap), tol.theorem, witness)
+    return _finish("euler_line", max(residual, radius_gap), TOLERANCES.theorem, witness)
 
 
-def check_euler_ratios(cfg: TriangleConfig,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
     """The three bisector pseudolength ratios agree, and so do the three
     pseudoaltitude pseudolength products (the homothety and inversion
     constants of the circumcircle-to-Euler-circle maps).  The residual
@@ -301,7 +297,7 @@ def check_euler_ratios(cfg: TriangleConfig,
     pencil determinants that define M and H (concurrency_point)."""
     m, h = cfg.bisector_point, cfg.pseudo_orthocenter
     if m is None or h is None:
-        return _skip("euler_ratios", tol.construct, "cevian_degeneracy")
+        return _skip("euler_ratios", TOLERANCES.construct, "cevian_degeneracy")
     verts = cfg.triangle.vertices
     ratios = [pseudolength(m, cfg.feet.bisector[v]) / pseudolength(m, verts[v])
               for v in ("a", "b", "c")]
@@ -309,12 +305,11 @@ def check_euler_ratios(cfg: TriangleConfig,
                 for v in ("a", "b", "c")]
     residual = max(max(ratios) - min(ratios), max(products) - min(products),
                    cfg.bisector_residual, cfg.orthocenter_residual)
-    return _finish("euler_ratios", residual, tol.construct,
+    return _finish("euler_ratios", residual, TOLERANCES.construct,
                    {"ratio": ratios[0], "product": products[0]})
 
 
-def check_feuerbach(cfg: TriangleConfig,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_feuerbach(cfg: TriangleConfig) -> TheoremCheck:
     """Tangency of the Euler circle with the incircle and every excircle
     that exists; absent excircles reduce the check set and are recorded.
     The residual also takes each existing circle's tangency_gap, how far
@@ -322,7 +317,7 @@ def check_feuerbach(cfg: TriangleConfig,
     A circle whose |B|^2 - AC rounds to 0 (tangency_residual) skips the
     check as degenerate_circle."""
     if cfg.euler_circle is None or cfg.incircle is None:
-        return _skip("feuerbach", tol.chain, "euler_or_incircle_missing")
+        return _skip("feuerbach", TOLERANCES.chain, "euler_or_incircle_missing")
     circles = [("incircle", cfg.incircle)]
     circles += ((f"excircle_{v}", spec) for v, spec in sorted(cfg.excircles.items()))
     witness: dict = {}
@@ -334,10 +329,10 @@ def check_feuerbach(cfg: TriangleConfig,
         try:
             r = tangency_residual(cfg.euler_circle, spec.cycle)
         except NotACircle:  # a circle whose radius rounds to zero
-            return _skip("feuerbach", tol.chain, "degenerate_circle")
+            return _skip("feuerbach", TOLERANCES.chain, "degenerate_circle")
         witness[key] = r
         residuals += (r, spec.tangency_gap)
-    return _finish("feuerbach", max(residuals), tol.chain, witness)
+    return _finish("feuerbach", max(residuals), TOLERANCES.chain, witness)
 
 
 # ------------------------------------------------------------ power checks
@@ -353,8 +348,7 @@ AXIS_SAMPLES = 4
 AXIS_SAMPLES_MIN = 3
 
 
-def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> TheoremCheck:
     """The radical axis equalizes powers along its whole length, at
     AXIS_SAMPLES points (see the identity above AXIS_SAMPLES).
 
@@ -378,13 +372,13 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
     the members (1, 2) that were checked.
     """
     if abs(c1.c - c1.a) < GEODESIC_EPS or abs(c2.c - c2.a) < GEODESIC_EPS:
-        return _skip("radical_axis", tol.construct, "constant_power_member")
+        return _skip("radical_axis", TOLERANCES.construct, "constant_power_member")
     try:
         axis = radical_axis(c1, c2)
     except ConcentricCycles:
-        return _skip("radical_axis", tol.construct, "concentric")
+        return _skip("radical_axis", TOLERANCES.construct, "concentric")
     except AxisOutsideDisk:
-        return _skip("radical_axis", tol.construct, "axis_outside_disk")
+        return _skip("radical_axis", TOLERANCES.construct, "axis_outside_disk")
     circles = []  # (member, center, tau^2) of each member with a center
     for member, cycle in ((1, c1), (2, c2)):
         try:
@@ -408,14 +402,13 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle,
             residual = max(residual, abs(got - chord) / max(1.0, abs(got)))
         used += 1
     if used < AXIS_SAMPLES_MIN:
-        return _skip("radical_axis", tol.construct, "axis_outside_disk")
-    return _finish("radical_axis", residual, tol.construct,
+        return _skip("radical_axis", TOLERANCES.construct, "axis_outside_disk")
+    return _finish("radical_axis", residual, TOLERANCES.construct,
                    {"samples": used,
                     "power_checked": [member for member, _, _ in circles]})
 
 
-def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle) -> TheoremCheck:
     """Collinearity of pairwise homothetic centers for every sign pattern
     of MONGE_PATTERNS, each residual under its key.  A pattern with a
     missing center, or whose first two centers coincide (concentric
@@ -426,7 +419,7 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
     try:
         pair_centers = monge_centers(c1, c2, c3)
     except NoHyperbolicCenter:
-        return _skip("monge", tol.theorem, "member_not_circle")
+        return _skip("monge", TOLERANCES.theorem, "member_not_circle")
     witness: dict = {}
     residuals = []
     skip_flag = "missing_center"
@@ -441,14 +434,13 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
             residuals.append(res)
         witness[key] = res
     if not residuals:
-        return _skip("monge", tol.theorem, skip_flag, witness)
-    return _finish("monge", max(residuals), tol.theorem, witness)
+        return _skip("monge", TOLERANCES.theorem, skip_flag, witness)
+    return _finish("monge", max(residuals), TOLERANCES.theorem, witness)
 
 
 # --------------------------------------------------- tangency chain checks
 
-def check_tangent_cevians(cfg: TriangleConfig,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_tangent_cevians(cfg: TriangleConfig) -> TheoremCheck:
     """Concurrency of the vertex-to-contact cevians of the three circles
     inscribed in the angles and touching the circumcircle from inside.
     Each cevian is the normal vertex lift x contact vector, and the
@@ -458,7 +450,7 @@ def check_tangent_cevians(cfg: TriangleConfig,
     misses the circumcircle.  A shot circle that is not inside the disk
     skips the check as tangent_circle_outside_disk_{v}."""
     if cfg.circumcenter is None:
-        return _skip("tangent_cevians", tol.chain, "target_not_circle")
+        return _skip("tangent_cevians", TOLERANCES.chain, "target_not_circle")
     w = cfg.circumcircle
     target = circle_vector(w)
     normals = []
@@ -466,26 +458,25 @@ def check_tangent_cevians(cfg: TriangleConfig,
     for v in ("a", "b", "c"):
         circle = _shoot_tangent_circle(cfg.triangle, v, w)
         if circle is None:
-            return _skip("tangent_cevians", tol.chain, f"tangent_circle_absent_{v}")
+            return _skip("tangent_cevians", TOLERANCES.chain, f"tangent_circle_absent_{v}")
         try:
             vector = circle_vector(circle)
         except NoHyperbolicCenter:
-            return _skip("tangent_cevians", tol.chain, f"tangent_circle_outside_disk_{v}")
-        contact, gap = tangent_contact(vector, target, True, tol.chain)
+            return _skip("tangent_cevians", TOLERANCES.chain, f"tangent_circle_outside_disk_{v}")
+        contact, gap = tangent_contact(vector, target, True, TOLERANCES.chain)
         tangency = max(tangency, gap)
         if contact is None:
-            return _skip("tangent_cevians", tol.chain, f"contact_point_missing_{v}")
+            return _skip("tangent_cevians", TOLERANCES.chain, f"contact_point_missing_{v}")
         normals.append(through_normal(cfg.lifts[v], contact))
     try:
         point, residual = concurrency_point(normals)
     except GeometryError:
-        return _skip("tangent_cevians", tol.chain, "cevians_diverge")
-    return _finish("tangent_cevians", max(residual, tangency), tol.chain,
+        return _skip("tangent_cevians", TOLERANCES.chain, "cevians_diverge")
+    return _finish("tangent_cevians", max(residual, tangency), TOLERANCES.chain,
                    {"point": point, "tangency_gap": tangency})
 
 
-def check_feuerbach_point(cfg: TriangleConfig,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremCheck:
+def check_feuerbach_point(cfg: TriangleConfig) -> TheoremCheck:
     """Concurrency of the incircle-contact-to-incenter line with the three
     vertex-to-excircle-contact lines on the Euler circle, as the pencil
     of their normals (concurrency_point).  The incircle touches the
@@ -502,25 +493,25 @@ def check_feuerbach_point(cfg: TriangleConfig,
     contact taken from one side still sees an excircle that misses the
     Euler circle."""
     if cfg.euler_center is None or cfg.incircle is None or None in cfg.excircles.values():
-        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
+        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
     euler = circle_vector(cfg.euler_circle)
     inc = circle_vector(cfg.incircle.cycle)
-    f0, _ = tangent_contact(inc, euler, True, tol.chain)
+    f0, _ = tangent_contact(inc, euler, True, TOLERANCES.chain)
     if f0 is None:
-        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
+        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
     normals = [through_normal(f0, inc[:3])]
     gaps = []
     for v in ("a", "b", "c"):
         fv, gap = tangent_contact(euler, circle_vector(cfg.excircles[v].cycle), False,
-                                  tol.chain)
+                                  TOLERANCES.chain)
         if fv is None:
-            return _skip("feuerbach_point", tol.chain, "contact_points_missing")
+            return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
         normals.append(through_normal(cfg.lifts[v], fv))
         gaps.append(gap)
     try:
         point, residual = concurrency_point(normals)
     except DivergentCevians:
-        return _skip("feuerbach_point", tol.chain, "lines_diverge")
+        return _skip("feuerbach_point", TOLERANCES.chain, "lines_diverge")
     except GeometryError:  # a line through two coincident points
-        return _skip("feuerbach_point", tol.chain, "contact_points_missing")
-    return _finish("feuerbach_point", max(residual, *gaps), tol.chain, {"point": point})
+        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
+    return _finish("feuerbach_point", max(residual, *gaps), TOLERANCES.chain, {"point": point})

@@ -31,7 +31,6 @@ import time
 from hypfeuer import cli
 from hypfeuer.cevians import build_config
 from hypfeuer.instances import PURPOSE_TRIANGLE, instance_rng, random_triangle
-from hypfeuer.theorems import DEFAULT_TOLERANCES
 
 
 def stages(seed: int, count: int, box: float, min_angle: float):
@@ -50,11 +49,11 @@ def stages(seed: int, count: int, box: float, min_angle: float):
         if name in cli.TRIANGLE_SUITES:
             def run(call=call):
                 for i, cfg in enumerate(configs):
-                    call(cfg, i, DEFAULT_TOLERANCES)
+                    call(cfg, i)
         else:
             def run(call=call, src=src):
                 for i in range(count):
-                    call(instance_rng(seed, i, src), i, DEFAULT_TOLERANCES)
+                    call(instance_rng(seed, i, src), i)
         yield f"suite {name}", run
     report = cli.run_verify(cli.Scenario(seed=seed, trials=count, max_vertex_radius=box,
                                          min_angle=min_angle))

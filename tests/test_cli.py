@@ -23,7 +23,7 @@ from hypfeuer.cli import (
     run_verify,
 )
 from hypfeuer.geom_core import Triangle
-from hypfeuer.theorems import TheoremCheck, Tolerances
+from hypfeuer.theorems import TheoremCheck
 
 EQUILATERAL = "0.25i,-0.21650635094610965-0.125i,0.21650635094610965-0.125i"
 # generator output: flag-free, every center and residual defined
@@ -110,28 +110,44 @@ def test_verify_passes_exit_zero(tmp_path):
     assert doc["summary"]["failed"] == 0
 
 
-def test_verify_impossible_tolerance_exit_one(tmp_path):
+def test_verify_failing_check_exits_one_and_writes_the_report(tmp_path, monkeypatch):
+    # SUITES looks each check up by name when it runs
+    monkeypatch.setattr(cli, "check_lexell",
+                        lambda a, b, x0: TheoremCheck("lexell", 1.0, 1e-9, "fail"))
     code, out = run(tmp_path, "verify", "--seed", "7", "--trials", "2",
-                    "--suite", "lexell", "--tol-theorem", "0.0")
+                    "--suite", "lexell,monge")
     assert code == 1
     doc = json.loads(out.read_text())
-    assert doc["summary"]["failed"] > 0
+    assert doc["summary"] == {"instances": 2, "passed": 2, "failed": 2, "skipped": 0}
+    assert [c["status"] for inst in doc["instances"] for c in inst["checks"]] == [
+        "fail", "pass", "fail", "pass"]
 
 
-@pytest.mark.parametrize("flag, value, key, shown", [
-    ("--tol-theorem", "nan", "theorem", "nan"),
-    ("--tol-chain", "inf", "chain", "inf"),
-    ("--tol-construct", "-1", "construct", "-1.0"),
+def _exit_code(argv) -> int:
+    """main's exit code, whether it returns it or the parser raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, scenario, usage, message", [
+    pytest.param(["--tol-theorem", "0"], None, True,
+                 "error: unrecognized arguments: --tol-theorem 0", id="flag"),
+    pytest.param([], {"tolerances": {"theorem": 1e-9}}, False,
+                 "unknown scenario keys: ['tolerances']", id="scenario-key"),
 ])
-def test_unusable_tolerance_is_usage_error(tmp_path, monkeypatch, capsys,
-                                           flag, value, key, shown):
-    # refused up front: the suite used to run to the end and then exit 1
-    # on the report's non-finite tolerance, or fail every check
-    monkeypatch.setattr(cli, "run_verify", lambda scn: pytest.fail("an instance ran"))
-    code, out = run(tmp_path, "verify", "--trials", "2", flag, value)
-    assert code == 2
-    assert (f"tolerance {key!r} must be finite and non-negative, got {shown}"
-            in capsys.readouterr().err)
+def test_tolerances_are_not_settable(tmp_path, capsys, argv, scenario, usage, message):
+    # the tiers are theorems.TOLERANCES: no flag or scenario key widens one
+    if scenario is not None:
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(scenario))
+        argv = [*argv, "--scenario", str(scn)]
+    out = tmp_path / "out.json"
+    assert _exit_code(["verify", "--trials", "1", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (cli._USAGE if usage else "") + f"hypfeuer: {message}\n"
     assert not out.exists()
 
 
@@ -370,7 +386,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
 
 def _replace_suite(monkeypatch, name, check):
     purpose, _ = cli.SUITES[name]
-    monkeypatch.setitem(cli.SUITES, name, (purpose, lambda source, index, tol: check))
+    monkeypatch.setitem(cli.SUITES, name, (purpose, lambda source, index: check))
 
 
 def test_infinite_residual_is_refused_not_written(tmp_path, monkeypatch, capsys):
@@ -534,8 +550,7 @@ def test_scenario_missing_file_is_usage_error(tmp_path):
 
 # ------------------------------------------------------------------- parser
 
-FLAGS = ("--seed", "--trials", "--suite", "--tol-construct", "--tol-theorem",
-         "--tol-chain", "--triangle", "--out", "--format", "--scenario")
+FLAGS = ("--seed", "--trials", "--suite", "--triangle", "--out", "--format", "--scenario")
 
 
 def _flag_cases(tmp_path) -> dict:
@@ -547,9 +562,6 @@ def _flag_cases(tmp_path) -> dict:
         "--seed": ("5", {"seed": 5}),
         "--trials": ("3", {"trials": 3}),
         "--suite": ("monge,lexell", {"suite": ("lexell", "monge")}),
-        "--tol-construct": ("1e-7", {"tolerances": Tolerances(construct=1e-7)}),
-        "--tol-theorem": ("2e-8", {"tolerances": Tolerances(theorem=2e-8)}),
-        "--tol-chain": ("3e-6", {"tolerances": Tolerances(chain=3e-6)}),
         "--triangle": (EQUILATERAL, {"triangle": Triangle.of(*parse_triangle(EQUILATERAL))}),
         "--out": (out, {"out": out}),
         "--format": ("json", {}),
@@ -683,19 +695,7 @@ def test_help_names_every_command():
     ('{"max_vertex_radius": 0}', "max_vertex_radius must lie in (0, 1)"),
     ('{"suite": 3}', "scenario key 'suite' must be a string or a list, got 3"),
     ('{"seed": null}', "scenario key 'seed' must be an integer, got null"),
-    ('{"tolerances": 5}', "scenario key 'tolerances' must be an object, got 5"),
-    ('{"tolerances": {"theorem": null}}', "tolerance 'theorem' must be a number"),
-    ('{"tolerances": {"theorm": 1e-30}}', "unknown tolerance keys: ['theorm']"),
-    ('{"tolerances": {"theorem": 1e400}}',
-     "tolerance 'theorem' must be finite and non-negative, got inf"),
-    ('{"tolerances": {"chain": NaN}}',
-     "tolerance 'chain' must be finite and non-negative, got nan"),
-    ('{"tolerances": {"construct": -1e-10}}',
-     "tolerance 'construct' must be finite and non-negative, got -1e-10"),
     # JSON integers have no range; 10**400 has no float
-    pytest.param('{"tolerances": {"theorem": 1%s}}' % ("0" * 400),
-                 "tolerance 'theorem' must be finite and non-negative, got inf",
-                 id="tolerance-10**400"),
     pytest.param('{"max_vertex_radius": 1%s}' % ("0" * 400),
                  "int too large to convert to float", id="max_vertex_radius-10**400"),
     # in range, but no draw meets them: the sampler's cap ends the search

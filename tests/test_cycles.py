@@ -30,6 +30,7 @@ from hypfeuer.cycles import (
     coefficient_distance,
     _circle_vector,
     cycle_through,
+    disk_arc,
     farthest_sample,
     geodesic_through,
     hyp_center_radius,
@@ -90,6 +91,18 @@ def test_a_tiny_nonzero_b_is_a_line_outside_the_disk():
     line = GeneralizedCycle.of(0.0, 1e-12j, 1.0)
     assert line.a == 0.0 and line.b == 1e-12j
     assert sample_points(line, 4) == []
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.0, 1e-300j, 1.0),  # a line: |B| (|B| + S) underflows to 0
+    (1.0, 0.5, 0.25),  # radius-0 circles: S = 0
+    (1.0, 0j, 0.0),
+])
+def test_a_cycle_without_an_arc_frame_gets_no_sample(a, b, c):
+    # each raised ZeroDivisionError from arc_frame
+    cycle = GeneralizedCycle.of(a, b, c)
+    assert disk_arc(cycle, 1e-6) is None
+    assert sample_points(cycle, 4) == []
 
 
 @pytest.mark.parametrize("a, b, c", [

@@ -21,7 +21,6 @@ from hypfeuer.instances import (
     instance_rng,
     random_triangle,
 )
-from hypfeuer.theorems import DEFAULT_TOLERANCES
 
 # (box, min_angle) of the drawn triangles, seeds 0-1 x 200 in each
 SCENARIOS = ((DEFAULT_MAX_VERTEX_RADIUS, DEFAULT_MIN_ANGLE), (0.25, DEFAULT_MIN_ANGLE),
@@ -48,8 +47,7 @@ def outcomes():
     for index, full, bare in _drawn_pairs():
         for name in TRIANGLE_SUITES:
             call = SUITES[name][1]
-            got[name].append((call(full, index, DEFAULT_TOLERANCES),
-                              call(bare, index, DEFAULT_TOLERANCES)))
+            got[name].append((call(full, index), call(bare, index)))
     return got
 
 

@@ -3,7 +3,7 @@
 The reference below is the former code, kept as the oracle: the
 `ArgumentParser` that `cli.build_parser` built and the rewrite of a
 leading-minus `--triangle` value that ran before it.  On every argv of
-PARITY both give the same eleven fields, or both print the usage and
+PARITY both give the same eight fields, or both print the usage and
 exit 2 (with the same stderr), or both print the same help and exit 0.
 DIFFERENCES lists where they part, each on purpose and with its reason.
 """
@@ -14,8 +14,7 @@ import pytest
 
 from hypfeuer import cli
 
-FIELDS = ("command", "seed", "trials", "suite", "tol_construct", "tol_theorem",
-          "tol_chain", "triangle", "out", "format", "scenario")
+FIELDS = ("command", "seed", "trials", "suite", "triangle", "out", "format", "scenario")
 
 TRIANGLE = "-0.1+0.2i,0.3,0.1i"
 
@@ -34,9 +33,6 @@ def reference_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--suite", type=str, default=None,
                         help="comma-separated check names, or 'all'")
-    parser.add_argument("--tol-construct", type=float, default=None)
-    parser.add_argument("--tol-theorem", type=float, default=None)
-    parser.add_argument("--tol-chain", type=float, default=None)
     parser.add_argument("--triangle", type=str, default=None,
                         help='vertices as "a,b,c", e.g. "0.1+0.1i,0.5,0.3i"')
     parser.add_argument("--out", type=str, default=None)
@@ -70,7 +66,7 @@ def reference_parse(argv):
 
 
 def outcome(parse, argv, capsys):
-    """("fields", the eleven values) or ("exit", code, stdout, stderr)."""
+    """("fields", the eight values) or ("exit", code, stdout, stderr)."""
     try:
         args = parse(list(argv))
     except SystemExit as exc:
@@ -85,9 +81,6 @@ PARITY = [
     ["verify", "--trials", "3"], ["verify", "--trials=3"],
     ["verify", "--suite", "monge,lexell"], ["verify", "--suite=monge,lexell"],
     ["verify", "--suite="],
-    ["verify", "--tol-construct", "1e-7"], ["verify", "--tol-construct=1e-7"],
-    ["verify", "--tol-theorem", "2e-8"], ["verify", "--tol-theorem=2e-8"],
-    ["verify", "--tol-chain", "inf"], ["verify", "--tol-chain=1e400"],
     ["construct", "--triangle", "0.1,0.2i,0.3"], ["construct", "--triangle=0.1,0.2i,0.3"],
     ["render", "--out", "fig.svg"], ["render", "--out=fig.svg"], ["render", "--out", "-"],
     ["render", "--format", "json"], ["render", "--format=svg"],
@@ -95,7 +88,7 @@ PARITY = [
     ["verify", "--out", "a=b.json"],
     # unique abbreviations
     ["verify", "--se", "5"], ["verify", "--trial=3"], ["verify", "--su", "all"],
-    ["verify", "--tol-t", "1e-9"], ["verify", "--tol-co=1e-9"], ["verify", "--tol-ch", "0"],
+    ["render", "--form", "svg"], ["verify", "--sui=all"], ["verify", "--scen", "0"],
     ["render", "--fo", "json"], ["verify", "--sc", "scn.json"], ["verify", "--o", "r.json"],
     ["construct", "--trian", "0.1,0.2i,0.3"], ["construct", "--triangl=0.1,0.2i,0.3"],
     # the command anywhere; the last of a repeated flag wins
@@ -104,7 +97,7 @@ PARITY = [
     # negative numbers are values; a negative seed is refused later, by
     # scenario_from_args
     ["verify", "--seed", "-3"], ["verify", "--seed=-3"], ["verify", "--trials", "-1"],
-    ["verify", "--tol-theorem", "-1"], ["verify", "--tol-theorem", "-.5"],
+    ["verify", "--suite", "-1"], ["verify", "--suite", "-.5"], ["verify", "--trials", "-.5"],
     # a leading-minus first vertex, by the name and by --trian and longer
     ["construct", "--triangle", TRIANGLE], ["construct", "--triangle=" + TRIANGLE],
     ["construct", "--trian", TRIANGLE], ["render", "--triang", "-.25i,0.3,0.1i"],
@@ -117,10 +110,12 @@ PARITY = [
     ["verify", "--triangle"], ["construct", "--triangle", "--out", "x.json"],
     ["verify", "--seed", "x"], ["verify", "--seed", "1.5"], ["verify", "--seed="],
     ["verify", "--trials", "2e3"],
-    ["verify", "--tol-chain", "abc"], ["verify", "--tol-theorem="],
+    ["verify", "--trials", "inf"], ["verify", "--seed=1e400"], ["verify", "--format="],
+    # the tolerance flags are gone
+    ["verify", "--tol-theorem", "2e-8"], ["verify", "--tol-chain=1e400"],
     ["render", "--format", "png"], ["render", "--format=SVG"],
     ["verify", "--bogus"], ["verify", "--bogus=1"], ["verify", "--seed5"], ["-x", "verify"],
-    ["verify", "--t", "1"], ["verify", "--tol=1"], ["verify", "--s", "1"],
+    ["verify", "--t", "1"], ["verify", "--s=1"], ["verify", "--s", "1"],
     ["verify", "extra"], ["verify", "construct"], ["verify", "-1"],
     ["verify", "a", "--bogus", "b"], ["--bogus", "verify", "--seed", "x"],
     ["--help=x"], ["verify", "-h=1"],
@@ -146,13 +141,13 @@ def test_parser_matches_the_argparse_reference(argv, capsys, monkeypatch):
 # fields it reads (the reference exited 2), or its usage error
 DIFFERENCES = {
     # a value that starts with "-" and a digit, "." or "i" is a value for
-    # every flag, not just --triangle; _tolerance then refuses a negative
-    # or infinite tolerance, so main still exits 2, with one line
-    ("verify", "--tol-theorem", "-1e-10"): {"tol_theorem": -1e-10},
-    ("verify", "--tol-chain", "-inf"): {"tol_chain": -float("inf")},
-    # by the same rule "-1e3" is read, and is no int; argparse took it
-    # for a flag and said --seed missed its value
+    # every flag, not just --triangle; parse_suite then refuses the
+    # suite, so main still exits 2, with one line
+    ("verify", "--suite", "-1e-10"): {"suite": "-1e-10"},
+    # by the same rule "-1e3" and "-inf" are read, and are no int;
+    # argparse took each for a flag and said --seed missed its value
     ("verify", "--seed", "-1e3"): "argument --seed: invalid int value: '-1e3'",
+    ("verify", "--seed", "-inf"): "argument --seed: invalid int value: '-inf'",
     # argparse read a word with a space as a value; here a word that
     # starts with "-" and a letter is a flag, whatever follows
     ("verify", "--suite", "-x y"): "argument --suite: expected one argument",
@@ -179,7 +174,7 @@ def test_deliberate_differences_from_the_reference(argv, capsys, monkeypatch, tm
     assert {name: got[1][name] for name in expected} == expected
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("hypfeuer: tolerance ")
+    assert line.startswith("hypfeuer: unknown suite ")
 
 
 @pytest.mark.parametrize("columns", ["80", "40", "200"])
