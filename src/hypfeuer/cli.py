@@ -6,6 +6,12 @@ serialized as shortest round-trip decimals, complex values as "x+yi"
 strings, and wall time goes to stderr so report bytes stay identical
 across runs.  A NaN or an infinity is never written: the command exits
 1 instead.
+
+verify runs its instances in blocks (run_verify), one stage at a time
+over a block: the triangle draws and configurations, then each suite.
+No stage call reads another instance's stream or configuration, so the
+report, and the error that stops a run, are those of running each
+instance whole, in turn; only the time differs.
 """
 
 from __future__ import annotations
@@ -286,31 +292,61 @@ def _triangle(scn: Scenario, index: int) -> tuple[Triangle, int]:
                            scn.max_vertex_radius, scn.min_angle)
 
 
-def _run_instance(scn: Scenario, index: int, pencils: bool | None) -> InstanceReport:
-    """One instance of the asked suites; pencils is None when no suite
-    reads a triangle configuration, else build_config's pencils."""
-    instance: dict = {}
-    flags: list[str] = []
-    cfg = None
-    if pencils is not None:
-        tri, resamples = _triangle(scn, index)
-        cfg = build_config(tri, pencils)
-        flags = list(cfg.flags)
-        instance["triangle"] = {"a": tri.a, "b": tri.b, "c": tri.c}
-        instance["resamples"] = resamples
-    checks = []
-    for name in scn.suite:
-        src, call = SUITES[name]
-        source = cfg if name in TRIANGLE_SUITES else instance_rng(scn.seed, index, src)
-        checks.append(call(source, index))
-    return InstanceReport(index, instance, flags, checks)
+# instances per block: run_verify runs one stage over a block's instances
+# before the next stage.  A block's configurations stay alive until its
+# last suite, so the whole run as one block would hold every one.
+BLOCK = 32
 
 
 def run_verify(scn: Scenario) -> VerificationReport:
+    """The report of the asked suites over instances 0 .. trials - 1.
+
+    The instances run in blocks of BLOCK, one stage at a time over the
+    block: the triangle draw and build_config (when an asked suite reads
+    a configuration), then each asked suite in report order.  Every
+    stage call reads only its own (seed, index, purpose) stream or its
+    instance's configuration, so the report is that of running each
+    instance whole, in turn.  So is an error: when a stage raises at an
+    instance, that instance and the later ones of the block run no
+    further stage, and after the block the error of the earliest
+    instance is raised, which an instance-by-instance run raises first.
+    """
     start = time.perf_counter()
     asked = set(scn.suite)
     pencils = bool(asked & PENCIL_SUITES) if asked & TRIANGLE_SUITES else None
-    instances = [_run_instance(scn, i, pencils) for i in range(scn.trials)]
+    instances: list[InstanceReport] = []
+    for first in range(0, scn.trials, BLOCK):
+        block = [InstanceReport(index, {}, [], [])
+                 for index in range(first, min(first + BLOCK, scn.trials))]
+        configs: list[TriangleConfig] = []
+        # whatever a stage raises, of any type, waits for the end of the
+        # block, as an earlier instance may raise in a later stage
+        error = None
+        if pencils is not None:
+            for report in block:
+                try:
+                    tri, resamples = _triangle(scn, report.index)
+                    cfg = build_config(tri, pencils)
+                except Exception as exc:
+                    error, block = exc, block[:len(configs)]
+                    break
+                configs.append(cfg)
+                report.instance.update(triangle={"a": tri.a, "b": tri.b, "c": tri.c},
+                                       resamples=resamples)
+                report.flags.extend(cfg.flags)
+        for name in scn.suite:
+            src, call = SUITES[name]
+            on_config = name in TRIANGLE_SUITES
+            for k, report in enumerate(block):
+                try:
+                    source = configs[k] if on_config else instance_rng(scn.seed, report.index, src)
+                    report.checks.append(call(source, report.index))
+                except Exception as exc:
+                    error, block = exc, block[:k]
+                    break
+        if error is not None:
+            raise error
+        instances += block
     tri = scn.triangle
     params = {
         "trials": scn.trials,

@@ -23,8 +23,14 @@ median ratio moves by more than the metric's bound (``worse`` or
 is wider than the bound and not every change run beats every parent
 run, else ``within``; ``claimable`` follows when the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-parent's quartile distance.  The raw runs go to ``--out`` as JSON.
-Stdlib only; pytest does not collect it.
+parent's quartile distance.
+
+``--out`` gets the record of the run as JSON: ``machine`` (the Python
+version, the platform, the CPU count and the CPU model), ``summary``
+(workload -> metric -> the row above, as ``compare`` returns it) and
+``runs`` (every pair, refused ones too, with both sides' raw runs).  A
+claimed gain commits this record as ``BENCH_<pr>.json`` at the
+repository root.  Stdlib only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -99,6 +106,45 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "claimable": claimable}
 
 
+def cpu_model(cpuinfo: str = "/proc/cpuinfo") -> str | None:
+    """The first "model name" of cpuinfo, None when it names none or
+    cannot be read."""
+    try:
+        with open(cpuinfo, encoding="utf-8") as fh:
+            for line in fh:
+                key, colon, value = line.partition(":")
+                if colon and key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return None
+
+
+def machine() -> dict:
+    """What the runs ran on."""
+    return {"python": platform.python_version(), "platform": platform.platform(),
+            "cpu_count": os.cpu_count(), "cpu_model": cpu_model()}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """workload -> metric -> its compare() row over the workload's kept
+    pairs, for each end-to-end metric (name, better, bound); a workload
+    with no kept pair is left out."""
+    kept: dict[str, list[dict]] = {}
+    for pair in runs:
+        if not pair["refused"]:
+            kept.setdefault(pair["workload"], []).append(pair)
+    summary = {}
+    for workload, pairs in kept.items():
+        summary[workload] = {}
+        for m in end_to_end:
+            values = {side: [p[side]["metrics"][m["name"]]["value"] for p in pairs]
+                      for side in ("parent", "change")}
+            summary[workload][m["name"]] = compare(values["parent"], values["change"],
+                                                   m["better"], m["bound"])
+    return summary
+
+
 def summary_line(workload: str, metric: str, row: dict) -> str:
     p1, p2, p3 = row["parent"]
     c1, c2, c3 = row["change"]
@@ -124,7 +170,6 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         for path in sides.values():
             bench_run(path, workload, args.seed, 1)
-        kept = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": args.seed + i, "first": order[0]}
@@ -134,17 +179,11 @@ def main(argv=None) -> int:
             runs.append(pair)
             if pair["refused"]:
                 print(f"{workload} seed {pair['seed']}: refused ({pair['refused']})")
-            else:
-                kept.append(pair)
-        if not kept:
-            continue
-        for m in end_to_end:
-            values = {side: [p[side]["metrics"][m["name"]]["value"] for p in kept]
-                      for side in sides}
-            row = compare(values["parent"], values["change"], m["better"], m["bound"])
-            print(summary_line(workload, m["name"], row), flush=True)
+        for metric, row in summarize(runs, end_to_end).get(workload, {}).items():
+            print(summary_line(workload, metric, row), flush=True)
+    record = {"machine": machine(), "summary": summarize(runs, end_to_end), "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(runs, fh, indent=1)
+        json.dump(record, fh, indent=1)
     return 0
 
 

@@ -12,7 +12,13 @@ times, with ``time.process_time``, each stage on every instance:
   drawn suite with its own draw, a triangle suite on the full
   configuration;
 * ``writer``: ``cli.report_json`` of the ``verify --suite all`` report
-  of those instances.
+  of those instances;
+* ``verify``: ``cli.run_verify`` of that scenario, the whole call.
+
+The ``draw``, ``build_config`` and suite rows sum to less than the
+``verify`` row: each of them runs one stage over all N instances at
+once, while ``run_verify`` runs the stages over blocks of ``cli.BLOCK``
+instances and also builds the instance records.
 
 Each round times every stage once, in that order; the script prints
 one ``stage min median`` row per stage, the per-instance cost in µs over
@@ -55,9 +61,10 @@ def stages(seed: int, count: int, box: float, min_angle: float):
                 for i in range(count):
                     call(instance_rng(seed, i, src), i)
         yield f"suite {name}", run
-    report = cli.run_verify(cli.Scenario(seed=seed, trials=count, max_vertex_radius=box,
-                                         min_angle=min_angle))
+    scn = cli.Scenario(seed=seed, trials=count, max_vertex_radius=box, min_angle=min_angle)
+    report = cli.run_verify(scn)
     yield "writer", lambda: cli.report_json(report)
+    yield "verify", lambda: cli.run_verify(scn)
 
 
 def costs(seed: int, count: int, rounds: int, box: float,

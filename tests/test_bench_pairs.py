@@ -1,9 +1,12 @@
 """The summary arithmetic of the pair runner (`tests/bench_pairs.py`), on
 fixed numbers; no benchmark runs."""
 
+import json
+
 import pytest
 
-from bench_pairs import compare, quartiles, refusal
+import bench_pairs
+from bench_pairs import compare, cpu_model, machine, quartiles, refusal, summarize
 
 
 def test_quartiles_are_inclusive_and_take_one_value():
@@ -82,3 +85,75 @@ def test_a_pair_is_refused_unless_correct_with_equal_attempts():
     assert refusal(ok, {"correct": False, "attempted": 400}) == "not correct"
     assert refusal({"correct": False, "attempted": 400}, ok) == "not correct"
     assert refusal(ok, {"correct": True, "attempted": 401}) == "attempted 400 != 401"
+
+
+def _run(instances_per_s: float, peak_rss_mb: float, correct=True, attempted=100) -> dict:
+    """One bench/run.py result line with two end-to-end metrics."""
+    return {"correct": correct, "attempted": attempted, "failed": 0,
+            "metrics": {"instances_per_s": {"value": instances_per_s},
+                        "peak_rss_mb": {"value": peak_rss_mb}}}
+
+
+END_TO_END = [{"name": "instances_per_s", "better": "higher", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.03}]
+
+
+def _pair(workload: str, seed: int, parent: dict, change: dict) -> dict:
+    return {"workload": workload, "seed": seed, "first": "parent",
+            "parent": parent, "change": change, "refused": refusal(parent, change)}
+
+
+def test_the_summary_holds_each_workloads_compare_row_per_metric():
+    runs = [_pair("verify_all", 1, _run(100.0, 70.0), _run(110.0, 70.0)),
+            _pair("verify_all", 2, _run(102.0, 70.0), _run(111.0, 71.0)),
+            # refused: left out of the summary, kept in the runs
+            _pair("verify_all", 3, _run(50.0, 70.0), _run(500.0, 70.0, correct=False)),
+            _pair("cycles_power", 1, _run(200.0, 60.0), _run(199.0, 60.0)),
+            # a workload with no kept pair has no summary
+            _pair("contact_chain", 1, _run(9.0, 1.0), _run(9.0, 1.0, attempted=99))]
+    summary = summarize(runs, END_TO_END)
+    assert list(summary) == ["verify_all", "cycles_power"]
+    assert all(list(rows) == ["instances_per_s", "peak_rss_mb"] for rows in summary.values())
+    assert summary["verify_all"]["instances_per_s"] == compare(
+        [100.0, 102.0], [110.0, 111.0], "higher", 0.25)
+    assert summary["verify_all"]["peak_rss_mb"] == compare(
+        [70.0, 70.0], [70.0, 71.0], "lower", 0.03)
+    assert summary["cycles_power"]["instances_per_s"]["wins"] == 0
+
+
+def test_the_machine_names_python_platform_and_cpu(tmp_path):
+    info = machine()
+    assert list(info) == ["python", "platform", "cpu_count", "cpu_model"]
+    assert info["python"].count(".") == 2
+    assert isinstance(info["platform"], str) and info["platform"]
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: Some CPU @ 2.00GHz\n\n"
+                       "processor\t: 1\nmodel name\t: Some CPU @ 2.00GHz\n")
+    assert cpu_model(str(cpuinfo)) == "Some CPU @ 2.00GHz"
+    cpuinfo.write_text("processor\t: 0\n")
+    assert cpu_model(str(cpuinfo)) is None
+    assert cpu_model(str(tmp_path / "missing")) is None
+
+
+def test_the_record_is_machine_summary_and_runs(tmp_path, monkeypatch):
+    # main with bench_run replaced by fixed numbers: no benchmark runs
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    values = {str(parent): 100.0, str(change): 120.0}
+    monkeypatch.setattr(bench_pairs, "bench_run", lambda checkout, workload, seed, seconds:
+                        _run(values[checkout] + seed, 70.0))
+    out = tmp_path / "record.json"
+    assert bench_pairs.main([str(parent), str(change), "--workloads", "verify_all",
+                             "--pairs", "3", "--seed", "5", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert list(record) == ["machine", "summary", "runs"]
+    assert list(record["machine"]) == ["python", "platform", "cpu_count", "cpu_model"]
+    row = record["summary"]["verify_all"]["instances_per_s"]
+    # seeds 5-7: quartiles of 105, 106, 107 and of 125, 126, 127
+    assert row["parent"] == [105.5, 106.0, 106.5] and row["change"] == [125.5, 126.0, 126.5]
+    assert row["wins"] == 3 and row["claimable"]
+    assert [(p["seed"], p["first"], p["refused"]) for p in record["runs"]] == [
+        (5, "parent", None), (6, "change", None), (7, "parent", None)]
+    assert record["runs"][1]["change"]["metrics"]["instances_per_s"]["value"] == 126.0

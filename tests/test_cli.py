@@ -1,5 +1,6 @@
 """CLI behavior: parsing, exit codes, report shape, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -22,8 +23,10 @@ from hypfeuer.cli import (
     parse_triangle,
     run_verify,
 )
+from hypfeuer.errors import GeometryError
 from hypfeuer.geom_core import Triangle
-from hypfeuer.theorems import TheoremCheck
+from hypfeuer.instances import instance_rng
+from hypfeuer.theorems import InstanceReport, TheoremCheck
 
 EQUILATERAL = "0.25i,-0.21650635094610965-0.125i,0.21650635094610965-0.125i"
 # generator output: flag-free, every center and residual defined
@@ -418,6 +421,83 @@ def test_zero_trials_empty_report(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["summary"]["instances"] == 0
     assert doc["instances"] == []
+
+
+# ------------------------------------------------------------ block order
+
+def _one_at_a_time(scn: Scenario) -> list[InstanceReport]:
+    """scn's instances, each run whole before the next: the order that
+    run_verify's blocks must not show."""
+    asked = set(scn.suite)
+    instances = []
+    for index in range(scn.trials):
+        instance, flags, cfg = {}, [], None
+        if asked & TRIANGLE_SUITES:
+            tri, resamples = cli._triangle(scn, index)
+            cfg = cli.build_config(tri, bool(asked & cli.PENCIL_SUITES))
+            instance = {"triangle": {"a": tri.a, "b": tri.b, "c": tri.c},
+                        "resamples": resamples}
+            flags = list(cfg.flags)
+        checks = []
+        for name in scn.suite:
+            src, call = cli.SUITES[name]
+            source = cfg if name in TRIANGLE_SUITES else instance_rng(scn.seed, index, src)
+            checks.append(call(source, index))
+        instances.append(InstanceReport(index, instance, flags, checks))
+    return instances
+
+
+@pytest.mark.parametrize("scn", [
+    # two whole blocks and a partial one
+    Scenario(seed=0, trials=2 * cli.BLOCK + 3),
+    Scenario(seed=0, trials=40, suite=("feuerbach", "tangent_cevians", "feuerbach_point"),
+             max_vertex_radius=0.25),
+], ids=["all", "contact"])
+def test_blocks_write_the_bytes_of_one_instance_at_a_time(scn):
+    report = run_verify(scn)
+    expected = report.replace(instances=_one_at_a_time(scn))
+    assert cli.report_json(report) == cli.report_json(expected)
+
+
+@pytest.mark.parametrize("trials, suite_at, build_at", [
+    (5, 1, 2),
+    (5, 2, 1),
+    (5, 3, 3),
+    (70, 33, 35),
+    (70, 35, 33),
+])
+def test_blocks_raise_the_error_of_one_instance_at_a_time(monkeypatch, trials,
+                                                          suite_at, build_at):
+    # build_config sees the instances in index order in either loop, so
+    # its call count is the index
+    calls = itertools.count()
+    build_config = cli.build_config
+
+    def build_raising(tri, pencils=True):
+        index = next(calls)
+        if index == build_at:
+            raise GeometryError(f"build_config at {index}")
+        return build_config(tri, pencils)
+
+    src, lexell = cli.SUITES["lexell"]
+
+    def lexell_raising(rng, index):
+        if index == suite_at:
+            raise GeometryError(f"lexell at {index}")
+        return lexell(rng, index)
+
+    monkeypatch.setattr(cli, "build_config", build_raising)
+    monkeypatch.setitem(cli.SUITES, "lexell", (src, lexell_raising))
+    scn = Scenario(seed=3, trials=trials)
+    with pytest.raises(GeometryError) as expected:
+        _one_at_a_time(scn)
+    calls = itertools.count()
+    with pytest.raises(GeometryError) as got:
+        run_verify(scn)
+    first = min(suite_at, build_at)
+    assert str(expected.value) == (f"build_config at {first}" if build_at == first
+                                   else f"lexell at {first}")
+    assert str(got.value) == str(expected.value)
 
 
 # ------------------------------------------------------------------ reports

@@ -11,7 +11,7 @@ def test_one_row_per_stage(capsys):
     assert header.split() == ["stage", "min_us", "median_us"]
     assert [row.rsplit(None, 2)[0] for row in rows] == [
         "draw", "build_config", "build_config_bare",
-        *(f"suite {name}" for name in SUITE_ORDER), "writer"]
+        *(f"suite {name}" for name in SUITE_ORDER), "writer", "verify"]
     for row in rows:
         low, median = map(float, row.split()[-2:])
         assert 0.0 <= low <= median
