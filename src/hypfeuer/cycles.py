@@ -68,6 +68,7 @@ import math
 from .errors import (
     CoincidentPoints,
     IdenticalCycles,
+    MissingCenter,
     NoHyperbolicCenter,
     NotACircle,
     NotACycle,
@@ -425,13 +426,14 @@ def circle_from_center_radius(center: complex, rho: float) -> GeneralizedCycle:
 def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
     """Interior center P / |P| (meet_point) and hyperbolic radius
     asinh(s / |P|) of a circle inside the disk (_circle_vector);
-    NoHyperbolicCenter otherwise."""
+    NoHyperbolicCenter for any other cycle."""
     pt, px, py, norm, s = _circle_vector(cycle)
     center = meet_point(pt, px, py)
     # meet_point's q is norm^2 > 0 here, so only a meet_point that reads
-    # points differently returns None: refuse it as a missing center
+    # points differently returns None: a circle whose center is missing,
+    # which callers must tell from a cycle that is not a circle
     if center is None:
-        raise NoHyperbolicCenter("center vector is not timelike")
+        raise MissingCenter("a circle's center vector reads as no point")
     return center, math.asinh(s / norm)
 
 

@@ -57,7 +57,9 @@ class AxisOutsideDisk(GeometryError):
 
 
 class MissingCenter(GeometryError):
-    """A homothetic center required by a sign pattern does not exist."""
+    """A center the construction needs does not exist: a homothetic center
+    required by a sign pattern, or a circle's center that meet_point
+    does not read as a disk point."""
 
 
 class NoHyperbolicCenter(GeometryError):

@@ -26,8 +26,10 @@ combination (the three signed angles sum to s - copysign(pi, s))
 which drives every cevian construction here: on a circle through two
 points it is constant, which gives the pseudoaltitude foot its closed
 form (see ``cevians``).  The sampled checks call ``sigma`` for
-sigma(a, x, b) and ``triangle_area`` for the area of (a, b, x) once per
-sample x, and map the kernel's raise on a degenerate sample to a skip.
+sigma(a, x, b) and ``abs(signed_area)`` for the area of (a, b, x) once
+per sample x, on samples their guards keep clear of a and b, so
+neither raises there; a raise of ``sigma`` all the same fails the
+inscribed-angle check.
 
 A point below the input boundary is a ``complex``, and a real number
 works as one.  ``check_disk`` is the one caller of ``as_complex``: it

@@ -68,7 +68,7 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
     """The geodesic of points with equal power with respect to c1 and c2,
     neither of them a geodesic (|C - A| at least GEODESIC_EPS): a
     geodesic's power is identically 1, so against it the powers agree
-    nowhere or everywhere, and the caller (check_radical_axis) skips such
+    nowhere or everywhere, and the caller (check_radical_axis) fails such
     a pair before it gets here.
 
     The combination below has equal leading and constant coefficients by

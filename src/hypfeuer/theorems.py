@@ -2,10 +2,18 @@
 
 Every check returns a TheoremCheck: a named residual compared against a
 tolerance, with a witness dictionary holding the objects involved.  A
-check never raises on a degenerate instance; it returns status
-"skipped" with a named reason instead, so suite statistics stay honest
+check never raises; it skips, with a named reason as its flag, only for
+a cause an honest instance can have, so suite statistics stay honest
 (nothing absent is silently dropped).  A triangle check skips when an
-object it reads is None on the TriangleConfig, never on its flags.
+object it reads is None on the TriangleConfig, never on its flags.  The
+drawn checks (inscribed_angle, trapezoid, lexell, radical_axis, monge)
+trust their generators: they skip only as axis_outside_disk, where a
+pair of cycles has no usable radical axis in the disk.  Only a wrong
+kernel gives a drawn check an input that breaks a property its
+generator guarantees (an endpoint off its cycle, a quad that is not
+convex, a circle whose center cannot be read), so the check fails
+there (_broken): the flag names the property, and the residual is its
+measure where it has one, else null.
 
 Tolerance tiers, the one constant ``TOLERANCES``: constructive
 identities get 1e-10, single theorem statements 1e-9, and results
@@ -45,6 +53,7 @@ from .geom_core import (
     disk_distance,
     sigma,
     signed_angle,
+    signed_area,
     triangle_area,
 )
 from .cycles import (
@@ -108,6 +117,13 @@ def _skip(name: str, tolerance: float, flag: str,
     return TheoremCheck(name, None, tolerance, "skipped", flag, witness)
 
 
+def _broken(name: str, tolerance: float, flag: str, residual: float | None = None,
+            witness: dict | None = None) -> TheoremCheck:
+    """A failure on an input that breaks a property its generator
+    guarantees, flagged with that property."""
+    return TheoremCheck(name, residual, tolerance, "fail", flag, witness)
+
+
 class InstanceReport(Record):
     __slots__ = ("index", "instance", "flags", "checks")
 
@@ -144,17 +160,21 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex) -> Th
 
     When the cycle is a compact circle the constant itself is pinned:
     it equals twice the angle at a between the center and b.
+
+    arc_instance puts a and b on the cycle, far apart, with every sample
+    between them inside the disk, so an endpoint off the cycle, fewer
+    than ARC_SAMPLES_MIN samples or a sample at an endpoint fails.
     """
-    for z in (a, b):
-        if membership_residual(cycle, z) > 1e-9:
-            return _skip("inscribed_angle", TOLERANCES.theorem, "endpoint_off_cycle")
+    off = max(membership_residual(cycle, a), membership_residual(cycle, b))
+    if off > 1e-9:
+        return _broken("inscribed_angle", TOLERANCES.theorem, "endpoint_off_cycle", off)
     xs = _arc_samples(cycle, a, b, ARC_SAMPLES)
     if len(xs) < ARC_SAMPLES_MIN:
-        return _skip("inscribed_angle", TOLERANCES.theorem, "arc_outside_disk")
+        return _broken("inscribed_angle", TOLERANCES.theorem, "arc_outside_disk")
     try:
         values = [sigma(a, x, b) for x in xs]
     except DegenerateAngle:
-        return _skip("inscribed_angle", TOLERANCES.theorem, "sample_at_endpoint")
+        return _broken("inscribed_angle", TOLERANCES.theorem, "sample_at_endpoint")
     # sigma is an angle: compare mod 2pi, or collinear samples on a
     # geodesic flap between the identified values +pi and -pi
     base = values[len(values) // 2]
@@ -184,16 +204,17 @@ def check_trapezoid(a: complex, b: complex, c: complex, d: complex) -> TheoremCh
     to satisfy one side exactly, so that side is pinned near zero and
     the other is the lemma's residual; max() of the two measures it
     without knowing which side the construction pinned, and fails when
-    either side is off.
+    either side is off.  trapezoid_quad's quads are convex and
+    non-degenerate, so a quad that is not fails.
     """
     angles = convex_quad_angles(a, b, c, d)
     if angles is None:
-        return _skip("trapezoid", TOLERANCES.theorem, "non_convex")
+        return _broken("trapezoid", TOLERANCES.theorem, "non_convex")
     qa, qb, qc, qd = angles
     try:
         area_c, area_d = triangle_area(a, b, c), triangle_area(a, b, d)
     except (DegenerateAngle, DegenerateTriangle):
-        return _skip("trapezoid", TOLERANCES.theorem, "degenerate_quad")
+        return _broken("trapezoid", TOLERANCES.theorem, "degenerate_quad")
     area_gap = abs(area_c - area_d)
     angle_gap = abs(qa + qd - qb - qc)
     return _finish("trapezoid", max(area_gap, angle_gap), TOLERANCES.theorem,
@@ -219,27 +240,27 @@ LEXELL_AREAS_MIN = 4  # x0 and 3 samples
 def check_lexell(a: complex, b: complex, x0: complex) -> TheoremCheck:
     """Constancy of the area of (a, b, X) as X runs over the constant-area
     locus through x0, at x0 and LEXELL_SAMPLES points (see the identity
-    above LEXELL_SAMPLES)."""
+    above LEXELL_SAMPLES).
+
+    lexell_instance keeps a and b apart and x0 off their geodesic, and
+    then every sample of the locus lies inside the disk, so a base, an
+    apex or a sample count that breaks this fails.  Past the guards a
+    and b are at least 1e-12 apart, and x0 and every sample at least
+    1e-6 from both, so signed_area, which raises only on coincident
+    vertices, never does.
+    """
     try:
         base = geodesic_through(a, b)
     except CoincidentPoints:
-        return _skip("lexell", TOLERANCES.theorem, "coincident_base")
+        return _broken("lexell", TOLERANCES.theorem, "coincident_base")
     if point_geodesic_distance(x0, base) < 1e-6:
-        return _skip("lexell", TOLERANCES.theorem, "apex_on_base")
+        return _broken("lexell", TOLERANCES.theorem, "apex_on_base")
     locus = lexell_cycle(a, b, x0)
     xs = [x for x in sample_points(locus, LEXELL_SAMPLES, margin=1e-4)
           if abs(x - a) >= 1e-6 and abs(x - b) >= 1e-6]
-    try:
-        areas = [triangle_area(a, b, x0)]
-    except (DegenerateAngle, DegenerateTriangle):
-        return _skip("lexell", TOLERANCES.theorem, "apex_on_base")
-    for x in xs:
-        try:
-            areas.append(triangle_area(a, b, x))
-        except (DegenerateAngle, DegenerateTriangle):
-            pass  # a degenerate sample is dropped, not scored
+    areas = [abs(signed_area(a, b, x)) for x in (x0, *xs)]
     if len(areas) < LEXELL_AREAS_MIN:
-        return _skip("lexell", TOLERANCES.theorem, "arc_outside_disk")
+        return _broken("lexell", TOLERANCES.theorem, "arc_outside_disk")
     return _finish("lexell", max(areas) - min(areas), TOLERANCES.theorem,
                    {"area": areas[0], "samples": len(areas)})
 
@@ -369,15 +390,21 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> TheoremChe
     max(1, |P|) joins the residual.  A member without a hyperbolic
     center (hyp_center_radius raises NoHyperbolicCenter: a horocycle or
     an equidistant) stays unchecked; the witness ``power_checked`` lists
-    the members (1, 2) that were checked.
+    the members (1, 2) that were checked.  A circle whose center cannot
+    be read (hyp_center_radius raises MissingCenter) fails as
+    missing_center.
+
+    random_cycle_pair draws no geodesic (|C - A| > 1e-6), so a
+    geodesic member fails as constant_power_member.  A pair without a
+    radical axis in the disk skips as axis_outside_disk, concentric
+    circles among them, and so does a pair with fewer than
+    AXIS_SAMPLES_MIN usable samples on it.
     """
     if abs(c1.c - c1.a) < GEODESIC_EPS or abs(c2.c - c2.a) < GEODESIC_EPS:
-        return _skip("radical_axis", TOLERANCES.construct, "constant_power_member")
+        return _broken("radical_axis", TOLERANCES.construct, "constant_power_member")
     try:
         axis = radical_axis(c1, c2)
-    except ConcentricCycles:
-        return _skip("radical_axis", TOLERANCES.construct, "concentric")
-    except AxisOutsideDisk:
+    except (AxisOutsideDisk, ConcentricCycles):
         return _skip("radical_axis", TOLERANCES.construct, "axis_outside_disk")
     circles = []  # (member, center, tau^2) of each member with a center
     for member, cycle in ((1, c1), (2, c2)):
@@ -385,6 +412,8 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> TheoremChe
             center, radius = hyp_center_radius(cycle)
         except NoHyperbolicCenter:
             continue
+        except MissingCenter:
+            return _broken("radical_axis", TOLERANCES.construct, "missing_center")
         circles.append((member, center, math.tanh(0.5 * radius) ** 2))
     residual = 0.0
     used = 0
@@ -412,29 +441,32 @@ def check_monge(c1: GeneralizedCycle, c2: GeneralizedCycle, c3: GeneralizedCycle
     """Collinearity of pairwise homothetic centers for every sign pattern
     of MONGE_PATTERNS, each residual under its key.  A pattern with a
     missing center, or whose first two centers coincide (concentric
-    circles share every center), has its flag there instead; with no
-    pattern left the check skips as coincident_centers if any pattern
-    was flagged so, else missing_center, and as member_not_circle when
-    a cycle is not a circle inside the disk."""
+    circles share every center), has its flag there instead.
+
+    monge_triple draws three circles whose npn pattern always has its
+    centers, so the check fails as member_not_circle when a cycle is
+    not a circle inside the disk, and with no pattern left as
+    coincident_centers if any pattern was flagged so, else
+    missing_center, with the patterns' witness."""
     try:
         pair_centers = monge_centers(c1, c2, c3)
     except NoHyperbolicCenter:
-        return _skip("monge", TOLERANCES.theorem, "member_not_circle")
+        return _broken("monge", TOLERANCES.theorem, "member_not_circle")
     witness: dict = {}
     residuals = []
-    skip_flag = "missing_center"
+    flag = "missing_center"
     for key, signs in MONGE_PATTERNS.items():
         try:
             _, res, _ = monge_line(pair_centers, signs)
         except MissingCenter:
             res = "missing_center"
         except CoincidentPoints:
-            res = skip_flag = "coincident_centers"
+            res = flag = "coincident_centers"
         else:
             residuals.append(res)
         witness[key] = res
     if not residuals:
-        return _skip("monge", TOLERANCES.theorem, skip_flag, witness)
+        return _broken("monge", TOLERANCES.theorem, flag, None, witness)
     return _finish("monge", max(residuals), TOLERANCES.theorem, witness)
 
 

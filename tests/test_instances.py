@@ -1,15 +1,31 @@
 """Seeded generators: every rejection loop ends after MAX_DRAWS draws."""
 
 import itertools
+import math
 
 import pytest
 
 from hypfeuer import instances
-from hypfeuer.cycles import hyp_center_radius, sample_points
+from hypfeuer.cycles import (
+    GEODESIC_EPS,
+    _arc_samples,
+    circle_from_center_radius,
+    geodesic_through,
+    hyp_center_radius,
+    lexell_cycle,
+    membership_residual,
+    point_geodesic_distance,
+    sample_points,
+)
 from hypfeuer.errors import SamplingExhausted
-from hypfeuer.geom_core import convex_quad_angles
+from hypfeuer.geom_core import convex_quad_angles, disk_distance, triangle_area
 from hypfeuer.instances import (
     MAX_DRAWS,
+    MONGE_RADIUS_BANDS,
+    PURPOSE_ARC,
+    PURPOSE_CYCLE_PAIR,
+    PURPOSE_LEXELL,
+    PURPOSE_MONGE,
     PURPOSE_QUAD,
     arc_instance,
     instance_rng,
@@ -19,6 +35,14 @@ from hypfeuer.instances import (
     random_cycle_pair,
     trapezoid_quad,
 )
+from hypfeuer.power import (
+    MONGE_PATTERNS,
+    homothetic_centers,
+    monge_centers,
+    monge_line,
+    pseudolength,
+)
+from hypfeuer.theorems import ARC_SAMPLES, LEXELL_SAMPLES
 
 
 class StubStream:
@@ -157,3 +181,78 @@ def test_monge_centers_stay_inside_their_bound():
     for circle in circles:
         center, _ = hyp_center_radius(circle)
         assert 0.43 < abs(center) < 0.44
+
+
+# ------------------------------------------- what the drawn checks trust
+# A drawn check fails, rather than skips, on an input that breaks a
+# property its generator guarantees (theorems); each such property is
+# pinned here over the streams verify draws from, seeds 0-5 x 200.
+
+def _draws(purpose):
+    for seed in range(6):
+        for index in range(200):
+            yield index, instance_rng(seed, index, purpose)
+
+
+def test_arc_instance_puts_a_and_b_on_the_cycle_with_every_sample_between():
+    # a and b are sample_points' own samples, and the arc between them
+    # lies inside the sampled span, so _arc_samples keeps every sample;
+    # it drops any within 1e-9 of a or b, and a and b lie far apart, so
+    # sigma(a, x, b) meets no coincident pair
+    for _, rng in _draws(PURPOSE_ARC):
+        cycle, a, b = arc_instance(rng)
+        assert max(membership_residual(cycle, a), membership_residual(cycle, b)) < 1e-14
+        assert len(_arc_samples(cycle, a, b, ARC_SAMPLES)) == ARC_SAMPLES
+        assert pseudolength(a, b) > 0.1
+
+
+def test_lexell_instance_keeps_its_base_apart_and_its_apex_off_it():
+    # and so the locus through the apex, |x0| <= 0.62, crosses the
+    # shrunk absolute: every sample is kept, none near a or b
+    for _, rng in _draws(PURPOSE_LEXELL):
+        a, b, x0 = lexell_instance(rng)
+        assert abs(a - b) >= 0.35
+        assert point_geodesic_distance(x0, geodesic_through(a, b)) >= 0.05
+        xs = sample_points(lexell_cycle(a, b, x0), LEXELL_SAMPLES, margin=1e-4)
+        assert len(xs) == LEXELL_SAMPLES
+        assert min(abs(x - p) for x in xs for p in (a, b)) > 0.01
+
+
+def test_random_cycle_pair_draws_no_geodesic():
+    for _, rng in _draws(PURPOSE_CYCLE_PAIR):
+        for cycle in random_cycle_pair(rng):
+            assert abs(cycle.c - cycle.a) > 1e-6 > GEODESIC_EPS
+
+
+def test_trapezoid_quad_is_convex_and_non_degenerate():
+    # the odd indices draw the converse quads, as verify does
+    for index, rng in _draws(PURPOSE_QUAD):
+        a, b, c, d = quad = trapezoid_quad(rng, converse=bool(index % 2))
+        assert convex_quad_angles(*quad) is not None
+        assert min(triangle_area(a, b, c), triangle_area(a, b, d)) > 0.05
+
+
+def test_monge_triple_always_has_its_npn_centers():
+    # the negative center of two circles always exists (a sum of two
+    # future timelike vectors); the positive one of (c3, c1) exists below
+    # a center distance of 1.30 (next test), and the draws' centers lie
+    # within 2 * 2 atanh(0.16) = 0.65 of each other
+    bound = 4.0 * math.atanh(0.16)
+    for _, rng in _draws(PURPOSE_MONGE):
+        circles = monge_triple(rng)
+        centers = [hyp_center_radius(c)[0] for c in circles]
+        assert max(disk_distance(p, q) for p, q in itertools.combinations(centers, 2)) < bound
+        _, residual, _ = monge_line(monge_centers(*circles), MONGE_PATTERNS["npn"])
+        assert residual < 1e-9
+
+
+@pytest.mark.parametrize("distance, exists", [(1.29, True), (1.31, False)])
+def test_monge_positive_center_of_c3_c1_exists_below_distance_1_30(distance, exists):
+    # the worst radii of the bands: c1's smallest, c3's largest.  The
+    # center X = sinh(r1) O3 - sinh(r3) O1 is timelike while cosh d <
+    # (sinh(r1)^2 + sinh(r3)^2) / (2 sinh(r1) sinh(r3)), here d < 1.302
+    r1, r3 = MONGE_RADIUS_BANDS[0][0], MONGE_RADIUS_BANDS[2][1]
+    c1 = circle_from_center_radius(0j, r1)
+    c3 = circle_from_center_radius(math.tanh(0.5 * distance), r3)
+    assert (homothetic_centers(c3, c1).positive is not None) == exists
+    assert 4.0 * math.atanh(0.16) < 0.65 < 1.29

@@ -12,6 +12,11 @@ circle member, and every one in TRAPEZOID_MUTANTS on each trapezoid
 instance.  SURVIVORS lists the mutants no check can catch, each
 with its reason; the gate checks that they still survive, so a change
 that starts catching one must move it.
+
+The drawn suites (inscribed_angle, trapezoid, lexell, radical_axis,
+monge) fail rather than skip where a wrong kernel breaks what their
+generators guarantee, so no mutant of any table may make them skip
+more often than the unmutated kernel does.
 """
 
 import cmath
@@ -217,6 +222,12 @@ MUTANTS = {
     "center_radius_scaled_1e-6": (cycles, "hyp_center_radius", _center_radius_scaled),
     # Monge's centers
     "homothetic_centers_scaled_1e-6": (power, "homothetic_centers", _centers_scaled),
+    # the other root is the point's inverse in the absolute, always
+    # outside the disk, so every vector meet_point reads is "no point
+    # inside": monge loses every homothetic center and fails with no
+    # pattern left, and radical_axis fails on a circle member (the
+    # triangle checks skip, pinned below)
+    "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # the incircle and excircles, each kept at its radius
     "tangent_circles_center_scaled_1e-6": (cevians, "tangent_circles",
                                            _tangent_centers_scaled),
@@ -250,14 +261,6 @@ TRAPEZOID_MUTANTS = {
 }
 
 SURVIVORS = {
-    # the other root is the point's inverse in the absolute, always
-    # outside the disk, so every vector meet_point reads is "no point
-    # inside": the pencils diverge, and the concurrency points, the
-    # tritangent centers, the circles' centers and the homothetic
-    # centers go missing, so the checks that need them skip instead of
-    # failing (radical_axis runs without its chord checks); only their
-    # skips show it (pinned below)
-    "meet_other_root": (cycles, "meet_point", _meet_other_root),
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, |C - A| and the
     # hyperboloid plane all turn the sign away)
@@ -348,12 +351,51 @@ def test_trapezoid_mutant_fails_every_trapezoid_instance(monkeypatch, mutant):
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))
 def test_survivor_still_survives(monkeypatch, mutant):
-    honest_skips = _verify()[1]
     _apply(monkeypatch, *SURVIVORS[mutant])
-    failing, skipped = _verify()
+    failing, _ = _verify()
     assert failing < CAUGHT_AT_LEAST, (mutant, failing)
-    if mutant == "meet_other_root":
-        # every check that needs an interior meet now skips everywhere
-        for name in ("euler_line", "euler_ratios", "feuerbach", "tangent_cevians",
-                     "feuerbach_point", "monge"):
-            assert honest_skips[name] < skipped[name] == TRIALS, name
+
+
+def test_meet_other_root_makes_the_triangle_checks_skip(monkeypatch):
+    # the pencils diverge, and the concurrency points, the tritangent
+    # centers and the circles' centers go missing, so every triangle
+    # check that needs an interior meet skips everywhere instead of
+    # failing; monge's failures alone catch the mutant
+    honest_skips = _verify()[1]
+    _apply(monkeypatch, *MUTANTS["meet_other_root"])
+    skipped = _verify()[1]
+    for name in ("euler_line", "euler_ratios", "feuerbach", "tangent_cevians",
+                 "feuerbach_point"):
+        assert honest_skips[name] < skipped[name] == TRIALS, name
+
+
+DRAWN_SUITES = ("inscribed_angle", "trapezoid", "lexell", "radical_axis", "monge")
+
+EVERY_MUTANT = {**MUTANTS, **TANGENT_CEVIAN_MUTANTS, **RADICAL_AXIS_MUTANTS,
+                **TRAPEZOID_MUTANTS, **SURVIVORS}
+
+
+def _drawn_outcomes():
+    """(skips per (suite, flag), radical_axis passes that checked no
+    member's power) over the drawn suites of the gate's instances."""
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS, suite=DRAWN_SUITES))
+    checks = [c for inst in report.instances for c in inst.checks]
+    skips = Counter((c.name, c.flag) for c in checks if c.status == "skipped")
+    unchecked = sum(1 for c in checks if c.name == "radical_axis" and c.status == "pass"
+                    and not c.witness["power_checked"])
+    return skips, unchecked
+
+
+def test_the_drawn_suites_skip_only_where_the_axis_misses_the_disk():
+    # 4 pairs of equidistants have no center to check a power against
+    assert _drawn_outcomes() == (Counter({("radical_axis", "axis_outside_disk"): 10}), 4)
+
+
+@pytest.mark.parametrize("mutant", sorted(EVERY_MUTANT))
+def test_no_mutant_adds_a_drawn_suite_skip(monkeypatch, mutant):
+    honest_skips, honest_unchecked = _drawn_outcomes()
+    _apply(monkeypatch, *EVERY_MUTANT[mutant])
+    skips, unchecked = _drawn_outcomes()
+    for key, count in skips.items():
+        assert count <= honest_skips[key], (mutant, key, count)
+    assert unchecked <= honest_unchecked, (mutant, unchecked)

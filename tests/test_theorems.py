@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import cevians, cli, geom_core, instances, power, theorems
+from hypfeuer import cevians, cli, cycles, geom_core, instances, power, theorems
 from hypfeuer.cevians import _shoot_tangent_circle, build_config
 from hypfeuer.cycles import (
     GeneralizedCycle,
@@ -18,6 +18,7 @@ from hypfeuer.cycles import (
     hyp_center_radius,
     intersect,
     lexell_cycle,
+    membership_residual,
     point_geodesic_distance,
     tangency_residual,
     transform,
@@ -115,10 +116,12 @@ def test_inscribed_angle_isometry_invariant():
 
 
 def test_inscribed_angle_endpoint_off_cycle():
+    # arc_instance never draws it: the check fails with the endpoint's
+    # distance to the cycle as residual
     c = GeneralizedCycle.of(1.0, 0j, -0.25)
     chk = check_inscribed_angle(c, 0.51, 0.5j)
-    assert chk.status == "skipped"
-    assert chk.flag == "endpoint_off_cycle"
+    assert (chk.status, chk.flag) == ("fail", "endpoint_off_cycle")
+    assert chk.residual == membership_residual(c, 0.51) > 0.009
 
 
 # ---------------------------------------------------------------- trapezoid
@@ -223,10 +226,9 @@ def test_convex_quad_angles_in_either_orientation():
     assert convex_quad_angles(0.1, 0.1, 0.3j, -0.2) is None
 
 
-def test_trapezoid_non_convex_skips():
+def test_trapezoid_non_convex_fails():
     chk = check_trapezoid(-0.4, 0.4, 0.3j, 0.05j)
-    assert chk.status == "skipped"
-    assert chk.flag == "non_convex"
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "non_convex", None)
 
 
 # ------------------------------------------------------------------- lexell
@@ -257,10 +259,9 @@ def test_lexell_locus_is_equidistant_curve():
         assert len(intersect(locus, ABSOLUTE)) == 2
 
 
-def test_lexell_apex_on_base_skips():
+def test_lexell_apex_on_base_fails():
     chk = check_lexell(-0.3, 0.3, 0.1)
-    assert chk.status == "skipped"
-    assert chk.flag == "apex_on_base"
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "apex_on_base", None)
 
 
 @pytest.mark.parametrize("a, b, x0", [
@@ -542,7 +543,7 @@ def test_radical_axis_random_pairs():
         c1, c2 = random_cycle_pair(instance_rng(616, idx))
         chk = check_radical_axis(c1, c2)
         if chk.status == "skipped":
-            assert chk.flag in ("concentric", "axis_outside_disk")
+            assert chk.flag == "axis_outside_disk"
             continue
         assert chk.status == "pass", (idx, chk)
         axis = power.radical_axis(c1, c2)
@@ -551,12 +552,11 @@ def test_radical_axis_random_pairs():
     assert passes >= 12
 
 
-def test_radical_axis_geodesic_member_skips():
+def test_radical_axis_geodesic_member_fails():
     c = circle_from_center_radius(0.2, 0.5)
     g = geodesic_through(0.1, 0.5j)
     chk = check_radical_axis(c, g)
-    assert chk.status == "skipped"
-    assert chk.flag == "constant_power_member"
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "constant_power_member", None)
 
 
 # a member without a hyperbolic center gets no chord check, whatever
@@ -573,10 +573,25 @@ def test_radical_axis_skips_the_chord_check_of_a_member_without_a_center(member)
 
 
 def test_radical_axis_concentric_skips():
+    # concentric circles have no equal-power point at all
     chk = check_radical_axis(circle_from_center_radius(0.1, 0.4),
                              circle_from_center_radius(0.1, 0.8))
     assert chk.status == "skipped"
-    assert chk.flag == "concentric"
+    assert chk.flag == "axis_outside_disk"
+
+
+def test_radical_axis_circle_whose_center_is_not_read_fails(monkeypatch):
+    # a meet_point that reads no circle's center: each circle member is
+    # refused as missing_center, an equidistant pair still passes
+    monkeypatch.setattr(cycles, "meet_point", lambda t, x, y: None)
+    circle = circle_from_center_radius(-0.2 + 0.1j, 0.5)
+    equidistant = cycle_through(cmath.exp(0.3j), cmath.exp(2.0j), 0.1 + 0.5j)
+    for pair in ((circle, equidistant), (equidistant, circle)):
+        chk = check_radical_axis(*pair)
+        assert (chk.status, chk.flag, chk.residual) == ("fail", "missing_center", None)
+    other = cycle_through(cmath.exp(1.0j), cmath.exp(2.5j), -0.3j)
+    chk = check_radical_axis(equidistant, other)
+    assert (chk.status, chk.witness["power_checked"]) == ("pass", [])
 
 
 def test_radical_axis_of_circles_whose_axis_nearly_crosses_the_center_passes():
@@ -734,25 +749,25 @@ def test_monge_all_positive_missing_for_congruent_far_circles():
     circles = [circle_from_center_radius(0.45 * cmath.exp(2j * math.pi * k / 3), 0.5)
                for k in range(3)]
     chk = check_monge(*circles)
-    assert chk.status == "skipped"
-    assert chk.flag == "missing_center"
+    # monge_triple's draws always keep the npn pattern
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "missing_center", None)
     assert chk.witness["ppp"] == "missing_center"
     with pytest.raises(MissingCenter):
         power.monge_line(power.monge_centers(*circles), (1, 1, 1))
 
 
-def test_degenerate_library_inputs_skip_with_their_cause():
+def test_degenerate_library_inputs_fail_with_their_cause():
     # no generator draws these, but a check never raises: concentric
     # circles share every homothetic center, a geodesic has none, and
     # coincident base points span no geodesic
     concentric = [circle_from_center_radius(0.1j, rho) for rho in (0.3, 0.6, 0.9)]
     chk = check_monge(*concentric)
-    assert (chk.status, chk.flag) == ("skipped", "coincident_centers")
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "coincident_centers", None)
     assert set(chk.witness.values()) == {"coincident_centers"}
     chk = check_monge(geodesic_through(0.1, 0.5j), *concentric[:2])
-    assert (chk.status, chk.flag) == ("skipped", "member_not_circle")
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "member_not_circle", None)
     chk = check_lexell(0.3, 0.3, 0.5j)
-    assert (chk.status, chk.flag) == ("skipped", "coincident_base")
+    assert (chk.status, chk.flag, chk.residual) == ("fail", "coincident_base", None)
 
 
 # ---------------------------------------------------------- tangency chains
