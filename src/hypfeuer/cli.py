@@ -164,10 +164,11 @@ def parse_suite(spec) -> tuple[str, ...]:
 # their fields.  json.dumps never takes its C encoder when asked for an
 # indent, and its generator-based fallback cost more than the
 # constructions it wrote.  The writer takes what hypfeuer builds, each
-# by its exact type: dicts with str keys, lists, str, float, int, bool,
-# None, complex and records.  Anything else (a tuple, an enum, a
-# dataclass, a subclass of a built-in type, a non-str key) raises
-# TypeError.
+# by its exact type: a document that is a dict, a list or a record, and
+# inside it dicts with str keys, lists, records, and the scalars str,
+# float, int, bool, None and complex, which _write_items writes.
+# Anything else (a top-level scalar, a tuple, an enum, a dataclass, a
+# subclass of a built-in type, a non-str key) raises TypeError.
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -182,7 +183,7 @@ class NonFiniteNumber(ValueError):
         self.path: list[str] = []
 
     def __str__(self):
-        where = "".join(reversed(self.path)).lstrip(".") or "the top level"
+        where = "".join(reversed(self.path)).lstrip(".")
         return f"non-finite number {self.value!r} at {where} cannot be written as JSON"
 
 
@@ -199,8 +200,8 @@ _KEY_TEXT: dict[str, dict[str, str]] = {}
 def _write_items(items, append, indent: str, brackets: str):
     """Append a container: items are its (key, value) pairs in order,
     each key a str for an object (brackets "{}") or an index for an
-    array ("[]").  Floats, complex values, strings and None are written
-    here, everything else through _write."""
+    array ("[]").  Every scalar (float, complex, str, None, bool, int)
+    is written here, and every container or record through _write."""
     inner = indent + "  "
     if brackets == "{}":
         keys = _KEY_TEXT.get(inner)
@@ -231,6 +232,10 @@ def _write_items(items, append, indent: str, brackets: str):
                        else f'{text}"{format_complex(value)}"')
             elif t is str or value is None:
                 append(text + ("null" if value is None else _quote(value)))
+            elif t is bool:
+                append(text + ("true" if value else "false"))
+            elif t is int:
+                append(text + int.__repr__(value))
             else:
                 append(text)
                 _write(value, append, inner)
@@ -241,8 +246,9 @@ def _write_items(items, append, indent: str, brackets: str):
 
 
 def _write(obj, append, indent: str):
-    """Append obj's JSON text; indent is the newline and indentation that
-    obj's own line starts with."""
+    """Append the JSON text of obj, a dict, a list or a record; indent is
+    the newline and indentation that obj's own line starts with.  A
+    scalar is written by _write_items, so here it raises TypeError."""
     t = type(obj)
     if t is dict:
         _write_items(sorted(obj.items()), append, indent, "{}")
@@ -250,20 +256,6 @@ def _write(obj, append, indent: str):
         _write_items([(n, getattr(obj, n)) for n in _FIELD_NAMES[t]], append, indent, "{}")
     elif t is list:
         _write_items(enumerate(obj), append, indent, "[]")
-    elif t is float or t is complex:
-        if not cmath.isfinite(obj):
-            raise NonFiniteNumber(obj)
-        append(repr(obj) if t is float else f'"{format_complex(obj)}"')
-    elif t is str:
-        append(_quote(obj))
-    elif obj is None:
-        append("null")
-    elif obj is True:
-        append("true")
-    elif obj is False:
-        append("false")
-    elif t is int:
-        append(int.__repr__(obj))
     else:
         if not issubclass(t, Record):
             raise TypeError(f"{t.__name__} is not JSON serializable")
@@ -272,9 +264,9 @@ def _write(obj, append, indent: str):
 
 
 def _to_json(doc) -> str:
-    """The document as indented, key-sorted JSON with a final newline.
-    Raises NonFiniteNumber (a ValueError) rather than write NaN or an
-    infinity."""
+    """The document (a dict, a list or a record) as indented, key-sorted
+    JSON with a final newline.  Raises NonFiniteNumber (a ValueError)
+    rather than write NaN or an infinity."""
     chunks: list[str] = []
     _write(doc, chunks.append, "\n")
     chunks.append("\n")
@@ -663,7 +655,7 @@ def main(argv=None) -> int:
             raise ValueError("--format svg only applies to render")
         if args.command == "construct" and scn.triangle is None:
             raise ValueError("construct needs --triangle")
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"hypfeuer: {exc}", file=sys.stderr)
         return 2
     try:

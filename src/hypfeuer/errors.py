@@ -1,7 +1,9 @@
 """Exception types for the geometry kernel.
 
 Every failure mode that callers are expected to branch on gets its own
-class.  All of them derive from ``GeometryError`` so a blanket
+class, and only those: each class below the base is raised somewhere in
+the package, and two outcomes no caller tells apart share one class.
+All of them derive from ``GeometryError`` so a blanket
 ``except GeometryError`` at the CLI boundary can turn any of them into a
 flagged instance instead of a crash; ``SamplingExhausted`` alone does
 not, because it reports sampler settings no draw meets, a usage error.
@@ -48,12 +50,9 @@ class DivergentCevians(GeometryError):
     """Cevian pair has no common point inside the disk."""
 
 
-class ConcentricCycles(GeometryError):
-    """Radical axis degenerates: the two cycles share a hyperbolic center."""
-
-
 class AxisOutsideDisk(GeometryError):
-    """Two cycles without a common center whose radical axis misses the disk."""
+    """Two cycles whose radical axis misses the disk, concentric circles
+    among them."""
 
 
 class MissingCenter(GeometryError):

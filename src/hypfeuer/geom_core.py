@@ -180,9 +180,8 @@ class Record:
     as those fields.  A record class that writes no ``__init__`` gets
     one compiled from its slots: it takes each field positionally or by
     keyword and stores it as given, and a ``_defaults`` tuple on the
-    class gives the defaults of the last fields.  Two classes write
-    their own: ``TheoremCheck`` builds a fresh dict for a witness left
-    out, and ``DiskIsometry`` checks its point.
+    class gives the defaults of the last fields.  One class writes its
+    own: ``DiskIsometry``, which checks its point.
 
     Two records are equal when they are of one class and their fields
     are equal (against another class ``==`` returns NotImplemented), a

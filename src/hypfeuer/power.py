@@ -32,13 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    AxisOutsideDisk,
-    ConcentricCycles,
-    DegenerateConfiguration,
-    MissingCenter,
-    NoHyperbolicCenter,
-)
+from .errors import AxisOutsideDisk, DegenerateConfiguration, MissingCenter
 from .geom_core import Record
 from .cycles import (
     GeneralizedCycle,
@@ -47,7 +41,6 @@ from .cycles import (
     geodesic_through,
     meet_point,
     point_geodesic_distance,
-    through_normal,
 )
 
 
@@ -73,28 +66,13 @@ def radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> GeneralizedCycle
 
     The combination below has equal leading and constant coefficients by
     construction, so it is exactly a geodesic; no projection step is
-    needed.  It has no interior locus when the two cycles are concentric
-    circles, and also when the equal-power locus lies beyond the
-    absolute; the coefficients alone cannot tell these apart (every
-    empty axis is the translate of an origin-centred one), so the
-    circles' hyperboloid vectors (``cycles._circle_vector``) decide
-    which error is raised.
+    needed.  It has no interior locus when the equal-power locus lies
+    beyond the absolute, concentric circles among them (they have no
+    equal-power point at all), and then AxisOutsideDisk is raised.
     """
     ar = c1.a * c2.c - c2.a * c1.c
     br = (c1.a - c1.c) * c2.b - (c2.a - c2.c) * c1.b
     if abs(br) ** 2 - ar * ar <= 1e-28:
-        try:
-            *p1, n1, _ = _circle_vector(c1)
-            *p2, n2, _ = _circle_vector(c2)
-        except NoHyperbolicCenter:
-            pass
-        else:
-            # concentric circles have parallel P vectors: their cross
-            # product has Minkowski norm |P1| |P2| sinh d for the distance
-            # d between the centers
-            mt, mx, my = through_normal(p1, p2)
-            if mx * mx + my * my - mt * mt < (1e-10 * n1 * n2) ** 2:
-                raise ConcentricCycles("the circles share a hyperbolic center")
         raise AxisOutsideDisk("radical axis has no interior locus")
     return GeneralizedCycle.of(ar, br, ar)
 

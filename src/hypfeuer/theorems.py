@@ -36,7 +36,6 @@ from collections import Counter
 from .errors import (
     AxisOutsideDisk,
     CoincidentPoints,
-    ConcentricCycles,
     DegenerateAngle,
     DegenerateConfiguration,
     DegenerateTriangle,
@@ -94,34 +93,25 @@ TOLERANCES = Tolerances(1e-10, 1e-9, 1e-8)
 
 
 class TheoremCheck(Record):
+    # status is "pass", "fail" or "skipped"
     __slots__ = ("name", "residual", "tolerance", "status", "flag", "witness")
 
-    def __init__(self, name: str, residual: float | None, tolerance: float,
-                 status: str, flag: str | None = None, witness: dict | None = None):
-        self.name = name
-        self.residual = residual
-        self.tolerance = tolerance
-        self.status = status  # "pass" | "fail" | "skipped"
-        self.flag = flag
-        self.witness = {} if witness is None else witness
 
-
-def _finish(name: str, residual: float, tolerance: float,
-            witness: dict | None = None) -> TheoremCheck:
+def _finish(name: str, residual: float, tolerance: float, witness: dict) -> TheoremCheck:
     status = "pass" if residual <= tolerance else "fail"
     return TheoremCheck(name, residual, tolerance, status, None, witness)
 
 
-def _skip(name: str, tolerance: float, flag: str,
-          witness: dict | None = None) -> TheoremCheck:
-    return TheoremCheck(name, None, tolerance, "skipped", flag, witness)
+def _skip(name: str, tolerance: float, flag: str) -> TheoremCheck:
+    return TheoremCheck(name, None, tolerance, "skipped", flag, {})
 
 
 def _broken(name: str, tolerance: float, flag: str, residual: float | None = None,
             witness: dict | None = None) -> TheoremCheck:
     """A failure on an input that breaks a property its generator
     guarantees, flagged with that property."""
-    return TheoremCheck(name, residual, tolerance, "fail", flag, witness)
+    return TheoremCheck(name, residual, tolerance, "fail", flag,
+                        {} if witness is None else witness)
 
 
 class InstanceReport(Record):
@@ -130,7 +120,6 @@ class InstanceReport(Record):
 
 class VerificationReport(Record):
     __slots__ = ("seed", "params", "instances", "wall_time")
-    _defaults = (0.0,)
 
     def counts(self) -> Counter:
         """How many checks have each status ("pass", "fail" or "skipped"),
@@ -159,7 +148,12 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex) -> Th
     at ARC_SAMPLES points (see the identity above ARC_SAMPLES).
 
     When the cycle is a compact circle the constant itself is pinned:
-    it equals twice the angle at a between the center and b.
+    it equals twice the angle at a between the center and b, and its
+    gap joins the residual as center_angle_gap.  A cycle without a
+    hyperbolic center (hyp_center_radius raises NoHyperbolicCenter: a
+    horocycle or an equidistant) has no such gap; a circle whose center
+    cannot be read (MissingCenter) fails as missing_center, as in
+    check_radical_axis.
 
     arc_instance puts a and b on the cycle, far apart, with every sample
     between them inside the disk, so an endpoint off the cycle, fewer
@@ -184,14 +178,17 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex) -> Th
     residual = spread
     try:
         center, _ = hyp_center_radius(cycle)
+    except NoHyperbolicCenter:
+        pass  # no circle inside the disk: no central angle to compare
+    except MissingCenter:
+        return _broken("inscribed_angle", TOLERANCES.theorem, "missing_center")
+    else:
         doubled = 2.0 * abs(signed_angle(center, a, b))
         # the other arc sees the reflex central angle 2pi - doubled
         form_gap = min(abs(math.remainder(abs(base) - doubled, TAU)),
                        abs(math.remainder(abs(base) + doubled, TAU)))
         witness["center_angle_gap"] = form_gap
         residual = max(residual, form_gap)
-    except GeometryError:
-        pass  # no circle inside the disk: no central angle to compare
     return _finish("inscribed_angle", residual, TOLERANCES.theorem, witness)
 
 
@@ -404,7 +401,7 @@ def check_radical_axis(c1: GeneralizedCycle, c2: GeneralizedCycle) -> TheoremChe
         return _broken("radical_axis", TOLERANCES.construct, "constant_power_member")
     try:
         axis = radical_axis(c1, c2)
-    except (AxisOutsideDisk, ConcentricCycles):
+    except AxisOutsideDisk:
         return _skip("radical_axis", TOLERANCES.construct, "axis_outside_disk")
     circles = []  # (member, center, tau^2) of each member with a center
     for member, cycle in ((1, c1), (2, c2)):

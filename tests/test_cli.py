@@ -116,7 +116,7 @@ def test_verify_passes_exit_zero(tmp_path):
 def test_verify_failing_check_exits_one_and_writes_the_report(tmp_path, monkeypatch):
     # SUITES looks each check up by name when it runs
     monkeypatch.setattr(cli, "check_lexell",
-                        lambda a, b, x0: TheoremCheck("lexell", 1.0, 1e-9, "fail"))
+                        lambda a, b, x0: TheoremCheck("lexell", 1.0, 1e-9, "fail", None, {}))
     code, out = run(tmp_path, "verify", "--seed", "7", "--trials", "2",
                     "--suite", "lexell,monge")
     assert code == 1
@@ -394,7 +394,7 @@ def _replace_suite(monkeypatch, name, check):
 
 def test_infinite_residual_is_refused_not_written(tmp_path, monkeypatch, capsys):
     _replace_suite(monkeypatch, "lexell",
-                   TheoremCheck("lexell", math.inf, 1e-9, "fail"))
+                   TheoremCheck("lexell", math.inf, 1e-9, "fail", None, {}))
     code, out = run(tmp_path, "verify", "--trials", "2", "--suite", "lexell")
     assert code == 1
     assert not out.exists()
@@ -406,7 +406,7 @@ def test_infinite_residual_is_refused_not_written(tmp_path, monkeypatch, capsys)
 
 def test_nan_witness_is_refused_not_written(monkeypatch, capsys):
     _replace_suite(monkeypatch, "monge",
-                   TheoremCheck("monge", 0.0, 1e-9, "pass", witness={"gap": math.nan}))
+                   TheoremCheck("monge", 0.0, 1e-9, "pass", None, {"gap": math.nan}))
     assert main(["verify", "--trials", "1", "--suite", "lexell,monge"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

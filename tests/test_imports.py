@@ -5,7 +5,8 @@ bound by the benchmark's tracer, only the instance generators import
 `random`, no module imports `dataclasses`, which importing the CLI must
 not load, importing a library module loads no part of the CLI, no
 module but `cycles` names a sample frame's kind, no module but
-`geom_core` names `as_complex`, and none names `complex_angle`.
+`geom_core` names `as_complex`, none names `complex_angle`, and every
+error class `errors` defines is raised somewhere in the package.
 
 Stdlib `ast` only: a name counts as used when it is read anywhere in the
 module, annotations included.
@@ -302,3 +303,38 @@ def test_only_geom_core_coerces_a_point(module):
         names = mentioned_names(fh.read())
     assert ("as_complex" in names) == (module == "geom_core.py")
     assert "complex_angle" not in names
+
+
+def raised_names(source: str) -> set[str]:
+    """The names a module raises: `raise X` and `raise X(...)`, X a name
+    or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_raised_names_are_found():
+    source = ("def f(x):\n    try:\n        raise A('a')\n    except A as exc:\n"
+              "        raise errors.B from exc\n    raise\nclass C(A):\n    pass\n")
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_error_class_has_a_raiser():
+    # an error class nothing raises is a branch its callers keep for an
+    # outcome that never comes
+    with open(os.path.join(PACKAGE, "errors.py"), encoding="utf-8") as fh:
+        classes = {node.name for node in ast.parse(fh.read()).body
+                   if isinstance(node, ast.ClassDef)} - {"GeometryError"}
+    raised = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                raised |= raised_names(fh.read())
+    assert len(classes) >= 10
+    assert sorted(classes - raised) == []

@@ -4,7 +4,7 @@ Reports and configurations are written by cli's own writer; their bytes
 must stay those of json.dumps(indent=2, sort_keys=True) with the hook
 below, which is how cli wrote them before it had a writer of its own.
 The writer takes only the kinds hypfeuer builds, records among them,
-and refuses the rest.
+and refuses the rest, a scalar as the whole document among them.
 """
 
 import dataclasses
@@ -115,14 +115,16 @@ def test_edge_document_matches_the_oracle():
 
 @pytest.mark.parametrize("doc", [0.5, "x", None, True, 3, [], {}, 1j, Bare()])
 def test_top_level_values_match_the_oracle(doc):
-    assert cli._to_json(doc) == oracle(doc)
+    # each value as the one item of a list and of a dict
+    for wrapped in ([doc], {"value": doc}):
+        assert cli._to_json(wrapped) == oracle(wrapped)
 
 
 @pytest.mark.parametrize("doc, where", [
     ({"a": [1.0, {"b": math.nan}]}, "a[1].b"),
     ({"x": {"y": [0.0, -math.inf]}}, "x.y[1]"),
     ({"leaf": Leaf(complex(math.inf, 0.0))}, "leaf.z"),
-    (math.inf, "the top level"),
+    ([math.inf], "[0]"),
     ({"instances": [InstanceReport(0, {}, [], [
         TheoremCheck("lexell", 0.0, 1e-9, "pass", None, None),
         TheoremCheck("monge", math.nan, 1e-9, "fail", None, {"pattern": "+++"})])]},
@@ -167,8 +169,10 @@ class Point:
     ([Text("t")], "Text"),
     ([(1, 2)], "tuple"),
     ([Number(0.5)], "Number"),
+    (0.5, "float"),
 ], ids=["enum", "str_subclass", "float_subclass", "tuple", "int_key", "dataclass",
-        "str_subclass_in_array", "tuple_in_array", "float_subclass_in_array"])
+        "str_subclass_in_array", "tuple_in_array", "float_subclass_in_array",
+        "top_level_scalar"])
 def test_unknown_kinds_are_refused(doc, kind):
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         cli._to_json(doc)

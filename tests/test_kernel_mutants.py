@@ -369,6 +369,25 @@ def test_meet_other_root_makes_the_triangle_checks_skip(monkeypatch):
         assert honest_skips[name] < skipped[name] == TRIALS, name
 
 
+def _inscribed_angle_checks():
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS, suite=("inscribed_angle",)))
+    return [c for inst in report.instances for c in inst.checks]
+
+
+def test_meet_other_root_fails_inscribed_angle_on_every_circle(monkeypatch):
+    # the mutant reads no circle's center, so each of the 65 instances
+    # whose cycle is a circle fails as missing_center; the 35 others,
+    # horocycles and equidistants, have no center and still pass
+    honest = _inscribed_angle_checks()
+    assert {c.status for c in honest} == {"pass"}
+    circles = ["center_angle_gap" in c.witness for c in honest]
+    assert sum(circles) == 65
+    _apply(monkeypatch, *MUTANTS["meet_other_root"])
+    mutated = [(c.status, c.flag) for c in _inscribed_angle_checks()]
+    assert mutated == [("fail", "missing_center") if circle else ("pass", None)
+                       for circle in circles]
+
+
 DRAWN_SUITES = ("inscribed_angle", "trapezoid", "lexell", "radical_axis", "monge")
 
 EVERY_MUTANT = {**MUTANTS, **TANGENT_CEVIAN_MUTANTS, **RADICAL_AXIS_MUTANTS,

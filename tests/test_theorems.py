@@ -124,6 +124,21 @@ def test_inscribed_angle_endpoint_off_cycle():
     assert chk.residual == membership_residual(c, 0.51) > 0.009
 
 
+def test_inscribed_angle_circle_whose_center_is_not_read_fails(monkeypatch):
+    # a meet_point that reads no circle's center: each circle fails as
+    # missing_center, where it passed without its center_angle_gap, and
+    # a cycle with no center (a horocycle or an equidistant) still passes
+    arcs = [arc_instance(instance_rng(601, idx)) for idx in range(12)]
+    circles = ["center_angle_gap" in check_inscribed_angle(*arc).witness for arc in arcs]
+    assert 0 < sum(circles) < len(arcs)
+    monkeypatch.setattr(cycles, "meet_point", lambda t, x, y: None)
+    for arc, circle in zip(arcs, circles):
+        chk = check_inscribed_angle(*arc)
+        assert (chk.status, chk.flag) == (("fail", "missing_center") if circle
+                                          else ("pass", None))
+        assert (chk.residual is None) == circle
+
+
 # ---------------------------------------------------------------- trapezoid
 
 def test_trapezoid_generated_quads():
