@@ -69,25 +69,22 @@ CONFIG, PENCILS = "config", "pencils"
 
 # The suite registry, in report order: name -> (source, call).  The call
 # gets a fresh draw from the source's purpose stream, or for CONFIG and
-# PENCILS the configuration, then the instance index.
+# PENCILS the configuration.
 # The lambdas look the generators and checks up by name at call time, so
 # a rebinding of a module attribute (as the benchmark's tracer does) is
 # seen.
 SUITES = {
-    "inscribed_angle": (PURPOSE_ARC, lambda rng, index:
-                        check_inscribed_angle(*arc_instance(rng))),
-    "trapezoid": (PURPOSE_QUAD, lambda rng, index:
-                  check_trapezoid(*trapezoid_quad(rng, converse=bool(index % 2)))),
-    "lexell": (PURPOSE_LEXELL, lambda rng, index: check_lexell(*lexell_instance(rng))),
-    "six_point": (PENCILS, lambda cfg, index: check_six_point(cfg)),
-    "euler_line": (PENCILS, lambda cfg, index: check_euler_line(cfg)),
-    "euler_ratios": (PENCILS, lambda cfg, index: check_euler_ratios(cfg)),
-    "feuerbach": (CONFIG, lambda cfg, index: check_feuerbach(cfg)),
-    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng, index:
-                     check_radical_axis(*random_cycle_pair(rng))),
-    "monge": (PURPOSE_MONGE, lambda rng, index: check_monge(*monge_triple(rng))),
-    "tangent_cevians": (CONFIG, lambda cfg, index: check_tangent_cevians(cfg)),
-    "feuerbach_point": (CONFIG, lambda cfg, index: check_feuerbach_point(cfg)),
+    "inscribed_angle": (PURPOSE_ARC, lambda rng: check_inscribed_angle(*arc_instance(rng))),
+    "trapezoid": (PURPOSE_QUAD, lambda rng: check_trapezoid(*trapezoid_quad(rng))),
+    "lexell": (PURPOSE_LEXELL, lambda rng: check_lexell(*lexell_instance(rng))),
+    "six_point": (PENCILS, lambda cfg: check_six_point(cfg)),
+    "euler_line": (PENCILS, lambda cfg: check_euler_line(cfg)),
+    "euler_ratios": (PENCILS, lambda cfg: check_euler_ratios(cfg)),
+    "feuerbach": (CONFIG, lambda cfg: check_feuerbach(cfg)),
+    "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng: check_radical_axis(*random_cycle_pair(rng))),
+    "monge": (PURPOSE_MONGE, lambda rng: check_monge(*monge_triple(rng))),
+    "tangent_cevians": (CONFIG, lambda cfg: check_tangent_cevians(cfg)),
+    "feuerbach_point": (CONFIG, lambda cfg: check_feuerbach_point(cfg)),
 }
 
 SUITE_ORDER = tuple(SUITES)
@@ -295,10 +292,11 @@ def run_verify(scn: Scenario) -> VerificationReport:
 
     The instances run in blocks of BLOCK, one stage at a time over the
     block: the triangle draw and build_config (when an asked suite reads
-    a configuration), then each asked suite in report order.  Every
-    stage call reads only its own (seed, index, purpose) stream or its
-    instance's configuration, so the report is that of running each
-    instance whole, in turn.  So is an error: when a stage raises at an
+    a configuration), then each asked suite in report order.  A suite
+    call gets its source alone, the instance's own (seed, index,
+    purpose) stream or its configuration, and the triangle draw reads
+    only its own stream, so the report is that of running each instance
+    whole, in turn.  So is an error: when a stage raises at an
     instance, that instance and the later ones of the block run no
     further stage, and after the block the error of the earliest
     instance is raised, which an instance-by-instance run raises first.
@@ -332,7 +330,7 @@ def run_verify(scn: Scenario) -> VerificationReport:
             for k, report in enumerate(block):
                 try:
                     source = configs[k] if on_config else instance_rng(scn.seed, report.index, src)
-                    report.checks.append(call(source, report.index))
+                    report.checks.append(call(source))
                 except Exception as exc:
                     error, block = exc, block[:k]
                     break

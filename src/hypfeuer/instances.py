@@ -2,7 +2,8 @@
 
 All generators take an explicit random.Random so a suite run is a pure
 function of its seed.  Rejection counts are returned where the contract
-wants them recorded.
+wants them recorded.  Every instance is drawn and tested, never solved
+for: no generator runs a root-finder.
 """
 
 from __future__ import annotations
@@ -185,18 +186,15 @@ def monge_triple(rng: Random) -> tuple[GeneralizedCycle, GeneralizedCycle, Gener
     return out[0], out[1], out[2]
 
 
-def trapezoid_quad(rng: Random, converse: bool = False):
-    """Convex quadrilateral (a, b, c, d) built to satisfy one side of the
-    trapezoid equivalence exactly.
+def trapezoid_quad(rng: Random):
+    """Convex quadrilateral (a, b, c, d) with c and d on one constant-area
+    locus over base ab, so area(abc) = area(abd) holds by construction.
 
-    With converse=False, c and d share a constant-area locus over base
-    ab, so area(abc) = area(abd) holds by construction: d is the one of
-    the locus's 48 samples farthest from c (farthest_sample), and the
-    draw is rejected, like a bad a, b or c, when d lies within 0.25 of c
-    or 0.2 of a or b, or makes a convex quad in neither order.  With
-    converse=True, d is instead root-found along a transversal until the
-    angle balance (A + D) - (B + C) vanishes, testing the reverse
-    implication without assuming the locus.
+    d is the one of the locus's 48 samples farthest from c
+    (farthest_sample), and the draw is rejected, like a bad a, b or c,
+    when d lies within 0.25 of c or 0.2 of a or b, or makes a convex
+    quad in neither order.  The quad is the first convex order of
+    (a, b, c, d).
     """
     for _ in range(MAX_DRAWS):
         a = _disk_point(rng, 0.62)
@@ -215,94 +213,5 @@ def trapezoid_quad(rng: Random, converse: bool = False):
             continue
         for quad in ((a, b, c0, d0), (a, b, d0, c0)):
             if convex_quad_angles(*quad) is not None:
-                break
-        else:
-            continue
-        if not converse:
-            return quad
-        perturbed = _rebalance_quad(quad)
-        if perturbed is not None:
-            return perturbed
+                return quad
     raise _exhausted("trapezoid_quad", "convex quadrilateral")
-
-
-def bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
-                   width: float) -> tuple[float, float]:
-    """Root of f in a sign-changing bracket lo < hi, and the final bracket
-    width; flo and fhi are f at the bracket ends.
-
-    It serves _rebalance_quad, whose angle balance has no closed form.
-    Regula falsi with the Anderson-Bjorck scaling (N. Anderson and
-    A. Bjorck, BIT 13, 1973): each step evaluates f at the secant point
-    of the two ends (the midpoint if that is not strictly inside) and
-    keeps the sign change.  When one end survives a second step in a
-    row, the secant's value there is scaled by m = 1 - f(x) / f(end
-    replaced), or by 0.5 when m <= 0, so that end is replaced soon too.
-    It stops once the bracket is at most `width` wide and returns its end
-    with the smaller |f|; an exact zero returns with width 0.
-    """
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    glo, ghi = flo, fhi  # the values the secant uses
-    kept = None  # the end that survived the last step
-    while hi - lo > width:
-        x = lo - glo * (hi - lo) / (ghi - glo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break  # the ends are adjacent floats
-        fx = f(x)
-        if fx == 0.0:
-            return x, 0.0
-        if (fx < 0.0) == (flo < 0.0):
-            if kept == "hi":
-                m = 1.0 - fx / flo
-                ghi *= m if m > 0.0 else 0.5
-            lo, flo, glo, kept = x, fx, fx, "hi"
-        else:
-            if kept == "lo":
-                m = 1.0 - fx / fhi
-                glo *= m if m > 0.0 else 0.5
-            hi, fhi, ghi, kept = x, fx, fx, "lo"
-    return (lo if abs(flo) < abs(fhi) else hi), hi - lo
-
-
-# _rebalance_quad moves the vertex by t in [-REBALANCE_STEP, REBALANCE_STEP]
-# and solves for t to REBALANCE_WIDTH, which stays above twice the float
-# spacing there (ulp(0.04) = 6.9e-18), so the solve ends at its width and
-# not at two ends one float apart, with no point strictly between them
-REBALANCE_STEP = 0.04
-REBALANCE_WIDTH = 1e-16
-
-
-class _NonConvexQuad(Exception):
-    """The moved quad is no longer convex, so its balance is undefined."""
-
-
-def _rebalance_quad(quad):
-    """Move the last vertex across the locus until the angle balance is
-    zero; None when no convex quad on the way balances.  The balance
-    reads convex_quad_angles of the moved quad."""
-    a, b, c, d = quad
-    grad = lexell_cycle(a, b, c).gradient(d)
-    n = grad / abs(grad)
-
-    def h(t: float) -> float:
-        angles = convex_quad_angles(a, b, c, d + t * n)
-        if angles is None:
-            raise _NonConvexQuad
-        qa, qb, qc, qd = angles
-        return (qa + qd) - (qb + qc)
-
-    lo, hi = -REBALANCE_STEP, REBALANCE_STEP
-    try:
-        hlo, hhi = h(lo), h(hi)
-        if hlo * hhi > 0.0:
-            return None
-        t, _ = bracketed_root(h, lo, hi, hlo, hhi, width=REBALANCE_WIDTH)
-    except _NonConvexQuad:
-        return None
-    # bracketed_root returns a point where h was evaluated, so convex
-    return a, b, c, d + t * n

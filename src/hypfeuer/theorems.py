@@ -197,11 +197,11 @@ def check_inscribed_angle(cycle: GeneralizedCycle, a: complex, b: complex) -> Th
 def check_trapezoid(a: complex, b: complex, c: complex, d: complex) -> TheoremCheck:
     """Equal areas of abc and abd versus the angle balance of quad abcd.
 
-    The two statements vanish together (an iff).  An instance is built
-    to satisfy one side exactly, so that side is pinned near zero and
-    the other is the lemma's residual; max() of the two measures it
-    without knowing which side the construction pinned, and fails when
-    either side is off.  trapezoid_quad's quads are convex and
+    The two statements vanish together (an iff).  trapezoid_quad puts c
+    and d on one constant-area locus over ab, so the area gap is pinned
+    near zero by construction and the angle gap is the lemma's residual;
+    the residual is max() of the two, so a draw off its locus fails as
+    well as an unbalanced quad.  trapezoid_quad's quads are convex and
     non-degenerate, so a quad that is not fails.
     """
     angles = convex_quad_angles(a, b, c, d)

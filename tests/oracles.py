@@ -8,7 +8,8 @@ the foot oracles compare with, `interior_intersections` keeps the
 crossings of two cycles that lie inside the disk, and `geodesic_meet`
 is the meet of two geodesic cycles (`cycles.meet_point` of the cross
 product of their normals).  `decimal_pencil` is the 50-digit oracle of
-`cevians.concurrency_point`.
+`cevians.concurrency_point`, and `bisect_root` the plain bisection the
+cevian foot oracle solves with.
 """
 
 import cmath
@@ -96,3 +97,24 @@ def decimal_pencil(normals):
                 s = abs(n0 * m[0] + n1 * m[1] + n2 * m[2]) / root
                 residual = max(residual, (s + (s * s + 1).sqrt()).ln())
         return complex(float(zx), float(zy)), float(residual)
+
+
+def bisect_root(f, lo: float, hi: float, width: float) -> float:
+    """A root of f in the sign-changing bracket lo < hi, by halving it
+    until it is at most width wide (or its ends are adjacent floats); an
+    exact zero met on the way is returned as it is."""
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

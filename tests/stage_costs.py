@@ -54,12 +54,12 @@ def stages(seed: int, count: int, box: float, min_angle: float):
     for name, (src, call) in cli.SUITES.items():
         if name in cli.TRIANGLE_SUITES:
             def run(call=call):
-                for i, cfg in enumerate(configs):
-                    call(cfg, i)
+                for cfg in configs:
+                    call(cfg)
         else:
             def run(call=call, src=src):
                 for i in range(count):
-                    call(instance_rng(seed, i, src), i)
+                    call(instance_rng(seed, i, src))
         yield f"suite {name}", run
     scn = cli.Scenario(seed=seed, trials=count, max_vertex_radius=box, min_angle=min_angle)
     report = cli.run_verify(scn)

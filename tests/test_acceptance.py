@@ -151,9 +151,7 @@ def test_05_arc_trapezoid_lexell():
         if chk.status == "pass":
             counts["arc"] += 1
             worst["arc"] = max(worst["arc"], chk.residual)
-        quad = trapezoid_quad(instance_rng(SEED, i, PURPOSE_QUAD),
-                              converse=bool(i % 2))
-        chk = check_trapezoid(*quad)
+        chk = check_trapezoid(*trapezoid_quad(instance_rng(SEED, i, PURPOSE_QUAD)))
         if chk.status == "pass":
             counts["quad"] += 1
             worst["quad"] = max(worst["quad"], chk.residual)

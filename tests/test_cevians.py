@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from hypfeuer import cevians, cycles, instances
+from hypfeuer import cevians, cycles
 from hypfeuer.errors import BracketFailure, DivergentCevians, NotACycle
 from hypfeuer.geom_core import (
     DiskIsometry,
@@ -38,9 +38,10 @@ from hypfeuer.cevians import (
     pseudoaltitude_foot,
     tangent_circles,
 )
-from hypfeuer.instances import bracketed_root, instance_rng, random_triangle
+from hypfeuer.instances import instance_rng, random_triangle
 from hypfeuer.theorems import check_feuerbach, check_feuerbach_point, check_tangent_cevians
-from oracles import decimal_pencil, diameter_with_direction, hyp_midpoint, internal_bisector
+from oracles import (bisect_root, decimal_pencil, diameter_with_direction, hyp_midpoint,
+                     internal_bisector)
 
 
 def isosceles():
@@ -122,7 +123,7 @@ def _side_frame(b1, b2):
 
 
 def _solved_foot(tri, vertex, pseudoaltitude):
-    """Side-frame coordinate of a foot found by a bracketed_root solve of its
+    """Side-frame coordinate of a foot found by a bisect_root solve of its
     defining balance, or None when the balance changes sign nowhere.
 
     The side line is cut at its two vertices, where the balance jumps:
@@ -147,7 +148,7 @@ def _solved_foot(tri, vertex, pseudoaltitude):
     for lo, hi in pieces:
         flo, fhi = balance(lo), balance(hi)
         if flo * fhi <= 0.0:
-            roots.append(bracketed_root(balance, lo, hi, flo, fhi, width=1e-15)[0])
+            roots.append(bisect_root(balance, lo, hi, width=1e-15))
     assert len(roots) <= 1
     return roots[0] if roots else None
 
@@ -302,8 +303,7 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     # circles are built once per configuration, no meet or frame change
     # goes through the general cycle machinery, and the sides, cevians
     # and contact lines are normals: no geodesic is built on the way
-    calls = {"bracketed_root": 0, "tangent_circles": 0, "geodesic_through": 0,
-             "intersect": 0, "transform": 0}
+    calls = {"tangent_circles": 0, "geodesic_through": 0, "intersect": 0, "transform": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -314,8 +314,8 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    originals = {"bracketed_root": instances.bracketed_root, "intersect": cycles.intersect,
-                 "transform": cycles.transform, "geodesic_through": cycles.geodesic_through}
+    originals = {"intersect": cycles.intersect, "transform": cycles.transform,
+                 "geodesic_through": cycles.geodesic_through}
     for module in [m for n, m in sys.modules.items() if n.startswith("hypfeuer")]:
         for name, original in originals.items():
             if getattr(module, name, None) is original:
@@ -325,13 +325,13 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     # triangle, bench/spec.py SETUP_TRIANGLE)
     cfg = build_config(Triangle.of(0.156 - 0.075j, -0.117 - 0.181j, -0.047 + 0.085j))
     assert not cfg.flags
-    assert calls == {"bracketed_root": 0, "tangent_circles": 1, "geodesic_through": 0,
-                     "intersect": 0, "transform": 0}
+    assert calls == {"tangent_circles": 1, "geodesic_through": 0, "intersect": 0,
+                     "transform": 0}
     assert check_feuerbach(cfg).status == "pass"
     assert check_tangent_cevians(cfg).status == "pass"
     assert check_feuerbach_point(cfg).status == "pass"
-    assert calls == {"bracketed_root": 0, "tangent_circles": 1, "geodesic_through": 0,
-                     "intersect": 0, "transform": 0}
+    assert calls == {"tangent_circles": 1, "geodesic_through": 0, "intersect": 0,
+                     "transform": 0}
     # the printed geodesics, built from the stored normals, are the ones
     # geodesic_through gives, bit for bit
     verts = cfg.triangle.vertices
@@ -583,40 +583,6 @@ def test_honest_configs_never_lose_a_guaranteed_object(box):
             seen.update(flags)
     # the sweep does meet absences the geometry allows
     assert seen
-
-
-# ------------------------------------------------------------ root-finder
-
-# the bracket width these solves run to
-WIDTH = 1e-14
-
-
-@pytest.mark.parametrize("f, lo, hi, root", [
-    (lambda x: x ** 3 - 0.3, 0.0, 1.0, 0.3 ** (1.0 / 3.0)),   # increasing
-    (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),  # decreasing
-    (lambda x: math.tanh(40.0 * (x - 0.2)), -0.9, 0.9, 0.2),   # steep step
-])
-def test_bracketed_root_within_bracket_width(f, lo, hi, root):
-    x, width = bracketed_root(f, lo, hi, f(lo), f(hi), WIDTH)
-    assert 0.0 <= width <= WIDTH
-    assert abs(x - root) <= WIDTH
-
-
-def test_bracketed_root_at_bracket_end_has_zero_width():
-    f = lambda x: x - 0.25  # noqa: E731
-    assert bracketed_root(f, 0.25, 1.0, f(0.25), f(1.0), WIDTH) == (0.25, 0.0)
-    assert bracketed_root(f, -1.0, 0.25, f(-1.0), f(0.25), WIDTH) == (0.25, 0.0)
-
-
-def test_bracketed_root_at_the_rebalance_scale():
-    # the trapezoid rebalance's bracket and width: 1e-16 is about 14
-    # float spacings near 0.04 (ulp 6.9e-18), and the solve ends by
-    # reaching it (this f has no exact float zero on the way)
-    f = lambda t: math.log1p(t) - 0.0385  # noqa: E731
-    lo, hi = -instances.REBALANCE_STEP, instances.REBALANCE_STEP
-    x, width = bracketed_root(f, lo, hi, f(lo), f(hi), instances.REBALANCE_WIDTH)
-    assert 0.0 < width <= instances.REBALANCE_WIDTH
-    assert abs(x - math.expm1(0.0385)) <= instances.REBALANCE_WIDTH
 
 
 # ------------------------------------------------------ n-line concurrency

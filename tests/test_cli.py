@@ -389,7 +389,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
 
 def _replace_suite(monkeypatch, name, check):
     purpose, _ = cli.SUITES[name]
-    monkeypatch.setitem(cli.SUITES, name, (purpose, lambda source, index: check))
+    monkeypatch.setitem(cli.SUITES, name, (purpose, lambda source: check))
 
 
 def test_infinite_residual_is_refused_not_written(tmp_path, monkeypatch, capsys):
@@ -442,7 +442,7 @@ def _one_at_a_time(scn: Scenario) -> list[InstanceReport]:
         for name in scn.suite:
             src, call = cli.SUITES[name]
             source = cfg if name in TRIANGLE_SUITES else instance_rng(scn.seed, index, src)
-            checks.append(call(source, index))
+            checks.append(call(source))
         instances.append(InstanceReport(index, instance, flags, checks))
     return instances
 
@@ -468,9 +468,10 @@ def test_blocks_write_the_bytes_of_one_instance_at_a_time(scn):
 ])
 def test_blocks_raise_the_error_of_one_instance_at_a_time(monkeypatch, trials,
                                                           suite_at, build_at):
-    # build_config sees the instances in index order in either loop, so
-    # its call count is the index
+    # build_config and lexell each see the instances in index order in
+    # either loop, so each one's call count is the index
     calls = itertools.count()
+    suite_calls = itertools.count()
     build_config = cli.build_config
 
     def build_raising(tri, pencils=True):
@@ -481,17 +482,18 @@ def test_blocks_raise_the_error_of_one_instance_at_a_time(monkeypatch, trials,
 
     src, lexell = cli.SUITES["lexell"]
 
-    def lexell_raising(rng, index):
+    def lexell_raising(rng):
+        index = next(suite_calls)
         if index == suite_at:
             raise GeometryError(f"lexell at {index}")
-        return lexell(rng, index)
+        return lexell(rng)
 
     monkeypatch.setattr(cli, "build_config", build_raising)
     monkeypatch.setitem(cli.SUITES, "lexell", (src, lexell_raising))
     scn = Scenario(seed=3, trials=trials)
     with pytest.raises(GeometryError) as expected:
         _one_at_a_time(scn)
-    calls = itertools.count()
+    calls, suite_calls = itertools.count(), itertools.count()
     with pytest.raises(GeometryError) as got:
         run_verify(scn)
     first = min(suite_at, build_at)

@@ -93,11 +93,6 @@ def test_generator_gives_up_after_max_draws(generator, stream, calls_per_draw, m
     assert rng.calls == before_loop + calls_per_draw * MAX_DRAWS
 
 
-def test_trapezoid_converse_gives_up_after_max_draws():
-    with pytest.raises(SamplingExhausted, match="trapezoid_quad"):
-        trapezoid_quad(StubStream([0.5]), converse=True)
-
-
 # Points that each fail one test of trapezoid_quad's locus sample and
 # pass the others.  A small step from c along ba, or from a along bc,
 # leaves (a, b, c, d) a convex trapezoid; |a - b| >= 0.4 and |c - a|,
@@ -125,15 +120,14 @@ def _inside(a, b, c):
 SAMPLE_RULES = (_near_c, _near_a, _inside)
 
 
-@pytest.mark.parametrize("converse", (False, True))
 @pytest.mark.parametrize("failing", SAMPLE_RULES)
-def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, failing):
+def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, failing):
     # no sampled draw's farthest locus sample fails a rule, so the first
     # one is made to: the draw is rejected and the result is the stream's
     # next accepted draw, the second unpatched call on it
     rng = instance_rng(0, 0, PURPOSE_QUAD)
-    trapezoid_quad(rng, converse=converse)
-    want = trapezoid_quad(rng, converse=converse)
+    trapezoid_quad(rng)
+    want = trapezoid_quad(rng)
 
     bases, calls = [], []
     lexell_cycle, farthest_sample = instances.lexell_cycle, instances.farthest_sample
@@ -155,7 +149,7 @@ def test_trapezoid_quad_redraws_when_its_sample_fails(monkeypatch, converse, fai
 
     monkeypatch.setattr(instances, "lexell_cycle", recorded)
     monkeypatch.setattr(instances, "farthest_sample", failing_once)
-    got = trapezoid_quad(instance_rng(0, 0, PURPOSE_QUAD), converse=converse)
+    got = trapezoid_quad(instance_rng(0, 0, PURPOSE_QUAD))
     assert len(calls) == 2
     assert got == want
 
@@ -191,7 +185,7 @@ def test_monge_centers_stay_inside_their_bound():
 def _draws(purpose):
     for seed in range(6):
         for index in range(200):
-            yield index, instance_rng(seed, index, purpose)
+            yield instance_rng(seed, index, purpose)
 
 
 def test_arc_instance_puts_a_and_b_on_the_cycle_with_every_sample_between():
@@ -199,7 +193,7 @@ def test_arc_instance_puts_a_and_b_on_the_cycle_with_every_sample_between():
     # lies inside the sampled span, so _arc_samples keeps every sample;
     # it drops any within 1e-9 of a or b, and a and b lie far apart, so
     # sigma(a, x, b) meets no coincident pair
-    for _, rng in _draws(PURPOSE_ARC):
+    for rng in _draws(PURPOSE_ARC):
         cycle, a, b = arc_instance(rng)
         assert max(membership_residual(cycle, a), membership_residual(cycle, b)) < 1e-14
         assert len(_arc_samples(cycle, a, b, ARC_SAMPLES)) == ARC_SAMPLES
@@ -209,7 +203,7 @@ def test_arc_instance_puts_a_and_b_on_the_cycle_with_every_sample_between():
 def test_lexell_instance_keeps_its_base_apart_and_its_apex_off_it():
     # and so the locus through the apex, |x0| <= 0.62, crosses the
     # shrunk absolute: every sample is kept, none near a or b
-    for _, rng in _draws(PURPOSE_LEXELL):
+    for rng in _draws(PURPOSE_LEXELL):
         a, b, x0 = lexell_instance(rng)
         assert abs(a - b) >= 0.35
         assert point_geodesic_distance(x0, geodesic_through(a, b)) >= 0.05
@@ -219,15 +213,14 @@ def test_lexell_instance_keeps_its_base_apart_and_its_apex_off_it():
 
 
 def test_random_cycle_pair_draws_no_geodesic():
-    for _, rng in _draws(PURPOSE_CYCLE_PAIR):
+    for rng in _draws(PURPOSE_CYCLE_PAIR):
         for cycle in random_cycle_pair(rng):
             assert abs(cycle.c - cycle.a) > 1e-6 > GEODESIC_EPS
 
 
 def test_trapezoid_quad_is_convex_and_non_degenerate():
-    # the odd indices draw the converse quads, as verify does
-    for index, rng in _draws(PURPOSE_QUAD):
-        a, b, c, d = quad = trapezoid_quad(rng, converse=bool(index % 2))
+    for rng in _draws(PURPOSE_QUAD):
+        a, b, c, d = quad = trapezoid_quad(rng)
         assert convex_quad_angles(*quad) is not None
         assert min(triangle_area(a, b, c), triangle_area(a, b, d)) > 0.05
 
@@ -238,7 +231,7 @@ def test_monge_triple_always_has_its_npn_centers():
     # a center distance of 1.30 (next test), and the draws' centers lie
     # within 2 * 2 atanh(0.16) = 0.65 of each other
     bound = 4.0 * math.atanh(0.16)
-    for _, rng in _draws(PURPOSE_MONGE):
+    for rng in _draws(PURPOSE_MONGE):
         circles = monge_triple(rng)
         centers = [hyp_center_radius(c)[0] for c in circles]
         assert max(disk_distance(p, q) for p, q in itertools.combinations(centers, 2)) < bound

@@ -250,14 +250,16 @@ RADICAL_AXIS_MUTANTS = {
     "power_scaled_1e-6": (power, "power_of_point", _power_scaled),
 }
 
-# The check, the forward search and the converse draws' angle balance
-# all take their angles from convex_quad_angles.  The check then sees a
-# forward quad's balance off by the shift, and a converse quad balanced
-# against the shifted angles off its area locus, so each must fail every
-# trapezoid instance, forward and converse alike.
+# Every trapezoid quad is drawn with c and d on one constant-area locus,
+# so its angle balance is the check's evidence.  A shifted quad angle
+# throws the balance off by the shift; a wrong locus (its b, or the
+# chord of its samples) puts d off the true locus, so the areas differ
+# and so do the angles.  Each must fail every trapezoid instance.
 TRAPEZOID_MUTANTS = {
     "quad_kernel_first_angle_shifted_1e-6": (geom_core, "convex_quad_angles",
                                              _first_angle_shifted),
+    "lexell_b_scaled_1e-6": MUTANTS["lexell_b_scaled_1e-6"],
+    "arc_point_chord_scaled_1e-6": MUTANTS["arc_point_chord_scaled_1e-6"],
 }
 
 SURVIVORS = {

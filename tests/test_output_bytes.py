@@ -30,18 +30,21 @@ write each point of a line or an arc from the cycle's point nearest the
 origin and its arc length from there, not as center + radius e^{it}:
 that moved the residual bytes of the inscribed_angle, trapezoid, lexell
 and radical_axis checks, and no status or flag.  They were recorded once
-more when Anderson-Bjorck regula falsi replaced Brent's method as the
-root-finder of the converse trapezoid draws, and feuerbach_point came to
-take each excircle contact from the Euler circle's side and to add the
-three Euler-excircle tangency gaps to its residual: that moved the
-residual bytes of the converse trapezoid and the feuerbach_point checks,
-and no status or flag.  They were recorded once more when a circle
-inside the disk came to be sampled by arc length from its point
-nearest the origin, like a line or an arc, and no longer by angle from
-the right of its center: that moved the two points of each whole-circle
-inscribed_angle instance along their circle, so the residual and the
-witness's sigma and center_angle_gap bytes of that check, and no status
-or flag.
+more when feuerbach_point came to take each excircle contact from the
+Euler circle's side and to add the three Euler-excircle tangency gaps
+to its residual, while the root-finder of the odd instances' trapezoid
+quads changed: that moved the residual bytes of the trapezoid and the
+feuerbach_point checks, and no status or flag.  They were recorded once
+more when a circle inside the disk came to be sampled by arc length
+from its point nearest the origin, like a line or an arc, and no longer
+by angle from the right of its center: that moved the two points of
+each whole-circle inscribed_angle instance along their circle, so the
+residual and the witness's sigma and center_angle_gap bytes of that
+check, and no status or flag.  They were recorded once more when every
+trapezoid instance came to be drawn on its constant-area locus, the odd
+instances no longer solved for an angle balance: that moved the
+trapezoid residual and witness bytes of the odd instances, and no
+status or flag.
 
 A change that alters these bytes on purpose records the digests again
 (each is what `_digest` below returns) and lists the change and the
@@ -78,17 +81,17 @@ DIGESTS = {
     ("render-json", 0.25):
         "0c9a4bf280eb1dd6b587b87d089dc892a6d7f425059eabb68191e83da615c105",
     ("verify", 0.7):
-        "694ece18919ed35cffc24117675d2b4e147a8d0d656f47e39593ea49b65726ca",
+        "fd29b65a2535ee4edb0595e9534b833ec69657e2e2450d33d43ba48861739f84",
     ("verify", 0.25):
-        "12bd0e946fcbe8728cb1d864c59202a7ec0f8b8214a8fc6c5bff85c330617636",
+        "2a09c1ff0ae7d6887a8f854cf02da16f1efe8f00e5161a7365aff77ff521bd3f",
     ("verify-drawn", 0.7):
-        "8f2e00d7d02d62f484fc7b68a68e88b00a6c791450ec87fd2491bc44890f4e93",
+        "73ad924401b785563cc331b66d071a7ad78dfdc0dd8253df72bff4a43a48bef0",
     ("verify-drawn", 0.25):
-        "6394aebeddc3dca485c666c2ece59706f8fd91e779d9a6f9af4c2ed0175bac2f",
+        "88a26907348998bc6454f8038f8410ea384caae25d74b9f9eca4440b9833a36c",
     ("verify-sweep", 0.7):
-        "1526aa6f8358212cd8de38dc71874da38ac02c7ad3aeb4fc42866e6569396238",
+        "971902e6ce324df015dcf9713de28ca943097e463e6cb177033e39a889b04c41",
     ("verify-sweep", 0.25):
-        "76375902e5d338b7b7cf01ec4772eee4e86642a7324a8f1ac1a970668110e873",
+        "6fc9e50e5f7b62ed727dc94e205432621fdecd680faf0cec0a5b975ea2f23053",
 }
 
 # the verify arguments of each run a digest covers

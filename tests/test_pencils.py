@@ -31,23 +31,23 @@ DIVERGENT = "divergent_pseudoaltitude_cevians"
 
 
 def _drawn_pairs():
-    """(index, full configuration, pencil-free one) of every drawn triangle."""
+    """(full configuration, pencil-free one) of every drawn triangle."""
     for box, min_angle in SCENARIOS:
         for seed in (0, 1):
             for index in range(PER_SEED):
                 tri, _ = random_triangle(instance_rng(seed, index, PURPOSE_TRIANGLE),
                                          box, min_angle)
-                yield index, build_config(tri), build_config(tri, pencils=False)
+                yield build_config(tri), build_config(tri, pencils=False)
 
 
 @pytest.fixture(scope="module")
 def outcomes():
     """suite -> the (full, pencil-free) checks of every drawn triangle."""
     got = {name: [] for name in TRIANGLE_SUITES}
-    for index, full, bare in _drawn_pairs():
+    for full, bare in _drawn_pairs():
         for name in TRIANGLE_SUITES:
             call = SUITES[name][1]
-            got[name].append((call(full, index), call(bare, index)))
+            got[name].append((call(full), call(bare)))
     return got
 
 

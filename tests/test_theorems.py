@@ -45,7 +45,6 @@ from hypfeuer.instances import (
     random_cycle_pair,
     random_triangle,
     trapezoid_quad,
-    _rebalance_quad,
 )
 from hypfeuer.theorems import (
     check_euler_line,
@@ -149,59 +148,6 @@ def test_trapezoid_generated_quads():
         assert chk.residual < 1e-10
 
 
-def test_trapezoid_converse_quads():
-    # angle balance pinned by construction, so the area side is the residual
-    for idx in range(6):
-        quad = trapezoid_quad(instance_rng(605, idx), converse=True)
-        chk = check_trapezoid(*quad)
-        assert chk.status == "pass", (idx, chk)
-        assert chk.witness["angle_gap"] < 1e-10
-
-
-def _counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records each call."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_rebalance_quad_solves_in_few_balance_evaluations(monkeypatch):
-    calls = _counting(monkeypatch, instances, "convex_quad_angles")
-    solved = 0
-    for idx in range(30):
-        quad = trapezoid_quad(instance_rng(607, idx))
-        calls.clear()
-        moved = _rebalance_quad(quad)
-        if moved is None:
-            continue
-        solved += 1
-        # two evaluations bracket the root, the solver makes the rest
-        assert len(calls) - 2 <= 12, (idx, len(calls))
-        assert check_trapezoid(*moved).witness["angle_gap"] < 1e-10
-    assert solved >= 25
-
-
-def test_rebalance_quad_non_convex_inside_bracket_gives_none(monkeypatch):
-    quad = trapezoid_quad(instance_rng(607, 0))
-    assert _rebalance_quad(quad) is not None
-    real = instances.convex_quad_angles
-    calls = []
-
-    def convex_only_at_bracket_ends(*q):
-        calls.append(q)
-        return real(*q) if len(calls) <= 2 else None
-
-    monkeypatch.setattr(instances, "convex_quad_angles", convex_only_at_bracket_ends)
-    assert _rebalance_quad(quad) is None
-    assert len(calls) == 3
-
-
 def test_trapezoid_perturbation_breaks_both_sides():
     a, b, c, d = trapezoid_quad(instance_rng(606, 0))
     grad = lexell_cycle(a, b, c).gradient(d)
@@ -214,10 +160,9 @@ def test_trapezoid_perturbation_breaks_both_sides():
 
 
 def test_trapezoid_fails_when_the_angles_are_off(monkeypatch):
-    # either side of the iff off by 4e-3 must fail, also on quads built
-    # to pin the area side at zero
-    quads = [trapezoid_quad(instance_rng(608, idx), converse=converse)
-             for idx in range(4) for converse in (False, True)]
+    # the angle side off by 4e-3 must fail, also on quads built to pin
+    # the area side at zero
+    quads = [trapezoid_quad(instance_rng(608, idx)) for idx in range(8)]
     real = geom_core.convex_quad_angles
 
     def off(*quad):
@@ -538,12 +483,10 @@ DRAWN_SUITES = {
 def test_drawn_checks_isometry_equivariant(suite):
     # metamorphic sweep of the drawn suites: a draw mapped through an
     # isometry (points by the map, cycles by transform) keeps its status
-    # and flag; trapezoid alternates forward and converse draws as verify
-    # does
+    # and flag
     draw, purpose, check = DRAWN_SUITES[suite]
     for i in range(300):
-        rng = instance_rng(0, i, purpose)
-        args = draw(rng, converse=bool(i % 2)) if draw is trapezoid_quad else draw(rng)
+        args = draw(instance_rng(0, i, purpose))
         iso = random_isometry(Random(2000 + i))
         moved = [iso(x) if isinstance(x, complex) else transform(iso, x) for x in args]
         before, after = check(*args), check(*moved)
@@ -750,6 +693,19 @@ def test_monge_random_triples():
         assert chk.residual < 1e-9
         numeric = [v for v in chk.witness.values() if not isinstance(v, str)]
         assert len(numeric) >= 2
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_check_monge_builds_each_pair_once(monkeypatch):
