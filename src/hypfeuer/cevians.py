@@ -69,7 +69,6 @@ from .cycles import (
     geodesic_of_normal,
     hyp_center_radius,
     meet_point,
-    membership_residual,
     plane_distances,
     point_lift,
     sign_aware_q,
@@ -180,10 +179,29 @@ def concurrency_point(normals) -> tuple[complex, float]:
 
 
 class CircleSpec(Record):
-    """A tangent circle and how far its built cycle is from touching
-    the three sides."""
+    """A tangent circle: its disk center, its radius, and the cycle
+    built about them (circle_from_center_radius).  The checks read the
+    cycle alone; center and radius are reported and drawn."""
 
-    __slots__ = ("center", "radius", "cycle", "tangency_gap")
+    __slots__ = ("center", "radius", "cycle")
+
+
+def side_units(side_normals: dict[str, Vector]) -> tuple[list[Vector], list[float]]:
+    """The unit normal n / |n| of each side and its norm |n| = sqrt(n_x^2
+    + n_y^2 - n_t^2), in VERTICES order.  A side whose normal is not
+    spacelike, its vertices equal to rounding, raises
+    DegenerateTriangle."""
+    units, norms = [], []
+    for v in VERTICES:
+        n0, n1, n2 = side_normals[v]
+        norm2 = n1 * n1 + n2 * n2 - n0 * n0
+        if norm2 <= 0.0:
+            # two vertices so close that their side rounds to no geodesic
+            raise DegenerateTriangle(f"side {v} has no spacelike normal")
+        norm = math.sqrt(norm2)
+        units.append((n0 / norm, n1 / norm, n2 / norm))
+        norms.append(norm)
+    return units, norms
 
 
 def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
@@ -208,28 +226,19 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
     (and cyclically).  As |n_a| = sinh(a) |L_b| |L_c| for the side length
     a, X is the sum sinh(a) A + sinh(b) B + sinh(c) C of the unit vertex
     vectors times a common factor.  A center exists where its sum is
-    timelike, and meet_point reads it as a disk point.  A side whose
-    normal is not spacelike, its vertices equal to rounding, raises
-    DegenerateTriangle.
+    timelike, and meet_point reads it as a disk point.  side_units
+    gives the side norms and unit normals, and raises DegenerateTriangle
+    for a side whose normal is not spacelike.
 
     The radius is the mean of the three side distances
-    (plane_distances).  The built circle's center and radius are read
-    back from its own coefficients (_circle_vector); tangency_gap is the
-    worst difference between that center's distance to a side and that
-    radius.
+    (plane_distances).  The built circle is read back from its own
+    coefficients (_circle_vector) only to see that its center is still
+    inside the disk; how far it is from touching the sides is
+    check_feuerbach's to measure.
     """
-    units, weighted = [], []
-    for v in VERTICES:
-        n0, n1, n2 = side_normals[v]
-        norm2 = n1 * n1 + n2 * n2 - n0 * n0
-        if norm2 <= 0.0:
-            # two vertices so close that their side rounds to no geodesic
-            raise DegenerateTriangle(f"side {v} has no spacelike normal")
-        norm = math.sqrt(norm2)
-        units.append((n0 / norm, n1 / norm, n2 / norm))
-        lt, lx, ly = lifts[v]
-        weighted.append((norm * lt, norm * lx, norm * ly))
-    (at, ax, ay), (bt, bx, by), (ct, cx, cy) = weighted
+    units, norms = side_units(side_normals)
+    (at, ax, ay), (bt, bx, by), (ct, cx, cy) = (
+        tuple(norm * w for w in lifts[v]) for norm, v in zip(norms, VERTICES))
     specs = []
     for v, (sa, sb, sc) in zip(("", *VERTICES), ((1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
                                                  (1.0, -1.0, 1.0), (1.0, 1.0, -1.0))):
@@ -243,15 +252,12 @@ def tangent_circles(lifts: dict[str, Vector], side_normals: dict[str, Vector],
         radius = sum(plane_distances(x, units)) / 3.0
         cycle = circle_from_center_radius(z, radius)
         try:
-            pt, px, py, norm, s = _circle_vector(cycle)
+            _circle_vector(cycle)
         except NoHyperbolicCenter:
             flags.add(f"excircle_center_at_absolute_{v}" if v else "incircle_center_at_absolute")
             specs.append(None)
             continue
-        back = math.asinh(s / norm)
-        da, db, dc = plane_distances((pt, px, py), units)
-        gap = max(abs(da - back), abs(db - back), abs(dc - back))
-        specs.append(CircleSpec(z, radius, cycle, gap))
+        specs.append(CircleSpec(z, radius, cycle))
     return specs[0], dict(zip(VERTICES, specs[1:]))
 
 
@@ -343,6 +349,10 @@ class TriangleConfig(Record):
     """Every derived object of one triangle: one that does not exist is
     None or missing from its dict, and `flags` say why, for the report.
 
+    It holds objects and flags only: no residual.  How far an object
+    is from what a theorem says of it is measured by the check that
+    judges it (theorems), from the objects stored here.
+
     Each vertex and foot is lifted once (point_lift), and each side and
     cevian is kept as its normal, the cross product of its two lifts
     (through_normal): the checks read these.  The geodesics that
@@ -350,19 +360,17 @@ class TriangleConfig(Record):
     `pseudoaltitude_cevians`, are built from the stored normals on each
     read, bit for bit what geodesic_through gives.
 
-    The cevian pencils are `euler_membership`, `bisector_normals`,
-    `pseudoaltitude_normals`, `bisector_point`, `bisector_residual`,
-    `pseudo_orthocenter` and `orthocenter_residual`.  A configuration
-    built without them (build_config's pencils false) holds {} and None
-    there, and its flags name no divergent pencil.
+    The cevian pencils are `bisector_normals`, `pseudoaltitude_normals`,
+    `bisector_point` and `pseudo_orthocenter`.  A configuration built
+    without them (build_config's pencils false) holds {} and None there,
+    and its flags name no divergent pencil.
     """
 
     __slots__ = ("triangle", "feet", "lifts", "side_normals", "bisector_normals",
                  "pseudoaltitude_normals", "circumcircle", "circumcenter",
                  "circumradius", "euler_circle", "euler_center", "euler_radius",
-                 "euler_membership", "bisector_point", "bisector_residual",
-                 "pseudo_orthocenter", "orthocenter_residual", "incircle",
-                 "excircles", "flags")
+                 "bisector_point", "pseudo_orthocenter", "incircle", "excircles",
+                 "flags")
 
     @property
     def sides(self) -> dict[str, GeneralizedCycle]:
@@ -378,27 +386,27 @@ class TriangleConfig(Record):
         return {v: geodesic_of_normal(n) for v, n in self.pseudoaltitude_normals.items()}
 
 
-def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]):
-    """(point, residual) of a cevian family with all three feet, or
-    (None, None): with the flag added when the three cevians do not
-    meet, and without it when a foot is missing, whose bracket_failure
-    flag already names the cause."""
+def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]) -> complex | None:
+    """The point of a cevian family with all three feet, or None: with
+    the flag added when the three cevians do not meet, and without it
+    when a foot is missing, whose bracket_failure flag already names the
+    cause.  The pencil's residual is left to the check that judges it."""
     if len(normals) == 3:
         try:
-            return concurrency_point([normals[v] for v in VERTICES])
+            return concurrency_point([normals[v] for v in VERTICES])[0]
         except DivergentCevians:
             flags.add(flag)
-    return None, None
+    return None
 
 
 def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
     """Every derived object of a triangle (TriangleConfig), built in one
-    fixed order.  With pencils false the cevian pencils are left out:
-    the Euler membership of the pseudoaltitude feet, both families'
-    cevian normals and their concurrency points, which only the Euler
-    suites read.  Their dicts are then empty, their points and
-    residuals None, and no divergent_* flag is set; every other object
-    and flag is built as with pencils true."""
+    fixed order; it measures no residual.  With pencils false the cevian
+    pencils are left out: both families' cevian normals and their
+    concurrency points, which only euler_line and euler_ratios read.
+    Their dicts are then empty, their points None, and no divergent_*
+    flag is set; every other object and flag is built as with pencils
+    true."""
     flags: set[str] = set()
     feet = CevianFeet({}, {})
     for v in VERTICES:
@@ -420,13 +428,9 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
         flags.add("no_circumcenter")
 
     euler_circle = euler_center = euler_radius = None
-    euler_membership: dict[str, float] = {}
     if len(feet.bisector) == 3:
         euler_circle = cycle_through(feet.bisector["a"], feet.bisector["b"],
                                      feet.bisector["c"])
-        if pencils:
-            for v, foot in feet.pseudoaltitude.items():
-                euler_membership[v] = membership_residual(euler_circle, foot)
         try:
             euler_center, euler_radius = hyp_center_radius(euler_circle)
         except GeometryError:
@@ -441,16 +445,15 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
                     "c": through_normal(la, lb)}
     bisector_normals: dict[str, Vector] = {}
     pseudoaltitude_normals: dict[str, Vector] = {}
-    bisector_point = bisector_residual = pseudo_orthocenter = orthocenter_residual = None
+    bisector_point = pseudo_orthocenter = None
     if pencils:
         bisector_normals = {v: through_normal(lifts[v], point_lift(foot))
                             for v, foot in feet.bisector.items()}
         pseudoaltitude_normals = {v: through_normal(lifts[v], point_lift(foot))
                                   for v, foot in feet.pseudoaltitude.items()}
-        bisector_point, bisector_residual = _concurrency(
-            bisector_normals, "divergent_bisector_cevians", flags)
-        pseudo_orthocenter, orthocenter_residual = _concurrency(
-            pseudoaltitude_normals, "divergent_pseudoaltitude_cevians", flags)
+        bisector_point = _concurrency(bisector_normals, "divergent_bisector_cevians", flags)
+        pseudo_orthocenter = _concurrency(pseudoaltitude_normals,
+                                          "divergent_pseudoaltitude_cevians", flags)
 
     inc, excircles = tangent_circles(lifts, side_normals, flags)
 
@@ -467,11 +470,8 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
         euler_circle=euler_circle,
         euler_center=euler_center,
         euler_radius=euler_radius,
-        euler_membership=euler_membership,
         bisector_point=bisector_point,
-        bisector_residual=bisector_residual,
         pseudo_orthocenter=pseudo_orthocenter,
-        orthocenter_residual=orthocenter_residual,
         incircle=inc,
         excircles=excircles,
         flags=sorted(flags),

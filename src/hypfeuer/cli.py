@@ -64,7 +64,8 @@ from .theorems import (
 )
 
 # a triangle suite's source: the instance's configuration, built without
-# or with the cevian pencils (build_config's pencils)
+# or with the cevian pencils (build_config's pencils); only euler_line and
+# euler_ratios read a pencil, its concurrency points or cevian normals
 CONFIG, PENCILS = "config", "pencils"
 
 # The suite registry, in report order: name -> (source, call).  The call
@@ -77,7 +78,7 @@ SUITES = {
     "inscribed_angle": (PURPOSE_ARC, lambda rng: check_inscribed_angle(*arc_instance(rng))),
     "trapezoid": (PURPOSE_QUAD, lambda rng: check_trapezoid(*trapezoid_quad(rng))),
     "lexell": (PURPOSE_LEXELL, lambda rng: check_lexell(*lexell_instance(rng))),
-    "six_point": (PENCILS, lambda cfg: check_six_point(cfg)),
+    "six_point": (CONFIG, lambda cfg: check_six_point(cfg)),
     "euler_line": (PENCILS, lambda cfg: check_euler_line(cfg)),
     "euler_ratios": (PENCILS, lambda cfg: check_euler_ratios(cfg)),
     "feuerbach": (CONFIG, lambda cfg: check_feuerbach(cfg)),
@@ -381,11 +382,8 @@ def config_json(cfg: TriangleConfig) -> str:
         "euler_circle": cfg.euler_circle,
         "euler_center": cfg.euler_center,
         "euler_radius": cfg.euler_radius,
-        "euler_membership": cfg.euler_membership,
         "bisector_point": cfg.bisector_point,
-        "bisector_residual": cfg.bisector_residual,
         "pseudo_orthocenter": cfg.pseudo_orthocenter,
-        "orthocenter_residual": cfg.orthocenter_residual,
         "incircle": cfg.incircle,
         "excircles": cfg.excircles,
         "flags": list(cfg.flags),

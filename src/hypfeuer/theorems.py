@@ -59,20 +59,24 @@ from .cycles import (
     GEODESIC_EPS,
     GeneralizedCycle,
     _arc_samples,
+    _circle_vector,
     circle_vector,
     geodesic_through,
     hyp_center_radius,
     lexell_cycle,
     membership_residual,
+    plane_distances,
     point_geodesic_distance,
     sample_points,
     tangency_residual,
     through_normal,
 )
 from .cevians import (
+    VERTICES,
     TriangleConfig,
     _shoot_tangent_circle,
     concurrency_point,
+    side_units,
     tangent_contact,
 )
 from .power import (
@@ -266,11 +270,15 @@ def check_lexell(a: complex, b: complex, x0: complex) -> TheoremCheck:
 
 def check_six_point(cfg: TriangleConfig) -> TheoremCheck:
     """The circle through the bisector feet contains the pseudoaltitude
-    feet, and its radius is its center's distance to each bisector foot."""
-    if cfg.euler_circle is None or len(cfg.euler_membership) < 3:
+    feet, each foot's membership_residual against it, and its radius is
+    its center's distance to each bisector foot.  Reads no cevian
+    pencil."""
+    if cfg.euler_circle is None or len(cfg.feet.pseudoaltitude) < 3:
         return _skip("six_point", TOLERANCES.theorem, "cevian_degeneracy")
-    residual = max(cfg.euler_membership.values())
-    witness: dict = {"membership": dict(cfg.euler_membership)}
+    membership = {v: membership_residual(cfg.euler_circle, foot)
+                  for v, foot in cfg.feet.pseudoaltitude.items()}
+    residual = max(membership.values())
+    witness: dict = {"membership": membership}
     if cfg.euler_center is not None:
         witness["radius_gap"] = _radius_gap(cfg.euler_center, cfg.euler_radius,
                                             cfg.feet.bisector.values())
@@ -311,8 +319,9 @@ def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
     """The three bisector pseudolength ratios agree, and so do the three
     pseudoaltitude pseudolength products (the homothety and inversion
     constants of the circumcircle-to-Euler-circle maps).  The residual
-    also takes the concurrency residuals of both cevian families, the
-    pencil determinants that define M and H (concurrency_point)."""
+    also takes each cevian family's pencil term: the distance from the
+    meet of its most transversal pair, M or H, to its third cevian,
+    from concurrency_point on the stored cevian normals."""
     m, h = cfg.bisector_point, cfg.pseudo_orthocenter
     if m is None or h is None:
         return _skip("euler_ratios", TOLERANCES.construct, "cevian_degeneracy")
@@ -321,8 +330,9 @@ def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
               for v in ("a", "b", "c")]
     products = [pseudolength(h, cfg.feet.pseudoaltitude[v]) * pseudolength(h, verts[v])
                 for v in ("a", "b", "c")]
-    residual = max(max(ratios) - min(ratios), max(products) - min(products),
-                   cfg.bisector_residual, cfg.orthocenter_residual)
+    pencils = (concurrency_point([normals[v] for v in VERTICES])[1]
+               for normals in (cfg.bisector_normals, cfg.pseudoaltitude_normals))
+    residual = max(max(ratios) - min(ratios), max(products) - min(products), *pencils)
     return _finish("euler_ratios", residual, TOLERANCES.construct,
                    {"ratio": ratios[0], "product": products[0]})
 
@@ -330,14 +340,15 @@ def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
 def check_feuerbach(cfg: TriangleConfig) -> TheoremCheck:
     """Tangency of the Euler circle with the incircle and every excircle
     that exists; absent excircles reduce the check set and are recorded.
-    The residual also takes each existing circle's tangency_gap, how far
-    the built circle is from touching the three sides (tangent_circles).
-    A circle whose |B|^2 - AC rounds to 0 (tangency_residual) skips the
-    check as degenerate_circle."""
+    The residual also takes each existing circle's side gap, how far its
+    built cycle is from touching the three sides (_side_gap).  A circle
+    whose |B|^2 - AC rounds to 0 (tangency_residual) skips the check as
+    degenerate_circle."""
     if cfg.euler_circle is None or cfg.incircle is None:
         return _skip("feuerbach", TOLERANCES.chain, "euler_or_incircle_missing")
     circles = [("incircle", cfg.incircle)]
     circles += ((f"excircle_{v}", spec) for v, spec in sorted(cfg.excircles.items()))
+    units = side_units(cfg.side_normals)[0]
     witness: dict = {}
     residuals = []
     for key, spec in circles:
@@ -349,8 +360,19 @@ def check_feuerbach(cfg: TriangleConfig) -> TheoremCheck:
         except NotACircle:  # a circle whose radius rounds to zero
             return _skip("feuerbach", TOLERANCES.chain, "degenerate_circle")
         witness[key] = r
-        residuals += (r, spec.tangency_gap)
+        residuals += (r, _side_gap(spec.cycle, units))
     return _finish("feuerbach", max(residuals), TOLERANCES.chain, witness)
+
+
+def _side_gap(cycle: GeneralizedCycle, units) -> float:
+    """The worst difference between a circle's radius and its center's
+    distance to each side, both read back from the circle's own
+    coefficients (_circle_vector); each side is given by its unit
+    normal (cevians.side_units).  tangent_circles keeps only circles
+    that read back."""
+    pt, px, py, norm, s = _circle_vector(cycle)
+    back = math.asinh(s / norm)
+    return max(abs(d - back) for d in plane_distances((pt, px, py), units))
 
 
 # ------------------------------------------------------------ power checks

@@ -36,10 +36,17 @@ from hypfeuer.cevians import (
     build_config,
     concurrency_point,
     pseudoaltitude_foot,
+    side_units,
     tangent_circles,
 )
 from hypfeuer.instances import instance_rng, random_triangle
-from hypfeuer.theorems import check_feuerbach, check_feuerbach_point, check_tangent_cevians
+from hypfeuer.theorems import (
+    _side_gap,
+    check_feuerbach,
+    check_feuerbach_point,
+    check_six_point,
+    check_tangent_cevians,
+)
 from oracles import (bisect_root, decimal_pencil, diameter_with_direction, hyp_midpoint,
                      internal_bisector)
 
@@ -358,9 +365,11 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
 # ------------------------------------------------------------ euler circle
 
 def test_six_point_membership_on_clean_configs():
+    # check_six_point measures each pseudoaltitude foot against the
+    # Euler circle
     for cfg in clean_configs(15):
         assert cfg.euler_circle is not None
-        assert max(cfg.euler_membership.values()) < 1e-10
+        assert max(check_six_point(cfg).witness["membership"].values()) < 1e-10
 
 
 def test_euler_center_distance_consistency():
@@ -377,11 +386,12 @@ def test_euler_center_distance_consistency():
 # ------------------------------------------------------------- concurrency
 
 def test_cevian_concurrency_residuals():
+    # the pencil terms check_euler_ratios takes from the stored normals
     for cfg in clean_configs(12):
         assert cfg.bisector_point is not None
-        assert cfg.bisector_residual < 1e-10
+        assert concurrency_point([cfg.bisector_normals[v] for v in VERTICES])[1] < 1e-10
         assert cfg.pseudo_orthocenter is not None
-        assert cfg.orthocenter_residual < 1e-10
+        assert concurrency_point([cfg.pseudoaltitude_normals[v] for v in VERTICES])[1] < 1e-10
 
 
 def test_circumcenter_equidistant_from_vertices():
@@ -400,7 +410,7 @@ def test_incircle_touches_all_sides():
     for cfg in clean_configs(10):
         inc = cfg.incircle
         assert inc is not None
-        assert inc.tangency_gap < 1e-12
+        assert _side_gap(inc.cycle, side_units(cfg.side_normals)[0]) < 1e-12
         sides = cfg.sides
         for v in VERTICES:
             gap = abs(point_geodesic_distance(inc.center, sides[v]) - inc.radius)
@@ -410,16 +420,18 @@ def test_incircle_touches_all_sides():
 
 
 def test_tangency_gap_reads_the_built_circle(monkeypatch):
-    # the gap measures the cycle that construct prints, read back from
-    # its coefficients: a circle built 1e-6 too large is 1e-6 r off
-    # every side
+    # check_feuerbach's side gap measures the cycle that construct
+    # prints, read back from its coefficients: a circle built 1e-6 too
+    # large is 1e-6 r off every side
     real = cevians.circle_from_center_radius
     monkeypatch.setattr(cevians, "circle_from_center_radius",
                         lambda center, rho: real(center, rho * (1.0 + 1e-6)))
     for cfg in clean_configs(5):
+        units = side_units(cfg.side_normals)[0]
         for spec in (cfg.incircle, *cfg.excircles.values()):
             if spec is not None:
-                assert spec.tangency_gap == pytest.approx(1e-6 * spec.radius, rel=1e-6)
+                assert _side_gap(spec.cycle, units) == pytest.approx(1e-6 * spec.radius,
+                                                                     rel=1e-6)
 
 
 def test_excircle_touches_all_sides_when_present():
@@ -435,7 +447,7 @@ def test_excircle_touches_all_sides_when_present():
             if spec is None:
                 continue
             found += 1
-            assert spec.tangency_gap < 1e-12
+            assert _side_gap(spec.cycle, side_units(cfg.side_normals)[0]) < 1e-12
             for w in VERTICES:
                 gap = abs(point_geodesic_distance(spec.center, sides[w]) - spec.radius)
                 assert gap < 1e-9

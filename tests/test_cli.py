@@ -25,7 +25,7 @@ from hypfeuer.cli import (
 )
 from hypfeuer.errors import GeometryError
 from hypfeuer.geom_core import Triangle
-from hypfeuer.instances import instance_rng
+from hypfeuer.instances import PURPOSE_TRIANGLE, instance_rng, random_triangle
 from hypfeuer.theorems import InstanceReport, TheoremCheck
 
 EQUILATERAL = "0.25i,-0.21650635094610965-0.125i,0.21650635094610965-0.125i"
@@ -291,6 +291,36 @@ STANDING_DEFECTS = [
                          ids=[suite for suite, _ in STANDING_DEFECTS])
 def test_standing_defect_passes(tmp_path, suite, triangle):
     code, out = run(tmp_path, "verify", "--trials", "1", "--suite", suite,
+                    "--triangle", triangle)
+    (check,) = json.loads(out.read_text())["instances"][0]["checks"]
+    assert check["status"] == "pass"
+    assert code == 0
+
+
+# The needle triangles of tests/status_sweep.py, (box, seed, index) of a
+# `min_angle` 0 draw, on which feuerbach alone fails; measured through
+# --triangle as a multiple of the 1e-8 tolerance
+SWEEP_NEEDLES = [
+    # the excircle beyond c: 1.54x (the incircle 1.03x)
+    (0.7, 2, 117),
+    # the incircle: 2.43x
+    (0.7, 4, 135),
+    # the incircle: 2.18x (the excircle beyond a 1.79x)
+    (0.25, 2, 157),
+    # the incircle of radius 5.8e-6: 33.3x (the excircle beyond a 8.6x)
+    (0.25, 3, 109),
+    # the incircle, in the 0.99 box: 1.42x
+    (0.99, 1, 136),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="a Known defect in the ROADMAP")
+@pytest.mark.parametrize("box, seed, index", SWEEP_NEEDLES,
+                         ids=[f"{box}-{seed}-{index}" for box, seed, index in SWEEP_NEEDLES])
+def test_sweep_needle_passes_feuerbach(tmp_path, box, seed, index):
+    tri, _ = random_triangle(instance_rng(seed, index, PURPOSE_TRIANGLE), box, 0.0)
+    triangle = ",".join(format_complex(z) for z in (tri.a, tri.b, tri.c))
+    code, out = run(tmp_path, "verify", "--trials", "1", "--suite", "feuerbach",
                     "--triangle", triangle)
     (check,) = json.loads(out.read_text())["instances"][0]["checks"]
     assert check["status"] == "pass"
@@ -598,13 +628,18 @@ def test_construct_round_trip_is_stable(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_construct_membership_residuals_small(tmp_path):
+def test_construct_writes_the_objects_alone(tmp_path):
+    # construct prints the configuration's objects and flags; residuals
+    # are the checks' to measure, so none is written
     _, out = run(tmp_path, "construct", "--triangle", CLEAN)
     doc = json.loads(out.read_text())
     assert doc["flags"] == []
-    assert max(doc["euler_membership"].values()) < 1e-10
-    assert doc["bisector_residual"] < 1e-10
-    assert doc["orthocenter_residual"] < 1e-10
+    assert set(doc) == {
+        "triangle", "sides", "feet", "cevians", "circumcircle", "circumcenter",
+        "circumradius", "euler_circle", "euler_center", "euler_radius",
+        "bisector_point", "pseudo_orthocenter", "incircle", "excircles", "flags"}
+    for circle in (doc["incircle"], *doc["excircles"].values()):
+        assert set(circle) == {"center", "radius", "cycle"}
 
 
 # ----------------------------------------------------------------- scenario

@@ -8,8 +8,9 @@ when some check on it fails.  Every mutant in MUTANTS must be caught on
 at least CAUGHT_AT_LEAST of them, every one in TANGENT_CEVIAN_MUTANTS
 on each instance where tangent_cevians runs, and every one in
 RADICAL_AXIS_MUTANTS on each instance where radical_axis runs with a
-circle member, and every one in TRAPEZOID_MUTANTS on each trapezoid
-instance.  SURVIVORS lists the mutants no check can catch, each
+circle member, every one in TRAPEZOID_MUTANTS on each trapezoid
+instance, and every one in FEUERBACH_MUTANTS on each instance where
+feuerbach runs.  SURVIVORS lists the mutants no check can catch, each
 with its reason; the gate checks that they still survive, so a change
 that starts catching one must move it.
 
@@ -262,6 +263,14 @@ TRAPEZOID_MUTANTS = {
     "arc_point_chord_scaled_1e-6": MUTANTS["arc_point_chord_scaled_1e-6"],
 }
 
+# feuerbach measures each tritangent circle's side gap on the cycle the
+# configuration holds.  A circle moved off its center but kept at its
+# radius misses its sides, so each must fail every instance on which
+# the check runs.
+FEUERBACH_MUTANTS = {
+    "tangent_circles_center_scaled_1e-6": MUTANTS["tangent_circles_center_scaled_1e-6"],
+}
+
 SURVIVORS = {
     # -(A, B, C) has the locus of (A, B, C), and every check reads a
     # cycle through sign-free quantities (tangency, |C - A| and the
@@ -351,6 +360,18 @@ def test_trapezoid_mutant_fails_every_trapezoid_instance(monkeypatch, mutant):
     assert _trapezoid_statuses() == ["fail"] * TRIALS, mutant
 
 
+def _feuerbach_statuses():
+    report = cli.run_verify(cli.Scenario(seed=0, trials=TRIALS, suite=("feuerbach",)))
+    return [c.status for inst in report.instances for c in inst.checks]
+
+
+@pytest.mark.parametrize("mutant", sorted(FEUERBACH_MUTANTS))
+def test_feuerbach_mutant_fails_wherever_the_check_runs(monkeypatch, mutant):
+    assert _feuerbach_statuses() == ["pass"] * TRIALS
+    _apply(monkeypatch, *FEUERBACH_MUTANTS[mutant])
+    assert _feuerbach_statuses() == ["fail"] * TRIALS, mutant
+
+
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))
 def test_survivor_still_survives(monkeypatch, mutant):
     _apply(monkeypatch, *SURVIVORS[mutant])
@@ -393,7 +414,7 @@ def test_meet_other_root_fails_inscribed_angle_on_every_circle(monkeypatch):
 DRAWN_SUITES = ("inscribed_angle", "trapezoid", "lexell", "radical_axis", "monge")
 
 EVERY_MUTANT = {**MUTANTS, **TANGENT_CEVIAN_MUTANTS, **RADICAL_AXIS_MUTANTS,
-                **TRAPEZOID_MUTANTS, **SURVIVORS}
+                **TRAPEZOID_MUTANTS, **FEUERBACH_MUTANTS, **SURVIVORS}
 
 
 def _drawn_outcomes():

@@ -1,10 +1,13 @@
 """The cevian pencils are built only for the suites that read them.
 
 `cli.SUITES` marks each triangle suite CONFIG or PENCILS, and verify
-builds the pencils (`build_config`'s pencils) only when an asked suite is
-a PENCILS one.  These tests check the registry's mark against the
-checks themselves: every CONFIG suite gives the same result on a
-configuration without the pencils, and every PENCILS suite does not.
+builds the pencils (`build_config`'s pencils: the cevian normals and
+their concurrency points) only when an asked suite is a PENCILS one.
+These tests check the registry's mark against the checks themselves:
+every CONFIG suite gives the same result on a configuration without the
+pencils, and every PENCILS suite does not.  six_point is a CONFIG
+suite: it measures the pseudoaltitude feet against the Euler circle
+itself and reads no pencil.
 """
 
 import json
@@ -52,7 +55,7 @@ def outcomes():
 
 
 def test_the_pencil_suites_are_the_euler_suites():
-    assert PENCIL_SUITES == {"six_point", "euler_line", "euler_ratios"}
+    assert PENCIL_SUITES == {"euler_line", "euler_ratios"}
     assert PENCIL_SUITES < TRIANGLE_SUITES
 
 
@@ -72,11 +75,10 @@ def test_a_pencil_free_configuration_holds_no_pencil():
     tri, _ = random_triangle(instance_rng(0, 7, PURPOSE_TRIANGLE),
                              DEFAULT_MAX_VERTEX_RADIUS, DEFAULT_MIN_ANGLE)
     full, bare = build_config(tri), build_config(tri, pencils=False)
-    assert DIVERGENT in full.flags and full.euler_membership
-    pencils = ("euler_membership", "bisector_normals", "pseudoaltitude_normals",
-               "bisector_point", "bisector_residual", "pseudo_orthocenter",
-               "orthocenter_residual")
-    assert [getattr(bare, n) for n in pencils] == [{}, {}, {}, None, None, None, None]
+    assert DIVERGENT in full.flags and full.bisector_normals
+    pencils = ("bisector_normals", "pseudoaltitude_normals", "bisector_point",
+               "pseudo_orthocenter")
+    assert [getattr(bare, n) for n in pencils] == [{}, {}, None, None]
     assert bare.flags == [f for f in full.flags if not f.startswith("divergent_")]
     for name in type(full).__slots__:
         if name not in pencils and name != "flags":
@@ -85,6 +87,7 @@ def test_a_pencil_free_configuration_holds_no_pencil():
 
 @pytest.mark.parametrize("suite, per_instance", [
     ("feuerbach,tangent_cevians,feuerbach_point", 0),
+    ("six_point", 0),
     ("euler_line", 2),
     ("all", 2),
 ])

@@ -36,14 +36,13 @@ FIELDS = {
     Triangle: ("a", "b", "c", "swapped", "area"),
     DiskIsometry: ("a", "theta", "reflect"),
     GeneralizedCycle: ("a", "b", "c"),
-    CircleSpec: ("center", "radius", "cycle", "tangency_gap"),
+    CircleSpec: ("center", "radius", "cycle"),
     CevianFeet: ("bisector", "pseudoaltitude"),
     TriangleConfig: (
         "triangle", "feet", "lifts", "side_normals", "bisector_normals",
         "pseudoaltitude_normals", "circumcircle", "circumcenter", "circumradius",
-        "euler_circle", "euler_center", "euler_radius", "euler_membership",
-        "bisector_point", "bisector_residual", "pseudo_orthocenter",
-        "orthocenter_residual", "incircle", "excircles", "flags"),
+        "euler_circle", "euler_center", "euler_radius", "bisector_point",
+        "pseudo_orthocenter", "incircle", "excircles", "flags"),
     HomotheticCenters: ("positive", "negative"),
     Tolerances: ("construct", "theorem", "chain"),
     TheoremCheck: ("name", "residual", "tolerance", "status", "flag", "witness"),

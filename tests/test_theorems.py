@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from hypfeuer import cevians, cli, cycles, geom_core, instances, power, theorems
-from hypfeuer.cevians import _shoot_tangent_circle, build_config
+from hypfeuer.cevians import _shoot_tangent_circle, build_config, concurrency_point, side_units
 from hypfeuer.cycles import (
     GeneralizedCycle,
     _hyperboloid_plane,
@@ -30,6 +30,7 @@ from hypfeuer.errors import (
     MissingCenter,
 )
 from hypfeuer.geom_core import (
+    DiskIsometry,
     Triangle,
     convex_quad_angles,
     disk_distance,
@@ -47,6 +48,8 @@ from hypfeuer.instances import (
     trapezoid_quad,
 )
 from hypfeuer.theorems import (
+    TOLERANCES,
+    _side_gap,
     check_euler_line,
     check_euler_ratios,
     check_feuerbach,
@@ -360,28 +363,43 @@ def test_euler_ratios_random_configs():
 
 def test_euler_ratios_reads_both_concurrency_residuals():
     # the pencils that define M and H are part of the residual: a family
-    # of cevians that misses its concurrency point fails the check
+    # of cevians that misses its concurrency point fails the check, its
+    # pencil term taken from the stored cevian normals
     cfg = clean_config(611)
     assert check_euler_ratios(cfg).status == "pass"
-    for name in ("bisector_residual", "orthocenter_residual"):
-        chk = check_euler_ratios(cfg.replace(**{name: 2e-10}))
+    for name in ("bisector_normals", "pseudoaltitude_normals"):
+        normals = dict(getattr(cfg, name))
+        n0, n1, n2 = normals["a"]
+        normals["a"] = (n0 + 1e-9 * math.hypot(n1, n2), n1, n2)
+        chk = check_euler_ratios(cfg.replace(**{name: normals}))
         assert chk.status == "fail", name
-        assert chk.residual == 2e-10
+        assert chk.residual == concurrency_point([normals[v] for v in "abc"])[1]
 
 
 def test_feuerbach_reads_each_tritangent_tangency_gap():
     # a tritangent circle that misses a side fails the check, whichever
-    # circle it is; an absent excircle adds nothing
+    # circle it is; an absent excircle adds nothing.  Each cycle is
+    # turned by 1e-5 about the Euler center: it still touches the Euler
+    # circle, so only its side gap, read from the cycle, can fail it
     cfg = full_configs(613, 1)[0]
     assert check_feuerbach(cfg).status == "pass"
-    off = cfg.incircle.replace(tangency_gap=2e-8)
+    e = cfg.euler_center
+    units = side_units(cfg.side_normals)[0]
+
+    def turned(spec):
+        return spec.replace(cycle=transform(DiskIsometry(-e),
+                                            transform(DiskIsometry(e, 1e-5), spec.cycle)))
+
+    off = turned(cfg.incircle)
     chk = check_feuerbach(cfg.replace(incircle=off))
-    assert (chk.status, chk.residual) == ("fail", 2e-8)
+    assert chk.witness["incircle"] < TOLERANCES.chain
+    assert (chk.status, chk.residual) == ("fail", _side_gap(off.cycle, units))
     for v in "abc":
         excircles = dict(cfg.excircles)
-        excircles[v] = excircles[v].replace(tangency_gap=2e-8)
+        excircles[v] = turned(excircles[v])
         chk = check_feuerbach(cfg.replace(excircles=excircles))
-        assert (chk.status, chk.residual) == ("fail", 2e-8), v
+        assert chk.witness[f"excircle_{v}"] < TOLERANCES.chain, v
+        assert (chk.status, chk.residual) == ("fail", _side_gap(excircles[v].cycle, units)), v
         excircles[v] = None
         chk = check_feuerbach(cfg.replace(excircles=excircles))
         assert chk.status == "pass", v
