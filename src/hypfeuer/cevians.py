@@ -28,7 +28,8 @@ meet in the bisector point and the pseudo-orthocenter respectively, when
 they meet inside the disk at all.  Each vertex and foot is lifted to the
 hyperboloid once, each side and cevian is the normal of its plane, the
 cross product of two lifts, and a family's concurrency is the pencil of
-its normals, which `concurrency_point` scales to unit normals.  The
+its normals, which `concurrency_point` scales to unit normals and
+`cevian_pencils` solves for whoever reads it.  The
 tangent circles (incircle, excircles) are centered at signed sums of the
 vertex lifts, each weighted by the norm of the opposite side's normal
 (`tangent_circles`); an absent excircle is a center vector that is not
@@ -40,9 +41,9 @@ vertex's frame; the point where two circles touch is one radius from a
 center toward or away from the other center, a hyperboloid vector
 (`tangent_contact`).
 
-An object that cannot exist is None on the returned TriangleConfig, not
-raised: large triangles routinely lose their circumcenter, their
-pseudo-orthocenter, or one or more excircles beyond the absolute.
+An object that cannot exist is None, not raised: large triangles
+routinely lose their circumcenter, their pseudo-orthocenter, or one or
+more excircles beyond the absolute.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ import math
 import sys
 
 from .errors import (BracketFailure, DegenerateAngle, DegenerateTriangle,
-                     DivergentCevians, GeometryError, NoHyperbolicCenter)
+                     DivergentCevians, GeometryError, NoHyperbolicCenter,
+                     NotACycle)
 from .geom_core import (
     COINCIDENT_EPS,
     Record,
@@ -349,64 +351,70 @@ class TriangleConfig(Record):
     """Every derived object of one triangle: one that does not exist is
     None or missing from its dict, and `flags` say why, for the report.
 
-    It holds objects and flags only: no residual.  How far an object
-    is from what a theorem says of it is measured by the check that
-    judges it (theorems), from the objects stored here.
+    It holds objects and flags only: no residual and no cevian pencil.
+    How far an object is from what a theorem says of it is measured by
+    the check that judges it (theorems), from the objects stored here,
+    and the pencils are solved where they are read (cevian_pencils).
 
-    Each vertex and foot is lifted once (point_lift), and each side and
-    cevian is kept as its normal, the cross product of its two lifts
-    (through_normal): the checks read these.  The geodesics that
-    construct and render print, `sides`, `bisector_cevians` and
-    `pseudoaltitude_cevians`, are built from the stored normals on each
-    read, bit for bit what geodesic_through gives.
-
-    The cevian pencils are `bisector_normals`, `pseudoaltitude_normals`,
-    `bisector_point` and `pseudo_orthocenter`.  A configuration built
-    without them (build_config's pencils false) holds {} and None there,
-    and its flags name no divergent pencil.
+    Each vertex and foot is lifted once (point_lift), and each side is
+    kept as its normal, the cross product of its two lifts
+    (through_normal): the checks read these.  The side geodesics that
+    construct and render print, `sides`, are built from the stored
+    normals on each read, bit for bit what geodesic_through gives.
     """
 
-    __slots__ = ("triangle", "feet", "lifts", "side_normals", "bisector_normals",
-                 "pseudoaltitude_normals", "circumcircle", "circumcenter",
-                 "circumradius", "euler_circle", "euler_center", "euler_radius",
-                 "bisector_point", "pseudo_orthocenter", "incircle", "excircles",
-                 "flags")
+    __slots__ = ("triangle", "feet", "lifts", "side_normals", "circumcircle",
+                 "circumcenter", "circumradius", "euler_circle", "euler_center",
+                 "euler_radius", "incircle", "excircles", "flags")
 
     @property
     def sides(self) -> dict[str, GeneralizedCycle]:
         """Geodesic carrying the side opposite each vertex."""
         return {v: geodesic_of_normal(n) for v, n in self.side_normals.items()}
 
-    @property
-    def bisector_cevians(self) -> dict[str, GeneralizedCycle]:
-        return {v: geodesic_of_normal(n) for v, n in self.bisector_normals.items()}
 
-    @property
-    def pseudoaltitude_cevians(self) -> dict[str, GeneralizedCycle]:
-        return {v: geodesic_of_normal(n) for v, n in self.pseudoaltitude_normals.items()}
+def cevian_pencils(cfg: TriangleConfig) -> dict[str, tuple]:
+    """Each cevian family's pencil, keyed by its CevianFeet field
+    (bisector, then pseudoaltitude): (normals, point, residual, flag).
+
+    normals holds the cevian from each vertex whose foot exists, as its
+    normal, the cross product of the vertex lift and the foot's lift
+    (through_normal), bit for bit what geodesic_through gives.  The
+    point (the bisector point M or the pseudo-orthocenter H) and its
+    residual, the worst distance to the third cevian, are the
+    concurrency_point of the three cevians, or None: where a foot is
+    missing, whose bracket_failure flag already names the cause; where
+    a cevian's normal is not spacelike (NotACycle: its foot so near its
+    vertex that the normal rounds to no geodesic), which reads as no
+    point, like a missing foot; and where the three do not meet
+    (DivergentCevians), the one case with a flag,
+    divergent_<family>_cevians.
+
+    The readers are euler_line, euler_ratios, construct and render: a
+    configuration stores no pencil, so its flags never depend on which
+    suites were asked.
+    """
+    pencils = {}
+    for family in CevianFeet.__slots__:
+        normals = {v: through_normal(cfg.lifts[v], point_lift(foot))
+                   for v, foot in getattr(cfg.feet, family).items()}
+        point = residual = flag = None
+        if len(normals) == 3:
+            try:
+                point, residual = concurrency_point([normals[v] for v in VERTICES])
+            except DivergentCevians:
+                flag = f"divergent_{family}_cevians"
+            except NotACycle:
+                pass
+        pencils[family] = (normals, point, residual, flag)
+    return pencils
 
 
-def _concurrency(normals: dict[str, Vector], flag: str, flags: set[str]) -> complex | None:
-    """The point of a cevian family with all three feet, or None: with
-    the flag added when the three cevians do not meet, and without it
-    when a foot is missing, whose bracket_failure flag already names the
-    cause.  The pencil's residual is left to the check that judges it."""
-    if len(normals) == 3:
-        try:
-            return concurrency_point([normals[v] for v in VERTICES])[0]
-        except DivergentCevians:
-            flags.add(flag)
-    return None
-
-
-def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
+def build_config(tri: Triangle) -> TriangleConfig:
     """Every derived object of a triangle (TriangleConfig), built in one
-    fixed order; it measures no residual.  With pencils false the cevian
-    pencils are left out: both families' cevian normals and their
-    concurrency points, which only euler_line and euler_ratios read.
-    Their dicts are then empty, their points None, and no divergent_*
-    flag is set; every other object and flag is built as with pencils
-    true."""
+    fixed order; it measures no residual and solves no cevian pencil
+    (cevian_pencils), so it is the same object, with the same flags,
+    whatever is asked of it."""
     flags: set[str] = set()
     feet = CevianFeet({}, {})
     for v in VERTICES:
@@ -443,17 +451,6 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
     # the order of geodesic_through(b, c), (c, a) and (a, b)
     side_normals = {"a": through_normal(lb, lc), "b": through_normal(lc, la),
                     "c": through_normal(la, lb)}
-    bisector_normals: dict[str, Vector] = {}
-    pseudoaltitude_normals: dict[str, Vector] = {}
-    bisector_point = pseudo_orthocenter = None
-    if pencils:
-        bisector_normals = {v: through_normal(lifts[v], point_lift(foot))
-                            for v, foot in feet.bisector.items()}
-        pseudoaltitude_normals = {v: through_normal(lifts[v], point_lift(foot))
-                                  for v, foot in feet.pseudoaltitude.items()}
-        bisector_point = _concurrency(bisector_normals, "divergent_bisector_cevians", flags)
-        pseudo_orthocenter = _concurrency(pseudoaltitude_normals,
-                                          "divergent_pseudoaltitude_cevians", flags)
 
     inc, excircles = tangent_circles(lifts, side_normals, flags)
 
@@ -462,16 +459,12 @@ def build_config(tri: Triangle, pencils: bool = True) -> TriangleConfig:
         feet=feet,
         lifts=lifts,
         side_normals=side_normals,
-        bisector_normals=bisector_normals,
-        pseudoaltitude_normals=pseudoaltitude_normals,
         circumcircle=circumcircle,
         circumcenter=circumcenter,
         circumradius=circumradius,
         euler_circle=euler_circle,
         euler_center=euler_center,
         euler_radius=euler_radius,
-        bisector_point=bisector_point,
-        pseudo_orthocenter=pseudo_orthocenter,
         incircle=inc,
         excircles=excircles,
         flags=sorted(flags),

@@ -25,7 +25,8 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .cevians import TriangleConfig, build_config
+from .cevians import TriangleConfig, build_config, cevian_pencils
+from .cycles import geodesic_of_normal
 from .errors import GeometryError, SamplingExhausted
 from .geom_core import Record, Triangle
 from .instances import (
@@ -63,14 +64,14 @@ from .theorems import (
     check_trapezoid,
 )
 
-# a triangle suite's source: the instance's configuration, built without
-# or with the cevian pencils (build_config's pencils); only euler_line and
-# euler_ratios read a pencil, its concurrency points or cevian normals
-CONFIG, PENCILS = "config", "pencils"
+# a triangle suite's source: the instance's configuration (build_config),
+# one object whatever is asked; euler_line and euler_ratios solve the
+# cevian pencils they read from it themselves (cevian_pencils)
+CONFIG = "config"
 
 # The suite registry, in report order: name -> (source, call).  The call
-# gets a fresh draw from the source's purpose stream, or for CONFIG and
-# PENCILS the configuration.
+# gets a fresh draw from the source's purpose stream, or for CONFIG the
+# configuration.
 # The lambdas look the generators and checks up by name at call time, so
 # a rebinding of a module attribute (as the benchmark's tracer does) is
 # seen.
@@ -79,8 +80,8 @@ SUITES = {
     "trapezoid": (PURPOSE_QUAD, lambda rng: check_trapezoid(*trapezoid_quad(rng))),
     "lexell": (PURPOSE_LEXELL, lambda rng: check_lexell(*lexell_instance(rng))),
     "six_point": (CONFIG, lambda cfg: check_six_point(cfg)),
-    "euler_line": (PENCILS, lambda cfg: check_euler_line(cfg)),
-    "euler_ratios": (PENCILS, lambda cfg: check_euler_ratios(cfg)),
+    "euler_line": (CONFIG, lambda cfg: check_euler_line(cfg)),
+    "euler_ratios": (CONFIG, lambda cfg: check_euler_ratios(cfg)),
     "feuerbach": (CONFIG, lambda cfg: check_feuerbach(cfg)),
     "radical_axis": (PURPOSE_CYCLE_PAIR, lambda rng: check_radical_axis(*random_cycle_pair(rng))),
     "monge": (PURPOSE_MONGE, lambda rng: check_monge(*monge_triple(rng))),
@@ -90,9 +91,8 @@ SUITES = {
 
 SUITE_ORDER = tuple(SUITES)
 
-# suites that read a triangle configuration, and those that read its pencils
-TRIANGLE_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src in (CONFIG, PENCILS))
-PENCIL_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src == PENCILS)
+# suites that read a triangle configuration
+TRIANGLE_SUITES = frozenset(n for n, (src, _) in SUITES.items() if src == CONFIG)
 
 
 class Scenario(Record):
@@ -304,7 +304,6 @@ def run_verify(scn: Scenario) -> VerificationReport:
     """
     start = time.perf_counter()
     asked = set(scn.suite)
-    pencils = bool(asked & PENCIL_SUITES) if asked & TRIANGLE_SUITES else None
     instances: list[InstanceReport] = []
     for first in range(0, scn.trials, BLOCK):
         block = [InstanceReport(index, {}, [], [])
@@ -313,11 +312,11 @@ def run_verify(scn: Scenario) -> VerificationReport:
         # whatever a stage raises, of any type, waits for the end of the
         # block, as an earlier instance may raise in a later stage
         error = None
-        if pencils is not None:
+        if asked & TRIANGLE_SUITES:
             for report in block:
                 try:
                     tri, resamples = _triangle(scn, report.index)
-                    cfg = build_config(tri, pencils)
+                    cfg = build_config(tri)
                 except Exception as exc:
                     error, block = exc, block[:len(configs)]
                     break
@@ -369,24 +368,27 @@ def report_json(report: VerificationReport) -> str:
 
 
 def config_json(cfg: TriangleConfig) -> str:
+    """The configuration's objects, with each cevian family's geodesics,
+    its point (M or H) and its divergent_* flag from cevian_pencils."""
     tri = cfg.triangle
+    pencils = cevian_pencils(cfg)
     doc = {
         "triangle": {"a": tri.a, "b": tri.b, "c": tri.c, "swapped": tri.swapped},
         "sides": cfg.sides,
         "feet": cfg.feet,
-        "cevians": {"bisector": cfg.bisector_cevians,
-                    "pseudoaltitude": cfg.pseudoaltitude_cevians},
+        "cevians": {family: {v: geodesic_of_normal(n) for v, n in normals.items()}
+                    for family, (normals, _, _, _) in pencils.items()},
         "circumcircle": cfg.circumcircle,
         "circumcenter": cfg.circumcenter,
         "circumradius": cfg.circumradius,
         "euler_circle": cfg.euler_circle,
         "euler_center": cfg.euler_center,
         "euler_radius": cfg.euler_radius,
-        "bisector_point": cfg.bisector_point,
-        "pseudo_orthocenter": cfg.pseudo_orthocenter,
+        "bisector_point": pencils["bisector"][1],
+        "pseudo_orthocenter": pencils["pseudoaltitude"][1],
         "incircle": cfg.incircle,
         "excircles": cfg.excircles,
-        "flags": list(cfg.flags),
+        "flags": sorted([*cfg.flags, *(flag for *_, flag in pencils.values() if flag)]),
     }
     return _to_json(doc)
 

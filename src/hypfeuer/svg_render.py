@@ -16,8 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .cevians import TriangleConfig
-from .cycles import GeneralizedCycle, coefficient_center_radius, disk_arc
+from .cevians import TriangleConfig, cevian_pencils
+from .cycles import GeneralizedCycle, coefficient_center_radius, disk_arc, geodesic_of_normal
 
 # figure width and height, and the gap between the absolute and the edge
 SIZE = 560
@@ -130,13 +130,13 @@ def render_svg(cfg: TriangleConfig) -> str:
         cv.text(f"label-{v}", z * min(1.12, LABEL_REACH / abs(z)) if abs(z) > 1e-9
                 else z + 0.06, v)
 
-    # build_config keeps a cevian exactly where its foot exists
-    for v, line in sorted(cfg.bisector_cevians.items()):
-        _draw_segment(cv, f"bisector-cevian-{v}", line, verts[v],
-                      cfg.feet.bisector[v], "#7a7a7a", 0.9)
-    for v, line in sorted(cfg.pseudoaltitude_cevians.items()):
-        _draw_segment(cv, f"pseudoaltitude-cevian-{v}", line, verts[v],
-                      cfg.feet.pseudoaltitude[v], "#bbbbbb", 0.9)
+    # a pencil holds a cevian exactly where its foot exists
+    pencils = cevian_pencils(cfg)
+    for family, stroke in (("bisector", "#7a7a7a"), ("pseudoaltitude", "#bbbbbb")):
+        feet = getattr(cfg.feet, family)
+        for v, n in sorted(pencils[family][0].items()):
+            _draw_segment(cv, f"{family}-cevian-{v}", geodesic_of_normal(n), verts[v],
+                          feet[v], stroke, 0.9)
 
     _draw_cycle(cv, "circumcircle", cfg.circumcircle, "#9467bd", 1.1)
 
@@ -158,8 +158,8 @@ def render_svg(cfg: TriangleConfig) -> str:
     named = {
         "circumcenter": cfg.circumcenter,
         "euler-center": cfg.euler_center,
-        "bisector-point": cfg.bisector_point,
-        "pseudo-orthocenter": cfg.pseudo_orthocenter,
+        "bisector-point": pencils["bisector"][1],
+        "pseudo-orthocenter": pencils["pseudoaltitude"][1],
         "incenter": cfg.incircle.center if cfg.incircle else None,
     }
     for name, z in named.items():

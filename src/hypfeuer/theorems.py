@@ -5,15 +5,17 @@ tolerance, with a witness dictionary holding the objects involved.  A
 check never raises; it skips, with a named reason as its flag, only for
 a cause an honest instance can have, so suite statistics stay honest
 (nothing absent is silently dropped).  A triangle check skips when an
-object it reads is None on the TriangleConfig, never on its flags.  The
-drawn checks (inscribed_angle, trapezoid, lexell, radical_axis, monge)
-trust their generators: they skip only as axis_outside_disk, where a
-pair of cycles has no usable radical axis in the disk.  Only a wrong
-kernel gives a drawn check an input that breaks a property its
-generator guarantees (an endpoint off its cycle, a quad that is not
-convex, a circle whose center cannot be read), so the check fails
-there (_broken): the flag names the property, and the residual is its
-measure where it has one, else null.
+object it reads is None on the TriangleConfig, never on its flags; the
+two that solve a cevian pencil themselves (cevian_pencils), euler_line
+and euler_ratios, skip first under its divergent_* flag when its
+cevians do not meet.  The drawn checks (inscribed_angle, trapezoid,
+lexell, radical_axis, monge) trust their generators: they skip only as
+axis_outside_disk, where a pair of cycles has no usable radical axis in
+the disk.  Only a wrong kernel gives a drawn check an input that breaks
+a property its generator guarantees (an endpoint off its cycle, a quad
+that is not convex, a circle whose center cannot be read), so the check
+fails there (_broken): the flag names the property, and the residual is
+its measure where it has one, else null.
 
 Tolerance tiers, the one constant ``TOLERANCES``: constructive
 identities get 1e-10, single theorem statements 1e-9, and results
@@ -72,9 +74,9 @@ from .cycles import (
     through_normal,
 )
 from .cevians import (
-    VERTICES,
     TriangleConfig,
     _shoot_tangent_circle,
+    cevian_pencils,
     concurrency_point,
     side_units,
     tangent_contact,
@@ -293,11 +295,16 @@ def _radius_gap(center: complex, radius: float, points) -> float:
 
 def check_euler_line(cfg: TriangleConfig) -> TheoremCheck:
     """Collinearity of circumcenter, Euler center, bisector point and
-    pseudo-orthocenter, and the circumradius at every vertex."""
+    pseudo-orthocenter, and the circumradius at every vertex.  M and H
+    are solved here (cevian_pencils): a family whose cevians do not
+    meet skips the check under its divergent_* flag, before any other
+    cause."""
+    (_, m, _, m_flag), (_, h, _, h_flag) = cevian_pencils(cfg).values()
+    if m_flag or h_flag:
+        return _skip("euler_line", TOLERANCES.theorem, m_flag or h_flag)
     o = cfg.circumcenter
-    others = {"euler_center": cfg.euler_center,
-              "bisector_point": cfg.bisector_point,
-              "pseudo_orthocenter": cfg.pseudo_orthocenter}
+    others = {"euler_center": cfg.euler_center, "bisector_point": m,
+              "pseudo_orthocenter": h}
     if o is None or None in others.values():
         return _skip("euler_line", TOLERANCES.theorem, "center_undefined")
     radius_gap = _radius_gap(o, cfg.circumradius, cfg.triangle.vertices.values())
@@ -320,9 +327,13 @@ def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
     pseudoaltitude pseudolength products (the homothety and inversion
     constants of the circumcircle-to-Euler-circle maps).  The residual
     also takes each cevian family's pencil term: the distance from the
-    meet of its most transversal pair, M or H, to its third cevian,
-    from concurrency_point on the stored cevian normals."""
-    m, h = cfg.bisector_point, cfg.pseudo_orthocenter
+    meet of its most transversal pair, M or H, to its third cevian.
+    Both come from one solve per family (cevian_pencils); a family whose
+    cevians do not meet skips the check under its divergent_* flag,
+    before any other cause."""
+    (_, m, m_term, m_flag), (_, h, h_term, h_flag) = cevian_pencils(cfg).values()
+    if m_flag or h_flag:
+        return _skip("euler_ratios", TOLERANCES.construct, m_flag or h_flag)
     if m is None or h is None:
         return _skip("euler_ratios", TOLERANCES.construct, "cevian_degeneracy")
     verts = cfg.triangle.vertices
@@ -330,9 +341,7 @@ def check_euler_ratios(cfg: TriangleConfig) -> TheoremCheck:
               for v in ("a", "b", "c")]
     products = [pseudolength(h, cfg.feet.pseudoaltitude[v]) * pseudolength(h, verts[v])
                 for v in ("a", "b", "c")]
-    pencils = (concurrency_point([normals[v] for v in VERTICES])[1]
-               for normals in (cfg.bisector_normals, cfg.pseudoaltitude_normals))
-    residual = max(max(ratios) - min(ratios), max(products) - min(products), *pencils)
+    residual = max(max(ratios) - min(ratios), max(products) - min(products), m_term, h_term)
     return _finish("euler_ratios", residual, TOLERANCES.construct,
                    {"ratio": ratios[0], "product": products[0]})
 

@@ -6,11 +6,10 @@ tests/stage_costs.py [--instances 200] [--rounds 25] [--seed 0] [--box
 times, with ``time.process_time``, each stage on every instance:
 
 * ``draw``: the triangle draw (``random_triangle``);
-* ``build_config`` and ``build_config_bare``: ``build_config`` of the
-  drawn triangle with and without the cevian pencils;
+* ``build_config``: ``build_config`` of the drawn triangle;
 * ``suite <name>``: each suite's registry call (``cli.SUITES``), a
-  drawn suite with its own draw, a triangle suite on the full
-  configuration;
+  drawn suite with its own draw, a triangle suite on the drawn
+  triangle's configuration;
 * ``writer``: ``cli.report_json`` of the ``verify --suite all`` report
   of those instances;
 * ``verify``: ``cli.run_verify`` of that scenario, the whole call.
@@ -50,7 +49,6 @@ def stages(seed: int, count: int, box: float, min_angle: float):
     configs = [build_config(tri) for tri in triangles]
     yield "draw", draw
     yield "build_config", lambda: [build_config(tri) for tri in triangles]
-    yield "build_config_bare", lambda: [build_config(tri, False) for tri in triangles]
     for name, (src, call) in cli.SUITES.items():
         if name in cli.TRIANGLE_SUITES:
             def run(call=call):

@@ -3,11 +3,12 @@
 Run from the repository root as ``python3 tests/status_diff.py PARENT
 CHANGE``, each argument a file that ``status_sweep.py`` wrote.  A line
 is keyed by its first five fields (box, min_angle, seed, index, check;
-a scenario's exit line by its first four and ``exit``).  The script
-prints:
+an instance's flags line by its first four and ``flags``, a scenario's
+exit line by its first four and ``exit``).  The script prints:
 
 * ``status`` lines: every key whose first seven fields differ, that is,
-  an exit code, a status or a flag, as the two lines joined by ``->``;
+  an exit code, an instance's flags, a status or a flag, as the two
+  lines joined by ``->``;
 * ``only`` lines: every key that one side has and the other lacks;
 * one ``residuals`` line per check: how many of its residuals moved by
   any bit, out of how many lines it has on both sides, and its worst
@@ -54,8 +55,8 @@ def compare(parent_lines, change_lines) -> tuple[list[str], bool]:
             continue
         if old[:7] != new[:7]:
             out.append(f"status {' '.join(old)} -> {' '.join(new)}")
-        if key[3] == "-":
-            continue  # a scenario's exit line has no residual
+        if key[3] == "-" or key[4] == "flags":
+            continue  # an exit line or an instance's flags line has no residual
         check = key[4]
         counts = moved.setdefault(check, [0, 0])
         counts[0] += old[7:] != new[7:]

@@ -5,6 +5,11 @@ tests/status_sweep.py > statuses.txt``.  It runs the 48 ``verify
 --suite all --trials 200`` scenarios of ``tests/output_sweep.py`` (seeds
 0-5 in the 0.7, 0.25, 0.99 and 0.99999 boxes, ``min_angle`` 0.15 and 0;
 9,600 instances) through ``hypfeuer.cli.main`` in process and prints
+one line per instance with its instance flags, comma-joined (``-`` for
+none):
+
+    box min_angle seed index flags <flags>
+
 one line per check:
 
     box min_angle seed index check status flag residual
@@ -12,9 +17,9 @@ one line per check:
 with the residual as ``repr`` of the float (``None`` for a skip), and
 one ``box min_angle seed - exit <code>`` line per scenario.  Two
 trees' outputs compare with ``tests/status_diff.py PARENT CHANGE``,
-which prints every changed exit code, status or flag and, per check,
-how many residuals moved and the worst on each side.  Stdlib only;
-pytest does not collect it.
+which prints every changed exit code, instance flag, status or flag
+and, per check, how many residuals moved and the worst on each side.
+Stdlib only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ def scenario_lines(box: float, min_angle: float, seed: int, path: str):
         with open(out, encoding="utf-8") as fh:
             report = json.load(fh)
     for instance in report["instances"]:
+        yield f"{head} {instance['index']} flags {','.join(instance['flags']) or '-'}"
         for check in instance["checks"]:
             yield (f"{head} {instance['index']} {check['name']} {check['status']} "
                    f"{check['flag']} {check['residual']!r}")

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from hypfeuer.cevians import build_config
+from hypfeuer.cevians import build_config, cevian_pencils
 from hypfeuer.cli import main
 from hypfeuer.cycles import (
     coefficient_distance,
@@ -116,7 +116,7 @@ def test_03_euler_line_and_homothety(batch):
             continue
         used += 1
         worst_line = max(worst_line, chk.residual)
-        m = cfg.bisector_point
+        m = cevian_pencils(cfg)["bisector"][1]
         ratio = -pseudolength(m, cfg.feet.bisector["a"]) / pseudolength(m, cfg.triangle.a)
         try:
             image = homothety_cycle(m, ratio, cfg.circumcircle)

@@ -22,6 +22,7 @@ from hypfeuer.geom_core import (
 )
 from hypfeuer.cycles import (
     GeneralizedCycle,
+    geodesic_of_normal,
     geodesic_through,
     hyp_center_radius,
     membership_residual,
@@ -34,6 +35,7 @@ from hypfeuer.cevians import (
     VERTICES,
     bisector_foot,
     build_config,
+    cevian_pencils,
     concurrency_point,
     pseudoaltitude_foot,
     side_units,
@@ -56,16 +58,21 @@ def isosceles():
     return Triangle.of(0.5j, -0.35, 0.35)
 
 
+def pencils_meet(cfg):
+    """Whether both cevian pencils have their point."""
+    return all(point is not None for _, point, _, _ in cevian_pencils(cfg).values())
+
+
 def clean_configs(count, seed=101):
     # absent excircles are everyday geometry, not a degradation of the
-    # cevian machinery these tests probe
+    # cevian machinery these tests probe; both pencils must meet
     out = []
     idx = 0
     while len(out) < count:
         tri, _ = random_triangle(instance_rng(seed, idx))
         cfg = build_config(tri)
         idx += 1
-        if all(f.startswith("excircle_absent") for f in cfg.flags):
+        if all(f.startswith("excircle_absent") for f in cfg.flags) and pencils_meet(cfg):
             out.append(cfg)
         if idx > count * 40:
             raise AssertionError("generator cannot produce clean configs")
@@ -339,23 +346,25 @@ def test_build_config_and_tangent_cevians_solve_nothing(monkeypatch):
     assert check_feuerbach_point(cfg).status == "pass"
     assert calls == {"tangent_circles": 1, "geodesic_through": 0, "intersect": 0,
                      "transform": 0}
-    # the printed geodesics, built from the stored normals, are the ones
-    # geodesic_through gives, bit for bit
+    # the printed geodesics, built from the stored side normals and the
+    # pencils' cevian normals, are the ones geodesic_through gives, bit
+    # for bit
     verts = cfg.triangle.vertices
     expected = {
         "sides": {v: (verts[p], verts[q]) for v, p, q in
                   (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))},
-        "bisector_cevians": {v: (verts[v], cfg.feet.bisector[v]) for v in VERTICES},
-        "pseudoaltitude_cevians": {v: (verts[v], cfg.feet.pseudoaltitude[v])
-                                   for v in VERTICES},
+        "bisector": {v: (verts[v], cfg.feet.bisector[v]) for v in VERTICES},
+        "pseudoaltitude": {v: (verts[v], cfg.feet.pseudoaltitude[v]) for v in VERTICES},
     }
+    pencils = cevian_pencils(cfg)
     through = originals["geodesic_through"]
 
     def bits(g):
         return struct.pack("<4d", g.a, g.b.real, g.b.imag, g.c)
 
     for family, ends in expected.items():
-        built = getattr(cfg, family)
+        built = (cfg.sides if family == "sides" else
+                 {v: geodesic_of_normal(n) for v, n in pencils[family][0].items()})
         assert built.keys() == ends.keys()
         for v, (p, q) in ends.items():
             assert bits(built[v]) == bits(through(p, q)), (family, v)
@@ -386,12 +395,12 @@ def test_euler_center_distance_consistency():
 # ------------------------------------------------------------- concurrency
 
 def test_cevian_concurrency_residuals():
-    # the pencil terms check_euler_ratios takes from the stored normals
+    # the pencil terms check_euler_ratios takes from cevian_pencils
     for cfg in clean_configs(12):
-        assert cfg.bisector_point is not None
-        assert concurrency_point([cfg.bisector_normals[v] for v in VERTICES])[1] < 1e-10
-        assert cfg.pseudo_orthocenter is not None
-        assert concurrency_point([cfg.pseudoaltitude_normals[v] for v in VERTICES])[1] < 1e-10
+        for family, (normals, point, residual, flag) in cevian_pencils(cfg).items():
+            assert point is not None and flag is None, family
+            assert residual < 1e-10, family
+            assert (point, residual) == concurrency_point([normals[v] for v in VERTICES])
 
 
 def test_circumcenter_equidistant_from_vertices():
@@ -578,7 +587,9 @@ def test_euclidean_limit_of_feet():
 # every hyperbolic triangle has these: the incenter is the timelike sum
 # of the three unit vertex vectors, each area-bisector foot lies inside
 # its side, and by the crossbar theorem any two of those cevians cross
-# inside the triangle, so the bisector point and the Euler circle exist
+# inside the triangle, so the bisector point and the Euler circle exist;
+# divergent_bisector_cevians is read from the pencil itself, which the
+# configuration does not hold
 FORBIDDEN_FLAGS = ("no_incircle", "no_euler_circle", "divergent_bisector_cevians",
                    "bracket_failure_bisector_a", "bracket_failure_bisector_b",
                    "bracket_failure_bisector_c")
@@ -590,7 +601,8 @@ def test_honest_configs_never_lose_a_guaranteed_object(box):
     for seed in range(6):
         for index in range(200):
             tri, _ = random_triangle(instance_rng(seed, index), max_vertex_radius=box)
-            flags = build_config(tri).flags
+            cfg = build_config(tri)
+            flags = cfg.flags + [flag for *_, flag in cevian_pencils(cfg).values() if flag]
             assert not set(flags) & set(FORBIDDEN_FLAGS), (seed, index, flags)
             seen.update(flags)
     # the sweep does meet absences the geometry allows
@@ -659,7 +671,7 @@ def test_concurrency_point_scales_its_normals():
     # itself.  The mixed triple (two bisectors and a pseudoaltitude)
     # does not concur, so its residual is a distance of its own
     cfg = build_config(Triangle.of(0.3 + 0.1j, -0.35 + 0.2j, -0.05 - 0.4j))
-    bis, alt = cfg.bisector_normals, cfg.pseudoaltitude_normals
+    (bis, *_), (alt, *_) = cevian_pencils(cfg).values()
     for normals in ([bis[v] for v in VERTICES], [alt[v] for v in VERTICES],
                     [bis["a"], bis["b"], alt["c"]]):
         point, residual = concurrency_point([unit_normal(n) for n in normals])

@@ -367,6 +367,32 @@ def test_side_without_a_spacelike_normal_is_geometry_error(argv, capsys):
     assert err.startswith("hypfeuer: DegenerateTriangle: ") and err.count("\n") == 1
 
 
+# two triangles of tests/test_fuzz.py's corpus at seed 4 (inputs 233
+# and 845) with a pseudoaltitude whose normal is not spacelike, its foot
+# 1e-9 and 6e-12 from its vertex next to the absolute: the pencil reads
+# as no point, like a missing foot, where it used to raise NotACycle out
+# of the whole report.  The
+# report fails feuerbach on both and six_point on the second (the
+# needle defect in the ROADMAP); only the two skips are pinned
+NO_CEVIAN_NORMAL = [
+    "1.1398048351921633e-08-3.41185337639918e-08i,-0.4169378961565462+0.9089010080055515i,"
+    "-0.30849582355533606+0.6725034269635667i",
+    "0.5293199404897678-0.8465252373538085i,0.529319940490071-0.8465252373429014i,"
+    "0.5021948342384576-0.000808654552194828i",
+]
+
+
+@pytest.mark.parametrize("triangle", NO_CEVIAN_NORMAL, ids=["233", "845"])
+def test_a_cevian_without_a_spacelike_normal_skips_the_euler_checks(tmp_path, triangle):
+    code, out = run(tmp_path, "verify", "--trials", "1", "--triangle", triangle)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["instances"][0]["checks"]}
+    assert (checks["euler_line"]["status"], checks["euler_line"]["flag"]) == (
+        "skipped", "center_undefined")
+    assert (checks["euler_ratios"]["status"], checks["euler_ratios"]["flag"]) == (
+        "skipped", "cevian_degeneracy")
+
+
 # the skips of a check that meets a circle it cannot read: the incircle
 # of the first has radius 2.4e-8, so |B|^2 - AC of its coefficients is 0;
 # the second's circle shot into the angle at a is not inside the disk
@@ -464,7 +490,7 @@ def _one_at_a_time(scn: Scenario) -> list[InstanceReport]:
         instance, flags, cfg = {}, [], None
         if asked & TRIANGLE_SUITES:
             tri, resamples = cli._triangle(scn, index)
-            cfg = cli.build_config(tri, bool(asked & cli.PENCIL_SUITES))
+            cfg = cli.build_config(tri)
             instance = {"triangle": {"a": tri.a, "b": tri.b, "c": tri.c},
                         "resamples": resamples}
             flags = list(cfg.flags)
@@ -504,11 +530,11 @@ def test_blocks_raise_the_error_of_one_instance_at_a_time(monkeypatch, trials,
     suite_calls = itertools.count()
     build_config = cli.build_config
 
-    def build_raising(tri, pencils=True):
+    def build_raising(tri):
         index = next(calls)
         if index == build_at:
             raise GeometryError(f"build_config at {index}")
-        return build_config(tri, pencils)
+        return build_config(tri)
 
     src, lexell = cli.SUITES["lexell"]
 
@@ -889,8 +915,9 @@ DEFAULT_BOX_STATUS = {
     "feuerbach_point": (6, 0, 194),
 }
 DEFAULT_BOX_SKIPS = {
-    ("euler_line", "center_undefined"): 35,
-    ("euler_ratios", "cevian_degeneracy"): 33,
+    ("euler_line", "center_undefined"): 2,
+    ("euler_line", "divergent_pseudoaltitude_cevians"): 33,
+    ("euler_ratios", "divergent_pseudoaltitude_cevians"): 33,
     ("feuerbach_point", "contact_points_missing"): 194,
     ("radical_axis", "axis_outside_disk"): 21,
     ("tangent_cevians", "target_not_circle"): 21,
@@ -904,22 +931,21 @@ CONTACT_CHAIN_STATUS = {
     "feuerbach_point": (119, 0, 81),
 }
 CONTACT_CHAIN_SKIPS = {
-    ("euler_line", "center_undefined"): 11,
-    ("euler_ratios", "cevian_degeneracy"): 11,
+    ("euler_line", "divergent_pseudoaltitude_cevians"): 11,
+    ("euler_ratios", "divergent_pseudoaltitude_cevians"): 11,
     ("feuerbach_point", "contact_points_missing"): 81,
     ("radical_axis", "axis_outside_disk"): 21,
 }
-# the instances carrying each configuration flag, per box: the pencils
-# decide divergent_*, the vertex sums excircle_absent_*
+# the instances carrying each configuration flag, per box: the vertex
+# sums decide excircle_absent_*; a diverging pencil is no instance flag
+# but the skip flag of the checks that solve it
 DEFAULT_BOX_FLAGS = {
-    "divergent_pseudoaltitude_cevians": 33,
     "excircle_absent_a": 136,
     "excircle_absent_b": 152,
     "excircle_absent_c": 144,
     "no_circumcenter": 21,
 }
 CONTACT_CHAIN_FLAGS = {
-    "divergent_pseudoaltitude_cevians": 11,
     "excircle_absent_a": 25,
     "excircle_absent_b": 31,
     "excircle_absent_c": 25,

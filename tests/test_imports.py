@@ -253,7 +253,8 @@ def test_theorems_defines_only_checks():
     assert [name for name in public if not name.startswith("check_")] == []
 
 
-# what cevians.build_config writes into TriangleConfig.flags begins so
+# what cevians writes as a flag begins so: build_config into
+# TriangleConfig.flags, cevian_pencils as a diverging pencil's flag
 CONFIG_FLAG_PREFIXES = ("bracket_failure_", "no_", "divergent_", "excircle_absent_",
                         "excircle_center_at_absolute_", "incircle_center_at_absolute")
 

@@ -39,10 +39,9 @@ FIELDS = {
     CircleSpec: ("center", "radius", "cycle"),
     CevianFeet: ("bisector", "pseudoaltitude"),
     TriangleConfig: (
-        "triangle", "feet", "lifts", "side_normals", "bisector_normals",
-        "pseudoaltitude_normals", "circumcircle", "circumcenter", "circumradius",
-        "euler_circle", "euler_center", "euler_radius", "bisector_point",
-        "pseudo_orthocenter", "incircle", "excircles", "flags"),
+        "triangle", "feet", "lifts", "side_normals", "circumcircle", "circumcenter",
+        "circumradius", "euler_circle", "euler_center", "euler_radius", "incircle",
+        "excircles", "flags"),
     HomotheticCenters: ("positive", "negative"),
     Tolerances: ("construct", "theorem", "chain"),
     TheoremCheck: ("name", "residual", "tolerance", "status", "flag", "witness"),

@@ -33,7 +33,8 @@ from random import Random
 import pytest
 
 from hypfeuer import cevians, cycles, geom_core, instances
-from hypfeuer.cevians import VERTICES, _side_frame, build_config, concurrency_point
+from hypfeuer.cevians import (VERTICES, _side_frame, build_config, cevian_pencils,
+                              concurrency_point)
 from hypfeuer.cycles import (
     GeneralizedCycle,
     circle_from_center_radius,
@@ -325,7 +326,7 @@ def _line_sets(rng):
     divergent sets near the absolute."""
     for idx in range(300):
         cfg = build_config(random_triangle(instance_rng(2024, idx), BOXES[idx % 3])[0])
-        for family in (cfg.bisector_normals, cfg.pseudoaltitude_normals):
+        for family, *_ in cevian_pencils(cfg).values():
             if len(family) == 3:
                 normals = [unit_normal(family[v]) for v in VERTICES]
                 yield normals

@@ -10,7 +10,7 @@ def test_one_row_per_stage(capsys):
     header, *rows, footer = capsys.readouterr().out.splitlines()
     assert header.split() == ["stage", "min_us", "median_us"]
     assert [row.rsplit(None, 2)[0] for row in rows] == [
-        "draw", "build_config", "build_config_bare",
+        "draw", "build_config",
         *(f"suite {name}" for name in SUITE_ORDER), "writer", "verify"]
     for row in rows:
         low, median = map(float, row.split()[-2:])

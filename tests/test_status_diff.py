@@ -4,9 +4,11 @@ from status_diff import compare, main
 
 PARENT = """\
 0.7 0.15 0 - exit 0
+0.7 0.15 0 0 flags excircle_absent_a,no_circumcenter
 0.7 0.15 0 0 inscribed_angle pass None 4.440892098500626e-15
 0.7 0.15 0 0 lexell pass None 2.220446049250313e-16
 0.7 0.15 0 0 feuerbach_point skipped contact_points_missing None
+0.7 0.15 0 1 flags -
 0.7 0.15 0 1 inscribed_angle pass None 2.6645352591003757e-15
 0.7 0.15 0 1 lexell pass None 1.6653345369377348e-16
 """.splitlines()
@@ -49,6 +51,19 @@ def test_a_status_flag_or_exit_change_is_printed_and_flagged():
     ]
     # the failing residual is a moved residual too
     assert "residuals lexell moved 1 of 2 worst 2.220446049250313e-16 -> 0.5" in out
+
+
+def test_a_changed_instance_flag_is_a_status_line():
+    # a flag that leaves an instance is printed and flagged; a flags
+    # line has no residual to count
+    out, flagged = compare(PARENT, _changed("excircle_absent_a,no_circumcenter",
+                                            "excircle_absent_a"))
+    assert flagged
+    assert [line for line in out if not line.startswith("residuals")] == [
+        "status 0.7 0.15 0 0 flags excircle_absent_a,no_circumcenter"
+        " -> 0.7 0.15 0 0 flags excircle_absent_a"]
+    assert [line.split()[1] for line in out if line.startswith("residuals")] == [
+        "feuerbach_point", "inscribed_angle", "lexell"]
 
 
 def test_a_line_on_one_side_only_is_printed_and_flagged():

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 
 from hypfeuer import cevians, cli, cycles, geom_core, instances, power, theorems
-from hypfeuer.cevians import _shoot_tangent_circle, build_config, concurrency_point, side_units
+from hypfeuer.cevians import (VERTICES, _shoot_tangent_circle, build_config, cevian_pencils,
+                              side_units)
 from hypfeuer.cycles import (
     GeneralizedCycle,
     _hyperboloid_plane,
@@ -67,26 +68,35 @@ from oracles import internal_bisector, random_isometry
 ABSOLUTE = GeneralizedCycle.of(1.0, 0j, -1.0)
 
 
+def pencil_points(cfg):
+    """The bisector point M and the pseudo-orthocenter H, each None where
+    its cevian pencil has no point."""
+    return tuple(point for _, point, _, _ in cevian_pencils(cfg).values())
+
+
 def clean_config(seed, start=0, limit=60, box=None):
-    """First config whose flags are at worst absent excircles."""
+    """First config whose flags are at worst absent excircles and whose
+    cevian pencils both meet."""
     idx = start
     while idx < start + limit:
         kwargs = {} if box is None else {"max_vertex_radius": box}
         tri, _ = random_triangle(instance_rng(seed, idx), **kwargs)
         idx += 1
         cfg = build_config(tri)
-        if all(f.startswith("excircle_absent") for f in cfg.flags):
+        if (all(f.startswith("excircle_absent") for f in cfg.flags)
+                and None not in pencil_points(cfg)):
             return cfg
     raise AssertionError("no clean config found")
 
 
 def full_configs(seed, count, box=0.45, limit=200):
-    """Configs with no flags at all: every excircle present."""
+    """Configs with no flags at all, every excircle present, and both
+    cevian pencils meeting."""
     out = []
     for idx in range(limit):
         tri, _ = random_triangle(instance_rng(seed, idx), max_vertex_radius=box)
         cfg = build_config(tri)
-        if not cfg.flags:
+        if not cfg.flags and None not in pencil_points(cfg):
             out.append(cfg)
             if len(out) == count:
                 return out
@@ -343,8 +353,7 @@ def test_euler_line_of_a_centred_equilateral_triangle():
     tri = Triangle.of(*(0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)))
     cfg = build_config(tri)
     o = cfg.circumcenter
-    distances = [disk_distance(o, p) for p in
-                 (cfg.euler_center, cfg.bisector_point, cfg.pseudo_orthocenter)]
+    distances = [disk_distance(o, p) for p in (cfg.euler_center, *pencil_points(cfg))]
     assert max(distances) < 1e-12
     chk = check_euler_line(cfg)
     assert chk.status == "pass"
@@ -363,17 +372,29 @@ def test_euler_ratios_random_configs():
 
 def test_euler_ratios_reads_both_concurrency_residuals():
     # the pencils that define M and H are part of the residual: a family
-    # of cevians that misses its concurrency point fails the check, its
-    # pencil term taken from the stored cevian normals
+    # whose third cevian misses the meet of the other two fails the
+    # check with that family's pencil term.  That cevian's foot moves
+    # 1e-7 across it, along the gradient n_t z + n_x + i n_y of its
+    # form, so the meet stays where it was and, as it lies on the
+    # cevian, the ratios and products move only to second order
     cfg = clean_config(611)
     assert check_euler_ratios(cfg).status == "pass"
-    for name in ("bisector_normals", "pseudoaltitude_normals"):
-        normals = dict(getattr(cfg, name))
-        n0, n1, n2 = normals["a"]
-        normals["a"] = (n0 + 1e-9 * math.hypot(n1, n2), n1, n2)
-        chk = check_euler_ratios(cfg.replace(**{name: normals}))
-        assert chk.status == "fail", name
-        assert chk.residual == concurrency_point([normals[v] for v in "abc"])[1]
+    for family in ("bisector", "pseudoaltitude"):
+        normals, point, _, _ = cevian_pencils(cfg)[family]
+        feet = getattr(cfg.feet, family)
+        for v in VERTICES:
+            n0, n1, n2 = normals[v]
+            across = n0 * feet[v] + complex(n1, n2)
+            moved_feet = {**feet, v: feet[v] + 1e-7 * across / abs(across)}
+            moved = cfg.replace(feet=cfg.feet.replace(**{family: moved_feet}))
+            _, moved_point, term, _ = cevian_pencils(moved)[family]
+            if moved_point == point:
+                break
+        else:
+            pytest.fail(f"every {family} cevian moves the meet")
+        chk = check_euler_ratios(moved)
+        assert chk.status == "fail", family
+        assert chk.residual == term
 
 
 def test_feuerbach_reads_each_tritangent_tangency_gap():
@@ -456,8 +477,8 @@ def test_triangle_checks_isometry_equivariant():
     iso = random_isometry(Random(615))
     moved = build_config(Triangle.of(iso(tri.a), iso(tri.b), iso(tri.c)))
     # centers are label-free, so they must track the isometry exactly
-    assert disk_distance(iso(cfg.pseudo_orthocenter), moved.pseudo_orthocenter) < 1e-8
-    assert disk_distance(iso(cfg.bisector_point), moved.bisector_point) < 1e-8
+    for p, q in zip(pencil_points(cfg), pencil_points(moved)):
+        assert disk_distance(iso(p), q) < 1e-8
     r1 = hyp_center_radius(cfg.euler_circle)[1]
     r2 = hyp_center_radius(moved.euler_circle)[1]
     assert r1 == pytest.approx(r2, abs=1e-9)
@@ -479,9 +500,8 @@ def test_triangle_checks_isometry_equivariant():
             for check in checks:
                 before, after = check(cfg), check(moved)
                 assert (before.status, before.flag) == (after.status, after.flag), (box, i)
-            for center in (lambda c: c.bisector_point, lambda c: c.pseudo_orthocenter,
-                           lambda c: c.incircle and c.incircle.center):
-                p, q = center(cfg), center(moved)
+            for p, q in zip((*pencil_points(cfg), cfg.incircle and cfg.incircle.center),
+                            (*pencil_points(moved), moved.incircle and moved.incircle.center)):
                 assert (p is None) == (q is None), (box, i)
                 if p is not None:
                     assert disk_distance(iso(p), q) < 1e-11, (box, i)
