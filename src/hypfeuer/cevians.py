@@ -52,8 +52,7 @@ import math
 import sys
 
 from .errors import (BracketFailure, DegenerateAngle, DegenerateTriangle,
-                     DivergentCevians, GeometryError, NoHyperbolicCenter,
-                     NotACycle)
+                     DivergentCevians, GeometryError, NoHyperbolicCenter)
 from .geom_core import (
     COINCIDENT_EPS,
     Record,
@@ -74,6 +73,7 @@ from .cycles import (
     plane_distances,
     point_lift,
     sign_aware_q,
+    spacelike_norm,
     through_normal,
     unit_normal,
 )
@@ -189,18 +189,17 @@ class CircleSpec(Record):
 
 
 def side_units(side_normals: dict[str, Vector]) -> tuple[list[Vector], list[float]]:
-    """The unit normal n / |n| of each side and its norm |n| = sqrt(n_x^2
-    + n_y^2 - n_t^2), in VERTICES order.  A side whose normal is not
+    """The unit normal n / |n| of each side and its norm |n|
+    (spacelike_norm), in VERTICES order.  A side whose normal is not
     spacelike, its vertices equal to rounding, raises
     DegenerateTriangle."""
     units, norms = [], []
     for v in VERTICES:
-        n0, n1, n2 = side_normals[v]
-        norm2 = n1 * n1 + n2 * n2 - n0 * n0
-        if norm2 <= 0.0:
+        n = n0, n1, n2 = side_normals[v]
+        norm = spacelike_norm(n)
+        if not norm:
             # two vertices so close that their side rounds to no geodesic
             raise DegenerateTriangle(f"side {v} has no spacelike normal")
-        norm = math.sqrt(norm2)
         units.append((n0 / norm, n1 / norm, n2 / norm))
         norms.append(norm)
     return units, norms
@@ -331,7 +330,7 @@ def tangent_contact(circle: CircleVector, other: CircleVector, inside: bool,
     t2, x2, y2, sinh_big = other
     c = t1 * t2 - x1 * x2 - y1 * y2
     nt, nx, ny = t2 - c * t1, x2 - c * x1, y2 - c * y1
-    sinh_d = math.sqrt(max(nx * nx + ny * ny - nt * nt, 0.0))
+    sinh_d = spacelike_norm((nt, nx, ny))
     r, big_r = math.asinh(sinh_r), math.asinh(sinh_big)
     gap = abs(math.asinh(sinh_d) - (abs(big_r - r) if inside else big_r + r))
     if sinh_d * tol < _EPS:
@@ -377,18 +376,18 @@ def cevian_pencils(cfg: TriangleConfig) -> dict[str, tuple]:
     """Each cevian family's pencil, keyed by its CevianFeet field
     (bisector, then pseudoaltitude): (normals, point, residual, flag).
 
-    normals holds the cevian from each vertex whose foot exists, as its
-    normal, the cross product of the vertex lift and the foot's lift
-    (through_normal), bit for bit what geodesic_through gives.  The
+    normals holds the cevian from each vertex whose foot exists and
+    whose line is a geodesic, as its normal, the cross product of the
+    vertex lift and the foot's lift (through_normal), bit for bit what
+    geodesic_through gives.  A cevian whose normal is not spacelike
+    (spacelike_norm: its foot so near its vertex that the normal rounds
+    to no geodesic) is left out, as a missing foot is, with no flag; a
+    missing foot's bracket_failure flag already names its cause.  The
     point (the bisector point M or the pseudo-orthocenter H) and its
     residual, the worst distance to the third cevian, are the
-    concurrency_point of the three cevians, or None: where a foot is
-    missing, whose bracket_failure flag already names the cause; where
-    a cevian's normal is not spacelike (NotACycle: its foot so near its
-    vertex that the normal rounds to no geodesic), which reads as no
-    point, like a missing foot; and where the three do not meet
-    (DivergentCevians), the one case with a flag,
-    divergent_<family>_cevians.
+    concurrency_point of the three cevians, or None: where a cevian is
+    left out, and where the three do not meet (DivergentCevians), the
+    one case with a flag, divergent_<family>_cevians.
 
     The readers are euler_line, euler_ratios, construct and render: a
     configuration stores no pencil, so its flags never depend on which
@@ -396,16 +395,15 @@ def cevian_pencils(cfg: TriangleConfig) -> dict[str, tuple]:
     """
     pencils = {}
     for family in CevianFeet.__slots__:
-        normals = {v: through_normal(cfg.lifts[v], point_lift(foot))
-                   for v, foot in getattr(cfg.feet, family).items()}
+        lines = {v: through_normal(cfg.lifts[v], point_lift(foot))
+                 for v, foot in getattr(cfg.feet, family).items()}
+        normals = {v: n for v, n in lines.items() if spacelike_norm(n)}
         point = residual = flag = None
         if len(normals) == 3:
             try:
                 point, residual = concurrency_point([normals[v] for v in VERTICES])
             except DivergentCevians:
                 flag = f"divergent_{family}_cevians"
-            except NotACycle:
-                pass
         pencils[family] = (normals, point, residual, flag)
     return pencils
 

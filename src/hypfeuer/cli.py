@@ -368,8 +368,10 @@ def report_json(report: VerificationReport) -> str:
 
 
 def config_json(cfg: TriangleConfig) -> str:
-    """The configuration's objects, with each cevian family's geodesics,
-    its point (M or H) and its divergent_* flag from cevian_pencils."""
+    """The configuration's objects, with each cevian family's geodesics
+    (a cevian whose foot is missing or whose line is no geodesic left
+    out), its point (M or H) and its divergent_* flag from
+    cevian_pencils."""
     tri = cfg.triangle
     pencils = cevian_pencils(cfg)
     doc = {

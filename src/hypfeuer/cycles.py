@@ -437,15 +437,23 @@ def hyp_center_radius(cycle: GeneralizedCycle) -> tuple[complex, float]:
     return center, math.asinh(s / norm)
 
 
-def unit_normal(n) -> tuple[float, float, float]:
-    """The normal n = (A, Re B, Im B) of a geodesic scaled to Minkowski
-    norm sqrt(|B|^2 - A^2) = 1; NotACycle when n is not spacelike."""
+def spacelike_norm(n) -> float:
+    """Minkowski norm sqrt(|B|^2 - A^2) of a normal n = (A, Re B, Im B),
+    or 0.0 when n is not spacelike: then it is no geodesic's normal (a
+    line through two points equal to rounding has none)."""
     n0, n1, n2 = n
     norm2 = n1 * n1 + n2 * n2 - n0 * n0
-    if norm2 <= 0.0:
+    return 0.0 if norm2 <= 0.0 else math.sqrt(norm2)
+
+
+def unit_normal(n) -> tuple[float, float, float]:
+    """The normal n = (A, Re B, Im B) of a geodesic scaled to Minkowski
+    norm 1 (spacelike_norm); NotACycle when n is not spacelike."""
+    norm = spacelike_norm(n)
+    if not norm:
         raise NotACycle("degenerate geodesic coefficients")
-    s = 1.0 / math.sqrt(norm2)
-    return n0 * s, n1 * s, n2 * s
+    s = 1.0 / norm
+    return n[0] * s, n[1] * s, n[2] * s
 
 
 def plane_distances(x, normals) -> list[float]:

@@ -130,7 +130,7 @@ def render_svg(cfg: TriangleConfig) -> str:
         cv.text(f"label-{v}", z * min(1.12, LABEL_REACH / abs(z)) if abs(z) > 1e-9
                 else z + 0.06, v)
 
-    # a pencil holds a cevian exactly where its foot exists
+    # a pencil holds a cevian exactly where its foot exists and its line is a geodesic
     pencils = cevian_pencils(cfg)
     for family, stroke in (("bisector", "#7a7a7a"), ("pseudoaltitude", "#bbbbbb")):
         feet = getattr(cfg.feet, family)

@@ -42,7 +42,6 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateTriangle,
     DivergentCevians,
-    GeometryError,
     MissingCenter,
     NoHyperbolicCenter,
     NotACircle,
@@ -70,6 +69,7 @@ from .cycles import (
     plane_distances,
     point_geodesic_distance,
     sample_points,
+    spacelike_norm,
     tangency_residual,
     through_normal,
 )
@@ -508,7 +508,10 @@ def check_tangent_cevians(cfg: TriangleConfig) -> TheoremCheck:
     residual also takes each circle's tangency gap (tangent_contact):
     a small triangle's cevians move too little to show a circle that
     misses the circumcircle.  A shot circle that is not inside the disk
-    skips the check as tangent_circle_outside_disk_{v}."""
+    skips the check as tangent_circle_outside_disk_{v}, a contact that
+    is missing or whose line to its vertex is no geodesic (its normal
+    not spacelike, spacelike_norm) as contact_point_missing_{v}, and
+    cevians that do not meet as cevians_diverge."""
     if cfg.circumcenter is None:
         return _skip("tangent_cevians", TOLERANCES.chain, "target_not_circle")
     w = cfg.circumcircle
@@ -525,12 +528,13 @@ def check_tangent_cevians(cfg: TriangleConfig) -> TheoremCheck:
             return _skip("tangent_cevians", TOLERANCES.chain, f"tangent_circle_outside_disk_{v}")
         contact, gap = tangent_contact(vector, target, True, TOLERANCES.chain)
         tangency = max(tangency, gap)
-        if contact is None:
+        normal = contact and through_normal(cfg.lifts[v], contact)
+        if not (normal and spacelike_norm(normal)):
             return _skip("tangent_cevians", TOLERANCES.chain, f"contact_point_missing_{v}")
-        normals.append(through_normal(cfg.lifts[v], contact))
+        normals.append(normal)
     try:
         point, residual = concurrency_point(normals)
-    except GeometryError:
+    except DivergentCevians:
         return _skip("tangent_cevians", TOLERANCES.chain, "cevians_diverge")
     return _finish("tangent_cevians", max(residual, tangency), TOLERANCES.chain,
                    {"point": point, "tangency_gap": tangency})
@@ -542,7 +546,10 @@ def check_feuerbach_point(cfg: TriangleConfig) -> TheoremCheck:
     of their normals (concurrency_point).  The incircle touches the
     Euler circle from inside, the excircles from outside; the Euler
     circle and the incircle of an equilateral triangle are one circle,
-    with no contact point.
+    with no contact point.  A contact that is missing, or whose line is
+    no geodesic (its normal not spacelike, spacelike_norm), skips the
+    check as contact_points_missing, lines that do not meet as
+    lines_diverge.
 
     Each excircle contact is taken one Euler radius from the Euler
     center toward the excircle's center: only that center's direction
@@ -557,21 +564,17 @@ def check_feuerbach_point(cfg: TriangleConfig) -> TheoremCheck:
     euler = circle_vector(cfg.euler_circle)
     inc = circle_vector(cfg.incircle.cycle)
     f0, _ = tangent_contact(inc, euler, True, TOLERANCES.chain)
-    if f0 is None:
-        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
-    normals = [through_normal(f0, inc[:3])]
+    normals = [f0 and through_normal(f0, inc[:3])]
     gaps = []
     for v in ("a", "b", "c"):
         fv, gap = tangent_contact(euler, circle_vector(cfg.excircles[v].cycle), False,
                                   TOLERANCES.chain)
-        if fv is None:
-            return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
-        normals.append(through_normal(cfg.lifts[v], fv))
+        normals.append(fv and through_normal(cfg.lifts[v], fv))
         gaps.append(gap)
+    if not all(n and spacelike_norm(n) for n in normals):
+        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
     try:
         point, residual = concurrency_point(normals)
     except DivergentCevians:
         return _skip("feuerbach_point", TOLERANCES.chain, "lines_diverge")
-    except GeometryError:  # a line through two coincident points
-        return _skip("feuerbach_point", TOLERANCES.chain, "contact_points_missing")
     return _finish("feuerbach_point", max(residual, *gaps), TOLERANCES.chain, {"point": point})

@@ -369,9 +369,9 @@ def test_side_without_a_spacelike_normal_is_geometry_error(argv, capsys):
 
 # two triangles of tests/test_fuzz.py's corpus at seed 4 (inputs 233
 # and 845) with a pseudoaltitude whose normal is not spacelike, its foot
-# 1e-9 and 6e-12 from its vertex next to the absolute: the pencil reads
-# as no point, like a missing foot, where it used to raise NotACycle out
-# of the whole report.  The
+# 1e-9 and 6e-12 from its vertex next to the absolute: the cevian is
+# left out of its pencil, which reads as no point, like a missing foot,
+# where it used to raise NotACycle out of the whole report.  The
 # report fails feuerbach on both and six_point on the second (the
 # needle defect in the ROADMAP); only the two skips are pinned
 NO_CEVIAN_NORMAL = [
@@ -380,6 +380,24 @@ NO_CEVIAN_NORMAL = [
     "0.5293199404897678-0.8465252373538085i,0.529319940490071-0.8465252373429014i,"
     "0.5021948342384576-0.000808654552194828i",
 ]
+
+
+@pytest.mark.parametrize("triangle", NO_CEVIAN_NORMAL, ids=["233", "845"])
+def test_construct_and_render_leave_out_a_cevian_without_a_spacelike_normal(
+        tmp_path, triangle):
+    # the foot at c exists; its cevian is no geodesic, so it is neither
+    # written nor drawn, and the pencil has no point, like a missing foot
+    code, out = run(tmp_path, "construct", "--triangle", triangle)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["feet"]["pseudoaltitude"]) == ["a", "b", "c"]
+    assert sorted(doc["cevians"]["pseudoaltitude"]) == ["a", "b"]
+    assert doc["pseudo_orthocenter"] is None
+    code, out = run(tmp_path, "render", "--triangle", triangle, name="fig.svg")
+    assert code == 0
+    text = out.read_text()
+    assert 'id="pseudoaltitude-cevian-b"' in text
+    assert "pseudoaltitude-cevian-c" not in text
 
 
 @pytest.mark.parametrize("triangle", NO_CEVIAN_NORMAL, ids=["233", "845"])

@@ -43,6 +43,7 @@ from hypfeuer.cycles import (
     point_lift,
     sample_frame,
     sample_points,
+    spacelike_norm,
     tangency_ratio,
     tangency_residual,
     through_normal,
@@ -969,8 +970,10 @@ def test_unit_normal_scale_and_degenerate_normals():
     assert n[1] * n[1] + n[2] * n[2] - n[0] * n[0] == pytest.approx(1.0, abs=1e-15)
     # a timelike or null "normal" is no geodesic
     for bad in ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        assert spacelike_norm(bad) == 0.0
         with pytest.raises(NotACycle):
             unit_normal(bad)
+    assert spacelike_norm((1.0, 2.0, 0.5)) == math.sqrt(3.25)
 
 
 def test_meet_point_is_the_one_reader_of_a_vector():

@@ -7,14 +7,19 @@ some with two near-coincident vertices and some shrunk about a vertex
 by 10^-u.  Each triangle runs `construct`, `render` or `verify --trials
 1` through `cli.main` in process.  A triangle that `Triangle.of`
 refuses is a usage error: it exits 2, and no other input does.
+`construct` and `render` exit 1 only where `build_config` raises.
 """
 
 import cmath
 import json
 import math
+import xml.etree.ElementTree as ET
 from random import Random
 
+import pytest
+
 from hypfeuer import cli
+from hypfeuer.cevians import build_config
 from hypfeuer.errors import GeometryError
 from hypfeuer.geom_core import Triangle
 
@@ -68,10 +73,20 @@ def refused(argv: list[str]) -> bool:
     return False
 
 
+def builds(argv: list[str]) -> bool:
+    """Whether build_config builds argv's triangle, one Triangle.of takes."""
+    try:
+        build_config(Triangle.of(*cli.parse_triangle(argv[-1])))
+    except GeometryError:
+        return False
+    return True
+
+
 def outcome(argv: list[str], capsys) -> str | None:
     """What breaks the contract on argv, or None: an escaping exception,
     an exit code outside 0-2, exit 2 for a triangle Triangle.of takes or
-    any other for one it refuses, stdout that is neither JSON nor (for
+    any other for one it refuses, construct or render exiting 1 on a
+    triangle build_config builds, stdout that is neither JSON nor (for
     render) SVG, or a usage error that is not one `hypfeuer: ` line."""
     try:
         code = cli.main(argv)
@@ -83,6 +98,8 @@ def outcome(argv: list[str], capsys) -> str | None:
         return f"exit code {code}"
     if (code == 2) != refused(argv):
         return f"exit code {code} for a triangle Triangle.of {'refuses' if code != 2 else 'takes'}"
+    if code == 1 and argv[0] != "verify" and builds(argv):
+        return f"{argv[0]} exit 1 for a triangle build_config builds"
     if out:
         if argv[0] == "render":
             if not out.startswith("<svg"):
@@ -107,3 +124,26 @@ def test_fuzzed_triangles_work_or_exit_with_one_line(capsys):
     assert broken == {}
     # the corpus reaches the refusals it is there to test
     assert sum(map(refused, inputs)) >= 20
+
+
+# (seed, index) of the corpus inputs, at 900 a seed, whose construct or
+# render exited 1 with NotACycle: a cevian whose foot sits next to its
+# vertex has a normal that is not spacelike, and it reached
+# geodesic_of_normal; the pencil now leaves it out, so each writes its
+# configuration
+NO_GEODESIC_CEVIAN = [(3, 387), (3, 684), (3, 780), (3, 888), (4, 339), (4, 852),
+                      (1, 391), (1, 433), (2, 424), (2, 442)]
+
+
+@pytest.mark.parametrize("seed, index", NO_GEODESIC_CEVIAN,
+                         ids=[f"{seed}-{index}" for seed, index in NO_GEODESIC_CEVIAN])
+def test_a_cevian_that_is_no_geodesic_does_not_stop_construct_or_render(
+        seed, index, capsys):
+    argv = corpus(seed, 900)[index]
+    assert argv[0] in ("construct", "render")
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "render":
+        ET.fromstring(out)
+    else:
+        json.loads(out)

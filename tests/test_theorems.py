@@ -828,6 +828,20 @@ def test_tangent_cevians_geodesic_target_skips():
     assert chk.flag == "target_not_circle"
 
 
+def test_a_contact_line_that_is_no_geodesic_skips_as_a_missing_contact(monkeypatch):
+    # every contact put on vertex a: the line from a to its contact has
+    # the zero normal, which reads as a missing contact, not as lines
+    # that do not meet (tangent_cevians once skipped it as cevians_diverge)
+    (cfg,) = full_configs(626, 1)
+    real = theorems.tangent_contact
+    monkeypatch.setattr(theorems, "tangent_contact",
+                        lambda *args: (cfg.lifts["a"], real(*args)[1]))
+    chk = check_tangent_cevians(cfg)
+    assert (chk.status, chk.flag) == ("skipped", "contact_point_missing_a")
+    chk = check_feuerbach_point(cfg)
+    assert (chk.status, chk.flag) == ("skipped", "contact_points_missing")
+
+
 def test_feuerbach_point_small_box():
     for cfg in full_configs(626, 3):
         chk = check_feuerbach_point(cfg)
